@@ -285,6 +285,7 @@ class DfcclCollectiveBackend(CollectiveBackend):
         if manager is not None:
             stats = manager.stats
             diag["recovery"] = {
+                "scans": stats.scans,
                 "recoveries": stats.recoveries,
                 "invocations_rerun": stats.invocations_rerun,
                 "suspected_stragglers": stats.suspected_stragglers,

@@ -8,7 +8,8 @@ This package implements the data-plane concepts of Sec. 4.1 of the paper:
   ``reduce``, ``copy`` and their fusions such as ``recvReduceSend``),
 * chunking of the input buffer and generation of the per-rank primitive
   sequence for the Ring algorithm with the Simple protocol,
-* communicators, which own the inter-GPU channels.
+* communicators, which own the inter-GPU channels,
+* collective plans, which resolve a collective once per membership.
 
 Both backends execute the *same* primitive sequences; they differ only in how
 long a primitive is allowed to busy-wait (indefinitely for NCCL, up to a spin
@@ -17,6 +18,7 @@ threshold for DFCCL) and in who schedules the next primitive.
 
 from repro.collectives.channels import Channel, ChunkMessage, Communicator
 from repro.collectives.cost import CostModel
+from repro.collectives.plan import CollectivePlan
 from repro.collectives.primitives import (
     ExecOutcome,
     Primitive,
@@ -53,6 +55,7 @@ __all__ = [
     "AlgorithmSelector",
     "Channel",
     "ChunkMessage",
+    "CollectivePlan",
     "Communicator",
     "CostModel",
     "ExecOutcome",

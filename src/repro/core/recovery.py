@@ -115,6 +115,9 @@ class RecoveryManager(Actor):
         self.stats.scans += 1
         timeout = self.config.crash_detect_timeout_us
         confirmed_failures = set()
+        # Failed members per collective: one pass over each membership per
+        # scan, however many ranks have one of its invocations in flight.
+        failed_by_coll = {}
         for ctx in self._active_contexts():
             for invocation, submit_time in list(ctx._inflight.items()):
                 if now - submit_time < timeout:
@@ -122,8 +125,9 @@ class RecoveryManager(Actor):
                 coll = invocation.coll
                 if coll.abandoned:
                     continue
-                failed = [rank for rank in coll.active_ranks()
-                          if coll.devices[rank].failed]
+                failed = failed_by_coll.get(coll)
+                if failed is None:
+                    failed = failed_by_coll[coll] = coll.failed_devices()
                 if not failed:
                     # Timed out but everyone is alive: a straggler or a long
                     # queue, not a crash.  Keep waiting (the daemon's bounded
@@ -132,7 +136,7 @@ class RecoveryManager(Actor):
                         self._suspected_invocations.add(invocation.invocation_id)
                         self.stats.suspected_stragglers += 1
                     continue
-                confirmed_failures.update(coll.devices[rank] for rank in failed)
+                confirmed_failures.update(failed)
         if confirmed_failures:
             self._recover_after_failure(confirmed_failures, now)
         return len(confirmed_failures)
@@ -219,8 +223,8 @@ class RecoveryManager(Actor):
         for invocation in coll.invocations:
             if invocation.fully_complete():
                 continue
-            rerun = [rank for rank in survivors
-                     if not invocation.is_gpu_complete(rank)]
+            rerun = tuple(rank for rank in survivors
+                          if not invocation.is_gpu_complete(rank))
             if not rerun:
                 continue
             if coll.rooted and coll.spec.root not in rerun:
@@ -235,7 +239,9 @@ class RecoveryManager(Actor):
         rerun_count = 0
         for invocation, rerun in rerun_sets:
             if rerun == survivors:
-                communicator = coll.communicator
+                # Every survivor restarts: the re-run is the new membership
+                # itself, over the collective's own communicator and plan.
+                rerun, communicator = survivors, coll.communicator
             else:
                 # Some survivors already finished their part; the re-run spans
                 # only the unfinished ones over a dedicated communicator.

@@ -10,12 +10,9 @@ executors, callbacks and completion.
 from __future__ import annotations
 
 from repro.collectives.channels import Communicator
+from repro.collectives.plan import CollectivePlan
 from repro.collectives.primitives import PrimitiveExecutor
-from repro.collectives.selector import AlgorithmSelector
-from repro.collectives.sequences import (
-    generate_primitive_sequence,
-    hierarchical_island_size,
-)
+from repro.collectives.sequences import generate_primitive_sequence
 from repro.common.errors import ConfigurationError, InvalidStateError
 from repro.common.types import CollectiveKind
 from repro.ncclsim.kernels import grid_size_for
@@ -26,7 +23,6 @@ class RegisteredCollective:
 
     def __init__(self, coll_id, spec, devices, interconnect, config, priority=0,
                  name=None, communicator=None, job=None):
-        spec.validate()
         self.coll_id = coll_id
         self.spec = spec
         self.devices = list(devices)
@@ -39,15 +35,15 @@ class RegisteredCollective:
         self.communicator = communicator or Communicator(
             self.devices, interconnect, channel_capacity=config.channel_capacity
         )
-        self._selector = AlgorithmSelector(interconnect, cost_model=config.cost_model)
-        self.algorithm = self._resolve_algorithm(self.devices)
-        #: The selector's alpha-beta cost prediction for the resolved
-        #: algorithm — carried on every collective span and compared against
-        #: measured virtual time in the calibration report.
-        self.predicted_cost_us = self._predict_cost(self.devices)
-        #: Per-bucket decomposition of that prediction, matched against the
-        #: measured attribution buckets in ``calibration_report``.
-        self.predicted_breakdown = self._predict_breakdown(self.devices)
+        #: Elastic-recovery state: original group ranks excluded by failure,
+        #: how many times the group was rebuilt, and whether recovery gave up
+        #: (e.g. the root of a rooted collective died — its data is gone).
+        self.excluded_ranks = set()
+        self.generation = 0
+        self.abandoned = False
+        #: Membership, algorithm and cost prediction of the current
+        #: generation.
+        self.plan = self._compile_plan()
         #: The observability hub of the engine the participating devices run
         #: on (``None`` when the devices are unregistered or obs is off).
         engine = self.devices[0].engine if self.devices else None
@@ -55,40 +51,31 @@ class RegisteredCollective:
         self.obs = obs if (obs is not None and obs.enabled) else None
         self.invocations = []
         self.run_counts = {}
-        #: Elastic-recovery state: original group ranks excluded by failure,
-        #: how many times the group was rebuilt, and whether recovery gave up
-        #: (e.g. the root of a rooted collective died — its data is gone).
-        self.excluded_ranks = set()
-        self.generation = 0
-        self.abandoned = False
 
-    def _resolve_algorithm(self, devices):
+    def _compile_plan(self, previous=None):
         # A per-collective spec hint overrides the backend-wide config knob.
-        return self._selector.resolve(
+        return CollectivePlan(
+            self.spec, self.devices, self.interconnect,
             self.spec.algorithm or self.config.algorithm,
-            self.spec.kind,
-            self.spec.nbytes,
-            len(devices),
-            [device.device_id for device in devices],
+            self.config.chunk_bytes, cost_model=self.config.cost_model,
+            excluded=self.excluded_ranks, generation=self.generation,
+            previous=previous,
         )
 
-    def _predict_cost(self, devices):
-        return self._selector.predicted_cost_us(
-            self.algorithm,
-            self.spec.kind,
-            self.spec.nbytes,
-            len(devices),
-            [device.device_id for device in devices],
-        )
+    @property
+    def algorithm(self):
+        """The resolved algorithm of the current membership."""
+        return self.plan.algorithm
 
-    def _predict_breakdown(self, devices):
-        return self._selector.predicted_cost_breakdown(
-            self.algorithm,
-            self.spec.kind,
-            self.spec.nbytes,
-            len(devices),
-            [device.device_id for device in devices],
-        )
+    @property
+    def predicted_cost_us(self):
+        """The selector's cost prediction for the current membership."""
+        return self.plan.predicted_cost_us
+
+    @property
+    def predicted_breakdown(self):
+        """Per-bucket decomposition of :attr:`predicted_cost_us`."""
+        return self.plan.predicted_breakdown
 
     @property
     def group_size(self):
@@ -107,34 +94,41 @@ class RegisteredCollective:
         Group ranks are *stable*: a collective registered over four devices
         keeps ranks 0..3 forever, exclusion only removes members.  Executors
         internally compact the surviving ranks into a dense virtual rank
-        space so the ring/tree generators see a contiguous group.
+        space so the ring/tree generators see a contiguous group.  Returns
+        the plan's ascending tuple.
         """
-        return [rank for rank in range(len(self.devices))
-                if rank not in self.excluded_ranks]
+        return self.plan.active_ranks
 
     def active_devices(self):
-        return [self.devices[rank] for rank in self.active_ranks()]
+        return [self.devices[rank] for rank in self.plan.active_ranks]
+
+    def failed_devices(self):
+        """Member devices that have failed (one pass over the membership)."""
+        devices = self.devices
+        return [devices[rank] for rank in self.plan.active_ranks
+                if devices[rank].failed]
+
+    def _next_generation(self):
+        self.generation += 1
+        self.plan = self._compile_plan(previous=self.plan)
 
     def shrink(self, failed_ranks, pool):
         """Exclude ``failed_ranks`` and rebuild the communicator over survivors.
 
         The old communicator must already be invalidated (the recovery path
         does this first); it is handed back to ``pool`` which discards it.
-        Returns the surviving original group ranks.
+        Bumps the generation, which replaces the plan.  Returns the
+        surviving original group ranks.
         """
         newly = set(failed_ranks) - self.excluded_ranks
         if not newly:
             return self.active_ranks()
         pool.release(self.communicator)
         self.excluded_ranks |= newly
+        self._next_generation()
         survivors = self.active_ranks()
         if survivors:
             self.communicator = pool.acquire(self.active_devices(), job=self.job)
-            self.algorithm = self._resolve_algorithm(self.active_devices())
-            self.predicted_cost_us = self._predict_cost(self.active_devices())
-            self.predicted_breakdown = self._predict_breakdown(
-                self.active_devices())
-        self.generation += 1
         return survivors
 
     def grow(self, replacements, pool):
@@ -142,12 +136,12 @@ class RegisteredCollective:
 
         The inverse of :meth:`shrink`: ``replacements`` maps excluded group
         ranks to the fresh devices taking their seats.  The communicator is
-        rebuilt over the re-grown active device set, the algorithm choice and
-        cost predictions are re-resolved (group size changed back), and the
-        generation is bumped so stale executors are never adopted.  Only
-        affects invocations created after the grow; completed invocations
-        keep their shrunken-group completion signatures.  Returns the active
-        group ranks after the grow.
+        rebuilt over the re-grown active device set, and the generation is
+        bumped — a new plan re-resolves the algorithm and cost predictions
+        (group size changed back) and stale executors are never adopted.
+        Only affects invocations created after the grow; completed
+        invocations keep their shrunken-group completion signatures.
+        Returns the active group ranks after the grow.
         """
         relevant = {rank: device for rank, device in replacements.items()
                     if rank in self.excluded_ranks}
@@ -157,12 +151,8 @@ class RegisteredCollective:
         for rank, device in relevant.items():
             self.devices[rank] = device
             self.excluded_ranks.discard(rank)
-        active = self.active_devices()
-        self.communicator = pool.acquire(active, job=self.job)
-        self.algorithm = self._resolve_algorithm(active)
-        self.predicted_cost_us = self._predict_cost(active)
-        self.predicted_breakdown = self._predict_breakdown(active)
-        self.generation += 1
+        self._next_generation()
+        self.communicator = pool.acquire(self.active_devices(), job=self.job)
         return self.active_ranks()
 
     @property
@@ -175,12 +165,12 @@ class RegisteredCollective:
         return 256 if self.spec.nbytes < (1 << 20) else 512
 
     def group_rank_of_device(self, device):
-        try:
-            return self.devices.index(device)
-        except ValueError:
+        group_rank = self.plan.rank_of_device.get(device)
+        if group_rank is None:
             raise ConfigurationError(
                 f"device {device.name} does not participate in {self.name}"
-            ) from None
+            )
+        return group_rank
 
     def make_executor(self, group_rank, participants=None, communicator=None):
         """Compile this collective's primitive sequence for one rank.
@@ -192,28 +182,26 @@ class RegisteredCollective:
         over exactly the participants' devices (the default is the
         collective's current communicator, which matches the active ranks).
         """
-        participants = (list(participants) if participants is not None
-                        else self.active_ranks())
-        if group_rank not in participants:
+        plan = self.plan
+        participants = (plan.active_ranks if participants is None
+                        else tuple(participants))
+        virtual_rank = plan.virtual_rank(participants, group_rank)
+        if virtual_rank is None:
             raise ConfigurationError(
                 f"group rank {group_rank} is not a participant of {self.name} "
-                f"(participants: {participants})"
+                f"(participants: {list(participants)})"
             )
-        communicator = communicator if communicator is not None else self.communicator
-        virtual_rank = participants.index(group_rank)
-        if self.spec.root in participants:
-            virtual_root = participants.index(self.spec.root)
-        elif self.rooted:
-            # The root's data cannot be reconstructed from the survivors;
-            # recovery must abandon the collective rather than re-root it.
-            raise ConfigurationError(
-                f"root {self.spec.root} of {self.name} is not among the "
-                f"participants {participants}; a rooted collective cannot "
-                "be re-formed without its root"
-            )
-        else:
+        virtual_root = plan.virtual_rank(participants, self.spec.root)
+        if virtual_root is None:
+            if self.rooted:
+                # The root's data cannot be reconstructed from the survivors;
+                # recovery must abandon the collective rather than re-root it.
+                raise ConfigurationError(
+                    f"root {self.spec.root} of {self.name} is not among the "
+                    f"participants {list(participants)}; a rooted collective "
+                    "cannot be re-formed without its root"
+                )
             virtual_root = 0
-        participant_devices = [self.devices[rank] for rank in participants]
         sequence = generate_primitive_sequence(
             self.spec.kind,
             virtual_rank,
@@ -221,15 +209,13 @@ class RegisteredCollective:
             self.spec.nbytes,
             chunk_bytes=self.config.chunk_bytes,
             root=virtual_root,
-            algorithm=self.algorithm,
-            island_size=hierarchical_island_size(
-                device.device_id.node for device in participant_devices
-            ),
+            algorithm=plan.algorithm,
+            island_size=plan.island_size_of(participants),
         )
         return PrimitiveExecutor(
             collective_id=self.coll_id,
             group_rank=virtual_rank,
-            communicator=communicator,
+            communicator=communicator if communicator is not None else self.communicator,
             primitives=sequence,
             cost_model=self.config.cost_model,
         )
@@ -280,6 +266,7 @@ class Invocation:
         #: communicator the re-run uses when some survivors already finished.
         self.recovery_generation = 0
         self._participants = None
+        self._signature = None
         self._rerun_ranks = None
         self._rerun_communicator = None
         #: Open per-rank submit->complete spans (when observability is on).
@@ -336,8 +323,9 @@ class Invocation:
         re-running ranks are dropped so the next ``executor_for`` compiles
         the shrunken sequence.
         """
-        self._participants = list(participants)
-        self._rerun_ranks = list(rerun_ranks)
+        self._participants = frozenset(participants)
+        self._signature = tuple(sorted(self._participants))
+        self._rerun_ranks = tuple(rerun_ranks)
         self._rerun_communicator = communicator
         self.recovery_generation += 1
         for rank in rerun_ranks:
@@ -453,10 +441,10 @@ class Invocation:
         return self.is_done(group_rank) or group_rank in self._aborted_ranks
 
     def expected_ranks(self):
-        """Group ranks whose completion this invocation waits for."""
+        """Group ranks whose completion this invocation waits for (a frozenset)."""
         if self._participants is not None:
-            return set(self._participants)
-        return set(self.coll.active_ranks())
+            return self._participants
+        return self.coll.plan.active_set
 
     def submitted_ranks(self):
         return set(self._submitted_ranks)
@@ -468,10 +456,12 @@ class Invocation:
         callback fires — this is the simulation-level analogue of all ranks
         holding byte-identical reduction results.
         """
-        return (self.recovery_generation, tuple(sorted(self.expected_ranks())))
+        if self._signature is not None:
+            return (self.recovery_generation, self._signature)
+        return (self.recovery_generation, self.coll.plan.active_ranks)
 
     def fully_complete(self):
-        return self.expected_ranks().issubset(self._gpu_complete_ranks)
+        return self.expected_ranks() <= self._gpu_complete_ranks
 
     def __repr__(self):
         return (

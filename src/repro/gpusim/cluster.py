@@ -150,6 +150,7 @@ class Cluster:
         )
         self.devices = []
         self._devices_by_id = {}
+        self._ranks_by_device = {}
         self._pinned = {}
         self.hosts = {}
         #: Construction knobs, kept so :meth:`add_node` builds growth nodes
@@ -181,6 +182,7 @@ class Cluster:
             )
             if time_us is not None:
                 device.clock.advance_to(time_us)
+            self._ranks_by_device[device] = len(self.devices)
             self.devices.append(device)
             self._devices_by_id[device_id] = device
             added.append(device)
@@ -200,7 +202,7 @@ class Cluster:
         return self._devices_by_id[device_id]
 
     def rank_of(self, device):
-        return self.devices.index(device)
+        return self._ranks_by_device[device]
 
     def pinned_allocator(self, node_index):
         return self._pinned[node_index]

@@ -5,6 +5,7 @@ from __future__ import annotations
 from repro.common.errors import ConfigurationError
 from repro.common.types import CollectiveKind, CollectiveSpec, DataType, ReduceOp
 from repro.collectives.cost import DEFAULT_COST_MODEL
+from repro.collectives.plan import CollectivePlan
 from repro.ncclsim.kernels import NcclCollectiveKernel, grid_size_for
 from repro.ncclsim.ops import NcclCollectiveOp
 
@@ -21,34 +22,51 @@ class NcclCommunicator:
         self.backend = backend
         self.ranks = list(ranks)
         self.name = name or f"comm-{'-'.join(map(str, self.ranks))}"
+        self._group_ranks = {}
+        for group_rank, global_rank in enumerate(self.ranks):
+            self._group_ranks.setdefault(global_rank, group_rank)
         self._ops_by_id = {}
         self._call_order = []
+        #: One plan per (spec, algorithm, chunk_bytes): the per-call ops of
+        #: one logical collective share its membership, algorithm and cost
+        #: prediction.
+        self._plans = {}
 
     @property
     def size(self):
         return len(self.ranks)
 
     def group_rank(self, global_rank):
-        try:
-            return self.ranks.index(global_rank)
-        except ValueError:
+        group_rank = self._group_ranks.get(global_rank)
+        if group_rank is None:
             raise ConfigurationError(
                 f"rank {global_rank} is not a member of communicator {self.name}"
-            ) from None
+            )
+        return group_rank
+
+    def plan(self, spec, chunk_bytes=None, algorithm=None):
+        """The :class:`CollectivePlan` of ``spec`` on this communicator."""
+        algorithm = algorithm or self.backend.algorithm
+        chunk_bytes = chunk_bytes or self.backend.chunk_bytes
+        key = (spec, algorithm, chunk_bytes)
+        plan = self._plans.get(key)
+        if plan is None:
+            cluster = self.backend.cluster
+            # A per-collective spec hint overrides the communicator-wide knob.
+            plan = self._plans[key] = CollectivePlan(
+                spec, [cluster.device(rank) for rank in self.ranks],
+                cluster.interconnect, spec.algorithm or algorithm, chunk_bytes,
+                cost_model=self.backend.cost_model,
+            )
+        return plan
 
     def collective(self, coll_id, spec, chunk_bytes=None, name=None, algorithm=None):
         """Return the shared op for ``coll_id``, creating it on first use."""
         op = self._ops_by_id.get(coll_id)
         if op is None:
-            devices = [self.backend.cluster.device(rank) for rank in self.ranks]
             op = NcclCollectiveOp(
-                spec,
-                devices,
-                self.backend.cluster.interconnect,
-                cost_model=self.backend.cost_model,
-                chunk_bytes=chunk_bytes or self.backend.chunk_bytes,
+                self.plan(spec, chunk_bytes=chunk_bytes, algorithm=algorithm),
                 name=name or f"{self.name}:coll{coll_id}",
-                algorithm=algorithm or self.backend.algorithm,
             )
             self._ops_by_id[coll_id] = op
             self._call_order.append(op)
@@ -110,7 +128,11 @@ class NcclBackend:
         multi-tenant SM-contention accounting in :mod:`repro.gpusim`.
         """
         device = self.cluster.device(global_rank)
-        group_rank = op.devices.index(device)
+        group_rank = op.plan.rank_of_device.get(device)
+        if group_rank is None:
+            raise ConfigurationError(
+                f"rank {global_rank} does not participate in {op.name}"
+            )
         executor = op.executor_for(group_rank)
         kernel = NcclCollectiveKernel(
             name=f"{op.name}-r{group_rank}",

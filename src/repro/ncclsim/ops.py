@@ -7,12 +7,7 @@ import weakref
 
 from repro.collectives.channels import Communicator
 from repro.collectives.primitives import PrimitiveExecutor
-from repro.collectives.selector import AlgorithmSelector
-from repro.collectives.sequences import (
-    DEFAULT_CHUNK_BYTES,
-    generate_primitive_sequence,
-    hierarchical_island_size,
-)
+from repro.collectives.sequences import generate_primitive_sequence
 from repro.common.errors import InvalidStateError
 
 _op_ids = itertools.count()
@@ -34,50 +29,37 @@ class NcclCollectiveOp:
     The object is shared by every participating rank; each rank creates its
     kernel from it.  Completion is tracked per rank so host threads can wait
     on their local part (matching ``cudaStreamSynchronize`` semantics) and on
-    global completion.
+    global completion.  The membership, algorithm, island size and cost
+    prediction come from ``plan``, a :class:`CollectivePlan` shared by every
+    call of the same logical collective; each op owns its channels.
     """
 
-    def __init__(self, spec, devices, interconnect, cost_model=None,
-                 chunk_bytes=DEFAULT_CHUNK_BYTES, name=None, algorithm="ring"):
-        spec.validate()
+    def __init__(self, plan, name=None):
         self.op_id = next(_op_ids)
-        self.name = name or f"nccl-op{self.op_id}-{spec.kind.value}"
-        self.spec = spec
-        self.devices = list(devices)
-        self.communicator = Communicator(self.devices, interconnect)
-        self.cost_model = cost_model
-        self.chunk_bytes = chunk_bytes
-        selector = AlgorithmSelector(interconnect, cost_model=cost_model)
-        # A per-collective spec hint overrides the communicator-wide knob.
-        self.algorithm = selector.resolve(
-            spec.algorithm or algorithm, spec.kind, spec.nbytes,
-            len(self.devices),
-            [device.device_id for device in self.devices],
-        )
-        #: Selector prediction for the resolved algorithm, carried on spans
-        #: and folded into the calibration report at completion.
-        self.predicted_cost_us = selector.predicted_cost_us(
-            self.algorithm, spec.kind, spec.nbytes, len(self.devices),
-            [device.device_id for device in self.devices],
-        )
-        #: Per-bucket decomposition of the prediction, for the calibration
-        #: report's mispredicted-bucket feedback.
-        self.predicted_breakdown = selector.predicted_cost_breakdown(
-            self.algorithm, spec.kind, spec.nbytes, len(self.devices),
-            [device.device_id for device in self.devices],
-        )
+        self.plan = plan
+        self.spec = plan.spec
+        self.name = name or f"nccl-op{self.op_id}-{self.spec.kind.value}"
+        self.devices = plan.devices
+        self.communicator = Communicator(self.devices, plan.interconnect)
         engine = self.devices[0].engine if self.devices else None
         obs = engine.obs if engine is not None else None
         self.obs = obs if (obs is not None and obs.enabled) else None
-        # Same island derivation as the DFCCL side (group-rank-ordered node
-        # ids), so both backends compile identical hierarchical sequences.
-        self.island_size = hierarchical_island_size(
-            device.device_id.node for device in self.devices
-        )
         self._complete_ranks = {}
         self._kernels = {}
         self._completion_callbacks = {}
         _ops_by_id[self.op_id] = self
+
+    @property
+    def algorithm(self):
+        return self.plan.algorithm
+
+    @property
+    def predicted_cost_us(self):
+        return self.plan.predicted_cost_us
+
+    @property
+    def predicted_breakdown(self):
+        return self.plan.predicted_breakdown
 
     @property
     def group_size(self):
@@ -85,22 +67,23 @@ class NcclCollectiveOp:
 
     def executor_for(self, group_rank):
         """Build the primitive executor for one rank's part."""
+        plan = self.plan
         sequence = generate_primitive_sequence(
             self.spec.kind,
             group_rank,
             self.group_size,
             self.spec.nbytes,
-            chunk_bytes=self.chunk_bytes,
+            chunk_bytes=plan.chunk_bytes,
             root=self.spec.root,
-            algorithm=self.algorithm,
-            island_size=self.island_size,
+            algorithm=plan.algorithm,
+            island_size=plan.island_size,
         )
         executor = PrimitiveExecutor(
             collective_id=self.op_id,
             group_rank=group_rank,
             communicator=self.communicator,
             primitives=sequence,
-            cost_model=self.cost_model,
+            cost_model=plan.cost_model,
         )
         if self.obs is not None and self.obs.analysis is not None:
             self.obs.analysis.attach(

@@ -1,0 +1,218 @@
+"""CollectivePlan: each collective resolved once per membership, transparently.
+
+A plan holds the membership-derived state of one collective (active ranks,
+rank maps, island size, algorithm, cost prediction).  These tests pin that it
+changes nothing: every executor's sequence equals a fresh
+``generate_primitive_sequence`` call with the arguments the pre-plan code
+passed, invocations of one generation share one plan, and a shrink or grow
+replaces it with one resolved for the new membership.
+"""
+
+import pytest
+
+from repro.api import make_backend
+from repro.collectives import generate_primitive_sequence, hierarchical_island_size
+from repro.common.errors import ConfigurationError
+from repro.common.types import CollectiveKind, CollectiveSpec
+from repro.core import DfcclBackend, DfcclConfig
+from repro.core.registration import RegisteredCollective
+from repro.faults import FaultPlan, install_fault_plan
+from repro.gpusim import HostProgram, build_cluster
+from repro.gpusim.host import CpuCompute
+from repro.ncclsim.ops import NcclCollectiveOp
+from repro.testing import replay_program
+from repro.testing.fuzz import program_at
+
+pytestmark = pytest.mark.timeout(300)
+
+
+def _reference_dfccl(coll, group_rank, participants=None):
+    """One DFCCL rank's sequence, compiled from scratch (no plan)."""
+    if participants is None:
+        participants = [rank for rank in range(coll.group_size)
+                        if rank not in coll.excluded_ranks]
+    participants = list(participants)
+    root = (participants.index(coll.spec.root)
+            if coll.spec.root in participants else 0)
+    return generate_primitive_sequence(
+        coll.spec.kind, participants.index(group_rank), len(participants),
+        coll.spec.nbytes, chunk_bytes=coll.config.chunk_bytes, root=root,
+        algorithm=coll.algorithm,
+        island_size=hierarchical_island_size(
+            coll.devices[rank].device_id.node for rank in participants),
+    )
+
+
+def _reference_nccl(op, group_rank):
+    """One NCCL rank's sequence, compiled from scratch (no plan)."""
+    return generate_primitive_sequence(
+        op.spec.kind, group_rank, op.group_size, op.spec.nbytes,
+        chunk_bytes=op.plan.chunk_bytes, root=op.spec.root,
+        algorithm=op.algorithm,
+        island_size=hierarchical_island_size(
+            device.device_id.node for device in op.devices),
+    )
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every executor built, with its from-scratch sequence and its plan."""
+    records = []
+    make_executor = RegisteredCollective.make_executor
+    executor_for = NcclCollectiveOp.executor_for
+
+    def recording_make_executor(coll, group_rank, participants=None,
+                                communicator=None):
+        executor = make_executor(coll, group_rank, participants, communicator)
+        records.append((executor, _reference_dfccl(coll, group_rank, participants),
+                        coll.plan))
+        return executor
+
+    def recording_executor_for(op, group_rank):
+        executor = executor_for(op, group_rank)
+        records.append((executor, _reference_nccl(op, group_rank), op.plan))
+        return executor
+
+    monkeypatch.setattr(RegisteredCollective, "make_executor",
+                        recording_make_executor)
+    monkeypatch.setattr(NcclCollectiveOp, "executor_for", recording_executor_for)
+    return records
+
+
+def _assert_fresh(records):
+    assert records
+    for executor, expected, _ in records:
+        assert list(executor.primitives) == expected
+
+
+def test_fuzz_stream_sequences_match_fresh_compiles(built):
+    """Fuzz stream 0, programs 0-49, on both sequence-compiling backends."""
+    for index in range(50):
+        program = program_at(0, index)
+        backends = ("dfccl",) if program.has_faults else ("dfccl", "nccl")
+        for backend in backends:
+            replay_program(program, backend)
+    _assert_fresh(built)
+
+
+@pytest.mark.parametrize("backend", ["dfccl", "nccl"])
+def test_invocations_share_one_plan(built, backend):
+    cluster = build_cluster("dual-3090")
+    api_backend = make_backend(backend, cluster, algorithm="hierarchical")
+    group = api_backend.new_group(list(range(16)))
+    spec = CollectiveSpec(CollectiveKind.ALL_REDUCE, 1 << 16)
+    works = {rank: [group.collective(rank, spec) for _ in range(2)]
+             for rank in group.ranks}
+    cluster.add_hosts([
+        HostProgram([op for work in works[rank] for op in work.ops()]
+                    + api_backend.finalize_ops(rank))
+        for rank in group.ranks
+    ])
+    cluster.run()
+    _assert_fresh(built)
+    for rank, (first, second) in works.items():
+        assert first.done and second.done
+        if backend == "dfccl":
+            one = first.invocation.executor_if_cached(rank)
+            two = second.invocation.executor_if_cached(rank)
+        else:
+            one = first.op.kernel(rank).executor
+            two = second.op.kernel(rank).executor
+        assert one is not two
+        assert one.primitives == two.primitives
+    assert len({id(plan) for _, _, plan in built}) == 1
+    assert built[0][2].island_size == 8
+
+
+def test_subset_participants_use_their_own_islands(built):
+    """A sequence over a subset of the members derives the subset's islands,
+    not the plan's."""
+    cluster = build_cluster("dual-3090")
+    backend = DfcclBackend(cluster, DfcclConfig(algorithm="hierarchical"))
+    ranks = list(range(16))
+    backend.init_all_ranks(ranks)
+    coll = backend.register_all_reduce(0, count=1 << 16, ranks=ranks)
+    assert coll.plan.island_size == 8
+    subset = (0, 1, 2, 3, 8, 9, 10, 11)
+    assert hierarchical_island_size(
+        coll.devices[rank].device_id.node for rank in subset) == 4
+    for rank in subset:
+        coll.make_executor(rank, participants=subset)
+    _assert_fresh(built)
+
+
+def test_partial_rerun_and_later_invocations_compile_apart(built):
+    """A re-run over a subset of the survivors shares the plan of the shrunk
+    membership with later invocations, but compiles against the subset."""
+    cluster = build_cluster("single-3090")
+    backend = DfcclBackend(cluster)
+    ranks = [0, 1, 2, 3]
+    backend.init_all_ranks(ranks)
+    # A small chained reduce: rank 1 starts the chain and finishes at once.
+    coll = backend.register_reduce(0, count=1 << 10, ranks=ranks, root=0)
+    for rank in ranks:
+        handles = [backend.submit(rank, 0) for _ in range(2)]
+        cluster.add_host(rank, HostProgram([op for handle in handles
+                                            for op in handle.ops()]))
+    install_fault_plan(cluster, FaultPlan(name="crash").add_crash(2, at_us=5.0))
+    recovered_at = cluster.run(until_us=200_000.0)
+    survivors = coll.active_ranks()
+    assert survivors == (0, 1, 3)
+    assert coll.invocations[1]._rerun_ranks == (0, 3)
+    for rank in survivors:
+        handle = backend.submit(rank, 0)
+        cluster.add_host(rank, HostProgram(handle.ops() + [backend.destroy_op(rank)]),
+                         name=f"after-{rank}", start_time_us=recovered_at)
+    cluster.run(until_us=400_000.0)
+    assert coll.invocations[2].fully_complete()
+    _assert_fresh(built)
+    rerun = coll.invocations[1].executor_if_cached(0)
+    later = coll.invocations[2].executor_if_cached(0)
+    assert len(rerun.primitives) == len(later.primitives) == 1
+    assert rerun.primitives[0] != later.primitives[0]
+
+
+def test_shrink_then_grow_replaces_the_plan(built):
+    """Crash a rank, recover by shrinking, then rejoin a replacement device."""
+    cluster = build_cluster("fat-tree-32")
+    backend = DfcclBackend(cluster, DfcclConfig(algorithm="hierarchical"))
+    ranks = list(range(16))
+    backend.init_all_ranks(ranks)
+    coll = backend.register_all_reduce(0, count=1 << 18, ranks=ranks)
+    assert coll.plan.island_size == 8
+    for rank in ranks:
+        handles = [backend.submit(rank, 0) for _ in range(2)]
+        # Rank 5 dies before it submits anything, so the group can regrow.
+        ops = [CpuCompute(1_000.0)] if rank == 5 else []
+        for handle in handles:
+            ops += handle.ops()
+        cluster.add_host(rank, HostProgram(ops))
+    install_fault_plan(cluster, FaultPlan(name="crash").add_crash(5, at_us=10.0))
+    shrunk_at = cluster.run(until_us=200_000.0)
+    first, second = coll.invocations
+    survivors = coll.active_ranks()
+    assert 5 not in survivors
+    assert coll.plan.generation == coll.generation == 1
+    # Fifteen survivors over two nodes: ragged islands, no two-level schedule.
+    assert coll.plan.island_size is None
+    assert first.fully_complete() and second.fully_complete()
+
+    backend.recovery_manager.rejoin(coll, {5: 16}, shrunk_at)
+    assert coll.plan.generation == coll.generation == 2
+    assert coll.active_ranks() == tuple(ranks)
+    # The replacement device sits on a third node, so the islands interleave.
+    assert coll.plan.devices[5] is cluster.device(16)
+    assert coll.plan.island_size is None
+    assert backend.context(16).group_rank_for(coll) == 5
+    with pytest.raises(ConfigurationError):
+        backend.context(17).group_rank_for(coll)
+    for global_rank in coll.global_ranks:
+        handle = backend.submit(global_rank, 0)
+        cluster.add_host(global_rank,
+                         HostProgram(handle.ops() + [backend.destroy_op(global_rank)]),
+                         name=f"rejoined-{global_rank}", start_time_us=shrunk_at)
+    cluster.run(until_us=400_000.0)
+    assert coll.invocations[2].fully_complete()
+
+    _assert_fresh(built)
+    assert sorted({plan.generation for _, _, plan in built}) == [0, 1, 2]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.fault_experiments import CHAOS_HORIZON_US, CHAOS_PLANS
 from repro.common.errors import ConfigurationError, InvalidStateError
 from repro.core import CommunicatorPool, DfcclBackend, DfcclConfig
 from repro.faults import FaultPlan, install_fault_plan, run_dfccl_chaos
@@ -288,3 +289,54 @@ class TestRecoveryMechanics:
         cluster.run()
         backend.unregister_collective(0)
         assert backend.pool.stats()["free"] == 1
+
+
+def _mixed_plan(world_size):
+    """The seeded mixed fault plan of the ``chaos-128`` benchmark workload."""
+    return FaultPlan.random(
+        seed=1237, world_size=world_size, horizon_us=0.6 * CHAOS_HORIZON_US,
+        expected_crashes=2.0, expected_stragglers=2.0, expected_flaps=2.0,
+        expected_stalls=2.0, name="mixed", protect_ranks=(0,))
+
+
+def _shrinks(world_size, *crashes):
+    """Expected recovery events: each crash shrinks collectives 0-2 in turn."""
+    events, excluded = [], set()
+    for generation, rank in enumerate(crashes, start=1):
+        excluded.add(rank)
+        survivors = tuple(r for r in range(world_size) if r not in excluded)
+        events.extend((coll_id, (rank,), survivors, generation)
+                      for coll_id in range(3))
+    return events
+
+
+#: Recovery bookkeeping of the chaos workload on a 32-rank fat-tree, recorded
+#: before each membership was resolved once into a CollectivePlan:
+#: (scans, suspected stragglers, recoveries, invocations rerun, events).
+RECOVERY_32 = {
+    "crash": (CHAOS_PLANS["crash"], 50, 5, 3, 6, _shrinks(32, 16)),
+    "double-crash": (CHAOS_PLANS["double-crash"], 49, 5, 6, 12,
+                     _shrinks(32, 16, 31)),
+    "link-flap": (CHAOS_PLANS["link-flap"], 63, 5, 0, 0, []),
+    "mixed": (_mixed_plan, 45, 4, 3, 5, _shrinks(32, 23)),
+}
+
+
+class TestRecoveryExactness:
+    """The recovery scan checks failures once per collective per scan; that
+    must not change a single scan, straggler suspicion or shrink."""
+
+    @pytest.mark.parametrize("name", sorted(RECOVERY_32))
+    def test_recovery_stats_pinned(self, name):
+        make_plan, scans, stragglers, recoveries, rerun, events = RECOVERY_32[name]
+        result = run_dfccl_chaos(make_plan(32), topology="fat-tree-32",
+                                 world_size=32)
+        assert result.outcome == "completed"
+        assert result.fingerprints_consistent()
+        stats = result.recovery
+        assert (stats["scans"], stats["suspected_stragglers"],
+                stats["recoveries"], stats["invocations_rerun"]) == (
+            scans, stragglers, recoveries, rerun)
+        assert [(event["coll_id"], event["failed_ranks"],
+                 event["survivor_ranks"], event["generation"])
+                for event in stats["events"]] == events

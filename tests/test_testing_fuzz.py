@@ -342,3 +342,16 @@ class TestReproFidelity:
                                      fault_fraction=0.3, max_calls=4)
             assert f"seed={regenerated.seed} " in seen[index]
             assert f"world={regenerated.world_size} " in seen[index]
+
+
+class TestKnownHangs:
+    """Known liveness failures, pinned so that a fix has to flip them."""
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "fuzz stream seed 9, program 2: a 7-rank fault program on which "
+        "dfccl ends stuck; recorded under known failures in perfbench/README.md"))
+    def test_seed9_program2_completes(self):
+        from repro.testing.fuzz import program_at
+
+        result = replay_program(program_at(9, 2), "dfccl")
+        assert result.outcome == "completed"
