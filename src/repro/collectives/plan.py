@@ -63,15 +63,13 @@ class CollectivePlan:
             kind, nbytes, size = spec.kind, spec.nbytes, len(device_ids)
             self.algorithm = selector.resolve(algorithm, kind, nbytes, size,
                                               device_ids)
-            params = selector.link_parameters(device_ids)
             #: The selector's alpha-beta prediction for the resolved
-            #: algorithm, carried on every collective span and compared
-            #: against measured virtual time in the calibration report.
-            self.predicted_cost_us = selector.predicted_cost_us(
-                self.algorithm, kind, nbytes, size, device_ids, params=params)
-            #: Per-bucket decomposition of that prediction.
+            #: algorithm by bucket, and its sum: carried on every collective
+            #: span and compared against measured virtual time in the
+            #: calibration report.
             self.predicted_breakdown = selector.predicted_cost_breakdown(
-                self.algorithm, kind, nbytes, size, device_ids, params=params)
+                self.algorithm, kind, nbytes, size, device_ids)
+            self.predicted_cost_us = sum(self.predicted_breakdown.values())
         else:
             # No member left: the collective is being abandoned, and its
             # remaining spans keep the last membership's resolution.

@@ -30,6 +30,7 @@ from repro.collectives.sequences import (
     ALGORITHM_HIERARCHICAL,
     ALGORITHM_RING,
     ALGORITHM_TREE,
+    ALGORITHMS,
     DEFAULT_CHUNK_BYTES,
     HIERARCHICAL_KINDS,
     TREE_KINDS,
@@ -84,8 +85,10 @@ class LinkParameters:
 class AlgorithmChoice:
     """Outcome of one selection: the winner plus every predicted cost.
 
-    ``hierarchical_cost_us`` is ``inf`` whenever the group has no valid
-    two-level decomposition (single node, ragged islands, no topology info).
+    A cost is ``inf`` whenever its family is not a candidate: the tree for
+    kinds without a tree variant or groups of two, the hierarchical
+    all-reduce for groups with fewer than ``_HIERARCHICAL_MIN_ISLANDS``
+    equal contiguous islands (single node, ragged islands, no topology info).
     """
 
     algorithm: str
@@ -187,199 +190,122 @@ class AlgorithmSelector:
 
     # -- predicted costs -------------------------------------------------------
 
-    def predicted_cost_us(self, algorithm, kind, nbytes, group_size, device_ids=None,
-                          params=None):
-        """Alpha/beta cost estimate of one algorithm for one collective call.
+    def predicted_cost_breakdown(self, algorithm, kind, nbytes, group_size,
+                                 device_ids=None, params=None):
+        """Alpha/beta cost estimate of one algorithm, by attribution bucket.
 
-        ``params`` may carry precomputed :class:`LinkParameters` to avoid
-        re-resolving every ring edge when costing several algorithms for the
-        same group.
+        This is the cost model: every formula is a hop count plus the alpha
+        and beta terms of those hops.  Returns ``{"alpha_us", "beta_us",
+        "memory_us", "overhead_us"}`` — the cost-model side of the buckets
+        the analysis layer measures.  The alpha bucket is the per-message
+        link latency, beta the byte/bandwidth terms (including the tree's
+        inter-pod spine traversals), overhead the fixed per-primitive control
+        cost of every hop; the model has no explicit memory term, so
+        ``memory_us`` is always zero.
+
+        A family that does not apply — tree on a kind without a tree variant,
+        hierarchical on a non-all-reduce or on a group without a two-level
+        decomposition — is priced as the flat ring the sequence layer runs in
+        its place.  ``params`` may carry precomputed :class:`LinkParameters`
+        to avoid re-resolving every ring edge when costing several
+        algorithms for the same group.
         """
+        if algorithm not in ALGORITHMS:
+            raise ConfigurationError(f"unknown algorithm {algorithm!r}")
+        overhead = self.cost_model.primitive_overhead_us
+
+        def buckets(hops, alpha_us, beta_us):
+            return {"alpha_us": alpha_us, "beta_us": beta_us,
+                    "memory_us": 0.0, "overhead_us": hops * overhead}
+
         if group_size <= 1:
-            return 0.0
+            return buckets(0, 0.0, 0.0)
+        n = group_size
+        if algorithm == ALGORITHM_HIERARCHICAL and kind in HIERARCHICAL_KINDS:
+            structure = self.hierarchical_structure(device_ids)
+            if structure is not None:
+                m, k, intra, inter = structure
+                # 2(m-1) slab steps of nbytes/m inside the island
+                # (reduce-scatter + all-gather), 2(k-1) slice steps of
+                # nbytes/n across islands.
+                intra_steps, inter_steps = 2 * (m - 1), 2 * (k - 1)
+                return buckets(
+                    intra_steps + inter_steps,
+                    intra_steps * intra.alpha_max_us
+                    + inter_steps * inter.alpha_max_us,
+                    intra_steps * (nbytes / m) / intra.bytes_per_us
+                    + inter_steps * (nbytes / n) / inter.bytes_per_us)
         if params is None:
             params = self.link_parameters(device_ids)
-        overhead = self.cost_model.primitive_overhead_us
-        hop = overhead + params.alpha_max_us
-        n = group_size
         depth = max(1, math.ceil(math.log2(n + 1)))
         loop_bytes = min(nbytes, self.chunk_bytes)
         nloops = max(1, math.ceil(nbytes / self.chunk_bytes))
-
-        if algorithm == ALGORITHM_RING:
-            if kind is CollectiveKind.ALL_REDUCE:
-                # Systolic ring: 2(n-1) lock-steps at the slowest link's pace.
-                return 2 * (n - 1) * (hop + (nbytes / n) / params.bytes_per_us)
-            if kind in (CollectiveKind.ALL_GATHER, CollectiveKind.REDUCE_SCATTER):
-                return (n - 1) * (hop + (nbytes / n) / params.bytes_per_us)
-            # Chain: pipeline fill along every edge, then one loop per slowest
-            # hop in steady state.
-            fraction = (n - 1) / n
-            fill = (
-                (n - 1) * overhead
-                + params.alpha_sum_us * fraction
-                + loop_bytes * params.inv_beta_us_per_byte * fraction
-            )
-            steady = (nloops - 1) * (hop + loop_bytes / params.bytes_per_us)
-            return fill + steady
-        if algorithm == ALGORITHM_TREE:
-            if kind not in TREE_KINDS:
-                return self.predicted_cost_us(ALGORITHM_RING, kind, nbytes,
-                                              group_size, device_ids, params=params)
-            if kind is CollectiveKind.ALL_REDUCE:
-                alpha_term = _TREE_HOP_FACTOR * depth * hop
-                bw_term = _TREE_ALLREDUCE_BW_FACTOR * nbytes / params.bytes_per_us
-                return (alpha_term + bw_term
-                        + self._tree_inter_pod_cost_us(nbytes, device_ids))
-            per_loop = hop + loop_bytes / params.bytes_per_us
+        if algorithm == ALGORITHM_TREE and kind is CollectiveKind.ALL_REDUCE:
+            hops = _TREE_HOP_FACTOR * depth
+            return buckets(hops, hops * params.alpha_max_us,
+                           _TREE_ALLREDUCE_BW_FACTOR * nbytes
+                           / params.bytes_per_us
+                           + self._tree_inter_pod_cost_us(nbytes, device_ids))
+        if algorithm == ALGORITHM_TREE and kind in TREE_KINDS:
             if kind is CollectiveKind.BROADCAST:
                 # The root forwards the full payload to each of its ~depth
                 # children serially, so steady state pays ~depth per loop.
-                fill = _TREE_HOP_FACTOR * depth * per_loop
-                steady = (nloops - 1) * depth * per_loop
-                return fill + steady
-            # Reduce: fan-in is cheap (children send concurrently, the parent
-            # only pays the local reduce), so the tree is near depth hops.
-            fill = 0.75 * depth * per_loop
-            steady = (nloops - 1) * 1.5 * per_loop
-            return fill + steady
-        if algorithm == ALGORITHM_HIERARCHICAL:
-            if kind not in HIERARCHICAL_KINDS:
-                return self.predicted_cost_us(ALGORITHM_RING, kind, nbytes,
-                                              group_size, device_ids, params=params)
-            structure = self.hierarchical_structure(device_ids)
-            if structure is None:
-                return float("inf")
-            m, k, intra, inter = structure
-            hop_intra = overhead + intra.alpha_max_us
-            hop_inter = overhead + inter.alpha_max_us
-            # 2(m-1) slab steps of nbytes/m inside the island (reduce-scatter
-            # + all-gather), 2(k-1) slice steps of nbytes/n across islands.
-            intra_cost = 2 * (m - 1) * (hop_intra
-                                        + (nbytes / m) / intra.bytes_per_us)
-            inter_cost = 2 * (k - 1) * (hop_inter
-                                        + (nbytes / n) / inter.bytes_per_us)
-            return intra_cost + inter_cost
-        raise ConfigurationError(f"unknown algorithm {algorithm!r}")
-
-    def predicted_cost_breakdown(self, algorithm, kind, nbytes, group_size,
-                                 device_ids=None, params=None):
-        """Decompose :meth:`predicted_cost_us` into attribution buckets.
-
-        Returns ``{"alpha_us", "beta_us", "memory_us", "overhead_us"}`` —
-        the cost-model side of the buckets the analysis layer measures —
-        summing to the predicted cost (``None`` when the prediction is
-        infinite, e.g. hierarchical without a valid decomposition).  The
-        alpha bucket is the per-message link latency, beta the byte/bandwidth
-        terms (including the tree's inter-pod spine traversals), overhead the
-        fixed per-primitive control cost; the model has no explicit memory
-        term, so ``memory_us`` is always zero here.
-        """
-        zero = {"alpha_us": 0.0, "beta_us": 0.0, "memory_us": 0.0,
-                "overhead_us": 0.0}
-        if group_size <= 1:
-            return zero
-        if params is None:
-            params = self.link_parameters(device_ids)
-        overhead = self.cost_model.primitive_overhead_us
-        n = group_size
-        depth = max(1, math.ceil(math.log2(n + 1)))
-        loop_bytes = min(nbytes, self.chunk_bytes)
-        nloops = max(1, math.ceil(nbytes / self.chunk_bytes))
-
-        def split(hops, alpha_max_us, beta_us):
-            # ``hops`` full latency hops (overhead + alpha each) plus the
-            # bandwidth term: the exact shape of every branch's hop cost.
-            return {"alpha_us": hops * alpha_max_us, "beta_us": beta_us,
-                    "memory_us": 0.0, "overhead_us": hops * overhead}
-
-        if algorithm == ALGORITHM_RING:
-            if kind is CollectiveKind.ALL_REDUCE:
-                steps = 2 * (n - 1)
-                return split(steps, params.alpha_max_us,
-                             steps * (nbytes / n) / params.bytes_per_us)
-            if kind in (CollectiveKind.ALL_GATHER,
-                        CollectiveKind.REDUCE_SCATTER):
-                steps = n - 1
-                return split(steps, params.alpha_max_us,
-                             steps * (nbytes / n) / params.bytes_per_us)
-            fraction = (n - 1) / n
-            return {
-                "alpha_us": (params.alpha_sum_us * fraction
-                             + (nloops - 1) * params.alpha_max_us),
-                "beta_us": (loop_bytes * params.inv_beta_us_per_byte * fraction
-                            + (nloops - 1) * loop_bytes / params.bytes_per_us),
-                "memory_us": 0.0,
-                "overhead_us": ((n - 1) + (nloops - 1)) * overhead,
-            }
-        if algorithm == ALGORITHM_TREE:
-            if kind not in TREE_KINDS:
-                return self.predicted_cost_breakdown(
-                    ALGORITHM_RING, kind, nbytes, group_size, device_ids,
-                    params=params)
-            if kind is CollectiveKind.ALL_REDUCE:
-                hops = _TREE_HOP_FACTOR * depth
-                return split(hops, params.alpha_max_us,
-                             _TREE_ALLREDUCE_BW_FACTOR * nbytes
-                             / params.bytes_per_us
-                             + self._tree_inter_pod_cost_us(nbytes,
-                                                            device_ids))
-            if kind is CollectiveKind.BROADCAST:
                 hops = _TREE_HOP_FACTOR * depth + (nloops - 1) * depth
             else:
+                # Reduce: fan-in is cheap (children send concurrently, the
+                # parent only pays the local reduce), so the tree is near
+                # depth hops.
                 hops = 0.75 * depth + (nloops - 1) * 1.5
-            return split(hops, params.alpha_max_us,
-                         hops * loop_bytes / params.bytes_per_us)
-        if algorithm == ALGORITHM_HIERARCHICAL:
-            if kind not in HIERARCHICAL_KINDS:
-                return self.predicted_cost_breakdown(
-                    ALGORITHM_RING, kind, nbytes, group_size, device_ids,
-                    params=params)
-            structure = self.hierarchical_structure(device_ids)
-            if structure is None:
-                return None
-            m, k, intra, inter = structure
-            intra_steps = 2 * (m - 1)
-            inter_steps = 2 * (k - 1)
-            return {
-                "alpha_us": (intra_steps * intra.alpha_max_us
-                             + inter_steps * inter.alpha_max_us),
-                "beta_us": (intra_steps * (nbytes / m) / intra.bytes_per_us
-                            + inter_steps * (nbytes / n) / inter.bytes_per_us),
-                "memory_us": 0.0,
-                "overhead_us": (intra_steps + inter_steps) * overhead,
-            }
-        raise ConfigurationError(f"unknown algorithm {algorithm!r}")
+            return buckets(hops, hops * params.alpha_max_us,
+                           hops * loop_bytes / params.bytes_per_us)
+        if kind in (CollectiveKind.ALL_REDUCE, CollectiveKind.ALL_GATHER,
+                    CollectiveKind.REDUCE_SCATTER):
+            # Systolic ring: lock-steps at the slowest link's pace, 2(n-1)
+            # for all-reduce, n-1 for either of its halves.
+            steps = 2 * (n - 1) if kind is CollectiveKind.ALL_REDUCE else n - 1
+            return buckets(steps, steps * params.alpha_max_us,
+                           steps * (nbytes / n) / params.bytes_per_us)
+        # Chain: pipeline fill along every edge, then one loop per slowest hop
+        # in steady state.
+        fraction = (n - 1) / n
+        steady = nloops - 1
+        return buckets((n - 1) + steady,
+                       params.alpha_sum_us * fraction
+                       + steady * params.alpha_max_us,
+                       loop_bytes * params.inv_beta_us_per_byte * fraction
+                       + steady * loop_bytes / params.bytes_per_us)
+
+    def predicted_cost_us(self, algorithm, kind, nbytes, group_size, device_ids=None,
+                          params=None):
+        """Predicted cost of one algorithm: the sum of its breakdown."""
+        return sum(self.predicted_cost_breakdown(
+            algorithm, kind, nbytes, group_size, device_ids, params).values())
 
     # -- selection -------------------------------------------------------------
 
     def choose(self, kind, nbytes, group_size, device_ids=None):
         """Compare the candidate algorithms and return an :class:`AlgorithmChoice`.
 
-        The hierarchical all-reduce only enters the comparison when the group
-        decomposes into >= ``_HIERARCHICAL_MIN_ISLANDS`` islands; its cost is
-        reported as ``inf`` otherwise.
+        The tree only enters the comparison for kinds with a tree variant on
+        groups of three or more, and the hierarchical all-reduce only when
+        the group decomposes into >= ``_HIERARCHICAL_MIN_ISLANDS`` islands;
+        a family outside the comparison is reported as ``inf``.  On a tie the
+        earlier of ring, tree, hierarchical wins.
         """
         params = self.link_parameters(device_ids)
-        ring_cost = self.predicted_cost_us(ALGORITHM_RING, kind, nbytes,
-                                           group_size, params=params)
-        if kind not in TREE_KINDS or group_size <= 2:
-            return AlgorithmChoice(ALGORITHM_RING, ring_cost, float("inf"))
-        tree_cost = self.predicted_cost_us(ALGORITHM_TREE, kind, nbytes,
-                                           group_size, device_ids,
-                                           params=params)
-        hierarchical_cost = float("inf")
-        if kind in HIERARCHICAL_KINDS:
-            structure = self.hierarchical_structure(device_ids)
+        candidates = [ALGORITHM_RING]
+        if kind in TREE_KINDS and group_size > 2:
+            candidates.append(ALGORITHM_TREE)
+            structure = (self.hierarchical_structure(device_ids)
+                         if kind in HIERARCHICAL_KINDS else None)
             if structure is not None and structure[1] >= _HIERARCHICAL_MIN_ISLANDS:
-                hierarchical_cost = self.predicted_cost_us(
-                    ALGORITHM_HIERARCHICAL, kind, nbytes, group_size, device_ids)
-        winner, best = ALGORITHM_RING, ring_cost
-        if tree_cost < best:
-            winner, best = ALGORITHM_TREE, tree_cost
-        if hierarchical_cost < best:
-            winner = ALGORITHM_HIERARCHICAL
-        return AlgorithmChoice(winner, ring_cost, tree_cost, hierarchical_cost)
+                candidates.append(ALGORITHM_HIERARCHICAL)
+        costs = dict.fromkeys(ALGORITHMS, float("inf"))
+        for algorithm in candidates:
+            costs[algorithm] = self.predicted_cost_us(
+                algorithm, kind, nbytes, group_size, device_ids, params=params)
+        winner = min(candidates, key=costs.__getitem__)
+        return AlgorithmChoice(winner, *costs.values())
 
     def select(self, kind, nbytes, group_size, device_ids=None):
         """The winning algorithm name for one collective call."""

@@ -307,7 +307,7 @@ class ControlPlane(ClusterScheduler):
             # is checkpointed, so the job is complete without a resume.
             record.state = JobState.COMPLETED
             record.finish_time_us = now
-            self.runner.release_job(record.job_id)
+            self.runner.backend.release_job(record.job_id)
             self.events.append((now, "finish", record.job_id))
         else:
             record.state = JobState.QUEUED

@@ -147,14 +147,6 @@ class ClusterJobRunner:
         self.runs = {}
         self.hosts = {}
 
-    def __getattr__(self, attribute):
-        # Legacy accessors (``runner.dfccl`` / ``runner.nccl``) resolve to
-        # the adapter's underlying engine.
-        backend = self.__dict__.get("backend")
-        if backend is None:
-            raise AttributeError(attribute)
-        return getattr(backend, attribute)
-
     def _training_backend(self, record):
         view = self.backend.job_view(record.spec.job_id)
         orchestrator = ("auto" if self.orchestrator_factory is None

@@ -325,8 +325,10 @@ class TestRemovedShims:
         cluster = build_cluster("single-3090", deadlock_mode="record")
         runner = make_job_runner("dfccl", cluster, seed=1)
         assert isinstance(runner, ClusterJobRunner)
-        # Legacy attribute access resolves through the adapter.
-        assert runner.dfccl is runner.backend.dfccl
+        # No legacy proxy: the engine is reached through the adapter only.
+        assert runner.backend.dfccl is not None
+        with pytest.raises(AttributeError):
+            runner.dfccl
         with pytest.raises(ConfigurationError):
             make_job_runner("bogus", cluster)
 

@@ -8,10 +8,13 @@ passed, invocations of one generation share one plan, and a shrink or grow
 replaces it with one resolved for the new membership.
 """
 
+import math
+
 import pytest
 
 from repro.api import make_backend
 from repro.collectives import generate_primitive_sequence, hierarchical_island_size
+from repro.collectives.plan import CollectivePlan
 from repro.common.errors import ConfigurationError
 from repro.common.types import CollectiveKind, CollectiveSpec
 from repro.core import DfcclBackend, DfcclConfig
@@ -93,6 +96,22 @@ def test_fuzz_stream_sequences_match_fresh_compiles(built):
         for backend in backends:
             replay_program(program, backend)
     _assert_fresh(built)
+    assert all(math.isfinite(plan.predicted_cost_us) for _, _, plan in built)
+
+
+def test_inapplicable_hierarchical_plan_is_priced_as_the_ring():
+    """Ranks 0-3 of the dual server share one node: no island decomposition,
+    so the hierarchical hint runs (and is priced as) the flat ring."""
+    cluster = build_cluster("dual-3090")
+    spec = CollectiveSpec(CollectiveKind.ALL_REDUCE, 1 << 20)
+    ring, hierarchical = (
+        CollectivePlan(spec, cluster.devices[:4], cluster.interconnect,
+                       algorithm, DfcclConfig().chunk_bytes)
+        for algorithm in ("ring", "hierarchical"))
+    assert hierarchical.island_size is None
+    assert hierarchical.predicted_breakdown == ring.predicted_breakdown
+    assert hierarchical.predicted_cost_us == ring.predicted_cost_us
+    assert math.isfinite(ring.predicted_cost_us)
 
 
 @pytest.mark.parametrize("backend", ["dfccl", "nccl"])
