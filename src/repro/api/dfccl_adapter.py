@@ -1,9 +1,12 @@
 """DFCCL behind the unified ``repro.api`` front-end.
 
-The adapter owns (or shares) a :class:`~repro.core.DfcclBackend`, registers
-one DFCCL collective per logical ``(spec, key)`` of each process group with
-auto-assigned collective ids, and wraps every submission's
-:class:`~repro.core.api.InvocationHandle` in a :class:`DfcclWork` future.
+The adapter owns (or shares) a :class:`~repro.core.DfcclBackend` and
+registers one DFCCL collective per logical ``(spec, key)`` of each process
+group with auto-assigned collective ids.  Each call becomes a
+:class:`DfcclWork` bound to one rank's part of the collective's next
+invocation; its submit op is the ``dfcclRun*`` call (an SQE push through
+:meth:`~repro.core.api.RankContext.submit_invocation`) and its wait op
+blocks until the rank's callback fired or recovery aborted the part.
 
 ``job_view`` returns a view sharing the same DfcclBackend — one daemon
 kernel per GPU serves every tenant — whose registrations are namespaced by
@@ -16,50 +19,63 @@ import statistics
 
 from repro.common.errors import ConfigurationError, InvalidStateError
 from repro.core import DfcclBackend, DfcclConfig
+from repro.gpusim.host import CallHook, WaitForSignal
 from repro.obs import record_link_metrics
 from repro.api.backend import CollectiveBackend, register_backend
 from repro.api.work import CompletionInfo, Work
 
 
 class DfcclWork(Work):
-    """Work future over one DFCCL invocation handle."""
+    """Work future over one rank's part of one DFCCL invocation."""
 
-    def __init__(self, group, rank, key, index, handle):
+    def __init__(self, group, rank, key, index, rank_ctx, invocation, group_rank,
+                 callback=None):
         super().__init__(group, rank, key, index)
-        self.handle = handle
-
-    @property
-    def invocation(self):
-        """The backend-side :class:`~repro.core.registration.Invocation`."""
-        return self.handle.invocation
+        self.rank_ctx = rank_ctx
+        #: The backend-side :class:`~repro.core.registration.Invocation`.
+        self.invocation = invocation
+        self.group_rank = group_rank
+        #: What the poller runs, as ``callback(invocation)``, when this
+        #: rank's part completes: the user's ``callback(work)``.
+        self.callback = (None if callback is None
+                         else lambda invocation: callback(self))
 
     def submit_op(self):
         """Host-program op submitting this rank's part to the daemon."""
-        return self.handle.submit_op()
+        return CallHook(
+            lambda host: self.rank_ctx.submit_invocation(
+                self.invocation, self.group_rank, self.callback, host.now),
+            detail=f"dfccl_run coll {self.invocation.coll_id}",
+        )
 
     def wait_op(self):
         """Host-program op blocking until this rank's part resolves."""
-        return self.handle.wait_op()
+        invocation, group_rank = self.invocation, self.group_rank
+        return WaitForSignal(
+            invocation.completion_key(group_rank),
+            predicate=lambda: invocation.is_resolved(group_rank),
+            detail=f"wait coll {invocation.coll_id} inv {invocation.index}",
+        )
 
     @property
     def done(self):
         """Whether this rank's callback fired (user-visible completion)."""
-        return self.handle.done
+        return self.invocation.is_done(self.group_rank)
 
     @property
     def aborted(self):
         """Whether recovery abandoned this rank's part."""
-        return self.handle.aborted
+        return self.invocation.is_aborted(self.group_rank)
 
     @property
     def started_at_us(self):
         """Virtual time this rank submitted, or ``None`` before submission."""
-        return self.invocation.submit_times.get(self.handle.group_rank)
+        return self.invocation.submit_times.get(self.group_rank)
 
     def completion_info(self):
         """The rank's :class:`CompletionInfo`, or ``None`` while running."""
         invocation = self.invocation
-        group_rank = self.handle.group_rank
+        group_rank = self.group_rank
         if not invocation.is_gpu_complete(group_rank):
             return None
         # The signature this rank's GPU part actually completed under — a
@@ -86,9 +102,9 @@ class DfcclWork(Work):
 
     def primitive_sequence(self):
         """The primitive sequence this rank compiled (for conformance checks)."""
-        executor = self.invocation.executor_if_cached(self.handle.group_rank)
+        executor = self.invocation.executor_if_cached(self.group_rank)
         if executor is None:
-            executor = self.invocation.executor_for(self.handle.group_rank)
+            executor = self.invocation.executor_for(self.group_rank)
         return list(executor.primitives)
 
 
@@ -179,13 +195,13 @@ class DfcclCollectiveBackend(CollectiveBackend):
         return coll
 
     def create_work(self, group, spec, key, index, rank, callback=None, stream=None):
-        """Submit ``rank``'s part of invocation ``index`` and wrap the handle."""
+        """Bind ``rank``'s part of the collective's next invocation to a Work."""
         coll = self.ensure_collective(group, spec, key)
-        handle = self.dfccl.submit(rank, coll.coll_id)
-        work = DfcclWork(group, rank, key, index, handle)
-        if callback is not None:
-            handle.callback = lambda invocation, work=work: callback(work)
-        return work
+        rank_ctx = self.dfccl.context(rank)
+        group_rank = rank_ctx.group_rank_for(coll)
+        return DfcclWork(group, rank, key, index, rank_ctx,
+                         coll.next_invocation_for_rank(group_rank), group_rank,
+                         callback=callback)
 
     # -- lifecycle --------------------------------------------------------------
 

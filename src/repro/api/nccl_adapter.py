@@ -2,9 +2,9 @@
 
 Each invocation of a logical collective becomes one
 :class:`~repro.ncclsim.NcclCollectiveOp` shared by every participating rank
-(match-by-call-order, as in real NCCL); a rank's :class:`NcclWork` launches
-its dedicated kernel and waits on its per-rank completion, exactly like the
-old ``launch_collective``/``wait_collective`` op lists.
+(match-by-call-order, as in real NCCL).  A rank's :class:`NcclWork` is the
+only code that drives the op: its submit op launches the rank's dedicated
+kernel and its wait op blocks on the rank's completion.
 
 ``tenant`` tags the view's kernels with their owning job (multi-tenant SM
 accounting) and gives it its own launch stream.  ``orchestrator`` names the
@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import statistics
 
+from repro.gpusim.host import LaunchKernel, WaitForSignal
 from repro.ncclsim import NcclBackend
-from repro.ncclsim.program import launch_collective, wait_collective
 from repro.obs import record_link_metrics
 from repro.api.backend import (
     CollectiveBackend,
@@ -41,12 +41,20 @@ class NcclWork(Work):
 
     def submit_op(self):
         """Host-program op launching this rank's dedicated kernel."""
-        return launch_collective(self.backend.nccl, self.op, self.rank,
-                                 stream=self.stream, tenant=self.backend.tenant)
+        return LaunchKernel(
+            lambda host: self.backend.nccl.make_kernel(
+                self.op, self.rank, host, tenant=self.backend.tenant),
+            stream=self.stream,
+        )
 
     def wait_op(self):
         """Host-program op blocking on this rank's kernel completion."""
-        return wait_collective(self.op, self.group_rank)
+        op, group_rank = self.op, self.group_rank
+        return WaitForSignal(
+            op.completion_key(group_rank),
+            predicate=lambda: op.is_complete(group_rank),
+            detail=f"wait {op.name} rank {group_rank}",
+        )
 
     @property
     def done(self):

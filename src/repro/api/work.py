@@ -7,9 +7,9 @@ how to produce the host ops that perform the asynchronous submission
 ``done``, and exposes post-run introspection (``completion_info``,
 ``primitive_sequence``) that is identical in shape for every backend.
 
-The class subsumes both of the pre-existing per-backend surfaces: DFCCL's
-:class:`~repro.core.api.InvocationHandle` and the raw
-``launch_collective``/``wait_collective`` op lists of the NCCL baseline.
+Work is the only future in the repo and the only submit/wait surface: each
+backend adapter's Work subclass is the one piece of code that turns a
+collective call into host ops.
 """
 
 from __future__ import annotations

@@ -2,10 +2,10 @@
 
 The package mirrors the architecture of Fig. 4:
 
-* CPU side: the rank context driven through :class:`DfcclBackend` (init /
-  register / submit / destroy), the submission queue (SQ), the completion
-  queue (CQ, in three implementation variants), the callback map, and the
-  poller thread.
+* CPU side: the rank context (init / register / destroy through
+  :class:`DfcclBackend`, submit through ``repro.api``'s ``DfcclWork``), the
+  submission queue (SQ), the completion queue (CQ, in three implementation
+  variants), the callback map, and the poller thread.
 * GPU side: the daemon kernel, which fetches SQEs, keeps collectives in its
   task queue, executes their primitives in a two-phase-blocking manner with
   spin thresholds, preempts stuck collectives via context switch, writes CQEs,
@@ -16,7 +16,7 @@ scheme: an ordering policy (FIFO or priority based) plus a spin-threshold
 policy (naive fixed or adaptive gang-scheduling).
 """
 
-from repro.core.api import DfcclBackend, InvocationHandle, RankContext
+from repro.core.api import DfcclBackend, RankContext
 from repro.core.communicator_pool import CommunicatorPool
 from repro.core.config import DfcclConfig
 from repro.core.context import CollectiveContextBuffer, ActiveContextCache
@@ -51,7 +51,6 @@ __all__ = [
     "DfcclBackend",
     "DfcclConfig",
     "FifoOrderingPolicy",
-    "InvocationHandle",
     "NaiveSpinPolicy",
     "OptimizedCasCQ",
     "OptimizedRingCQ",

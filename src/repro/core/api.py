@@ -1,79 +1,34 @@
-"""Public DFCCL API: rank contexts, registration, invocation and destruction.
+"""DFCCL's CPU side: rank contexts, registration, submission and destruction.
 
-The CPU-side flow mirrors Listing 1 of the paper:
+The flow mirrors Listing 1 of the paper:
 
-* ``DfcclBackend.init_rank`` / ``dfccl_init``  — create the rank context
+* ``DfcclBackend.init_rank`` (``dfcclInit``) — create the rank context
   (SQ, CQ, callback map, poller thread) for one GPU;
-* ``register_*`` / ``dfccl_register_*`` — register a collective once, with its
-  spec, device set and optional priority;
-* ``submit`` / ``dfccl_run_*`` — invoke a registered collective, recording a
-  callback; the call is asynchronous and non-blocking;
-* ``destroy`` / ``dfccl_destroy`` — insert the exiting SQE and tear down.
+* ``DfcclBackend.register_collective`` (``dfcclRegister*``) — register a
+  collective once, with its spec, device set and optional priority;
+* ``RankContext.submit_invocation`` (``dfcclRun*``) — invoke a registered
+  collective, recording a callback; the call is asynchronous and
+  non-blocking;
+* ``RankContext.destroy`` (``dfcclDestroy``) — insert the exiting SQE and
+  tear down.
+
+Applications do not call these directly: ``repro.api``'s DFCCL adapter
+registers each process-group collective and its ``DfcclWork`` futures
+produce the submit and wait host ops.
 """
 
 from __future__ import annotations
 
 from repro.common.errors import ConfigurationError, InvalidStateError
-from repro.common.types import CollectiveKind, CollectiveSpec, DataType, ReduceOp
 from repro.core.communicator_pool import CommunicatorPool
 from repro.core.config import DfcclConfig
-from repro.core.context import CollectiveContextBuffer, memory_overhead_report
+from repro.core.context import CollectiveContextBuffer
 from repro.core.daemon import DaemonKernel
 from repro.core.poller import Poller
 from repro.core.queues import Sqe, SubmissionQueue, make_completion_queue
 from repro.core.registration import RegisteredCollective
 from repro.core.scheduling import DaemonStats
-from repro.gpusim.host import CallHook, WaitForSignal
-
-
-class InvocationHandle:
-    """User-facing handle for one ``dfccl_run_*`` call on one rank."""
-
-    def __init__(self, rank_ctx, invocation, group_rank, callback=None):
-        self.rank_ctx = rank_ctx
-        self.invocation = invocation
-        self.group_rank = group_rank
-        self.callback = callback
-
-    @property
-    def done(self):
-        """True once this rank's completion callback has run."""
-        return self.invocation.is_done(self.group_rank)
-
-    @property
-    def aborted(self):
-        """True when recovery abandoned the collective and aborted this part.
-
-        An aborted wait returns without a completion — the analogue of a
-        communicator abort: the application learns the collective cannot
-        finish (e.g. a rooted collective whose root died) instead of
-        spinning forever.
-        """
-        return self.invocation.is_aborted(self.group_rank)
-
-    @property
-    def completion_key(self):
-        return self.invocation.completion_key(self.group_rank)
-
-    def submit_op(self):
-        """Host op that performs the asynchronous ``dfccl_run_*`` call."""
-        return CallHook(
-            lambda host: self.rank_ctx.submit_invocation(self, host.now),
-            detail=f"dfccl_run coll {self.invocation.coll_id}",
-        )
-
-    def wait_op(self):
-        """Host op that waits until this rank's callback fired (or the
-        collective was abandoned and this part aborted)."""
-        return WaitForSignal(
-            self.completion_key,
-            predicate=lambda: self.done or self.aborted,
-            detail=f"wait coll {self.invocation.coll_id} inv {self.invocation.index}",
-        )
-
-    def ops(self):
-        """Submit immediately followed by wait (synchronous-style usage)."""
-        return [self.submit_op(), self.wait_op()]
+from repro.gpusim.host import CallHook
 
 
 class RankContext:
@@ -161,24 +116,23 @@ class RankContext:
 
     # -- submission (dfccl_run_*) ------------------------------------------------------
 
-    def submit_invocation(self, handle, time_us):
+    def submit_invocation(self, invocation, group_rank, callback, time_us):
         """CPU side of ``dfccl_run_*``: insert the SQE and record the callback."""
         if self.destroyed:
             raise InvalidStateError(
                 f"rank {self.global_rank} context already destroyed"
             )
-        invocation = handle.invocation
-        invocation.set_callback(handle.group_rank, handle.callback)
-        invocation.mark_submitted(handle.group_rank, time_us)
+        invocation.set_callback(group_rank, callback)
+        invocation.mark_submitted(group_rank, time_us)
         coll = invocation.coll
         if coll.abandoned:
             # Submitting into an abandoned collective aborts immediately: the
             # daemon would only drop the entry later, and the group can never
             # re-form (recovery already decided the root's data is gone or
             # the recovery budget is spent).
-            invocation.mark_aborted(handle.group_rank, time_us=time_us)
+            invocation.mark_aborted(group_rank, time_us=time_us)
             self.cluster.engine.signal(
-                invocation.completion_key(handle.group_rank), time_us)
+                invocation.completion_key(group_rank), time_us)
             return
         self.sq.push(
             Sqe(
@@ -206,9 +160,6 @@ class RankContext:
         if coll is None:
             return None
         return coll.invocation(sqe.invocation_id)
-
-    def note_entry_fetched(self, invocation, priority):
-        """Hook for statistics when the daemon adds a fetched SQE to its queue."""
 
     # -- daemon lifecycle ---------------------------------------------------------------
 
@@ -367,15 +318,10 @@ class RankContext:
         """Host op performing ``dfccl_destroy`` for this rank."""
         return CallHook(lambda host: self.destroy(host.now), detail="dfccl_destroy")
 
-    # -- reporting ------------------------------------------------------------------------------
-
-    def memory_overheads(self, num_collectives=None):
-        count = num_collectives if num_collectives is not None else len(self.registered)
-        return memory_overhead_report(self.config, count, num_blocks=self.daemon_grid_size())
-
 
 class DfcclBackend:
-    """DFCCL over a simulated cluster: the entry point for applications."""
+    """DFCCL over a simulated cluster: rank contexts, registered collectives
+    and the communicator pool behind ``repro.api``'s DFCCL adapter."""
 
     def __init__(self, cluster, config=None):
         self.cluster = cluster
@@ -406,10 +352,6 @@ class DfcclBackend:
                     self.recovery_manager.rank_registered_key
                 )
         return ctx
-
-    def init_all_ranks(self, ranks=None):
-        ranks = ranks if ranks is not None else range(self.cluster.world_size)
-        return [self.init_rank(rank) for rank in ranks]
 
     def context(self, global_rank):
         return self.init_rank(global_rank)
@@ -479,48 +421,6 @@ class DfcclBackend:
                 return candidate
             n += 1
 
-    def register_all_reduce(self, coll_id, count, ranks=None, dtype=DataType.FLOAT32,
-                            op=ReduceOp.SUM, priority=0, name=None, job=None):
-        spec = CollectiveSpec(CollectiveKind.ALL_REDUCE, count, dtype, op, priority=priority)
-        return self.register_collective(coll_id, spec, ranks, priority, name=name, job=job)
-
-    def register_all_gather(self, coll_id, count, ranks=None, dtype=DataType.FLOAT32,
-                            priority=0, name=None, job=None):
-        spec = CollectiveSpec(CollectiveKind.ALL_GATHER, count, dtype, priority=priority)
-        return self.register_collective(coll_id, spec, ranks, priority, name=name, job=job)
-
-    def register_reduce_scatter(self, coll_id, count, ranks=None, dtype=DataType.FLOAT32,
-                                op=ReduceOp.SUM, priority=0, name=None, job=None):
-        spec = CollectiveSpec(CollectiveKind.REDUCE_SCATTER, count, dtype, op,
-                              priority=priority)
-        return self.register_collective(coll_id, spec, ranks, priority, name=name, job=job)
-
-    def register_broadcast(self, coll_id, count, ranks=None, dtype=DataType.FLOAT32,
-                           root=0, priority=0, name=None, job=None):
-        spec = CollectiveSpec(CollectiveKind.BROADCAST, count, dtype, root=root,
-                              priority=priority)
-        return self.register_collective(coll_id, spec, ranks, priority, name=name, job=job)
-
-    def register_reduce(self, coll_id, count, ranks=None, dtype=DataType.FLOAT32,
-                        op=ReduceOp.SUM, root=0, priority=0, name=None, job=None):
-        spec = CollectiveSpec(CollectiveKind.REDUCE, count, dtype, op, root=root,
-                              priority=priority)
-        return self.register_collective(coll_id, spec, ranks, priority, name=name, job=job)
-
-    # -- invocation (dfccl_run_*) ----------------------------------------------------------------
-
-    def submit(self, global_rank, coll_id, callback=None):
-        """Prepare one ``dfccl_run_*`` call; returns an :class:`InvocationHandle`.
-
-        The returned handle produces the host ops that perform the actual
-        asynchronous submission and the optional wait for completion.
-        """
-        ctx = self.context(global_rank)
-        coll = self._collectives[coll_id]
-        group_rank = ctx.group_rank_for(coll)
-        invocation = coll.next_invocation_for_rank(group_rank)
-        return InvocationHandle(ctx, invocation, group_rank, callback=callback)
-
     # -- destruction (dfccl_destroy) ----------------------------------------------------------------
 
     def destroy_op(self, global_rank):
@@ -533,7 +433,3 @@ class DfcclBackend:
 
     def all_stats(self):
         return {rank: ctx.stats for rank, ctx in sorted(self.contexts.items())}
-
-    def memory_overhead_report(self, num_collectives=None):
-        count = num_collectives if num_collectives is not None else len(self._collectives)
-        return memory_overhead_report(self.config, count)

@@ -114,7 +114,6 @@ class DaemonKernel(KernelActor):
                 self.stats.stale_sqes_dropped += 1
                 continue
             entry = self._adopt_invocation(invocation, sqe.priority)
-            self.ctx.note_entry_fetched(invocation, sqe.priority)
             self.task_queue.record_length(entry.coll_id)
             self.stats.task_queue_length_samples.append(
                 (entry.coll_id, len(self.task_queue))

@@ -36,9 +36,16 @@ from repro.workloads.trainer import TrainingRun
 
 
 class RankMappedPlan:
-    """View of a job-local :class:`ParallelPlan` on leased global ranks."""
+    """View of a job-local :class:`ParallelPlan` on leased global ranks.
 
-    def __init__(self, plan, rank_map):
+    With ``jitter_us > 0`` every rank's iteration starts with a seeded
+    launch skew.  Real rank processes of one job never hit their collective
+    launches at exactly the same instant (dataloader, Python overhead,
+    interrupts); the skew is what interleaves co-located jobs differently on
+    different GPUs.
+    """
+
+    def __init__(self, plan, rank_map, job_id=None, jitter_us=0.0, seed=0):
         if plan.base_rank != 0:
             raise ConfigurationError("rank-mapped plans must be built with base_rank=0")
         if len(rank_map) != plan.world_size:
@@ -51,6 +58,14 @@ class RankMappedPlan:
         self.rank_map = list(rank_map)
         self._to_local = {global_rank: local
                           for local, global_rank in enumerate(self.rank_map)}
+        self._jitter_us = jitter_us
+        self._rng = DeterministicRNG(seed).child("launch-jitter", job_id)
+        self._calls = {}
+
+    @property
+    def iteration_variant(self):
+        """Tells TrainingRun to re-derive the schedule each iteration."""
+        return self._jitter_us > 0
 
     # -- delegated geometry ----------------------------------------------------
 
@@ -78,42 +93,12 @@ class RankMappedPlan:
             )
         return item
 
-    def iteration_schedule(self, global_rank):
+    def _mapped_schedule(self, global_rank):
         local = self._to_local[global_rank]
         return [self._map_item(item) for item in self.plan.iteration_schedule(local)]
 
-    def collective_items(self, global_rank):
-        return [item for item in self.iteration_schedule(global_rank)
-                if isinstance(item, CollectiveItem)]
-
-    def unique_collectives(self):
-        return {key: self._map_item(item)
-                for key, item in self.plan.unique_collectives().items()}
-
-
-class _JitteredPlan:
-    """Wrap a plan so every rank's iteration starts with seeded launch skew.
-
-    Real rank processes of one job never hit their collective launches at
-    exactly the same instant (dataloader, Python overhead, interrupts); the
-    skew is what interleaves co-located jobs differently on different GPUs.
-    """
-
-    #: Tells TrainingRun to re-derive the schedule each iteration.
-    iteration_variant = True
-
-    def __init__(self, inner, job_id, jitter_us, seed):
-        self._inner = inner
-        self._job_id = job_id
-        self._jitter_us = jitter_us
-        self._rng = DeterministicRNG(seed).child("launch-jitter", job_id)
-        self._calls = {}
-
-    def __getattr__(self, attribute):
-        return getattr(self._inner, attribute)
-
     def iteration_schedule(self, global_rank):
-        schedule = list(self._inner.iteration_schedule(global_rank))
+        schedule = self._mapped_schedule(global_rank)
         if self._jitter_us > 0:
             # Fresh skew per (rank, call): each iteration of each rank drifts
             # independently, exactly like real dataloader timing.
@@ -122,6 +107,16 @@ class _JitteredPlan:
             skew = self._rng.child(global_rank, call).uniform(0.0, self._jitter_us)
             schedule.insert(0, ComputeItem(skew, "launch-jitter"))
         return schedule
+
+    def collective_items(self, global_rank):
+        # The unjittered schedule: asking for the collectives must not draw
+        # a launch skew.
+        return [item for item in self._mapped_schedule(global_rank)
+                if isinstance(item, CollectiveItem)]
+
+    def unique_collectives(self):
+        return {key: self._map_item(item)
+                for key, item in self.plan.unique_collectives().items()}
 
 
 class ClusterJobRunner:
@@ -167,8 +162,9 @@ class ClusterJobRunner:
             run_spec = replace(spec, iterations=remaining, warmup=0)
         else:
             run_spec = spec
-        mapped = RankMappedPlan(run_spec.build_plan(), record.lease.ranks)
-        plan = _JitteredPlan(mapped, spec.job_id, self.launch_jitter_us, self.seed)
+        plan = RankMappedPlan(run_spec.build_plan(), record.lease.ranks,
+                              job_id=spec.job_id, jitter_us=self.launch_jitter_us,
+                              seed=self.seed)
         run = TrainingRun(
             self.cluster, plan, self._training_backend(record),
             iterations=run_spec.iterations, warmup=run_spec.warmup,

@@ -12,7 +12,6 @@ from repro.ncclsim.api import NcclBackend, NcclCommunicator
 from repro.ncclsim.kernels import NcclCollectiveKernel, grid_size_for
 from repro.ncclsim.mpi_baseline import CudaAwareMpiModel
 from repro.ncclsim.ops import NcclCollectiveOp
-from repro.ncclsim.program import launch_collective, wait_collective
 
 __all__ = [
     "CudaAwareMpiModel",
@@ -21,6 +20,4 @@ __all__ = [
     "NcclCollectiveOp",
     "NcclCommunicator",
     "grid_size_for",
-    "launch_collective",
-    "wait_collective",
 ]

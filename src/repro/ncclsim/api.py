@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.common.errors import ConfigurationError
-from repro.common.types import CollectiveKind, CollectiveSpec, DataType, ReduceOp
 from repro.collectives.cost import DEFAULT_COST_MODEL
 from repro.collectives.plan import CollectivePlan
 from repro.ncclsim.kernels import NcclCollectiveKernel, grid_size_for
@@ -13,9 +12,9 @@ from repro.ncclsim.ops import NcclCollectiveOp
 class NcclCommunicator:
     """A communicator over a fixed set of global ranks.
 
-    Collectives may be created either by explicit id (``collective``), which
-    is what the deadlock test programs use, or positionally (``next_op``),
-    which mirrors NCCL's match-by-call-order semantics.
+    ``collective`` returns the op shared by every rank for one call id.  The
+    ``repro.api`` adapter derives that id from a process group's call order,
+    which is NCCL's match-by-call-order semantics.
     """
 
     def __init__(self, backend, ranks, name=None):
@@ -26,7 +25,6 @@ class NcclCommunicator:
         for group_rank, global_rank in enumerate(self.ranks):
             self._group_ranks.setdefault(global_rank, group_rank)
         self._ops_by_id = {}
-        self._call_order = []
         #: One plan per (spec, algorithm, chunk_bytes): the per-call ops of
         #: one logical collective share its membership, algorithm and cost
         #: prediction.
@@ -69,38 +67,7 @@ class NcclCommunicator:
                 name=name or f"{self.name}:coll{coll_id}",
             )
             self._ops_by_id[coll_id] = op
-            self._call_order.append(op)
         return op
-
-    def ops(self):
-        return list(self._call_order)
-
-    # -- convenience spec builders --------------------------------------------
-
-    def all_reduce(self, coll_id, count, dtype=DataType.FLOAT32, op=ReduceOp.SUM):
-        return self.collective(
-            coll_id, CollectiveSpec(CollectiveKind.ALL_REDUCE, count, dtype, op)
-        )
-
-    def all_gather(self, coll_id, count, dtype=DataType.FLOAT32):
-        return self.collective(
-            coll_id, CollectiveSpec(CollectiveKind.ALL_GATHER, count, dtype)
-        )
-
-    def reduce_scatter(self, coll_id, count, dtype=DataType.FLOAT32, op=ReduceOp.SUM):
-        return self.collective(
-            coll_id, CollectiveSpec(CollectiveKind.REDUCE_SCATTER, count, dtype, op)
-        )
-
-    def broadcast(self, coll_id, count, dtype=DataType.FLOAT32, root=0):
-        return self.collective(
-            coll_id, CollectiveSpec(CollectiveKind.BROADCAST, count, dtype, root=root)
-        )
-
-    def reduce(self, coll_id, count, dtype=DataType.FLOAT32, op=ReduceOp.SUM, root=0):
-        return self.collective(
-            coll_id, CollectiveSpec(CollectiveKind.REDUCE, count, dtype, op, root=root)
-        )
 
 
 class NcclBackend:

@@ -28,10 +28,11 @@ class NcclCollectiveOp:
 
     The object is shared by every participating rank; each rank creates its
     kernel from it.  Completion is tracked per rank so host threads can wait
-    on their local part (matching ``cudaStreamSynchronize`` semantics) and on
-    global completion.  The membership, algorithm, island size and cost
-    prediction come from ``plan``, a :class:`CollectivePlan` shared by every
-    call of the same logical collective; each op owns its channels.
+    on their local part (matching ``cudaStreamSynchronize`` semantics);
+    ``fully_complete`` reports global completion.  The membership, algorithm,
+    island size and cost prediction come from ``plan``, a
+    :class:`CollectivePlan` shared by every call of the same logical
+    collective; each op owns its channels.
     """
 
     def __init__(self, plan, name=None):
@@ -100,10 +101,6 @@ class NcclCollectiveOp:
     def completion_key(self, group_rank):
         return ("nccl-op-done", self.op_id, group_rank)
 
-    @property
-    def global_completion_key(self):
-        return ("nccl-op-done-all", self.op_id)
-
     def add_completion_callback(self, group_rank, fn):
         """Run ``fn()`` when ``group_rank``'s part of the op completes.
 
@@ -148,8 +145,6 @@ class NcclCollectiveOp:
             fn()
         if engine is not None:
             engine.signal(self.completion_key(group_rank), time_us)
-            if self.fully_complete():
-                engine.signal(self.global_completion_key, time_us)
 
     def is_complete(self, group_rank):
         return group_rank in self._complete_ranks

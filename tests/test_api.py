@@ -2,7 +2,7 @@
 
 Covers the backend registry, ProcessGroup call semantics, Work futures,
 full training runs driven through ``make_backend`` + ``ProcessGroup`` on
-every backend, and the deprecation shims of the legacy per-backend surfaces.
+every backend, and that the removed per-backend surfaces stay removed.
 """
 
 import pytest
@@ -146,6 +146,7 @@ class TestProcessGroup:
         coll = work.invocation.coll
         assert coll.coll_id[0] == "tenant-a"
         assert coll.job == "tenant-a"
+        assert coll.name == f"{group.name}:all_reduce"
 
 
 def _run_disordered(name, cluster=None):
@@ -273,27 +274,6 @@ class TestTrainingThroughApi:
         assert type(a) is type(b) is GroupTrainingBackend
 
 
-class TestSatelliteRegisterForwarding:
-    """register_* must forward name=/job= instead of silently dropping them."""
-
-    @pytest.mark.parametrize("register, kwargs", [
-        ("register_all_reduce", {}),
-        ("register_all_gather", {}),
-        ("register_reduce_scatter", {}),
-        ("register_broadcast", {"root": 1}),
-        ("register_reduce", {"root": 1}),
-    ])
-    def test_name_and_job_forwarded(self, register, kwargs):
-        cluster = build_cluster("single-3090")
-        backend = DfcclBackend(cluster, DfcclConfig())
-        coll = getattr(backend, register)(
-            ("jobX", 0), count=256, ranks=[0, 1], name="my-coll", job="jobX",
-            **kwargs,
-        )
-        assert coll.name == "my-coll"
-        assert coll.job == "jobX"
-
-
 class TestRemovedShims:
     """The paper-era shim surfaces were deleted after their deprecation cycle."""
 
@@ -332,6 +312,24 @@ class TestRemovedShims:
         with pytest.raises(ConfigurationError):
             make_job_runner("bogus", cluster)
 
+    def test_per_backend_drive_surfaces_are_gone(self):
+        """Work is the only submit/wait surface: the handle, the NCCL op-list
+        helpers and the per-backend spec builders were deleted."""
+        import importlib
+
+        import repro.core as core
+        from repro.multijob import RankMappedPlan
+        from repro.ncclsim import NcclCommunicator
+
+        assert not hasattr(core, "InvocationHandle")
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.ncclsim.program")
+        for name in ("submit", "register_all_reduce", "init_all_ranks"):
+            assert not hasattr(DfcclBackend, name), name
+        for name in ("all_reduce", "ops"):
+            assert not hasattr(NcclCommunicator, name), name
+        assert "__getattr__" not in vars(RankMappedPlan)
+
 
 class TestNoInternalStringDispatch:
     def test_no_backend_string_branches_outside_registry(self):
@@ -347,4 +345,16 @@ class TestNoInternalStringDispatch:
                 continue
             if pattern.search(path.read_text()):
                 offenders.append(str(path))
+        assert offenders == []
+
+    def test_only_api_adapters_drive_collectives(self):
+        """Outside repro/api no module submits a DFCCL invocation or builds
+        an NCCL kernel: the adapters' Work classes are the only drivers."""
+        import pathlib
+        import re
+
+        root = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+        pattern = re.compile(r"\.(?:submit_invocation|make_kernel)\(")
+        offenders = [str(path) for path in root.rglob("*.py")
+                     if "api" not in path.parts and pattern.search(path.read_text())]
         assert offenders == []

@@ -8,7 +8,7 @@ legacy list-of-tuples exporter (``repro.core.profiler``) and the
 
 import json
 
-from repro.core import DfcclBackend
+from repro.api import make_backend
 from repro.gpusim import HostProgram, build_cluster
 from repro.obs import chrome_trace_events, write_chrome_trace
 
@@ -16,15 +16,13 @@ from repro.obs import chrome_trace_events, write_chrome_trace
 def _traced_cluster():
     """A tiny DFCCL run; returns the cluster (flight recorder is always on)."""
     cluster = build_cluster("single-3090")
-    backend = DfcclBackend(cluster)
-    ranks = [0, 1]
-    backend.init_all_ranks(ranks)
-    backend.register_all_reduce(0, count=1024, ranks=ranks)
-    programs = []
-    for rank in ranks:
-        handle = backend.submit(rank, 0)
-        programs.append(HostProgram(handle.ops() + [backend.destroy_op(rank)]))
-    cluster.add_hosts(programs)
+    backend = make_backend("dfccl", cluster)
+    group = backend.new_group([0, 1])
+    cluster.add_hosts([
+        HostProgram(group.all_reduce(rank, count=1024).ops()
+                    + backend.finalize_ops(rank))
+        for rank in group.ranks
+    ])
     cluster.run()
     return cluster
 

@@ -190,3 +190,8 @@ class TestContextManagement:
         assert report["shared_bytes_per_block"] == pytest.approx(13 << 10, rel=0.05)
         assert report["global_bytes_per_block"] == pytest.approx(4 << 20, rel=0.05)
         assert report["global_bytes_shared"] == pytest.approx(11 << 10, rel=0.05)
+
+    def test_memory_overhead_scales_with_collectives(self):
+        report_small = memory_overhead_report(CONFIG, num_collectives=10)
+        report_large = memory_overhead_report(CONFIG, num_collectives=1000)
+        assert report_large["shared_bytes_per_block"] > report_small["shared_bytes_per_block"]

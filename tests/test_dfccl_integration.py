@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.api import make_backend
 from repro.common.errors import DeadlockError
 from repro.common.rng import DeterministicRNG
-from repro.common.types import CollectiveSpec
-from repro.core import DfcclBackend, DfcclConfig
+from repro.common.types import CollectiveKind, CollectiveSpec
+from repro.core import DfcclConfig
 from repro.gpusim import HostProgram, build_cluster
 from repro.gpusim.host import DeviceSynchronize
 
@@ -15,25 +16,30 @@ pytestmark = pytest.mark.timeout(300)
 
 def run_dfccl(num_gpus=2, coll_sizes=(1024, 1024), orders=None, with_sync=False,
               config=None, iterations=1, max_blocks=None):
-    """Run a DFCCL program with the given per-rank invocation orders."""
+    """Run a DFCCL program with the given per-rank invocation orders.
+
+    Collective ``i`` is the all-reduce of ``coll_sizes[i]`` elements keyed
+    ``i``; they are registered in key order before any rank submits.
+    """
     cluster = build_cluster("single-3090", max_resident_blocks=max_blocks)
-    backend = DfcclBackend(cluster, config)
-    ranks = list(range(num_gpus))
-    backend.init_all_ranks(ranks)
+    backend = make_backend("dfccl", cluster, config=config)
+    group = backend.new_group(list(range(num_gpus)))
     for coll_id, count in enumerate(coll_sizes):
-        backend.register_all_reduce(coll_id, count=count, ranks=ranks)
+        group.ensure_collective(CollectiveSpec(CollectiveKind.ALL_REDUCE, count),
+                                key=coll_id)
     programs = []
-    for rank in ranks:
+    for rank in group.ranks:
         ops = []
         for iteration in range(iterations):
             order = orders(rank, iteration) if orders else list(range(len(coll_sizes)))
-            handles = [backend.submit(rank, coll_id) for coll_id in order]
-            for index, handle in enumerate(handles):
-                ops.append(handle.submit_op())
+            works = [group.all_reduce(rank, count=coll_sizes[coll_id], key=coll_id)
+                     for coll_id in order]
+            for index, work in enumerate(works):
+                ops.append(work.submit_op())
                 if with_sync and index == 0:
                     ops.append(DeviceSynchronize())
-            ops += [handle.wait_op() for handle in handles]
-        ops.append(backend.destroy_op(rank))
+            ops += [work.wait_op() for work in works]
+        ops += backend.finalize_ops(rank)
         programs.append(HostProgram(ops))
     cluster.add_hosts(programs)
     final_time = cluster.run()
@@ -87,7 +93,7 @@ class TestLifecycle:
 
     def test_daemon_launch_and_final_exit(self):
         _, backend, _ = run_dfccl()
-        context = backend.context(0)
+        context = backend.dfccl.context(0)
         assert context.finally_exited
         assert not context.daemon_alive
         assert backend.stats(0).launches >= 1
@@ -95,37 +101,32 @@ class TestLifecycle:
 
     def test_duplicate_registration_rejected(self):
         cluster = build_cluster("single-3090")
-        backend = DfcclBackend(cluster)
-        backend.register_all_reduce(0, count=64, ranks=[0, 1])
+        backend = make_backend("dfccl", cluster)
+        group = backend.new_group([0, 1])
+        spec = CollectiveSpec(CollectiveKind.ALL_REDUCE, 64)
+        coll_id = group.all_reduce(0, count=64).invocation.coll.coll_id
         with pytest.raises(Exception):
-            backend.register_all_reduce(0, count=64, ranks=[0, 1])
+            backend.dfccl.register_collective(coll_id, spec, ranks=[0, 1])
 
     def test_all_collective_kinds_supported(self):
         cluster = build_cluster("single-3090")
-        backend = DfcclBackend(cluster)
-        ranks = list(range(4))
-        backend.init_all_ranks(ranks)
-        backend.register_all_reduce(0, count=256, ranks=ranks)
-        backend.register_all_gather(1, count=256, ranks=ranks)
-        backend.register_reduce_scatter(2, count=256, ranks=ranks)
-        backend.register_broadcast(3, count=256, ranks=ranks, root=1)
-        backend.register_reduce(4, count=256, ranks=ranks, root=2)
+        backend = make_backend("dfccl", cluster)
+        group = backend.new_group(list(range(4)))
         programs = []
-        for rank in ranks:
-            handles = [backend.submit(rank, coll_id) for coll_id in range(5)]
-            ops = [op for handle in handles for op in handle.ops()]
-            ops.append(backend.destroy_op(rank))
+        for rank in group.ranks:
+            works = [
+                group.all_reduce(rank, count=256),
+                group.all_gather(rank, count=256),
+                group.reduce_scatter(rank, count=256),
+                group.broadcast(rank, count=256, root=1),
+                group.reduce(rank, count=256, root=2),
+            ]
+            ops = [op for work in works for op in work.ops()]
+            ops += backend.finalize_ops(rank)
             programs.append(HostProgram(ops))
         cluster.add_hosts(programs)
         cluster.run()
         assert backend.stats(0).cqes_written == 5
-
-    def test_memory_overhead_report_scales_with_collectives(self):
-        cluster = build_cluster("single-3090")
-        backend = DfcclBackend(cluster)
-        report_small = backend.memory_overhead_report(num_collectives=10)
-        report_large = backend.memory_overhead_report(num_collectives=1000)
-        assert report_large["shared_bytes_per_block"] > report_small["shared_bytes_per_block"]
 
 
 class TestSchedulingBehaviour:
@@ -162,20 +163,13 @@ class TestSchedulingBehaviour:
 class TestVersusNccl:
     def test_dfccl_survives_where_nccl_deadlocks(self):
         """The same disordered program deadlocks NCCL but completes under DFCCL."""
-        from repro.ncclsim import NcclBackend
-        from repro.ncclsim.program import launch_collective, wait_collective
-
         # NCCL: deadlock expected.
         cluster = build_cluster("single-3090")
-        nccl = NcclBackend(cluster)
-        comm = nccl.create_communicator(ranks=[0, 1])
-        op_a, op_b = comm.all_reduce(0, 1024), comm.all_reduce(1, 1024)
-        cluster.add_hosts([
-            HostProgram([launch_collective(nccl, op_a, 0), launch_collective(nccl, op_b, 0),
-                         wait_collective(op_a, 0), wait_collective(op_b, 0)]),
-            HostProgram([launch_collective(nccl, op_b, 1), launch_collective(nccl, op_a, 1),
-                         wait_collective(op_b, 1), wait_collective(op_a, 1)]),
-        ])
+        group = make_backend("nccl", cluster).new_group([0, 1])
+        for rank, order in ((0, ["a", "b"]), (1, ["b", "a"])):
+            works = [group.all_reduce(rank, 1024, key=key) for key in order]
+            cluster.add_host(rank, HostProgram([work.submit_op() for work in works]
+                                               + [work.wait_op() for work in works]))
         with pytest.raises(DeadlockError):
             cluster.run()
 

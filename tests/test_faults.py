@@ -194,19 +194,13 @@ class TestChaosScenarios:
         assert ("crashed", 2) in result.analysis.cycle
 
     def test_nccl_kernel_reports_waiting_on_dead_peer(self):
-        from repro.ncclsim import NcclBackend
-        from repro.ncclsim.program import launch_collective, wait_collective
+        from repro.api import make_backend
 
         cluster = build_cluster("single-3090", deadlock_mode="record")
-        nccl = NcclBackend(cluster)
-        comm = nccl.create_communicator(ranks=[0, 1, 2])
-        op = comm.all_reduce(0, count=1 << 18)
-        programs = [
-            HostProgram([launch_collective(nccl, op, rank),
-                         wait_collective(op, rank)])
-            for rank in (0, 1, 2)
-        ]
-        cluster.add_hosts(programs)
+        group = make_backend("nccl", cluster).new_group([0, 1, 2])
+        works = [group.all_reduce(rank, count=1 << 18) for rank in group.ranks]
+        cluster.add_hosts([HostProgram(work.ops()) for work in works])
+        op = works[0].op
         install_fault_plan(cluster, FaultPlan(name="crash").add_crash(1, at_us=30.0))
         cluster.run()
         assert cluster.engine.deadlock_report is not None

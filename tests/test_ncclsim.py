@@ -2,31 +2,44 @@
 
 import pytest
 
+from repro.api import make_backend
 from repro.common.errors import DeadlockError
 from repro.gpusim import HostProgram, build_cluster
 from repro.gpusim.host import DeviceSynchronize
 from repro.ncclsim import CudaAwareMpiModel, NcclBackend, grid_size_for
-from repro.ncclsim.program import launch_collective, wait_collective
 
 
 def _two_collective_cluster(max_blocks=None):
     cluster = build_cluster("single-3090", max_resident_blocks=max_blocks)
-    backend = NcclBackend(cluster)
-    comm = backend.create_communicator(ranks=[0, 1])
-    op_a = comm.all_reduce(0, count=1024)
-    op_b = comm.all_reduce(1, count=1024)
-    return cluster, backend, comm, op_a, op_b
+    group = make_backend("nccl", cluster).new_group([0, 1])
+    return cluster, group
 
 
-def _program(backend, comm, rank, ordered_ops, streams=None, sync_after_first=False):
-    ops = []
-    for index, op in enumerate(ordered_ops):
-        stream = streams[index] if streams else "default"
-        ops.append(launch_collective(backend, op, rank, stream=stream))
-        if sync_after_first and index == 0:
-            ops.append(DeviceSynchronize())
-    ops += [wait_collective(op, comm.group_rank(rank)) for op in ordered_ops]
-    return HostProgram(ops)
+def _install(cluster, group, orders, streams=None, sync_after_first=False):
+    """Rank ``r`` launches the all-reduces keyed ``orders[r]`` (on the
+    streams ``streams[r]``), then waits on each; returns the shared ops."""
+    ops = {}
+    for rank, order in zip(group.ranks, orders):
+        program, works = [], []
+        for index, key in enumerate(order):
+            stream = streams[rank][index] if streams else "default"
+            work = group.all_reduce(rank, count=1024, key=key, stream=stream)
+            works.append(work)
+            program.append(work.submit_op())
+            if sync_after_first and index == 0:
+                program.append(DeviceSynchronize())
+        program += [work.wait_op() for work in works]
+        cluster.add_host(rank, HostProgram(program))
+        ops.update((key, work.op) for key, work in zip(order, works))
+    return ops
+
+
+def _run_one(cluster, group, kind, count):
+    """Every member launches and waits on one ``kind`` collective."""
+    works = [getattr(group, kind)(rank, count) for rank in group.ranks]
+    cluster.add_hosts([HostProgram(work.ops()) for work in works])
+    cluster.run()
+    return works[0].op
 
 
 class TestGridSize:
@@ -40,49 +53,35 @@ class TestGridSize:
 
 class TestBasicSituations:
     def test_fig1a_consistent_order_completes(self):
-        cluster, backend, comm, op_a, op_b = _two_collective_cluster()
-        cluster.add_hosts([
-            _program(backend, comm, 0, [op_a, op_b]),
-            _program(backend, comm, 1, [op_a, op_b]),
-        ])
+        cluster, group = _two_collective_cluster()
+        ops = _install(cluster, group, [[0, 1], [0, 1]])
         cluster.run()
-        assert op_a.fully_complete() and op_b.fully_complete()
+        assert ops[0].fully_complete() and ops[1].fully_complete()
 
     def test_fig1c_single_queue_disorder_deadlocks(self):
-        cluster, backend, comm, op_a, op_b = _two_collective_cluster()
-        cluster.add_hosts([
-            _program(backend, comm, 0, [op_a, op_b]),
-            _program(backend, comm, 1, [op_b, op_a]),
-        ])
+        cluster, group = _two_collective_cluster()
+        _install(cluster, group, [[0, 1], [1, 0]])
         with pytest.raises(DeadlockError):
             cluster.run()
 
     def test_fig1b_disorder_with_streams_and_resources_completes(self):
-        cluster, backend, comm, op_a, op_b = _two_collective_cluster()
-        cluster.add_hosts([
-            _program(backend, comm, 0, [op_a, op_b], streams=["sa", "sb"]),
-            _program(backend, comm, 1, [op_b, op_a], streams=["sb", "sa"]),
-        ])
+        cluster, group = _two_collective_cluster()
+        ops = _install(cluster, group, [[0, 1], [1, 0]],
+                       streams=[["sa", "sb"], ["sb", "sa"]])
         cluster.run()
-        assert op_a.fully_complete() and op_b.fully_complete()
+        assert ops[0].fully_complete() and ops[1].fully_complete()
 
     def test_fig1c_resource_depletion_deadlocks(self):
-        cluster, backend, comm, op_a, op_b = _two_collective_cluster(max_blocks=1)
-        cluster.add_hosts([
-            _program(backend, comm, 0, [op_a, op_b], streams=["sa", "sb"]),
-            _program(backend, comm, 1, [op_b, op_a], streams=["sb", "sa"]),
-        ])
+        cluster, group = _two_collective_cluster(max_blocks=1)
+        _install(cluster, group, [[0, 1], [1, 0]],
+                 streams=[["sa", "sb"], ["sb", "sa"]])
         with pytest.raises(DeadlockError):
             cluster.run()
 
     def test_fig1d_sync_related_deadlock(self):
-        cluster, backend, comm, op_a, op_b = _two_collective_cluster()
-        cluster.add_hosts([
-            _program(backend, comm, 0, [op_a, op_b], streams=["sa", "sb"],
-                     sync_after_first=True),
-            _program(backend, comm, 1, [op_b, op_a], streams=["sb", "sa"],
-                     sync_after_first=True),
-        ])
+        cluster, group = _two_collective_cluster()
+        _install(cluster, group, [[0, 1], [1, 0]],
+                 streams=[["sa", "sb"], ["sb", "sa"]], sync_after_first=True)
         with pytest.raises(DeadlockError):
             cluster.run()
 
@@ -94,47 +93,23 @@ class TestCollectiveExecution:
     ])
     def test_all_kinds_complete_on_eight_gpus(self, kind, count):
         cluster = build_cluster("single-3090")
-        backend = NcclBackend(cluster)
-        comm = backend.create_communicator()
-        op = getattr(comm, kind)(0, count)
-        programs = [
-            HostProgram([launch_collective(backend, op, rank),
-                         wait_collective(op, rank)])
-            for rank in range(8)
-        ]
-        cluster.add_hosts(programs)
-        cluster.run()
-        assert op.fully_complete()
+        group = make_backend("nccl", cluster).new_group()
+        assert _run_one(cluster, group, kind, count).fully_complete()
 
     def test_larger_buffers_take_longer(self):
         def run(nbytes):
             cluster = build_cluster("single-3090")
-            backend = NcclBackend(cluster)
-            comm = backend.create_communicator()
-            op = comm.all_reduce(0, count=nbytes // 4)
-            cluster.add_hosts([
-                HostProgram([launch_collective(backend, op, rank),
-                             wait_collective(op, rank)])
-                for rank in range(8)
-            ])
-            cluster.run()
-            return op.completion_time()
+            group = make_backend("nccl", cluster).new_group()
+            return _run_one(cluster, group, "all_reduce", nbytes // 4).completion_time()
 
         assert run(8 << 20) > run(64 << 10)
 
     def test_cross_node_slower_than_single_node(self):
         def run(topology, world):
             cluster = build_cluster(topology)
-            backend = NcclBackend(cluster)
-            comm = backend.create_communicator(ranks=list(range(world)))
-            op = comm.all_reduce(0, count=(1 << 20) // 4)
-            cluster.add_hosts([
-                HostProgram([launch_collective(backend, op, rank),
-                             wait_collective(op, comm.group_rank(rank))])
-                for rank in range(world)
-            ])
-            cluster.run()
-            return op.completion_time()
+            group = make_backend("nccl", cluster).new_group(list(range(world)))
+            return _run_one(cluster, group, "all_reduce",
+                            (1 << 20) // 4).completion_time()
 
         assert run("dual-3090", 16) > run("single-3090", 8)
 

@@ -252,24 +252,21 @@ class TestBackendReportingContract:
 
 class TestRecoveryObservability:
     def test_recovery_episode_dumps_and_counts(self):
-        from repro.core import DfcclBackend, DfcclConfig
+        from repro.core import DfcclConfig
         from repro.faults.injector import install_fault_plan
         from repro.faults.plan import FaultPlan
 
         cluster = build_cluster("single-3090")
         config = DfcclConfig(recovery_enabled=True)
-        backend = DfcclBackend(cluster, config)
-        ranks = [0, 1, 2, 3]
-        backend.init_all_ranks(ranks)
-        backend.register_all_reduce(0, count=1 << 16, ranks=ranks)
+        backend = make_backend("dfccl", cluster, config=config)
+        group = backend.new_group([0, 1, 2, 3])
         install_fault_plan(cluster,
                            FaultPlan("crash").add_crash(2, at_us=30.0))
-        programs = []
-        for rank in ranks:
-            handle = backend.submit(rank, 0)
-            programs.append(
-                HostProgram(handle.ops() + [backend.destroy_op(rank)]))
-        cluster.add_hosts(programs)
+        cluster.add_hosts([
+            HostProgram(group.all_reduce(rank, count=1 << 16).ops()
+                        + backend.finalize_ops(rank))
+            for rank in group.ranks
+        ])
         cluster.run()
 
         obs = cluster.engine.obs

@@ -17,7 +17,7 @@ from repro.collectives import generate_primitive_sequence, hierarchical_island_s
 from repro.collectives.plan import CollectivePlan
 from repro.common.errors import ConfigurationError
 from repro.common.types import CollectiveKind, CollectiveSpec
-from repro.core import DfcclBackend, DfcclConfig
+from repro.core import DfcclConfig
 from repro.core.registration import RegisteredCollective
 from repro.faults import FaultPlan, install_fault_plan
 from repro.gpusim import HostProgram, build_cluster
@@ -147,10 +147,9 @@ def test_subset_participants_use_their_own_islands(built):
     """A sequence over a subset of the members derives the subset's islands,
     not the plan's."""
     cluster = build_cluster("dual-3090")
-    backend = DfcclBackend(cluster, DfcclConfig(algorithm="hierarchical"))
-    ranks = list(range(16))
-    backend.init_all_ranks(ranks)
-    coll = backend.register_all_reduce(0, count=1 << 16, ranks=ranks)
+    group = make_backend("dfccl", cluster, algorithm="hierarchical").new_group(
+        list(range(16)))
+    coll = group.all_reduce(0, count=1 << 16).invocation.coll
     assert coll.plan.island_size == 8
     subset = (0, 1, 2, 3, 8, 9, 10, 11)
     assert hierarchical_island_size(
@@ -164,23 +163,22 @@ def test_partial_rerun_and_later_invocations_compile_apart(built):
     """A re-run over a subset of the survivors shares the plan of the shrunk
     membership with later invocations, but compiles against the subset."""
     cluster = build_cluster("single-3090")
-    backend = DfcclBackend(cluster)
-    ranks = [0, 1, 2, 3]
-    backend.init_all_ranks(ranks)
+    backend = make_backend("dfccl", cluster)
+    group = backend.new_group([0, 1, 2, 3])
     # A small chained reduce: rank 1 starts the chain and finishes at once.
-    coll = backend.register_reduce(0, count=1 << 10, ranks=ranks, root=0)
-    for rank in ranks:
-        handles = [backend.submit(rank, 0) for _ in range(2)]
-        cluster.add_host(rank, HostProgram([op for handle in handles
-                                            for op in handle.ops()]))
+    for rank in group.ranks:
+        works = [group.reduce(rank, count=1 << 10, root=0) for _ in range(2)]
+        cluster.add_host(rank, HostProgram([op for work in works
+                                            for op in work.ops()]))
+    coll = works[0].invocation.coll
     install_fault_plan(cluster, FaultPlan(name="crash").add_crash(2, at_us=5.0))
     recovered_at = cluster.run(until_us=200_000.0)
     survivors = coll.active_ranks()
     assert survivors == (0, 1, 3)
     assert coll.invocations[1]._rerun_ranks == (0, 3)
     for rank in survivors:
-        handle = backend.submit(rank, 0)
-        cluster.add_host(rank, HostProgram(handle.ops() + [backend.destroy_op(rank)]),
+        work = group.reduce(rank, count=1 << 10, root=0)
+        cluster.add_host(rank, HostProgram(work.ops() + backend.finalize_ops(rank)),
                          name=f"after-{rank}", start_time_us=recovered_at)
     cluster.run(until_us=400_000.0)
     assert coll.invocations[2].fully_complete()
@@ -194,18 +192,18 @@ def test_partial_rerun_and_later_invocations_compile_apart(built):
 def test_shrink_then_grow_replaces_the_plan(built):
     """Crash a rank, recover by shrinking, then rejoin a replacement device."""
     cluster = build_cluster("fat-tree-32")
-    backend = DfcclBackend(cluster, DfcclConfig(algorithm="hierarchical"))
+    backend = make_backend("dfccl", cluster, algorithm="hierarchical")
     ranks = list(range(16))
-    backend.init_all_ranks(ranks)
-    coll = backend.register_all_reduce(0, count=1 << 18, ranks=ranks)
-    assert coll.plan.island_size == 8
+    group = backend.new_group(ranks)
     for rank in ranks:
-        handles = [backend.submit(rank, 0) for _ in range(2)]
+        works = [group.all_reduce(rank, count=1 << 18) for _ in range(2)]
         # Rank 5 dies before it submits anything, so the group can regrow.
         ops = [CpuCompute(1_000.0)] if rank == 5 else []
-        for handle in handles:
-            ops += handle.ops()
+        for work in works:
+            ops += work.ops()
         cluster.add_host(rank, HostProgram(ops))
+    coll = works[0].invocation.coll
+    assert coll.plan.island_size == 8
     install_fault_plan(cluster, FaultPlan(name="crash").add_crash(5, at_us=10.0))
     shrunk_at = cluster.run(until_us=200_000.0)
     first, second = coll.invocations
@@ -216,19 +214,22 @@ def test_shrink_then_grow_replaces_the_plan(built):
     assert coll.plan.island_size is None
     assert first.fully_complete() and second.fully_complete()
 
-    backend.recovery_manager.rejoin(coll, {5: 16}, shrunk_at)
+    dfccl = backend.dfccl
+    dfccl.recovery_manager.rejoin(coll, {5: 16}, shrunk_at)
     assert coll.plan.generation == coll.generation == 2
     assert coll.active_ranks() == tuple(ranks)
     # The replacement device sits on a third node, so the islands interleave.
     assert coll.plan.devices[5] is cluster.device(16)
     assert coll.plan.island_size is None
-    assert backend.context(16).group_rank_for(coll) == 5
+    assert dfccl.context(16).group_rank_for(coll) == 5
     with pytest.raises(ConfigurationError):
-        backend.context(17).group_rank_for(coll)
+        dfccl.context(17).group_rank_for(coll)
+    # The process group follows the rejoin: its rank 5 now runs on GPU 16.
+    group.ranks[5] = 16
     for global_rank in coll.global_ranks:
-        handle = backend.submit(global_rank, 0)
+        work = group.all_reduce(global_rank, count=1 << 18)
         cluster.add_host(global_rank,
-                         HostProgram(handle.ops() + [backend.destroy_op(global_rank)]),
+                         HostProgram(work.ops() + backend.finalize_ops(global_rank)),
                          name=f"rejoined-{global_rank}", start_time_us=shrunk_at)
     cluster.run(until_us=400_000.0)
     assert coll.invocations[2].fully_complete()

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.api import make_backend
 from repro.bench.fault_experiments import CHAOS_HORIZON_US, CHAOS_PLANS
 from repro.common.errors import ConfigurationError, InvalidStateError
+from repro.common.types import CollectiveKind, CollectiveSpec
 from repro.core import CommunicatorPool, DfcclBackend, DfcclConfig
 from repro.faults import FaultPlan, install_fault_plan, run_dfccl_chaos
 from repro.gpusim import HostProgram, build_cluster
@@ -15,27 +17,35 @@ pytestmark = pytest.mark.timeout(300)
 def run_simple(config=None, num_gpus=2, coll_sizes=(1024, 1024), with_sync=False,
                orders=None, iterations=1):
     cluster = build_cluster("single-3090")
-    backend = DfcclBackend(cluster, config)
-    ranks = list(range(num_gpus))
-    backend.init_all_ranks(ranks)
+    backend = make_backend("dfccl", cluster, config=config)
+    group = backend.new_group(list(range(num_gpus)))
     for coll_id, count in enumerate(coll_sizes):
-        backend.register_all_reduce(coll_id, count=count, ranks=ranks)
+        group.ensure_collective(CollectiveSpec(CollectiveKind.ALL_REDUCE, count),
+                                key=coll_id)
     programs = []
-    for rank in ranks:
+    for rank in group.ranks:
         ops = []
         for iteration in range(iterations):
             order = orders(rank, iteration) if orders else list(range(len(coll_sizes)))
-            handles = [backend.submit(rank, coll_id) for coll_id in order]
-            for index, handle in enumerate(handles):
-                ops.append(handle.submit_op())
+            works = [group.all_reduce(rank, count=coll_sizes[coll_id], key=coll_id)
+                     for coll_id in order]
+            for index, work in enumerate(works):
+                ops.append(work.submit_op())
                 if with_sync and index == 0:
                     ops.append(DeviceSynchronize())
-            ops += [handle.wait_op() for handle in handles]
-        ops.append(backend.destroy_op(rank))
+            ops += [work.wait_op() for work in works]
+        ops += backend.finalize_ops(rank)
         programs.append(HostProgram(ops))
     cluster.add_hosts(programs)
     final_time = cluster.run()
     return cluster, backend, final_time
+
+
+def _dfccl_group(ranks, config=None):
+    """A fresh single-server cluster, its DFCCL backend and a group over ``ranks``."""
+    cluster = build_cluster("single-3090")
+    backend = make_backend("dfccl", cluster, config=config)
+    return cluster, backend, backend.new_group(ranks)
 
 
 class TestDaemonGenerationTurnover:
@@ -45,7 +55,7 @@ class TestDaemonGenerationTurnover:
             orders=lambda rank, _: [0, 1] if rank == 0 else [1, 0],
             with_sync=True,
         )
-        context = backend.context(0)
+        context = backend.dfccl.context(0)
         stats = backend.stats(0)
         assert stats.voluntary_quits >= 1
         assert stats.launches == stats.voluntary_quits + stats.final_exits
@@ -121,30 +131,24 @@ class TestCommunicatorPoolRecycling:
         assert pool.acquire([cluster.device(0), doomed]) is not comm_a
 
     def test_unregister_recycles_communicator(self):
-        cluster = build_cluster("single-3090")
-        backend = DfcclBackend(cluster)
-        ranks = [0, 1]
-        backend.init_all_ranks(ranks)
-        coll = backend.register_all_reduce(0, count=256, ranks=ranks)
+        _, backend, group = _dfccl_group([0, 1])
+        coll = group.all_reduce(0, count=256, key=0).invocation.coll
         comm = coll.communicator
-        backend.unregister_collective(0)
-        assert backend.context(0).context_buffer.__contains__(0) is False
-        recycled = backend.register_all_reduce(1, count=256, ranks=ranks)
+        backend.dfccl.unregister_collective(coll.coll_id)
+        assert coll.coll_id not in backend.dfccl.context(0).context_buffer
+        recycled = group.all_reduce(0, count=256, key=1).invocation.coll
         assert recycled.communicator is comm
-        assert backend.pool.stats()["reused"] == 1
+        assert backend.dfccl.pool.stats()["reused"] == 1
 
     def test_unregister_failure_invalidated_communicator_not_reused(self):
-        cluster = build_cluster("single-3090")
-        backend = DfcclBackend(cluster)
-        ranks = [0, 1]
-        backend.init_all_ranks(ranks)
-        coll = backend.register_all_reduce(0, count=256, ranks=ranks)
+        _, backend, group = _dfccl_group([0, 1])
+        coll = group.all_reduce(0, count=256, key=0).invocation.coll
         coll.communicator.invalidate()
         comm = coll.communicator
-        backend.unregister_collective(0)
-        fresh = backend.register_all_reduce(1, count=256, ranks=ranks)
+        backend.dfccl.unregister_collective(coll.coll_id)
+        fresh = group.all_reduce(0, count=256, key=1).invocation.coll
         assert fresh.communicator is not comm
-        assert backend.pool.stats()["discarded"] == 1
+        assert backend.dfccl.pool.stats()["discarded"] == 1
 
     def test_unregister_unknown_collective_raises(self):
         cluster = build_cluster("single-3090")
@@ -197,25 +201,20 @@ class TestRecoveryMechanics:
 
     def test_dead_root_broadcast_is_abandoned_not_rerooted(self):
         """A rooted collective whose root died cannot be re-formed."""
-        cluster = build_cluster("single-3090")
-        backend = DfcclBackend(cluster)
-        ranks = [0, 1, 2]
-        backend.init_all_ranks(ranks)
+        cluster, backend, group = _dfccl_group([0, 1, 2])
         # Payload large enough that the root is still sending chunks when it
         # dies (a smaller broadcast can legitimately finish from the chunks
         # already persisted in the connectors).
-        coll = backend.register_broadcast(0, count=1 << 21, ranks=ranks, root=1)
-        programs = []
-        for rank in ranks:
-            handle = backend.submit(rank, 0)
-            programs.append(HostProgram(handle.ops()))
-        cluster.add_hosts(programs)
+        works = [group.broadcast(rank, count=1 << 21, root=1) for rank in group.ranks]
+        cluster.add_hosts([HostProgram(work.ops()) for work in works])
         install_fault_plan(cluster,
                            FaultPlan(name="root-crash").add_crash(1, at_us=40.0))
         cluster.run(until_us=20_000.0)
+        coll = works[0].invocation.coll
+        manager = backend.dfccl.recovery_manager
         assert coll.abandoned
-        assert backend.recovery_manager.stats.abandoned >= 1
-        assert backend.recovery_manager.stats.recoveries == 0
+        assert manager.stats.abandoned >= 1
+        assert manager.stats.recoveries == 0
         # Survivors cannot have completed a broadcast without its root.
         invocation = coll.invocation(0)
         assert not invocation.is_done(0) and not invocation.is_done(2)
@@ -224,71 +223,60 @@ class TestRecoveryMechanics:
         """Root finished sending, then a non-root peer dies: the rerun set
         excludes the root, whose sends cannot be replayed — the collective is
         abandoned without the recovery path blowing up the simulation."""
-        cluster = build_cluster("single-3090")
-        backend = DfcclBackend(cluster)
-        ranks = [0, 1, 2, 3]
-        backend.init_all_ranks(ranks)
-        coll = backend.register_broadcast(0, count=1 << 20, ranks=ranks, root=0)
-        invocation = coll.invocation(0)
+        cluster, backend, group = _dfccl_group([0, 1, 2, 3])
+        invocation = group.broadcast(0, count=1 << 20, root=0).invocation
+        coll = invocation.coll
         invocation.mark_gpu_complete(0, 10.0)   # root's part is done
         cluster.device(2).fail(20.0)
-        manager = backend.recovery_manager
+        manager = backend.dfccl.recovery_manager
         manager._recover_collective(coll, [2], now=30.0)  # must not raise
         assert coll.abandoned
         assert manager.stats.abandoned == 1
         assert manager.stats.recoveries == 0
         # And the scan skips an abandoned collective instead of retrying.
-        backend.context(1)._inflight[invocation] = 0.0
-        backend.context(1).outstanding += 1
+        backend.dfccl.context(1)._inflight[invocation] = 0.0
+        backend.dfccl.context(1).outstanding += 1
         manager._scan(now=10_000.0)
         assert manager.stats.abandoned == 1
 
     def test_unregister_after_crash_recovery_succeeds(self):
         """Recovery leaves the collective unregisterable: dead-rank contexts
         are cleaned up unconditionally and the rebuilt communicator recycles."""
-        cluster = build_cluster("single-3090")
-        backend = DfcclBackend(cluster)
-        ranks = [0, 1, 2]
-        backend.init_all_ranks(ranks)
-        coll = backend.register_all_reduce(0, count=1 << 18, ranks=ranks)
-        programs = []
-        for rank in ranks:
-            handle = backend.submit(rank, 0)
-            ops = handle.ops() + [backend.destroy_op(rank)]
-            programs.append(HostProgram(ops))
-        cluster.add_hosts(programs)
+        cluster, backend, group = _dfccl_group([0, 1, 2])
+        works = [group.all_reduce(rank, count=1 << 18) for rank in group.ranks]
+        cluster.add_hosts([HostProgram(work.ops() + backend.finalize_ops(work.rank))
+                           for work in works])
         install_fault_plan(cluster,
                            FaultPlan(name="crash").add_crash(1, at_us=30.0))
         cluster.run(until_us=60_000.0)
+        coll = works[0].invocation.coll
         assert coll.invocation(0).fully_complete()
-        backend.unregister_collective(0)  # must not raise for the dead rank
-        assert backend.pool.stats()["free"] >= 1
+        backend.dfccl.unregister_collective(coll.coll_id)  # must not raise for the dead rank
+        assert backend.dfccl.pool.stats()["free"] >= 1
 
     def test_unregister_with_inflight_invocation_raises(self):
-        cluster = build_cluster("single-3090")
-        backend = DfcclBackend(cluster)
-        ranks = [0, 1]
-        backend.init_all_ranks(ranks)
-        backend.register_all_reduce(0, count=256, ranks=ranks)
-        handles = {rank: backend.submit(rank, 0) for rank in ranks}
+        cluster, backend, group = _dfccl_group([0, 1])
+        first, second = (group.all_reduce(rank, count=256) for rank in group.ranks)
+        coll = first.invocation.coll
         # Rank 0 submits up front (its program only waits); rank 1 submits
         # from its program as usual.
-        backend.context(0).submit_invocation(handles[0], 0.0)
+        first.rank_ctx.submit_invocation(first.invocation, first.group_rank,
+                                         first.callback, 0.0)
         cluster.add_hosts([
-            HostProgram([handles[0].wait_op(), backend.destroy_op(0)]),
-            HostProgram([handles[1].submit_op(), handles[1].wait_op(),
-                         backend.destroy_op(1)]),
+            HostProgram([first.wait_op()] + backend.finalize_ops(0)),
+            HostProgram(second.ops() + backend.finalize_ops(1)),
         ])
+        dfccl = backend.dfccl
         with pytest.raises(InvalidStateError):
-            backend.unregister_collective(0)
+            dfccl.unregister_collective(coll.coll_id)
         # The rejected unregister must leave the backend fully consistent:
         # the collective is still registered everywhere and the run works.
-        assert backend.collective(0) is not None
-        assert 0 in backend.context(0).registered
-        assert 0 in backend.context(1).registered
+        assert dfccl.collective(coll.coll_id) is not None
+        assert coll.coll_id in dfccl.context(0).registered
+        assert coll.coll_id in dfccl.context(1).registered
         cluster.run()
-        backend.unregister_collective(0)
-        assert backend.pool.stats()["free"] == 1
+        dfccl.unregister_collective(coll.coll_id)
+        assert dfccl.pool.stats()["free"] == 1
 
 
 def _mixed_plan(world_size):

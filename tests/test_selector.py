@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import make_backend
 from repro.common.types import CollectiveKind
 from repro.collectives import AlgorithmSelector
 from repro.core import DfcclConfig
@@ -58,26 +59,18 @@ class TestConfigWiring:
             DfcclConfig(algorithm="butterfly").validate()
 
     def test_registered_collective_resolves_auto(self):
-        from repro.core import DfcclBackend
-
         cluster = build_cluster("dual-3090")
-        dfccl = DfcclBackend(cluster, DfcclConfig(algorithm="auto"))
-        ranks = list(range(16))
-        dfccl.init_all_ranks(ranks)
-        small = dfccl.register_all_reduce(0, count=1 << 12, ranks=ranks)
-        large = dfccl.register_all_reduce(1, count=1 << 20, ranks=ranks)
+        group = make_backend("dfccl", cluster,
+                             config=DfcclConfig(algorithm="auto")).new_group()
+        small = group.all_reduce(0, count=1 << 12).invocation.coll
+        large = group.all_reduce(0, count=1 << 20).invocation.coll
         assert small.algorithm == "tree"
         assert large.algorithm == "ring"
 
     def test_nccl_backend_resolves_auto(self):
-        from repro.ncclsim import NcclBackend
-        from repro.common.types import CollectiveSpec
-
         cluster = build_cluster("dual-3090")
-        nccl = NcclBackend(cluster, algorithm="auto")
-        comm = nccl.create_communicator()
-        op = comm.collective(0, CollectiveSpec(CollectiveKind.ALL_REDUCE, 1 << 12))
-        assert op.algorithm == "tree"
+        group = make_backend("nccl", cluster, algorithm="auto").new_group()
+        assert group.all_reduce(0, count=1 << 12).op.algorithm == "tree"
 
 
 class TestSimulatedCrossover:
