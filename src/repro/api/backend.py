@@ -109,8 +109,9 @@ class CollectiveBackend:
         """A backend view whose groups default to the ``job`` namespace.
 
         Views share the underlying engine (one daemon kernel per GPU serves
-        every tenant under DFCCL; one kernel factory under NCCL) while
-        keeping per-job resources — ids, communicators, streams — apart.
+        every tenant under DFCCL; the cluster and the adapter's knobs under
+        NCCL) while keeping per-job resources — ids, communicators, plans,
+        streams — apart.
         """
         return self
 

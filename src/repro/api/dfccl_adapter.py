@@ -135,7 +135,6 @@ class DfcclCollectiveBackend(CollectiveBackend):
         self.dfccl = dfccl
         self.job = job
         self._collectives = {}
-        self._registered_ids = []
         obs = cluster.engine.obs
         if self.owns_backend and obs.enabled:
             registry = obs.metrics
@@ -191,7 +190,6 @@ class DfcclCollectiveBackend(CollectiveBackend):
                 job=job,
             )
             self._collectives[ident] = coll
-            self._registered_ids.append(coll_id)
         return coll
 
     def create_work(self, group, spec, key, index, rank, callback=None, stream=None):
@@ -229,11 +227,9 @@ class DfcclCollectiveBackend(CollectiveBackend):
         the number of rank parts aborted.
         """
         aborted = 0
-        seen = set()
         for coll in list(self._collectives.values()):
-            if id(coll) in seen or coll.abandoned:
+            if coll.abandoned:
                 continue
-            seen.add(id(coll))
             dirty = False
             for invocation in coll.invocations:
                 if invocation.fully_complete():
@@ -259,17 +255,14 @@ class DfcclCollectiveBackend(CollectiveBackend):
         recovery) are left registered; returns the number unregistered.
         """
         released = 0
-        for coll_id in list(self._registered_ids):
+        for ident, coll in list(self._collectives.items()):
             try:
-                self.dfccl.unregister_collective(coll_id)
+                self.dfccl.unregister_collective(coll.coll_id)
             except (ConfigurationError, InvalidStateError):
                 continue
-            self._registered_ids.remove(coll_id)
             # Drop the cached registration too, so a later call on the same
             # group re-registers instead of submitting to a dead id.
-            self._collectives = {ident: coll for ident, coll in
-                                 self._collectives.items()
-                                 if coll.coll_id != coll_id}
+            del self._collectives[ident]
             released += 1
         return released
 

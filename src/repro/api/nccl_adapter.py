@@ -2,8 +2,10 @@
 
 Each invocation of a logical collective becomes one
 :class:`~repro.ncclsim.NcclCollectiveOp` shared by every participating rank
-(match-by-call-order, as in real NCCL).  A rank's :class:`NcclWork` is the
-only code that drives the op: its submit op launches the rank's dedicated
+(match-by-call-order, as in real NCCL); the ops of one logical collective
+share one :class:`~repro.collectives.plan.CollectivePlan` per member set.
+The adapter owns both caches.  A rank's :class:`NcclWork` is the only code
+that drives the op: its submit op builds and launches the rank's dedicated
 kernel and its wait op blocks on the rank's completion.
 
 ``tenant`` tags the view's kernels with their owning job (multi-tenant SM
@@ -18,8 +20,10 @@ from __future__ import annotations
 
 import statistics
 
+from repro.collectives.cost import DEFAULT_COST_MODEL
+from repro.collectives.plan import CollectivePlan
 from repro.gpusim.host import LaunchKernel, WaitForSignal
-from repro.ncclsim import NcclBackend
+from repro.ncclsim import NcclCollectiveKernel, NcclCollectiveOp, grid_size_for
 from repro.obs import record_link_metrics
 from repro.api.backend import (
     CollectiveBackend,
@@ -41,11 +45,23 @@ class NcclWork(Work):
 
     def submit_op(self):
         """Host-program op launching this rank's dedicated kernel."""
-        return LaunchKernel(
-            lambda host: self.backend.nccl.make_kernel(
-                self.op, self.rank, host, tenant=self.backend.tenant),
-            stream=self.stream,
+        return LaunchKernel(self._make_kernel, stream=self.stream)
+
+    def _make_kernel(self, host):
+        op, group_rank = self.op, self.group_rank
+        kernel = NcclCollectiveKernel(
+            name=f"{op.name}-r{group_rank}",
+            device=op.devices[group_rank],
+            executor=op.executor_for(group_rank),
+            op=op,
+            rank=group_rank,
+            grid_size=grid_size_for(op.spec.nbytes),
         )
+        # The owning job, for the multi-tenant SM-contention accounting in
+        # repro.gpusim.
+        kernel.tenant = self.backend.tenant
+        op.register_kernel(group_rank, kernel)
+        return kernel
 
     def wait_op(self):
         """Host-program op blocking on this rank's kernel completion."""
@@ -93,43 +109,46 @@ class NcclCollectiveBackend(CollectiveBackend):
     name = "nccl"
 
     def __init__(self, cluster, cost_model=None, chunk_bytes=None, algorithm="ring",
-                 nccl=None, tenant=None, orchestrator="megatron", config=None,
-                 **_ignored):
+                 tenant=None, orchestrator="megatron", config=None, **_ignored):
         # ``config`` (a DfcclConfig) is accepted for knob-uniformity with the
         # dfccl factory and ignored: the baseline has no daemon to configure.
         del config
         super().__init__(cluster)
-        self.nccl = nccl if nccl is not None else NcclBackend(
-            cluster, cost_model=cost_model, chunk_bytes=chunk_bytes,
-            algorithm=algorithm,
-        )
+        self.cost_model = cost_model or DEFAULT_COST_MODEL
+        self.chunk_bytes = chunk_bytes or (128 << 10)
+        self.algorithm = algorithm
         self.tenant = tenant
         self.default_stream = "comm" if tenant is None else f"comm-{tenant}"
         self._orchestrator = orchestrator
-        self._comms = {}
+        #: One plan per (member ranks, spec): the per-call ops of one logical
+        #: collective share its membership, algorithm and cost prediction.
+        self._plans = {}
         self._ops = {}
 
-    def _comm_for(self, ranks):
-        ranks = tuple(ranks)
-        comm = self._comms.get(ranks)
-        if comm is None:
-            comm = self.nccl.create_communicator(ranks=list(ranks))
-            self._comms[ranks] = comm
-        return comm
+    def _plan_for(self, ranks, spec):
+        key = (tuple(ranks), spec)
+        plan = self._plans.get(key)
+        if plan is None:
+            cluster = self.cluster
+            # A per-collective spec hint overrides the backend-wide knob.
+            plan = self._plans[key] = CollectivePlan(
+                spec, [cluster.device(rank) for rank in ranks],
+                cluster.interconnect, spec.algorithm or self.algorithm,
+                self.chunk_bytes, cost_model=self.cost_model,
+            )
+        return plan
 
     def create_work(self, group, spec, key, index, rank, callback=None, stream=None):
         """Join invocation ``index``'s shared op and wrap this rank's part."""
-        comm = self._comm_for(group.ranks)
         ident = (group.group_id, spec, key, index)
         op = self._ops.get(ident)
         if op is None:
             suffix = "" if key is None else f":{key}"
-            op = comm.collective(
-                ident, spec,
+            op = self._ops[ident] = NcclCollectiveOp(
+                self._plan_for(group.ranks, spec),
                 name=f"{group.name}:{spec.kind.value}{suffix}#{index}",
             )
-            self._ops[ident] = op
-        group_rank = comm.group_rank(rank)
+        group_rank = op.plan.rank_of_device[self.cluster.device(rank)]
         work = NcclWork(group, rank, key, index, self, op, group_rank,
                         stream if stream is not None else self.default_stream)
         if callback is not None:
@@ -144,15 +163,18 @@ class NcclCollectiveBackend(CollectiveBackend):
         return resolve_orchestrator(self._orchestrator, world_size)
 
     def job_view(self, job):
-        """A tenant-tagged view sharing this adapter's NcclBackend."""
-        return NcclCollectiveBackend(self.cluster, nccl=self.nccl, tenant=job,
-                                     orchestrator=self._orchestrator)
+        """A tenant-tagged view with this adapter's knobs."""
+        return NcclCollectiveBackend(
+            self.cluster, cost_model=self.cost_model,
+            chunk_bytes=self.chunk_bytes, algorithm=self.algorithm,
+            tenant=job, orchestrator=self._orchestrator,
+        )
 
     # -- reporting -----------------------------------------------------------------
 
     def diagnostics(self):
-        """Communicator counts plus the metrics-registry snapshot."""
-        diag = {"communicators": len(self.nccl.communicators)}
+        """Plan count plus the metrics-registry snapshot."""
+        diag = {"plans": len(self._plans)}
         obs = self.cluster.engine.obs
         if obs.enabled:
             record_link_metrics(

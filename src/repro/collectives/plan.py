@@ -10,9 +10,9 @@ from it:
 * DFCCL's :class:`~repro.core.registration.RegisteredCollective` owns one plan
   per ``generation``.  Registration builds the first; every elastic shrink or
   grow bumps the generation and replaces the plan.
-* The NCCL baseline's :class:`~repro.ncclsim.api.NcclCommunicator` keeps one
-  plan per ``(spec, algorithm, chunk_bytes)``, shared by the per-call ops of
-  one logical collective.
+* The NCCL baseline's ``repro.api`` adapter keeps one plan per
+  ``(member ranks, spec)``, shared by the per-call ops of one logical
+  collective.
 
 A plan lives and dies with its owner: there is no global cache and nothing to
 configure.

@@ -21,7 +21,6 @@ from repro.core.communicator_pool import CommunicatorPool
 from repro.core.config import DfcclConfig
 from repro.core.context import CollectiveContextBuffer, ActiveContextCache
 from repro.core.daemon import DaemonKernel
-from repro.core.profiler import AutoProfiler
 from repro.core.recovery import RecoveryEvent, RecoveryManager, RecoveryStats
 from repro.core.queues import (
     CompletionQueueBase,
@@ -43,7 +42,6 @@ from repro.core.scheduling import (
 __all__ = [
     "ActiveContextCache",
     "AdaptiveSpinPolicy",
-    "AutoProfiler",
     "CollectiveContextBuffer",
     "CommunicatorPool",
     "CompletionQueueBase",

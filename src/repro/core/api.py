@@ -371,12 +371,11 @@ class DfcclBackend:
         ranks = list(ranks) if ranks is not None else list(range(self.cluster.world_size))
         devices = [self.cluster.device(rank) for rank in ranks]
         coll = RegisteredCollective(
-            coll_id, spec, devices, self.cluster.interconnect, self.config,
+            coll_id, spec, devices, ranks, self.cluster.interconnect, self.config,
             priority=priority, name=name,
             communicator=self.pool.acquire(devices, job=job), job=job,
         )
         self._collectives[coll_id] = coll
-        coll.global_ranks = ranks
         for rank in ranks:
             self.init_rank(rank).register(coll)
         return coll

@@ -21,11 +21,14 @@ from repro.ncclsim.kernels import grid_size_for
 class RegisteredCollective:
     """A collective registered with DFCCL (one per ``collId``)."""
 
-    def __init__(self, coll_id, spec, devices, interconnect, config, priority=0,
-                 name=None, communicator=None, job=None):
+    def __init__(self, coll_id, spec, devices, global_ranks, interconnect, config,
+                 priority=0, name=None, communicator=None, job=None):
         self.coll_id = coll_id
         self.spec = spec
         self.devices = list(devices)
+        #: Cluster rank of each group rank (a rejoin re-seats a group rank on
+        #: its replacement's rank).
+        self.global_ranks = list(global_ranks)
         self.priority = priority
         self.config = config
         self.interconnect = interconnect
@@ -302,14 +305,12 @@ class Invocation:
             obs = self.coll.obs
             if obs is not None and obs.analysis is not None:
                 coll = self.coll
-                global_ranks = getattr(coll, "global_ranks", None)
-                rank = (global_ranks[group_rank] if global_ranks is not None
-                        else group_rank)
                 obs.analysis.attach(
                     executor, backend="dfccl", coll_name=coll.name,
                     invocation_key=("dfccl", coll.coll_id, self.index,
                                     self.recovery_generation),
-                    owner=self, group_rank=group_rank, track=f"rank{rank}",
+                    owner=self, group_rank=group_rank,
+                    track=f"rank{coll.global_ranks[group_rank]}",
                     job=coll.job, algorithm=coll.algorithm,
                     kind=coll.spec.kind.value, nbytes=coll.spec.nbytes)
         return executor
@@ -361,12 +362,10 @@ class Invocation:
         self.submit_times[group_rank] = time_us
         obs = self.coll.obs
         if obs is not None:
-            global_ranks = getattr(self.coll, "global_ranks", None)
-            rank = (global_ranks[group_rank] if global_ranks is not None
-                    else group_rank)
             self._spans[group_rank] = obs.tracer.begin(
                 self.coll.name, "collective", time_us,
-                track=f"rank{rank}", job=self.coll.job,
+                track=f"rank{self.coll.global_ranks[group_rank]}",
+                job=self.coll.job,
                 attrs={"invocation": self.index, "group_rank": group_rank,
                        "algorithm": self.coll.algorithm,
                        "predicted_cost_us": self.coll.predicted_cost_us})

@@ -61,7 +61,7 @@ class FaultDeadlockAnalysis:
 
 
 def _rank_of_device_id(cluster, device_id):
-    return cluster.devices.index(cluster.device_by_id(device_id))
+    return cluster.rank_of(cluster.device_by_id(device_id))
 
 
 def _resolve_key_rank(key, cluster, actors_by_name):
@@ -78,21 +78,14 @@ def _resolve_key_rank(key, cluster, actors_by_name):
         device = getattr(actor, "device", None)
         if device is None:
             return None
-        return cluster.devices.index(device)
-    if tag in ("nccl-op-done", "nccl-op-done-all"):
+        return cluster.rank_of(device)
+    if tag == "nccl-op-done":
         from repro.ncclsim.ops import op_by_id
 
         op = op_by_id(key[1])
         if op is None:
             return None
-        if tag == "nccl-op-done":
-            device = op.devices[key[2]]
-        else:
-            incomplete = op.incomplete_ranks()
-            if not incomplete:
-                return None
-            device = op.devices[incomplete[0]]
-        return cluster.devices.index(device)
+        return cluster.rank_of(op.devices[key[2]])
     return None
 
 
@@ -105,7 +98,7 @@ def analyze_fault_deadlock(report, cluster):
     analysis = FaultDeadlockAnalysis(
         time_us=report.time_us if report is not None else 0.0,
         crashed_ranks=tuple(
-            cluster.devices.index(device) for device in cluster.failed_devices()
+            cluster.rank_of(device) for device in cluster.failed_devices()
         ),
     )
     if report is None:
@@ -119,7 +112,7 @@ def analyze_fault_deadlock(report, cluster):
         device = getattr(actor, "device", None)
         if device is None:
             continue
-        src = ("rank", cluster.devices.index(device))
+        src = ("rank", cluster.rank_of(device))
         for key in report.wait_graph.get(actor.name, ()):
             dst_rank = _resolve_key_rank(key, cluster, actors_by_name)
             if dst_rank is not None:

@@ -8,16 +8,13 @@ launch order, stream assignment and GPU synchronization are entirely up to the
 application, which is exactly how the circular dependencies of Fig. 1 arise.
 """
 
-from repro.ncclsim.api import NcclBackend, NcclCommunicator
 from repro.ncclsim.kernels import NcclCollectiveKernel, grid_size_for
 from repro.ncclsim.mpi_baseline import CudaAwareMpiModel
 from repro.ncclsim.ops import NcclCollectiveOp
 
 __all__ = [
     "CudaAwareMpiModel",
-    "NcclBackend",
     "NcclCollectiveKernel",
     "NcclCollectiveOp",
-    "NcclCommunicator",
     "grid_size_for",
 ]

@@ -149,10 +149,6 @@ class NcclCollectiveOp:
     def is_complete(self, group_rank):
         return group_rank in self._complete_ranks
 
-    def incomplete_ranks(self):
-        return [rank for rank in range(self.group_size)
-                if rank not in self._complete_ranks]
-
     def fully_complete(self):
         return len(self._complete_ranks) == self.group_size
 

@@ -14,6 +14,7 @@ from repro.api import (
     register_backend,
     wait_all,
 )
+from repro.collectives.cost import CostModel
 from repro.common.errors import ConfigurationError, DeadlockError
 from repro.common.types import CollectiveKind, CollectiveSpec
 from repro.core import DfcclBackend, DfcclConfig
@@ -147,6 +148,23 @@ class TestProcessGroup:
         assert coll.coll_id[0] == "tenant-a"
         assert coll.job == "tenant-a"
         assert coll.name == f"{group.name}:all_reduce"
+
+    def test_nccl_job_view_keeps_knobs_and_tags_kernels(self):
+        cluster = build_cluster("single-3090")
+        cost_model = CostModel()
+        backend = make_backend("nccl", cluster, cost_model=cost_model,
+                               chunk_bytes=CHUNK, algorithm="tree")
+        group = backend.job_view("job-a").new_group([0, 1])
+        works = [group.all_reduce(rank, count=1 << 16) for rank in group.ranks]
+        plan = works[0].op.plan
+        assert (plan.chunk_bytes, plan.algorithm) == (CHUNK, "tree")
+        assert plan.cost_model is cost_model
+        cluster.add_hosts([HostProgram(work.ops()) for work in works])
+        cluster.run()
+        for work in works:
+            kernel = work.op.kernel(work.group_rank)
+            assert kernel.tenant == "job-a"
+            assert kernel.stream.name == "comm-job-a"
 
 
 def _run_disordered(name, cluster=None):
@@ -319,16 +337,29 @@ class TestRemovedShims:
 
         import repro.core as core
         from repro.multijob import RankMappedPlan
-        from repro.ncclsim import NcclCommunicator
 
         assert not hasattr(core, "InvocationHandle")
         with pytest.raises(ImportError):
             importlib.import_module("repro.ncclsim.program")
         for name in ("submit", "register_all_reduce", "init_all_ranks"):
             assert not hasattr(DfcclBackend, name), name
-        for name in ("all_reduce", "ops"):
-            assert not hasattr(NcclCommunicator, name), name
         assert "__getattr__" not in vars(RankMappedPlan)
+
+    def test_unused_layers_are_gone(self):
+        """The NCCL adapter owns its plans, ops and kernel launch; the
+        parameter profiler and the steps/sec ledger were deleted unused."""
+        import importlib
+
+        import repro.core as core
+        import repro.ncclsim as ncclsim
+
+        for module in ("repro.ncclsim.api", "repro.core.profiler",
+                       "repro.bench.history"):
+            with pytest.raises(ImportError):
+                importlib.import_module(module)
+        for name in ("NcclBackend", "NcclCommunicator"):
+            assert not hasattr(ncclsim, name), name
+        assert not hasattr(core, "AutoProfiler")
 
 
 class TestNoInternalStringDispatch:
@@ -354,7 +385,8 @@ class TestNoInternalStringDispatch:
         import re
 
         root = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
-        pattern = re.compile(r"\.(?:submit_invocation|make_kernel)\(")
+        pattern = re.compile(
+            r"\.submit_invocation\(|(?<!class )NcclCollectiveKernel\(")
         offenders = [str(path) for path in root.rglob("*.py")
                      if "api" not in path.parts and pattern.search(path.read_text())]
         assert offenders == []

@@ -2,11 +2,14 @@
 
 The exporter under test is the observability-based one
 (:mod:`repro.obs.trace`), which reads the always-on flight recorder.  The
-legacy list-of-tuples exporter (``repro.core.profiler``) and the
-``Engine(trace=[...])`` kwarg were removed after their deprecation cycle.
+legacy list-of-tuples exporter and the ``Engine(trace=[...])`` kwarg were
+removed after their deprecation cycle, and ``repro.core.profiler``, which
+held the exporter, is gone.
 """
 
 import json
+
+import pytest
 
 from repro.api import make_backend
 from repro.gpusim import HostProgram, build_cluster
@@ -101,10 +104,10 @@ class TestChromeTraceExport:
 
 class TestLegacyProfilerRemoved:
     def test_legacy_exporter_is_gone(self):
-        from repro.core import profiler
+        import importlib
 
-        assert not hasattr(profiler, "chrome_trace_events")
-        assert not hasattr(profiler, "write_chrome_trace")
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.core.profiler")
 
     def test_engine_trace_kwarg_is_gone(self):
         import inspect

@@ -1,9 +1,8 @@
-"""Tests for the adaptive stickiness scheduling policies and the profiler."""
+"""Tests for the adaptive stickiness scheduling policies."""
 
 import pytest
 
 from repro.core import DfcclConfig
-from repro.core.profiler import AutoProfiler
 from repro.core.scheduling import (
     AdaptiveSpinPolicy,
     DaemonStats,
@@ -127,21 +126,3 @@ class TestDaemonStats:
         stats.sqe_read_time_us = 21.2
         assert stats.mean_sqe_read_time_us() == pytest.approx(5.3)
 
-
-class TestAutoProfiler:
-    def test_recommends_positive_threshold(self):
-        profiler = AutoProfiler(DfcclConfig())
-        result = profiler.calibrate()
-        assert result.initial_spin_threshold >= profiler.MIN_THRESHOLD
-        assert result.quit_period_us >= 200.0
-
-    def test_tuned_config_applies_recommendation(self):
-        config = DfcclConfig()
-        tuned = AutoProfiler(config).tuned_config()
-        assert tuned.initial_spin_threshold == AutoProfiler(config).calibrate().initial_spin_threshold
-
-    def test_overhead_model_is_convex_in_threshold(self):
-        """Expression (2): T ~ N + 1/N has a minimum away from the extremes."""
-        values = {n: AutoProfiler.overhead_model(n, scale=100.0) for n in (1, 100, 10_000)}
-        assert values[100] < values[1]
-        assert values[100] < values[10_000]

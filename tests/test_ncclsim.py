@@ -3,10 +3,10 @@
 import pytest
 
 from repro.api import make_backend
-from repro.common.errors import DeadlockError
+from repro.common.errors import ConfigurationError, DeadlockError
 from repro.gpusim import HostProgram, build_cluster
 from repro.gpusim.host import DeviceSynchronize
-from repro.ncclsim import CudaAwareMpiModel, NcclBackend, grid_size_for
+from repro.ncclsim import CudaAwareMpiModel, grid_size_for
 
 
 def _two_collective_cluster(max_blocks=None):
@@ -115,10 +115,9 @@ class TestCollectiveExecution:
 
     def test_rank_not_in_communicator_rejected(self):
         cluster = build_cluster("single-3090")
-        backend = NcclBackend(cluster)
-        comm = backend.create_communicator(ranks=[0, 1])
-        with pytest.raises(Exception):
-            comm.group_rank(5)
+        group = make_backend("nccl", cluster).new_group([0, 1])
+        with pytest.raises(ConfigurationError):
+            group.all_reduce(5, count=256)
 
 
 class TestMpiBaseline:

@@ -1,4 +1,4 @@
-"""Critical-path time attribution: causal DAG, buckets, flows, the ledger.
+"""Critical-path time attribution: causal DAG, buckets, flows, link timelines.
 
 The analysis layer's core contract is **conservation**: for every traced
 invocation the attributed buckets (queueing, alpha, beta, memory, overhead,
@@ -7,8 +7,7 @@ submit-to-complete virtual time — the residual is the error term and must
 stay ~0 on fault-free runs.  These tests pin that identity on both the DFCCL
 and NCCL backends, the cross-rank critical-path walk on a multi-node fabric,
 the chrome-trace flow arrows, the windowed link-utilization timelines (with
-and without degraded links), the bucket-level calibration feedback, and the
-machine-normalized benchmark history ledger.
+and without degraded links) and the bucket-level calibration feedback.
 """
 
 import json
@@ -263,72 +262,6 @@ class TestLinksUnderDegradation:
         once = link_rows(communicators)
         twice = link_rows(communicators + communicators)
         assert twice == once
-
-
-class TestBenchHistory:
-    @staticmethod
-    def _write_scale(path, calibration, steps_per_sec):
-        report = {
-            "calibration_ops_per_sec": calibration,
-            "points": [{"ranks": 64, "topology": "flat", "algorithm": "ring",
-                        "steps_per_sec": steps_per_sec,
-                        "virtual_time_us": 1234.5}],
-        }
-        path.write_text(json.dumps(report))
-
-    def test_append_then_check_clean(self, tmp_path):
-        from repro.bench.history import append_snapshot, diff_latest
-
-        scale = tmp_path / "BENCH_scale.json"
-        history = tmp_path / "BENCH_history.json"
-        self._write_scale(scale, 1e6, 40_000.0)
-        append_snapshot(history_path=str(history), scale_path=str(scale),
-                        obs_path=str(tmp_path / "missing.json"))
-        # A faster machine (2x calibration, 2x raw throughput) normalizes to
-        # the *same* efficiency — no regression.
-        self._write_scale(scale, 2e6, 80_000.0)
-        append_snapshot(history_path=str(history), scale_path=str(scale),
-                        obs_path=str(tmp_path / "missing.json"))
-        regressions, lines = diff_latest(history_path=str(history))
-        assert regressions == []
-        assert any("64/flat/ring" in line for line in lines)
-
-    def test_check_flags_normalized_regression(self, tmp_path):
-        from repro.bench.history import append_snapshot, diff_latest, main
-
-        scale = tmp_path / "BENCH_scale.json"
-        history = tmp_path / "BENCH_history.json"
-        self._write_scale(scale, 1e6, 40_000.0)
-        append_snapshot(history_path=str(history), scale_path=str(scale),
-                        obs_path=str(tmp_path / "missing.json"))
-        self._write_scale(scale, 1e6, 30_000.0)  # 25% drop, same machine
-        append_snapshot(history_path=str(history), scale_path=str(scale),
-                        obs_path=str(tmp_path / "missing.json"))
-        regressions, _ = diff_latest(history_path=str(history))
-        assert len(regressions) == 1
-        assert regressions[0]["change"] == pytest.approx(-0.25)
-        assert main(["--check", "--history", str(history)]) == 1
-        # A looser threshold lets the same step pass.
-        assert main(["--check", "--history", str(history),
-                     "--threshold", "0.30"]) == 0
-
-    def test_single_entry_is_not_a_failure(self, tmp_path):
-        from repro.bench.history import append_snapshot, main
-
-        scale = tmp_path / "BENCH_scale.json"
-        history = tmp_path / "BENCH_history.json"
-        self._write_scale(scale, 1e6, 40_000.0)
-        append_snapshot(history_path=str(history), scale_path=str(scale),
-                        obs_path=str(tmp_path / "missing.json"))
-        assert main(["--check", "--history", str(history)]) == 0
-
-    def test_missing_scale_report_raises(self, tmp_path):
-        from repro.bench.history import snapshot_from_reports
-
-        with pytest.raises(ValueError, match="no scale report"):
-            snapshot_from_reports(
-                scale_path=str(tmp_path / "nope.json"),
-                obs_path=str(tmp_path / "nope2.json"))
 
 
 class TestBenchAttribution:
