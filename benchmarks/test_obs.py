@@ -7,16 +7,19 @@ Two deliverables, both archived by the CI obs-smoke job:
   exactly as every user run has them);
 * the **overhead gate** — always-on flight recording must cost less than 10%
   steps/sec against an untraced run of the same workload
-  (``run_scale_point(observe=False)``, the disabled-Observability control
+  (``build_scale_point(observe=False)``, the disabled-Observability control
   arm).
 """
 
+import gc
 import json
 import os
+import time
 
 import pytest
 
 from repro.bench import run_scale_point
+from repro.bench.scale_experiments import build_scale_point
 
 pytestmark = pytest.mark.timeout(900)
 
@@ -69,20 +72,71 @@ def test_64_rank_attribution_conserves_within_one_percent():
         assert cell["measured_buckets"]
 
 
+#: Virtual time each arm runs before the other takes over (about 1 ms of host
+#: time): short enough that both arms see the same stretch of a shared host.
+_SLICE_US = 10.0
+
+
+def _interleaved_arms():
+    """One repetition of each arm, run in alternating slices of virtual time.
+
+    Returns ``{observe: row}`` with the ``run_scale_point`` row fields the
+    gate reads.  Host speed on a shared machine swings by ±25% between runs
+    a fraction of a second apart, which swamps a 10% bound when the two arms
+    run one after the other.
+    """
+    points = {observe: build_scale_point(**_POINT, observe=observe)
+              for observe in (True, False)}
+    wall_s = dict.fromkeys(points, 0.0)
+    running = set(points)
+    until_us = 0.0
+    gc.collect()
+    gc.disable()
+    try:
+        while running:
+            until_us += _SLICE_US
+            for observe in (True, False):
+                if observe not in running:
+                    continue
+                start = time.perf_counter()
+                if points[observe][0].run(until_us=until_us) < until_us:
+                    running.discard(observe)
+                wall_s[observe] += time.perf_counter() - start
+    finally:
+        gc.enable()
+    arms = {}
+    for observe, (cluster, _, works_by_rank) in points.items():
+        steps = cluster.engine.step_count
+        arms[observe] = {
+            "steps_per_sec": steps / wall_s[observe],
+            "virtual_time_us": cluster.engine.now,
+            "steps": steps,
+            "completed": all(work.done for works in works_by_rank.values()
+                             for work in works),
+            "observed": cluster.engine.obs.enabled,
+        }
+    return arms
+
+
 def test_flight_recorder_overhead_under_10_percent():
-    """Always-on recording costs <10% steps/sec vs the untraced control arm."""
-    traced = max((run_scale_point(**_POINT) for _ in range(3)),
-                 key=lambda row: row["steps_per_sec"])
-    untraced = max((run_scale_point(**_POINT, observe=False)
-                    for _ in range(3)),
-                   key=lambda row: row["steps_per_sec"])
-    assert traced["completed"] and untraced["completed"]
-    assert traced["observed"] and not untraced["observed"]
-    # Identical workload physics: tracing must not change the simulation.
-    assert traced["virtual_time_us"] == untraced["virtual_time_us"]
-    assert traced["steps"] == untraced["steps"]
+    """Always-on recording costs <10% steps/sec vs the untraced control arm.
+
+    The arms alternate slice by slice within each of three repetitions, and
+    the best repetition's ratio is gated.
+    """
+    reps = [_interleaved_arms() for _ in range(3)]
+    for arms in reps:
+        traced, untraced = arms[True], arms[False]
+        assert traced["completed"] and untraced["completed"]
+        assert traced["observed"] and not untraced["observed"]
+        # Identical workload physics: tracing must not change the simulation.
+        assert traced["virtual_time_us"] == untraced["virtual_time_us"]
+        assert traced["steps"] == untraced["steps"]
+    traced, untraced = max(
+        ((arms[True], arms[False]) for arms in reps),
+        key=lambda pair: pair[0]["steps_per_sec"] / pair[1]["steps_per_sec"])
     ratio = traced["steps_per_sec"] / untraced["steps_per_sec"]
     print(f"\nflight-recorder overhead: traced "
           f"{traced['steps_per_sec']:.0f} steps/s vs untraced "
           f"{untraced['steps_per_sec']:.0f} steps/s ({(1 - ratio):+.1%})")
-    assert traced["steps_per_sec"] >= 0.9 * untraced["steps_per_sec"]
+    assert ratio >= 0.9

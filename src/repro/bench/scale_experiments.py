@@ -102,24 +102,13 @@ def _cluster_spec_for(ranks, topology):
     return topology  # a ClusterSpec or named topology, passed through
 
 
-def run_scale_point(ranks, topology="flat", algorithm="ring", nbytes=1 << 20,
-                    iterations=2, backend="dfccl", chunk_bytes=128 << 10,
-                    observe=True, collect_metrics=False, analyze=False):
-    """Run one N-rank all-reduce workload; return the measured row.
+def build_scale_point(ranks, topology="flat", algorithm="ring", nbytes=1 << 20,
+                      iterations=2, backend="dfccl", chunk_bytes=128 << 10,
+                      observe=True, analyze=False):
+    """Build, without running, the workload :func:`run_scale_point` times.
 
-    GC is collected once and disabled across the measured region (standard
-    steady-state benchmarking discipline; collector pauses would otherwise
-    dominate run-to-run variance), and re-enabled before returning.
-
-    ``observe=False`` runs with a disabled :class:`~repro.obs.Observability`
-    hub — the control arm of the flight-recorder overhead gate.  With
-    ``collect_metrics=True`` the row additionally carries the full metrics
-    snapshot (always-on rows carry only the calibration samples).
-    ``analyze=True`` opts the run into critical-path time attribution and
-    attaches the decomposition as ``row["attribution"]`` — analyzed runs pay
-    the trace-append cost, so the sweep times its points *without* analysis
-    and runs one extra analyzed pass per point (the simulator is
-    deterministic, so both passes see identical virtual times).
+    Returns ``(cluster, api_backend, works_by_rank)``: every rank's program is
+    installed, so ``cluster.run()`` executes the whole workload.
     """
     from repro.obs import Observability
 
@@ -145,6 +134,32 @@ def run_scale_point(ranks, topology="flat", algorithm="ring", nbytes=1 << 20,
         ops.extend(api_backend.finalize_ops(rank))
         programs.append(HostProgram(ops))
     cluster.add_hosts(programs)
+    return cluster, api_backend, works_by_rank
+
+
+def run_scale_point(ranks, topology="flat", algorithm="ring", nbytes=1 << 20,
+                    iterations=2, backend="dfccl", chunk_bytes=128 << 10,
+                    observe=True, collect_metrics=False, analyze=False):
+    """Run one N-rank all-reduce workload; return the measured row.
+
+    GC is collected once and disabled across the measured region (standard
+    steady-state benchmarking discipline; collector pauses would otherwise
+    dominate run-to-run variance), and re-enabled before returning.
+
+    ``observe=False`` runs with a disabled :class:`~repro.obs.Observability`
+    hub — the control arm of the flight-recorder overhead gate.  With
+    ``collect_metrics=True`` the row additionally carries the full metrics
+    snapshot (always-on rows carry only the calibration samples).
+    ``analyze=True`` opts the run into critical-path time attribution and
+    attaches the decomposition as ``row["attribution"]`` — analyzed runs pay
+    the trace-append cost, so the sweep times its points *without* analysis
+    and runs one extra analyzed pass per point (the simulator is
+    deterministic, so both passes see identical virtual times).
+    """
+    cluster, api_backend, works_by_rank = build_scale_point(
+        ranks, topology=topology, algorithm=algorithm, nbytes=nbytes,
+        iterations=iterations, backend=backend, chunk_bytes=chunk_bytes,
+        observe=observe, analyze=analyze)
 
     gc.collect()
     gc.disable()

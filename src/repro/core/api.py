@@ -48,6 +48,10 @@ class RankContext:
 
         self.context_buffer = CollectiveContextBuffer(self.config)
         self.registered = {}
+        #: The daemon's launch shape: the largest grid and block size among
+        #: registered collectives, recomputed only when registrations change.
+        self.daemon_grid_size = 1
+        self.daemon_block_size = 256
         self.stats = DaemonStats()
 
         self.outstanding = 0
@@ -89,6 +93,7 @@ class RankContext:
                 f"collective id {coll.coll_id} already registered on rank {self.global_rank}"
             )
         self.registered[coll.coll_id] = coll
+        self._update_launch_shape()
         group_rank = self.group_rank_for(coll)
         from repro.core.context import StaticContext
 
@@ -105,14 +110,11 @@ class RankContext:
     def group_rank_for(self, coll):
         return coll.group_rank_of_device(self.device)
 
-    def daemon_grid_size(self):
-        """The daemon launches with the largest grid among registered collectives."""
-        sizes = [coll.grid_size for coll in self.registered.values()]
-        return max(sizes) if sizes else 1
-
-    def daemon_block_size(self):
-        sizes = [coll.block_size for coll in self.registered.values()]
-        return max(sizes) if sizes else 256
+    def _update_launch_shape(self):
+        colls = self.registered.values()
+        self.daemon_grid_size = max((coll.grid_size for coll in colls), default=1)
+        self.daemon_block_size = max((coll.block_size for coll in colls),
+                                     default=256)
 
     # -- submission (dfccl_run_*) ------------------------------------------------------
 
@@ -257,6 +259,7 @@ class RankContext:
         self.ensure_unregisterable(coll)
         del self.registered[coll.coll_id]
         self.context_buffer.unregister(coll.coll_id)
+        self._update_launch_shape()
 
     # -- completion ------------------------------------------------------------------------
 

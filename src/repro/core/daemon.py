@@ -41,8 +41,8 @@ class DaemonKernel(KernelActor):
         super().__init__(
             name=f"dfccl-daemon-r{rank_ctx.global_rank}-g{generation}",
             device=device,
-            grid_size=rank_ctx.daemon_grid_size(),
-            block_size=rank_ctx.daemon_block_size(),
+            grid_size=rank_ctx.daemon_grid_size,
+            block_size=rank_ctx.daemon_block_size,
         )
         self.ctx = rank_ctx
         self.config = rank_ctx.config

@@ -21,6 +21,7 @@ full/empty conditions) so their logic can be unit- and property-tested.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro.common.errors import QueueEmptyError, QueueFullError
@@ -114,7 +115,8 @@ class SubmissionQueue:
         return self.head - tail
 
     def __len__(self):
-        return sum(1 for slot in self._slots if slot is not None)
+        """Occupied slots: pushed SQEs that not every consumer has read."""
+        return self.submitted - self.retired
 
 
 class CompletionQueueBase:
@@ -229,8 +231,14 @@ class OptimizedCasCQ(CompletionQueueBase):
     """Slot-array CQ: a single ``atomicCAS_system`` writes the collective ID.
 
     The CQE only carries the completed collective's ID, so ring-buffer
-    ordering is unnecessary: a block CAS-writes into any writable slot; the
-    poller scans the array, consumes valid IDs and marks slots writable again.
+    ordering is unnecessary: a block CAS-writes into the lowest writable
+    slot; the poller scans the array from where it last stopped, consumes
+    valid IDs and marks slots writable again.
+
+    The simulator keeps the occupied slot indices sorted, so both ends find
+    their slot by bisection instead of walking all ``capacity`` slots; the
+    slot chosen, and so the pop order, is exactly what the linear scan
+    picks.
     """
 
     variant = "optimized-cas"
@@ -238,32 +246,46 @@ class OptimizedCasCQ(CompletionQueueBase):
     def __init__(self, capacity=1024):
         super().__init__(capacity)
         self._slots = [None] * capacity
+        self._occupied = []
         self._scan_pos = 0
 
     def write_cost_us(self, config):
         return config.cas_system_cost_us
 
     def writable(self):
-        return any(slot is None for slot in self._slots)
+        return len(self._occupied) < self.capacity
 
     def push(self, cqe):
-        for index in range(self.capacity):
-            if self._slots[index] is None:
-                self._slots[index] = cqe
-                self.written += 1
-                return cqe
-        raise QueueFullError("completion queue is full")
+        occupied = self._occupied
+        if len(occupied) >= self.capacity:
+            raise QueueFullError("completion queue is full")
+        # Indices are distinct, so ``occupied[i] >= i``; the lowest free slot
+        # is the first position where equality breaks.
+        low, high = 0, len(occupied)
+        while low < high:
+            mid = (low + high) // 2
+            if occupied[mid] == mid:
+                low = mid + 1
+            else:
+                high = mid
+        occupied.insert(low, low)
+        self._slots[low] = cqe
+        self.written += 1
+        return cqe
 
     def pop(self):
-        for offset in range(self.capacity):
-            index = (self._scan_pos + offset) % self.capacity
-            if self._slots[index] is not None:
-                cqe = self._slots[index]
-                self._slots[index] = None
-                self._scan_pos = (index + 1) % self.capacity
-                self.consumed += 1
-                return cqe
-        raise QueueEmptyError("completion queue is empty")
+        occupied = self._occupied
+        if not occupied:
+            raise QueueEmptyError("completion queue is empty")
+        position = bisect_left(occupied, self._scan_pos)
+        if position == len(occupied):
+            position = 0
+        index = occupied.pop(position)
+        cqe = self._slots[index]
+        self._slots[index] = None
+        self._scan_pos = (index + 1) % self.capacity
+        self.consumed += 1
+        return cqe
 
 
 def make_completion_queue(variant, capacity=1024):

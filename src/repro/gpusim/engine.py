@@ -17,7 +17,11 @@ An actor's ``step`` returns a :class:`StepResult`:
     The actor wants to be woken at an absolute virtual time (used for polling
     threads and voluntary-quit timers).
 ``DONE``
-    The actor finished and is removed from scheduling.
+    The actor finished.  It is removed from scheduling and the engine drops
+    its reference, so a completed actor (say, one daemon-kernel generation of
+    thousands in a long training run) is freed once nothing else holds it.
+    Actors killed by fault injection stay registered: they model crashed
+    processes that deadlock analysis still resolves by name.
 
 When every live actor is blocked and none is sleeping, no signal can ever
 arrive: the system is deadlocked.  The engine then either raises
@@ -164,7 +168,10 @@ class Engine:
         #: Hot-loop alias: the flight-recorder event ring, or ``None`` when
         #: observability is disabled (one branch per step either way).
         self._event_ring = self.obs.recorder.ring if self.obs.enabled else None
-        self._actors = []
+        #: Registered actors minus those that completed (killed ones stay),
+        #: in registration order: an insertion-ordered dict used as a set, so
+        #: dropping an actor on DONE is O(1).
+        self._actors = {}
         #: The unified event queue: a heap of ``[time, kind, seq, actor]``
         #: entries.  ``self._entries`` maps each schedulable actor to its one
         #: live entry; invalidation clears the entry's actor slot.
@@ -206,7 +213,7 @@ class Engine:
 
     def _register(self, actor):
         """Shared registration bookkeeping of the add_actor/add_actors paths."""
-        self._actors.append(actor)
+        self._actors[actor] = None
         actor.on_registered(self)
         if not actor.daemon and not actor.finished:
             self._live_worker_count += 1
@@ -241,6 +248,13 @@ class Engine:
         return actors
 
     def actors(self):
+        """Registered actors that have not completed, in registration order.
+
+        An actor whose step returned ``DONE`` is gone from this list (the
+        engine keeps no reference to it); an actor stopped by
+        :meth:`kill_actor` stays, marked ``finished``, because a crashed
+        process is still part of the wait-for graph.
+        """
         return list(self._actors)
 
     # -- event queue helpers -------------------------------------------------
@@ -409,9 +423,6 @@ class Engine:
         """
         return self._horizon
 
-    def _live_actors(self):
-        return [actor for actor in self._actors if not actor.finished]
-
     def _live_workers(self):
         """Live non-daemon actors; when none remain the simulation is over."""
         return [
@@ -458,6 +469,7 @@ class Engine:
                 self._schedule(actor, max(result.wake_at, actor.now), _KIND_SLEEP)
             elif status is StepStatus.DONE:
                 actor.finished = True
+                del self._actors[actor]
                 if not actor.daemon:
                     self._live_worker_count -= 1
             else:  # pragma: no cover - defensive

@@ -77,6 +77,20 @@ class TestSubmissionQueue:
         sq.pop("b")
         assert sq.writable()
 
+    def test_len_counts_slots_until_every_consumer_read_them(self):
+        sq = SubmissionQueue(capacity=4, num_consumers=2)
+        sq.register_consumer("a")
+        sq.register_consumer("b")
+        for coll_id in range(3):
+            sq.push(Sqe(coll_id=coll_id, invocation_id=0))
+        assert len(sq) == 3
+        sq.pop("a")
+        sq.pop("a")
+        assert len(sq) == 3  # "b" has read nothing yet
+        sq.pop("b")
+        assert len(sq) == 2  # slot 0 retired
+        assert len(sq) == sum(slot is not None for slot in sq._slots)
+
     def test_pending_counts(self):
         sq = SubmissionQueue(capacity=8)
         sq.register_consumer("c")
@@ -139,6 +153,64 @@ class TestCompletionQueues:
             cq.push(Cqe(coll_id, 0))
         drained = sorted(cq.pop().coll_id for _ in ids)
         assert drained == sorted(ids)
+
+    # Pushes are drawn twice as often as pops so runs reach the full queue.
+    @given(st.lists(st.sampled_from(["push", "push", "pop", "writable"]),
+                    max_size=80))
+    @settings(max_examples=80, deadline=None)
+    def test_cas_cq_matches_the_linear_slot_scan(self, ops):
+        """Pop order, full/empty errors and ``writable`` equal a plain scan
+        over every slot: push into the lowest free slot, pop the first
+        occupied slot at or after the last pop, wrapping around."""
+        cq = OptimizedCasCQ(capacity=8)
+        reference = _LinearScanCasCQ(capacity=8)
+        for step, op in enumerate(ops):
+            if op == "writable":
+                assert cq.writable() == reference.writable()
+                continue
+            outcomes = []
+            for queue in (cq, reference):
+                try:
+                    if op == "push":
+                        queue.push(Cqe(step, 0))
+                        outcomes.append(None)
+                    else:
+                        outcomes.append(queue.pop().coll_id)
+                except (QueueFullError, QueueEmptyError) as error:
+                    outcomes.append(type(error))
+            assert outcomes[0] == outcomes[1]
+        assert len(cq) == len(reference)
+
+
+class _LinearScanCasCQ:
+    """The O(capacity) slot scan ``OptimizedCasCQ`` must agree with."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.slots = [None] * capacity
+        self.scan_pos = 0
+
+    def writable(self):
+        return any(slot is None for slot in self.slots)
+
+    def push(self, cqe):
+        for index in range(self.capacity):
+            if self.slots[index] is None:
+                self.slots[index] = cqe
+                return cqe
+        raise QueueFullError("completion queue is full")
+
+    def pop(self):
+        for offset in range(self.capacity):
+            index = (self.scan_pos + offset) % self.capacity
+            if self.slots[index] is not None:
+                cqe, self.slots[index] = self.slots[index], None
+                self.scan_pos = (index + 1) % self.capacity
+                return cqe
+        raise QueueEmptyError("completion queue is empty")
+
+    def __len__(self):
+        return sum(slot is not None for slot in self.slots)
 
 
 class TestContextManagement:

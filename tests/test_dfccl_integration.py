@@ -1,5 +1,8 @@
 """End-to-end DFCCL tests: deadlock prevention, correctness, scheduling, lifecycle."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.api import make_backend
@@ -7,6 +10,7 @@ from repro.common.errors import DeadlockError
 from repro.common.rng import DeterministicRNG
 from repro.common.types import CollectiveKind, CollectiveSpec
 from repro.core import DfcclConfig
+from repro.core.api import RankContext
 from repro.gpusim import HostProgram, build_cluster
 from repro.gpusim.host import DeviceSynchronize
 
@@ -98,6 +102,46 @@ class TestLifecycle:
         assert not context.daemon_alive
         assert backend.stats(0).launches >= 1
         assert backend.stats(0).final_exits == 1
+
+    def test_engine_releases_completed_daemon_generations(self, monkeypatch):
+        """Every daemon generation that quit is freed once the run ends (the
+        engine keeps no completed actor), while a killed actor stays listed."""
+        generations = []
+        launch = RankContext.ensure_daemon_running
+
+        def recording_launch(ctx, time_us):
+            kernel = launch(ctx, time_us)
+            if kernel is not None:
+                generations.append(weakref.ref(kernel))
+            return kernel
+
+        monkeypatch.setattr(RankContext, "ensure_daemon_running", recording_launch)
+        cluster, backend, _ = run_dfccl(
+            orders=lambda rank, _: [0, 1] if rank == 0 else [1, 0], with_sync=True)
+        assert backend.stats(0).voluntary_quits + backend.stats(1).voluntary_quits >= 1
+        assert len(generations) > 2
+        gc.collect()
+        assert [ref for ref in generations if ref() is not None] == []
+
+        device = cluster.device(0)
+        cluster.fail_rank(0, cluster.engine.now)
+        assert device.finished
+        assert device in cluster.engine.actors()
+
+    def test_daemon_launch_shape_follows_registrations(self):
+        cluster = build_cluster("single-3090")
+        dfccl = make_backend("dfccl", cluster).dfccl
+        dfccl.register_collective(
+            0, CollectiveSpec(CollectiveKind.ALL_REDUCE, 64), ranks=[0, 1])
+        context = dfccl.context(0)
+        assert (context.daemon_grid_size, context.daemon_block_size) == (1, 256)
+        large = dfccl.register_collective(  # 8 MiB of float32
+            1, CollectiveSpec(CollectiveKind.ALL_REDUCE, 2 << 20), ranks=[0, 1])
+        assert large.spec.nbytes >= 4 << 20
+        assert (context.daemon_grid_size, context.daemon_block_size) == (
+            large.grid_size, large.block_size) == (3, 512)
+        dfccl.unregister_collective(1)
+        assert (context.daemon_grid_size, context.daemon_block_size) == (1, 256)
 
     def test_duplicate_registration_rejected(self):
         cluster = build_cluster("single-3090")
