@@ -1,10 +1,10 @@
 """Control-plane suite: preemptive scheduling on one saturated cluster.
 
 Replays the 24h-equivalent fixed-seed Zipf stream with and without
-preemption, checks the headline behaviour — the preemptive control plane
+preemption, checks the headline behaviour — the preemptive scheduler
 strictly beats the run-to-completion baseline on SLO attainment with zero
 starved jobs, and every preempted job resumes from its checkpoint and
-completes — and reports the rows the CI ``controlplane-smoke`` job
+completes — and reports the rows the CI ``multijob-smoke`` job
 archives as ``BENCH_controlplane.json``.
 """
 

@@ -214,7 +214,7 @@ class DfcclCollectiveBackend(CollectiveBackend):
     def quiesce(self, time_us):
         """Abort this view's unresolved invocation parts (job preemption).
 
-        The control plane evicts a placed job by killing its rank processes
+        The scheduler preempts a placed job by killing its rank processes
         mid-run; their submitted collective parts would otherwise sit in the
         daemon task queues forever, holding outstanding accounting and SQ/CQ
         slots.  Aborting each unresolved part releases the accounting and

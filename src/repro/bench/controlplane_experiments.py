@@ -1,44 +1,40 @@
 """Control-plane experiments: preemptive scheduling vs run-to-completion.
 
 The headline driver replays a 24h-equivalent open-loop Zipf arrival stream
-on one saturated 8-GPU cluster twice — once under the preemptive control
-plane (:class:`repro.controlplane.ControlPlane`) and once with preemption
-disabled (plain run-to-completion, the no-preemption baseline) — and
-compares SLO attainment.  The stream mixes latency-sensitive high-priority
-jobs (tight SLOs) with loose-SLO batch jobs, the regime where preempting a
-batch victim to admit a latency-sensitive arrival is a structural win: the
-victim's slack absorbs the checkpoint/restore detour while the arrival
-makes a deadline it would otherwise miss in the queue.
+on one saturated 8-GPU cluster twice — once under the preemptive
+:class:`repro.multijob.ClusterScheduler` (``preemption=True``) and once
+with preemption disabled (plain run-to-completion, the no-preemption
+baseline) — and compares SLO attainment.  The stream mixes
+latency-sensitive high-priority jobs (tight SLOs) with loose-SLO batch
+jobs, the regime where preempting a batch victim to admit a
+latency-sensitive arrival is a structural win: the victim's slack absorbs
+the checkpoint/restore detour while the arrival makes a deadline it would
+otherwise miss in the queue.
 
 Drivers:
 
-* :func:`run_controlplane` — one seeded stream, one control-plane
+* :func:`run_controlplane` — one seeded stream, one scheduler
   configuration (preemption on/off, tenant quotas, starvation aging,
-  optional mid-run cluster grow); per-job rows plus the control-plane
-  summary (preemptions, resumes, migrations, rejoins, rejected, starved);
+  optional mid-run cluster grow) run through :func:`run_multijob`; per-job
+  rows plus the summary (preemptions, resumes, migrations, rejoins,
+  rejected, starved);
 * :func:`preemption_ablation` — the headline pair on the *same* stream;
   returns both runs plus the SLO-attainment gain.
 
-All drivers are seeded and deterministic; the CI ``controlplane-smoke``
-job archives the results as ``BENCH_controlplane.json``.
+All drivers are seeded and deterministic; the CI ``multijob-smoke`` job
+archives the results as ``BENCH_controlplane.json``.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.controlplane import install_control_plane
-from repro.gpusim import SmInterferenceModel, build_cluster
+from repro.bench.multijob_experiments import run_multijob
 from repro.multijob.arrivals import estimate_standalone_us, generate_jobs
-from repro.multijob.runtime import make_job_runner
 
 #: Virtual-time ceiling: generous against the sub-second makespans below;
 #: a stream not drained by then is a liveness bug, not a tight budget.
 CONTROLPLANE_DEADLINE_US = 240_000_000.0
-
-#: SM slots per GPU — same tight regime as the multijob experiments, so a
-#: large-collective kernel fills the GPU and placement actually contends.
-CONTROLPLANE_BLOCKS = 4
 
 #: Priority-tiered SLO stretch over the standalone-runtime estimate.
 #: High priority (2) models latency-sensitive jobs with tight deadlines;
@@ -96,51 +92,25 @@ def run_controlplane(seed=11, preemption=True, policy="packed",
                      starvation_boost_us=1_000_000.0, grow_at_us=None,
                      launch_jitter_us=300.0,
                      deadline_us=CONTROLPLANE_DEADLINE_US):
-    """Run one seeded stream under one control-plane configuration.
+    """Run one seeded stream under one scheduler configuration.
 
     ``preemption=False`` is the run-to-completion baseline: identical
     admission, placement and aging, but a queued high-priority job can
     never evict a running one.  ``grow_at_us`` schedules a mid-run
-    :meth:`~repro.controlplane.ControlPlane.grow_cluster` (elastic world
-    growth).  Returns ``{"summary", "jobs", "events", "obs", "pool",
-    "equivalent_hours", ...}`` in the :func:`run_multijob` shape plus the
-    control-plane summary keys.
+    :meth:`~repro.multijob.ClusterScheduler.grow_cluster` (elastic world
+    growth).  Returns the :func:`run_multijob` result (DFCCL backend) plus
+    ``equivalent_hours``.
     """
-    cluster = build_cluster(topology, deadlock_mode="record",
-                            max_resident_blocks=CONTROLPLANE_BLOCKS,
-                            interference=SmInterferenceModel())
-    runner = make_job_runner("dfccl", cluster,
-                             launch_jitter_us=launch_jitter_us, seed=seed)
     if specs is None:
         specs = controlplane_job_stream(seed, num_jobs=num_jobs)
-    service = install_control_plane(
-        cluster, runner, specs, policy=policy,
-        tenants_per_gpu=tenants_per_gpu, preemption=preemption,
+    result = run_multijob(
+        backend="dfccl", policy=policy, topology=topology, seed=seed,
+        specs=specs, tenants_per_gpu=tenants_per_gpu,
+        launch_jitter_us=launch_jitter_us, deadline_us=deadline_us,
+        grow_at_us=grow_at_us, preemption=preemption,
         starvation_boost_us=starvation_boost_us, quotas=quotas,
     )
-    if grow_at_us is not None:
-        service.schedule(grow_at_us,
-                         lambda s, now: s.grow_cluster(time_us=now))
-
-    total = cluster.run(until_us=deadline_us)
-    service.finalize(total)
-    summary = service.summary(total)
-    result = {
-        "backend": "dfccl",
-        "policy": policy,
-        "seed": seed,
-        "preemption": service.preemption,
-        "time_us": total,
-        "equivalent_hours": equivalent_hours(total),
-        "summary": summary,
-        "jobs": service.job_rows(),
-        "events": list(service.events),
-        "engine_deadlock": cluster.engine.deadlock_report is not None,
-        "obs": cluster.engine.obs,
-    }
-    diagnostics = runner.backend.diagnostics()
-    if "pool" in diagnostics:
-        result["pool"] = diagnostics["pool"]
+    result["equivalent_hours"] = equivalent_hours(result["time_us"])
     return result
 
 

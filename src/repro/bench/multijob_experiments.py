@@ -57,12 +57,16 @@ def run_multijob(backend="dfccl", policy="packed", topology="dual-3090",
                  max_resident_blocks=SHARED_CLUSTER_BLOCKS,
                  launch_jitter_us=300.0, interference="default",
                  fault_plan=None, deadline_us=MULTIJOB_DEADLINE_US,
-                 config=None):
+                 config=None, grow_at_us=None, **scheduler_options):
     """Run one seeded job stream on one shared cluster.
 
     ``interference="default"`` applies the standard
     :class:`SmInterferenceModel`; pass ``None`` for the contention-off
     ablation (tenant counters only), or a custom model instance.
+    ``grow_at_us`` schedules a mid-run
+    :meth:`~repro.multijob.ClusterScheduler.grow_cluster`;
+    ``scheduler_options`` go to :func:`install_scheduler` (``preemption``,
+    ``quotas``, ``starvation_boost_us``, ...).
 
     Returns ``{"backend", "policy", "seed", "summary", "jobs", "events",
     "engine_deadlock", "contention", "pool", "obs"}``.  ``obs`` is the
@@ -87,7 +91,11 @@ def run_multijob(backend="dfccl", policy="packed", topology="dual-3090",
     if specs is None:
         specs = default_job_stream(seed, num_jobs=num_jobs)
     scheduler = install_scheduler(cluster, runner, specs, policy=policy,
-                                  tenants_per_gpu=tenants_per_gpu)
+                                  tenants_per_gpu=tenants_per_gpu,
+                                  **scheduler_options)
+    if grow_at_us is not None:
+        scheduler.schedule(grow_at_us,
+                           lambda s, now: s.grow_cluster(time_us=now))
     if fault_plan is not None:
         install_fault_plan(cluster, fault_plan)
 

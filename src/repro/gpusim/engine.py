@@ -359,7 +359,7 @@ class Engine:
 
         ``signal`` can only reach actors parked on a wait key; an actor
         sleeping toward a deadline (a scheduler waiting for its next arrival)
-        is invisible to it.  The control plane uses this to deliver live job
+        is invisible to it.  The cluster scheduler uses this to deliver live job
         submissions and scheduled preemptions: whatever state the target is
         in, it is rescheduled ready at ``max(actor.now, time_us)``.  Returns
         ``False`` when the actor is finished (nothing to wake).

@@ -14,15 +14,21 @@ boundaries.  This package turns the simulated cluster into a shared one:
 * :mod:`repro.multijob.placement` — ``packed`` / ``spread`` /
   ``nvlink-affine`` device-lease policies;
 * :mod:`repro.multijob.scheduler` — the :class:`ClusterScheduler` actor:
-  admission, backfilling placement, lease recycling, failure reaping;
+  admission, quotas, backfilling placement, lease recycling, failure
+  reaping, and (opt-in) priority preemption, rejoin, migration and live
+  cluster growth;
+* :mod:`repro.multijob.checkpoint` — the :class:`JobCheckpoint` an evicted
+  job resumes from;
 * :mod:`repro.multijob.runtime` — per-job backend contexts: one shared
   DFCCL daemon per GPU across all tenants, or dedicated NCCL kernels per
   job that contend for SM block slots.
 
-The matching experiments live in :mod:`repro.bench.multijob_experiments`.
+The matching experiments live in :mod:`repro.bench.multijob_experiments`
+and :mod:`repro.bench.controlplane_experiments`.
 """
 
 from repro.multijob.arrivals import estimate_standalone_us, generate_jobs, zipf_weights
+from repro.multijob.checkpoint import JobCheckpoint, collective_fingerprints
 from repro.multijob.jobs import MODEL_FACTORIES, JobRecord, JobSpec, JobState
 from repro.multijob.placement import (
     PLACEMENT_POLICIES,
@@ -42,6 +48,7 @@ __all__ = [
     "ClusterJobRunner",
     "ClusterScheduler",
     "DeviceLease",
+    "JobCheckpoint",
     "JobRecord",
     "JobSpec",
     "JobState",
@@ -50,6 +57,7 @@ __all__ = [
     "PlacementPolicy",
     "RankMappedPlan",
     "SpreadPolicy",
+    "collective_fingerprints",
     "estimate_standalone_us",
     "generate_jobs",
     "install_scheduler",

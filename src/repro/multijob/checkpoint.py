@@ -1,4 +1,4 @@
-"""Job checkpoints: what the control plane saves when it evicts a job.
+"""Job checkpoints: what the scheduler saves when it evicts a job.
 
 A preempted (or migrated, or rejoin-evicted) job is checkpointed at its last
 *iteration boundary* every rank fully recorded — partial iterations are never

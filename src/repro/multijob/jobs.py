@@ -54,7 +54,7 @@ class JobSpec:
     arrival_time_us: float = 0.0
     slo_us: float = None
     #: Tenant (billing account) the job belongs to; ``None`` is the default
-    #: tenant.  The control plane's per-tenant quotas key off this.
+    #: tenant.  The scheduler's per-tenant quotas key off this.
     tenant: str = None
 
     @property
@@ -123,7 +123,7 @@ class JobRecord:
     finish_time_us: float = None
     ranks_done: dict = field(default_factory=dict)   # global rank -> time_us
     result: object = None                    # TrainingResult once collected
-    # -- control-plane state (preemption / checkpoint-restore / migration) -----
+    # -- preemption state (checkpoint-restore / migration / rejoin) -----------
     preemptions: int = 0                     # times evicted mid-run
     epoch: int = 0                           # placements so far (0 = fresh)
     completed_iterations: int = 0            # cumulative across epochs

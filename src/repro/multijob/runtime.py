@@ -198,9 +198,7 @@ class ClusterJobRunner:
         for host in self.hosts.pop(record.job_id, []):
             self.cluster.engine.kill_actor(host, time_us)
             self.cluster.hosts.pop(host.name, None)
-        view = run.backend.backend
-        quiesce = getattr(view, "quiesce", None)
-        aborted = quiesce(time_us) if quiesce is not None else 0
+        aborted = run.backend.backend.quiesce(time_us)
         run.backend.unregister_all()
         return completed, aborted
 
@@ -210,8 +208,8 @@ class ClusterJobRunner:
 
         The dedicated-kernel baseline cannot: its in-flight kernels hold
         their SM blocks until completion and have no abort path — exactly
-        the property the paper's comparison turns on — so the control plane
-        degrades to non-preemptive scheduling over it.
+        the property the paper's comparison turns on — so the scheduler
+        stays run-to-completion over it.
         """
         return hasattr(self.backend, "quiesce")
 

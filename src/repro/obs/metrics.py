@@ -121,7 +121,7 @@ declare_metric("jobs_queueing_delay_us", "histogram",
                "Arrival-to-placement delay per job (the scheduler share of "
                "the queueing attribution bucket)")
 
-# --- control plane ---------------------------------------------------------
+# --- scheduler preemption, quotas and elasticity ---------------------------
 declare_metric("jobs_preempted", "counter",
                "Jobs checkpointed and evicted by priority preemption")
 declare_metric("jobs_resumed", "counter",

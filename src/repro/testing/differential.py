@@ -30,9 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.api import make_backend, wait_all
-from repro.common.rng import DeterministicRNG
 from repro.gpusim import HostProgram, build_cluster
 from repro.faults.injector import install_fault_plan
+from repro.faults.scenarios import contribution_values
 from repro.testing.generator import REDUCING_KINDS, ROOTED_KINDS
 
 #: Backends checked by default (everything registered out of the box).
@@ -48,13 +48,6 @@ def primitive_identity(primitive):
     return (primitive.name, primitive.action.value, primitive.loop,
             primitive.step, primitive.chunk_index, primitive.nbytes,
             primitive.send_peer, primitive.recv_peer)
-
-
-def contribution_values(world_size, seed):
-    """Deterministic per-rank integers contributed to reductions."""
-    rng = DeterministicRNG(seed)
-    return {rank: rng.child("contribution", rank).randint(1, 1 << 20)
-            for rank in range(world_size)}
 
 
 @dataclass
@@ -229,7 +222,7 @@ def replay_program(program, backend_name, seed=17, capture_obs=False, **knobs):
 
     final_time_us = cluster.run(until_us=program.deadline_us)
 
-    contributions = contribution_values(program.world_size, seed)
+    contributions = contribution_values(range(program.world_size), seed)
     records = []
     for rank, call, work in works:
         record = WorkRecord(

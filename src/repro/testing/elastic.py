@@ -1,17 +1,17 @@
-"""Elastic control-plane fuzzing: preempt/resume and grow/rejoin scenarios.
+"""Elastic scheduler fuzzing: preempt/resume and grow/rejoin scenarios.
 
 The differential fuzzer (:mod:`repro.testing.fuzz`) checks cross-backend
-conformance of collective *programs*; this module fuzzes the *control
-plane*: seeded scenarios of jobs plus elastic events — a high-priority
-arrival forcing preemption, a migration, a mid-run cluster grow, a device
-failure forcing rejoin — replayed on the DFCCL backend.
+conformance of collective *programs*; this module fuzzes the preemptive
+multi-tenant scheduler: seeded scenarios of jobs plus elastic events — a
+high-priority arrival forcing preemption, a migration, a mid-run cluster
+grow, a device failure forcing rejoin — replayed on the DFCCL backend.
 
 The oracle is twofold:
 
 * **determinism** — a scenario replayed twice must produce byte-identical
   outcomes (event log, per-job lifecycle, checkpoint fingerprints): the
   virtual-time engine has no hidden nondeterminism, so any divergence is a
-  control-plane ordering bug;
+  scheduler ordering bug;
 * **liveness and accounting invariants** — every job reaches a terminal
   state, no job starves (admitted but never placed), preempted jobs resume
   and complete, and a resumed job's cumulative iterations never exceed its
@@ -26,8 +26,8 @@ from __future__ import annotations
 import json
 
 from repro.common.rng import DeterministicRNG
-from repro.controlplane import install_control_plane
-from repro.multijob import JobSpec, make_job_runner
+from repro.gpusim import build_cluster
+from repro.multijob import JobSpec, install_scheduler, make_job_runner
 
 #: Virtual-time ceiling per scenario — generous against the few-hundred-ms
 #: job runtimes; hitting it means a liveness bug, not a tight budget.
@@ -104,9 +104,6 @@ def _schedule_event(service, event, index):
 
 def run_elastic_scenario(scenario):
     """Replay one scenario; returns a JSON-safe outcome dict."""
-    # Local import: repro.bench pulls optional heavyweight reporting.
-    from repro.bench.multijob_experiments import build_cluster
-
     cluster = build_cluster("dual-3090", deadlock_mode="record",
                             max_resident_blocks=4)
     runner = make_job_runner("dfccl", cluster, launch_jitter_us=100.0,
@@ -115,9 +112,9 @@ def run_elastic_scenario(scenario):
                      iterations=job["iterations"], priority=job["priority"],
                      arrival_time_us=job["arrival_time_us"])
              for job in scenario["jobs"]]
-    service = install_control_plane(cluster, runner, specs,
-                                    tenants_per_gpu=1,
-                                    starvation_boost_us=2_000_000.0)
+    service = install_scheduler(cluster, runner, specs, tenants_per_gpu=1,
+                                preemption=True,
+                                starvation_boost_us=2_000_000.0)
     for index, event in enumerate(scenario["events"]):
         _schedule_event(service, event, index)
     total = cluster.run(until_us=SCENARIO_DEADLINE_US)

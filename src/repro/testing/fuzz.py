@@ -253,7 +253,7 @@ def main(argv=None):
     parser.add_argument("--verbose", action="store_true",
                         help="log every program, not only failures")
     parser.add_argument("--elastic", type=int, default=0, metavar="N",
-                        help="additionally fuzz N elastic control-plane "
+                        help="additionally fuzz N elastic scheduler "
                              "scenarios (preempt/resume, migrate, grow, "
                              "rejoin; default 0)")
     args = parser.parse_args(argv)

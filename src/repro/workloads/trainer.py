@@ -135,7 +135,7 @@ class TrainingRun:
     def completed_iterations(self):
         """Leading iterations every rank fully recorded (checkpoint boundary).
 
-        The multi-tenant control plane checkpoints a preempted job at this
+        The multi-tenant scheduler checkpoints a preempted job at this
         boundary: iterations where some rank had not yet recorded its end
         mark are re-run on resume (their collectives are aborted at
         eviction), so no partial iteration is ever credited.

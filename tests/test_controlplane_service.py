@@ -1,20 +1,24 @@
-"""Control plane: live submission, quotas, preemption, migration, elasticity."""
+"""The scheduler as a service: live submission, quotas, preemption,
+migration, elasticity."""
 
+import importlib
 import json
 
 import pytest
 
 from repro.common.errors import ConfigurationError, InvalidStateError
-from repro.controlplane import (
-    JobCheckpoint,
-    collective_fingerprints,
-    install_control_plane,
-)
 from repro.core import DfcclBackend
 from repro.core.queues import Sqe
 from repro.gpusim import HostProgram, build_cluster
 from repro.gpusim.host import CpuCompute
-from repro.multijob import JobSpec, JobState, make_job_runner
+from repro.multijob import (
+    JobCheckpoint,
+    JobSpec,
+    JobState,
+    collective_fingerprints,
+    install_scheduler,
+    make_job_runner,
+)
 
 DEADLINE_US = 60_000_000.0
 
@@ -26,8 +30,8 @@ def _cluster(topology="single-3090", blocks=8):
 
 def _service(cluster, specs, seed=3, **kwargs):
     runner = make_job_runner("dfccl", cluster, seed=seed, launch_jitter_us=0.0)
-    return install_control_plane(cluster, runner, specs, policy="packed",
-                                 **kwargs)
+    kwargs.setdefault("preemption", True)
+    return install_scheduler(cluster, runner, specs, policy="packed", **kwargs)
 
 
 def _spec(job_id, dp=8, iterations=2, priority=0, arrival=0.0, tenant=None):
@@ -334,9 +338,10 @@ class TestElasticGrowAndRejoin:
         assert "preempt:rejoin" in events
 
     def test_rejoin_disabled_degrades_instead(self):
+        # Rejoin is a preemption: without it the job loses the rank for good.
         cluster = _cluster()
         service = _service(cluster, [_spec("r", dp=4, iterations=3)],
-                           tenants_per_gpu=1, rejoin=False)
+                           tenants_per_gpu=1, preemption=False)
         service.schedule(10_000.0,
                          lambda s, now: s.cluster.fail_rank(1, now))
         total = cluster.run(until_us=DEADLINE_US)
@@ -407,6 +412,23 @@ class TestCheckpointHelpers:
             _collectives = {}
 
         assert collective_fingerprints(View()) == ()
+
+
+class TestRemovedShims:
+    """One scheduler class and one installer: the control-plane fork is gone."""
+
+    def test_controlplane_package_is_gone(self):
+        import repro.multijob as multijob
+
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.controlplane")
+        for name in ("ControlPlane", "install_control_plane"):
+            assert not hasattr(multijob, name), name
+
+    def test_rejoin_keyword_is_gone(self):
+        cluster = _cluster()
+        with pytest.raises(TypeError):
+            _service(cluster, [], rejoin=False)
 
 
 class TestStaleSqeHandling:

@@ -1,7 +1,11 @@
 """Multi-tenant scheduler: specs, arrivals, runtime mapping, end-to-end runs."""
 
+import hashlib
+import json
+
 import pytest
 
+from repro.bench import multijob_under_churn, preemption_ablation, run_multijob
 from repro.common.errors import ConfigurationError
 from repro.core.communicator_pool import CommunicatorPool
 from repro.gpusim import SmInterferenceModel, build_cluster
@@ -383,6 +387,73 @@ class TestChurnEdgeCases:
         assert records[0].finish_time_us is not None
         # The reap happened at crash time, not at the deadline.
         assert total < deadline / 2
+
+
+#: Summary keys every scheduler run reports, plus the ones the preemptive
+#: runs report; later keys may be added without breaking the pins below.
+_SUMMARY_KEYS = ("jobs", "completed", "degraded", "unfinished", "never_placed",
+                 "stuck_ratio", "mean_jct_us", "max_jct_us",
+                 "mean_queueing_delay_us", "aggregate_goodput_samples_per_s",
+                 "slo_attainment")
+_MULTIJOB_KEYS = _SUMMARY_KEYS + ("deadlock_ratio",)
+_SERVICE_KEYS = _SUMMARY_KEYS + ("rejected", "preemptions", "preempted_jobs",
+                                 "resumed_jobs", "migrations", "rejoins",
+                                 "grow_events", "starved")
+
+
+def _digest(result, summary_keys):
+    """Short sha256 over the summary values, job rows and event log."""
+    payload = {
+        "summary": {key: result["summary"][key] for key in summary_keys},
+        "jobs": result["jobs"],
+        "events": result["events"],
+    }
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestSchedulerExactness:
+    """Bit-exact pins of the scheduler's outcomes on the benchmark streams.
+
+    One scheduler class serves both the run-to-completion experiments and
+    the preemptive ones; these pins keep the first from preempting or
+    rejoining and the second from drifting.  Each case pins the final
+    virtual time, the headline counts and a digest of the summary values,
+    job rows and event log.
+    """
+
+    def _check(self, result, summary_keys, time_us, counts, digest):
+        summary = result["summary"]
+        assert result["time_us"] == time_us
+        assert {key: summary[key] for key in counts} == counts
+        assert _digest(result, summary_keys) == digest
+
+    def test_run_multijob_packed_nccl(self):
+        self._check(run_multijob(backend="nccl", seed=11), _MULTIJOB_KEYS,
+                    612984.5055525465,
+                    {"completed": 2, "degraded": 0, "unfinished": 2},
+                    "822d401afa4709a4")
+
+    def test_run_multijob_packed_dfccl(self):
+        self._check(run_multijob(backend="dfccl", seed=11), _MULTIJOB_KEYS,
+                    618847.3055525518,
+                    {"completed": 4, "degraded": 0, "unfinished": 0},
+                    "7d73186813857561")
+
+    def test_churn_degrades_without_rejoin(self):
+        self._check(multijob_under_churn(seed=11, num_jobs=3), _MULTIJOB_KEYS,
+                    447109.81060921826,
+                    {"completed": 3, "degraded": 2, "unfinished": 0},
+                    "a0d3a6ebb79184d3")
+
+    def test_preemption_ablation(self):
+        pair = preemption_ablation(seed=11)
+        self._check(pair["preemption"], _SERVICE_KEYS, 1354712.9987715955,
+                    {"completed": 14, "preemptions": 5, "rejoins": 0},
+                    "10c4cafbeebb46ee")
+        self._check(pair["baseline"], _SERVICE_KEYS, 1290035.8042624996,
+                    {"completed": 14, "preemptions": 0, "rejoins": 0},
+                    "e82693e044cb1832")
 
 
 class TestInterferenceModel:

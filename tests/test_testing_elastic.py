@@ -1,4 +1,4 @@
-"""Elastic control-plane fuzzer: scenario generation, oracle, CLI wiring."""
+"""Elastic scheduler fuzzer: scenario generation, oracle, CLI wiring."""
 
 import json
 
