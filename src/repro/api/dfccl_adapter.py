@@ -70,13 +70,13 @@ class DfcclWork(Work):
     @property
     def started_at_us(self):
         """Virtual time this rank submitted, or ``None`` before submission."""
-        return self.invocation.submit_times.get(self.group_rank)
+        return self.invocation.start_times.get(self.group_rank)
 
     def completion_info(self):
         """The rank's :class:`CompletionInfo`, or ``None`` while running."""
         invocation = self.invocation
         group_rank = self.group_rank
-        if not invocation.is_gpu_complete(group_rank):
+        if not invocation.is_complete(group_rank):
             return None
         # The signature this rank's GPU part actually completed under — a
         # rank that finished before a later recovery keeps the pre-crash
@@ -234,7 +234,7 @@ class DfcclCollectiveBackend(CollectiveBackend):
             for invocation in coll.invocations:
                 if invocation.fully_complete():
                     continue
-                if not invocation.submit_times and not invocation.complete_times:
+                if not invocation.start_times and not invocation.complete_times:
                     continue  # created but never touched: nothing to abort
                 dirty = True
                 for rank in sorted(invocation.expected_ranks()):
@@ -323,17 +323,12 @@ class DfcclCollectiveBackend(CollectiveBackend):
         """Latency/occupancy summary of a finished benchmark run."""
         first = group.ranks[0]
         works = works_by_rank[first]
-        latencies = []
-        for work in works:
-            invocation = work.invocation
-            start = min(invocation.submit_times.values())
-            end = max(invocation.complete_times.values())
-            latencies.append(end - start)
         stats = self.dfccl.stats(first)
         completed = max(1, stats.cqes_written)
         return {
             "algorithm": works[0].invocation.coll.algorithm,
-            "latency_us": statistics.fmean(latencies),
+            "latency_us": statistics.fmean(
+                work.invocation.latency_us() for work in works),
             "core_time_us": (stats.execute_time_us + stats.preparing_time_us) / completed,
             "preemptions": stats.preemptions,
             "predicted_cost_us": statistics.fmean(

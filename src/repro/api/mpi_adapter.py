@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import statistics
 
+from repro.collectives.plan import CollectiveRun
 from repro.gpusim.host import CallHook, HostOp
 from repro.gpusim.engine import StepResult
 from repro.ncclsim import CudaAwareMpiModel
@@ -27,26 +28,38 @@ from repro.api.work import CompletionInfo, Work
 _mpi_op_ids = itertools.count()
 
 
-class _MpiCollective:
-    """Shared rendezvous state of one host-staged collective invocation."""
+class _MpiCollective(CollectiveRun):
+    """Shared rendezvous state of one host-staged collective invocation.
 
-    def __init__(self, spec, ranks, model):
-        self.op_id = next(_mpi_op_ids)
-        self.spec = spec
-        self.ranks = list(ranks)
-        self.duration_us = model.all_reduce_time_us(spec.nbytes, len(self.ranks))
-        self.submit_times = {}
-        self.complete_times = {}
+    A rank starts at its arrival; ``ranks`` are the members' cluster ranks.
+    """
+
+    backend = "mpi"
+    algorithm = "host-staged-ring"
+    #: The analytic model has no per-bucket prediction.
+    predicted_breakdown = None
+
+    def __init__(self, spec, ranks, model, job=None, obs=None, index=0):
+        op_id = next(_mpi_op_ids)
+        super().__init__(f"mpi-op{op_id}-{spec.kind.value}", spec, tuple(ranks),
+                         job=job, obs=obs, index=index)
+        self.op_id = op_id
+        self.duration_us = model.all_reduce_time_us(spec.nbytes, len(ranks))
+
+    @property
+    def predicted_cost_us(self):
+        """The model's transfer time, which the wait sleeps out."""
+        return self.duration_us
 
     @property
     def submitted_key(self):
         return ("mpi-all-submitted", self.op_id)
 
     def all_submitted(self):
-        return len(self.submit_times) == len(self.ranks)
+        return len(self.start_times) == self.group_size
 
     def finish_time_us(self):
-        return max(self.submit_times.values()) + self.duration_us
+        return max(self.start_times.values()) + self.duration_us
 
 
 class _MpiWaitOp(HostOp):
@@ -73,12 +86,13 @@ class MpiWork(Work):
     def __init__(self, group, rank, key, index, coll, callback=None):
         super().__init__(group, rank, key, index)
         self.coll = coll
+        self.group_rank = group.group_rank(rank)
         self.callback = callback
 
     def submit_op(self):
         """Host-program op marking this rank's arrival at the rendezvous."""
         def submit(host):
-            self.coll.submit_times[self.rank] = host.now
+            self.coll.mark_started(self.group_rank, host.now)
             if self.coll.all_submitted():
                 host.cluster.engine.signal(self.coll.submitted_key, host.now)
 
@@ -90,46 +104,29 @@ class MpiWork(Work):
 
     def mark_complete(self, time_us):
         """Record completion at ``time_us`` and fire the callback."""
-        if self.rank not in self.coll.complete_times:
-            self.coll.complete_times[self.rank] = time_us
-            obs = self.group.backend.cluster.engine.obs
-            if obs.enabled:
-                coll = self.coll
-                obs.tracer.record(
-                    f"mpi-op{coll.op_id}-{coll.spec.kind.value}",
-                    "collective",
-                    coll.submit_times.get(self.rank, time_us), time_us,
-                    track=f"rank{self.rank}", job=self.group.job,
-                    attrs={"algorithm": "host-staged-ring",
-                           "predicted_cost_us": coll.duration_us})
-                if len(coll.complete_times) == len(coll.ranks):
-                    measured = (max(coll.complete_times.values())
-                                - min(coll.submit_times.values()))
-                    obs.record_collective(
-                        "mpi", "host-staged-ring", coll.spec.kind.value,
-                        coll.spec.nbytes, len(coll.ranks), measured,
-                        predicted_us=coll.duration_us)
+        if not self.done:
+            self.coll.mark_complete(self.group_rank, time_us)
             if self.callback is not None:
                 self.callback(self)
 
     @property
     def done(self):
         """Whether the rendezvous completed for this rank."""
-        return self.rank in self.coll.complete_times
+        return self.coll.is_complete(self.group_rank)
 
     @property
     def started_at_us(self):
         """Virtual time this rank arrived, or ``None`` before arrival."""
-        return self.coll.submit_times.get(self.rank)
+        return self.coll.start_times.get(self.group_rank)
 
     def completion_info(self):
         """The rank's :class:`CompletionInfo`, or ``None`` while running."""
         if not self.done:
             return None
         return CompletionInfo(
-            signature=(0, tuple(range(len(self.coll.ranks)))),
-            member_ranks=tuple(self.coll.ranks),
-            time_us=self.coll.complete_times[self.rank],
+            signature=(0, tuple(range(self.coll.group_size))),
+            member_ranks=self.coll.global_ranks,
+            time_us=self.coll.complete_times[self.group_rank],
         )
 
 
@@ -167,7 +164,7 @@ class MpiCollectiveBackend(CollectiveBackend):
 
     def _rendezvous_completed(self):
         return sum(1 for coll in self._collectives.values()
-                   if len(coll.complete_times) == len(coll.ranks))
+                   if coll.fully_complete())
 
     def diagnostics(self):
         """Host-staged op and rendezvous counters, plus the metrics snapshot.
@@ -194,21 +191,18 @@ class MpiCollectiveBackend(CollectiveBackend):
         ident = (group.group_id, spec, key, index)
         coll = self._collectives.get(ident)
         if coll is None:
-            coll = _MpiCollective(spec, group.ranks, self.model)
+            coll = _MpiCollective(spec, group.ranks, self.model, job=group.job,
+                                  obs=self.cluster.engine.obs, index=index)
             self._collectives[ident] = coll
         return MpiWork(group, rank, key, index, coll, callback=callback)
 
     def perf_report(self, group, works_by_rank):
         """Latency summary of a finished benchmark run."""
         first = group.ranks[0]
-        latencies = []
-        for work in works_by_rank[first]:
-            coll = work.coll
-            latencies.append(max(coll.complete_times.values())
-                             - min(coll.submit_times.values()))
         return {
-            "algorithm": "host-staged-ring",
-            "latency_us": statistics.fmean(latencies),
+            "algorithm": _MpiCollective.algorithm,
+            "latency_us": statistics.fmean(
+                work.coll.latency_us() for work in works_by_rank[first]),
             "core_time_us": statistics.fmean(
                 work.coll.duration_us for work in works_by_rank[first]
             ),

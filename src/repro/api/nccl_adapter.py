@@ -79,9 +79,8 @@ class NcclWork(Work):
 
     @property
     def started_at_us(self):
-        """Virtual launch time of this rank's kernel, or ``None``."""
-        kernel = self.op.kernel(self.group_rank)
-        return kernel.launch_time_us if kernel is not None else None
+        """Virtual time this rank's kernel became resident, or ``None``."""
+        return self.op.start_times.get(self.group_rank)
 
     def completion_info(self):
         """The rank's :class:`CompletionInfo`, or ``None`` while running."""
@@ -92,7 +91,7 @@ class NcclWork(Work):
         return CompletionInfo(
             signature=(0, tuple(range(self.op.group_size))),
             member_ranks=tuple(self.group.ranks),
-            time_us=self.op.completion_time(self.group_rank),
+            time_us=self.op.complete_times[self.group_rank],
         )
 
     def primitive_sequence(self):
@@ -145,8 +144,10 @@ class NcclCollectiveBackend(CollectiveBackend):
         if op is None:
             suffix = "" if key is None else f":{key}"
             op = self._ops[ident] = NcclCollectiveOp(
-                self._plan_for(group.ranks, spec),
+                self._plan_for(group.ranks, spec), group.ranks,
                 name=f"{group.name}:{spec.kind.value}{suffix}#{index}",
+                job=group.job if group.job is not None else self.tenant,
+                index=index,
             )
         group_rank = op.plan.rank_of_device[self.cluster.device(rank)]
         work = NcclWork(group, rank, key, index, self, op, group_rank,
@@ -186,28 +187,20 @@ class NcclCollectiveBackend(CollectiveBackend):
         """Latency/occupancy summary of a finished benchmark run."""
         first = group.ranks[0]
         launch_overhead = self.cluster.device(first).launch_overhead_us
-        latencies = []
-        cores = []
-        for work in works_by_rank[first]:
-            op = work.op
-            starts, ends, core_times = [], [], []
-            for group_rank in range(op.group_size):
-                kernel = op.kernel(group_rank)
-                starts.append(kernel.launch_time_us)
-                ends.append(kernel.complete_time_us)
-                core_times.append(kernel.complete_time_us - kernel.launch_time_us)
+        ops = [work.op for work in works_by_rank[first]]
+        return {
+            "algorithm": ops[0].algorithm,
             # End to end includes the host-side launch overhead before
             # residency.
-            latencies.append(max(ends) - min(starts) + launch_overhead)
-            cores.append(statistics.fmean(core_times))
-        return {
-            "algorithm": works_by_rank[first][0].op.algorithm,
-            "latency_us": statistics.fmean(latencies),
-            "core_time_us": statistics.fmean(cores),
+            "latency_us": statistics.fmean(
+                op.latency_us() + launch_overhead for op in ops),
+            "core_time_us": statistics.fmean(
+                statistics.fmean(end - op.start_times[rank]
+                                 for rank, end in op.complete_times.items())
+                for op in ops),
             "preemptions": 0,
             "predicted_cost_us": statistics.fmean(
-                work.op.predicted_cost_us for work in works_by_rank[first]
-            ),
+                op.predicted_cost_us for op in ops),
         }
 
 

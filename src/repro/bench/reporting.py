@@ -36,16 +36,3 @@ def format_series(series, label_x="x", label_y="y", title=None, float_format="{:
     rows = [{label_x: x, label_y: y} for x, y in series]
     return format_table(rows, columns=[label_x, label_y], title=title,
                         float_format=float_format)
-
-
-def human_bytes(nbytes):
-    """512 -> '512B', 4096 -> '4KB', ..."""
-    units = ["B", "KB", "MB", "GB"]
-    value = float(nbytes)
-    for unit in units:
-        if value < 1024 or unit == units[-1]:
-            if value == int(value):
-                return f"{int(value)}{unit}"
-            return f"{value:.1f}{unit}"
-        value /= 1024
-    return f"{nbytes}B"

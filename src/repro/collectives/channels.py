@@ -185,9 +185,6 @@ class Communicator:
     def device_id(self, group_rank):
         return self.devices[group_rank].device_id
 
-    def group_rank_of(self, device):
-        return self.devices.index(device)
-
     def channel(self, src_rank, dst_rank):
         """Return (creating on demand) the channel from ``src_rank`` to ``dst_rank``."""
         key = (src_rank, dst_rank)

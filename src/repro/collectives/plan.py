@@ -16,11 +16,16 @@ from it:
 
 A plan lives and dies with its owner: there is no global cache and nothing to
 configure.
+
+A :class:`CollectiveRun` is one invocation of a collective across its ranks,
+and the one place every backend measures it: per-rank start and completion
+times, the per-rank ``"collective"`` span and the calibration sample.
 """
 
 from __future__ import annotations
 
 from repro.collectives.selector import AlgorithmSelector
+from repro.common.errors import InvalidStateError
 from repro.collectives.sequences import hierarchical_island_size
 
 
@@ -101,3 +106,142 @@ class CollectivePlan:
         return (f"<CollectivePlan {self.spec.kind.value} gen={self.generation} "
                 f"members={len(self.active_ranks)}/{len(self.devices)} "
                 f"algorithm={self.algorithm}>")
+
+
+class CollectiveRun:
+    """One invocation of one collective across its ranks: the run record.
+
+    DFCCL's :class:`~repro.core.registration.Invocation`, the NCCL
+    baseline's :class:`~repro.ncclsim.NcclCollectiveOp` and the MPI
+    adapter's rendezvous are subclasses; each sets ``backend`` and a
+    ``plan`` (or the ``algorithm``/``predicted_*`` values it would give).
+
+    ``start_times`` and ``complete_times`` map group ranks to virtual time.
+    When observability is on, :meth:`mark_started` opens the rank's
+    ``"collective"`` span on track ``rank<global rank>`` under ``job``,
+    :meth:`mark_complete` closes it, and the last expected completion
+    records the calibration sample.  A span stays open while its rank is
+    in flight, so a flight-recorder dump lists it.
+    """
+
+    #: Backend label of the calibration samples.
+    backend = None
+
+    def __init__(self, name, spec, global_ranks, job=None, obs=None, index=0):
+        self.name = name
+        self.spec = spec
+        #: Cluster rank of each group rank (shared with the owner, so a
+        #: rejoin that re-seats a group rank is seen here).
+        self.global_ranks = global_ranks
+        self.job = job
+        #: The engine's observability hub, or ``None`` when it is off.
+        self.obs = obs if (obs is not None and obs.enabled) else None
+        self.index = index
+        self.start_times = {}
+        self.complete_times = {}
+        self._all_ranks = frozenset(range(len(global_ranks)))
+        self._aborted_ranks = set()
+        self._spans = {}
+
+    @property
+    def algorithm(self):
+        return self.plan.algorithm
+
+    @property
+    def predicted_cost_us(self):
+        return self.plan.predicted_cost_us
+
+    @property
+    def predicted_breakdown(self):
+        return self.plan.predicted_breakdown
+
+    @property
+    def group_size(self):
+        return len(self.global_ranks)
+
+    def track(self, rank):
+        """Span and trace track of group rank ``rank``."""
+        return f"rank{self.global_ranks[rank]}"
+
+    def expected_ranks(self):
+        """Group ranks whose completion completes the run (a frozenset)."""
+        return self._all_ranks
+
+    def trace_executor(self, executor, rank, invocation_key):
+        """Register ``rank``'s executor for time attribution, if enabled."""
+        if self.obs is not None and self.obs.analysis is not None:
+            self.obs.analysis.attach(executor, self, rank, invocation_key)
+
+    def mark_started(self, rank, time_us):
+        if rank in self.start_times:
+            raise InvalidStateError(f"{self.name} #{self.index} started twice "
+                                    f"on rank {rank}")
+        self.start_times[rank] = time_us
+        if self.obs is not None:
+            self._spans[rank] = self.obs.tracer.begin(
+                self.name, "collective", time_us, track=self.track(rank),
+                job=self.job,
+                attrs={"invocation": self.index, "group_rank": rank,
+                       "algorithm": self.algorithm,
+                       "predicted_cost_us": self.predicted_cost_us})
+
+    def mark_complete(self, rank, time_us, executor=None):
+        """Record ``rank``'s completion and close its span.
+
+        ``executor`` puts the primitive indices it ran on the span: the
+        analysis layer joins spans to execution traces through them.
+        """
+        if rank in self.complete_times:
+            raise InvalidStateError(f"{self.name} #{self.index} completed "
+                                    f"twice on rank {rank}")
+        self.complete_times[rank] = time_us
+        obs = self.obs
+        if obs is None:
+            return
+        span = self._spans.pop(rank, None)
+        if span is not None:
+            if executor is not None:
+                obs.tracer.end(span, time_us,
+                               primitives=executor.executed_primitives,
+                               final_position=executor.position)
+            else:
+                obs.tracer.end(span, time_us)
+        if self.fully_complete() and self.start_times:
+            obs.record_collective(
+                self.backend, self.algorithm, self.spec.kind.value,
+                self.spec.nbytes, len(self.expected_ranks()),
+                self.latency_us(), predicted_us=self.predicted_cost_us,
+                predicted_breakdown=self.predicted_breakdown)
+
+    def mark_aborted(self, rank, time_us=None):
+        """Abort ``rank``'s part (its collective was abandoned).
+
+        No-op (returns ``False``) for a part that already completed or was
+        already aborted; a completed part keeps its completion.
+        """
+        if rank in self.complete_times or rank in self._aborted_ranks:
+            return False
+        self._aborted_ranks.add(rank)
+        obs = self.obs
+        if obs is not None:
+            obs.metrics.counter("collective_aborts").inc()
+            span = self._spans.pop(rank, None)
+            if span is not None:
+                end = time_us if time_us is not None else span.start_us
+                obs.tracer.end(span, end, aborted=True)
+        return True
+
+    def is_complete(self, rank):
+        return rank in self.complete_times
+
+    def is_aborted(self, rank):
+        return rank in self._aborted_ranks
+
+    def fully_complete(self):
+        expected = self.expected_ranks()
+        return (len(self.complete_times) >= len(expected)
+                and expected <= self.complete_times.keys())
+
+    def latency_us(self):
+        """First start to last completion across the ranks."""
+        return max(self.complete_times.values()) - min(self.start_times.values())

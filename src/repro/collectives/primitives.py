@@ -165,10 +165,6 @@ class PrimitiveExecutor:
     # -- introspection ----------------------------------------------------------
 
     @property
-    def total_primitives(self):
-        return len(self.primitives)
-
-    @property
     def remaining(self):
         return len(self.primitives) - self.position
 

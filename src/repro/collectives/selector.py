@@ -307,10 +307,6 @@ class AlgorithmSelector:
         winner = min(candidates, key=costs.__getitem__)
         return AlgorithmChoice(winner, *costs.values())
 
-    def select(self, kind, nbytes, group_size, device_ids=None):
-        """The winning algorithm name for one collective call."""
-        return self.choose(kind, nbytes, group_size, device_ids).algorithm
-
     def resolve(self, algorithm, kind, nbytes, group_size, device_ids=None):
         """Resolve an algorithm knob value to a concrete algorithm name.
 
@@ -326,5 +322,5 @@ class AlgorithmSelector:
                 f"unknown algorithm {algorithm!r}; expected one of {ALGORITHM_CHOICES}"
             )
         if algorithm == "auto":
-            return self.select(kind, nbytes, group_size, device_ids)
+            return self.choose(kind, nbytes, group_size, device_ids).algorithm
         return algorithm

@@ -125,7 +125,7 @@ class RankContext:
                 f"rank {self.global_rank} context already destroyed"
             )
         invocation.set_callback(group_rank, callback)
-        invocation.mark_submitted(group_rank, time_us)
+        invocation.mark_started(group_rank, time_us)
         coll = invocation.coll
         if coll.abandoned:
             # Submitting into an abandoned collective aborts immediately: the
@@ -281,7 +281,7 @@ class RankContext:
         group_rank = self.group_rank_for(invocation.coll)
         if not invocation.mark_aborted(group_rank, time_us=time_us):
             return False
-        if group_rank in invocation.submitted_ranks():
+        if group_rank in invocation.start_times:
             # The submit charged an outstanding slot that no CQE will ever
             # release.
             self.outstanding -= 1

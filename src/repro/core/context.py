@@ -11,7 +11,7 @@ slots* managed as a direct-mapped cache with lazy saving.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -27,10 +27,6 @@ class StaticContext:
     send_buffer_addr: int = 0
     recv_buffer_addr: int = 0
 
-    def nbytes_estimate(self):
-        """Approximate serialized size (used only for memory accounting)."""
-        return 64
-
 
 @dataclass
 class DynamicContext:
@@ -40,9 +36,6 @@ class DynamicContext:
     chunk_id: int = 0
     aborted_primitive: int = -1
     progressed: bool = False
-
-    def as_dict(self):
-        return {"position": self.position}
 
 
 @dataclass

@@ -303,13 +303,17 @@ class DaemonKernel(KernelActor):
                 complete_time_us=self.now,
             )
         )
-        entry.invocation.mark_gpu_complete(entry.group_rank, self.now)
+        invocation, group_rank = entry.invocation, entry.group_rank
+        invocation.mark_complete(group_rank, self.now,
+                                 invocation.executor_if_cached(group_rank))
+        invocation.completion_signatures[group_rank] = (
+            invocation.participant_signature())
         self.stats.record_invocation_switches(
-            entry.invocation.invocation_id, entry.context_switches
+            invocation.invocation_id, entry.context_switches
         )
         self.active_cache.evict(entry.coll_id)
         self.task_queue.remove(entry)
-        self.ctx.on_gpu_complete(entry.invocation, self.now)
+        self.ctx.on_gpu_complete(invocation, self.now)
         self._pass_progress = True
         self._last_activity_us = self.now
         if self._queue_pos >= len(self.task_queue):

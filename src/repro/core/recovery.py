@@ -60,9 +60,6 @@ class RecoveryStats:
     rejoins: int = 0
     events: list = field(default_factory=list)
 
-    def last_event(self):
-        return self.events[-1] if self.events else None
-
 
 class RecoveryManager(Actor):
     """Service actor performing CQE-timeout crash detection and group shrink."""
@@ -224,7 +221,7 @@ class RecoveryManager(Actor):
             if invocation.fully_complete():
                 continue
             rerun = tuple(rank for rank in survivors
-                          if not invocation.is_gpu_complete(rank))
+                          if not invocation.is_complete(rank))
             if not rerun:
                 continue
             if coll.rooted and coll.spec.root not in rerun:
@@ -301,10 +298,8 @@ class RecoveryManager(Actor):
                 f"cannot rejoin abandoned collective {coll.coll_id}"
             )
         for invocation in coll.invocations:
-            if invocation.submitted_ranks() and not all(
-                invocation.is_resolved(rank) or invocation.is_gpu_complete(rank)
-                for rank in invocation.submitted_ranks()
-            ):
+            if not all(invocation.is_resolved(rank) or invocation.is_complete(rank)
+                       for rank in invocation.start_times):
                 raise InvalidStateError(
                     f"cannot rejoin collective {coll.coll_id}: invocation "
                     f"{invocation.index} still in flight"

@@ -10,10 +10,10 @@ executors, callbacks and completion.
 from __future__ import annotations
 
 from repro.collectives.channels import Communicator
-from repro.collectives.plan import CollectivePlan
+from repro.collectives.plan import CollectivePlan, CollectiveRun
 from repro.collectives.primitives import PrimitiveExecutor
 from repro.collectives.sequences import generate_primitive_sequence
-from repro.common.errors import ConfigurationError, InvalidStateError
+from repro.common.errors import ConfigurationError
 from repro.common.types import CollectiveKind
 from repro.ncclsim.kernels import grid_size_for
 
@@ -239,26 +239,26 @@ class RegisteredCollective:
         return f"<RegisteredCollective {self.name} size={self.group_size} prio={self.priority}>"
 
 
-class Invocation:
-    """One run of a registered collective across all of its ranks."""
+class Invocation(CollectiveRun):
+    """One run of a registered collective across all of its ranks.
+
+    A rank starts at submission; ``expected_ranks`` follows elastic
+    recovery.
+    """
+
+    backend = "dfccl"
 
     def __init__(self, coll, index):
+        super().__init__(coll.name, coll.spec, coll.global_ranks, job=coll.job,
+                         obs=coll.obs, index=index)
         self.coll = coll
-        self.index = index
         # Collective ids may be plain ints or (job, local id) tuples under the
         # multi-tenant scheduler; the invocation id only needs to be a unique
         # hashable key, so pair them instead of packing arithmetically.
         self.invocation_id = (coll.coll_id, index)
         self._executors = {}
         self._callbacks = {}
-        self._submitted_ranks = set()
-        self._gpu_complete_ranks = set()
         self._callback_fired_ranks = set()
-        #: Ranks whose part was aborted (their collective was abandoned by
-        #: recovery): the wait resolves without a completion.
-        self._aborted_ranks = set()
-        self.submit_times = {}
-        self.complete_times = {}
         self.context_switches = {}
         #: Participant signature as of each rank's GPU completion: a rank
         #: that finished before a later recovery keeps the group identity it
@@ -272,8 +272,6 @@ class Invocation:
         self._signature = None
         self._rerun_ranks = None
         self._rerun_communicator = None
-        #: Open per-rank submit->complete spans (when observability is on).
-        self._spans = {}
 
     # -- identity ----------------------------------------------------------------
 
@@ -282,8 +280,9 @@ class Invocation:
         return self.coll.coll_id
 
     @property
-    def group_size(self):
-        return self.coll.group_size
+    def plan(self):
+        """The collective's current plan (recovery replaces it)."""
+        return self.coll.plan
 
     def completion_key(self, group_rank):
         return ("dfccl-inv-done", self.invocation_id, group_rank)
@@ -302,17 +301,9 @@ class Invocation:
             else:
                 executor = self.coll.make_executor(group_rank)
             self._executors[group_rank] = executor
-            obs = self.coll.obs
-            if obs is not None and obs.analysis is not None:
-                coll = self.coll
-                obs.analysis.attach(
-                    executor, backend="dfccl", coll_name=coll.name,
-                    invocation_key=("dfccl", coll.coll_id, self.index,
-                                    self.recovery_generation),
-                    owner=self, group_rank=group_rank,
-                    track=f"rank{coll.global_ranks[group_rank]}",
-                    job=coll.job, algorithm=coll.algorithm,
-                    kind=coll.spec.kind.value, nbytes=coll.spec.nbytes)
+            self.trace_executor(executor, group_rank,
+                                ("dfccl", self.coll_id, self.index,
+                                 self.recovery_generation))
         return executor
 
     def begin_recovery(self, participants, rerun_ranks, communicator):
@@ -351,54 +342,7 @@ class Invocation:
     def callback_for(self, group_rank):
         return self._callbacks.get(group_rank)
 
-    # -- submission / completion tracking --------------------------------------------
-
-    def mark_submitted(self, group_rank, time_us):
-        if group_rank in self._submitted_ranks:
-            raise InvalidStateError(
-                f"invocation {self.invocation_id} submitted twice on rank {group_rank}"
-            )
-        self._submitted_ranks.add(group_rank)
-        self.submit_times[group_rank] = time_us
-        obs = self.coll.obs
-        if obs is not None:
-            self._spans[group_rank] = obs.tracer.begin(
-                self.coll.name, "collective", time_us,
-                track=f"rank{self.coll.global_ranks[group_rank]}",
-                job=self.coll.job,
-                attrs={"invocation": self.index, "group_rank": group_rank,
-                       "algorithm": self.coll.algorithm,
-                       "predicted_cost_us": self.coll.predicted_cost_us})
-
-    def mark_gpu_complete(self, group_rank, time_us):
-        if group_rank in self._gpu_complete_ranks:
-            raise InvalidStateError(
-                f"invocation {self.invocation_id} completed twice on rank {group_rank}"
-            )
-        self._gpu_complete_ranks.add(group_rank)
-        self.complete_times[group_rank] = time_us
-        self.completion_signatures[group_rank] = self.participant_signature()
-        obs = self.coll.obs
-        if obs is not None:
-            span = self._spans.pop(group_rank, None)
-            if span is not None:
-                executor = self._executors.get(group_rank)
-                if executor is not None:
-                    # Primitive indices on the span: the analysis layer joins
-                    # spans to execution traces through these.
-                    obs.tracer.end(span, time_us,
-                                   primitives=executor.executed_primitives,
-                                   final_position=executor.position)
-                else:
-                    obs.tracer.end(span, time_us)
-            if self.fully_complete() and self.submit_times:
-                measured = (max(self.complete_times.values())
-                            - min(self.submit_times.values()))
-                obs.record_collective(
-                    "dfccl", self.coll.algorithm, self.coll.spec.kind.value,
-                    self.coll.spec.nbytes, len(self.expected_ranks()),
-                    measured, predicted_us=self.coll.predicted_cost_us,
-                    predicted_breakdown=self.coll.predicted_breakdown)
+    # -- completion tracking --------------------------------------------------------
 
     def mark_callback_fired(self, group_rank):
         self._callback_fired_ranks.add(group_rank)
@@ -406,47 +350,20 @@ class Invocation:
     def add_context_switch(self, group_rank, count=1):
         self.context_switches[group_rank] = self.context_switches.get(group_rank, 0) + count
 
-    def is_gpu_complete(self, group_rank):
-        return group_rank in self._gpu_complete_ranks
-
     def is_done(self, group_rank):
         """True once the rank's callback has run (the user-visible completion)."""
         return group_rank in self._callback_fired_ranks
 
-    def mark_aborted(self, group_rank, time_us=None):
-        """Abort this rank's part (its collective was abandoned).
-
-        No-op (returns ``False``) for a part that already completed or was
-        already aborted; a completed part keeps its completion.
-        """
-        if (group_rank in self._gpu_complete_ranks
-                or group_rank in self._aborted_ranks):
-            return False
-        self._aborted_ranks.add(group_rank)
-        obs = self.coll.obs
-        if obs is not None:
-            obs.metrics.counter("collective_aborts").inc()
-            span = self._spans.pop(group_rank, None)
-            if span is not None:
-                end = time_us if time_us is not None else span.start_us
-                obs.tracer.end(span, end, aborted=True)
-        return True
-
-    def is_aborted(self, group_rank):
-        return group_rank in self._aborted_ranks
-
     def is_resolved(self, group_rank):
         """Done or aborted: the rank's wait can return either way."""
-        return self.is_done(group_rank) or group_rank in self._aborted_ranks
+        return self.is_done(group_rank) or self.is_aborted(group_rank)
 
     def expected_ranks(self):
-        """Group ranks whose completion this invocation waits for (a frozenset)."""
+        """The survivors once recovery re-formed the invocation, else the
+        current plan's members."""
         if self._participants is not None:
             return self._participants
         return self.coll.plan.active_set
-
-    def submitted_ranks(self):
-        return set(self._submitted_ranks)
 
     def participant_signature(self):
         """Deterministic identity of the contributing rank set.
@@ -459,11 +376,8 @@ class Invocation:
             return (self.recovery_generation, self._signature)
         return (self.recovery_generation, self.coll.plan.active_ranks)
 
-    def fully_complete(self):
-        return self.expected_ranks() <= self._gpu_complete_ranks
-
     def __repr__(self):
         return (
             f"<Invocation coll={self.coll_id} #{self.index} "
-            f"complete={len(self._gpu_complete_ranks)}/{self.group_size}>"
+            f"complete={len(self.complete_times)}/{self.group_size}>"
         )

@@ -37,9 +37,6 @@ class DependencyGraph:
     def edges(self):
         return {node: set(targets) for node, targets in self._edges.items()}
 
-    def successors(self, node):
-        return set(self._edges.get(node, ()))
-
     def __len__(self):
         return sum(len(targets) for targets in self._edges.values())
 

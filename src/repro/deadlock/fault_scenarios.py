@@ -54,11 +54,6 @@ class FaultDeadlockAnalysis:
             return False
         return any(node[0] == "crashed" for node in self.cycle)
 
-    def involved_ranks(self):
-        return sorted({node[1] for node in self.edges} |
-                      {target[1] for targets in self.edges.values()
-                       for target in targets})
-
 
 def _rank_of_device_id(cluster, device_id):
     return cluster.rank_of(cluster.device_by_id(device_id))

@@ -140,9 +140,6 @@ class GroupedWorkload:
                     per_gpu[gpu].append(coll_id)
         return cls(groups=groups, num_gpus=num_gpus, per_gpu_collectives=per_gpu)
 
-    def group_of(self, coll_id):
-        return self.groups[coll_id[0]]
-
     def overlap_degree(self, gpu):
         """Number of groups the GPU belongs to (Sec. 2.4.3, observation 5)."""
         return sum(1 for group in self.groups if gpu in group.gpus)

@@ -124,12 +124,6 @@ class FaultPlan:
         return self.add(FaultEvent("gpu_slowdown", at_us, rank=rank,
                                    factor=factor, duration_us=duration_us))
 
-    def add_link_degradation(self, rank_a, rank_b, at_us, factor=8.0,
-                             alpha_add_us=0.0, duration_us=None):
-        return self.add(FaultEvent("link_degrade", at_us, link=(rank_a, rank_b),
-                                   factor=factor, alpha_add_us=alpha_add_us,
-                                   duration_us=duration_us))
-
     def add_link_flap(self, rank_a, rank_b, at_us, duration_us=200.0,
                       factor=100.0, alpha_add_us=500.0):
         return self.add(FaultEvent("link_flap", at_us, link=(rank_a, rank_b),

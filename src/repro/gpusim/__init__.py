@@ -6,8 +6,7 @@ collective deadlocks and collective performance:
 
 * GPUs with a bounded number of resident blocks (mutual exclusion over SMs),
 * CUDA streams with in-order launch semantics,
-* explicit (``device_synchronize``) and implicit (pinned-memory allocation,
-  default-stream work) GPU synchronization,
+* explicit (``device_synchronize``) GPU synchronization,
 * an alpha/beta interconnect cost model with PIX / SYS / RDMA domains,
 * host threads that drive the GPUs like a rank process would.
 
@@ -27,7 +26,6 @@ from repro.gpusim.cluster import (
 )
 from repro.gpusim.host import HostProgram, HostThread
 from repro.gpusim.interconnect import Interconnect, LinkSpec, TopologySpec
-from repro.gpusim.memory import MemoryAccountant, PinnedHostAllocator
 from repro.gpusim.stream import Stream
 
 __all__ = [
@@ -41,9 +39,7 @@ __all__ = [
     "Interconnect",
     "KernelActor",
     "LinkSpec",
-    "MemoryAccountant",
     "NodeSpec",
-    "PinnedHostAllocator",
     "SmInterferenceModel",
     "StepResult",
     "StepStatus",

@@ -15,7 +15,6 @@ from repro.gpusim.device import GpuDevice
 from repro.gpusim.engine import Engine
 from repro.gpusim.host import HostThread
 from repro.gpusim.interconnect import Interconnect, TopologySpec
-from repro.gpusim.memory import GpuMemoryModel, PinnedHostAllocator
 
 
 @dataclass(frozen=True)
@@ -24,7 +23,6 @@ class NodeSpec:
 
     name: str
     num_gpus: int = 8
-    gpu_memory_bytes: int = 12 << 30
     max_resident_blocks: int = 32
 
 
@@ -47,14 +45,14 @@ class ClusterSpec:
 
 
 #: Paper testbeds (Table 2).
-SERVER_3080TI = NodeSpec(name="3080ti-server", num_gpus=8, gpu_memory_bytes=12 << 30)
-SERVER_3090 = NodeSpec(name="3090-server", num_gpus=8, gpu_memory_bytes=24 << 30)
+SERVER_3080TI = NodeSpec(name="3080ti-server", num_gpus=8)
+SERVER_3090 = NodeSpec(name="3090-server", num_gpus=8)
 
 
 def single_server_spec(kind="3090", num_gpus=8):
     """Spec for one eight-GPU server of the given model."""
     base = SERVER_3090 if kind == "3090" else SERVER_3080TI
-    return ClusterSpec(nodes=[NodeSpec(base.name, num_gpus, base.gpu_memory_bytes)])
+    return ClusterSpec(nodes=[NodeSpec(base.name, num_gpus)])
 
 
 def dual_server_spec(kind="3090", num_gpus_per_node=8):
@@ -62,7 +60,7 @@ def dual_server_spec(kind="3090", num_gpus_per_node=8):
     base = SERVER_3090 if kind == "3090" else SERVER_3080TI
     return ClusterSpec(
         nodes=[
-            NodeSpec(f"{base.name}-{i}", num_gpus_per_node, base.gpu_memory_bytes)
+            NodeSpec(f"{base.name}-{i}", num_gpus_per_node)
             for i in range(2)
         ]
     )
@@ -70,8 +68,8 @@ def dual_server_spec(kind="3090", num_gpus_per_node=8):
 
 def mixed_32gpu_spec():
     """The 2×3080ti + 2×3090 32-GPU cluster used for Fig. 8(c)."""
-    nodes = [NodeSpec(f"3080ti-server-{i}", 8, 12 << 30) for i in range(2)]
-    nodes += [NodeSpec(f"3090-server-{i}", 8, 24 << 30) for i in range(2)]
+    nodes = [NodeSpec(f"3080ti-server-{i}", 8) for i in range(2)]
+    nodes += [NodeSpec(f"3090-server-{i}", 8) for i in range(2)]
     return ClusterSpec(nodes=nodes)
 
 
@@ -93,8 +91,7 @@ def fat_tree_32gpu_spec(oversubscription=2.0):
     return spec
 
 
-def multi_node_spec(num_gpus, gpus_per_node=8, gpu_memory_bytes=24 << 30,
-                    name_prefix="3090-server"):
+def multi_node_spec(num_gpus, gpus_per_node=8, name_prefix="3090-server"):
     """A homogeneous N-GPU cluster built from identical servers."""
     if num_gpus < 1:
         raise ConfigurationError(f"a cluster needs at least 1 GPU, got {num_gpus}")
@@ -104,7 +101,7 @@ def multi_node_spec(num_gpus, gpus_per_node=8, gpu_memory_bytes=24 << 30,
             f"gpus_per_node {gpus_per_node}"
         )
     return ClusterSpec(nodes=[
-        NodeSpec(f"{name_prefix}-{i}", gpus_per_node, gpu_memory_bytes)
+        NodeSpec(f"{name_prefix}-{i}", gpus_per_node)
         for i in range(num_gpus // gpus_per_node)
     ])
 
@@ -151,7 +148,6 @@ class Cluster:
         self.devices = []
         self._devices_by_id = {}
         self._ranks_by_device = {}
-        self._pinned = {}
         self.hosts = {}
         #: Construction knobs, kept so :meth:`add_node` builds growth nodes
         #: with the same overrides as the original ones.
@@ -166,7 +162,6 @@ class Cluster:
 
     def _build_node(self, node_index, node, time_us=None):
         """Instantiate one node's devices (without engine registration)."""
-        self._pinned[node_index] = PinnedHostAllocator()
         added = []
         for local_rank in range(node.num_gpus):
             device_id = DeviceId(node=node_index, local_rank=local_rank)
@@ -177,7 +172,6 @@ class Cluster:
                     if self._max_resident_blocks is not None
                     else node.max_resident_blocks
                 ),
-                memory=GpuMemoryModel(global_bytes=node.gpu_memory_bytes),
                 interference=self._interference,
             )
             if time_us is not None:
@@ -203,9 +197,6 @@ class Cluster:
 
     def rank_of(self, device):
         return self._ranks_by_device[device]
-
-    def pinned_allocator(self, node_index):
-        return self._pinned[node_index]
 
     def failed_devices(self):
         return [device for device in self.devices if device.failed]
@@ -272,7 +263,6 @@ class Cluster:
             node = NodeSpec(
                 name=f"{template.name}-grow{len(self.spec.nodes)}",
                 num_gpus=template.num_gpus,
-                gpu_memory_bytes=template.gpu_memory_bytes,
                 max_resident_blocks=template.max_resident_blocks,
             )
         node_index = len(self.spec.nodes)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError, InvalidStateError
 from repro.gpusim.engine import Actor, StepResult
-from repro.gpusim.memory import GpuMemoryModel
 from repro.gpusim.stream import Stream, SyncBarrier
 
 
@@ -145,7 +144,6 @@ class GpuDevice(Actor):
         self,
         device_id,
         max_resident_blocks=32,
-        memory=None,
         launch_overhead_us=None,
         interference=None,
     ):
@@ -153,7 +151,6 @@ class GpuDevice(Actor):
         self.device_id = device_id
         self.max_resident_blocks = max_resident_blocks
         self.free_blocks = max_resident_blocks
-        self.memory = memory or GpuMemoryModel()
         self.launch_overhead_us = (
             self.LAUNCH_OVERHEAD_US if launch_overhead_us is None else launch_overhead_us
         )
@@ -321,8 +318,8 @@ class GpuDevice(Actor):
         self._notify_work(time_us)
         return item
 
-    def issue_sync(self, time_us, implicit=False):
-        """Issue a device synchronization (explicit or implicit).
+    def issue_sync(self, time_us):
+        """Issue a device synchronization.
 
         Returns the :class:`SyncBarrier`; the caller blocks on its
         ``wait_key`` until the barrier clears.
@@ -338,7 +335,6 @@ class GpuDevice(Actor):
             sequence=sequence,
             issue_time_us=time_us,
             outstanding=outstanding,
-            implicit=implicit,
         )
         self.sync_count += 1
         if not barrier.outstanding:
@@ -444,8 +440,3 @@ class GpuDevice(Actor):
     def has_pending_work(self):
         return any(stream.pending for stream in self.streams.values())
 
-    def is_idle(self):
-        return not self.resident and not self.has_pending_work()
-
-    def resident_kernel_names(self):
-        return sorted(kernel.name for kernel in self.resident)

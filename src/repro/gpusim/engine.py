@@ -564,6 +564,3 @@ class Engine:
     @property
     def step_count(self):
         return self._steps
-
-    def blocked_actor_names(self):
-        return [actor.name for actor in self._blocked]

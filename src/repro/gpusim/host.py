@@ -2,15 +2,13 @@
 
 A :class:`HostThread` is the simulated rank process: it executes a
 :class:`HostProgram`, a sequence of host operations such as launching a
-kernel, synchronizing the device, allocating pinned memory (which triggers an
-implicit synchronization), burning CPU time, or waiting for a completion
-callback.  Host programs may be plain lists of ops or generator functions, so
-backends can build them dynamically at run time.
+kernel, synchronizing the device, burning CPU time, or waiting for a
+completion callback.  Host programs may be plain lists of ops or generator
+functions, so backends can build them dynamically at run time.
 """
 
 from __future__ import annotations
 
-from repro.common.errors import InvalidStateError
 from repro.gpusim.engine import Actor, StepResult
 
 
@@ -53,40 +51,17 @@ class LaunchKernel(HostOp):
 class DeviceSynchronize(HostOp):
     """Explicit GPU synchronization (``cudaDeviceSynchronize``)."""
 
-    def __init__(self, implicit=False):
-        self.implicit = implicit
+    def __init__(self):
         self._barrier = None
 
     def poll(self, host):
         if self._barrier is None:
             host.clock.advance(1.0)
-            self._barrier = host.device.issue_sync(host.now, implicit=self.implicit)
+            self._barrier = host.device.issue_sync(host.now)
         if self._barrier.cleared:
-            barrier, self._barrier = self._barrier, None
-            kind = "implicit" if barrier.implicit else "explicit"
-            return StepResult.progress(f"{kind} sync cleared")
+            self._barrier = None
+            return StepResult.progress("sync cleared")
         return StepResult.blocked([self._barrier.wait_key], "device synchronize")
-
-
-class AllocPinnedMemory(HostOp):
-    """Allocate page-locked host memory, triggering an implicit GPU sync."""
-
-    def __init__(self, name, nbytes):
-        self.name = name
-        self.nbytes = nbytes
-        self._sync = DeviceSynchronize(implicit=True)
-        self._allocated = False
-
-    def poll(self, host):
-        result = self._sync.poll(host)
-        if result.status.value == "blocked":
-            return result
-        if not self._allocated:
-            self._allocated = True
-            allocator = host.cluster.pinned_allocator(host.device.device_id.node)
-            allocator.allocate(f"{host.name}:{self.name}", self.nbytes, host.now)
-            host.clock.advance(allocator.ALLOC_COST_US)
-        return StepResult.progress(f"pinned alloc {self.name}")
 
 
 class CpuCompute(HostOp):
@@ -108,17 +83,15 @@ class CpuCompute(HostOp):
 
 
 class WaitForSignal(HostOp):
-    """Block until an engine key is signalled (or a predicate becomes true)."""
+    """Block on an engine key until ``predicate()`` holds."""
 
-    def __init__(self, key, predicate=None, detail="wait"):
+    def __init__(self, key, predicate, detail="wait"):
         self.key = key
         self.predicate = predicate
         self.detail = detail
 
     def poll(self, host):
-        if self.predicate is not None and self.predicate():
-            return StepResult.progress(self.detail)
-        if self.predicate is None and host.consume_signal(self.key):
+        if self.predicate():
             return StepResult.progress(self.detail)
         return StepResult.blocked([self.key], self.detail)
 
@@ -159,23 +132,7 @@ class HostThread(Actor):
         self._program = program or HostProgram([])
         self._iterator = None
         self._current_op = None
-        self._received_signals = set()
         self.executed_ops = 0
-
-    def set_program(self, program):
-        if self._iterator is not None:
-            raise InvalidStateError(f"host {self.name} already started its program")
-        self._program = program
-
-    def deliver_signal(self, key):
-        """Record a locally delivered signal for :class:`WaitForSignal` ops."""
-        self._received_signals.add(key)
-
-    def consume_signal(self, key):
-        if key in self._received_signals:
-            self._received_signals.discard(key)
-            return True
-        return False
 
     def step(self):
         if self._iterator is None:

@@ -96,7 +96,6 @@ class SyncBarrier:
     sequence: int
     issue_time_us: float
     outstanding: set = field(default_factory=set)
-    implicit: bool = False
     cleared: bool = False
 
     def on_kernel_complete(self, kernel):

@@ -158,12 +158,6 @@ class JobRecord:
         return self.finish_time_us - self.spec.arrival_time_us
 
     @property
-    def service_time_us(self):
-        if self.start_time_us is None or self.finish_time_us is None:
-            return None
-        return self.finish_time_us - self.start_time_us
-
-    @property
     def samples_processed(self):
         """Samples actually pushed through, discounting ranks lost to crashes.
 

@@ -38,6 +38,11 @@ class NcclCollectiveKernel(KernelActor):
         self.rank = rank
         self.blocked_polls = 0
 
+    def on_launch(self, time_us):
+        super().on_launch(time_us)
+        # The baseline's collective starts at kernel residency.
+        self.op.mark_started(self.rank, time_us)
+
     def waiting_on(self):
         """The peer device this kernel's current primitive is stuck on.
 
@@ -64,7 +69,7 @@ class NcclCollectiveKernel(KernelActor):
             if outcome.outcome is ExecOutcome.SUCCESS:
                 continue
             if outcome.outcome is ExecOutcome.ALL_DONE:
-                self.op.mark_rank_complete(self.rank, self.now, self.engine)
+                self.op.mark_complete(self.rank, self.now, self.executor)
                 return self.complete(f"collective {self.op.op_id} done on rank {self.rank}")
             # WAIT_RECV / WAIT_SEND: hold resources and wait without bound.
             self.blocked_polls += 1

@@ -44,8 +44,10 @@ slice of the critical path): per-rank completion z-scores with the slowest
 rank named.  Tier splits (``local`` NVLink/PCIe vs ``intra_pod`` RDMA vs
 cross-pod ``spine``) break the on-path wire time down by fabric level.
 
-Everything here is duck-typed against the executor/communicator surface;
-nothing imports the collectives package, so ``obs`` stays a leaf layer.
+Everything here is duck-typed against the executor/communicator surface and
+the run record (``CollectiveRun``: ``start_times``, ``complete_times``,
+``expected_ranks``); nothing imports the collectives package, so ``obs``
+stays a leaf layer.
 """
 
 from array import array
@@ -91,15 +93,20 @@ class AnalysisLog:
         #: Filled by :func:`analyze_run`; consumed by ``calibration_report``.
         self.results = None
 
-    def attach(self, executor, backend, coll_name, invocation_key, owner,
-               group_rank, track, job=None, algorithm=None, kind=None,
-               nbytes=0):
-        """Give ``executor`` a trace and remember where it came from."""
+    def attach(self, executor, owner, group_rank, invocation_key):
+        """Give ``executor`` a trace and remember where it came from.
+
+        ``owner`` is the collective run (``CollectiveRun``) the executor
+        belongs to; its identity is copied as of now, since recovery may
+        re-resolve the algorithm of a later generation.
+        """
         trace = array("d")
         executor.trace = trace
-        record = ExecutionRecord(backend, coll_name, invocation_key, owner,
-                                 group_rank, track, job, executor, trace,
-                                 algorithm, kind, nbytes)
+        spec = owner.spec
+        record = ExecutionRecord(owner.backend, owner.name, invocation_key,
+                                 owner, group_rank, owner.track(group_rank),
+                                 owner.job, executor, trace, owner.algorithm,
+                                 spec.kind.value, spec.nbytes)
         self.records.append(record)
         return record
 
@@ -257,24 +264,6 @@ def _straggler_section(completes, track_of):
     }
 
 
-def _owner_times(owner):
-    """(submit, complete) time dicts of one invocation, either backend shape.
-
-    DFCCL invocations expose ``submit_times`` / ``complete_times`` directly;
-    NCCL ops expose per-rank kernels (launch time) and ``_complete_ranks``.
-    """
-    submit_times = getattr(owner, "submit_times", None)
-    if submit_times is not None:
-        return dict(submit_times), dict(owner.complete_times)
-    completes = dict(getattr(owner, "_complete_ranks", None) or {})
-    submits = {}
-    for rank, kernel in (getattr(owner, "_kernels", None) or {}).items():
-        launch = getattr(kernel, "launch_time_us", None)
-        if launch is not None:
-            submits[rank] = launch
-    return submits, completes
-
-
 def _analyze_group(records, arrivals, member, start_floor, end_ceiling,
                    completes, track_of):
     """Shared decomposition: walk the path, telescope time into buckets."""
@@ -383,14 +372,15 @@ def analyze_run(obs):
         groups.setdefault(record.invocation_key, []).append(record)
 
     invocations = []
-    run_submits = []
+    run_starts = []
     run_completes = []
     for key in sorted(groups, key=str):
         group = groups[key]
-        submits, completes = _owner_times(group[0].owner)
-        if not submits or not completes:
+        owner = group[0].owner
+        starts, completes = owner.start_times, owner.complete_times
+        if not starts or not completes:
             continue
-        run_submits.append(min(submits.values()))
+        run_starts.append(min(starts.values()))
         run_completes.append(max(completes.values()))
         tracks = {record.group_rank: record.track for record in group}
 
@@ -400,18 +390,12 @@ def analyze_run(obs):
         result = _analyze_group(
             group, arrivals,
             member=lambda rec, key=key: rec.invocation_key == key,
-            start_floor=min(submits.values()),
+            start_floor=min(starts.values()),
             end_ceiling=max(completes.values()),
             completes=completes, track_of=track_of)
         if result is None:
             continue
         sample = group[0]
-        # Group size as the calibration log records it: the ranks whose
-        # completion the invocation expects (post-shrink), not the count of
-        # traced executors.
-        expected = getattr(sample.owner, "expected_ranks", None)
-        group_size = (len(expected()) if callable(expected)
-                      else getattr(sample.owner, "group_size", len(group)))
         result.update({
             "invocation": list(key) if isinstance(key, tuple) else key,
             "collective": sample.coll_name,
@@ -419,7 +403,9 @@ def analyze_run(obs):
             "algorithm": sample.algorithm,
             "kind": sample.kind,
             "nbytes": sample.nbytes,
-            "group_size": group_size,
+            # As the calibration log records it: the ranks whose completion
+            # the invocation expects (post-shrink), not the traced executors.
+            "group_size": len(owner.expected_ranks()),
         })
         invocations.append(result)
 
@@ -428,8 +414,7 @@ def analyze_run(obs):
         final_completes = {}
         final_tracks = {}
         for record in records:
-            submits, completes = _owner_times(record.owner)
-            for rank, value in completes.items():
+            for rank, value in record.owner.complete_times.items():
                 slot = (record.invocation_key[0]
                         if isinstance(record.invocation_key, tuple)
                         else record.invocation_key, rank)
@@ -443,7 +428,7 @@ def analyze_run(obs):
             by_track[track] = max(by_track.get(track, float("-inf")), value)
         run_result = _analyze_group(
             records, arrivals, member=None,
-            start_floor=min(run_submits),
+            start_floor=min(run_starts),
             end_ceiling=max(run_completes),
             completes=by_track, track_of=lambda track: track)
 

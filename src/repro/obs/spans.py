@@ -1,7 +1,7 @@
 """Structured spans: named intervals on named tracks, grouped by job.
 
 A :class:`Span` is the unit every instrumentation hook emits: collective
-invocations (submit -> complete per rank), recovery episodes, and job
+invocations (start -> complete per rank), recovery episodes, and job
 lifecycles.  Spans are deliberately tiny (slotted, no timestamps taken —
 virtual time is passed in by the caller) because the DFCCL hot path creates
 one per rank per invocation.
@@ -11,8 +11,8 @@ Two emission styles:
 * ``begin()`` / ``end()`` for intervals whose end is observed later (the
   span stays in the tracer's *open* set meanwhile, so a flight-recorder dump
   taken mid-flight still shows it);
-* ``record()`` for intervals reconstructed after the fact (the NCCL and MPI
-  backends learn start and end together at completion time).
+* ``record()`` for intervals reconstructed after the fact (a recovery
+  episode learns its detection time when it starts the rerun).
 """
 
 

@@ -191,13 +191,6 @@ class ParallelPlan:
         schedule.append(ComputeItem(optimizer, "optimizer"))
         return schedule
 
-    def all_schedules(self):
-        """Schedules for every rank in the plan, keyed by global rank."""
-        return {
-            self.base_rank + local: self.iteration_schedule(self.base_rank + local)
-            for local in range(self.world_size)
-        }
-
     def collective_items(self, rank):
         return [item for item in self.iteration_schedule(rank)
                 if isinstance(item, CollectiveItem)]

@@ -361,6 +361,22 @@ class TestRemovedShims:
             assert not hasattr(ncclsim, name), name
         assert not hasattr(core, "AutoProfiler")
 
+    def test_unreached_simulator_surface_is_gone(self):
+        """The memory model, pinned-memory allocation and the one-line
+        ``AlgorithmSelector.select`` wrapper were deleted unused."""
+        import importlib
+
+        import repro.gpusim as gpusim
+        import repro.gpusim.host as host
+        from repro.collectives import AlgorithmSelector
+
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.gpusim.memory")
+        for name in ("MemoryAccountant", "PinnedHostAllocator"):
+            assert not hasattr(gpusim, name), name
+        assert not hasattr(host, "AllocPinnedMemory")
+        assert not hasattr(AlgorithmSelector, "select")
+
 
 class TestNoInternalStringDispatch:
     def test_no_backend_string_branches_outside_registry(self):

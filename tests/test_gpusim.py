@@ -1,8 +1,8 @@
-"""Tests for the GPU cluster substrate: engine, device, streams, memory, hosts."""
+"""Tests for the GPU cluster substrate: engine, device, streams, hosts."""
 
 import pytest
 
-from repro.common.errors import DeadlockError, ResourceExhaustedError
+from repro.common.errors import DeadlockError
 from repro.common.types import DeviceId, LinkType
 from repro.gpusim import Engine, StepResult, build_cluster
 from repro.gpusim.cluster import ClusterSpec, NodeSpec, dual_server_spec, mixed_32gpu_spec
@@ -10,7 +10,6 @@ from repro.gpusim.device import SleepKernel
 from repro.gpusim.engine import Actor
 from repro.gpusim.host import CpuCompute, DeviceSynchronize, HostProgram, LaunchKernel
 from repro.gpusim.interconnect import Interconnect, LinkSpec
-from repro.gpusim.memory import MemoryAccountant, PinnedHostAllocator
 
 
 class _CountdownActor(Actor):
@@ -144,40 +143,6 @@ class TestEngine:
         # scheduled before it: step-start times must be non-decreasing.
         times = [time for _, time in order]
         assert times == sorted(times)
-
-
-class TestMemory:
-    def test_allocate_and_free(self):
-        accountant = MemoryAccountant("test", 100)
-        accountant.allocate("a", 60)
-        assert accountant.used_bytes == 60
-        accountant.free("a")
-        assert accountant.used_bytes == 0
-
-    def test_over_allocation_raises(self):
-        accountant = MemoryAccountant("test", 100)
-        accountant.allocate("a", 80)
-        with pytest.raises(ResourceExhaustedError):
-            accountant.allocate("b", 30)
-
-    def test_duplicate_name_rejected(self):
-        accountant = MemoryAccountant("test", 100)
-        accountant.allocate("a", 10)
-        with pytest.raises(ValueError):
-            accountant.allocate("a", 10)
-
-    def test_peak_tracking(self):
-        accountant = MemoryAccountant("test", 100)
-        accountant.allocate("a", 70)
-        accountant.free("a")
-        accountant.allocate("b", 30)
-        assert accountant.peak_bytes == 70
-
-    def test_pinned_allocator_records_allocations(self):
-        allocator = PinnedHostAllocator()
-        allocator.allocate("buf", 1 << 20, time_us=3.0)
-        assert allocator.accountant.used_bytes == 1 << 20
-        assert allocator.allocations[0].time_us == 3.0
 
 
 class TestInterconnect:

@@ -100,7 +100,7 @@ class TestCollectiveExecution:
         def run(nbytes):
             cluster = build_cluster("single-3090")
             group = make_backend("nccl", cluster).new_group()
-            return _run_one(cluster, group, "all_reduce", nbytes // 4).completion_time()
+            return _run_one(cluster, group, "all_reduce", nbytes // 4).latency_us()
 
         assert run(8 << 20) > run(64 << 10)
 
@@ -109,7 +109,7 @@ class TestCollectiveExecution:
             cluster = build_cluster(topology)
             group = make_backend("nccl", cluster).new_group(list(range(world)))
             return _run_one(cluster, group, "all_reduce",
-                            (1 << 20) // 4).completion_time()
+                            (1 << 20) // 4).latency_us()
 
         assert run("dual-3090", 16) > run("single-3090", 8)
 

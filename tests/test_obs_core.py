@@ -6,7 +6,8 @@ Covers the contracts the rest of the tree relies on:
   both exporters (JSON snapshot, Prometheus text);
 * the bounded flight recorder and its auto-dump on engine deadlock — the
   dump must name the wait-for cycle's actors;
-* collective spans and calibration samples recorded by a real DFCCL run;
+* collective spans and calibration samples recorded by a real DFCCL run,
+  and the span contract every backend shares (one emission site);
 * the ``perf_report`` / ``completion_info`` / ``diagnostics`` field contract
   across all three ``repro.api`` backends;
 * the ``python -m repro.obs.report`` CLI.
@@ -23,15 +24,16 @@ from repro.obs import METRIC_NAMES, MetricsRegistry, Observability
 
 
 def _run_all_reduce(backend_name, ranks=4, nbytes=1 << 20, iterations=2,
-                    observability=None):
-    """One small traced all-reduce workload; returns (cluster, backend,
-    group, works_by_rank)."""
+                    observability=None, first_rank=0, job=None):
+    """One small traced all-reduce workload over global ranks
+    ``first_rank..first_rank+ranks-1``; returns (cluster, backend, group,
+    works_by_rank)."""
     cluster = build_cluster("single-3090", observability=observability)
     backend = make_backend(backend_name, cluster, chunk_bytes=128 << 10,
                            algorithm="ring")
-    group = backend.new_group(list(range(ranks)))
+    group = backend.new_group(list(range(first_rank, first_rank + ranks)),
+                              job=job)
     works_by_rank = {}
-    programs = []
     for rank in group.ranks:
         works = [group.all_reduce(rank, nbytes // 4, key=f"ar{i}")
                  for i in range(iterations)]
@@ -39,8 +41,7 @@ def _run_all_reduce(backend_name, ranks=4, nbytes=1 << 20, iterations=2,
         ops = [work.submit_op() for work in works]
         ops.extend(wait_all(works))
         ops.extend(backend.finalize_ops(rank))
-        programs.append(HostProgram(ops))
-    cluster.add_hosts(programs)
+        cluster.add_host(rank, HostProgram(ops))
     cluster.run()
     return cluster, backend, group, works_by_rank
 
@@ -185,6 +186,31 @@ class TestCollectiveSpans:
         assert report[0]["samples"] == 2
         assert report[0]["relative_error"] is not None
 
+    @pytest.mark.parametrize("backend_name", ["dfccl", "nccl", "mpi"])
+    def test_span_contract(self, backend_name):
+        """Exactly one closed span per (rank, invocation) on every backend,
+        on the rank's global track, under the group's job, spanning the
+        Work's start to its completion."""
+        cluster, _, group, works_by_rank = _run_all_reduce(
+            backend_name, first_rank=4, job="job-a")
+        obs = cluster.engine.obs
+        assert not [span for span in obs.tracer.open_spans()
+                    if span.category == "collective"]
+        spans_by_track = {}
+        for span in obs.recorder.spans:
+            if span.category == "collective":
+                spans_by_track.setdefault(span.track, []).append(span)
+        assert sorted(spans_by_track) == [f"rank{rank}" for rank in group.ranks]
+        for rank, works in works_by_rank.items():
+            spans = spans_by_track[f"rank{rank}"]
+            assert sorted((span.start_us, span.end_us) for span in spans) == \
+                sorted((work.started_at_us, work.completion_info().time_us)
+                       for work in works)
+            for span in spans:
+                assert span.job == "job-a"
+                assert span.attrs["algorithm"]
+                assert span.attrs["predicted_cost_us"] > 0.0
+
     def test_calibration_report_covers_every_backend(self):
         for backend_name in ("dfccl", "nccl", "mpi"):
             cluster, *_ = _run_all_reduce(backend_name)
@@ -301,3 +327,21 @@ class TestReportCli:
         assert document["metrics"]["collective_invocations"] == 1
         assert document["calibration"]
         assert "# TYPE engine_steps gauge" in prom_path.read_text()
+
+
+class TestOneEmissionSite:
+    def test_only_collective_run_emits_collective_telemetry(self):
+        """``CollectiveRun`` is the one place a collective span is opened or
+        a calibration sample recorded, and the analysis layer reads the run
+        record instead of probing backend shapes."""
+        import pathlib
+        import re
+
+        root = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+        emission = re.compile(
+            r"(?<!def )record_collective\(|"
+            r"\.(?:begin|record)\([^)]*?[\"']collective[\"']", re.DOTALL)
+        offenders = [str(path.relative_to(root)) for path in root.rglob("*.py")
+                     if emission.search(path.read_text())]
+        assert offenders == ["collectives/plan.py"]
+        assert "getattr(owner" not in (root / "obs" / "analysis.py").read_text()

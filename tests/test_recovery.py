@@ -226,7 +226,7 @@ class TestRecoveryMechanics:
         cluster, backend, group = _dfccl_group([0, 1, 2, 3])
         invocation = group.broadcast(0, count=1 << 20, root=0).invocation
         coll = invocation.coll
-        invocation.mark_gpu_complete(0, 10.0)   # root's part is done
+        invocation.mark_complete(0, 10.0)   # root's part is done
         cluster.device(2).fail(20.0)
         manager = backend.dfccl.recovery_manager
         manager._recover_collective(coll, [2], now=30.0)  # must not raise

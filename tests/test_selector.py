@@ -33,12 +33,12 @@ class TestAlgorithmSelector:
         selector, device_ids = dual_server_selector()
         for kind in (CollectiveKind.ALL_GATHER, CollectiveKind.REDUCE_SCATTER,
                      CollectiveKind.SEND_RECV):
-            assert selector.select(kind, 512, 16, device_ids) == "ring"
+            assert selector.choose(kind, 512, 16, device_ids).algorithm == "ring"
 
     def test_tiny_groups_always_ring(self):
         selector, device_ids = dual_server_selector()
-        assert selector.select(CollectiveKind.ALL_REDUCE, 512, 2,
-                               device_ids[:2]) == "ring"
+        assert selector.choose(CollectiveKind.ALL_REDUCE, 512, 2,
+                               device_ids[:2]).algorithm == "ring"
 
     def test_resolve_passes_explicit_choices_through(self):
         selector, _ = dual_server_selector()
@@ -49,7 +49,8 @@ class TestAlgorithmSelector:
 
     def test_selector_without_topology_falls_back(self):
         selector = AlgorithmSelector()
-        assert selector.select(CollectiveKind.ALL_REDUCE, 512, 8) in ("ring", "tree")
+        assert selector.choose(CollectiveKind.ALL_REDUCE, 512,
+                               8).algorithm in ("ring", "tree")
 
 
 class TestConfigWiring:
