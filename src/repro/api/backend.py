@@ -31,10 +31,11 @@ def register_backend(name, factory):
 def make_backend(name, cluster, **knobs):
     """Instantiate a registered backend over ``cluster``.
 
-    ``knobs`` are passed through to the backend factory (``config=`` /
-    ``chunk_bytes=`` / ``algorithm=`` / ``orchestrator=`` ...); every
-    factory accepts the common knobs it cannot honour and ignores them, so
-    one experiment driver can sweep backends with a uniform knob set.
+    ``knobs`` are passed through to the backend factory.  Every factory
+    accepts the common knobs ``config=``, ``chunk_bytes=`` and
+    ``algorithm=``, ignoring those it cannot honour, so one experiment
+    driver can sweep backends with a uniform knob set; any other name a
+    factory does not take raises ``TypeError``.
     """
     factory = BACKENDS.get(name)
     if factory is None:

@@ -16,6 +16,7 @@ the job id, both in the collective-id space and in the communicator pool.
 from __future__ import annotations
 
 import statistics
+from dataclasses import replace
 
 from repro.common.errors import ConfigurationError, InvalidStateError
 from repro.core import DfcclBackend, DfcclConfig
@@ -114,18 +115,16 @@ class DfcclCollectiveBackend(CollectiveBackend):
     name = "dfccl"
 
     def __init__(self, cluster, config=None, dfccl=None, job=None,
-                 chunk_bytes=None, algorithm=None, **_ignored):
+                 chunk_bytes=None, algorithm=None):
         super().__init__(cluster)
         if dfccl is None:
-            base = config or DfcclConfig()
             overrides = {}
             if chunk_bytes is not None:
                 overrides["chunk_bytes"] = chunk_bytes
             if algorithm is not None:
                 overrides["algorithm"] = algorithm
-            if overrides:
-                base = base.with_overrides(**overrides)
-            dfccl = DfcclBackend(cluster, base)
+            dfccl = DfcclBackend(
+                cluster, replace(config or DfcclConfig(), **overrides))
             #: Whether finalize should destroy the rank contexts: only when
             #: this adapter created them — a shared backend outlives any one
             #: view (multi-tenant job views never destroy).

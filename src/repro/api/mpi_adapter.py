@@ -135,21 +135,19 @@ class MpiCollectiveBackend(CollectiveBackend):
 
     name = "mpi"
 
-    def __init__(self, cluster, model=None, alpha_us=None, beta_gbps=None,
-                 chunk_bytes=None, algorithm=None, config=None, **_ignored):
+    def __init__(self, cluster, alpha_us=None, beta_gbps=None,
+                 chunk_bytes=None, algorithm=None, config=None):
         # ``chunk_bytes`` / ``algorithm`` / ``config`` are accepted for knob
         # uniformity with the other factories; the analytic model has no use
         # for them.
         del chunk_bytes, algorithm, config
         super().__init__(cluster)
-        if model is None:
-            kwargs = {}
-            if alpha_us is not None:
-                kwargs["alpha_us"] = alpha_us
-            if beta_gbps is not None:
-                kwargs["beta_gbps"] = beta_gbps
-            model = CudaAwareMpiModel(**kwargs)
-        self.model = model
+        kwargs = {}
+        if alpha_us is not None:
+            kwargs["alpha_us"] = alpha_us
+        if beta_gbps is not None:
+            kwargs["beta_gbps"] = beta_gbps
+        self.model = CudaAwareMpiModel(**kwargs)
         self._collectives = {}
         obs = cluster.engine.obs
         if obs.enabled:

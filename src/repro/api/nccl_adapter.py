@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import statistics
 
-from repro.collectives.cost import DEFAULT_COST_MODEL
 from repro.collectives.plan import CollectivePlan
 from repro.gpusim.host import LaunchKernel, WaitForSignal
 from repro.ncclsim import NcclCollectiveKernel, NcclCollectiveOp, grid_size_for
@@ -107,13 +106,12 @@ class NcclCollectiveBackend(CollectiveBackend):
 
     name = "nccl"
 
-    def __init__(self, cluster, cost_model=None, chunk_bytes=None, algorithm="ring",
-                 tenant=None, orchestrator="megatron", config=None, **_ignored):
+    def __init__(self, cluster, chunk_bytes=None, algorithm="ring", tenant=None,
+                 orchestrator="megatron", config=None):
         # ``config`` (a DfcclConfig) is accepted for knob-uniformity with the
         # dfccl factory and ignored: the baseline has no daemon to configure.
         del config
         super().__init__(cluster)
-        self.cost_model = cost_model or DEFAULT_COST_MODEL
         self.chunk_bytes = chunk_bytes or (128 << 10)
         self.algorithm = algorithm
         self.tenant = tenant
@@ -133,7 +131,7 @@ class NcclCollectiveBackend(CollectiveBackend):
             plan = self._plans[key] = CollectivePlan(
                 spec, [cluster.device(rank) for rank in ranks],
                 cluster.interconnect, spec.algorithm or self.algorithm,
-                self.chunk_bytes, cost_model=self.cost_model,
+                self.chunk_bytes,
             )
         return plan
 
@@ -166,8 +164,7 @@ class NcclCollectiveBackend(CollectiveBackend):
     def job_view(self, job):
         """A tenant-tagged view with this adapter's knobs."""
         return NcclCollectiveBackend(
-            self.cluster, cost_model=self.cost_model,
-            chunk_bytes=self.chunk_bytes, algorithm=self.algorithm,
+            self.cluster, chunk_bytes=self.chunk_bytes, algorithm=self.algorithm,
             tenant=job, orchestrator=self._orchestrator,
         )
 

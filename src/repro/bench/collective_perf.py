@@ -170,7 +170,7 @@ def workload_independent_overheads(world_size=8, topology="single-3090"):
             "preparing_us": (stats.preparing_time_us / max(1, stats.cqes_written)),
             "cqe_write_us": stats.mean_cqe_write_time_us(),
         })
-    memory = memory_overhead_report(DfcclConfig(), num_collectives=1000)
+    memory = memory_overhead_report(num_collectives=1000)
     return {"time_overheads": rows, "memory_overheads": memory}
 
 

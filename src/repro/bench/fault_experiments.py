@@ -78,7 +78,7 @@ def _last_survivor_completion_us(result):
 
 def measure_recovery(plan_name="crash", topology="dual-3090-nvlink",
                      world_size=16, num_collectives=3, nbytes=1 << 20,
-                     iterations=2, seed=17, config=None):
+                     iterations=2, seed=17):
     """Recovery-time breakdown for one crash-bearing plan.
 
     Returns a row with crash/detection/completion timestamps, the detection
@@ -86,7 +86,7 @@ def measure_recovery(plan_name="crash", topology="dual-3090-nvlink",
     """
     plan = CHAOS_PLANS[plan_name](world_size)
     result = run_dfccl_chaos(plan, topology, world_size, num_collectives,
-                             nbytes, iterations, config=config, seed=seed)
+                             nbytes, iterations, seed=seed)
     events = result.recovery.get("events", [])
     first_event = events[0] if events else None
     last_completion = _last_survivor_completion_us(result)
@@ -110,7 +110,7 @@ def measure_recovery(plan_name="crash", topology="dual-3090-nvlink",
 
 def goodput_under_chaos(plans=None, topology="dual-3090-nvlink", world_size=16,
                         num_collectives=3, nbytes=1 << 20, iterations=2,
-                        seed=17, config=None, include_baseline=True):
+                        seed=17, include_baseline=True):
     """Survivor goodput for each chaos plan, relative to a healthy run.
 
     Goodput counts survivor-side completed collectives per virtual
@@ -121,8 +121,7 @@ def goodput_under_chaos(plans=None, topology="dual-3090-nvlink", world_size=16,
         plans = ["crash", "double-crash", "link-flap", "straggler", "mixed-seeded"]
 
     healthy = run_dfccl_chaos(FaultPlan(name="healthy"), topology, world_size,
-                              num_collectives, nbytes, iterations,
-                              config=config, seed=seed)
+                              num_collectives, nbytes, iterations, seed=seed)
     healthy_completions = sum(
         len(records) for records in healthy.completions.values()
     )
@@ -132,7 +131,7 @@ def goodput_under_chaos(plans=None, topology="dual-3090-nvlink", world_size=16,
     for plan_name in plans:
         plan = CHAOS_PLANS[plan_name](world_size)
         chaos = run_dfccl_chaos(plan, topology, world_size, num_collectives,
-                                nbytes, iterations, config=config, seed=seed)
+                                nbytes, iterations, seed=seed)
         survivor_completions = sum(
             len(chaos.completions.get(rank, ())) for rank in chaos.survivor_ranks
         )

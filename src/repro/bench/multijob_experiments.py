@@ -57,7 +57,7 @@ def run_multijob(backend="dfccl", policy="packed", topology="dual-3090",
                  max_resident_blocks=SHARED_CLUSTER_BLOCKS,
                  launch_jitter_us=300.0, interference="default",
                  fault_plan=None, deadline_us=MULTIJOB_DEADLINE_US,
-                 config=None, grow_at_us=None, **scheduler_options):
+                 grow_at_us=None, **scheduler_options):
     """Run one seeded job stream on one shared cluster.
 
     ``interference="default"`` applies the standard
@@ -82,12 +82,8 @@ def run_multijob(backend="dfccl", policy="packed", topology="dual-3090",
         max_resident_blocks=max_resident_blocks,
         interference=interference,
     )
-    runner_kwargs = {"launch_jitter_us": launch_jitter_us, "seed": seed}
-    if config is not None:
-        # Forwarded to the backend factory; factories that cannot honour a
-        # DfcclConfig (the dedicated-kernel baseline) accept and ignore it.
-        runner_kwargs["config"] = config
-    runner = make_job_runner(backend, cluster, **runner_kwargs)
+    runner = make_job_runner(backend, cluster, launch_jitter_us=launch_jitter_us,
+                             seed=seed)
     if specs is None:
         specs = default_job_stream(seed, num_jobs=num_jobs)
     scheduler = install_scheduler(cluster, runner, specs, policy=policy,

@@ -58,11 +58,11 @@ class Channel:
     #: Default connector FIFO depth (NCCL uses 8 slots per channel).
     DEFAULT_CAPACITY = 8
 
-    def __init__(self, src_device, dst_device, capacity=None):
+    def __init__(self, src_device, dst_device, capacity=DEFAULT_CAPACITY):
         self.channel_id = next(_channel_ids)
         self.src_device = src_device
         self.dst_device = dst_device
-        self.capacity = capacity or self.DEFAULT_CAPACITY
+        self.capacity = capacity
         self._fifo = deque()
         #: Freelist of consumed :class:`ChunkMessage` shells for the executor
         #: fast path: a popped message is dead the moment its arrival time is
@@ -165,13 +165,12 @@ class Communicator:
     point-to-point patterns work.
     """
 
-    def __init__(self, devices, interconnect, channel_capacity=None):
+    def __init__(self, devices, interconnect):
         if len(devices) < 1:
             raise ConfigurationError("a communicator needs at least one device")
         self.comm_id = next(_communicator_ids)
         self.devices = list(devices)
         self.interconnect = interconnect
-        self.channel_capacity = channel_capacity
         self._channels = {}
         self.invalidated = False
 
@@ -190,11 +189,7 @@ class Communicator:
         key = (src_rank, dst_rank)
         channel = self._channels.get(key)
         if channel is None:
-            channel = Channel(
-                self.device_id(src_rank),
-                self.device_id(dst_rank),
-                capacity=self.channel_capacity,
-            )
+            channel = Channel(self.device_id(src_rank), self.device_id(dst_rank))
             self._channels[key] = channel
         return channel
 

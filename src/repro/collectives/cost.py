@@ -21,8 +21,6 @@ class CostModel:
     primitive_overhead_us: float = 0.4
     #: Cost of one failed busy-wait poll on a connector.
     poll_cost_us: float = 0.004
-    #: Cost of checking the submission queue once from the daemon kernel.
-    sq_check_cost_us: float = 0.3
 
     def local_copy_time_us(self, nbytes):
         """Time for the copy/reduce actions to touch ``nbytes`` of device memory."""

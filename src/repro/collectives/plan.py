@@ -45,12 +45,11 @@ class CollectivePlan:
     """
 
     def __init__(self, spec, devices, interconnect, algorithm, chunk_bytes,
-                 cost_model=None, excluded=(), generation=0, previous=None):
+                 excluded=(), generation=0, previous=None):
         self.spec = spec.validate()
         self.devices = tuple(devices)
         self.interconnect = interconnect
         self.chunk_bytes = chunk_bytes
-        self.cost_model = cost_model
         self.generation = generation
         self.active_ranks = tuple(rank for rank in range(len(self.devices))
                                   if rank not in excluded)
@@ -64,7 +63,7 @@ class CollectivePlan:
         self.island_size = hierarchical_island_size(
             device_id.node for device_id in device_ids)
         if device_ids or previous is None:
-            selector = AlgorithmSelector(interconnect, cost_model=cost_model)
+            selector = AlgorithmSelector(interconnect, chunk_bytes=chunk_bytes)
             kind, nbytes, size = spec.kind, spec.nbytes, len(device_ids)
             self.algorithm = selector.resolve(algorithm, kind, nbytes, size,
                                               device_ids)

@@ -124,19 +124,15 @@ class PrimitiveExecutor:
     visible in the connectors.
     """
 
-    def __init__(
-        self,
-        collective_id,
-        group_rank,
-        communicator,
-        primitives,
-        cost_model=None,
-    ):
+    #: The primitive cost model every backend shares (``obs.analysis`` reads
+    #: it to split busy time into its terms).
+    cost_model = DEFAULT_COST_MODEL
+
+    def __init__(self, collective_id, group_rank, communicator, primitives):
         self.collective_id = collective_id
         self.group_rank = group_rank
         self.communicator = communicator
         self.primitives = list(primitives)
-        self.cost_model = cost_model or DEFAULT_COST_MODEL
         self.position = 0
         self.executed_primitives = 0
         #: Per-peer channel cache: the communicator resolves channels through

@@ -100,18 +100,17 @@ class AlgorithmChoice:
 class AlgorithmSelector:
     """Predicts per-algorithm alpha/beta costs and picks the cheapest schedule.
 
-    One selector instance serves one backend: it caches the interconnect (for
-    per-link latency/bandwidth lookups) and the primitive cost model, and is
-    consulted once per registered collective (``resolve``) or explicitly via
-    ``choose``/``select``.  Candidates are the flat ring, the double binary
-    tree, and — for all-reduce on groups spanning >= ``_HIERARCHICAL_MIN_ISLANDS``
-    nodes — the two-level hierarchical schedule.
+    A selector holds the interconnect (for per-link latency/bandwidth
+    lookups) and the chunk size the tree formulas price; every backend
+    shares ``DEFAULT_COST_MODEL``.  A plan consults one per membership
+    (``resolve``); sweeps call ``choose`` directly.  Candidates are the flat
+    ring, the double binary tree, and — for all-reduce on groups spanning
+    >= ``_HIERARCHICAL_MIN_ISLANDS`` nodes — the two-level hierarchical
+    schedule.
     """
 
-    def __init__(self, interconnect=None, cost_model=None,
-                 chunk_bytes=DEFAULT_CHUNK_BYTES):
+    def __init__(self, interconnect=None, chunk_bytes=DEFAULT_CHUNK_BYTES):
         self.interconnect = interconnect
-        self.cost_model = cost_model or DEFAULT_COST_MODEL
         self.chunk_bytes = chunk_bytes
 
     # -- link parameters -------------------------------------------------------
@@ -212,7 +211,7 @@ class AlgorithmSelector:
         """
         if algorithm not in ALGORITHMS:
             raise ConfigurationError(f"unknown algorithm {algorithm!r}")
-        overhead = self.cost_model.primitive_overhead_us
+        overhead = DEFAULT_COST_MODEL.primitive_overhead_us
 
         def buckets(hops, alpha_us, beta_us):
             return {"alpha_us": alpha_us, "beta_us": beta_us,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from repro.common.errors import ConfigurationError, InvalidStateError
 from repro.core.communicator_pool import CommunicatorPool
-from repro.core.config import DfcclConfig
+from repro.core.config import RELAUNCH_DELAY_US, DfcclConfig
 from repro.core.context import CollectiveContextBuffer
 from repro.core.daemon import DaemonKernel
 from repro.core.poller import Poller
@@ -41,12 +41,12 @@ class RankContext:
         self.global_rank = global_rank
         self.device = self.cluster.device(global_rank)
 
-        self.sq = SubmissionQueue(self.config.sq_capacity)
+        self.sq = SubmissionQueue()
         self.consumer_id = f"daemon-r{global_rank}"
         self.sq.register_consumer(self.consumer_id)
-        self.cq = make_completion_queue(self.config.cq_variant, self.config.cq_capacity)
+        self.cq = make_completion_queue(self.config.cq_variant)
 
-        self.context_buffer = CollectiveContextBuffer(self.config)
+        self.context_buffer = CollectiveContextBuffer()
         self.registered = {}
         #: The daemon's launch shape: the largest grid and block size among
         #: registered collectives, recomputed only when registrations change.
@@ -94,18 +94,7 @@ class RankContext:
             )
         self.registered[coll.coll_id] = coll
         self._update_launch_shape()
-        group_rank = self.group_rank_for(coll)
-        from repro.core.context import StaticContext
-
-        static = StaticContext(
-            coll_id=coll.coll_id,
-            kind=coll.spec.kind.value,
-            group_size=coll.group_size,
-            group_rank=group_rank,
-            nbytes=coll.spec.nbytes,
-            primitive_count=0,
-        )
-        self.context_buffer.register(coll.coll_id, static)
+        self.context_buffer.register(coll.coll_id)
 
     def group_rank_for(self, coll):
         return coll.group_rank_of_device(self.device)
@@ -180,7 +169,7 @@ class RankContext:
         """Relaunch after a voluntary quit once the back-off delay elapsed."""
         if self._daemon_alive or self.finally_exited:
             return None
-        if time_us - self._last_quit_time_us < self.config.relaunch_delay_us:
+        if time_us - self._last_quit_time_us < RELAUNCH_DELAY_US:
             return None
         return self.ensure_daemon_running(time_us)
 
@@ -329,9 +318,7 @@ class DfcclBackend:
     def __init__(self, cluster, config=None):
         self.cluster = cluster
         self.config = (config or DfcclConfig()).validate()
-        self.pool = CommunicatorPool(
-            cluster.interconnect, channel_capacity=self.config.channel_capacity
-        )
+        self.pool = CommunicatorPool(cluster.interconnect)
         self.contexts = {}
         self._collectives = {}
         self._next_auto_coll_id = 0
@@ -375,8 +362,8 @@ class DfcclBackend:
         devices = [self.cluster.device(rank) for rank in ranks]
         coll = RegisteredCollective(
             coll_id, spec, devices, ranks, self.cluster.interconnect, self.config,
-            priority=priority, name=name,
-            communicator=self.pool.acquire(devices, job=job), job=job,
+            self.pool.acquire(devices, job=job), priority=priority, name=name,
+            job=job,
         )
         self._collectives[coll_id] = coll
         for rank in ranks:

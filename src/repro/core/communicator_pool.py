@@ -31,9 +31,8 @@ from repro.collectives.channels import Communicator
 class CommunicatorPool:
     """Creates, hands out and recycles communicators keyed by (job, device set)."""
 
-    def __init__(self, interconnect, channel_capacity=None):
+    def __init__(self, interconnect):
         self.interconnect = interconnect
-        self.channel_capacity = channel_capacity
         self._free = defaultdict(list)
         self.created = 0
         self.reused = 0
@@ -62,9 +61,7 @@ class CommunicatorPool:
             communicator = free_list.pop()
         else:
             self.created += 1
-            communicator = Communicator(
-                list(devices), self.interconnect, channel_capacity=self.channel_capacity
-            )
+            communicator = Communicator(list(devices), self.interconnect)
         communicator.pool_key = key
         communicator.pool_state = "active"
         self._active += 1

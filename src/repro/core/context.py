@@ -1,10 +1,11 @@
 """Collective context management (Sec. 4.2 and the Sec. 5 optimizations).
 
 The *static context* of a collective holds its unchanging configuration (peer
-set, buffer addresses, primitive-sequence composition); the *dynamic context*
-holds the resume point (current chunk / aborted primitive).  Contexts of
-preempted collectives live in the global-memory context buffer; the context of
-the currently scheduled collective is cached in shared-memory *active context
+set, primitive-sequence composition): it is the collective's
+:class:`~repro.collectives.plan.CollectivePlan`.  The *dynamic context* holds
+the resume point (current chunk / aborted primitive).  Contexts of preempted
+collectives live in the global-memory context buffer; the context of the
+currently scheduled collective is cached in shared-memory *active context
 slots* managed as a direct-mapped cache with lazy saving.
 """
 
@@ -13,19 +14,16 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 
-
-@dataclass
-class StaticContext:
-    """Constant configuration of a registered collective on one GPU."""
-
-    coll_id: int
-    kind: str
-    group_size: int
-    group_rank: int
-    nbytes: int
-    primitive_count: int
-    send_buffer_addr: int = 0
-    recv_buffer_addr: int = 0
+from repro.core.config import (
+    ACTIVE_CONTEXT_SLOTS,
+    ACTIVE_SLOT_BYTES,
+    CONTEXT_BYTES_PER_COLLECTIVE,
+    CONTEXT_LOAD_COST_US,
+    CONTEXT_SAVE_COST_US,
+    COUNTER_BYTES_PER_COLLECTIVE,
+    FIXED_GLOBAL_BYTES,
+    TASK_QUEUE_ENTRY_BYTES,
+)
 
 
 @dataclass
@@ -52,41 +50,30 @@ class ContextStats:
 
 
 class CollectiveContextBuffer:
-    """Global-memory buffer holding one context record per registered collective."""
+    """Global-memory buffer holding one dynamic context per registered collective."""
 
-    def __init__(self, config, global_memory=None, block_index=0):
-        self.config = config
-        self.block_index = block_index
+    def __init__(self):
         self._records = {}
-        self._global_memory = global_memory
-        self._region_name = f"dfccl-ctx-buffer-block{block_index}"
         self._allocated = 0
 
-    def register(self, coll_id, static_context):
-        """Reserve a record for a collective and store its static context."""
+    def register(self, coll_id):
+        """Reserve a collective's record; returns its dynamic context."""
         if coll_id in self._records:
             return self._records[coll_id]
-        record = {
-            "static": static_context,
-            "dynamic": DynamicContext(),
-        }
-        self._records[coll_id] = record
-        self._allocated += self.config.context_bytes_per_collective
+        record = self._records[coll_id] = DynamicContext()
+        self._allocated += CONTEXT_BYTES_PER_COLLECTIVE
         return record
 
     def unregister(self, coll_id):
         if coll_id in self._records:
             del self._records[coll_id]
-            self._allocated -= self.config.context_bytes_per_collective
+            self._allocated -= CONTEXT_BYTES_PER_COLLECTIVE
 
     def dynamic(self, coll_id):
-        return self._records[coll_id]["dynamic"]
-
-    def static(self, coll_id):
-        return self._records[coll_id]["static"]
+        return self._records[coll_id]
 
     def save_dynamic(self, coll_id, dynamic_context):
-        self._records[coll_id]["dynamic"] = dynamic_context
+        self._records[coll_id] = dynamic_context
 
     @property
     def allocated_bytes(self):
@@ -108,16 +95,15 @@ class _Slot:
 class ActiveContextCache:
     """Direct-mapped cache of active context slots in shared memory.
 
-    Loading a context costs ``context_load_cost_us``; saving costs
-    ``context_save_cost_us`` and is *lazy*: a collective that made no progress
+    Loading a context costs ``CONTEXT_LOAD_COST_US``; saving costs
+    ``CONTEXT_SAVE_COST_US`` and is *lazy*: a collective that made no progress
     since it was loaded is not written back (Sec. 5).
     """
 
-    def __init__(self, config, context_buffer, clock=None):
-        self.config = config
+    def __init__(self, context_buffer, clock=None):
         self.context_buffer = context_buffer
         self.clock = clock
-        self.slots = [_Slot() for _ in range(config.active_context_slots)]
+        self.slots = [_Slot() for _ in range(ACTIVE_CONTEXT_SLOTS)]
         self.stats = ContextStats()
 
     def _slot_for(self, coll_id):
@@ -145,12 +131,12 @@ class ActiveContextCache:
             return charged
         self.stats.cache_misses += 1
         if slot.coll_id is not None and slot.dirty:
-            charged += self._charge(self.config.context_save_cost_us)
+            charged += self._charge(CONTEXT_SAVE_COST_US)
             self.stats.saves += 1
-            self.stats.save_time_us += self.config.context_save_cost_us
-        charged += self._charge(self.config.context_load_cost_us)
+            self.stats.save_time_us += CONTEXT_SAVE_COST_US
+        charged += self._charge(CONTEXT_LOAD_COST_US)
         self.stats.loads += 1
-        self.stats.load_time_us += self.config.context_load_cost_us
+        self.stats.load_time_us += CONTEXT_LOAD_COST_US
         slot.coll_id = coll_id
         slot.dirty = False
         return charged
@@ -176,9 +162,9 @@ class ActiveContextCache:
         if not progressed:
             self.stats.lazy_save_skips += 1
             return 0.0
-        charged = self._charge(self.config.context_save_cost_us)
+        charged = self._charge(CONTEXT_SAVE_COST_US)
         self.stats.saves += 1
-        self.stats.save_time_us += self.config.context_save_cost_us
+        self.stats.save_time_us += CONTEXT_SAVE_COST_US
         if slot.coll_id == coll_id:
             slot.dirty = False
         return charged
@@ -190,20 +176,20 @@ class ActiveContextCache:
             slot.dirty = False
 
 
-def memory_overhead_report(config, num_collectives, num_blocks=1):
+def memory_overhead_report(num_collectives, num_blocks=1):
     """Workload-independent memory overheads (Sec. 6.2).
 
     Returns a dict with per-block shared memory, per-block global memory and
     the global memory shared by all blocks, in bytes.
     """
     shared_per_block = (
-        num_collectives * config.task_queue_entry_bytes
-        + config.active_context_slots * config.active_slot_bytes
+        num_collectives * TASK_QUEUE_ENTRY_BYTES
+        + ACTIVE_CONTEXT_SLOTS * ACTIVE_SLOT_BYTES
     )
-    global_per_block = num_collectives * config.context_bytes_per_collective
+    global_per_block = num_collectives * CONTEXT_BYTES_PER_COLLECTIVE
     global_shared = (
-        num_collectives * config.counter_bytes_per_collective
-        + config.fixed_global_bytes
+        num_collectives * COUNTER_BYTES_PER_COLLECTIVE
+        + FIXED_GLOBAL_BYTES
     )
     return {
         "shared_bytes_per_block": shared_per_block,

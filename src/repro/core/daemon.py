@@ -20,7 +20,17 @@ live in :mod:`repro.core.scheduling`.
 
 from __future__ import annotations
 
+from repro.collectives.cost import DEFAULT_COST_MODEL
 from repro.collectives.primitives import ExecOutcome
+from repro.core.config import (
+    IDLE_POLL_INTERVAL_US,
+    PRIMITIVES_PER_STEP,
+    QUIT_PERIOD_US,
+    SPIN_BATCH,
+    SQ_POLL_COST_US,
+    SQE_PARSE_COST_US,
+    SQE_READ_COST_US,
+)
 from repro.core.context import ActiveContextCache
 from repro.core.queues import Cqe
 from repro.core.scheduling import (
@@ -45,16 +55,14 @@ class DaemonKernel(KernelActor):
             block_size=rank_ctx.daemon_block_size,
         )
         self.ctx = rank_ctx
-        self.config = rank_ctx.config
         self.generation = generation
         self.stats = rank_ctx.stats
 
         self.task_queue = TaskQueue()
-        self.ordering = make_ordering_policy(self.config)
-        self.spin_policy = make_spin_policy(self.config)
-        self.active_cache = ActiveContextCache(
-            self.config, rank_ctx.context_buffer, clock=self.clock
-        )
+        self.ordering = make_ordering_policy(rank_ctx.config)
+        self.spin_policy = make_spin_policy(rank_ctx.config)
+        self.active_cache = ActiveContextCache(rank_ctx.context_buffer,
+                                               clock=self.clock)
 
         self._queue_pos = 0
         self._pass_needs_init = True
@@ -96,12 +104,12 @@ class DaemonKernel(KernelActor):
         """Fetch every pending SQE; returns the number fetched."""
         fetched = 0
         while self.ctx.sq.pending(self.ctx.consumer_id) > 0:
-            self.clock.advance(self.config.sqe_read_cost_us)
-            self.stats.sqe_read_time_us += self.config.sqe_read_cost_us
+            self.clock.advance(SQE_READ_COST_US)
+            self.stats.sqe_read_time_us += SQE_READ_COST_US
             sqe = self.ctx.sq.pop(self.ctx.consumer_id)
             self.stats.sqes_read += 1
-            self.clock.advance(self.config.sqe_parse_cost_us)
-            self.stats.preparing_time_us += self.config.sqe_parse_cost_us
+            self.clock.advance(SQE_PARSE_COST_US)
+            self.stats.preparing_time_us += SQE_PARSE_COST_US
             if sqe.exiting:
                 self._final_exit_requested = True
                 continue
@@ -136,7 +144,7 @@ class DaemonKernel(KernelActor):
             at_pass_start=True,
         )
         if should_fetch:
-            self.clock.advance(self.config.sq_poll_cost_us)
+            self.clock.advance(SQ_POLL_COST_US)
             fetched = self._fetch_sqes()
         self.ordering.order(self.task_queue)
         self.spin_policy.assign_initial(self.task_queue)
@@ -178,11 +186,11 @@ class DaemonKernel(KernelActor):
             idle = len(self.task_queue) == 0
             stuck = not idle and not self._last_pass_progress
             if fetched == 0 and (idle or stuck):
-                if self.now - self._last_activity_us > self.config.quit_period_us:
+                if self.now - self._last_activity_us > QUIT_PERIOD_US:
                     return self._exit(final=False)
 
             if idle:
-                self.clock.advance(self.config.idle_poll_interval_us)
+                self.clock.advance(IDLE_POLL_INTERVAL_US)
                 self._end_pass()
                 return StepResult.progress("idle: polling SQ")
 
@@ -210,7 +218,6 @@ class DaemonKernel(KernelActor):
     # -- entry execution ------------------------------------------------------------------------
 
     def _execute_entry(self, entry):
-        config = self.config
         load_cost = self.active_cache.load(entry.coll_id)
         stats = self.stats
         stats.preparing_time_us += load_cost
@@ -220,8 +227,8 @@ class DaemonKernel(KernelActor):
         # every collective in the simulation).  The body of ``_on_progress``
         # is inlined with prebound callables; the pass/activity flags are
         # written back once after the burst.
-        poll_cost_us = config.cost_model.poll_cost_us
-        budget = config.primitives_per_step
+        poll_cost_us = DEFAULT_COST_MODEL.poll_cost_us
+        budget = PRIMITIVES_PER_STEP
         clock = self.clock
         engine = self.engine
         try_execute = entry.executor.try_execute_current
@@ -262,19 +269,18 @@ class DaemonKernel(KernelActor):
         return self._spin_or_preempt(entry)
 
     def _spin_or_preempt(self, entry):
-        config = self.config
         # Exponential spin quantum: short waits (data arriving in a few
         # microseconds) cost little virtual time, long fruitless waits double
         # the quantum so they cost few simulation steps before preemption.
-        polls = min(entry.spin_quantum, config.spin_batch, entry.spin_remaining)
+        polls = min(entry.spin_quantum, SPIN_BATCH, entry.spin_remaining)
         if polls > 0:
-            spin_time = polls * config.cost_model.poll_cost_us
+            spin_time = polls * DEFAULT_COST_MODEL.poll_cost_us
             self.clock.advance(spin_time)
             entry.spin_remaining -= polls
             entry.spin_polls += polls
             self.stats.spin_polls += polls
             self.stats.spin_time_us += spin_time
-            entry.spin_quantum = min(entry.spin_quantum * 2, config.spin_batch)
+            entry.spin_quantum = min(entry.spin_quantum * 2, SPIN_BATCH)
         if entry.spin_remaining <= 0:
             self._preempt_entry(entry)
             return StepResult.progress(f"preempted coll {entry.coll_id}")
@@ -291,8 +297,7 @@ class DaemonKernel(KernelActor):
             self._end_pass()
 
     def _complete_entry(self, entry):
-        config = self.config
-        write_cost = self.ctx.cq.write_cost_us(config)
+        write_cost = self.ctx.cq.write_cost_us()
         self.clock.advance(write_cost)
         self.stats.cqe_write_time_us += write_cost
         self.stats.cqes_written += 1

@@ -8,6 +8,7 @@ quit voluntarily), the poller relaunches it.
 
 from __future__ import annotations
 
+from repro.core.config import CALLBACK_COST_US, POLLER_INTERVAL_US
 from repro.gpusim.engine import Actor, StepResult
 
 
@@ -25,7 +26,7 @@ class Poller(Actor):
         drained = 0
         while len(self.ctx.cq) > 0:
             cqe = self.ctx.cq.pop()
-            self.clock.advance(self.ctx.config.callback_cost_us)
+            self.clock.advance(CALLBACK_COST_US)
             self.ctx.deliver_completion(cqe, self.clock)
             self.callbacks_run += 1
             drained += 1
@@ -47,7 +48,7 @@ class Poller(Actor):
                 # are fewer than SQEs and it is not currently running.
                 self.ctx.maybe_relaunch_daemon(self.now)
                 return StepResult.sleep(
-                    self.now + self.ctx.config.poller_interval_us,
+                    self.now + POLLER_INTERVAL_US,
                     f"poller awaiting relaunch ({drained} callbacks run)",
                 )
             # The daemon signals ``cqe_key`` for every CQE it writes and when

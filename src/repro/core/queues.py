@@ -25,6 +25,13 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro.common.errors import QueueEmptyError, QueueFullError
+from repro.core.config import (
+    CAS_SYSTEM_COST_US,
+    CQ_CAPACITY,
+    HOST_MEMORY_OP_COST_US,
+    MEMORY_FENCE_COST_US,
+    SQ_CAPACITY,
+)
 
 _sqe_ids = itertools.count()
 
@@ -53,7 +60,7 @@ class Cqe:
 class SubmissionQueue:
     """SPMC ring buffer written by the host and read by all daemon blocks."""
 
-    def __init__(self, capacity=1024, num_consumers=1):
+    def __init__(self, capacity=SQ_CAPACITY, num_consumers=1):
         if capacity <= 0:
             raise ValueError("SQ capacity must be positive")
         self.capacity = capacity
@@ -124,7 +131,7 @@ class CompletionQueueBase:
 
     variant = "base"
 
-    def __init__(self, capacity=1024):
+    def __init__(self, capacity=CQ_CAPACITY):
         if capacity <= 0:
             raise ValueError("CQ capacity must be positive")
         self.capacity = capacity
@@ -133,7 +140,7 @@ class CompletionQueueBase:
 
     # -- costs ---------------------------------------------------------------------
 
-    def write_cost_us(self, config):
+    def write_cost_us(self):
         """Virtual time the daemon kernel spends writing one CQE."""
         raise NotImplementedError
 
@@ -158,16 +165,16 @@ class VanillaRingCQ(CompletionQueueBase):
     variant = "vanilla"
     HOST_MEMORY_OPS = 5
 
-    def __init__(self, capacity=1024):
+    def __init__(self, capacity=CQ_CAPACITY):
         super().__init__(capacity)
         self._slots = [None] * capacity
         self._head = 0
         self._tail = 0
 
-    def write_cost_us(self, config):
+    def write_cost_us(self):
         return (
-            self.HOST_MEMORY_OPS * config.host_memory_op_cost_us
-            + config.memory_fence_cost_us
+            self.HOST_MEMORY_OPS * HOST_MEMORY_OP_COST_US
+            + MEMORY_FENCE_COST_US
         )
 
     def writable(self):
@@ -202,8 +209,8 @@ class OptimizedRingCQ(VanillaRingCQ):
     variant = "optimized-ring"
     HOST_MEMORY_OPS = 4
 
-    def write_cost_us(self, config):
-        return self.HOST_MEMORY_OPS * config.host_memory_op_cost_us
+    def write_cost_us(self):
+        return self.HOST_MEMORY_OPS * HOST_MEMORY_OP_COST_US
 
     def push(self, cqe):
         if not self.writable():
@@ -243,14 +250,14 @@ class OptimizedCasCQ(CompletionQueueBase):
 
     variant = "optimized-cas"
 
-    def __init__(self, capacity=1024):
+    def __init__(self, capacity=CQ_CAPACITY):
         super().__init__(capacity)
         self._slots = [None] * capacity
         self._occupied = []
         self._scan_pos = 0
 
-    def write_cost_us(self, config):
-        return config.cas_system_cost_us
+    def write_cost_us(self):
+        return CAS_SYSTEM_COST_US
 
     def writable(self):
         return len(self._occupied) < self.capacity
@@ -288,7 +295,7 @@ class OptimizedCasCQ(CompletionQueueBase):
         return cqe
 
 
-def make_completion_queue(variant, capacity=1024):
+def make_completion_queue(variant, capacity=CQ_CAPACITY):
     """Factory over the three CQ variants of Fig. 7(c)."""
     if variant == "vanilla":
         return VanillaRingCQ(capacity)

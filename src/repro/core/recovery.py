@@ -32,6 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.errors import InvalidStateError
+from repro.core.config import (
+    MAX_RECOVERIES_PER_COLLECTIVE,
+    RECOVERY_POLL_INTERVAL_US,
+)
 from repro.gpusim.engine import Actor, StepResult
 
 
@@ -101,7 +105,7 @@ class RecoveryManager(Actor):
 
         self._scan(self.now)
         return StepResult.sleep(
-            self.now + self.config.recovery_poll_interval_us,
+            self.now + RECOVERY_POLL_INTERVAL_US,
             "recovery manager scanning",
         )
 
@@ -191,7 +195,7 @@ class RecoveryManager(Actor):
             coll.communicator.invalidate()
             self._abandon(coll, now)
             return
-        if coll.generation >= self.config.max_recoveries_per_collective:
+        if coll.generation >= MAX_RECOVERIES_PER_COLLECTIVE:
             self._abandon(coll, now)
             return
         detection_latency = now - max(

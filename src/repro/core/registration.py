@@ -9,7 +9,6 @@ executors, callbacks and completion.
 
 from __future__ import annotations
 
-from repro.collectives.channels import Communicator
 from repro.collectives.plan import CollectivePlan, CollectiveRun
 from repro.collectives.primitives import PrimitiveExecutor
 from repro.collectives.sequences import generate_primitive_sequence
@@ -22,7 +21,7 @@ class RegisteredCollective:
     """A collective registered with DFCCL (one per ``collId``)."""
 
     def __init__(self, coll_id, spec, devices, global_ranks, interconnect, config,
-                 priority=0, name=None, communicator=None, job=None):
+                 communicator, priority=0, name=None, job=None):
         self.coll_id = coll_id
         self.spec = spec
         self.devices = list(devices)
@@ -35,9 +34,8 @@ class RegisteredCollective:
         #: Pool namespace (tenant) this collective's communicators belong to.
         self.job = job
         self.name = name or f"dfccl-coll{coll_id}-{spec.kind.value}"
-        self.communicator = communicator or Communicator(
-            self.devices, interconnect, channel_capacity=config.channel_capacity
-        )
+        #: The pooled communicator of the current membership.
+        self.communicator = communicator
         #: Elastic-recovery state: original group ranks excluded by failure,
         #: how many times the group was rebuilt, and whether recovery gave up
         #: (e.g. the root of a rooted collective died — its data is gone).
@@ -60,9 +58,8 @@ class RegisteredCollective:
         return CollectivePlan(
             self.spec, self.devices, self.interconnect,
             self.spec.algorithm or self.config.algorithm,
-            self.config.chunk_bytes, cost_model=self.config.cost_model,
-            excluded=self.excluded_ranks, generation=self.generation,
-            previous=previous,
+            self.config.chunk_bytes, excluded=self.excluded_ranks,
+            generation=self.generation, previous=previous,
         )
 
     @property
@@ -220,7 +217,6 @@ class RegisteredCollective:
             group_rank=virtual_rank,
             communicator=communicator if communicator is not None else self.communicator,
             primitives=sequence,
-            cost_model=self.config.cost_model,
         )
 
     def invocation(self, index):

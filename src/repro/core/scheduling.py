@@ -17,6 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.config import (
+    INITIAL_SPIN_THRESHOLD,
+    MIN_SPIN_THRESHOLD,
+    NAIVE_SPIN_THRESHOLD,
+    SPIN_POSITION_DECAY,
+    SPIN_SUCCESS_BOOST,
+)
+
 
 @dataclass
 class TaskEntry:
@@ -136,7 +144,7 @@ class NaiveSpinPolicy:
 
     name = "naive"
 
-    def __init__(self, threshold=10_000):
+    def __init__(self, threshold=NAIVE_SPIN_THRESHOLD):
         self.threshold = threshold
 
     def assign_initial(self, task_queue):
@@ -158,7 +166,9 @@ class AdaptiveSpinPolicy:
 
     name = "adaptive"
 
-    def __init__(self, initial=100_000, position_decay=0.5, minimum=2_000, boost=20.0):
+    def __init__(self, initial=INITIAL_SPIN_THRESHOLD,
+                 position_decay=SPIN_POSITION_DECAY, minimum=MIN_SPIN_THRESHOLD,
+                 boost=SPIN_SUCCESS_BOOST):
         self.initial = initial
         self.position_decay = position_decay
         self.minimum = minimum
@@ -185,13 +195,8 @@ def make_ordering_policy(config):
 
 def make_spin_policy(config):
     if config.spin_policy == "naive":
-        return NaiveSpinPolicy(config.naive_spin_threshold)
-    return AdaptiveSpinPolicy(
-        initial=config.initial_spin_threshold,
-        position_decay=config.spin_position_decay,
-        minimum=config.min_spin_threshold,
-        boost=config.spin_success_boost,
-    )
+        return NaiveSpinPolicy()
+    return AdaptiveSpinPolicy()
 
 
 @dataclass

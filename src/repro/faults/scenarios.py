@@ -20,7 +20,7 @@ parameterizations of :func:`run_chaos`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.api import make_backend, wait_all
 from repro.common.rng import DeterministicRNG
@@ -199,12 +199,11 @@ def run_dfccl_chaos(plan, topology="dual-3090-nvlink", world_size=16,
                     config=None, recovery=True, deadline_us=DEFAULT_DEADLINE_US,
                     seed=17):
     """Run the chaos workload through DFCCL (optionally without recovery)."""
-    base = config or DfcclConfig()
     return run_chaos(
         "dfccl", plan, topology, world_size, num_collectives, nbytes, iterations,
         deadline_us=deadline_us, seed=seed,
         label="dfccl" if recovery else "dfccl-no-recovery",
-        config=base.with_overrides(recovery_enabled=recovery),
+        config=replace(config or DfcclConfig(), recovery_enabled=recovery),
     )
 
 
@@ -222,8 +221,7 @@ def run_nccl_chaos(plan, topology="dual-3090-nvlink", world_size=16,
 def chaos_rank_crash_comparison(topology="dual-3090-nvlink", world_size=16,
                                 crash_rank=None, crash_at_us=120.0,
                                 nbytes=1 << 20, num_collectives=2, iterations=2,
-                                seed=17, config=None,
-                                deadline_us=DEFAULT_DEADLINE_US):
+                                seed=17, deadline_us=DEFAULT_DEADLINE_US):
     """Rank crash mid-all-reduce: the baseline wedges, DFCCL shrinks and finishes.
 
     Returns ``{"plan", "nccl", "dfccl"}`` where the NCCL result carries the
@@ -235,6 +233,6 @@ def chaos_rank_crash_comparison(topology="dual-3090-nvlink", world_size=16,
     nccl = run_nccl_chaos(plan, topology, world_size, num_collectives, nbytes,
                           iterations, deadline_us=deadline_us, seed=seed)
     dfccl = run_dfccl_chaos(plan, topology, world_size, num_collectives, nbytes,
-                            iterations, config=config, recovery=True,
+                            iterations, recovery=True,
                             deadline_us=deadline_us, seed=seed)
     return {"plan": plan.describe(), "nccl": nccl, "dfccl": dfccl}

@@ -72,7 +72,6 @@ class NcclCollectiveOp(CollectiveRun):
             group_rank=group_rank,
             communicator=self.communicator,
             primitives=sequence,
-            cost_model=plan.cost_model,
         )
         self.trace_executor(executor, group_rank, ("nccl", self.op_id))
         return executor

@@ -14,7 +14,6 @@ from repro.api import (
     register_backend,
     wait_all,
 )
-from repro.collectives.cost import CostModel
 from repro.common.errors import ConfigurationError, DeadlockError
 from repro.common.types import CollectiveKind, CollectiveSpec
 from repro.core import DfcclBackend, DfcclConfig
@@ -64,6 +63,14 @@ class TestRegistry:
             backend = make_backend(name, cluster, chunk_bytes=64 << 10,
                                    config=DfcclConfig())
             assert backend.name == name
+
+    @pytest.mark.parametrize("name", ["dfccl", "nccl", "mpi"])
+    def test_misspelled_knob_rejected(self, name):
+        # No factory swallows unknown keywords: a typo must not silently
+        # run the default configuration.
+        cluster = build_cluster("single-3090")
+        with pytest.raises(TypeError):
+            make_backend(name, cluster, algoritm="tree")
 
 
 class TestProcessGroup:
@@ -151,14 +158,12 @@ class TestProcessGroup:
 
     def test_nccl_job_view_keeps_knobs_and_tags_kernels(self):
         cluster = build_cluster("single-3090")
-        cost_model = CostModel()
-        backend = make_backend("nccl", cluster, cost_model=cost_model,
-                               chunk_bytes=CHUNK, algorithm="tree")
+        backend = make_backend("nccl", cluster, chunk_bytes=CHUNK,
+                               algorithm="tree")
         group = backend.job_view("job-a").new_group([0, 1])
         works = [group.all_reduce(rank, count=1 << 16) for rank in group.ranks]
         plan = works[0].op.plan
         assert (plan.chunk_bytes, plan.algorithm) == (CHUNK, "tree")
-        assert plan.cost_model is cost_model
         cluster.add_hosts([HostProgram(work.ops()) for work in works])
         cluster.run()
         for work in works:
@@ -376,6 +381,30 @@ class TestRemovedShims:
             assert not hasattr(gpusim, name), name
         assert not hasattr(host, "AllocPinnedMemory")
         assert not hasattr(AlgorithmSelector, "select")
+
+    def test_single_cost_model_and_channel_depth(self):
+        """Every backend prices primitives with ``DEFAULT_COST_MODEL`` and
+        builds channels ``Channel.DEFAULT_CAPACITY`` deep: neither is a
+        parameter any more, and the MPI model comes from ``alpha_us`` /
+        ``beta_gbps`` only."""
+        import inspect
+
+        from repro.collectives import AlgorithmSelector, CollectivePlan
+        from repro.collectives.channels import Communicator
+        from repro.collectives.cost import CostModel
+        from repro.collectives.primitives import PrimitiveExecutor
+        from repro.core import CommunicatorPool
+
+        cluster = build_cluster("single-3090")
+        with pytest.raises(TypeError):
+            make_backend("nccl", cluster, cost_model=CostModel())
+        with pytest.raises(TypeError):
+            make_backend("mpi", cluster, model=None)
+        for owner in (AlgorithmSelector, CollectivePlan, PrimitiveExecutor):
+            assert "cost_model" not in inspect.signature(owner).parameters
+        for owner in (Communicator, CommunicatorPool):
+            assert "channel_capacity" not in inspect.signature(owner).parameters
+        assert not hasattr(CostModel(), "sq_check_cost_us")
 
 
 class TestNoInternalStringDispatch:

@@ -1,14 +1,16 @@
 """Tests for DFCCL's SQ/CQ variants, context management and configuration."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import QueueEmptyError, QueueFullError
 from repro.core import DfcclConfig
+from repro.core.config import ACTIVE_CONTEXT_SLOTS, CONTEXT_BYTES_PER_COLLECTIVE
 from repro.core.context import (
     ActiveContextCache,
     CollectiveContextBuffer,
-    StaticContext,
     memory_overhead_report,
 )
 from repro.core.queues import (
@@ -21,7 +23,22 @@ from repro.core.queues import (
     make_completion_queue,
 )
 
-CONFIG = DfcclConfig()
+#: The fields DfcclConfig had before the fixed values became module
+#: constants in ``repro.core.config``.
+REMOVED_CONFIG_FIELDS = (
+    "channel_capacity", "cost_model", "sq_capacity", "cq_capacity",
+    "initial_spin_threshold", "spin_position_decay", "min_spin_threshold",
+    "spin_success_boost", "naive_spin_threshold", "spin_batch",
+    "primitives_per_step", "quit_period_us", "idle_poll_interval_us",
+    "poller_interval_us", "relaunch_delay_us", "callback_cost_us",
+    "recovery_poll_interval_us", "max_recoveries_per_collective",
+    "active_context_slots", "context_bytes_per_collective",
+    "task_queue_entry_bytes", "active_slot_bytes",
+    "counter_bytes_per_collective", "fixed_global_bytes", "sqe_read_cost_us",
+    "sqe_parse_cost_us", "context_load_cost_us", "context_save_cost_us",
+    "host_memory_op_cost_us", "memory_fence_cost_us", "cas_system_cost_us",
+    "sq_poll_cost_us",
+)
 
 
 class TestDfcclConfig:
@@ -29,18 +46,24 @@ class TestDfcclConfig:
         assert DfcclConfig().validate()
 
     @pytest.mark.parametrize("field,value", [
-        ("cq_variant", "bogus"), ("ordering", "bogus"), ("spin_policy", "bogus"),
-        ("initial_spin_threshold", 0), ("spin_position_decay", 0.0),
-        ("spin_success_boost", 0.5),
+        ("algorithm", "bogus"), ("cq_variant", "bogus"), ("ordering", "bogus"),
+        ("spin_policy", "bogus"), ("crash_detect_timeout_us", 0.0),
     ])
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ValueError):
             DfcclConfig(**{field: value}).validate()
 
-    def test_with_overrides(self):
-        config = DfcclConfig().with_overrides(chunk_bytes=1024)
-        assert config.chunk_bytes == 1024
-        assert DfcclConfig().chunk_bytes != 1024
+    def test_only_varied_values_are_settable(self):
+        assert [field.name for field in dataclasses.fields(DfcclConfig)] == [
+            "chunk_bytes", "algorithm", "cq_variant", "ordering",
+            "spin_policy", "recovery_enabled", "crash_detect_timeout_us",
+        ]
+        assert not hasattr(DfcclConfig, "with_overrides")
+
+    @pytest.mark.parametrize("field", REMOVED_CONFIG_FIELDS)
+    def test_removed_field_rejected(self, field):
+        with pytest.raises(TypeError):
+            DfcclConfig(**{field: None})
 
 
 class TestSubmissionQueue:
@@ -133,9 +156,9 @@ class TestCompletionQueues:
             cq.pop()
 
     def test_write_costs_ordered_as_in_fig7c(self):
-        vanilla = VanillaRingCQ().write_cost_us(CONFIG)
-        optimized_ring = OptimizedRingCQ().write_cost_us(CONFIG)
-        cas = OptimizedCasCQ().write_cost_us(CONFIG)
+        vanilla = VanillaRingCQ().write_cost_us()
+        optimized_ring = OptimizedRingCQ().write_cost_us()
+        cas = OptimizedCasCQ().write_cost_us()
         assert vanilla > optimized_ring > cas
         assert cas == pytest.approx(2.0, abs=0.5)
         assert vanilla == pytest.approx(6.9, abs=0.5)
@@ -214,21 +237,18 @@ class _LinearScanCasCQ:
 
 
 class TestContextManagement:
-    def _static(self, coll_id):
-        return StaticContext(coll_id, "all_reduce", 8, 0, 4096, 14)
-
     def test_context_buffer_register_unregister(self):
-        buffer = CollectiveContextBuffer(CONFIG)
-        buffer.register(0, self._static(0))
+        buffer = CollectiveContextBuffer()
+        buffer.register(0)
         assert 0 in buffer and len(buffer) == 1
-        assert buffer.allocated_bytes == CONFIG.context_bytes_per_collective
+        assert buffer.allocated_bytes == CONTEXT_BYTES_PER_COLLECTIVE
         buffer.unregister(0)
         assert 0 not in buffer and buffer.allocated_bytes == 0
 
     def test_cache_hit_is_free(self):
-        buffer = CollectiveContextBuffer(CONFIG)
-        buffer.register(0, self._static(0))
-        cache = ActiveContextCache(CONFIG, buffer)
+        buffer = CollectiveContextBuffer()
+        buffer.register(0)
+        cache = ActiveContextCache(buffer)
         first = cache.load(0)
         second = cache.load(0)
         assert first > 0.0
@@ -236,21 +256,21 @@ class TestContextManagement:
         assert cache.stats.cache_hits == 1
 
     def test_direct_mapped_eviction_saves_dirty_context(self):
-        buffer = CollectiveContextBuffer(CONFIG)
-        slots = CONFIG.active_context_slots
+        buffer = CollectiveContextBuffer()
+        slots = ACTIVE_CONTEXT_SLOTS
         conflicting = slots  # maps to the same slot as coll 0
-        buffer.register(0, self._static(0))
-        buffer.register(conflicting, self._static(conflicting))
-        cache = ActiveContextCache(CONFIG, buffer)
+        buffer.register(0)
+        buffer.register(conflicting)
+        cache = ActiveContextCache(buffer)
         cache.load(0)
         cache.mark_progress(0)
         cache.load(conflicting)
         assert cache.stats.saves == 1
 
     def test_lazy_save_skips_unprogressed(self):
-        buffer = CollectiveContextBuffer(CONFIG)
-        buffer.register(0, self._static(0))
-        cache = ActiveContextCache(CONFIG, buffer)
+        buffer = CollectiveContextBuffer()
+        buffer.register(0)
+        cache = ActiveContextCache(buffer)
         cache.load(0)
         assert cache.save_on_preempt(0, progressed=False) == 0.0
         assert cache.stats.lazy_save_skips == 1
@@ -258,12 +278,12 @@ class TestContextManagement:
 
     def test_memory_overheads_match_sec62(self):
         """Sec. 6.2: ~13KB shared + ~4MB global per block for 1,000 collectives."""
-        report = memory_overhead_report(CONFIG, num_collectives=1000)
+        report = memory_overhead_report(num_collectives=1000)
         assert report["shared_bytes_per_block"] == pytest.approx(13 << 10, rel=0.05)
         assert report["global_bytes_per_block"] == pytest.approx(4 << 20, rel=0.05)
         assert report["global_bytes_shared"] == pytest.approx(11 << 10, rel=0.05)
 
     def test_memory_overhead_scales_with_collectives(self):
-        report_small = memory_overhead_report(CONFIG, num_collectives=10)
-        report_large = memory_overhead_report(CONFIG, num_collectives=1000)
+        report_small = memory_overhead_report(num_collectives=10)
+        report_large = memory_overhead_report(num_collectives=1000)
         assert report_large["shared_bytes_per_block"] > report_small["shared_bytes_per_block"]

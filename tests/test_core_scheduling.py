@@ -108,6 +108,16 @@ class TestSpinPolicies:
         assert isinstance(make_spin_policy(DfcclConfig(spin_policy="naive")),
                           NaiveSpinPolicy)
 
+    def test_factory_builds_the_fixed_thresholds(self):
+        # The policies' constructor defaults are the config module's
+        # constants, and the factory builds exactly those.
+        adaptive = make_spin_policy(DfcclConfig())
+        assert (adaptive.initial, adaptive.position_decay, adaptive.minimum,
+                adaptive.boost) == (20_000, 0.5, 2_000, 20.0)
+        assert vars(AdaptiveSpinPolicy()) == vars(adaptive)
+        naive = make_spin_policy(DfcclConfig(spin_policy="naive"))
+        assert naive.threshold == NaiveSpinPolicy().threshold == 10_000
+
     def test_entry_spin_quantum_resets(self):
         entry = make_entry(0)
         entry.spin_quantum = 8_000

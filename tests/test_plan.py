@@ -13,7 +13,11 @@ import math
 import pytest
 
 from repro.api import make_backend
-from repro.collectives import generate_primitive_sequence, hierarchical_island_size
+from repro.collectives import (
+    AlgorithmSelector,
+    generate_primitive_sequence,
+    hierarchical_island_size,
+)
 from repro.collectives.plan import CollectivePlan
 from repro.common.errors import ConfigurationError
 from repro.common.types import CollectiveKind, CollectiveSpec
@@ -112,6 +116,31 @@ def test_inapplicable_hierarchical_plan_is_priced_as_the_ring():
     assert hierarchical.predicted_breakdown == ring.predicted_breakdown
     assert hierarchical.predicted_cost_us == ring.predicted_cost_us
     assert math.isfinite(ring.predicted_cost_us)
+
+
+def test_plan_prices_and_picks_at_its_own_chunk_size():
+    """Fuzz program 296 broadcasts 64 KiB in 16 KiB chunks under ``auto``.
+
+    The tree broadcast/reduce formulas price one loop per chunk, so the plan
+    must hand its chunk size to the selector: at the selector's 128 KiB
+    default the tree looks like one loop and wins; at 16 KiB the ring does.
+    """
+    program = program_at(0, 296)
+    call = next(call for call in program.calls if call.kind == "broadcast")
+    spec = CollectiveSpec(CollectiveKind(call.kind), call.count, root=call.root)
+    cluster = build_cluster(program.topology)
+    devices = [cluster.device(rank) for rank in program.groups[0].ranks]
+    device_ids = [device.device_id for device in devices]
+    plan = CollectivePlan(spec, devices, cluster.interconnect,
+                          program.algorithm, program.chunk_bytes)
+    selector = AlgorithmSelector(cluster.interconnect,
+                                 chunk_bytes=plan.chunk_bytes)
+    algorithm = selector.resolve(program.algorithm, spec.kind, spec.nbytes,
+                                 len(devices), device_ids)
+    assert plan.chunk_bytes == 16 << 10
+    assert plan.algorithm == algorithm == "ring"
+    assert plan.predicted_cost_us == sum(selector.predicted_cost_breakdown(
+        algorithm, spec.kind, spec.nbytes, len(devices), device_ids).values())
 
 
 @pytest.mark.parametrize("backend", ["dfccl", "nccl"])

@@ -110,6 +110,25 @@ class TestBenchDrivers:
         assert variants["vanilla"] > variants["optimized-ring"] > variants["optimized-cas"]
         assert report["memory_overheads"]["shared_bytes_per_block"] > 0
 
+    def test_workload_independent_overheads_are_pinned(self):
+        """Fig. 7(b,c) and Sec. 6.2 come from the fixed constants of
+        ``repro.core.config``; these are their values, to the last bit."""
+        from repro.bench import workload_independent_overheads
+        report = workload_independent_overheads()
+        assert report["time_overheads"] == [
+            {"cq_variant": "vanilla", "sqe_read_us": 5.3, "preparing_us": 1.45,
+             "cqe_write_us": 7.099999999999999},
+            {"cq_variant": "optimized-ring", "sqe_read_us": 5.3,
+             "preparing_us": 1.45, "cqe_write_us": 4.8},
+            {"cq_variant": "optimized-cas", "sqe_read_us": 5.3,
+             "preparing_us": 1.45, "cqe_write_us": 2.0},
+        ]
+        assert report["memory_overheads"] == {
+            "shared_bytes_per_block": 13024, "global_bytes_per_block": 4096000,
+            "global_bytes_shared": 11072, "num_blocks": 1,
+            "num_collectives": 1000,
+        }
+
     def test_sec61_programs(self):
         from repro.bench import sec61_random_order_program, sec61_sync_program
         nccl = sec61_random_order_program("nccl", num_gpus=4, num_collectives=4)
