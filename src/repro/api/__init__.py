@@ -6,11 +6,14 @@ collective engine in the repo:
 * :func:`make_backend` / :data:`BACKENDS` — the backend registry
   (``"dfccl"``, ``"nccl"``, ``"mpi"`` built in; :func:`register_backend`
   adds more);
-* :class:`CollectiveBackend` — the protocol adapters implement;
+* :class:`CollectiveBackend` — the protocol adapters implement; each
+  adapter is its engine's one instance per cluster (the DFCCL adapter owns
+  the rank contexts, pool, recovery manager and registered collectives);
 * :class:`ProcessGroup` — torch.distributed-style groups created via
   ``backend.new_group(ranks, job=..., priority=...)``, exposing
   ``all_reduce`` / ``all_gather`` / ``reduce_scatter`` / ``broadcast`` /
-  ``reduce`` / ``barrier`` with auto-assigned collective ids;
+  ``reduce`` / ``barrier`` with auto-assigned collective ids; a group's
+  ``job`` is the only job name a backend reads, so jobs share one backend;
 * :class:`Work` / :func:`wait_all` — per-rank futures producing the host
   ops that submit and await each invocation.
 

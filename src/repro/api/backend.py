@@ -76,9 +76,11 @@ class CollectiveBackend:
     def new_group(self, ranks=None, job=None, priority=0, name=None):
         """Create a :class:`ProcessGroup` over ``ranks`` (default: all GPUs).
 
-        ``job`` namespaces the group's backend-side resources for
-        multi-tenant isolation; ``priority`` is the default collective
-        priority of the group's calls.
+        ``job`` names the job the group belongs to, the only job name a
+        backend reads: it keeps the job's resources apart from other jobs'
+        (DFCCL collective ids and pooled communicators; NCCL kernel tags and
+        launch stream).  ``priority`` is the default collective priority of
+        the group's calls.
         """
         if ranks is None:
             ranks = list(range(self.cluster.world_size))
@@ -102,22 +104,12 @@ class CollectiveBackend:
         """Host ops a rank program appends after its last collective."""
         return []
 
-    def unregister_all(self):
-        """Unregister every collective this backend (view) registered."""
+    def unregister_all(self, job=None):
+        """Unregister every collective of ``job``'s groups; returns the count."""
         return 0
 
-    def job_view(self, job):
-        """A backend view whose groups default to the ``job`` namespace.
-
-        Views share the underlying engine (one daemon kernel per GPU serves
-        every tenant under DFCCL; the cluster and the adapter's knobs under
-        NCCL) while keeping per-job resources — ids, communicators, plans,
-        streams — apart.
-        """
-        return self
-
     def release_job(self, job):
-        """Drop backend-side resources of a departed tenant (no-op)."""
+        """Drop backend-side resources of a departed job (no-op)."""
 
     # -- training integration ------------------------------------------------------
 

@@ -1,16 +1,19 @@
 """DFCCL behind the unified ``repro.api`` front-end.
 
-The adapter owns (or shares) a :class:`~repro.core.DfcclBackend` and
-registers one DFCCL collective per logical ``(spec, key)`` of each process
-group with auto-assigned collective ids.  Each call becomes a
-:class:`DfcclWork` bound to one rank's part of the collective's next
-invocation; its submit op is the ``dfcclRun*`` call (an SQE push through
+The adapter is the DFCCL library instance of one cluster (Listing 1's
+``dfcclInit`` / ``Register`` / ``Run`` / ``Destroy``): it owns the per-GPU
+:class:`~repro.core.RankContext` objects, the communicator pool, the
+recovery manager and the one map of registered collectives.  It registers
+one DFCCL collective per logical ``(spec, key)`` of each process group with
+auto-assigned collective ids.  Each call becomes a :class:`DfcclWork` bound
+to one rank's part of the collective's next invocation; its submit op is the
+``dfcclRun*`` call (an SQE push through
 :meth:`~repro.core.api.RankContext.submit_invocation`) and its wait op
 blocks until the rank's callback fired or recovery aborted the part.
 
-``job_view`` returns a view sharing the same DfcclBackend — one daemon
-kernel per GPU serves every tenant — whose registrations are namespaced by
-the job id, both in the collective-id space and in the communicator pool.
+One daemon kernel per GPU serves every job.  A group's ``job`` namespaces
+its collectives, both in the collective-id space and in the communicator
+pool.
 """
 
 from __future__ import annotations
@@ -18,8 +21,14 @@ from __future__ import annotations
 import statistics
 from dataclasses import replace
 
-from repro.common.errors import ConfigurationError, InvalidStateError
-from repro.core import DfcclBackend, DfcclConfig
+from repro.common.errors import InvalidStateError
+from repro.core import (
+    CommunicatorPool,
+    DfcclConfig,
+    RankContext,
+    RecoveryManager,
+    RegisteredCollective,
+)
 from repro.gpusim.host import CallHook, WaitForSignal
 from repro.obs import record_link_metrics
 from repro.api.backend import CollectiveBackend, register_backend
@@ -110,91 +119,86 @@ class DfcclWork(Work):
 
 
 class DfcclCollectiveBackend(CollectiveBackend):
-    """DFCCL as a :class:`CollectiveBackend`."""
+    """DFCCL as a :class:`CollectiveBackend`: one library instance per cluster."""
 
     name = "dfccl"
 
-    def __init__(self, cluster, config=None, dfccl=None, job=None,
-                 chunk_bytes=None, algorithm=None):
+    def __init__(self, cluster, config=None, chunk_bytes=None, algorithm=None):
         super().__init__(cluster)
-        if dfccl is None:
-            overrides = {}
-            if chunk_bytes is not None:
-                overrides["chunk_bytes"] = chunk_bytes
-            if algorithm is not None:
-                overrides["algorithm"] = algorithm
-            dfccl = DfcclBackend(
-                cluster, replace(config or DfcclConfig(), **overrides))
-            #: Whether finalize should destroy the rank contexts: only when
-            #: this adapter created them — a shared backend outlives any one
-            #: view (multi-tenant job views never destroy).
-            self.owns_backend = True
-        else:
-            self.owns_backend = False
-        self.dfccl = dfccl
-        self.job = job
-        self._collectives = {}
+        overrides = {}
+        if chunk_bytes is not None:
+            overrides["chunk_bytes"] = chunk_bytes
+        if algorithm is not None:
+            overrides["algorithm"] = algorithm
+        self.config = replace(config or DfcclConfig(), **overrides).validate()
+        self.pool = CommunicatorPool(cluster.interconnect)
+        #: Rank contexts by global rank, created on first use (``dfcclInit``).
+        self.contexts = {}
+        #: Registered collectives by ``(group, spec, key)``.
+        self.collectives = {}
+        self._next_coll_id = 0
+        self.recovery_manager = None
+        if self.config.recovery_enabled:
+            self.recovery_manager = RecoveryManager(self)
+            cluster.engine.add_actor(self.recovery_manager)
         obs = cluster.engine.obs
-        if self.owns_backend and obs.enabled:
+        if obs.enabled:
             registry = obs.metrics
-            registry.gauge_fn("pool_hits",
-                              lambda: self.dfccl.pool.stats()["hits"])
-            registry.gauge_fn("pool_misses",
-                              lambda: self.dfccl.pool.stats()["misses"])
-            registry.gauge_fn("pool_created",
-                              lambda: self.dfccl.pool.stats()["created"])
-            registry.gauge_fn("pool_reused",
-                              lambda: self.dfccl.pool.stats()["reused"])
-            registry.gauge_fn("pool_active",
-                              lambda: self.dfccl.pool.stats()["active"])
-            registry.gauge_fn("pool_discarded",
-                              lambda: self.dfccl.pool.stats()["discarded"])
-            registry.gauge_fn("pool_free",
-                              lambda: self.dfccl.pool.stats()["free"])
-            registry.gauge_fn("pool_double_releases",
-                              lambda: self.dfccl.pool.stats()["double_releases"])
-            registry.gauge_fn("daemon_launches",
-                              lambda: self._daemon_total("launches"))
-            registry.gauge_fn("daemon_preemptions",
-                              lambda: self._daemon_total("preemptions"))
-            registry.gauge_fn("daemon_voluntary_quits",
-                              lambda: self._daemon_total("voluntary_quits"))
-            registry.gauge_fn("daemon_spin_polls",
-                              lambda: self._daemon_total("spin_polls"))
-            registry.gauge_fn("daemon_primitives_executed",
-                              lambda: self._daemon_total("primitives_executed"))
+            for field in ("hits", "misses", "created", "reused", "active",
+                          "discarded", "free", "double_releases"):
+                registry.gauge_fn(f"pool_{field}",
+                                  lambda field=field: self.pool.stats()[field])
+            for field in ("launches", "preemptions", "voluntary_quits",
+                          "spin_polls", "primitives_executed"):
+                registry.gauge_fn(f"daemon_{field}",
+                                  lambda field=field: self._daemon_total(field))
 
     def _daemon_total(self, field):
-        return sum(getattr(stats, field)
-                   for stats in self.dfccl.all_stats().values())
+        return sum(getattr(ctx.stats, field) for ctx in self.contexts.values())
 
-    # -- registration ----------------------------------------------------------
+    # -- rank contexts and registration ---------------------------------------
 
-    def _effective_job(self, group):
-        return group.job if group.job is not None else self.job
+    def init_rank(self, global_rank):
+        """Create (or return) the rank context for one GPU — ``dfcclInit``."""
+        ctx = self.contexts.get(global_rank)
+        if ctx is None:
+            ctx = self.contexts[global_rank] = RankContext(self, global_rank)
+            if self.recovery_manager is not None:
+                self.cluster.engine.signal(
+                    self.recovery_manager.rank_registered_key)
+        return ctx
 
     def ensure_collective(self, group, spec, key):
-        """Register the logical collective with DFCCL once, caching the result."""
+        """Register the logical collective once — ``dfcclRegister*``.
+
+        Collective ids come from one backend-wide counter: ``n``, or
+        ``(job, n)`` for a group with a ``job``, whose communicators are
+        also pooled under that job.
+        """
         ident = (group, spec, key)
-        coll = self._collectives.get(ident)
+        coll = self.collectives.get(ident)
         if coll is None:
-            job = self._effective_job(group)
-            coll_id = self.dfccl.allocate_coll_id(job=job)
+            job = group.job
+            n = self._next_coll_id
+            self._next_coll_id += 1
+            devices = [self.cluster.device(rank) for rank in group.ranks]
             suffix = "" if key is None else f":{key}"
             # ProcessGroup already resolved the effective priority (explicit
             # per-call value or the group default) into the spec.
-            coll = self.dfccl.register_collective(
-                coll_id, spec, ranks=group.ranks, priority=spec.priority,
-                name=f"{group.name}:{spec.kind.value}{suffix}",
-                job=job,
+            coll = self.collectives[ident] = RegisteredCollective(
+                n if job is None else (job, n), spec, devices, group.ranks,
+                self.cluster.interconnect, self.config,
+                self.pool.acquire(devices, job=job), priority=spec.priority,
+                name=f"{group.name}:{spec.kind.value}{suffix}", job=job,
             )
-            self._collectives[ident] = coll
+            for rank in group.ranks:
+                self.init_rank(rank).register(coll)
         return coll
 
     def create_work(self, group, spec, key, index, rank, callback=None, stream=None):
         """Bind ``rank``'s part of the collective's next invocation to a Work."""
         coll = self.ensure_collective(group, spec, key)
-        rank_ctx = self.dfccl.context(rank)
+        rank_ctx = self.init_rank(rank)
         group_rank = rank_ctx.group_rank_for(coll)
         return DfcclWork(group, rank, key, index, rank_ctx,
                          coll.next_invocation_for_rank(group_rank), group_rank,
@@ -204,14 +208,14 @@ class DfcclCollectiveBackend(CollectiveBackend):
 
     def finalize_ops(self, rank):
         """Teardown ops for ``rank``'s host program (``dfcclDestroy``)."""
-        if not self.owns_backend:
-            # Shared rank contexts serve other views; the daemon kernels
-            # quit voluntarily once every tenant drained.
-            return []
-        return [self.dfccl.destroy_op(rank)]
+        return [self.init_rank(rank).destroy_op()]
 
-    def quiesce(self, time_us):
-        """Abort this view's unresolved invocation parts (job preemption).
+    def _job_collectives(self, job):
+        return [(ident, coll) for ident, coll in self.collectives.items()
+                if coll.job == job]
+
+    def quiesce(self, job, time_us):
+        """Abort ``job``'s unresolved invocation parts (job preemption).
 
         The scheduler preempts a placed job by killing its rank processes
         mid-run; their submitted collective parts would otherwise sit in the
@@ -226,7 +230,7 @@ class DfcclCollectiveBackend(CollectiveBackend):
         the number of rank parts aborted.
         """
         aborted = 0
-        for coll in list(self._collectives.values()):
+        for _, coll in self._job_collectives(job):
             if coll.abandoned:
                 continue
             dirty = False
@@ -239,57 +243,63 @@ class DfcclCollectiveBackend(CollectiveBackend):
                 for rank in sorted(invocation.expected_ranks()):
                     if coll.devices[rank].failed:
                         continue
-                    ctx = self.dfccl.contexts.get(coll.global_ranks[rank])
-                    if ctx is not None and ctx.abort_invocation(invocation,
-                                                                time_us):
+                    ctx = self.contexts[coll.global_ranks[rank]]
+                    if ctx.abort_invocation(invocation, time_us):
                         aborted += 1
             if dirty and not coll.communicator.invalidated:
                 coll.communicator.invalidate()
         return aborted
 
-    def unregister_all(self):
-        """Unregister this view's collectives, recycling their communicators.
+    def unregister_all(self, job=None):
+        """Unregister ``job``'s collectives — ``dfcclUnregister``.
 
-        Collectives with an invocation still in flight (e.g. abandoned by
-        recovery) are left registered; returns the number unregistered.
+        Each communicator goes back to the pool, so a later registration
+        over the same device set reuses its channels (unless it was
+        failure-invalidated, in which case the pool discards it).  A
+        collective with an invocation part still in flight on a live rank
+        stays registered; returns the number unregistered.
         """
         released = 0
-        for ident, coll in list(self._collectives.items()):
+        for ident, coll in self._job_collectives(job):
+            contexts = [self.contexts[rank] for rank in coll.global_ranks]
             try:
-                self.dfccl.unregister_collective(coll.coll_id)
-            except (ConfigurationError, InvalidStateError):
+                # Every rank is checked before any is changed, so a refused
+                # collective stays registered everywhere.
+                for ctx in contexts:
+                    ctx.ensure_unregisterable(coll)
+            except InvalidStateError:
                 continue
-            # Drop the cached registration too, so a later call on the same
-            # group re-registers instead of submitting to a dead id.
-            del self._collectives[ident]
+            # A later call on the same group re-registers instead of
+            # submitting to a dead id.
+            del self.collectives[ident]
+            for ctx in contexts:
+                ctx.unregister(coll)
+            self.pool.release(coll.communicator)
             released += 1
         return released
 
-    def job_view(self, job):
-        """A tenant-namespaced view sharing this adapter's daemon kernels."""
-        return DfcclCollectiveBackend(self.cluster, dfccl=self.dfccl, job=job)
-
     def release_job(self, job):
-        """Evict a departed tenant's communicator-pool namespace."""
-        self.dfccl.pool.evict_job(job)
+        """Evict a departed job's communicator-pool namespace."""
+        self.pool.evict_job(job)
 
     # -- reporting -----------------------------------------------------------------
 
     def stats(self, rank):
         """Per-rank daemon-kernel counters (``dfcclGetStats``)."""
-        return self.dfccl.stats(rank)
+        return self.init_rank(rank).stats
 
     def diagnostics(self):
         """Pool, daemon and recovery statistics for conformance reports."""
-        daemon_stats = self.dfccl.all_stats()
+        daemon_stats = {rank: ctx.stats
+                        for rank, ctx in sorted(self.contexts.items())}
         diag = {
-            "pool": self.dfccl.pool.stats(),
+            "pool": self.pool.stats(),
             "daemon_stats": daemon_stats,
             "preemptions": sum(stats.preemptions for stats in daemon_stats.values()),
             "voluntary_quits": sum(stats.voluntary_quits
                                    for stats in daemon_stats.values()),
         }
-        manager = self.dfccl.recovery_manager
+        manager = self.recovery_manager
         if manager is not None:
             stats = manager.stats
             diag["recovery"] = {
@@ -314,7 +324,7 @@ class DfcclCollectiveBackend(CollectiveBackend):
         if obs.enabled:
             record_link_metrics(
                 obs.metrics,
-                [coll.communicator for coll in self.dfccl._collectives.values()])
+                [coll.communicator for coll in self.collectives.values()])
             diag["metrics"] = obs.metrics.snapshot()
         return diag
 
@@ -322,7 +332,7 @@ class DfcclCollectiveBackend(CollectiveBackend):
         """Latency/occupancy summary of a finished benchmark run."""
         first = group.ranks[0]
         works = works_by_rank[first]
-        stats = self.dfccl.stats(first)
+        stats = self.stats(first)
         completed = max(1, stats.cqes_written)
         return {
             "algorithm": works[0].invocation.coll.algorithm,

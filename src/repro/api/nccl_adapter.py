@@ -8,8 +8,8 @@ The adapter owns both caches.  A rank's :class:`NcclWork` is the only code
 that drives the op: its submit op builds and launches the rank's dedicated
 kernel and its wait op blocks on the rank's completion.
 
-``tenant`` tags the view's kernels with their owning job (multi-tenant SM
-accounting) and gives it its own launch stream.  ``orchestrator`` names the
+A group's ``job`` tags its kernels with their owning job (multi-tenant SM
+accounting) and gives the job its own launch stream.  ``orchestrator`` names the
 CPU-coordination baseline a *training* loop over this backend should charge
 (resolved lazily by :meth:`orchestrator_for`, defaulting to the paper's
 Megatron-style manual orchestration); raw ProcessGroup programs — deadlock
@@ -35,9 +35,8 @@ from repro.api.work import CompletionInfo, Work
 class NcclWork(Work):
     """Work future over one rank's part of one dedicated-kernel op."""
 
-    def __init__(self, group, rank, key, index, backend, op, group_rank, stream):
+    def __init__(self, group, rank, key, index, op, group_rank, stream):
         super().__init__(group, rank, key, index)
-        self.backend = backend
         self.op = op
         self.group_rank = group_rank
         self.stream = stream
@@ -58,7 +57,7 @@ class NcclWork(Work):
         )
         # The owning job, for the multi-tenant SM-contention accounting in
         # repro.gpusim.
-        kernel.tenant = self.backend.tenant
+        kernel.tenant = self.group.job
         op.register_kernel(group_rank, kernel)
         return kernel
 
@@ -106,7 +105,7 @@ class NcclCollectiveBackend(CollectiveBackend):
 
     name = "nccl"
 
-    def __init__(self, cluster, chunk_bytes=None, algorithm="ring", tenant=None,
+    def __init__(self, cluster, chunk_bytes=None, algorithm="ring",
                  orchestrator="megatron", config=None):
         # ``config`` (a DfcclConfig) is accepted for knob-uniformity with the
         # dfccl factory and ignored: the baseline has no daemon to configure.
@@ -114,8 +113,6 @@ class NcclCollectiveBackend(CollectiveBackend):
         super().__init__(cluster)
         self.chunk_bytes = chunk_bytes or (128 << 10)
         self.algorithm = algorithm
-        self.tenant = tenant
-        self.default_stream = "comm" if tenant is None else f"comm-{tenant}"
         self._orchestrator = orchestrator
         #: One plan per (member ranks, spec): the per-call ops of one logical
         #: collective share its membership, algorithm and cost prediction.
@@ -144,12 +141,13 @@ class NcclCollectiveBackend(CollectiveBackend):
             op = self._ops[ident] = NcclCollectiveOp(
                 self._plan_for(group.ranks, spec), group.ranks,
                 name=f"{group.name}:{spec.kind.value}{suffix}#{index}",
-                job=group.job if group.job is not None else self.tenant,
+                job=group.job,
                 index=index,
             )
         group_rank = op.plan.rank_of_device[self.cluster.device(rank)]
-        work = NcclWork(group, rank, key, index, self, op, group_rank,
-                        stream if stream is not None else self.default_stream)
+        if stream is None:
+            stream = "comm" if group.job is None else f"comm-{group.job}"
+        work = NcclWork(group, rank, key, index, op, group_rank, stream)
         if callback is not None:
             op.add_completion_callback(group_rank,
                                        lambda work=work: callback(work))
@@ -160,13 +158,6 @@ class NcclCollectiveBackend(CollectiveBackend):
     def orchestrator_for(self, world_size):
         """The CPU-coordination model training loops charge per step."""
         return resolve_orchestrator(self._orchestrator, world_size)
-
-    def job_view(self, job):
-        """A tenant-tagged view with this adapter's knobs."""
-        return NcclCollectiveBackend(
-            self.cluster, chunk_bytes=self.chunk_bytes, algorithm=self.algorithm,
-            tenant=job, orchestrator=self._orchestrator,
-        )
 
     # -- reporting -----------------------------------------------------------------
 

@@ -2,10 +2,10 @@
 
 The package mirrors the architecture of Fig. 4:
 
-* CPU side: the rank context (init / register / destroy through
-  :class:`DfcclBackend`, submit through ``repro.api``'s ``DfcclWork``), the
-  submission queue (SQ), the completion queue (CQ, in three implementation
-  variants), the callback map, and the poller thread.
+* CPU side: the per-GPU :class:`RankContext` (created, registered on and
+  destroyed by ``repro.api``'s DFCCL adapter, submitted to through its
+  ``DfcclWork``), the submission queue (SQ), the completion queue (CQ, in
+  three implementation variants), the callback map, and the poller thread.
 * GPU side: the daemon kernel, which fetches SQEs, keeps collectives in its
   task queue, executes their primitives in a two-phase-blocking manner with
   spin thresholds, preempts stuck collectives via context switch, writes CQEs,
@@ -16,10 +16,10 @@ scheme: an ordering policy (FIFO or priority based) plus a spin-threshold
 policy (naive fixed or adaptive gang-scheduling).
 """
 
-from repro.core.api import DfcclBackend, RankContext
+from repro.core.api import RankContext
 from repro.core.communicator_pool import CommunicatorPool
 from repro.core.config import DfcclConfig
-from repro.core.context import CollectiveContextBuffer, ActiveContextCache
+from repro.core.context import ActiveContextCache
 from repro.core.daemon import DaemonKernel
 from repro.core.recovery import RecoveryEvent, RecoveryManager, RecoveryStats
 from repro.core.queues import (
@@ -42,11 +42,9 @@ from repro.core.scheduling import (
 __all__ = [
     "ActiveContextCache",
     "AdaptiveSpinPolicy",
-    "CollectiveContextBuffer",
     "CommunicatorPool",
     "CompletionQueueBase",
     "DaemonKernel",
-    "DfcclBackend",
     "DfcclConfig",
     "FifoOrderingPolicy",
     "NaiveSpinPolicy",

@@ -1,32 +1,28 @@
-"""DFCCL's CPU side: rank contexts, registration, submission and destruction.
+"""DFCCL's CPU side: the per-GPU rank context.
 
 The flow mirrors Listing 1 of the paper:
 
-* ``DfcclBackend.init_rank`` (``dfcclInit``) — create the rank context
-  (SQ, CQ, callback map, poller thread) for one GPU;
-* ``DfcclBackend.register_collective`` (``dfcclRegister*``) — register a
-  collective once, with its spec, device set and optional priority;
+* ``dfcclInit`` — ``repro.api``'s DFCCL adapter creates one
+  :class:`RankContext` (SQ, CQ, callback map, poller thread) per GPU;
+* ``dfcclRegister*`` — the adapter registers each process-group collective
+  once, with its spec, device set and priority, on every member's context;
 * ``RankContext.submit_invocation`` (``dfcclRun*``) — invoke a registered
   collective, recording a callback; the call is asynchronous and
   non-blocking;
 * ``RankContext.destroy`` (``dfcclDestroy``) — insert the exiting SQE and
   tear down.
 
-Applications do not call these directly: ``repro.api``'s DFCCL adapter
-registers each process-group collective and its ``DfcclWork`` futures
-produce the submit and wait host ops.
+Applications do not call these directly: the adapter's ``DfcclWork``
+futures produce the submit and wait host ops.
 """
 
 from __future__ import annotations
 
-from repro.common.errors import ConfigurationError, InvalidStateError
-from repro.core.communicator_pool import CommunicatorPool
-from repro.core.config import RELAUNCH_DELAY_US, DfcclConfig
-from repro.core.context import CollectiveContextBuffer
+from repro.common.errors import InvalidStateError
+from repro.core.config import RELAUNCH_DELAY_US
 from repro.core.daemon import DaemonKernel
 from repro.core.poller import Poller
 from repro.core.queues import Sqe, SubmissionQueue, make_completion_queue
-from repro.core.registration import RegisteredCollective
 from repro.core.scheduling import DaemonStats
 from repro.gpusim.host import CallHook
 
@@ -46,7 +42,6 @@ class RankContext:
         self.sq.register_consumer(self.consumer_id)
         self.cq = make_completion_queue(self.config.cq_variant)
 
-        self.context_buffer = CollectiveContextBuffer()
         self.registered = {}
         #: The daemon's launch shape: the largest grid and block size among
         #: registered collectives, recomputed only when registrations change.
@@ -88,13 +83,8 @@ class RankContext:
 
     def register(self, coll):
         """Register a collective on this rank (called by the backend)."""
-        if coll.coll_id in self.registered:
-            raise ConfigurationError(
-                f"collective id {coll.coll_id} already registered on rank {self.global_rank}"
-            )
         self.registered[coll.coll_id] = coll
         self._update_launch_shape()
-        self.context_buffer.register(coll.coll_id)
 
     def group_rank_for(self, coll):
         return coll.group_rank_of_device(self.device)
@@ -204,16 +194,11 @@ class RankContext:
         """Restart this rank's part of a recovering invocation.
 
         ``Invocation.begin_recovery`` has already dropped the cached executor,
-        so the next adoption compiles the shrunken sequence; here we reset the
-        saved dynamic context, give the restarted collective a fresh
-        CQE-timeout window, and force a daemon generation turnover so the
-        stale executor held by the current generation's task queue is dropped.
+        so the next adoption compiles the shrunken sequence from position 0;
+        here we give the restarted collective a fresh CQE-timeout window and
+        force a daemon generation turnover so the stale executor held by the
+        current generation's task queue is dropped.
         """
-        coll = invocation.coll
-        if coll.coll_id in self.context_buffer:
-            from repro.core.context import DynamicContext
-
-            self.context_buffer.save_dynamic(coll.coll_id, DynamicContext())
         if invocation in self._inflight:
             self._inflight[invocation] = time_us
         if self._daemon_alive and self.current_daemon is not None:
@@ -231,7 +216,7 @@ class RankContext:
         A failed rank never objects — its in-flight invocations died with the
         device and can never finish.
         """
-        if coll.coll_id not in self.registered or self.device.failed:
+        if self.device.failed:
             return
         for invocation in coll.invocations:
             if (invocation in self._inflight
@@ -242,12 +227,8 @@ class RankContext:
                 )
 
     def unregister(self, coll):
-        """Forget a collective on this rank: registration and context record."""
-        if coll.coll_id not in self.registered:
-            return
-        self.ensure_unregisterable(coll)
+        """Forget a collective on this rank (its in-flight check passed)."""
         del self.registered[coll.coll_id]
-        self.context_buffer.unregister(coll.coll_id)
         self._update_launch_shape()
 
     # -- completion ------------------------------------------------------------------------
@@ -310,115 +291,3 @@ class RankContext:
         """Host op performing ``dfccl_destroy`` for this rank."""
         return CallHook(lambda host: self.destroy(host.now), detail="dfccl_destroy")
 
-
-class DfcclBackend:
-    """DFCCL over a simulated cluster: rank contexts, registered collectives
-    and the communicator pool behind ``repro.api``'s DFCCL adapter."""
-
-    def __init__(self, cluster, config=None):
-        self.cluster = cluster
-        self.config = (config or DfcclConfig()).validate()
-        self.pool = CommunicatorPool(cluster.interconnect)
-        self.contexts = {}
-        self._collectives = {}
-        self._next_auto_coll_id = 0
-        self.recovery_manager = None
-        if self.config.recovery_enabled:
-            from repro.core.recovery import RecoveryManager
-
-            self.recovery_manager = RecoveryManager(self)
-            cluster.engine.add_actor(self.recovery_manager)
-
-    # -- rank contexts (dfccl_init) -----------------------------------------------------------
-
-    def init_rank(self, global_rank):
-        """Create (or return) the rank context for one GPU — ``dfcclInit``."""
-        ctx = self.contexts.get(global_rank)
-        if ctx is None:
-            ctx = RankContext(self, global_rank)
-            self.contexts[global_rank] = ctx
-            if self.recovery_manager is not None:
-                self.cluster.engine.signal(
-                    self.recovery_manager.rank_registered_key
-                )
-        return ctx
-
-    def context(self, global_rank):
-        return self.init_rank(global_rank)
-
-    # -- registration (dfccl_register_*) ----------------------------------------------------------
-
-    def register_collective(self, coll_id, spec, ranks=None, priority=0, name=None,
-                            job=None):
-        """Register a collective over ``ranks`` with a unique ``coll_id``.
-
-        ``job`` namespaces the collective's communicators in the pool: a
-        multi-tenant scheduler registers each job's collectives under the
-        job's id so released channel sets never migrate between tenants.
-        """
-        if coll_id in self._collectives:
-            raise ConfigurationError(f"collective id {coll_id} already registered")
-        ranks = list(ranks) if ranks is not None else list(range(self.cluster.world_size))
-        devices = [self.cluster.device(rank) for rank in ranks]
-        coll = RegisteredCollective(
-            coll_id, spec, devices, ranks, self.cluster.interconnect, self.config,
-            self.pool.acquire(devices, job=job), priority=priority, name=name,
-            job=job,
-        )
-        self._collectives[coll_id] = coll
-        for rank in ranks:
-            self.init_rank(rank).register(coll)
-        return coll
-
-    def collective(self, coll_id):
-        return self._collectives[coll_id]
-
-    def unregister_collective(self, coll_id):
-        """Unregister a collective and recycle its communicator — ``dfcclUnregister``.
-
-        The communicator is handed back to the pool so a later registration
-        over the same device set reuses its channels (unless it was
-        failure-invalidated, in which case the pool discards it).
-        """
-        coll = self._collectives.get(coll_id)
-        if coll is None:
-            raise ConfigurationError(f"collective id {coll_id} is not registered")
-        # Validate every rank before mutating anything, so a rejected
-        # unregister leaves the backend fully consistent.
-        rank_contexts = [self.contexts[rank] for rank in coll.global_ranks
-                         if rank in self.contexts]
-        for ctx in rank_contexts:
-            ctx.ensure_unregisterable(coll)
-        del self._collectives[coll_id]
-        for ctx in rank_contexts:
-            ctx.unregister(coll)
-        self.pool.release(coll.communicator)
-        return coll
-
-    def allocate_coll_id(self, job=None):
-        """Auto-assign the next unused collective id.
-
-        Under a ``job`` namespace the id is the ``(job, n)`` tuple form the
-        multi-tenant scheduler uses; ids handed out manually are skipped, so
-        auto-assigned and explicit registrations can be mixed freely.
-        """
-        n = self._next_auto_coll_id
-        while True:
-            candidate = n if job is None else (job, n)
-            if candidate not in self._collectives:
-                self._next_auto_coll_id = n + 1
-                return candidate
-            n += 1
-
-    # -- destruction (dfccl_destroy) ----------------------------------------------------------------
-
-    def destroy_op(self, global_rank):
-        return self.context(global_rank).destroy_op()
-
-    # -- reporting ---------------------------------------------------------------------------------
-
-    def stats(self, global_rank):
-        return self.context(global_rank).stats
-
-    def all_stats(self):
-        return {rank: ctx.stats for rank, ctx in sorted(self.contexts.items())}

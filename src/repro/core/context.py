@@ -3,10 +3,11 @@
 The *static context* of a collective holds its unchanging configuration (peer
 set, primitive-sequence composition): it is the collective's
 :class:`~repro.collectives.plan.CollectivePlan`.  The *dynamic context* holds
-the resume point (current chunk / aborted primitive).  Contexts of preempted
-collectives live in the global-memory context buffer; the context of the
-currently scheduled collective is cached in shared-memory *active context
-slots* managed as a direct-mapped cache with lazy saving.
+the resume point: it is the rank's
+:class:`~repro.collectives.primitives.PrimitiveExecutor` ``position``.  The
+context of the currently scheduled collective is cached in shared-memory
+*active context slots* managed as a direct-mapped cache with lazy saving;
+this module charges the load and save costs of that cache.
 """
 
 from __future__ import annotations
@@ -27,16 +28,6 @@ from repro.core.config import (
 
 
 @dataclass
-class DynamicContext:
-    """Mutable execution state saved on preemption and restored on resume."""
-
-    position: int = 0
-    chunk_id: int = 0
-    aborted_primitive: int = -1
-    progressed: bool = False
-
-
-@dataclass
 class ContextStats:
     """Counters for the overhead analysis of Fig. 7 and Fig. 11."""
 
@@ -47,43 +38,6 @@ class ContextStats:
     cache_misses: int = 0
     load_time_us: float = 0.0
     save_time_us: float = 0.0
-
-
-class CollectiveContextBuffer:
-    """Global-memory buffer holding one dynamic context per registered collective."""
-
-    def __init__(self):
-        self._records = {}
-        self._allocated = 0
-
-    def register(self, coll_id):
-        """Reserve a collective's record; returns its dynamic context."""
-        if coll_id in self._records:
-            return self._records[coll_id]
-        record = self._records[coll_id] = DynamicContext()
-        self._allocated += CONTEXT_BYTES_PER_COLLECTIVE
-        return record
-
-    def unregister(self, coll_id):
-        if coll_id in self._records:
-            del self._records[coll_id]
-            self._allocated -= CONTEXT_BYTES_PER_COLLECTIVE
-
-    def dynamic(self, coll_id):
-        return self._records[coll_id]
-
-    def save_dynamic(self, coll_id, dynamic_context):
-        self._records[coll_id] = dynamic_context
-
-    @property
-    def allocated_bytes(self):
-        return self._allocated
-
-    def __contains__(self, coll_id):
-        return coll_id in self._records
-
-    def __len__(self):
-        return len(self._records)
 
 
 @dataclass
@@ -100,8 +54,7 @@ class ActiveContextCache:
     since it was loaded is not written back (Sec. 5).
     """
 
-    def __init__(self, context_buffer, clock=None):
-        self.context_buffer = context_buffer
+    def __init__(self, clock=None):
         self.clock = clock
         self.slots = [_Slot() for _ in range(ACTIVE_CONTEXT_SLOTS)]
         self.stats = ContextStats()

@@ -61,8 +61,7 @@ class DaemonKernel(KernelActor):
         self.task_queue = TaskQueue()
         self.ordering = make_ordering_policy(rank_ctx.config)
         self.spin_policy = make_spin_policy(rank_ctx.config)
-        self.active_cache = ActiveContextCache(rank_ctx.context_buffer,
-                                               clock=self.clock)
+        self.active_cache = ActiveContextCache(clock=self.clock)
 
         self._queue_pos = 0
         self._pass_needs_init = True

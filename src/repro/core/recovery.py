@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.common.errors import InvalidStateError
 from repro.core.config import (
     MAX_RECOVERIES_PER_COLLECTIVE,
     RECOVERY_POLL_INTERVAL_US,
@@ -61,7 +60,6 @@ class RecoveryStats:
     invocations_rerun: int = 0
     suspected_stragglers: int = 0
     abandoned: int = 0
-    rejoins: int = 0
     events: list = field(default_factory=list)
 
 
@@ -154,7 +152,7 @@ class RecoveryManager(Actor):
         """
         failed_ids = {device.device_id for device in failed_devices}
         self.backend.pool.release_all_for(failed_ids)
-        for coll in list(self.backend._collectives.values()):
+        for coll in list(self.backend.collectives.values()):
             failed_ranks = [rank for rank in coll.active_ranks()
                             if coll.devices[rank].device_id in failed_ids]
             if failed_ranks:
@@ -283,59 +281,6 @@ class RecoveryManager(Actor):
                 now - detection_latency, now, track="recovery",
                 job=coll.job, attrs=dict(context))
             obs.auto_dump("recovery", context=context)
-
-    # -- rejoin (group grow) -----------------------------------------------------
-
-    def rejoin(self, coll, replacements, now):
-        """Grow a shrunken collective back onto replacement devices.
-
-        The inverse of the shrink path: ``replacements`` maps excluded group
-        ranks to replacement devices (or global ranks).  The collective must
-        be quiescent — no invocation part may still be in flight — because a
-        mid-flight grow would change the participant set under a running
-        primitive sequence.  Replacement ranks get rank contexts and the
-        collective registered on them, so the next invocation spans the full
-        re-grown group.  Returns the active group ranks after the grow.
-        """
-        if coll.abandoned:
-            raise InvalidStateError(
-                f"cannot rejoin abandoned collective {coll.coll_id}"
-            )
-        for invocation in coll.invocations:
-            if not all(invocation.is_resolved(rank) or invocation.is_complete(rank)
-                       for rank in invocation.start_times):
-                raise InvalidStateError(
-                    f"cannot rejoin collective {coll.coll_id}: invocation "
-                    f"{invocation.index} still in flight"
-                )
-        cluster = self.backend.cluster
-        devices = {}
-        for rank, replacement in replacements.items():
-            device = (replacement if hasattr(replacement, "device_id")
-                      else cluster.device(replacement))
-            if device.failed:
-                raise InvalidStateError(
-                    f"replacement device {device.name} for group rank {rank} "
-                    "has itself failed"
-                )
-            devices[rank] = device
-        regrown = [rank for rank in devices if rank in coll.excluded_ranks]
-        active = coll.grow(devices, self.backend.pool)
-        for rank in regrown:
-            global_rank = cluster.rank_of(coll.devices[rank])
-            coll.global_ranks[rank] = global_rank
-            ctx = self.backend.init_rank(global_rank)
-            if coll.coll_id not in ctx.registered:
-                ctx.register(coll)
-        self.stats.rejoins += 1
-        obs = self._obs()
-        if obs is not None:
-            obs.metrics.counter("recovery_rejoins").inc()
-            obs.tracer.event(f"rejoin:{coll.name}", "recovery", now,
-                             attrs={"coll_id": str(coll.coll_id),
-                                    "regrown_ranks": sorted(regrown),
-                                    "generation": coll.generation})
-        return active
 
     def _obs(self):
         obs = self.backend.cluster.engine.obs

@@ -25,8 +25,7 @@ class RegisteredCollective:
         self.coll_id = coll_id
         self.spec = spec
         self.devices = list(devices)
-        #: Cluster rank of each group rank (a rejoin re-seats a group rank on
-        #: its replacement's rank).
+        #: Cluster rank of each group rank.
         self.global_ranks = list(global_ranks)
         self.priority = priority
         self.config = config
@@ -130,30 +129,6 @@ class RegisteredCollective:
         if survivors:
             self.communicator = pool.acquire(self.active_devices(), job=self.job)
         return survivors
-
-    def grow(self, replacements, pool):
-        """Re-admit excluded group ranks on replacement devices (rejoin).
-
-        The inverse of :meth:`shrink`: ``replacements`` maps excluded group
-        ranks to the fresh devices taking their seats.  The communicator is
-        rebuilt over the re-grown active device set, and the generation is
-        bumped — a new plan re-resolves the algorithm and cost predictions
-        (group size changed back) and stale executors are never adopted.
-        Only affects invocations created after the grow; completed
-        invocations keep their shrunken-group completion signatures.
-        Returns the active group ranks after the grow.
-        """
-        relevant = {rank: device for rank, device in replacements.items()
-                    if rank in self.excluded_ranks}
-        if not relevant:
-            return self.active_ranks()
-        pool.release(self.communicator)
-        for rank, device in relevant.items():
-            self.devices[rank] = device
-            self.excluded_ranks.discard(rank)
-        self._next_generation()
-        self.communicator = pool.acquire(self.active_devices(), job=self.job)
-        return self.active_ranks()
 
     @property
     def grid_size(self):

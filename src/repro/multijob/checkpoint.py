@@ -46,23 +46,21 @@ class JobCheckpoint:
         }
 
 
-def collective_fingerprints(view, to_local=None):
-    """Fingerprint a backend view's registered collectives.
+def collective_fingerprints(backend, job, to_local=None):
+    """Fingerprint ``job``'s registered collectives on a DFCCL backend.
 
     Returns a sorted tuple of ``(name, kind, members, invocations,
-    complete)`` entries — one per distinct registration — where ``members``
-    are the participating ranks (mapped through ``to_local`` when the caller
-    plans in job-local rank space) and ``complete`` counts fully-completed
+    complete)`` entries — one per registration — where ``members`` are the
+    participating ranks (mapped through ``to_local`` when the caller plans
+    in job-local rank space) and ``complete`` counts fully-completed
     invocations.  Two runs of the same job that reach the same iteration
     boundary produce identical fingerprints, which is what the elastic
     fuzzer's determinism check leans on.
     """
     entries = []
-    seen = set()
-    for coll in getattr(view, "_collectives", {}).values():
-        if id(coll) in seen:
+    for coll in backend.collectives.values():
+        if coll.job != job:
             continue
-        seen.add(id(coll))
         members = []
         for rank in coll.active_ranks():
             global_rank = coll.global_ranks[rank]

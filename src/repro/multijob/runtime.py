@@ -6,9 +6,9 @@ a :class:`RankMappedPlan` view translates every schedule onto the leased
 global ranks, which need not be contiguous.
 
 One :class:`ClusterJobRunner` serves every backend through ``repro.api``:
-the runner holds a single shared :class:`~repro.api.CollectiveBackend` and
-hands each placed job a :meth:`~repro.api.CollectiveBackend.job_view` of it.
-What that means is backend-defined, mirroring the paper's comparison:
+the runner holds a single shared :class:`~repro.api.CollectiveBackend`, and
+each placed job creates its process groups on it under its job id.  What
+that means is backend-defined, mirroring the paper's comparison:
 
 * under ``"dfccl"`` one daemon kernel per GPU serves every co-located
   tenant, with collective ids namespaced by job and communicators pooled per
@@ -126,8 +126,8 @@ class ClusterJobRunner:
     go to :func:`make_backend`) or an already-built
     :class:`~repro.api.CollectiveBackend`.  ``orchestrator_factory``
     optionally maps a :class:`JobSpec` to the CPU orchestrator its training
-    loop charges; by default each job view's backend decides (DFCCL: none,
-    NCCL: Megatron-style manual orchestration).
+    loop charges; by default the backend decides (DFCCL: none, NCCL:
+    Megatron-style manual orchestration).
     """
 
     def __init__(self, cluster, backend="dfccl", launch_jitter_us=25.0, seed=0,
@@ -143,10 +143,11 @@ class ClusterJobRunner:
         self.hosts = {}
 
     def _training_backend(self, record):
-        view = self.backend.job_view(record.spec.job_id)
         orchestrator = ("auto" if self.orchestrator_factory is None
                         else self.orchestrator_factory(record.spec))
-        return GroupTrainingBackend(self.cluster, view, orchestrator=orchestrator)
+        return GroupTrainingBackend(self.cluster, self.backend,
+                                    orchestrator=orchestrator,
+                                    job=record.spec.job_id)
 
     def launch(self, record, time_us, on_rank_complete):
         """Install the job's rank processes; returns the TrainingRun.
@@ -181,8 +182,8 @@ class ClusterJobRunner:
         """Checkpoint and evict a placed job's rank processes mid-run.
 
         Kills the job's host actors (their in-flight collective parts are
-        aborted through the job view's ``quiesce``, so the shared daemon
-        kernels drop the orphaned task entries), unregisters the epoch's
+        aborted through the backend's ``quiesce`` of the job, so the shared
+        daemon kernels drop the orphaned task entries), unregisters the epoch's
         collectives, and reports the checkpoint boundary: how many leading
         iterations every rank fully completed this epoch.  The job's
         communicator-pool namespace is deliberately *not* evicted — a resume
@@ -198,7 +199,7 @@ class ClusterJobRunner:
         for host in self.hosts.pop(record.job_id, []):
             self.cluster.engine.kill_actor(host, time_us)
             self.cluster.hosts.pop(host.name, None)
-        aborted = run.backend.backend.quiesce(time_us)
+        aborted = self.backend.quiesce(record.job_id, time_us)
         run.backend.unregister_all()
         return completed, aborted
 

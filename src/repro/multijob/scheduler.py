@@ -488,7 +488,8 @@ class ClusterScheduler(Actor):
         fingerprints = ()
         if run is not None:
             fingerprints = collective_fingerprints(
-                run.backend.backend, getattr(run.plan, "local_rank", None))
+                self.runner.backend, record.job_id,
+                getattr(run.plan, "local_rank", None))
         completed, aborted = self.runner.preempt(record, now)
         record.completed_iterations += completed
         record.checkpoint = JobCheckpoint(

@@ -105,8 +105,6 @@ declare_metric("recovery_abandoned", "counter",
                "Collectives abandoned as unrecoverable (e.g. dead root)")
 declare_metric("recovery_invocations_rerun", "counter",
                "Invocations replayed by recovery episodes")
-declare_metric("recovery_rejoins", "counter",
-               "Shrunken collectives re-grown onto replacement devices")
 
 # --- time attribution ------------------------------------------------------
 declare_metric("collective_critical_path_us", "histogram",

@@ -33,16 +33,22 @@ class GroupTrainingBackend:
     ``orchestrator`` is ``"auto"`` (ask the backend), ``None`` (no CPU
     coordination), an orchestrator name, or an instance.
 
+    ``job`` names the job the run belongs to on a backend shared with other
+    jobs: every group is created with it, and the run adds no teardown ops
+    (the shared daemon kernels quit on their own once every job drained).
+    Groups are named ``pg0``, ``pg1``, … per training backend.
+
     ``shuffle_submissions`` randomizes the completion-wait order per
     iteration (with ``rng``), modelling frameworks that consume collective
     results out of order.
     """
 
     def __init__(self, cluster, backend="dfccl", orchestrator="auto",
-                 shuffle_submissions=False, rng=None, **knobs):
+                 shuffle_submissions=False, rng=None, job=None, **knobs):
         self.cluster = cluster
         self.backend = (make_backend(backend, cluster, **knobs)
                         if isinstance(backend, str) else backend)
+        self.job = job
         self._orchestrator_spec = orchestrator
         self.orchestrator = None
         self.shuffle_submissions = shuffle_submissions
@@ -68,7 +74,8 @@ class GroupTrainingBackend:
     def _group_for(self, group_ranks):
         group = self._groups.get(group_ranks)
         if group is None:
-            group = self.backend.new_group(list(group_ranks))
+            group = self.backend.new_group(list(group_ranks), job=self.job,
+                                           name=f"pg{len(self._groups)}")
             self._groups[group_ranks] = group
         return group
 
@@ -139,11 +146,13 @@ class GroupTrainingBackend:
     # -- lifecycle ------------------------------------------------------------------
 
     def finalize_ops(self, rank):
+        if self.job is not None:
+            return []
         return self.backend.finalize_ops(rank)
 
     def unregister_all(self):
-        """Unregister every collective this backend declared (job teardown)."""
-        return self.backend.unregister_all()
+        """Unregister every collective of this run's job (job teardown)."""
+        return self.backend.unregister_all(self.job)
 
     def stats(self, rank):
         return self.backend.stats(rank)

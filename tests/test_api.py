@@ -16,7 +16,7 @@ from repro.api import (
 )
 from repro.common.errors import ConfigurationError, DeadlockError
 from repro.common.types import CollectiveKind, CollectiveSpec
-from repro.core import DfcclBackend, DfcclConfig
+from repro.core import DfcclConfig
 from repro.gpusim import HostProgram, build_cluster
 from repro.workloads import (
     GroupTrainingBackend,
@@ -92,7 +92,7 @@ class TestProcessGroup:
         works = [group.all_reduce(rank, count=256, key=key)
                  for key in (0, 1) for rank in (0, 1)]
         again = [group.all_reduce(rank, count=256, key=0) for rank in (0, 1)]
-        assert len(backend.dfccl._collectives) == 2
+        assert len(backend.collectives) == 2
         assert {work.index for work in works} == {0}
         assert {work.index for work in again} == {1}
 
@@ -104,7 +104,7 @@ class TestProcessGroup:
         first = group.all_reduce(0, count=256)
         second = group.all_reduce(0, count=256)
         assert (first.index, second.index) == (0, 1)
-        assert len(backend.dfccl._collectives) == 1
+        assert len(backend.collectives) == 1
 
     def test_key_identity_overrides_shape(self):
         # With an explicit key the key is the identity: per-rank shape
@@ -143,24 +143,30 @@ class TestProcessGroup:
         assert backend.unregister_all() == 1
         # A later call re-registers instead of submitting to a dead id.
         work = group.all_reduce(0, count=256, key=0)
-        assert work.invocation.coll.coll_id in backend.dfccl._collectives
+        assert work.invocation.coll in backend.collectives.values()
 
     def test_job_namespace_flows_into_ids_and_pool(self):
         cluster = build_cluster("single-3090")
         backend = make_backend("dfccl", cluster)
-        view = backend.job_view("tenant-a")
-        group = view.new_group([0, 1])
+        group = backend.new_group([0, 1], job="tenant-a")
         work = group.all_reduce(0, count=256)
         coll = work.invocation.coll
         assert coll.coll_id[0] == "tenant-a"
         assert coll.job == "tenant-a"
         assert coll.name == f"{group.name}:all_reduce"
+        # Teardown acts on one job's collectives only; the released
+        # communicator is pooled under the job.
+        assert backend.unregister_all() == 0
+        assert backend.unregister_all("tenant-a") == 1
+        assert backend.pool.jobs() == ["tenant-a"]
 
     def test_nccl_job_view_keeps_knobs_and_tags_kernels(self):
+        """A job-named group on a configured nccl backend keeps the
+        backend's knobs and tags its kernels with the job."""
         cluster = build_cluster("single-3090")
         backend = make_backend("nccl", cluster, chunk_bytes=CHUNK,
                                algorithm="tree")
-        group = backend.job_view("job-a").new_group([0, 1])
+        group = backend.new_group([0, 1], job="job-a")
         works = [group.all_reduce(rank, count=1 << 16) for rank in group.ranks]
         plan = works[0].op.plan
         assert (plan.chunk_bytes, plan.algorithm) == (CHUNK, "tree")
@@ -170,6 +176,25 @@ class TestProcessGroup:
             kernel = work.op.kernel(work.group_rank)
             assert kernel.tenant == "job-a"
             assert kernel.stream.name == "comm-job-a"
+
+    def test_group_job_is_the_only_job_name(self):
+        """``new_group(job=)`` reaches everything a job name controls: the
+        nccl op, its kernels and their stream, and the dfccl collective id."""
+        cluster = build_cluster("single-3090")
+        nccl = make_backend("nccl", cluster)
+        group = nccl.new_group([0, 1], job="job-a")
+        works = [group.all_reduce(rank, count=256) for rank in group.ranks]
+        cluster.add_hosts([HostProgram(work.ops()) for work in works])
+        cluster.run()
+        for work in works:
+            kernel = work.op.kernel(work.group_rank)
+            assert work.op.job == "job-a"
+            assert kernel.tenant == "job-a"
+            assert kernel.stream.name == "comm-job-a"
+
+        dfccl = make_backend("dfccl", build_cluster("single-3090"))
+        work = dfccl.new_group([0, 1], job="job-a").all_reduce(0, count=256)
+        assert work.invocation.coll.coll_id == ("job-a", 0)
 
 
 def _run_disordered(name, cluster=None):
@@ -328,10 +353,11 @@ class TestRemovedShims:
         cluster = build_cluster("single-3090", deadlock_mode="record")
         runner = make_job_runner("dfccl", cluster, seed=1)
         assert isinstance(runner, ClusterJobRunner)
-        # No legacy proxy: the engine is reached through the adapter only.
-        assert runner.backend.dfccl is not None
-        with pytest.raises(AttributeError):
-            runner.dfccl
+        # No legacy proxy: the adapter is the DFCCL instance itself.
+        assert runner.backend.recovery_manager is not None
+        for owner in (runner, runner.backend):
+            with pytest.raises(AttributeError):
+                owner.dfccl
         with pytest.raises(ConfigurationError):
             make_job_runner("bogus", cluster)
 
@@ -341,13 +367,14 @@ class TestRemovedShims:
         import importlib
 
         import repro.core as core
+        from repro.api import DfcclCollectiveBackend
         from repro.multijob import RankMappedPlan
 
         assert not hasattr(core, "InvocationHandle")
         with pytest.raises(ImportError):
             importlib.import_module("repro.ncclsim.program")
         for name in ("submit", "register_all_reduce", "init_all_ranks"):
-            assert not hasattr(DfcclBackend, name), name
+            assert not hasattr(DfcclCollectiveBackend, name), name
         assert "__getattr__" not in vars(RankMappedPlan)
 
     def test_unused_layers_are_gone(self):
@@ -405,6 +432,29 @@ class TestRemovedShims:
         for owner in (Communicator, CommunicatorPool):
             assert "channel_capacity" not in inspect.signature(owner).parameters
         assert not hasattr(CostModel(), "sq_check_cost_us")
+
+    def test_one_dfccl_object_and_one_job_name(self):
+        """The DFCCL adapter is the library instance (no inner backend), a
+        group's ``job`` is the only job name (no views, no nccl ``tenant=``),
+        and the write-only context records and the collective-level rejoin
+        were deleted unreached."""
+        import repro.core as core
+        import repro.core.context as context
+        from repro.core import RecoveryManager, RegisteredCollective
+
+        assert not hasattr(core, "DfcclBackend")
+        cluster = build_cluster("single-3090")
+        for name in ("dfccl", "nccl", "mpi"):
+            assert not hasattr(make_backend(name, cluster), "job_view"), name
+        with pytest.raises(TypeError):
+            make_backend("nccl", cluster, tenant="job-a")
+        for knob in ("dfccl", "job"):
+            with pytest.raises(TypeError):
+                make_backend("dfccl", cluster, **{knob: None})
+        for name in ("CollectiveContextBuffer", "DynamicContext"):
+            assert not hasattr(core, name) and not hasattr(context, name), name
+        assert not hasattr(RecoveryManager, "rejoin")
+        assert not hasattr(RegisteredCollective, "grow")
 
 
 class TestNoInternalStringDispatch:

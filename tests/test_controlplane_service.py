@@ -6,8 +6,8 @@ import json
 
 import pytest
 
+from repro.api import make_backend
 from repro.common.errors import ConfigurationError, InvalidStateError
-from repro.core import DfcclBackend
 from repro.core.queues import Sqe
 from repro.gpusim import HostProgram, build_cluster
 from repro.gpusim.host import CpuCompute
@@ -408,10 +408,10 @@ class TestCheckpointHelpers:
         assert data["reason"] == "migrate"
 
     def test_fingerprints_empty_view(self):
-        class View:
-            _collectives = {}
+        class Backend:
+            collectives = {}
 
-        assert collective_fingerprints(View()) == ()
+        assert collective_fingerprints(Backend(), "j") == ()
 
 
 class TestRemovedShims:
@@ -436,7 +436,7 @@ class TestStaleSqeHandling:
         """A fetched SQE whose collective was unregistered (preempted job)
         resolves to ``None`` instead of raising; the daemon drops it."""
         cluster = _cluster()
-        backend = DfcclBackend(cluster)
+        backend = make_backend("dfccl", cluster)
         ctx = backend.init_rank(0)
         sqe = Sqe(coll_id=4_242, invocation_id=0)
         assert ctx.invocation_for_sqe(sqe) is None

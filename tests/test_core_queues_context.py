@@ -7,12 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import QueueEmptyError, QueueFullError
 from repro.core import DfcclConfig
-from repro.core.config import ACTIVE_CONTEXT_SLOTS, CONTEXT_BYTES_PER_COLLECTIVE
-from repro.core.context import (
-    ActiveContextCache,
-    CollectiveContextBuffer,
-    memory_overhead_report,
-)
+from repro.core.config import ACTIVE_CONTEXT_SLOTS
+from repro.core.context import ActiveContextCache, memory_overhead_report
 from repro.core.queues import (
     Cqe,
     OptimizedCasCQ,
@@ -237,18 +233,8 @@ class _LinearScanCasCQ:
 
 
 class TestContextManagement:
-    def test_context_buffer_register_unregister(self):
-        buffer = CollectiveContextBuffer()
-        buffer.register(0)
-        assert 0 in buffer and len(buffer) == 1
-        assert buffer.allocated_bytes == CONTEXT_BYTES_PER_COLLECTIVE
-        buffer.unregister(0)
-        assert 0 not in buffer and buffer.allocated_bytes == 0
-
     def test_cache_hit_is_free(self):
-        buffer = CollectiveContextBuffer()
-        buffer.register(0)
-        cache = ActiveContextCache(buffer)
+        cache = ActiveContextCache()
         first = cache.load(0)
         second = cache.load(0)
         assert first > 0.0
@@ -256,21 +242,16 @@ class TestContextManagement:
         assert cache.stats.cache_hits == 1
 
     def test_direct_mapped_eviction_saves_dirty_context(self):
-        buffer = CollectiveContextBuffer()
         slots = ACTIVE_CONTEXT_SLOTS
         conflicting = slots  # maps to the same slot as coll 0
-        buffer.register(0)
-        buffer.register(conflicting)
-        cache = ActiveContextCache(buffer)
+        cache = ActiveContextCache()
         cache.load(0)
         cache.mark_progress(0)
         cache.load(conflicting)
         assert cache.stats.saves == 1
 
     def test_lazy_save_skips_unprogressed(self):
-        buffer = CollectiveContextBuffer()
-        buffer.register(0)
-        cache = ActiveContextCache(buffer)
+        cache = ActiveContextCache()
         cache.load(0)
         assert cache.save_on_preempt(0, progressed=False) == 0.0
         assert cache.stats.lazy_save_skips == 1

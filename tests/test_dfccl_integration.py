@@ -97,7 +97,7 @@ class TestLifecycle:
 
     def test_daemon_launch_and_final_exit(self):
         _, backend, _ = run_dfccl()
-        context = backend.dfccl.context(0)
+        context = backend.contexts[0]
         assert context.finally_exited
         assert not context.daemon_alive
         assert backend.stats(0).launches >= 1
@@ -130,27 +130,20 @@ class TestLifecycle:
 
     def test_daemon_launch_shape_follows_registrations(self):
         cluster = build_cluster("single-3090")
-        dfccl = make_backend("dfccl", cluster).dfccl
-        dfccl.register_collective(
-            0, CollectiveSpec(CollectiveKind.ALL_REDUCE, 64), ranks=[0, 1])
-        context = dfccl.context(0)
+        backend = make_backend("dfccl", cluster)
+        backend.new_group([0, 1]).ensure_collective(
+            CollectiveSpec(CollectiveKind.ALL_REDUCE, 64))
+        context = backend.contexts[0]
         assert (context.daemon_grid_size, context.daemon_block_size) == (1, 256)
-        large = dfccl.register_collective(  # 8 MiB of float32
-            1, CollectiveSpec(CollectiveKind.ALL_REDUCE, 2 << 20), ranks=[0, 1])
+        # A second job's group, so its teardown leaves the small collective.
+        large_group = backend.new_group([0, 1], job="large")
+        large = large_group.all_reduce(  # 8 MiB of float32
+            0, count=2 << 20).invocation.coll
         assert large.spec.nbytes >= 4 << 20
         assert (context.daemon_grid_size, context.daemon_block_size) == (
             large.grid_size, large.block_size) == (3, 512)
-        dfccl.unregister_collective(1)
+        assert backend.unregister_all("large") == 1
         assert (context.daemon_grid_size, context.daemon_block_size) == (1, 256)
-
-    def test_duplicate_registration_rejected(self):
-        cluster = build_cluster("single-3090")
-        backend = make_backend("dfccl", cluster)
-        group = backend.new_group([0, 1])
-        spec = CollectiveSpec(CollectiveKind.ALL_REDUCE, 64)
-        coll_id = group.all_reduce(0, count=64).invocation.coll.coll_id
-        with pytest.raises(Exception):
-            backend.dfccl.register_collective(coll_id, spec, ranks=[0, 1])
 
     def test_all_collective_kinds_supported(self):
         cluster = build_cluster("single-3090")

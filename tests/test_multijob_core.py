@@ -284,9 +284,9 @@ class TestConcurrentJobsEndToEnd:
         leases = [set(record.lease.ranks) for record in records]
         assert leases[0] & leases[1]
         # The shared pool holds entries for both job namespaces, none shared.
-        jobs = runner.backend.dfccl.pool.jobs()
+        jobs = runner.backend.pool.jobs()
         assert set(jobs) <= {"ten-a", "ten-b"}
-        stats = runner.backend.dfccl.pool.stats()
+        stats = runner.backend.pool.stats()
         assert stats["double_releases"] == 0
 
     def test_one_daemon_kernel_per_gpu_serves_both_jobs(self):
@@ -304,7 +304,7 @@ class TestConcurrentJobsEndToEnd:
         original = scheduler.on_rank_done
 
         def spying_on_rank_done(job_id, rank, time_us):
-            ctx = runner.backend.dfccl.contexts.get(rank)
+            ctx = runner.backend.contexts.get(rank)
             if ctx is not None:
                 observed.update(coll_id[0] for coll_id in ctx.registered)
             original(job_id, rank, time_us)
@@ -316,9 +316,9 @@ class TestConcurrentJobsEndToEnd:
         # Teardown unregistered everything and evicted each departed
         # tenant's pool namespace, so the shared backend stays bounded.
         assert all(len(ctx.registered) == 0
-                   for ctx in runner.backend.dfccl.contexts.values())
-        assert runner.backend.dfccl.pool.jobs() == []
-        stats = runner.backend.dfccl.pool.stats()
+                   for ctx in runner.backend.contexts.values())
+        assert runner.backend.pool.jobs() == []
+        stats = runner.backend.pool.stats()
         assert stats["active"] == 0 and stats["free"] == 0
         assert stats["discarded"] > 0
 

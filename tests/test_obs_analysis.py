@@ -230,7 +230,7 @@ class TestLinksUnderDegradation:
     def test_busy_follows_the_current_link_spec(self, fat_tree_run):
         cluster, backend, _, _ = fat_tree_run
         communicators = [coll.communicator
-                         for coll in backend.dfccl._collectives.values()]
+                         for coll in backend.collectives.values()]
         baseline = {(row["src"], row["dst"]): row
                     for row in link_rows(communicators)}
         src = cluster.device(7).device_id
@@ -258,7 +258,7 @@ class TestLinksUnderDegradation:
     def test_channels_counted_once_across_views(self, fat_tree_run):
         _, backend, _, _ = fat_tree_run
         communicators = [coll.communicator
-                         for coll in backend.dfccl._collectives.values()]
+                         for coll in backend.collectives.values()]
         once = link_rows(communicators)
         twice = link_rows(communicators + communicators)
         assert twice == once

@@ -19,7 +19,6 @@ from repro.collectives import (
     hierarchical_island_size,
 )
 from repro.collectives.plan import CollectivePlan
-from repro.common.errors import ConfigurationError
 from repro.common.types import CollectiveKind, CollectiveSpec
 from repro.core import DfcclConfig
 from repro.core.registration import RegisteredCollective
@@ -218,15 +217,15 @@ def test_partial_rerun_and_later_invocations_compile_apart(built):
     assert rerun.primitives[0] != later.primitives[0]
 
 
-def test_shrink_then_grow_replaces_the_plan(built):
-    """Crash a rank, recover by shrinking, then rejoin a replacement device."""
+def test_shrink_replaces_the_plan(built):
+    """Crash a rank and recover by shrinking: a new generation's plan."""
     cluster = build_cluster("fat-tree-32")
     backend = make_backend("dfccl", cluster, algorithm="hierarchical")
     ranks = list(range(16))
     group = backend.new_group(ranks)
     for rank in ranks:
         works = [group.all_reduce(rank, count=1 << 18) for _ in range(2)]
-        # Rank 5 dies before it submits anything, so the group can regrow.
+        # Rank 5 dies before it submits anything.
         ops = [CpuCompute(1_000.0)] if rank == 5 else []
         for work in works:
             ops += work.ops()
@@ -234,7 +233,7 @@ def test_shrink_then_grow_replaces_the_plan(built):
     coll = works[0].invocation.coll
     assert coll.plan.island_size == 8
     install_fault_plan(cluster, FaultPlan(name="crash").add_crash(5, at_us=10.0))
-    shrunk_at = cluster.run(until_us=200_000.0)
+    cluster.run(until_us=200_000.0)
     first, second = coll.invocations
     survivors = coll.active_ranks()
     assert 5 not in survivors
@@ -242,26 +241,5 @@ def test_shrink_then_grow_replaces_the_plan(built):
     # Fifteen survivors over two nodes: ragged islands, no two-level schedule.
     assert coll.plan.island_size is None
     assert first.fully_complete() and second.fully_complete()
-
-    dfccl = backend.dfccl
-    dfccl.recovery_manager.rejoin(coll, {5: 16}, shrunk_at)
-    assert coll.plan.generation == coll.generation == 2
-    assert coll.active_ranks() == tuple(ranks)
-    # The replacement device sits on a third node, so the islands interleave.
-    assert coll.plan.devices[5] is cluster.device(16)
-    assert coll.plan.island_size is None
-    assert dfccl.context(16).group_rank_for(coll) == 5
-    with pytest.raises(ConfigurationError):
-        dfccl.context(17).group_rank_for(coll)
-    # The process group follows the rejoin: its rank 5 now runs on GPU 16.
-    group.ranks[5] = 16
-    for global_rank in coll.global_ranks:
-        work = group.all_reduce(global_rank, count=1 << 18)
-        cluster.add_host(global_rank,
-                         HostProgram(work.ops() + backend.finalize_ops(global_rank)),
-                         name=f"rejoined-{global_rank}", start_time_us=shrunk_at)
-    cluster.run(until_us=400_000.0)
-    assert coll.invocations[2].fully_complete()
-
     _assert_fresh(built)
-    assert sorted({plan.generation for _, _, plan in built}) == [0, 1, 2]
+    assert sorted({plan.generation for _, _, plan in built}) == [0, 1]

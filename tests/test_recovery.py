@@ -4,9 +4,9 @@ import pytest
 
 from repro.api import make_backend
 from repro.bench.fault_experiments import CHAOS_HORIZON_US, CHAOS_PLANS
-from repro.common.errors import ConfigurationError, InvalidStateError
+from repro.common.errors import InvalidStateError
 from repro.common.types import CollectiveKind, CollectiveSpec
-from repro.core import CommunicatorPool, DfcclBackend, DfcclConfig
+from repro.core import CommunicatorPool, DfcclConfig
 from repro.faults import FaultPlan, install_fault_plan, run_dfccl_chaos
 from repro.gpusim import HostProgram, build_cluster
 from repro.gpusim.host import DeviceSynchronize
@@ -55,7 +55,7 @@ class TestDaemonGenerationTurnover:
             orders=lambda rank, _: [0, 1] if rank == 0 else [1, 0],
             with_sync=True,
         )
-        context = backend.dfccl.context(0)
+        context = backend.contexts[0]
         stats = backend.stats(0)
         assert stats.voluntary_quits >= 1
         assert stats.launches == stats.voluntary_quits + stats.final_exits
@@ -134,27 +134,21 @@ class TestCommunicatorPoolRecycling:
         _, backend, group = _dfccl_group([0, 1])
         coll = group.all_reduce(0, count=256, key=0).invocation.coll
         comm = coll.communicator
-        backend.dfccl.unregister_collective(coll.coll_id)
-        assert coll.coll_id not in backend.dfccl.context(0).context_buffer
+        assert backend.unregister_all() == 1
+        assert coll.coll_id not in backend.contexts[0].registered
         recycled = group.all_reduce(0, count=256, key=1).invocation.coll
         assert recycled.communicator is comm
-        assert backend.dfccl.pool.stats()["reused"] == 1
+        assert backend.pool.stats()["reused"] == 1
 
     def test_unregister_failure_invalidated_communicator_not_reused(self):
         _, backend, group = _dfccl_group([0, 1])
         coll = group.all_reduce(0, count=256, key=0).invocation.coll
         coll.communicator.invalidate()
         comm = coll.communicator
-        backend.dfccl.unregister_collective(coll.coll_id)
+        assert backend.unregister_all() == 1
         fresh = group.all_reduce(0, count=256, key=1).invocation.coll
         assert fresh.communicator is not comm
-        assert backend.dfccl.pool.stats()["discarded"] == 1
-
-    def test_unregister_unknown_collective_raises(self):
-        cluster = build_cluster("single-3090")
-        backend = DfcclBackend(cluster)
-        with pytest.raises(ConfigurationError):
-            backend.unregister_collective(99)
+        assert backend.pool.stats()["discarded"] == 1
 
 
 class TestRecoveryMechanics:
@@ -196,7 +190,8 @@ class TestRecoveryMechanics:
 
     def test_recovery_disabled_config_spawns_no_manager(self):
         cluster = build_cluster("single-3090")
-        backend = DfcclBackend(cluster, DfcclConfig(recovery_enabled=False))
+        backend = make_backend("dfccl", cluster,
+                               config=DfcclConfig(recovery_enabled=False))
         assert backend.recovery_manager is None
 
     def test_dead_root_broadcast_is_abandoned_not_rerooted(self):
@@ -211,7 +206,7 @@ class TestRecoveryMechanics:
                            FaultPlan(name="root-crash").add_crash(1, at_us=40.0))
         cluster.run(until_us=20_000.0)
         coll = works[0].invocation.coll
-        manager = backend.dfccl.recovery_manager
+        manager = backend.recovery_manager
         assert coll.abandoned
         assert manager.stats.abandoned >= 1
         assert manager.stats.recoveries == 0
@@ -228,14 +223,14 @@ class TestRecoveryMechanics:
         coll = invocation.coll
         invocation.mark_complete(0, 10.0)   # root's part is done
         cluster.device(2).fail(20.0)
-        manager = backend.dfccl.recovery_manager
+        manager = backend.recovery_manager
         manager._recover_collective(coll, [2], now=30.0)  # must not raise
         assert coll.abandoned
         assert manager.stats.abandoned == 1
         assert manager.stats.recoveries == 0
         # And the scan skips an abandoned collective instead of retrying.
-        backend.dfccl.context(1)._inflight[invocation] = 0.0
-        backend.dfccl.context(1).outstanding += 1
+        backend.contexts[1]._inflight[invocation] = 0.0
+        backend.contexts[1].outstanding += 1
         manager._scan(now=10_000.0)
         assert manager.stats.abandoned == 1
 
@@ -251,8 +246,9 @@ class TestRecoveryMechanics:
         cluster.run(until_us=60_000.0)
         coll = works[0].invocation.coll
         assert coll.invocation(0).fully_complete()
-        backend.dfccl.unregister_collective(coll.coll_id)  # must not raise for the dead rank
-        assert backend.dfccl.pool.stats()["free"] >= 1
+        # The dead rank does not object.
+        assert backend.unregister_all() == 1
+        assert backend.pool.stats()["free"] >= 1
 
     def test_unregister_with_inflight_invocation_raises(self):
         cluster, backend, group = _dfccl_group([0, 1])
@@ -266,17 +262,17 @@ class TestRecoveryMechanics:
             HostProgram([first.wait_op()] + backend.finalize_ops(0)),
             HostProgram(second.ops() + backend.finalize_ops(1)),
         ])
-        dfccl = backend.dfccl
         with pytest.raises(InvalidStateError):
-            dfccl.unregister_collective(coll.coll_id)
-        # The rejected unregister must leave the backend fully consistent:
+            backend.contexts[0].ensure_unregisterable(coll)
+        assert backend.unregister_all() == 0
+        # The refused unregister must leave the backend fully consistent:
         # the collective is still registered everywhere and the run works.
-        assert dfccl.collective(coll.coll_id) is not None
-        assert coll.coll_id in dfccl.context(0).registered
-        assert coll.coll_id in dfccl.context(1).registered
+        assert coll in backend.collectives.values()
+        assert coll.coll_id in backend.contexts[0].registered
+        assert coll.coll_id in backend.contexts[1].registered
         cluster.run()
-        dfccl.unregister_collective(coll.coll_id)
-        assert dfccl.pool.stats()["free"] == 1
+        assert backend.unregister_all() == 1
+        assert backend.pool.stats()["free"] == 1
 
 
 def _mixed_plan(world_size):
