@@ -149,7 +149,7 @@ class DfcclCollectiveBackend(CollectiveBackend):
                 registry.gauge_fn(f"pool_{field}",
                                   lambda field=field: self.pool.stats()[field])
             for field in ("launches", "preemptions", "voluntary_quits",
-                          "spin_polls", "primitives_executed"):
+                          "spin_polls", "spin_waits", "primitives_executed"):
                 registry.gauge_fn(f"daemon_{field}",
                                   lambda field=field: self._daemon_total(field))
 

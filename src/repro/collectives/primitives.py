@@ -229,6 +229,16 @@ class PrimitiveExecutor:
                 )
         return PrimitiveOutcome(ExecOutcome.SUCCESS, primitive)
 
+    def late_arrival_us(self, outcome):
+        """Arrival time of the head message a ``WAIT_RECV`` outcome judged
+        too far in the future, or ``None`` when no message is waiting."""
+        if outcome.outcome is not _WAIT_RECV:
+            return None
+        channel = self._recv_channels.get(outcome.primitive.recv_peer)
+        if channel is None or channel.invalidated or not channel._fifo:
+            return None
+        return channel._fifo[0].ready_time_us
+
     def try_execute_current(self, clock, engine=None, max_wait_us=None):
         """Attempt the current primitive; on success advance ``clock`` and move on.
 

@@ -180,6 +180,12 @@ class RankContext:
         pending, self._pending_entries = self._pending_entries, []
         return pending
 
+    def settle_daemon(self):
+        """Settle the running daemon's timed wait before a change its next
+        retry would see (an aborted or abandoned collective)."""
+        if self.current_daemon is not None:
+            self.current_daemon.settle()
+
     @property
     def daemon_alive(self):
         return self._daemon_alive
@@ -248,6 +254,7 @@ class RankContext:
 
         Idempotent; a part that already completed keeps its completion.
         """
+        self.settle_daemon()
         group_rank = self.group_rank_for(invocation.coll)
         if not invocation.mark_aborted(group_rank, time_us=time_us):
             return False

@@ -31,7 +31,11 @@ MIN_SPIN_THRESHOLD = 2_000
 SPIN_SUCCESS_BOOST = 20.0
 #: Fixed threshold used by the naive policy (the Fig. 11 case study).
 NAIVE_SPIN_THRESHOLD = 10_000
-#: Polls attempted per daemon step when spinning (simulation granularity).
+#: Largest spin quantum (polls).  A spinning daemon burns its budget in
+#: quanta doubling from 500 up to this cap; a quantum is the granularity at
+#: which a retry can see new data, so it fixes the virtual time.  It does not
+#: cost engine steps: the retries of a wait are passed without a step and
+#: replayed when it ends.
 SPIN_BATCH = 20_000
 #: Maximum number of back-to-back primitive successes per daemon step.
 PRIMITIVES_PER_STEP = 8

@@ -58,17 +58,22 @@ class ActiveContextCache:
         self.clock = clock
         self.slots = [_Slot() for _ in range(ACTIVE_CONTEXT_SLOTS)]
         self.stats = ContextStats()
+        #: Slot of each collective id seen (the daemon asks on every step).
+        self._slot_of = {}
 
     def _slot_for(self, coll_id):
-        # Direct mapping must handle both int ids and the multi-tenant
-        # (job, local id) tuples.  String hashing via hash() is randomized
-        # per process (PYTHONHASHSEED), which would break seeded
-        # reproducibility, so tuples map through a stable CRC instead.
-        if isinstance(coll_id, int):
-            index = coll_id
-        else:
-            index = zlib.crc32(repr(coll_id).encode())
-        return self.slots[index % len(self.slots)]
+        slot = self._slot_of.get(coll_id)
+        if slot is None:
+            # Direct mapping must handle both int ids and the multi-tenant
+            # (job, local id) tuples.  String hashing via hash() is
+            # randomized per process (PYTHONHASHSEED), which would break
+            # seeded reproducibility, so tuples map through a stable CRC.
+            if isinstance(coll_id, int):
+                index = coll_id
+            else:
+                index = zlib.crc32(repr(coll_id).encode())
+            slot = self._slot_of[coll_id] = self.slots[index % len(self.slots)]
+        return slot
 
     def _charge(self, cost_us):
         if self.clock is not None:

@@ -16,12 +16,25 @@ schedules every collective of its GPU:
 
 This implements Algorithm 1 of the paper one-to-one; the scheduling policies
 live in :mod:`repro.core.scheduling`.
+
+A failed retry that still has spin budget, and an idle SQ poll, end in a
+timed engine wait rather than one engine step per spin quantum or poll: the
+daemon blocks on the key that could change a retry's outcome (a channel, the
+SQ) until its last retry, the engine passes the retries in between without
+stepping it, and when the wait ends the daemon replays those retries with
+the same clock additions (``retry_times`` / ``replay``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from functools import lru_cache, reduce
+from itertools import accumulate
+from operator import add
+
 from repro.collectives.cost import DEFAULT_COST_MODEL
 from repro.collectives.primitives import ExecOutcome
+from repro.common.errors import SimulationError
 from repro.core.config import (
     IDLE_POLL_INTERVAL_US,
     PRIMITIVES_PER_STEP,
@@ -41,6 +54,47 @@ from repro.core.scheduling import (
 )
 from repro.gpusim.device import KernelActor
 from repro.gpusim.engine import StepResult
+
+
+@lru_cache(maxsize=1024)
+def _spin_plan(remaining, quantum):
+    """The retries a spin budget pays for before its last one.
+
+    Returns ``(spin_times, polls_after, quantum_after, remaining)``: the
+    spin time of each such retry's quantum, and, after ``k`` of them, the
+    polls spent, the next quantum and the budget left.  The values follow
+    ``_spin_or_preempt`` retry by retry; only the clock's start and rate differ
+    between waits.
+    """
+    spin_times, polls_after, quantum_after, left = [], [0], [quantum], [remaining]
+    while True:
+        polls = min(quantum, SPIN_BATCH, remaining)
+        if polls >= remaining:
+            break  # this retry spends the last of the budget: preemption
+        spin_times.append(polls * DEFAULT_COST_MODEL.poll_cost_us)
+        remaining -= polls
+        quantum = min(quantum * 2, SPIN_BATCH)
+        polls_after.append(polls_after[-1] + polls)
+        quantum_after.append(quantum)
+        left.append(remaining)
+    return (tuple(spin_times), tuple(polls_after), tuple(quantum_after),
+            tuple(left))
+
+
+class _Wait:
+    """One timed wait: the retry state it started from (see
+    ``DaemonKernel.retry_times``), with ``entry`` ``None`` for an idle wait."""
+
+    __slots__ = ("entry", "key", "start", "rate", "plan", "arrival", "times")
+
+    def __init__(self, entry, key, clock, plan=None, arrival=None):
+        self.entry = entry
+        self.key = key
+        self.start = clock.now
+        self.rate = clock.rate
+        self.plan = plan
+        self.arrival = arrival
+        self.times = None
 
 
 class DaemonKernel(KernelActor):
@@ -71,6 +125,8 @@ class DaemonKernel(KernelActor):
         self._final_exit_requested = False
         self._restart_requested = False
         self._last_activity_us = 0.0
+        #: The current timed wait, a :class:`_Wait`.
+        self._wait = None
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -166,6 +222,7 @@ class DaemonKernel(KernelActor):
         which compiles fresh executors for any invocation whose executor cache
         was invalidated by recovery.
         """
+        self.settle()
         self._restart_requested = True
 
     def run_step(self):
@@ -191,7 +248,7 @@ class DaemonKernel(KernelActor):
             if idle:
                 self.clock.advance(IDLE_POLL_INTERVAL_US)
                 self._end_pass()
-                return StepResult.progress("idle: polling SQ")
+                return self._wait_for_sqes()
 
         if self._queue_pos >= len(self.task_queue):
             self._end_pass()
@@ -265,12 +322,12 @@ class DaemonKernel(KernelActor):
             return StepResult.progress(f"burst on coll {entry.coll_id}")
         if kind is all_done:
             return self._complete_entry(entry)
-        return self._spin_or_preempt(entry)
+        return self._spin_or_preempt(entry, outcome)
 
-    def _spin_or_preempt(self, entry):
+    def _spin_or_preempt(self, entry, outcome):
         # Exponential spin quantum: short waits (data arriving in a few
         # microseconds) cost little virtual time, long fruitless waits double
-        # the quantum so they cost few simulation steps before preemption.
+        # the quantum so they cost few retries before preemption.
         polls = min(entry.spin_quantum, SPIN_BATCH, entry.spin_remaining)
         if polls > 0:
             spin_time = polls * DEFAULT_COST_MODEL.poll_cost_us
@@ -283,7 +340,128 @@ class DaemonKernel(KernelActor):
         if entry.spin_remaining <= 0:
             self._preempt_entry(entry)
             return StepResult.progress(f"preempted coll {entry.coll_id}")
-        return StepResult.progress(f"spinning on coll {entry.coll_id}")
+        return self._wait_on_channel(entry, outcome)
+
+    # -- timed waits ---------------------------------------------------------------------------
+
+    def _wait_on_channel(self, entry, outcome):
+        """Wait for the channel that failed the retry, until the last retry.
+
+        Each further retry would spin one quantum from the same state, so
+        its time follows from the clock, rate, remaining budget and quantum
+        alone.  Only a push or pop on the awaited channel can change what a
+        retry sees (other changes settle the wait explicitly).  A head message
+        that is merely too late becomes eligible at a retry the executor's own
+        ``ready_time_us > now + max_wait_us`` test finds, so that wait needs no
+        key at all.
+        """
+        detail = f"spinning on coll {entry.coll_id}"
+        arrival = entry.executor.late_arrival_us(outcome)
+        if arrival is not None and not (
+                arrival > self.clock.now
+                + entry.spin_remaining * DEFAULT_COST_MODEL.poll_cost_us):
+            return StepResult.progress(detail)  # the next retry takes it
+        plan = _spin_plan(entry.spin_remaining, entry.spin_quantum)
+        if not plan[0]:
+            return StepResult.progress(detail)  # the next retry is the last
+        self.stats.spin_waits += 1
+        self._wait = _Wait(entry, outcome.wait_key, self.clock, plan, arrival)
+        keys = (outcome.wait_key,) if arrival is None else ()
+        return StepResult.wait(keys, detail)
+
+    def _wait_for_sqes(self):
+        """Wait for an SQE (or the exit SQE) until the poll that quits."""
+        detail = "idle: polling SQ"
+        rate = self.clock.rate
+        if (self.clock.now + SQ_POLL_COST_US * rate
+                - self._last_activity_us > QUIT_PERIOD_US):
+            return StepResult.progress(detail)  # the next poll quits
+        self._wait = _Wait(None, self.ctx.submitted_key, self.clock)
+        keys = (self.ctx.submitted_key, self.ctx.destroyed_key)
+        return StepResult.wait(keys, detail)
+
+    def retry_times(self):
+        """Times of the retries the current timed wait stands for, computed
+        with the clock's own additions; the last one spends the spin budget
+        (or, for an idle wait, finds the quit period over)."""
+        wait = self._wait
+        if wait.times is None:
+            if wait.entry is None:
+                wait.times = self._idle_poll_times(wait)
+            else:
+                wait.times = self._spin_retry_times(wait)
+        return wait.times
+
+    @staticmethod
+    def _spin_retry_times(wait):
+        spin_times, _, _, remaining = wait.plan
+        times = list(accumulate([spin * wait.rate for spin in spin_times],
+                                initial=wait.start))
+        if wait.arrival is not None:
+            poll_cost_us = DEFAULT_COST_MODEL.poll_cost_us
+            for index, now in enumerate(times):
+                if not wait.arrival > now + remaining[index] * poll_cost_us:
+                    del times[index + 1:]  # the retry that can take it
+                    break
+        return times
+
+    def _idle_poll_times(self, wait):
+        # Each idle poll adds the SQ poll cost, then the poll interval.
+        interval = IDLE_POLL_INTERVAL_US * wait.rate
+        polls = int(QUIT_PERIOD_US / interval) + 3  # more than ever needed
+        marks = list(accumulate([SQ_POLL_COST_US * wait.rate, interval] * polls,
+                                initial=wait.start))
+        polled = marks[1::2]  # the clock right after each poll's SQ check
+        # The first poll with ``polled - last_activity > QUIT_PERIOD_US``
+        # (monotone in ``polled``): bisect, then settle the float boundary
+        # with the exact test.
+        last = self._last_activity_us
+        index = bisect_right(polled, last + QUIT_PERIOD_US)
+        while index > 0 and polled[index - 1] - last > QUIT_PERIOD_US:
+            index -= 1
+        while not polled[index] - last > QUIT_PERIOD_US:
+            index += 1
+        return marks[0:2 * index + 1:2]
+
+    def replay(self, count):
+        """Apply the first ``count`` retries of the current wait, all failed.
+
+        A failed spin retry is a context-cache hit plus one spin quantum (the
+        additions of ``_spin_or_preempt``, in order); an idle poll only moves
+        the clock.  The retry times were computed with the clock's own
+        additions at the wait's rate, so the clock lands on
+        ``retry_times()[count]``; a rate change that did not settle the wait
+        first would make that wrong, and raises.
+        """
+        wait, self._wait = self._wait, None
+        if wait.rate != self.clock.rate:
+            raise SimulationError(
+                f"{self.name}: clock rate changed during a timed wait that "
+                "was not settled first")
+        entry = wait.entry
+        polls = count
+        if count:
+            self.clock.now = wait.times[count]
+            if entry is not None:
+                spin_times, polls_after, quantum_after, remaining = wait.plan
+                polls = polls_after[count]
+                stats = self.stats
+                # One addition per retry, in order, as _spin_or_preempt does.
+                stats.spin_time_us = reduce(add, spin_times[:count],
+                                            stats.spin_time_us)
+                stats.spin_polls += polls
+                entry.spin_polls += polls
+                entry.spin_remaining = remaining[count]
+                entry.spin_quantum = quantum_after[count]
+                self.active_cache.stats.cache_hits += count
+        obs = self.engine.obs
+        if obs.enabled:
+            if entry is None:
+                name, coll_id = "idle SQ wait", None
+            else:
+                name, coll_id = "spin wait", entry.coll_id
+            obs.recorder.record_event(self.clock.now, "daemon", name, {
+                "coll_id": coll_id, "wait_key": wait.key, "polls": polls})
 
     def _preempt_entry(self, entry):
         self.active_cache.save_on_preempt(entry.coll_id, entry.progressed_since_load)

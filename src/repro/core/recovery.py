@@ -169,6 +169,8 @@ class RecoveryManager(Actor):
         data that can never arrive — the hang the differential fuzzer's
         fault programs caught.
         """
+        for ctx in self.backend.contexts.values():
+            ctx.settle_daemon()
         coll.abandoned = True
         self.stats.abandoned += 1
         obs = self._obs()

@@ -37,17 +37,18 @@ class TaskEntry:
     arrival_index: int = 0
     spin_threshold: int = 0
     spin_remaining: int = 0
-    #: Current spin quantum (polls burned per scheduling step); grows
+    #: Current spin quantum (polls burned per failed retry); grows
     #: exponentially while a primitive keeps failing so that short waits cost
-    #: little virtual time and long waits cost few simulation steps.
+    #: little virtual time and long waits few retries.
     spin_quantum: int = 500
     progressed_since_load: bool = False
     context_switches: int = 0
     spin_polls: int = 0
+    #: The invocation's collective id, read on every daemon step.
+    coll_id: object = field(init=False)
 
-    @property
-    def coll_id(self):
-        return self.invocation.coll_id
+    def __post_init__(self):
+        self.coll_id = self.invocation.coll_id
 
     def reset_spin(self, threshold):
         self.spin_threshold = int(threshold)
@@ -214,6 +215,9 @@ class DaemonStats:
     cqes_written: int = 0
     preemptions: int = 0
     spin_polls: int = 0
+    #: Timed waits a spinning daemon entered (each stands for one or more
+    #: spin retries that cost no engine step).
+    spin_waits: int = 0
     primitives_executed: int = 0
     sqe_read_time_us: float = 0.0
     preparing_time_us: float = 0.0

@@ -98,6 +98,16 @@ class KernelActor(Actor):
     def run_step(self):
         raise NotImplementedError
 
+    def settle(self):
+        """End a timed wait of this kernel now (see :meth:`Engine.settle`).
+
+        Call it before changing what the kernel's next retry would see other
+        than through its wait keys: its clock or clock rate, or the state of
+        a collective it holds.
+        """
+        if self.engine is not None:
+            self.engine.settle(self)
+
     @property
     def completion_key(self):
         return ("kernel-done", self.name)
@@ -236,6 +246,7 @@ class GpuDevice(Actor):
         self.clock.rate = self.slowdown_factor
         rate = self.effective_kernel_rate()
         for kernel in self.resident:
+            kernel.settle()
             kernel.clock.rate = rate
         return self.slowdown_factor
 
@@ -249,6 +260,7 @@ class GpuDevice(Actor):
         """
         stalled = []
         for kernel in self.resident:
+            kernel.settle()
             start = kernel.now if time_us is None else max(kernel.now, time_us)
             kernel.clock.advance_to(start + duration_us)
             if self.engine is not None:
@@ -288,6 +300,7 @@ class GpuDevice(Actor):
             self._interference_factor = factor
             rate = self.effective_kernel_rate()
             for kernel in self.resident:
+                kernel.settle()
                 kernel.clock.rate = rate
 
     # -- streams --------------------------------------------------------------

@@ -16,6 +16,16 @@ An actor's ``step`` returns a :class:`StepResult`:
 ``SLEEP``
     The actor wants to be woken at an absolute virtual time (used for polling
     threads and voluntary-quit timers).
+``WAIT``
+    A timed wait: the actor is blocked on its wait keys (possibly none) and
+    stands for a run of identical retries that would each fail until a key
+    is signalled (a daemon kernel spinning on a channel).  Its queue entry
+    sits at its next retry; the engine passes each retry without stepping
+    the actor, moving the entry to the following one, until a signal, a
+    :meth:`Engine.settle` or the last retry (its deadline) ends the wait.
+    The actor then replays the retries that were passed (see
+    :class:`Actor`), so its clock and counters land exactly where the
+    step-by-step loop would have left them, and its next retry is a step.
 ``DONE``
     The actor finished.  It is removed from scheduling and the engine drops
     its reference, so a completed actor (say, one daemon-kernel generation of
@@ -64,6 +74,10 @@ _ENTRY_ACTOR = 3
 #: queues churn entries constantly and rebuilds would dominate).
 _COMPACT_MIN_STALE = 64
 
+#: Returned by ``Engine._pop_runnable`` when passing a timed waiter's retry
+#: took the horizon to ``run``'s deadline.
+_UNTIL = object()
+
 
 class StepStatus(enum.Enum):
     """Outcome of a single actor step."""
@@ -71,10 +85,11 @@ class StepStatus(enum.Enum):
     PROGRESS = "progress"
     BLOCKED = "blocked"
     SLEEP = "sleep"
+    WAIT = "wait"
     DONE = "done"
 
 
-@dataclass
+@dataclass(slots=True)
 class StepResult:
     """Value returned by :meth:`Actor.step`."""
 
@@ -101,6 +116,12 @@ class StepResult:
         return cls(StepStatus.SLEEP, wake_at=float(wake_at), detail=detail)
 
     @classmethod
+    def wait(cls, wait_keys, detail=""):
+        """A timed wait on ``wait_keys`` (a tuple, possibly empty) until the
+        actor's last retry (its ``retry_times()``)."""
+        return cls(StepStatus.WAIT, wait_keys=wait_keys, detail=detail)
+
+    @classmethod
     def done(cls, detail=""):
         return cls(StepStatus.DONE, detail=detail)
 
@@ -111,6 +132,12 @@ class Actor:
     ``daemon`` actors are service actors (GPU launch schedulers, completion
     pollers): they never keep the simulation alive, and being blocked forever
     is their normal idle state, so they are ignored by deadlock detection.
+
+    An actor that returns a ``WAIT`` step implements two more methods:
+    ``retry_times()``, the increasing times of the retries the wait stands
+    for (the first is the actor's clock, the last its deadline), and
+    ``replay(count)``, which applies the effects of the first ``count`` of
+    them, all failed, leaving the clock at ``retry_times()[count]``.
     """
 
     daemon = False
@@ -182,6 +209,9 @@ class Engine:
         self._ready_count = 0
         self._live_worker_count = 0
         self._blocked = {}
+        #: Timed waiters: actor -> [retry times (fetched on the first pass),
+        #: retries passed so far].
+        self._waits = {}
         self._waiters = {}
         #: Public read-only alias of the waiter table, keyed by wait key.
         #: Hot paths (the primitive executor signals once or twice per
@@ -322,7 +352,9 @@ class Engine:
 
         ``time_us`` is the virtual time at which the signalled condition became
         true; woken actors have their clocks advanced to at least that time,
-        modelling the spin-wait they performed while blocked.
+        modelling the spin-wait they performed while blocked.  A timed waiter
+        is settled instead (:meth:`settle`): its clock does not move to
+        ``time_us``, its next retry becomes a step.
         """
         self._signals += 1
         if self._event_ring is not None:
@@ -342,17 +374,34 @@ class Engine:
                         group.discard(actor)
                         if not group:
                             self._waiters.pop(other, None)
-            if time_us is not None:
-                actor.clock.advance_to(time_us)
-                self._observe_time(actor.now)
-            self._schedule(actor, actor.now, _KIND_READY)
+            if actor in self._waits:
+                self._end_wait(actor)
+            else:
+                if time_us is not None:
+                    actor.clock.advance_to(time_us)
+                    self._observe_time(actor.now)
+                self._schedule(actor, actor.now, _KIND_READY)
             woken += 1
         return woken
 
     def _block(self, actor, keys):
         self._blocked[actor] = tuple(keys)
+        waiters = self._waiters
         for key in keys:
-            self._waiters.setdefault(key, set()).add(actor)
+            group = waiters.get(key)
+            if group is None:
+                waiters[key] = {actor}
+            else:
+                group.add(actor)
+
+    def _unblock(self, actor):
+        """Unhook ``actor`` from every wait key it is blocked on."""
+        for key in self._blocked.pop(actor, ()):
+            group = self._waiters.get(key)
+            if group is not None:
+                group.discard(actor)
+                if not group:
+                    self._waiters.pop(key, None)
 
     def wake_actor(self, actor, time_us=None):
         """Make one blocked *or sleeping* actor runnable immediately.
@@ -366,19 +415,41 @@ class Engine:
         """
         if actor.finished:
             return False
-        keys = self._blocked.pop(actor, None)
-        if keys is not None:
-            for key in keys:
-                group = self._waiters.get(key)
-                if group is not None:
-                    group.discard(actor)
-                    if not group:
-                        self._waiters.pop(key, None)
+        self.settle(actor)
+        self._unblock(actor)
         if time_us is not None:
             actor.clock.advance_to(time_us)
             self._observe_time(actor.now)
         self._schedule(actor, actor.now, _KIND_READY)
         return True
+
+    # -- timed waits -----------------------------------------------------------
+
+    def settle(self, actor):
+        """End a timed wait now; a no-op for an actor that is not waiting.
+
+        Call it before any change that could alter what the waiter's next
+        retry sees without a signal on its wait keys: a clock-rate change, a
+        stall, an abandoned collective.  The waiter replays the retries the
+        engine passed, so its clock is its queue entry's time, exactly as in
+        the step-by-step loop, and that next retry will be a step.
+        """
+        if actor in self._waits:
+            self._unblock(actor)
+            self._end_wait(actor)
+
+    def _wait(self, actor, keys):
+        """Start a timed wait: the next retry is queued where a ``PROGRESS``
+        step would have queued it, at the actor's clock.  The retry times are
+        fetched when the first retry is passed (many waits end before)."""
+        self._waits[actor] = [None, 0]
+        if keys:
+            self._block(actor, keys)
+        self._schedule(actor, actor.clock.now, _KIND_READY)
+
+    def _end_wait(self, actor):
+        _, passed = self._waits.pop(actor)
+        actor.replay(passed)
 
     # -- fault injection -----------------------------------------------------
 
@@ -391,6 +462,7 @@ class Engine:
         """
         if actor.finished:
             return False
+        self.settle(actor)
         actor.finished = True
         if not actor.daemon:
             self._live_worker_count -= 1
@@ -402,13 +474,7 @@ class Engine:
             self.obs.recorder.record_event(actor.now, "fault",
                                            f"killed:{actor.name}")
         self._discard_entry(actor)
-        keys = self._blocked.pop(actor, ())
-        for key in keys:
-            group = self._waiters.get(key)
-            if group is not None:
-                group.discard(actor)
-                if not group:
-                    self._waiters.pop(key, None)
+        self._unblock(actor)
         return True
 
     # -- main loop -----------------------------------------------------------
@@ -432,7 +498,9 @@ class Engine:
     def run(self, until_us=None):
         """Run until no live actors remain, a deadline, or a deadlock.
 
-        Returns the final global virtual time.
+        Returns the final global virtual time.  Timed waiters still waiting
+        when a deadline stops the run are settled first, so every clock and
+        counter reads as if each retry had been a step.
         """
         while True:
             self._steps += 1
@@ -443,30 +511,37 @@ class Engine:
                 )
 
             if until_us is not None and self._horizon >= until_us:
-                return self._horizon
+                return self._stop()
 
-            actor = self._pop_runnable()
+            actor = self._pop_runnable(until_us)
             if actor is None:
                 if self._handle_stall():
                     continue
                 return self._horizon
+            if actor is _UNTIL:
+                return self._stop()
 
             result = actor.step()
-            self._observe_time(actor.now)
+            now = actor.clock.now
+            if now > self._horizon:
+                self._horizon = now
             ring = self._event_ring
             if ring is not None:
                 # The flight recorder's entire hot-path cost: one bounded
-                # deque append per step.
-                ring.append((actor.now, actor.name, result.status.value,
+                # deque append per step (``_value_`` is ``value`` without
+                # the enum descriptor).
+                ring.append((now, actor.name, result.status._value_,
                              result.detail))
 
             status = result.status
             if status is StepStatus.PROGRESS:
-                self._schedule(actor, actor.now, _KIND_READY)
+                self._schedule(actor, now, _KIND_READY)
             elif status is StepStatus.BLOCKED:
                 self._block(actor, result.wait_keys)
             elif status is StepStatus.SLEEP:
-                self._schedule(actor, max(result.wake_at, actor.now), _KIND_SLEEP)
+                self._schedule(actor, max(result.wake_at, now), _KIND_SLEEP)
+            elif status is StepStatus.WAIT:
+                self._wait(actor, result.wait_keys)
             elif status is StepStatus.DONE:
                 actor.finished = True
                 del self._actors[actor]
@@ -475,16 +550,25 @@ class Engine:
             else:  # pragma: no cover - defensive
                 raise SimulationError(f"unknown step status {result.status}")
 
-    def _pop_runnable(self):
+    def _stop(self):
+        """Return from :meth:`run` at its deadline, settling timed waiters."""
+        for actor in list(self._waits):
+            self.settle(actor)
+        return self._horizon
+
+    def _pop_runnable(self, until_us=None):
         """Pop the next actor to step, respecting virtual-time causality.
 
         Ready and sleeping actors share the event queue, merged by timestamp
         (sleepers first on ties): a sleeper whose wake time precedes the
         earliest ready actor's clock is woken first, so no actor ever
-        observes state produced "in its future".
+        observes state produced "in its future".  A timed waiter's retries
+        are passed here, without a step; returns ``_UNTIL`` when passing one
+        takes the horizon to ``until_us``.
         """
         queue = self._queue
         entries = self._entries
+        waits = self._waits
         while queue:
             entry = queue[0]
             actor = entry[_ENTRY_ACTOR]
@@ -502,6 +586,27 @@ class Engine:
                     self._ready_count -= 1
                 continue
             if entry[1] == _KIND_READY:
+                wait = waits.get(actor) if waits else None
+                if wait is not None:
+                    times = wait[0]
+                    if times is None:
+                        times = wait[0] = actor.retry_times()
+                    passed = wait[1] + 1
+                    if passed < len(times):
+                        # This retry would fail like the ones before it: pass
+                        # it and queue the next one in its place, with the
+                        # sequence number the step would have given it.
+                        wait[1] = passed
+                        time_us = times[passed]
+                        if time_us > self._horizon:
+                            self._horizon = time_us
+                        entry = [time_us, _KIND_READY, next(self._counter), actor]
+                        entries[actor] = entry
+                        heapq.heapreplace(queue, entry)
+                        if until_us is not None and self._horizon >= until_us:
+                            return _UNTIL
+                        continue
+                    self.settle(actor)   # the last retry is a step
                 heapq.heappop(queue)
                 del entries[actor]
                 self._ready_count -= 1

@@ -95,6 +95,8 @@ declare_metric("daemon_voluntary_quits", "gauge",
                "Daemon voluntary quits on empty queues (all GPUs)")
 declare_metric("daemon_spin_polls", "gauge",
                "Daemon spin polls while waiting for work (all GPUs)")
+declare_metric("daemon_spin_waits", "gauge",
+               "Timed engine waits entered by spinning daemons (all GPUs)")
 declare_metric("daemon_primitives_executed", "gauge",
                "Collective primitives executed by daemon kernels (all GPUs)")
 
