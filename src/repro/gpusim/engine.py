@@ -594,14 +594,14 @@ class Engine:
                     passed = wait[1] + 1
                     if passed < len(times):
                         # This retry would fail like the ones before it: pass
-                        # it and queue the next one in its place, with the
+                        # it and turn its entry into the next one, with the
                         # sequence number the step would have given it.
                         wait[1] = passed
                         time_us = times[passed]
                         if time_us > self._horizon:
                             self._horizon = time_us
-                        entry = [time_us, _KIND_READY, next(self._counter), actor]
-                        entries[actor] = entry
+                        entry[0] = time_us
+                        entry[2] = next(self._counter)
                         heapq.heapreplace(queue, entry)
                         if until_us is not None and self._horizon >= until_us:
                             return _UNTIL
