@@ -3,10 +3,13 @@
 A primitive is a fusion of the basic actions ``send``, ``recv``, ``reduce``
 and ``copy`` (Sec. 4.1).  Depending on which of ``send``/``recv`` it contains,
 a primitive busy-waits until its send connector is writable and/or its recv
-connector is readable before progressing.  The :class:`PrimitiveExecutor`
-implements this check-then-execute logic once, so the NCCL baseline (which
-waits forever) and the DFCCL daemon kernel (which bounds the wait with a spin
-threshold) share exactly the same data-plane behaviour.
+connector is readable before progressing.  :meth:`PrimitiveExecutor.burst`
+implements this check-then-execute logic once: it runs a rank's primitives
+back to back until one would busy-wait or a step's limit is reached.  The
+NCCL baseline (which then waits forever) and the DFCCL daemon kernel (which
+bounds the wait with a spin threshold) both call it with
+:data:`PRIMITIVES_PER_STEP`, so they share exactly the same data-plane
+behaviour.
 """
 
 from __future__ import annotations
@@ -18,6 +21,12 @@ from repro.common.types import PrimitiveAction
 from repro.collectives.channels import ChunkMessage
 from repro.collectives.cost import DEFAULT_COST_MODEL
 
+
+#: Most primitives one engine step of either backend runs back to back (the
+#: ``limit`` both kernels pass to :meth:`PrimitiveExecutor.burst`).  Where a
+#: step ends decides where other actors' steps interleave with it, so this
+#: fixes the virtual time of every run.
+PRIMITIVES_PER_STEP = 8
 
 _SEND_BITS = PrimitiveAction.SEND.value
 _RECV_BITS = PrimitiveAction.RECV.value
@@ -47,7 +56,7 @@ class Primitive:
         self.nbytes = nbytes
         self.send_peer = send_peer
         self.recv_peer = recv_peer
-        bits = action.value
+        bits = action._value_  # the member's value, without the Enum descriptor
         self.sends = bits & _SEND_BITS != 0
         self.recvs = bits & _RECV_BITS != 0
         self.touches_memory = bits & _MEMORY_BITS != 0
@@ -106,13 +115,17 @@ _ALL_DONE = ExecOutcome.ALL_DONE
 class PrimitiveOutcome:
     """Outcome plus the wait key to block/spin on when not successful."""
 
-    __slots__ = ("outcome", "primitive", "wait_key", "busy_time_us")
+    __slots__ = ("outcome", "primitive", "wait_key")
 
-    def __init__(self, outcome, primitive=None, wait_key=None, busy_time_us=0.0):
+    def __init__(self, outcome, primitive=None, wait_key=None):
         self.outcome = outcome
         self.primitive = primitive
         self.wait_key = wait_key
-        self.busy_time_us = busy_time_us
+
+
+#: The outcomes that carry no primitive, shared by every burst (read only).
+_SUCCESS_OUTCOME = PrimitiveOutcome(_SUCCESS)
+_ALL_DONE_OUTCOME = PrimitiveOutcome(_ALL_DONE)
 
 
 class PrimitiveExecutor:
@@ -147,15 +160,15 @@ class PrimitiveExecutor:
         self._links = {}
         self._busy_cache = {}
         self._cache_epoch = communicator.interconnect.link_epoch
-        #: Reused SUCCESS outcome: one is produced per executed primitive and
-        #: immediately consumed by every caller, so allocating a fresh object
-        #: each time only feeds the garbage collector.
-        self._success_outcome = PrimitiveOutcome(_SUCCESS)
+        #: The WAIT_* outcome a burst returns, reused: every caller reads it
+        #: before its next burst on this executor, and most bursts of a
+        #: spinning collective fail their first attempt.
+        self._wait_outcome = PrimitiveOutcome(_WAIT_RECV)
         #: Optional per-primitive execution trace: a flat ``array('d')`` of
         #: ``(start_us, end_us, busy_us)`` triples appended per executed
         #: primitive, attached by ``obs.analysis`` when time attribution is
-        #: requested.  ``None`` (the default) keeps the hot path at one load
-        #: and one identity check per primitive.
+        #: requested.  ``None`` (the default) keeps the hot path at one identity
+        #: check per primitive.
         self.trace = None
 
     # -- introspection ----------------------------------------------------------
@@ -239,137 +252,174 @@ class PrimitiveExecutor:
             return None
         return channel._fifo[0].ready_time_us
 
-    def try_execute_current(self, clock, engine=None, max_wait_us=None):
-        """Attempt the current primitive; on success advance ``clock`` and move on.
+    def burst(self, clock, engine=None, limit=1, max_wait_us=None,
+              success_wait_us=None):
+        """Execute up to ``limit`` primitives back to back; return
+        ``(executed, outcome)``.
 
-        Returns a :class:`PrimitiveOutcome`.  A WAIT_* outcome does not charge
-        time — busy-wait accounting (spinning or blocking) is the caller's
-        responsibility, because NCCL and DFCCL handle it differently.
-        ``max_wait_us`` bounds how far into the future the executor will wait
-        for in-flight data (DFCCL passes its remaining spin budget).
+        The outcome is SUCCESS once ``limit`` primitives executed, otherwise
+        the first failed attempt's WAIT_RECV / WAIT_SEND (with the key to wait
+        on) or ALL_DONE.  A failed attempt charges no time: busy-wait
+        accounting (spinning or blocking) is the caller's, because NCCL and
+        DFCCL handle it differently.  The first attempt waits at most
+        ``max_wait_us`` for in-flight data, every later one at most
+        ``success_wait_us`` (DFCCL passes the spin budget left and the budget
+        a success restores; ``None`` waits without bound).  One call is the
+        same as ``limit`` calls with ``limit=1``, stopping at the first
+        failure: same clock, channel contents, signals and trace.  The
+        outcome is only valid until the next call: WAIT_* outcomes reuse one
+        object per executor.
         """
         position = self.position
         primitives = self.primitives
-        if position >= len(primitives):
-            return PrimitiveOutcome(_ALL_DONE)
-
-        primitive = primitives[position]
-        recv_channel = None
-        send_channel = None
+        end = len(primitives)
+        stop = position + limit
+        now = clock.now
+        max_wait = max_wait_us
+        executed = 0
+        recv_peer_seen = send_peer_seen = -1  # no peer: ranks are >= 0
 
         # The readable/writable checks are inlined over the channel FIFOs
-        # (same-package fast path, one or two checks per primitive of every
-        # collective in the simulation); `Channel.readable`/`writable` remain
-        # the reference semantics for every other caller.
-        recv_peer = primitive.recv_peer
-        if recv_peer is not None and primitive.recvs:
-            recv_channel = self._recv_channels.get(recv_peer)
-            if recv_channel is None:
-                recv_channel = self._recv_channel(primitive)
-            fifo = recv_channel._fifo
-            if recv_channel.invalidated or not fifo or (
-                max_wait_us is not None
-                and fifo[0].ready_time_us > clock.now + max_wait_us
-            ):
-                return PrimitiveOutcome(
-                    _WAIT_RECV, primitive, recv_channel.readable_key
-                )
-        send_peer = primitive.send_peer
-        if send_peer is not None and primitive.sends:
-            send_channel = self._send_channels.get(send_peer)
-            if send_channel is None:
-                send_channel = self._send_channel(primitive)
-            if send_channel.invalidated or \
-                    len(send_channel._fifo) >= send_channel.capacity:
-                return PrimitiveOutcome(
-                    _WAIT_SEND, primitive, send_channel.writable_key
-                )
-
-        # Both wait checks passed: the primitive executes now.  ``start`` is
-        # the rank's clock *before* any arrival spin, so the analysis layer
-        # can split recv wait from dilated work.
-        trace = self.trace
-        if trace is not None:
-            trace_start = clock.now
-
-        epoch = self.communicator.interconnect.link_epoch
-        if epoch != self._cache_epoch:
-            self._links.clear()
-            self._busy_cache.clear()
-            self._cache_epoch = epoch
-        if send_channel is not None:
-            peer = primitive.send_peer
-            link = self._links.get(peer)
-            if link is None:
-                link = self.communicator.link(self.group_rank, peer)
-                self._links[peer] = link
-        else:
-            peer = None
-            link = None
-        busy_key = (primitive.nbytes, peer, primitive.touches_memory)
-        busy = self._busy_cache.get(busy_key)
-        if busy is None:
-            busy = self.cost_model.primitive_time_us(
-                primitive.nbytes,
-                link=link,
-                sends=send_channel is not None,
-                touches_memory=primitive.touches_memory,
-            )
-            self._busy_cache[busy_key] = busy
-
-        if recv_channel is not None:
-            message = recv_channel._fifo.popleft()
-            recv_channel.popped_count += 1
-            # Spin until the in-flight data actually arrives, then consume
-            # it; the message shell is dead now and returns to the freelist.
-            arrival = message.ready_time_us
-            if arrival > clock.now:
-                clock.now = arrival
-            recv_channel._free.append(message)
-            if engine is not None:
-                # Fast path: a signal with no registered waiter is a no-op, so
-                # consult the engine's public waiter table before paying the
-                # call.
-                key = recv_channel.writable_key
-                if key in engine.waiters_by_key:
-                    engine.signal(key, clock.now)
-
-        # clock.advance(busy) inlined: busy is a cached non-negative cost.
-        clock.now += busy * clock.rate
-
-        if send_channel is not None:
-            free = send_channel._free
-            if free:
-                message = free.pop()
-                message.collective_id = self.collective_id
-                message.chunk_index = primitive.chunk_index
-                message.step = primitive.step
-                message.nbytes = primitive.nbytes
-                message.ready_time_us = clock.now
+        # (same-package fast path, every primitive of every collective in the
+        # simulation passes here); `Channel.readable`/`writable` remain the
+        # reference semantics for every other caller.  The channels, link and
+        # busy time of the previous primitive are reused while its peers and
+        # shape repeat, and ``clock.now`` lives in ``now`` until the burst
+        # ends or an engine signal needs it.
+        while True:
+            if position == stop:
+                outcome = _SUCCESS_OUTCOME
+                break
+            if position >= end:
+                outcome = _ALL_DONE_OUTCOME
+                break
+            primitive = primitives[position]
+            recv_peer = primitive.recv_peer
+            if recv_peer is not None and primitive.recvs:
+                if recv_peer != recv_peer_seen:
+                    recv_channel = self._recv_channels.get(recv_peer)
+                    if recv_channel is None:
+                        recv_channel = self._recv_channel(primitive)
+                    recv_peer_seen = recv_peer
+                fifo = recv_channel._fifo
+                if recv_channel.invalidated or not fifo or (
+                    max_wait is not None
+                    and fifo[0].ready_time_us > now + max_wait
+                ):
+                    outcome = self._wait_outcome
+                    outcome.outcome = _WAIT_RECV
+                    outcome.primitive = primitive
+                    outcome.wait_key = recv_channel.readable_key
+                    break
+                receives = recv_channel
             else:
-                message = ChunkMessage(
-                    collective_id=self.collective_id,
-                    chunk_index=primitive.chunk_index,
-                    step=primitive.step,
-                    nbytes=primitive.nbytes,
-                    ready_time_us=clock.now,
-                )
-            send_channel._fifo.append(message)
-            send_channel.pushed_count += 1
-            send_channel.bytes_pushed += primitive.nbytes
-            if engine is not None:
-                key = send_channel.readable_key
-                if key in engine.waiters_by_key:
-                    engine.signal(key, clock.now)
+                receives = None
+            send_peer = primitive.send_peer
+            if send_peer is not None and primitive.sends:
+                if send_peer != send_peer_seen:
+                    send_channel = self._send_channels.get(send_peer)
+                    if send_channel is None:
+                        send_channel = self._send_channel(primitive)
+                    send_peer_seen = send_peer
+                if send_channel.invalidated or \
+                        len(send_channel._fifo) >= send_channel.capacity:
+                    outcome = self._wait_outcome
+                    outcome.outcome = _WAIT_SEND
+                    outcome.primitive = primitive
+                    outcome.wait_key = send_channel.writable_key
+                    break
+                sends = send_channel
+            else:
+                send_peer = None
+                sends = None
 
-        if trace is not None:
-            trace.append(trace_start)
-            trace.append(clock.now)
-            trace.append(busy)
+            if not executed:
+                # Both wait checks of the first attempt passed: set up the
+                # state the rest of the burst shares.
+                epoch = self.communicator.interconnect.link_epoch
+                if epoch != self._cache_epoch:
+                    self._links.clear()
+                    self._busy_cache.clear()
+                    self._cache_epoch = epoch
+                busy_cache = self._busy_cache
+                waiters = engine.waiters_by_key if engine is not None else ()
+                trace = self.trace
+                rate = clock.rate
+                collective_id = self.collective_id
+                busy_nbytes = busy_peer = busy_touches = None
 
-        self.position = position + 1
-        self.executed_primitives += 1
-        outcome = self._success_outcome
-        outcome.primitive = primitive
-        outcome.busy_time_us = busy
-        return outcome
+            # The primitive executes now.  The trace's start is the clock
+            # *before* any arrival spin, so the analysis layer can split recv
+            # wait from dilated work.
+            start = now
+            nbytes = primitive.nbytes
+            touches_memory = primitive.touches_memory
+            if nbytes != busy_nbytes or send_peer != busy_peer \
+                    or touches_memory is not busy_touches:
+                busy_nbytes, busy_peer, busy_touches = busy_key = (
+                    nbytes, send_peer, touches_memory)
+                busy = busy_cache.get(busy_key)
+                if busy is None:
+                    link = None
+                    if sends is not None:
+                        link = self._links.get(send_peer)
+                        if link is None:
+                            link = self._links[send_peer] = \
+                                self.communicator.link(self.group_rank, send_peer)
+                    busy = busy_cache[busy_key] = self.cost_model.primitive_time_us(
+                        nbytes, link=link, sends=sends is not None,
+                        touches_memory=touches_memory)
+
+            if receives is not None:
+                message = fifo.popleft()
+                receives.popped_count += 1
+                # Spin until the in-flight data actually arrives, then consume
+                # it; the message shell is dead now and returns to the freelist.
+                arrival = message.ready_time_us
+                if arrival > now:
+                    now = arrival
+                receives._free.append(message)
+                # A signal with no registered waiter is a no-op, so consult
+                # the engine's public waiter table before paying the call.
+                key = receives.writable_key
+                if key in waiters:
+                    clock.now = now
+                    engine.signal(key, now)
+
+            # clock.advance(busy) inlined: busy is a cached non-negative cost.
+            now += busy * rate
+
+            if sends is not None:
+                free = sends._free
+                if free:
+                    message = free.pop()
+                    message.collective_id = collective_id
+                    message.chunk_index = primitive.chunk_index
+                    message.step = primitive.step
+                    message.nbytes = nbytes
+                    message.ready_time_us = now
+                else:
+                    message = ChunkMessage(collective_id, primitive.chunk_index,
+                                           primitive.step, nbytes, now)
+                sends._fifo.append(message)
+                sends.pushed_count += 1
+                sends.bytes_pushed += nbytes
+                key = sends.readable_key
+                if key in waiters:
+                    clock.now = now
+                    engine.signal(key, now)
+
+            if trace is not None:
+                trace.append(start)
+                trace.append(now)
+                trace.append(busy)
+
+            position += 1
+            executed += 1
+            max_wait = success_wait_us
+
+        if executed:
+            clock.now = now
+            self.position = position
+            self.executed_primitives += executed
+        return executed, outcome

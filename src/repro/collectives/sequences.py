@@ -102,82 +102,68 @@ def _ring_peers(group_rank, group_size):
 
 
 def _all_reduce_loop(group_rank, group_size, loop, nbytes):
-    """2*(n-1) primitives: reduce-scatter phase then all-gather phase."""
-    send_peer, recv_peer = _ring_peers(group_rank, group_size)
-    primitives = []
-    step = 0
+    """2n-1 primitives: send, recvReduceSend x(n-2), recvReduceCopySend,
+    recvCopySend x(n-2), recv.
+
+    Steps ``1..n-1`` are the reduce-scatter phase, ``n-1..2n-2`` the
+    all-gather phase (the fused recvReduceCopySend belongs to both).  The
+    ring builders pass ``Primitive`` its arguments positionally: a 512-rank
+    all-reduce compiles half a million of them.
+    """
+    n = group_size
+    send_peer, recv_peer = _ring_peers(group_rank, n)
+    primitives = [Primitive("send", PRIM_SEND, loop, 0, group_rank, nbytes,
+                            send_peer)]
+    primitives += [
+        Primitive("recvReduceSend", PRIM_RECV_REDUCE_SEND, loop, step,
+                  (group_rank - step) % n, nbytes, send_peer, recv_peer)
+        for step in range(1, n - 1)
+    ]
     primitives.append(
-        Primitive("send", PRIM_SEND, loop, step, chunk_index=group_rank, nbytes=nbytes,
-                  send_peer=send_peer)
-    )
-    for _ in range(group_size - 2):
-        step += 1
-        primitives.append(
-            Primitive("recvReduceSend", PRIM_RECV_REDUCE_SEND, loop, step,
-                      chunk_index=(group_rank - step) % group_size, nbytes=nbytes,
-                      send_peer=send_peer, recv_peer=recv_peer)
-        )
-    step += 1
+        Primitive("recvReduceCopySend", PRIM_RECV_REDUCE_COPY_SEND, loop, n - 1,
+                  (group_rank + 1) % n, nbytes, send_peer, recv_peer))
+    primitives += [
+        Primitive("recvCopySend", PRIM_RECV_COPY_SEND, loop, step,
+                  (group_rank - step) % n, nbytes, send_peer, recv_peer)
+        for step in range(n, 2 * n - 2)
+    ]
     primitives.append(
-        Primitive("recvReduceCopySend", PRIM_RECV_REDUCE_COPY_SEND, loop, step,
-                  chunk_index=(group_rank - step) % group_size, nbytes=nbytes,
-                  send_peer=send_peer, recv_peer=recv_peer)
-    )
-    for _ in range(group_size - 2):
-        step += 1
-        primitives.append(
-            Primitive("recvCopySend", PRIM_RECV_COPY_SEND, loop, step,
-                      chunk_index=(group_rank - step) % group_size, nbytes=nbytes,
-                      send_peer=send_peer, recv_peer=recv_peer)
-        )
-    step += 1
-    primitives.append(
-        Primitive("recv", PRIM_RECV, loop, step,
-                  chunk_index=(group_rank - step) % group_size, nbytes=nbytes,
-                  recv_peer=recv_peer)
-    )
+        Primitive("recv", PRIM_RECV, loop, 2 * n - 2, (group_rank + 2) % n,
+                  nbytes, None, recv_peer))
     return primitives
 
 
 def _all_gather_loop(group_rank, group_size, loop, nbytes):
     """n primitives: send own slice, forward n-2 slices, receive the last."""
-    send_peer, recv_peer = _ring_peers(group_rank, group_size)
-    primitives = [
-        Primitive("send", PRIM_SEND, loop, 0, chunk_index=group_rank, nbytes=nbytes,
-                  send_peer=send_peer)
+    n = group_size
+    send_peer, recv_peer = _ring_peers(group_rank, n)
+    primitives = [Primitive("send", PRIM_SEND, loop, 0, group_rank, nbytes,
+                            send_peer)]
+    primitives += [
+        Primitive("recvCopySend", PRIM_RECV_COPY_SEND, loop, step,
+                  (group_rank - step) % n, nbytes, send_peer, recv_peer)
+        for step in range(1, n - 1)
     ]
-    for step in range(1, group_size - 1):
-        primitives.append(
-            Primitive("recvCopySend", PRIM_RECV_COPY_SEND, loop, step,
-                      chunk_index=(group_rank - step) % group_size, nbytes=nbytes,
-                      send_peer=send_peer, recv_peer=recv_peer)
-        )
     primitives.append(
-        Primitive("recv", PRIM_RECV, loop, group_size - 1,
-                  chunk_index=(group_rank + 1) % group_size, nbytes=nbytes,
-                  recv_peer=recv_peer)
-    )
+        Primitive("recv", PRIM_RECV, loop, n - 1, (group_rank + 1) % n, nbytes,
+                  None, recv_peer))
     return primitives
 
 
 def _reduce_scatter_loop(group_rank, group_size, loop, nbytes):
     """n primitives: send, n-2 recvReduceSend, final recvReduceCopy."""
-    send_peer, recv_peer = _ring_peers(group_rank, group_size)
-    primitives = [
-        Primitive("send", PRIM_SEND, loop, 0, chunk_index=group_rank, nbytes=nbytes,
-                  send_peer=send_peer)
+    n = group_size
+    send_peer, recv_peer = _ring_peers(group_rank, n)
+    primitives = [Primitive("send", PRIM_SEND, loop, 0, group_rank, nbytes,
+                            send_peer)]
+    primitives += [
+        Primitive("recvReduceSend", PRIM_RECV_REDUCE_SEND, loop, step,
+                  (group_rank - step) % n, nbytes, send_peer, recv_peer)
+        for step in range(1, n - 1)
     ]
-    for step in range(1, group_size - 1):
-        primitives.append(
-            Primitive("recvReduceSend", PRIM_RECV_REDUCE_SEND, loop, step,
-                      chunk_index=(group_rank - step) % group_size, nbytes=nbytes,
-                      send_peer=send_peer, recv_peer=recv_peer)
-        )
     primitives.append(
-        Primitive("recvReduceCopy", PRIM_RECV_REDUCE_COPY, loop, group_size - 1,
-                  chunk_index=(group_rank + 1) % group_size, nbytes=nbytes,
-                  recv_peer=recv_peer)
-    )
+        Primitive("recvReduceCopy", PRIM_RECV_REDUCE_COPY, loop, n - 1,
+                  (group_rank + 1) % n, nbytes, None, recv_peer))
     return primitives
 
 

@@ -31,14 +31,15 @@ MIN_SPIN_THRESHOLD = 2_000
 SPIN_SUCCESS_BOOST = 20.0
 #: Fixed threshold used by the naive policy (the Fig. 11 case study).
 NAIVE_SPIN_THRESHOLD = 10_000
+#: First spin quantum (polls) of a failing retry, and the quantum a success
+#: resets it to.
+INITIAL_SPIN_QUANTUM = 500
 #: Largest spin quantum (polls).  A spinning daemon burns its budget in
-#: quanta doubling from 500 up to this cap; a quantum is the granularity at
-#: which a retry can see new data, so it fixes the virtual time.  It does not
-#: cost engine steps: the retries of a wait are passed without a step and
-#: replayed when it ends.
+#: quanta doubling from ``INITIAL_SPIN_QUANTUM`` up to this cap; a quantum is
+#: the granularity at which a retry can see new data, so it fixes the virtual
+#: time.  It does not cost engine steps: the retries of a wait are passed
+#: without a step and replayed when it ends.
 SPIN_BATCH = 20_000
-#: Maximum number of back-to-back primitive successes per daemon step.
-PRIMITIVES_PER_STEP = 8
 
 # -- daemon lifecycle --------------------------------------------------------------
 #: Daemon voluntarily quits after this long without fetching an SQE or

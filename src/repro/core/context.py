@@ -105,11 +105,6 @@ class ActiveContextCache:
         if slot.coll_id == coll_id:
             slot.dirty = True
 
-    def progress_slot(self, coll_id):
-        """The direct-mapped slot of ``coll_id``, for hot loops that mark
-        progress repeatedly without re-hashing the id each time."""
-        return self._slot_for(coll_id)
-
     def save_on_preempt(self, coll_id, progressed):
         """Save the dynamic context when a collective is preempted.
 

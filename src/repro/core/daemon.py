@@ -33,11 +33,11 @@ from itertools import accumulate
 from operator import add
 
 from repro.collectives.cost import DEFAULT_COST_MODEL
-from repro.collectives.primitives import ExecOutcome
+from repro.collectives.primitives import PRIMITIVES_PER_STEP, ExecOutcome
 from repro.common.errors import SimulationError
 from repro.core.config import (
     IDLE_POLL_INTERVAL_US,
-    PRIMITIVES_PER_STEP,
+    INITIAL_SPIN_QUANTUM,
     QUIT_PERIOD_US,
     SPIN_BATCH,
     SQ_POLL_COST_US,
@@ -54,6 +54,9 @@ from repro.core.scheduling import (
 )
 from repro.gpusim.device import KernelActor
 from repro.gpusim.engine import StepResult
+
+_SUCCESS = ExecOutcome.SUCCESS
+_ALL_DONE = ExecOutcome.ALL_DONE
 
 
 @lru_cache(maxsize=1024)
@@ -278,49 +281,49 @@ class DaemonKernel(KernelActor):
         stats = self.stats
         stats.preparing_time_us += load_cost
 
-        # Hot loop: every attribute consulted per primitive is hoisted into a
-        # local once per entry visit (this loop executes every primitive of
-        # every collective in the simulation).  The body of ``_on_progress``
-        # is inlined with prebound callables; the pass/activity flags are
-        # written back once after the burst.
+        # Run up to PRIMITIVES_PER_STEP primitives as executor bursts.  An
+        # attempt may wait for in-flight data as long as the entry's spin
+        # budget lasts: the budget left for the first attempt, the budget a
+        # success restores for every later one.  While a success still boosts
+        # the threshold, that budget differs per attempt, so the entry runs
+        # bursts of one until the boost saturates.
         poll_cost_us = DEFAULT_COST_MODEL.poll_cost_us
-        budget = PRIMITIVES_PER_STEP
         clock = self.clock
-        engine = self.engine
-        try_execute = entry.executor.try_execute_current
-        on_success = self.spin_policy.on_success
-        coll_id = entry.coll_id
-        slot = self.active_cache.progress_slot(coll_id)
-        success = ExecOutcome.SUCCESS
-        all_done = ExecOutcome.ALL_DONE
-
-        executed = 0
+        executor = entry.executor
+        steady_budget = self.spin_policy.steady_success_budget
         burst_start_us = clock.now
-        kind = success
-        while executed < budget:
-            max_wait_us = entry.spin_remaining * poll_cost_us
-            outcome = try_execute(clock, engine, max_wait_us=max_wait_us)
-            kind = outcome.outcome
-            if kind is not success:
+        executed = 0
+        while True:
+            budget = steady_budget(entry)
+            if budget is None:
+                limit, success_wait_us = 1, None
+            else:
+                limit = PRIMITIVES_PER_STEP - executed
+                success_wait_us = budget * poll_cost_us
+            count, outcome = executor.burst(
+                clock, self.engine, limit,
+                entry.spin_remaining * poll_cost_us, success_wait_us)
+            if not count:
                 break
-            executed += 1
+            executed += count
             entry.progressed_since_load = True
-            entry.spin_quantum = 500
-            if slot.coll_id == coll_id:
-                slot.dirty = True
-            on_success(entry)
+            entry.spin_quantum = INITIAL_SPIN_QUANTUM
+            self.spin_policy.on_success(entry)
+            if outcome.outcome is not _SUCCESS or executed == PRIMITIVES_PER_STEP:
+                break
+        kind = outcome.outcome
         if executed:
-            # Failed attempts charge no time and the burst ends before the
-            # completion / spin paths advance the clock, so the original
-            # per-primitive (after - before) deltas telescope into one
-            # subtraction across the burst.
+            self.active_cache.mark_progress(entry.coll_id)
+            # Failed attempts charge no time and the step ends before the
+            # completion / spin paths advance the clock, so the per-primitive
+            # (after - before) deltas telescope into one subtraction.
             stats.primitives_executed += executed
             stats.execute_time_us += clock.now - burst_start_us
             self._pass_progress = True
             self._last_activity_us = clock.now
-        if kind is success:
+        if kind is _SUCCESS:
             return StepResult.progress(f"burst on coll {entry.coll_id}")
-        if kind is all_done:
+        if kind is _ALL_DONE:
             return self._complete_entry(entry)
         return self._spin_or_preempt(entry, outcome)
 

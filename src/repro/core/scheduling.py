@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.config import (
+    INITIAL_SPIN_QUANTUM,
     INITIAL_SPIN_THRESHOLD,
     MIN_SPIN_THRESHOLD,
     NAIVE_SPIN_THRESHOLD,
@@ -40,7 +41,7 @@ class TaskEntry:
     #: Current spin quantum (polls burned per failed retry); grows
     #: exponentially while a primitive keeps failing so that short waits cost
     #: little virtual time and long waits few retries.
-    spin_quantum: int = 500
+    spin_quantum: int = INITIAL_SPIN_QUANTUM
     progressed_since_load: bool = False
     context_switches: int = 0
     spin_polls: int = 0
@@ -53,16 +54,7 @@ class TaskEntry:
     def reset_spin(self, threshold):
         self.spin_threshold = int(threshold)
         self.spin_remaining = int(threshold)
-        self.spin_quantum = 500
-
-    def boost_spin(self, factor, ceiling):
-        threshold = self.spin_threshold
-        if threshold < ceiling:
-            # Saturates after a couple of successes; skip the arithmetic then.
-            boosted = min(int(threshold * factor), int(ceiling))
-            if boosted > threshold:
-                self.spin_threshold = threshold = boosted
-        self.spin_remaining = threshold
+        self.spin_quantum = INITIAL_SPIN_QUANTUM
 
 
 class TaskQueue:
@@ -155,6 +147,10 @@ class NaiveSpinPolicy:
     def on_success(self, entry):
         entry.spin_remaining = entry.spin_threshold
 
+    def steady_success_budget(self, entry):
+        """The spin budget every success restores: the fixed threshold."""
+        return entry.spin_threshold
+
 
 class AdaptiveSpinPolicy:
     """The adaptive stickiness adjustment of Sec. 4.3.
@@ -175,6 +171,7 @@ class AdaptiveSpinPolicy:
         self.minimum = minimum
         self.boost = boost
         self._ceiling = initial * boost
+        self._steady = {}
 
     def initial_for_position(self, position):
         threshold = self.initial * (self.position_decay ** position)
@@ -184,8 +181,36 @@ class AdaptiveSpinPolicy:
         for position, entry in enumerate(task_queue):
             entry.reset_spin(self.initial_for_position(position))
 
+    def _boosted(self, threshold):
+        if threshold < self._ceiling:
+            boosted = min(int(threshold * self.boost), int(self._ceiling))
+            if boosted > threshold:
+                return boosted
+        return threshold
+
     def on_success(self, entry):
-        entry.boost_spin(self.boost, self._ceiling)
+        entry.spin_threshold = entry.spin_remaining = self._boosted(
+            entry.spin_threshold)
+
+    def steady_success_budget(self, entry):
+        """The spin budget every further success restores, or ``None`` while
+        a success would still raise ``entry``'s threshold.
+
+        The boost saturates at the ceiling after at most two successes.  From
+        then on every attempt after a success waits the same budget, so the
+        daemon can run them as one executor burst and apply ``on_success``
+        once for all of them.  The daemon asks once per step, and thresholds
+        take a handful of values (per queue position, then boosted), so the
+        answers are kept per threshold.
+        """
+        threshold = entry.spin_threshold
+        try:
+            return self._steady[threshold]
+        except KeyError:
+            after = self._boosted(threshold)
+            budget = after if self._boosted(after) == after else None
+            self._steady[threshold] = budget
+            return budget
 
 
 def make_ordering_policy(config):

@@ -8,7 +8,7 @@ there is no bound on how long it waits — the no-preemption condition.
 
 from __future__ import annotations
 
-from repro.collectives.primitives import ExecOutcome
+from repro.collectives.primitives import PRIMITIVES_PER_STEP, ExecOutcome
 from repro.gpusim.device import KernelActor
 from repro.gpusim.engine import StepResult
 
@@ -25,11 +25,6 @@ def grid_size_for(nbytes, max_blocks=4):
 
 class NcclCollectiveKernel(KernelActor):
     """A resident kernel running one collective part to completion."""
-
-    #: Number of primitives attempted per engine step (keeps steps coarse
-    #: without changing semantics: a step only covers primitives that can
-    #: execute back-to-back without waiting).
-    PRIMITIVES_PER_STEP = 8
 
     def __init__(self, name, device, executor, op, rank, grid_size=1, block_size=256):
         super().__init__(name, device, grid_size=grid_size, block_size=block_size)
@@ -64,17 +59,17 @@ class NcclCollectiveKernel(KernelActor):
         return None
 
     def run_step(self):
-        for _ in range(self.PRIMITIVES_PER_STEP):
-            outcome = self.executor.try_execute_current(self.clock, self.engine)
-            if outcome.outcome is ExecOutcome.SUCCESS:
-                continue
-            if outcome.outcome is ExecOutcome.ALL_DONE:
-                self.op.mark_complete(self.rank, self.now, self.executor)
-                return self.complete(f"collective {self.op.op_id} done on rank {self.rank}")
-            # WAIT_RECV / WAIT_SEND: hold resources and wait without bound.
-            self.blocked_polls += 1
-            return StepResult.blocked(
-                [outcome.wait_key],
-                f"{outcome.primitive.name} waiting ({outcome.outcome.value})",
-            )
-        return StepResult.progress("primitive burst")
+        _, outcome = self.executor.burst(self.clock, self.engine,
+                                         PRIMITIVES_PER_STEP)
+        kind = outcome.outcome
+        if kind is ExecOutcome.SUCCESS:
+            return StepResult.progress("primitive burst")
+        if kind is ExecOutcome.ALL_DONE:
+            self.op.mark_complete(self.rank, self.now, self.executor)
+            return self.complete(f"collective {self.op.op_id} done on rank {self.rank}")
+        # WAIT_RECV / WAIT_SEND: hold resources and wait without bound.
+        self.blocked_polls += 1
+        return StepResult.blocked(
+            [outcome.wait_key],
+            f"{outcome.primitive.name} waiting ({kind.value})",
+        )

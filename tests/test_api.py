@@ -409,6 +409,20 @@ class TestRemovedShims:
         assert not hasattr(host, "AllocPinnedMemory")
         assert not hasattr(AlgorithmSelector, "select")
 
+    def test_one_primitive_loop(self):
+        """``PrimitiveExecutor.burst`` is the only way to execute primitives:
+        the per-primitive entry point and the two kernels' own step loops
+        were deleted, and the step limit is one shared constant."""
+        from repro.collectives.primitives import PrimitiveExecutor
+        from repro.core import config
+        from repro.core.scheduling import TaskEntry
+        from repro.ncclsim.kernels import NcclCollectiveKernel
+
+        assert not hasattr(PrimitiveExecutor, "try_execute_current")
+        assert not hasattr(NcclCollectiveKernel, "PRIMITIVES_PER_STEP")
+        assert not hasattr(config, "PRIMITIVES_PER_STEP")
+        assert not hasattr(TaskEntry, "boost_spin")
+
     def test_single_cost_model_and_channel_depth(self):
         """Every backend prices primitives with ``DEFAULT_COST_MODEL`` and
         builds channels ``Channel.DEFAULT_CAPACITY`` deep: neither is a

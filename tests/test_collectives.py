@@ -1,5 +1,9 @@
 """Tests for the collective algorithm layer: channels, primitives, sequences."""
 
+import hashlib
+import random
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -157,6 +161,38 @@ class TestSequences:
         assert total_sends == total_recvs
 
 
+#: SHA-1 over the identity of every primitive :func:`_sequence_digest`
+#: compiles.  It pins every builder's output exactly (names, actions, loops,
+#: steps, chunk indices, bytes, peers); change it only with a deliberate
+#: schedule change.
+SEQUENCE_DIGEST = "11b576f887ccaf3726511f2390a44349fb163911"
+
+
+def _sequence_digest():
+    """Every kind x ring/tree/hierarchical x n in {2, 3, 4, 7, 16, 33} x
+    every rank, at a one-loop and a many-loop payload."""
+    digest = hashlib.sha1()
+    count = 0
+    for kind in CollectiveKind:
+        for algorithm in ("ring", "tree", "hierarchical"):
+            for size in (2, 3, 4, 7, 16, 33):
+                island = next((d for d in range(2, size) if size % d == 0), None)
+                for nbytes in (1000, (3 << 20) + 5):
+                    for rank in range(size):
+                        for primitive in generate_primitive_sequence(
+                                kind, rank, size, nbytes, algorithm=algorithm,
+                                island_size=island, root=size - 1):
+                            name, action, *rest = primitive._identity()
+                            digest.update(
+                                repr((name, action.value, *rest)).encode())
+                            count += 1
+    return digest.hexdigest(), count
+
+
+def test_compiled_sequences_match_the_pinned_digest():
+    assert _sequence_digest() == (SEQUENCE_DIGEST, 72663)
+
+
 class TestPrimitiveExecutor:
     def _executors(self, kind=CollectiveKind.ALL_REDUCE, group_size=4, nbytes=4096):
         comm = make_communicator(group_size)
@@ -173,22 +209,23 @@ class TestPrimitiveExecutor:
             if all(executor.done() for executor in executors):
                 break
             for executor, clock in zip(executors, clocks):
-                executor.try_execute_current(clock)
+                executor.burst(clock)
         assert all(executor.done() for executor in executors)
 
     def test_wait_recv_reported_when_channel_empty(self):
         executors = self._executors()
         clock = VirtualClock()
         # First primitive (send) succeeds, second (recvReduceSend) must wait.
-        assert executors[0].try_execute_current(clock).outcome is ExecOutcome.SUCCESS
-        outcome = executors[0].try_execute_current(clock)
-        assert outcome.outcome is ExecOutcome.WAIT_RECV
+        executed, outcome = executors[0].burst(clock)
+        assert (executed, outcome.outcome) == (1, ExecOutcome.SUCCESS)
+        executed, outcome = executors[0].burst(clock)
+        assert (executed, outcome.outcome) == (0, ExecOutcome.WAIT_RECV)
         assert outcome.wait_key is not None
 
     def test_context_save_restore(self):
         executors = self._executors()
         clock = VirtualClock()
-        executors[0].try_execute_current(clock)
+        executors[0].burst(clock)
         saved = executors[0].save_dynamic_context()
         assert saved == {"position": 1}
         executors[0].load_dynamic_context({"position": 0})
@@ -198,7 +235,7 @@ class TestPrimitiveExecutor:
         executors = self._executors()
         assert executors[0].progress_fraction() == 0.0
         clock = VirtualClock()
-        executors[0].try_execute_current(clock)
+        executors[0].burst(clock)
         assert 0.0 < executors[0].progress_fraction() < 1.0
 
     def test_all_done_outcome(self):
@@ -206,8 +243,166 @@ class TestPrimitiveExecutor:
         sequence = generate_primitive_sequence(CollectiveKind.ALL_REDUCE, 0, 1, 64)
         executor = PrimitiveExecutor(0, 0, comm, sequence)
         clock = VirtualClock()
-        assert executor.try_execute_current(clock).outcome is ExecOutcome.SUCCESS
-        assert executor.try_execute_current(clock).outcome is ExecOutcome.ALL_DONE
+        executed, outcome = executor.burst(clock, limit=2)
+        assert (executed, outcome.outcome) == (1, ExecOutcome.ALL_DONE)
+        executed, outcome = executor.burst(clock)
+        assert (executed, outcome.outcome) == (0, ExecOutcome.ALL_DONE)
+
+
+class _BurstWorld:
+    """One executor mid-sequence, its channels filled at random, and an
+    engine stand-in that records every signal.  Two worlds built from one
+    seed are identical, so one can run bursts and the other single steps."""
+
+    def __init__(self, seed):
+        rng = random.Random(seed)
+        kind = rng.choice(list(CollectiveKind))
+        size = 2 if kind is CollectiveKind.SEND_RECV else rng.randint(2, 8)
+        rank = rng.randrange(size)
+        sequence = generate_primitive_sequence(
+            kind, rank, size, rng.choice((4096, 1 << 20, 3 << 20)),
+            algorithm=rng.choice(("ring", "tree", "hierarchical")),
+            island_size=2 if size % 2 == 0 else None)
+        cluster = build_cluster("dual-3090")
+        self.devices = cluster.devices[:size]
+        self.interconnect = cluster.interconnect
+        comm = Communicator(self.devices, cluster.interconnect)
+        self.executor = PrimitiveExecutor(7, rank, comm, sequence)
+        self.executor.position = rng.randrange(len(sequence) // 2 + 1)
+        self.executor.trace = array("d")
+        self.clock = VirtualClock(rng.uniform(0.0, 50.0))
+        self.channels = {}
+        for peer in range(size):
+            if peer != rank:
+                for pair in ((peer, rank), (rank, peer)):
+                    self.channels[pair] = comm.channel(*pair)
+        self.pairs = {channel.channel_id: pair
+                      for pair, channel in self.channels.items()}
+        self.signals = []
+        self.waiters_by_key = {}
+
+    # -- the engine interface the executor uses --------------------------------
+
+    def signal(self, key, time_us):
+        self.signals.append((self.name(key), time_us, self.clock.now))
+
+    def name(self, key):
+        return None if key is None else (key[0], self.pairs[key[1]])
+
+    # -- a round ----------------------------------------------------------------
+
+    def disturb(self, rng):
+        """Drain and refill the channels, resize them, invalidate one now
+        and then, register waiters and bump the link epoch, all drawn from
+        ``rng``."""
+        if rng.random() < 0.4:
+            self.interconnect.degrade_device_links(
+                rng.choice(self.devices).device_id,
+                beta_factor=rng.choice((2.0, 8.0)))
+        self.clock.now += rng.uniform(0.0, 5.0)
+        keys = []
+        for channel in self.channels.values():
+            if rng.random() < 0.01:
+                channel.invalidate()
+            channel.capacity = rng.randint(1, 8)
+            target = 0 if channel.invalidated else rng.randint(0, channel.capacity)
+            while channel.occupancy > target:
+                channel.pop(self.clock.now)
+            while channel.occupancy < target:
+                channel.push(ChunkMessage(
+                    7, rng.randrange(8), rng.randrange(8), rng.randrange(1, 4096),
+                    self.clock.now + rng.uniform(-20.0, 30.0)))
+            keys += [channel.readable_key, channel.writable_key]
+        self.waiters_by_key = {key: None for key in keys if rng.random() < 0.5}
+
+    def state(self):
+        executor = self.executor
+        channels = {
+            pair: ([(m.collective_id, m.chunk_index, m.step, m.nbytes,
+                     m.ready_time_us) for m in channel._fifo],
+                   channel.pushed_count, channel.popped_count,
+                   channel.bytes_pushed, channel.invalidated)
+            for pair, channel in self.channels.items()
+        }
+        return (executor.position, executor.executed_primitives,
+                self.clock.now, channels, list(self.signals),
+                list(executor.trace))
+
+    def busy_times(self, start, stop):
+        """The cost model's busy time of each primitive in ``[start, stop)``
+        over the links as they are now."""
+        executor = self.executor
+        times = []
+        for primitive in executor.primitives[start:stop]:
+            sends = primitive.sends and primitive.send_peer is not None
+            link = executor.communicator.link(
+                executor.group_rank, primitive.send_peer) if sends else None
+            times.append(executor.cost_model.primitive_time_us(
+                primitive.nbytes, link=link, sends=sends,
+                touches_memory=primitive.touches_memory))
+        return times
+
+    def describe(self, outcome):
+        primitive = outcome.primitive
+        return (outcome.outcome, primitive and primitive._identity(),
+                self.name(outcome.wait_key))
+
+
+def _single_bursts(world, limit, max_wait_us, success_wait_us):
+    """``limit`` one-primitive bursts, stopping at the first failure."""
+    executed, wait = 0, max_wait_us
+    while executed < limit:
+        count, outcome = world.executor.burst(world.clock, world, 1, wait)
+        if not count:
+            return executed, outcome
+        executed += 1
+        wait = success_wait_us
+    return executed, outcome
+
+
+class TestBurst:
+    @given(st.integers(0, 2 ** 32))
+    @settings(max_examples=120, deadline=None)
+    def test_burst_equals_single_primitive_bursts(self, seed):
+        whole, single = _BurstWorld(seed), _BurstWorld(seed)
+        rng = random.Random(seed)
+        for _ in range(6):
+            round_seed = rng.random()
+            whole.disturb(random.Random(round_seed))
+            single.disturb(random.Random(round_seed))
+            limit = rng.choice((rng.randint(1, 10),
+                                max(1, whole.executor.remaining)))
+            max_wait_us, success_wait_us = (
+                rng.choice((None, None, 0.0, rng.uniform(0.0, 40.0)))
+                for _ in range(2))
+            start = whole.executor.position
+            executed, outcome = whole.executor.burst(
+                whole.clock, whole, limit, max_wait_us, success_wait_us)
+            expected, expected_outcome = _single_bursts(
+                single, limit, max_wait_us, success_wait_us)
+            assert executed == expected
+            assert whole.describe(outcome) == single.describe(expected_outcome)
+            assert whole.state() == single.state()
+            assert all(now == time_us for _, time_us, now in whole.signals)
+            busy = list(whole.executor.trace)[2::3]
+            assert busy[len(busy) - executed:] == whole.busy_times(
+                start, start + executed)
+
+    def test_last_primitive_at_the_limit_is_a_success(self):
+        # Like `limit` single bursts: ALL_DONE is only reported by an attempt
+        # after the last primitive, never by the one that executes it.
+        comm = make_communicator(1)
+        sequence = generate_primitive_sequence(
+            CollectiveKind.ALL_GATHER, 0, 1, 64) * 5
+        executor = PrimitiveExecutor(0, 0, comm, sequence)
+        clock = VirtualClock()
+        executed, outcome = executor.burst(clock, limit=3)
+        assert (executed, outcome.outcome) == (3, ExecOutcome.SUCCESS)
+        executed, outcome = executor.burst(clock, limit=2)
+        assert (executed, outcome.outcome) == (2, ExecOutcome.SUCCESS)
+        executed, outcome = executor.burst(clock, limit=2)
+        assert (executed, outcome.outcome) == (0, ExecOutcome.ALL_DONE)
+        assert executor.position == 5 and clock.now > 0.0
 
 
 class TestCostModel:
@@ -374,5 +569,5 @@ class TestTreeSequences:
             if all(executor.done() for executor in executors):
                 break
             for executor, clock in zip(executors, clocks):
-                executor.try_execute_current(clock)
+                executor.burst(clock)
         assert all(executor.done() for executor in executors)

@@ -95,6 +95,23 @@ class TestSpinPolicies:
         assert entry.spin_threshold == 20_000
         assert entry.spin_remaining == 20_000
 
+    @pytest.mark.parametrize("policy", [AdaptiveSpinPolicy(), NaiveSpinPolicy()],
+                             ids=["adaptive", "naive"])
+    def test_steady_success_budget_is_what_every_success_restores(self, policy):
+        for threshold in (0, 1, 2_000, 10_000, 19_999, 20_000, 40_000,
+                          400_000, 500_000):
+            entry = make_entry(0)
+            entry.reset_spin(threshold)
+            budget = policy.steady_success_budget(entry)
+            restored = []
+            for _ in range(3):
+                policy.on_success(entry)
+                restored.append(entry.spin_remaining)
+            if budget is None:
+                assert restored[0] != restored[1], threshold
+            else:
+                assert restored == [budget] * 3, threshold
+
     def test_naive_policy_fixed_threshold(self):
         policy = NaiveSpinPolicy(threshold=10_000)
         queue = TaskQueue()
