@@ -10,7 +10,7 @@ job archives.
 import pytest
 
 from repro.bench import goodput_under_chaos, measure_recovery
-from repro.faults import chaos_rank_crash_comparison
+from repro.faults.scenarios import chaos_rank_crash_comparison
 
 CHAOS_SEED = 17
 
@@ -26,7 +26,7 @@ def test_rank_crash_mid_allreduce_comparison(benchmark):
     print("\nNCCL under rank crash:", nccl.outcome,
           "cycle:", nccl.analysis.cycle)
     print("DFCCL under rank crash:", dfccl.outcome,
-          "recoveries:", dfccl.recovery["recoveries"])
+          "recoveries:", dfccl.diagnostics["recovery"]["recoveries"])
     assert nccl.outcome == "deadlock"
     assert nccl.analysis.fault_induced
     assert dfccl.outcome == "completed"
@@ -34,10 +34,14 @@ def test_rank_crash_mid_allreduce_comparison(benchmark):
     # this fixed seed the crash lands mid-first-all-reduce, so every survivor
     # re-runs and the identity additionally holds across all survivors.
     assert dfccl.fingerprints_consistent()
-    for per_rank in dfccl.reduction_fingerprints().values():
-        survivor_values = {per_rank[rank] for rank in dfccl.survivor_ranks
-                           if rank in per_rank}
-        assert len(survivor_values) == 1  # byte-identical survivor reductions
+    survivor_values = {}
+    for record in dfccl.records:
+        if record.done and record.rank in dfccl.survivor_ranks:
+            survivor_values.setdefault(record.logical(), set()).add(
+                (record.signature, record.reduced))
+    assert survivor_values
+    for values in survivor_values.values():
+        assert len(values) == 1  # byte-identical survivor reductions
 
 
 def test_recovery_time_breakdown(benchmark):

@@ -10,6 +10,10 @@ shows the two backends' behaviour side by side:
   communicators, shrinks the group, restarts the daemon kernels with a new
   generation, and the survivors finish with byte-identical reductions.
 
+Each run is a ``repro.testing`` program replayed by ``replay_program``: the
+results are its ``ReplayResult`` (per-work ``records``, the backend's
+``diagnostics``, the deadlock ``analysis``).
+
 Then replays the canned chaos plans (crashes, link flaps, stragglers, a mixed
 seeded storm) and prints the goodput-under-chaos table.
 
@@ -17,7 +21,7 @@ Run with:  python examples/chaos_training.py
 """
 
 from repro.bench import format_table, goodput_under_chaos, measure_recovery
-from repro.faults import chaos_rank_crash_comparison
+from repro.faults.scenarios import chaos_rank_crash_comparison
 
 
 def main():
@@ -31,17 +35,18 @@ def main():
     print(f"  blocked actors: {len(nccl.analysis.blocked_actors)}")
 
     print(f"\nDFCCL: {dfccl.outcome} at t={dfccl.time_us:.0f}us")
-    for event in dfccl.recovery["events"]:
+    for event in dfccl.diagnostics["recovery"]["events"]:
         print(f"  recovered coll {event['coll_id']}: ranks {event['failed_ranks']} "
               f"out, survivors {event['survivor_ranks']}, "
               f"detection latency {event['detection_latency_us']:.0f}us")
-    fingerprints = dfccl.reduction_fingerprints()
-    identical = all(
-        len({per_rank[rank] for rank in dfccl.survivor_ranks if rank in per_rank}) == 1
-        for per_rank in fingerprints.values()
-    )
+    # One reduced value per invocation across the survivors.
+    reduced = {}
+    for record in dfccl.records:
+        if record.done and record.rank in dfccl.survivor_ranks:
+            reduced.setdefault(record.logical(), set()).add(record.reduced)
+    identical = all(len(values) == 1 for values in reduced.values())
     print(f"  byte-identical survivor reductions: {identical} "
-          f"({len(fingerprints)} invocations checked)")
+          f"({len(reduced)} invocations checked)")
 
     print("\n=== Recovery-time breakdown (single crash) ===\n")
     row = measure_recovery("crash")

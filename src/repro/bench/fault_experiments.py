@@ -68,11 +68,15 @@ CHAOS_PLANS = {
 }
 
 
+def _survivor_completions(result):
+    """The done records of ``result``'s surviving ranks."""
+    survivors = set(result.survivor_ranks)
+    return [record for record in result.records
+            if record.done and record.rank in survivors]
+
+
 def _last_survivor_completion_us(result):
-    times = [record["time_us"]
-             for rank in result.survivor_ranks
-             for record in result.completions.get(rank, ())
-             if record.get("time_us") is not None]
+    times = [record.time_us for record in _survivor_completions(result)]
     return max(times) if times else None
 
 
@@ -87,14 +91,15 @@ def measure_recovery(plan_name="crash", topology="dual-3090-nvlink",
     plan = CHAOS_PLANS[plan_name](world_size)
     result = run_dfccl_chaos(plan, topology, world_size, num_collectives,
                              nbytes, iterations, seed=seed)
-    events = result.recovery.get("events", [])
+    recovery = result.diagnostics.get("recovery", {})
+    events = recovery.get("events", [])
     first_event = events[0] if events else None
     last_completion = _last_survivor_completion_us(result)
     row = {
         "plan": plan_name,
         "outcome": result.outcome,
-        "crashed_ranks": result.crashed_ranks,
-        "recoveries": result.recovery.get("recoveries", 0),
+        "crashed_ranks": tuple(plan.crash_ranks()),
+        "recoveries": recovery.get("recoveries", 0),
         "detection_latency_us": (first_event["detection_latency_us"]
                                  if first_event else None),
         "recovery_confirmed_us": first_event["time_us"] if first_event else None,
@@ -122,9 +127,7 @@ def goodput_under_chaos(plans=None, topology="dual-3090-nvlink", world_size=16,
 
     healthy = run_dfccl_chaos(FaultPlan(name="healthy"), topology, world_size,
                               num_collectives, nbytes, iterations, seed=seed)
-    healthy_completions = sum(
-        len(records) for records in healthy.completions.values()
-    )
+    healthy_completions = sum(record.done for record in healthy.records)
     healthy_goodput = healthy_completions / (healthy.time_us / 1e3)
 
     rows = []
@@ -132,16 +135,14 @@ def goodput_under_chaos(plans=None, topology="dual-3090-nvlink", world_size=16,
         plan = CHAOS_PLANS[plan_name](world_size)
         chaos = run_dfccl_chaos(plan, topology, world_size, num_collectives,
                                 nbytes, iterations, seed=seed)
-        survivor_completions = sum(
-            len(chaos.completions.get(rank, ())) for rank in chaos.survivor_ranks
-        )
+        survivor_completions = len(_survivor_completions(chaos))
         goodput = survivor_completions / (chaos.time_us / 1e3) if chaos.time_us else 0.0
         row = {
             "plan": plan_name,
             "events": len(plan),
             "outcome": chaos.outcome,
-            "crashed_ranks": chaos.crashed_ranks,
-            "recoveries": chaos.recovery.get("recoveries", 0),
+            "crashed_ranks": tuple(plan.crash_ranks()),
+            "recoveries": chaos.diagnostics.get("recovery", {}).get("recoveries", 0),
             "survivor_completions": survivor_completions,
             "time_us": chaos.time_us,
             "goodput_per_ms": goodput,
@@ -149,7 +150,8 @@ def goodput_under_chaos(plans=None, topology="dual-3090-nvlink", world_size=16,
         }
         if include_baseline:
             baseline = run_nccl_chaos(plan, topology, world_size,
-                                      num_collectives, nbytes, iterations)
+                                      num_collectives, nbytes, iterations,
+                                      seed=seed)
             row["nccl_outcome"] = baseline.outcome
         rows.append(row)
     return {

@@ -13,32 +13,22 @@ in the discrete-event engine:
   baseline through identical plans, including the headline rank-crash
   comparison (baseline deadlocks with a wait-for cycle through the dead rank;
   DFCCL detects the crash by CQE timeout, shrinks the group and completes).
+  A chaos scenario is a :mod:`repro.testing` program replayed by the
+  fuzzer's driver, so import the runners from :mod:`repro.faults.scenarios`
+  itself: re-exporting them here would make ``repro.faults`` import
+  ``repro.testing``, which imports :mod:`repro.faults.plan` back.
 
 The matching recovery machinery lives in :mod:`repro.core.recovery`.
 """
 
 from repro.faults.injector import FaultInjector, install_fault_plan
 from repro.faults.plan import FAULT_KINDS, AtomicAction, FaultEvent, FaultPlan
-from repro.faults.scenarios import (
-    ChaosResult,
-    chaos_rank_crash_comparison,
-    contribution_values,
-    run_chaos,
-    run_dfccl_chaos,
-    run_nccl_chaos,
-)
 
 __all__ = [
     "AtomicAction",
-    "ChaosResult",
     "FAULT_KINDS",
     "FaultEvent",
     "FaultInjector",
     "FaultPlan",
-    "chaos_rank_crash_comparison",
-    "contribution_values",
     "install_fault_plan",
-    "run_chaos",
-    "run_dfccl_chaos",
-    "run_nccl_chaos",
 ]

@@ -4,7 +4,12 @@
 on a fresh simulated cluster through one registered ``repro.api`` backend —
 building the exact ProcessGroup/Work program every rank would write by hand —
 and returns a :class:`ReplayResult` of plain data: per-work completion
-records, serialized primitive sequences, the engine outcome.
+records, the primitive sequences each rank executed, the engine outcome and
+its deadlock analysis.  It is the repository's one program driver: the chaos
+scenarios of :mod:`repro.faults.scenarios` are programs too, so the fuzzer
+and the chaos benchmarks share one outcome rule — a run is ``completed`` when
+every surviving rank's Work is done or aborted, ``deadlock`` when the engine
+recorded a deadlock, and ``stuck`` otherwise.
 
 :func:`check_program` replays through every requested backend and verifies:
 
@@ -30,9 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.api import make_backend, wait_all
-from repro.gpusim import HostProgram, build_cluster
+from repro.common.rng import DeterministicRNG
+from repro.deadlock.fault_scenarios import analyze_fault_deadlock
 from repro.faults.injector import install_fault_plan
-from repro.faults.scenarios import contribution_values
+from repro.gpusim import HostProgram, build_cluster
 from repro.testing.generator import REDUCING_KINDS, ROOTED_KINDS
 
 #: Backends checked by default (everything registered out of the box).
@@ -43,11 +49,11 @@ DEFAULT_BACKENDS = ("dfccl", "nccl", "mpi")
 DEADLOCK_FREE_BACKEND = "dfccl"
 
 
-def primitive_identity(primitive):
-    """Serialize one primitive into a comparable plain tuple."""
-    return (primitive.name, primitive.action.value, primitive.loop,
-            primitive.step, primitive.chunk_index, primitive.nbytes,
-            primitive.send_peer, primitive.recv_peer)
+def contribution_values(ranks, seed):
+    """Deterministic per-rank integer contributions to the reductions."""
+    rng = DeterministicRNG(seed)
+    return {rank: rng.child("contribution", rank).randint(1, 1 << 20)
+            for rank in ranks}
 
 
 @dataclass
@@ -64,7 +70,7 @@ class WorkRecord:
     #: a rooted collective whose root crashed).  done and aborted are
     #: mutually exclusive.
     aborted: bool = False
-    sequence: tuple = None          # serialized primitives, or None
+    sequence: list = None           # executed Primitives, or None
     members: tuple = None           # global ranks reduced over
     signature: tuple = None
     reduced: int = None             # fingerprint over members (reducing kinds)
@@ -84,6 +90,9 @@ class ReplayResult:
     records: list = field(default_factory=list)
     survivor_ranks: tuple = ()
     diagnostics: dict = field(default_factory=dict)
+    #: Rank-level wait-for analysis of the engine's deadlock report (empty
+    #: when the run did not deadlock).
+    analysis: object = None
     #: Flight-recorder dump of the replay (``capture_obs=True`` only); kept
     #: out of :meth:`comparable_state` so determinism replays never compare
     #: observability payloads.
@@ -104,6 +113,12 @@ class ReplayResult:
 
     def sequences_available(self):
         return any(record.sequence is not None for record in self.records)
+
+    def fingerprints_consistent(self):
+        """True when ranks sharing a signature agree on members and sum."""
+        divergences = []
+        _check_fingerprints_within(self, divergences)
+        return not divergences
 
     def comparable_state(self):
         """The deterministic-replay fingerprint of this result."""
@@ -164,11 +179,10 @@ class CheckResult:
 
 def _issue_call(group, call, rank):
     """Issue one CallSpec on ``group`` for ``rank``; returns the Work."""
-    kwargs = {"key": call.key, "priority": call.priority,
-              "stream": f"s{call.call_id}"}
+    kwargs = {"key": call.key, "priority": call.priority, "stream": call.stream}
     if call.kind == "barrier":
         # Barrier takes no count/priority; its key namespacing is internal.
-        return group.barrier(rank, key=call.key, stream=f"s{call.call_id}")
+        return group.barrier(rank, key=call.key, stream=call.stream)
     if call.kind in ROOTED_KINDS:
         kwargs["root"] = call.root
     method = getattr(group, call.kind)
@@ -196,8 +210,7 @@ def replay_program(program, backend_name, seed=17, capture_obs=False, **knobs):
 
     groups = {
         spec.index: backend.new_group(list(spec.ranks), job=spec.job,
-                                      priority=spec.priority,
-                                      name=f"g{spec.index}")
+                                      priority=spec.priority)
         for spec in program.groups
     }
     if program.fault_plan is not None:
@@ -208,17 +221,18 @@ def replay_program(program, backend_name, seed=17, capture_obs=False, **knobs):
         order = program.order_for(rank)
         if not order:
             continue
-        rank_works = []
-        for call_id in order:
-            call = program.call(call_id)
-            group = groups[call.group_index]
-            work = _issue_call(group, call, rank)
-            rank_works.append((call, work))
-        ops = [work.submit_op() for _, work in rank_works]
-        ops.extend(wait_all([work for _, work in rank_works]))
+        ops = []
+        for _ in range(program.rounds):
+            round_works = []
+            for call_id in order:
+                call = program.call(call_id)
+                work = _issue_call(groups[call.group_index], call, rank)
+                round_works.append(work)
+                works.append((rank, call, work))
+            ops.extend(work.submit_op() for work in round_works)
+            ops.extend(wait_all(round_works))
         ops.extend(backend.finalize_ops(rank))
-        cluster.add_host(rank, HostProgram(ops), name=f"h{rank}")
-        works.extend((rank, call, work) for call, work in rank_works)
+        cluster.add_host(rank, HostProgram(ops))
 
     final_time_us = cluster.run(until_us=program.deadline_us)
 
@@ -237,15 +251,14 @@ def replay_program(program, backend_name, seed=17, capture_obs=False, **knobs):
             if call.kind in REDUCING_KINDS:
                 record.reduced = sum(contributions[member]
                                      for member in record.members)
-            sequence = work.primitive_sequence()
-            if sequence is not None:
-                record.sequence = tuple(primitive_identity(p) for p in sequence)
+            record.sequence = work.primitive_sequence()
         records.append(record)
 
     crashed = set(program.crashed_ranks())
     survivors = tuple(rank for rank in range(program.world_size)
                       if rank not in crashed)
-    if cluster.engine.deadlock_report is not None:
+    report = cluster.engine.deadlock_report
+    if report is not None:
         outcome = "deadlock"
     elif all(record.done or record.aborted for record in records
              if record.rank not in crashed):
@@ -269,6 +282,7 @@ def replay_program(program, backend_name, seed=17, capture_obs=False, **knobs):
         records=records,
         survivor_ranks=survivors,
         diagnostics=backend.diagnostics(),
+        analysis=analyze_fault_deadlock(report, cluster),
         flight_dump=flight_dump,
     )
 

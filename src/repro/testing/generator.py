@@ -3,8 +3,9 @@
 A :class:`ProgramSpec` is a complete, declarative description of one
 multi-rank program over the unified API: the process groups to create (with
 jobs and priorities), the logical collective calls to issue (kind, size,
-dtype, root, key, per-call priority), the per-rank submission order (possibly
-deliberately disordered, as in the paper's Fig. 1 recipes) and an optional
+dtype, root, key, per-call priority and stream), the per-rank submission
+order (possibly deliberately disordered, as in the paper's Fig. 1 recipes),
+how many rounds each rank issues it, and an optional
 :class:`~repro.faults.plan.FaultPlan`.
 
 Everything is drawn from :class:`~repro.common.rng.DeterministicRNG` child
@@ -49,7 +50,7 @@ class GroupSpec:
 
 @dataclass(frozen=True)
 class CallSpec:
-    """One logical collective call (every member rank issues it once)."""
+    """One logical collective call (every member rank issues it once a round)."""
 
     call_id: int
     group_index: int
@@ -58,10 +59,13 @@ class CallSpec:
     root: int = 0
     key: str = ""
     priority: int = None
+    #: Launch stream; ``None`` is the backend's default stream.
+    stream: str = None
 
     def describe(self):
         record = {"call_id": self.call_id, "group": self.group_index,
-                  "kind": self.kind, "count": self.count, "key": self.key}
+                  "kind": self.kind, "count": self.count, "key": self.key,
+                  "stream": self.stream}
         if self.kind in ROOTED_KINDS:
             record["root"] = self.root
         if self.priority is not None:
@@ -85,6 +89,9 @@ class ProgramSpec:
     orders: tuple
     fault_plan: FaultPlan = None
     deadline_us: float = DEFAULT_DEADLINE_US
+    #: Times each rank issues its whole order, waiting for all of a round's
+    #: Works before it issues the next round.
+    rounds: int = 1
 
     def group(self, index):
         return self.groups[index]
@@ -123,6 +130,7 @@ class ProgramSpec:
                        if order},
             "fault_plan": self.fault_plan.describe() if self.has_faults else None,
             "deadline_us": self.deadline_us,
+            "rounds": self.rounds,
         }
 
     def with_calls(self, calls):
@@ -202,9 +210,10 @@ def generate_program(seed, world_size=8, max_calls=8, max_groups=3,
     for call_id in range(num_calls):
         if calls and call_stream.bernoulli(p_repeat):
             # Repeat an earlier logical collective: same group/kind/shape/key,
-            # new call — the next invocation index on every member rank.
+            # new call on its own stream — the next invocation index on
+            # every member rank.
             base = call_stream.choice(calls)
-            calls.append(replace(base, call_id=call_id))
+            calls.append(replace(base, call_id=call_id, stream=f"s{call_id}"))
             continue
         group = groups[call_stream.randint(0, len(groups) - 1)]
         kind = call_stream.choice(CALL_KINDS)
@@ -216,6 +225,7 @@ def generate_program(seed, world_size=8, max_calls=8, max_groups=3,
         calls.append(CallSpec(
             call_id=call_id, group_index=group.index, kind=kind, count=count,
             root=root, key=f"c{call_id}", priority=priority,
+            stream=f"s{call_id}",
         ))
 
     # -- per-rank submission orders -------------------------------------------

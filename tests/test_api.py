@@ -470,6 +470,43 @@ class TestRemovedShims:
         assert not hasattr(RecoveryManager, "rejoin")
         assert not hasattr(RegisteredCollective, "grow")
 
+    def test_one_program_driver(self):
+        """Chaos runs replay through the fuzzer's ``replay_program``: the
+        chaos-only runner, its result type and the primitive serializer were
+        deleted, and ``repro.faults`` no longer re-exports the scenarios."""
+        import repro.faults as faults
+        import repro.faults.scenarios as scenarios
+        import repro.testing.differential as differential
+
+        for name in ("ChaosResult", "run_chaos", "_survivors",
+                     "contribution_values"):
+            assert not hasattr(scenarios, name), name
+        assert not hasattr(differential, "primitive_identity")
+        for name in ("ChaosResult", "run_chaos", "chaos_rank_crash_comparison",
+                     "contribution_values", "run_dfccl_chaos", "run_nccl_chaos"):
+            assert not hasattr(faults, name), name
+
+    @pytest.mark.parametrize("module", [
+        "repro.testing", "repro.testing.differential", "repro.faults",
+        "repro.faults.scenarios", "repro.bench",
+    ])
+    def test_imports_first_in_a_fresh_interpreter(self, module):
+        """``repro.testing`` and ``repro.faults`` import each other's
+        modules; a shared test process hides a cycle that only breaks when
+        one particular package is imported first."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        completed = subprocess.run([sys.executable, "-c", f"import {module}"],
+                                   env=env, capture_output=True, text=True,
+                                   timeout=120)
+        assert completed.returncode == 0, completed.stderr
+
 
 class TestNoInternalStringDispatch:
     def test_no_backend_string_branches_outside_registry(self):

@@ -103,7 +103,7 @@ def test_fault_program_with_straggler_stall_flap_and_crash():
 
     assert result.outcome == "completed"
     assert result.time_us == FAULT_TIME_US
-    assert result.recovery["events"] == FAULT_RECOVERY_EVENTS
+    assert result.diagnostics["recovery"]["events"] == FAULT_RECOVERY_EVENTS
     observed = {rank: (stats.preemptions, stats.spin_polls, stats.spin_time_us)
-                for rank, stats in result.daemon_stats.items()}
+                for rank, stats in result.diagnostics["daemon_stats"].items()}
     assert observed == FAULT_DAEMON_STATS

@@ -3,11 +3,9 @@
 import pytest
 
 from repro.common.errors import ConfigurationError, InvalidStateError
-from repro.faults import (
-    FaultEvent,
-    FaultPlan,
+from repro.faults import FaultEvent, FaultPlan, install_fault_plan
+from repro.faults.scenarios import (
     chaos_rank_crash_comparison,
-    install_fault_plan,
     run_dfccl_chaos,
     run_nccl_chaos,
 )
@@ -190,6 +188,7 @@ class TestChaosScenarios:
         result = run_nccl_chaos(plan, topology="single-3090", world_size=4,
                                 num_collectives=1, nbytes=1 << 20, iterations=1)
         assert result.outcome == "deadlock"
+        assert result.time_us == 145.93085506493506
         assert result.analysis.fault_induced
         assert ("crashed", 2) in result.analysis.cycle
 
@@ -220,15 +219,16 @@ class TestChaosScenarios:
         # Preemption keeps the engine live (no deadlock report), but without
         # the recovery layer the survivors can never finish.
         assert result.outcome == "stuck"
-        assert result.min_survivor_completions() == 0
+        assert not any(record.done for record in result.records
+                       if record.rank in result.survivor_ranks)
 
     def test_dfccl_with_recovery_completes_after_crash(self):
         plan = FaultPlan(name="crash").add_crash(2, at_us=80.0)
         result = run_dfccl_chaos(plan, topology="single-3090", world_size=4,
                                  num_collectives=2, nbytes=512 << 10, iterations=2)
         assert result.outcome == "completed"
-        assert result.recovery["recoveries"] >= 1
-        event = result.recovery["events"][0]
+        assert result.diagnostics["recovery"]["recoveries"] >= 1
+        event = result.diagnostics["recovery"]["events"][0]
         assert event["failed_ranks"] == (2,)
         assert event["survivor_ranks"] == (0, 1, 3)
 
@@ -253,14 +253,31 @@ class TestChaosScenarios:
         assert nccl.outcome == "deadlock"
         assert nccl.analysis.fault_induced  # wait-for cycle through dead rank
         assert dfccl.outcome == "completed"
-        assert dfccl.recovery["recoveries"] >= 1
+        assert dfccl.diagnostics["recovery"]["recoveries"] >= 1
         # Byte-identical reductions on every surviving rank, per invocation
         # (the default crash time lands mid-first-all-reduce, so every
         # survivor re-runs; the generation-aware check is the general form).
         assert dfccl.fingerprints_consistent()
-        fingerprints = dfccl.reduction_fingerprints()
-        assert fingerprints
-        for per_rank in fingerprints.values():
-            survivor_values = {per_rank[rank] for rank in dfccl.survivor_ranks
-                               if rank in per_rank}
-            assert len(survivor_values) == 1
+        survivor_values = {}
+        for record in dfccl.records:
+            if record.done and record.rank in dfccl.survivor_ranks:
+                survivor_values.setdefault(record.logical(), set()).add(
+                    (record.signature, record.reduced))
+        assert survivor_values
+        assert all(len(values) == 1 for values in survivor_values.values())
+        # Exact results: a change to the streams the chaos workload launches
+        # on, or to its host and group names, moves the NCCL deadlock time
+        # or its blocked actors.
+        assert nccl.time_us == 280.0624000000001
+        assert nccl.analysis.cycle == [("crashed", 8), ("rank", 8)]
+        survivors = [rank for rank in range(16) if rank != 8]
+        assert nccl.analysis.blocked_actors == (
+            [f"host-{rank}" for rank in survivors]
+            + [f"pg0:all_reduce:0#0-r{rank}" for rank in survivors])
+        assert dfccl.time_us == 5700.020392380987
+        assert dfccl.diagnostics["recovery"]["events"] == [
+            {"time_us": 1500.0, "coll_id": coll_id, "failed_ranks": (8,),
+             "survivor_ranks": tuple(survivors),
+             "detection_latency_us": 1380.0, "generation": 1}
+            for coll_id in (0, 1)
+        ]

@@ -7,7 +7,8 @@ from repro.bench.fault_experiments import CHAOS_HORIZON_US, CHAOS_PLANS
 from repro.common.errors import InvalidStateError
 from repro.common.types import CollectiveKind, CollectiveSpec
 from repro.core import CommunicatorPool, DfcclConfig
-from repro.faults import FaultPlan, install_fault_plan, run_dfccl_chaos
+from repro.faults import FaultPlan, install_fault_plan
+from repro.faults.scenarios import run_dfccl_chaos
 from repro.gpusim import HostProgram, build_cluster
 from repro.gpusim.host import DeviceSynchronize
 
@@ -69,7 +70,7 @@ class TestDaemonGenerationTurnover:
         result = run_dfccl_chaos(plan, topology="single-3090", world_size=4,
                                  num_collectives=1, nbytes=1 << 20, iterations=1)
         assert result.outcome == "completed"
-        survivor_stats = [result.daemon_stats[rank]
+        survivor_stats = [result.diagnostics["daemon_stats"][rank]
                           for rank in result.survivor_ranks]
         assert sum(stats.recovery_restarts for stats in survivor_stats) >= 1
         for stats in survivor_stats:
@@ -157,7 +158,7 @@ class TestRecoveryMechanics:
         result = run_dfccl_chaos(plan, topology="single-3090", world_size=3,
                                  num_collectives=1, nbytes=1 << 20, iterations=1)
         assert result.outcome == "completed"
-        event = result.recovery["events"][0]
+        event = result.diagnostics["recovery"]["events"][0]
         assert event["failed_ranks"] == (1,)
         assert event["survivor_ranks"] == (0, 2)
         assert event["generation"] == 1
@@ -171,10 +172,9 @@ class TestRecoveryMechanics:
                                  num_collectives=1, nbytes=1 << 20, iterations=3,
                                  deadline_us=60_000.0)
         assert result.outcome == "completed"
-        generations = [event["generation"]
-                       for event in result.recovery["events"]]
-        assert max(generations) == 2
-        final_survivors = result.recovery["events"][-1]["survivor_ranks"]
+        events = result.diagnostics["recovery"]["events"]
+        assert max(event["generation"] for event in events) == 2
+        final_survivors = events[-1]["survivor_ranks"]
         assert final_survivors == (0, 2, 4)
 
     def test_straggler_timeout_is_not_treated_as_crash(self):
@@ -185,8 +185,8 @@ class TestRecoveryMechanics:
                                  num_collectives=1, nbytes=1 << 20, iterations=1,
                                  config=config)
         assert result.outcome == "completed"
-        assert result.recovery["recoveries"] == 0
-        assert result.recovery["suspected_stragglers"] >= 1
+        assert result.diagnostics["recovery"]["recoveries"] == 0
+        assert result.diagnostics["recovery"]["suspected_stragglers"] >= 1
 
     def test_recovery_disabled_config_spawns_no_manager(self):
         cluster = build_cluster("single-3090")
@@ -317,7 +317,7 @@ class TestRecoveryExactness:
                                  world_size=32)
         assert result.outcome == "completed"
         assert result.fingerprints_consistent()
-        stats = result.recovery
+        stats = result.diagnostics["recovery"]
         assert (stats["scans"], stats["suspected_stragglers"],
                 stats["recoveries"], stats["invocations_rerun"]) == (
             scans, stragglers, recoveries, rerun)
