@@ -39,13 +39,11 @@ from repro.bench.multijob_experiments import (
     run_multijob,
 )
 from repro.bench.scale_experiments import (
-    PRE_PR_BASELINE,
     attribution_summary,
     machine_calibration_factor,
     run_scale_point,
     scale_sweep,
     selector_report,
-    speedup_vs_pre_pr,
     write_scale_report,
 )
 from repro.bench.training_experiments import (
@@ -57,13 +55,11 @@ from repro.bench.training_experiments import (
 
 __all__ = [
     "CHAOS_PLANS",
-    "PRE_PR_BASELINE",
     "machine_calibration_factor",
     "attribution_summary",
     "run_scale_point",
     "scale_sweep",
     "selector_report",
-    "speedup_vs_pre_pr",
     "write_scale_report",
     "controlplane_job_stream",
     "deadlock_ratio_sweep",

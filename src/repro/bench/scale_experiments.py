@@ -1,22 +1,19 @@
-"""Engine-scale experiments: steps/sec and wall time up to 512 ranks.
+"""Engine-scale experiments: virtual time and attribution up to 512 ranks.
 
-The differential fuzzer replays thousands of generated programs, so the
-engine's wall-clock throughput is a first-class deliverable of its own.
 ``run_scale_point`` drives one all-reduce workload through the unified
-``repro.api`` front-end on an N-rank cluster and reports simulator *steps per
-wall-second* (the engine-overhead metric: virtual-time costs are workload
-physics, steps/sec is pure simulator speed) plus wall time, virtual time and
-primitive counts.  ``scale_sweep`` runs the standard ladder — flat multi-node
-rings up to 128 ranks, two-level fat-tree trees at 256/512 — and
-``write_scale_report`` lands the rows in ``BENCH_scale.json``.
+``repro.api`` front-end on an N-rank cluster and reports virtual time, engine
+steps, queue statistics and completion, plus the wall seconds of the engine
+run (GC disabled across it).  ``scale_sweep`` runs the standard ladder — flat
+multi-node rings up to 128 ranks, two-level fat-tree trees at 256/512, and the
+512-rank point under every all-reduce schedule — once per point with time
+attribution on, and ``write_scale_report`` lands the rows in
+``BENCH_scale.json``.  The report holds only deterministic fields, so two
+sweeps write byte-identical files.
 
-The 64-rank ring point doubles as the regression gate against the engine that
-shipped before the indexed event queue / link cache / primitive-flag work:
-:data:`PRE_PR_BASELINE` records that engine's throughput, measured on the
-same workload with the same GC discipline.  Because absolute steps/sec moves
-with the host machine, the baseline also records a pure-Python calibration
-score; :func:`machine_calibration_factor` reruns the same loop so the
-comparison can be normalized to the recording machine's speed.
+Host speed is measured in wall seconds only: ``perfbench`` times the
+512-rank point through :func:`run_scale_point`, and
+:func:`machine_calibration_factor` normalizes a wall time to the speed of the
+machine that recorded a baseline.
 """
 
 from __future__ import annotations
@@ -28,23 +25,6 @@ import time
 from repro.api import make_backend
 from repro.common.types import CollectiveKind, CollectiveSpec
 from repro.gpusim import HostProgram, build_cluster, fat_tree_spec, multi_node_spec
-
-#: Throughput of the pre-overhaul engine (lazy-deletion double heap, uncached
-#: link resolution, Flag-arithmetic primitives) on the 64-rank sweep point —
-#: ``run_scale_point(64, topology="flat")`` — measured at commit c7a1c39 on
-#: the machine whose calibration score is recorded alongside (best of four
-#: runs, GC disabled during the measured region, like run_scale_point does;
-#: the calibration score is the same best-of-3 measurement
-#: :func:`machine_calibration_factor` performs).
-PRE_PR_BASELINE = {
-    "ranks": 64,
-    "topology": "flat",
-    "algorithm": "ring",
-    "steps_per_sec": 12322.0,
-    "wall_s": 0.311,
-    "calibration_ops_per_sec": 8.24e6,
-    "measured_at": "c7a1c39 (pre PR 5)",
-}
 
 #: The standard sweep ladder: (ranks, topology kind, algorithm).  The three
 #: 512-rank fat-tree points run the same workload under every all-reduce
@@ -65,13 +45,13 @@ def machine_calibration_factor(iterations=200_000, repeats=3):
     """Pure-Python ops/sec of this machine (dict/attr/float mix).
 
     The loop shape roughly matches the simulator's instruction mix.  Used to
-    normalize :data:`PRE_PR_BASELINE` to the current host: a machine that
-    runs Python half as fast is expected to run the engine half as fast.
-    Returns the best of ``repeats`` short runs — engine throughput is
-    likewise reported best-of-N, so both sides of the speedup ratio estimate
-    the machine at its attainable speed rather than under transient load
-    (claiming extra speedup from a loaded calibration run would be the
-    dishonest direction; taking the max is the conservative one).
+    normalize a wall time to the machine that recorded a baseline: a machine
+    that runs Python half as fast is expected to run the engine half as fast.
+    Returns the best of ``repeats`` short runs — wall times are likewise
+    taken best-of-N, so both sides of a speedup ratio estimate the machine at
+    its attainable speed rather than under transient load (claiming extra
+    speedup from a loaded calibration run would be the dishonest direction;
+    taking the max is the conservative one).
     """
 
     class _Probe:
@@ -151,10 +131,8 @@ def run_scale_point(ranks, topology="flat", algorithm="ring", nbytes=1 << 20,
     ``collect_metrics=True`` the row additionally carries the full metrics
     snapshot (always-on rows carry only the calibration samples).
     ``analyze=True`` opts the run into critical-path time attribution and
-    attaches the decomposition as ``row["attribution"]`` — analyzed runs pay
-    the trace-append cost, so the sweep times its points *without* analysis
-    and runs one extra analyzed pass per point (the simulator is
-    deterministic, so both passes see identical virtual times).
+    attaches the decomposition as ``row["attribution"]``; analysis pays the
+    trace-append cost in ``wall_s`` but never changes virtual time or steps.
     """
     cluster, api_backend, works_by_rank = build_scale_point(
         ranks, topology=topology, algorithm=algorithm, nbytes=nbytes,
@@ -172,7 +150,6 @@ def run_scale_point(ranks, topology="flat", algorithm="ring", nbytes=1 << 20,
 
     completed = all(work.done for works in works_by_rank.values()
                     for work in works)
-    steps = cluster.engine.step_count
     row = {
         "ranks": ranks,
         "topology": topology if isinstance(topology, str) else "custom",
@@ -181,9 +158,8 @@ def run_scale_point(ranks, topology="flat", algorithm="ring", nbytes=1 << 20,
         "nbytes": nbytes,
         "iterations": iterations,
         "completed": completed,
-        "steps": steps,
+        "steps": cluster.engine.step_count,
         "wall_s": wall_s,
-        "steps_per_sec": steps / wall_s if wall_s > 0 else float("inf"),
         "virtual_time_us": final_time_us,
         "queue_stats": cluster.engine.queue_stats(),
         "observed": cluster.engine.obs.enabled,
@@ -238,30 +214,6 @@ def attribution_summary(results):
         "invocations": invocations,
         "worst_invocation_conservation_error": max(errors) if errors else None,
     }
-
-
-def best_of(point_kwargs, repeats=3):
-    """Run one sweep point ``repeats`` times; return the fastest row.
-
-    Wall-clock throughput is noisy on shared CI machines — best-of-N is the
-    standard way to estimate the attainable speed.
-    """
-    rows = [run_scale_point(**point_kwargs) for _ in range(repeats)]
-    return max(rows, key=lambda row: row["steps_per_sec"])
-
-
-def speedup_vs_pre_pr(row, calibration_ops_per_sec=None):
-    """Machine-normalized speedup of ``row`` over :data:`PRE_PR_BASELINE`.
-
-    The raw steps/sec ratio is scaled by how much slower/faster this host
-    runs the calibration loop than the machine that recorded the baseline.
-    """
-    if calibration_ops_per_sec is None:
-        calibration_ops_per_sec = machine_calibration_factor()
-    machine_scale = (PRE_PR_BASELINE["calibration_ops_per_sec"]
-                     / calibration_ops_per_sec)
-    raw = row["steps_per_sec"] / PRE_PR_BASELINE["steps_per_sec"]
-    return raw * machine_scale
 
 
 def selector_report(ranks=512, nbytes=1 << 20):
@@ -321,36 +273,20 @@ def selector_calibration_section(rows):
     }
 
 
-def scale_sweep(points=SCALE_SWEEP_POINTS, repeats=2, nbytes=1 << 20,
-                iterations=2, analyze=True):
-    """Run the standard ladder; returns rows plus the 64-rank speedup.
+def scale_sweep(points=SCALE_SWEEP_POINTS, nbytes=1 << 20, iterations=2):
+    """Run the standard ladder once per point, with time attribution on.
 
-    With ``analyze=True`` (the default) every point gets one extra
-    *analyzed* pass whose attribution and bucket-level calibration replace
-    the timed row's — timing and attribution never contaminate each other,
-    and the deterministic simulator guarantees both passes agree on virtual
-    time.
+    Each row keeps only deterministic fields (``wall_s`` is dropped), so the
+    report is a pure function of the points.
     """
-    calibration = machine_calibration_factor()
     rows = []
     for ranks, topology, algorithm in points:
-        point_kwargs = {"ranks": ranks, "topology": topology,
-                        "algorithm": algorithm, "nbytes": nbytes,
-                        "iterations": iterations}
-        row = best_of(point_kwargs, repeats=repeats)
-        if analyze:
-            analyzed = run_scale_point(analyze=True, **point_kwargs)
-            row["attribution"] = analyzed.get("attribution")
-            row["calibration"] = analyzed.get("calibration",
-                                              row.get("calibration"))
-        if (ranks == PRE_PR_BASELINE["ranks"]
-                and topology == PRE_PR_BASELINE["topology"]
-                and algorithm == PRE_PR_BASELINE["algorithm"]):
-            row["speedup_vs_pre_pr"] = speedup_vs_pre_pr(row, calibration)
+        row = run_scale_point(ranks, topology=topology, algorithm=algorithm,
+                              nbytes=nbytes, iterations=iterations,
+                              analyze=True)
+        del row["wall_s"]
         rows.append(row)
     return {
-        "calibration_ops_per_sec": calibration,
-        "pre_pr_baseline": dict(PRE_PR_BASELINE),
         "selector_512": selector_report(nbytes=nbytes),
         "selector_calibration": selector_calibration_section(rows),
         "points": rows,

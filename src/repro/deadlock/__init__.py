@@ -11,7 +11,6 @@ dependency graph for cycles; a cycle is a deadlock and ends the round.
 
 from repro.deadlock.dependency_graph import DependencyGraph
 from repro.deadlock.fault_scenarios import (
-    FAULT_DEADLOCK_SCENARIOS,
     FaultDeadlockAnalysis,
     analyze_fault_deadlock,
 )
@@ -23,7 +22,6 @@ from repro.deadlock.configs import TABLE1_CONFIGS, Table1Config, table1_rows
 __all__ = [
     "DeadlockSimulator",
     "DependencyGraph",
-    "FAULT_DEADLOCK_SCENARIOS",
     "FaultDeadlockAnalysis",
     "FreeGroupingPolicy",
     "GpuGroup",

@@ -21,8 +21,9 @@ same analysis on a DFCCL run comes back empty, because the daemon kernel's
 bounded spinning means no actor ever *blocks* on a dead peer — it preempts,
 and the recovery layer re-forms the group.
 
-``FAULT_DEADLOCK_SCENARIOS`` names the canned fault plans the chaos
-experiments and CI smoke tests replay.
+:func:`repro.testing.differential.replay_program` attaches this analysis to
+every replay, so the chaos experiments (the fault plans of
+``repro.bench.CHAOS_PLANS``) and the fuzzer read it as ``result.analysis``.
 """
 
 from __future__ import annotations
@@ -125,60 +126,3 @@ def analyze_fault_deadlock(report, cluster):
     analysis.cycle = graph.find_cycle()
     return analysis
 
-
-# -- canned fault-deadlock scenarios ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class FaultScenarioSpec:
-    """A named fault plan recipe over a given world size."""
-
-    name: str
-    description: str
-    build: object  # callable(world_size, horizon_us) -> FaultPlan
-
-
-def _crash_mid_collective(world_size, horizon_us):
-    from repro.faults.plan import FaultPlan
-
-    victim = world_size // 2
-    return FaultPlan(name="crash-mid-collective").add_crash(
-        victim, at_us=0.25 * horizon_us
-    )
-
-
-def _crash_under_disorder(world_size, horizon_us):
-    from repro.faults.plan import FaultPlan
-
-    victim = max(1, world_size - 1)
-    return (FaultPlan(name="crash-under-disorder")
-            .add_kernel_stall(0, at_us=0.1 * horizon_us, duration_us=50.0)
-            .add_crash(victim, at_us=0.3 * horizon_us))
-
-
-def _flap_then_crash(world_size, horizon_us):
-    from repro.faults.plan import FaultPlan
-
-    return (FaultPlan(name="flap-then-crash")
-            .add_link_flap(0, world_size // 2, at_us=0.1 * horizon_us,
-                           duration_us=0.1 * horizon_us)
-            .add_crash(world_size // 2, at_us=0.45 * horizon_us))
-
-
-FAULT_DEADLOCK_SCENARIOS = {
-    "crash-mid-collective": FaultScenarioSpec(
-        "crash-mid-collective",
-        "one rank dies while an all-reduce is in flight",
-        _crash_mid_collective,
-    ),
-    "crash-under-disorder": FaultScenarioSpec(
-        "crash-under-disorder",
-        "a kernel stall reorders progress, then a rank dies",
-        _crash_under_disorder,
-    ),
-    "flap-then-crash": FaultScenarioSpec(
-        "flap-then-crash",
-        "an inter-node link flaps before one of its endpoints dies",
-        _flap_then_crash,
-    ),
-}

@@ -47,20 +47,3 @@ __all__ = [
     "replay_program",
     "topology_for_world",
 ]
-
-# ``fuzz`` and ``minimize_program`` resolve lazily through ``__getattr__``
-# below (importing the CLI module eagerly would shadow ``python -m
-# repro.testing.fuzz``), so they are deliberately absent from ``__all__``.
-
-
-def __getattr__(name):
-    # Lazy: importing the CLI module here would shadow `python -m
-    # repro.testing.fuzz` (runpy warns when the module is pre-imported).
-    # importlib, not a from-import: resolving the submodule through the
-    # package attribute would re-enter this __getattr__ forever.
-    if name in ("fuzz", "minimize_program", "write_failure_artifacts"):
-        import importlib
-
-        _fuzz = importlib.import_module("repro.testing.fuzz")
-        return getattr(_fuzz, name)
-    raise AttributeError(name)

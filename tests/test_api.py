@@ -486,6 +486,33 @@ class TestRemovedShims:
                      "contribution_values", "run_dfccl_chaos", "run_nccl_chaos"):
             assert not hasattr(faults, name), name
 
+    def test_wall_seconds_are_the_only_host_time_metric(self):
+        """The steps/sec speedup helpers, the sweep's repeats and analysis
+        switch, the unread fault-scenario table and the lazy fuzz re-exports
+        were deleted; a scale row carries ``wall_s`` as its one host time."""
+        import inspect
+
+        import repro.bench as bench
+        import repro.bench.scale_experiments as scale
+        import repro.deadlock as deadlock
+        import repro.deadlock.fault_scenarios as fault_scenarios
+        import repro.testing as testing
+
+        for name in ("best_of", "speedup_vs_pre_pr", "PRE_PR_BASELINE"):
+            assert not hasattr(bench, name) and not hasattr(scale, name), name
+        assert list(inspect.signature(scale.scale_sweep).parameters) == [
+            "points", "nbytes", "iterations"]
+        for name in ("FAULT_DEADLOCK_SCENARIOS", "FaultScenarioSpec"):
+            assert not hasattr(deadlock, name), name
+            assert not hasattr(fault_scenarios, name), name
+        assert "__getattr__" not in vars(testing)
+        assert not hasattr(testing, "minimize_program")
+        row = scale.run_scale_point(8, iterations=1)
+        assert set(row) == {
+            "ranks", "topology", "backend", "algorithm", "nbytes",
+            "iterations", "completed", "steps", "wall_s", "virtual_time_us",
+            "queue_stats", "observed", "calibration"}
+
     @pytest.mark.parametrize("module", [
         "repro.testing", "repro.testing.differential", "repro.faults",
         "repro.faults.scenarios", "repro.bench",

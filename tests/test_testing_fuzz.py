@@ -345,6 +345,24 @@ class TestFuzzCli:
         assert exit_code == 0
         assert "0 divergent" in captured.out
 
+    def test_module_entry_point_runs_without_warnings(self):
+        """``python -m repro.testing.fuzz`` runs warning-free: importing the
+        package must not pre-import the CLI module (runpy would warn)."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        completed = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "repro.testing.fuzz",
+             "--seed", "0", "--programs", "2"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=300)
+        assert completed.returncode == 0, completed.stderr
+        assert "0 divergent" in completed.stdout
+
     def test_fuzz_function_clean_run(self):
         summary = fuzz(seed=2, programs=5, log=lambda *_: None)
         assert summary["failures"] == []
