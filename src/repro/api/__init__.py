@@ -14,8 +14,9 @@ collective engine in the repo:
   ``all_reduce`` / ``all_gather`` / ``reduce_scatter`` / ``broadcast`` /
   ``reduce`` / ``barrier`` with auto-assigned collective ids; a group's
   ``job`` is the only job name a backend reads, so jobs share one backend;
-* :class:`Work` / :func:`wait_all` — per-rank futures producing the host
-  ops that submit and await each invocation.
+* :class:`Work` / :func:`wait_all` — the one per-rank future on every
+  backend: a collective run plus the rank's place in it, whose host ops
+  submit and await the rank's part.
 
 A minimal program::
 
@@ -45,20 +46,17 @@ from repro.api.backend import (
 )
 from repro.api.group import ProcessGroup
 from repro.api.work import CompletionInfo, Work, wait_all
-from repro.api.dfccl_adapter import DfcclCollectiveBackend, DfcclWork
-from repro.api.nccl_adapter import NcclCollectiveBackend, NcclWork
-from repro.api.mpi_adapter import MpiCollectiveBackend, MpiWork
+from repro.api.dfccl_adapter import DfcclCollectiveBackend
+from repro.api.nccl_adapter import NcclCollectiveBackend
+from repro.api.mpi_adapter import MpiCollectiveBackend
 
 __all__ = [
     "BACKENDS",
     "CollectiveBackend",
     "CompletionInfo",
     "DfcclCollectiveBackend",
-    "DfcclWork",
     "MpiCollectiveBackend",
-    "MpiWork",
     "NcclCollectiveBackend",
-    "NcclWork",
     "ProcessGroup",
     "Work",
     "make_backend",

@@ -16,6 +16,7 @@ workloads, multijob, faults and bench lives here and nowhere else.
 from __future__ import annotations
 
 from repro.common.errors import ConfigurationError
+from repro.gpusim.host import WaitForSignal
 from repro.api.group import ProcessGroup
 
 #: Registry of backend factories: name -> factory(cluster, **knobs).
@@ -60,9 +61,9 @@ def resolve_orchestrator(spec, world_size):
 class CollectiveBackend:
     """Abstract execution platform behind :class:`ProcessGroup`.
 
-    Subclasses implement :meth:`create_work` (and usually
-    :meth:`ensure_collective`); everything else has conservative defaults so
-    a minimal backend is just a Work factory.
+    Subclasses implement :meth:`join` and :meth:`submit_op` (and usually
+    :meth:`ensure_collective`); everything else has conservative defaults,
+    so a minimal backend is a run factory plus a submit op.
     """
 
     name = "abstract"
@@ -94,9 +95,29 @@ class CollectiveBackend:
     def ensure_collective(self, group, spec, key):
         """Materialize a logical collective ahead of its first call (no-op)."""
 
-    def create_work(self, group, spec, key, index, rank, callback=None, stream=None):
-        """Create the Work future for one rank's part of one invocation."""
+    def join(self, group, spec, key, index, rank):
+        """``(run, group_rank)``: the run ``rank``'s call ``index`` joins.
+
+        ``run`` is the :class:`~repro.collectives.plan.CollectiveRun` of the
+        logical collective's invocation the call belongs to, shared by every
+        member rank, and ``group_rank`` the rank's place in it.
+        """
         raise NotImplementedError
+
+    def submit_op(self, work):
+        """Host op submitting ``work``'s part of its run."""
+        raise NotImplementedError
+
+    def wait_op(self, work):
+        """Host op blocking until ``work``'s part is done or aborted.
+
+        The default waits on the run's completion key, which the backend
+        signals when it delivers or aborts the rank's part.
+        """
+        run, rank = work.run, work.group_rank
+        return WaitForSignal(run.completion_key(rank),
+                             predicate=lambda: run.is_resolved(rank),
+                             detail=f"wait {run.name} #{run.index} rank {rank}")
 
     # -- lifecycle ---------------------------------------------------------------
 

@@ -5,11 +5,12 @@ The adapter is the DFCCL library instance of one cluster (Listing 1's
 :class:`~repro.core.RankContext` objects, the communicator pool, the
 recovery manager and the one map of registered collectives.  It registers
 one DFCCL collective per logical ``(spec, key)`` of each process group with
-auto-assigned collective ids.  Each call becomes a :class:`DfcclWork` bound
-to one rank's part of the collective's next invocation; its submit op is the
-``dfcclRun*`` call (an SQE push through
+auto-assigned collective ids.  Each call joins one rank's part of the
+collective's next :class:`~repro.core.registration.Invocation`; the Work's
+submit op is the ``dfcclRun*`` call (an SQE push through
 :meth:`~repro.core.api.RankContext.submit_invocation`) and its wait op
-blocks until the rank's callback fired or recovery aborted the part.
+blocks until the poller delivered the rank's completion or recovery aborted
+the part.
 
 One daemon kernel per GPU serves every job.  A group's ``job`` namespaces
 its collectives, both in the collective-id space and in the communicator
@@ -29,93 +30,9 @@ from repro.core import (
     RecoveryManager,
     RegisteredCollective,
 )
-from repro.gpusim.host import CallHook, WaitForSignal
+from repro.gpusim.host import CallHook
 from repro.obs import record_link_metrics
 from repro.api.backend import CollectiveBackend, register_backend
-from repro.api.work import CompletionInfo, Work
-
-
-class DfcclWork(Work):
-    """Work future over one rank's part of one DFCCL invocation."""
-
-    def __init__(self, group, rank, key, index, rank_ctx, invocation, group_rank,
-                 callback=None):
-        super().__init__(group, rank, key, index)
-        self.rank_ctx = rank_ctx
-        #: The backend-side :class:`~repro.core.registration.Invocation`.
-        self.invocation = invocation
-        self.group_rank = group_rank
-        #: What the poller runs, as ``callback(invocation)``, when this
-        #: rank's part completes: the user's ``callback(work)``.
-        self.callback = (None if callback is None
-                         else lambda invocation: callback(self))
-
-    def submit_op(self):
-        """Host-program op submitting this rank's part to the daemon."""
-        return CallHook(
-            lambda host: self.rank_ctx.submit_invocation(
-                self.invocation, self.group_rank, self.callback, host.now),
-            detail=f"dfccl_run coll {self.invocation.coll_id}",
-        )
-
-    def wait_op(self):
-        """Host-program op blocking until this rank's part resolves."""
-        invocation, group_rank = self.invocation, self.group_rank
-        return WaitForSignal(
-            invocation.completion_key(group_rank),
-            predicate=lambda: invocation.is_resolved(group_rank),
-            detail=f"wait coll {invocation.coll_id} inv {invocation.index}",
-        )
-
-    @property
-    def done(self):
-        """Whether this rank's callback fired (user-visible completion)."""
-        return self.invocation.is_done(self.group_rank)
-
-    @property
-    def aborted(self):
-        """Whether recovery abandoned this rank's part."""
-        return self.invocation.is_aborted(self.group_rank)
-
-    @property
-    def started_at_us(self):
-        """Virtual time this rank submitted, or ``None`` before submission."""
-        return self.invocation.start_times.get(self.group_rank)
-
-    def completion_info(self):
-        """The rank's :class:`CompletionInfo`, or ``None`` while running."""
-        invocation = self.invocation
-        group_rank = self.group_rank
-        if not invocation.is_complete(group_rank):
-            return None
-        # The signature this rank's GPU part actually completed under — a
-        # rank that finished before a later recovery keeps the pre-crash
-        # full-group identity even though it is observed afterwards.
-        signature = invocation.completion_signatures.get(
-            group_rank, invocation.participant_signature()
-        )
-        cluster = self.group.backend.cluster
-        executor = invocation.executor_if_cached(group_rank)
-        if executor is not None:
-            # Ground truth: the member set of the communicator this rank
-            # actually communicated over.
-            members = tuple(cluster.rank_of(device)
-                            for device in executor.communicator.devices)
-        else:
-            members = tuple(invocation.coll.global_ranks[rank]
-                            for rank in signature[1])
-        return CompletionInfo(
-            signature=signature,
-            member_ranks=members,
-            time_us=invocation.complete_times.get(group_rank),
-        )
-
-    def primitive_sequence(self):
-        """The primitive sequence this rank compiled (for conformance checks)."""
-        executor = self.invocation.executor_if_cached(self.group_rank)
-        if executor is None:
-            executor = self.invocation.executor_for(self.group_rank)
-        return list(executor.primitives)
 
 
 class DfcclCollectiveBackend(CollectiveBackend):
@@ -195,14 +112,19 @@ class DfcclCollectiveBackend(CollectiveBackend):
                 self.init_rank(rank).register(coll)
         return coll
 
-    def create_work(self, group, spec, key, index, rank, callback=None, stream=None):
-        """Bind ``rank``'s part of the collective's next invocation to a Work."""
+    def join(self, group, spec, key, index, rank):
+        """``rank``'s part of the collective's next invocation."""
         coll = self.ensure_collective(group, spec, key)
-        rank_ctx = self.init_rank(rank)
-        group_rank = rank_ctx.group_rank_for(coll)
-        return DfcclWork(group, rank, key, index, rank_ctx,
-                         coll.next_invocation_for_rank(group_rank), group_rank,
-                         callback=callback)
+        group_rank = self.init_rank(rank).group_rank_for(coll)
+        return coll.next_invocation_for_rank(group_rank), group_rank
+
+    def submit_op(self, work):
+        """Host op of ``dfcclRun*``: push the rank's SQE to its daemon."""
+        ctx, invocation = self.contexts[work.rank], work.run
+        return CallHook(
+            lambda host: ctx.submit_invocation(invocation, work.group_rank, host.now),
+            detail=f"dfccl_run coll {invocation.coll_id}",
+        )
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -335,13 +257,13 @@ class DfcclCollectiveBackend(CollectiveBackend):
         stats = self.stats(first)
         completed = max(1, stats.cqes_written)
         return {
-            "algorithm": works[0].invocation.coll.algorithm,
+            "algorithm": works[0].run.coll.algorithm,
             "latency_us": statistics.fmean(
-                work.invocation.latency_us() for work in works),
+                work.run.latency_us() for work in works),
             "core_time_us": (stats.execute_time_us + stats.preparing_time_us) / completed,
             "preemptions": stats.preemptions,
             "predicted_cost_us": statistics.fmean(
-                work.invocation.coll.predicted_cost_us for work in works
+                work.run.coll.predicted_cost_us for work in works
             ),
         }
 

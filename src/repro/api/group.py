@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from repro.common.errors import ConfigurationError
 from repro.common.types import CollectiveKind, CollectiveSpec, DataType, ReduceOp
+from repro.api.work import Work
 
 #: Reserved logical-collective key prefix for ``barrier`` calls.
 _BARRIER_KEY = "__barrier__"
@@ -92,9 +93,9 @@ class ProcessGroup:
         """Join the next invocation of the logical collective ``(spec, key)``.
 
         Returns the :class:`Work` future for ``rank``'s part.  ``callback``
-        is invoked as ``callback(work)`` when this rank's part completes;
-        ``stream`` is a launch-stream hint for backends with dedicated
-        kernels (ignored by DFCCL's shared daemon kernel).
+        is invoked as ``callback(work)`` when the backend delivers this
+        rank's completion; ``stream`` is a launch-stream hint for backends
+        with dedicated kernels (ignored by DFCCL's shared daemon kernel).
         """
         spec.validate()
         if rank not in self.ranks:
@@ -105,9 +106,9 @@ class ProcessGroup:
         counters = self._call_counts.setdefault(ident, {})
         index = counters.get(rank, 0)
         counters[rank] = index + 1
-        return self.backend.create_work(
-            self, canonical, key, index, rank, callback=callback, stream=stream
-        )
+        run, group_rank = self.backend.join(self, canonical, key, index, rank)
+        return Work(self, rank, key, index, run, group_rank, callback=callback,
+                    stream=stream)
 
     # -- the collective call surface ----------------------------------------------
 

@@ -23,7 +23,6 @@ from repro.gpusim.host import CallHook, HostOp
 from repro.gpusim.engine import StepResult
 from repro.ncclsim import CudaAwareMpiModel
 from repro.api.backend import CollectiveBackend, register_backend
-from repro.api.work import CompletionInfo, Work
 
 _mpi_op_ids = itertools.count()
 
@@ -63,71 +62,23 @@ class _MpiCollective(CollectiveRun):
 
 
 class _MpiWaitOp(HostOp):
-    """Block until the rendezvous formed, then sleep out the transfer."""
+    """Block until the rendezvous formed, sleep out the transfer, then
+    deliver the rank's completion."""
 
     def __init__(self, work):
         self.work = work
 
     def poll(self, host):
-        coll = self.work.coll
+        coll, rank = self.work.run, self.work.group_rank
         if not coll.all_submitted():
             return StepResult.blocked([coll.submitted_key],
                                       f"mpi rendezvous op {coll.op_id}")
         target = coll.finish_time_us()
         if host.now < target:
             return StepResult.sleep(target, f"mpi transfer op {coll.op_id}")
-        self.work.mark_complete(host.now)
+        coll.mark_complete(rank, host.now)
+        coll.deliver(rank)
         return StepResult.progress(f"mpi op {coll.op_id} done")
-
-
-class MpiWork(Work):
-    """Work future over one rank's part of a host-staged collective."""
-
-    def __init__(self, group, rank, key, index, coll, callback=None):
-        super().__init__(group, rank, key, index)
-        self.coll = coll
-        self.group_rank = group.group_rank(rank)
-        self.callback = callback
-
-    def submit_op(self):
-        """Host-program op marking this rank's arrival at the rendezvous."""
-        def submit(host):
-            self.coll.mark_started(self.group_rank, host.now)
-            if self.coll.all_submitted():
-                host.cluster.engine.signal(self.coll.submitted_key, host.now)
-
-        return CallHook(submit, detail=f"mpi submit op {self.coll.op_id}")
-
-    def wait_op(self):
-        """Host-program op blocking until the rendezvous resolves."""
-        return _MpiWaitOp(self)
-
-    def mark_complete(self, time_us):
-        """Record completion at ``time_us`` and fire the callback."""
-        if not self.done:
-            self.coll.mark_complete(self.group_rank, time_us)
-            if self.callback is not None:
-                self.callback(self)
-
-    @property
-    def done(self):
-        """Whether the rendezvous completed for this rank."""
-        return self.coll.is_complete(self.group_rank)
-
-    @property
-    def started_at_us(self):
-        """Virtual time this rank arrived, or ``None`` before arrival."""
-        return self.coll.start_times.get(self.group_rank)
-
-    def completion_info(self):
-        """The rank's :class:`CompletionInfo`, or ``None`` while running."""
-        if not self.done:
-            return None
-        return CompletionInfo(
-            signature=(0, tuple(range(self.coll.group_size))),
-            member_ranks=self.coll.global_ranks,
-            time_us=self.coll.complete_times[self.group_rank],
-        )
 
 
 class MpiCollectiveBackend(CollectiveBackend):
@@ -183,16 +134,30 @@ class MpiCollectiveBackend(CollectiveBackend):
             diag["metrics"] = obs.metrics.snapshot()
         return diag
 
-    def create_work(self, group, spec, key, index, rank, callback=None, stream=None):
-        """Join the analytic rendezvous of invocation ``index``."""
-        del stream  # host-staged: there is no kernel launch stream
+    def join(self, group, spec, key, index, rank):
+        """``rank``'s part of invocation ``index``'s analytic rendezvous."""
         ident = (group.group_id, spec, key, index)
         coll = self._collectives.get(ident)
         if coll is None:
             coll = _MpiCollective(spec, group.ranks, self.model, job=group.job,
                                   obs=self.cluster.engine.obs, index=index)
             self._collectives[ident] = coll
-        return MpiWork(group, rank, key, index, coll, callback=callback)
+        return coll, group.group_rank(rank)
+
+    def submit_op(self, work):
+        """Host op marking the rank's arrival at the rendezvous."""
+        coll = work.run
+
+        def submit(host):
+            coll.mark_started(work.group_rank, host.now)
+            if coll.all_submitted():
+                host.cluster.engine.signal(coll.submitted_key, host.now)
+
+        return CallHook(submit, detail=f"mpi submit op {coll.op_id}")
+
+    def wait_op(self, work):
+        """Host op waiting out the rendezvous (there is no GPU to signal)."""
+        return _MpiWaitOp(work)
 
     def perf_report(self, group, works_by_rank):
         """Latency summary of a finished benchmark run."""
@@ -200,13 +165,13 @@ class MpiCollectiveBackend(CollectiveBackend):
         return {
             "algorithm": _MpiCollective.algorithm,
             "latency_us": statistics.fmean(
-                work.coll.latency_us() for work in works_by_rank[first]),
+                work.run.latency_us() for work in works_by_rank[first]),
             "core_time_us": statistics.fmean(
-                work.coll.duration_us for work in works_by_rank[first]
+                work.run.duration_us for work in works_by_rank[first]
             ),
             "preemptions": 0,
             "predicted_cost_us": statistics.fmean(
-                work.coll.duration_us for work in works_by_rank[first]
+                work.run.duration_us for work in works_by_rank[first]
             ),
         }
 

@@ -4,9 +4,9 @@ Each invocation of a logical collective becomes one
 :class:`~repro.ncclsim.NcclCollectiveOp` shared by every participating rank
 (match-by-call-order, as in real NCCL); the ops of one logical collective
 share one :class:`~repro.collectives.plan.CollectivePlan` per member set.
-The adapter owns both caches.  A rank's :class:`NcclWork` is the only code
-that drives the op: its submit op builds and launches the rank's dedicated
-kernel and its wait op blocks on the rank's completion.
+The adapter owns both caches and is the only code that drives an op: a
+rank's Work submit op builds and launches the rank's dedicated kernel, whose
+completion delivers the rank's completion and wakes its wait op.
 
 A group's ``job`` tags its kernels with their owning job (multi-tenant SM
 accounting) and gives the job its own launch stream.  ``orchestrator`` names the
@@ -21,7 +21,8 @@ from __future__ import annotations
 import statistics
 
 from repro.collectives.plan import CollectivePlan
-from repro.gpusim.host import LaunchKernel, WaitForSignal
+from repro.collectives.sequences import DEFAULT_CHUNK_BYTES
+from repro.gpusim.host import LaunchKernel
 from repro.ncclsim import NcclCollectiveKernel, NcclCollectiveOp, grid_size_for
 from repro.obs import record_link_metrics
 from repro.api.backend import (
@@ -29,75 +30,6 @@ from repro.api.backend import (
     register_backend,
     resolve_orchestrator,
 )
-from repro.api.work import CompletionInfo, Work
-
-
-class NcclWork(Work):
-    """Work future over one rank's part of one dedicated-kernel op."""
-
-    def __init__(self, group, rank, key, index, op, group_rank, stream):
-        super().__init__(group, rank, key, index)
-        self.op = op
-        self.group_rank = group_rank
-        self.stream = stream
-
-    def submit_op(self):
-        """Host-program op launching this rank's dedicated kernel."""
-        return LaunchKernel(self._make_kernel, stream=self.stream)
-
-    def _make_kernel(self, host):
-        op, group_rank = self.op, self.group_rank
-        kernel = NcclCollectiveKernel(
-            name=f"{op.name}-r{group_rank}",
-            device=op.devices[group_rank],
-            executor=op.executor_for(group_rank),
-            op=op,
-            rank=group_rank,
-            grid_size=grid_size_for(op.spec.nbytes),
-        )
-        # The owning job, for the multi-tenant SM-contention accounting in
-        # repro.gpusim.
-        kernel.tenant = self.group.job
-        op.register_kernel(group_rank, kernel)
-        return kernel
-
-    def wait_op(self):
-        """Host-program op blocking on this rank's kernel completion."""
-        op, group_rank = self.op, self.group_rank
-        return WaitForSignal(
-            op.completion_key(group_rank),
-            predicate=lambda: op.is_complete(group_rank),
-            detail=f"wait {op.name} rank {group_rank}",
-        )
-
-    @property
-    def done(self):
-        """Whether this rank's kernel completed."""
-        return self.op.is_complete(self.group_rank)
-
-    @property
-    def started_at_us(self):
-        """Virtual time this rank's kernel became resident, or ``None``."""
-        return self.op.start_times.get(self.group_rank)
-
-    def completion_info(self):
-        """The rank's :class:`CompletionInfo`, or ``None`` while running."""
-        if not self.done:
-            return None
-        # Dedicated kernels have no elastic recovery: the participant set is
-        # always the full registration-time group, generation 0.
-        return CompletionInfo(
-            signature=(0, tuple(range(self.op.group_size))),
-            member_ranks=tuple(self.group.ranks),
-            time_us=self.op.complete_times[self.group_rank],
-        )
-
-    def primitive_sequence(self):
-        """The primitive sequence this rank compiled (for conformance checks)."""
-        kernel = self.op.kernel(self.group_rank)
-        if kernel is not None:
-            return list(kernel.executor.primitives)
-        return list(self.op.executor_for(self.group_rank).primitives)
 
 
 class NcclCollectiveBackend(CollectiveBackend):
@@ -111,7 +43,8 @@ class NcclCollectiveBackend(CollectiveBackend):
         # dfccl factory and ignored: the baseline has no daemon to configure.
         del config
         super().__init__(cluster)
-        self.chunk_bytes = chunk_bytes or (128 << 10)
+        self.chunk_bytes = (DEFAULT_CHUNK_BYTES if chunk_bytes is None
+                            else chunk_bytes)
         self.algorithm = algorithm
         self._orchestrator = orchestrator
         #: One plan per (member ranks, spec): the per-call ops of one logical
@@ -132,8 +65,8 @@ class NcclCollectiveBackend(CollectiveBackend):
             )
         return plan
 
-    def create_work(self, group, spec, key, index, rank, callback=None, stream=None):
-        """Join invocation ``index``'s shared op and wrap this rank's part."""
+    def join(self, group, spec, key, index, rank):
+        """``rank``'s part of invocation ``index``'s shared op."""
         ident = (group.group_id, spec, key, index)
         op = self._ops.get(ident)
         if op is None:
@@ -144,14 +77,34 @@ class NcclCollectiveBackend(CollectiveBackend):
                 job=group.job,
                 index=index,
             )
-        group_rank = op.plan.rank_of_device[self.cluster.device(rank)]
+        return op, op.plan.rank_of_device[self.cluster.device(rank)]
+
+    def submit_op(self, work):
+        """Host op launching the rank's dedicated kernel.
+
+        The default stream is the group's job's own (``comm`` without a job).
+        """
+        stream = work.stream
         if stream is None:
-            stream = "comm" if group.job is None else f"comm-{group.job}"
-        work = NcclWork(group, rank, key, index, op, group_rank, stream)
-        if callback is not None:
-            op.add_completion_callback(group_rank,
-                                       lambda work=work: callback(work))
-        return work
+            job = work.group.job
+            stream = "comm" if job is None else f"comm-{job}"
+        return LaunchKernel(lambda host: self._make_kernel(work), stream=stream)
+
+    def _make_kernel(self, work):
+        op, group_rank = work.run, work.group_rank
+        kernel = NcclCollectiveKernel(
+            name=f"{op.name}-r{group_rank}",
+            device=op.devices[group_rank],
+            executor=op.executor_for(group_rank),
+            op=op,
+            rank=group_rank,
+            grid_size=grid_size_for(op.spec.nbytes),
+        )
+        # The owning job, for the multi-tenant SM-contention accounting in
+        # repro.gpusim.
+        kernel.tenant = work.group.job
+        op.register_kernel(group_rank, kernel)
+        return kernel
 
     # -- training integration ----------------------------------------------------
 
@@ -175,7 +128,7 @@ class NcclCollectiveBackend(CollectiveBackend):
         """Latency/occupancy summary of a finished benchmark run."""
         first = group.ranks[0]
         launch_overhead = self.cluster.device(first).launch_overhead_us
-        ops = [work.op for work in works_by_rank[first]]
+        ops = [work.run for work in works_by_rank[first]]
         return {
             "algorithm": ops[0].algorithm,
             # End to end includes the host-side launch overhead before

@@ -1,36 +1,21 @@
 """Work futures: the unified asynchronous-completion surface of ``repro.api``.
 
 Every collective call on a :class:`~repro.api.ProcessGroup` returns a
-:class:`Work` — one rank's part of one collective invocation.  A Work knows
-how to produce the host ops that perform the asynchronous submission
-(``submit_op``) and the completion wait (``wait_op``), reports completion via
-``done``, and exposes post-run introspection (``completion_info``,
-``primitive_sequence``) that is identical in shape for every backend.
+:class:`Work` — one rank's part of one collective invocation, the pair of a
+:class:`~repro.collectives.plan.CollectiveRun` (DFCCL's ``Invocation``, the
+NCCL baseline's ``NcclCollectiveOp`` or the MPI rendezvous) and the rank's
+group rank in it.  Completion, timing and introspection are answered from
+the run, identically on every backend; the backend supplies only the host
+ops that submit (``submit_op``) and await (``wait_op``) the rank's part.
 
-Work is the only future in the repo and the only submit/wait surface: each
-backend adapter's Work subclass is the one piece of code that turns a
-collective call into host ops.
+Work is the only future in the repo and the only submit/wait surface.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.collectives.plan import CompletionInfo
 
-
-@dataclass(frozen=True)
-class CompletionInfo:
-    """What one rank's completed collective actually reduced over.
-
-    ``signature`` is the ``(recovery_generation, group_ranks)`` identity of
-    the participant set at completion time — all ranks sharing a signature
-    must hold byte-identical results.  ``member_ranks`` are the *global*
-    ranks whose contributions entered this rank's result (after any elastic
-    group shrink), and ``time_us`` is the completion time.
-    """
-
-    signature: tuple
-    member_ranks: tuple
-    time_us: float
+__all__ = ["CompletionInfo", "Work", "wait_all"]
 
 
 class Work:
@@ -39,23 +24,33 @@ class Work:
     ``key`` is the logical collective the call joined (user key or ``None``
     for shape-identity) and ``index`` the per-rank invocation number of that
     logical collective, auto-assigned by call order on the process group.
+    ``run`` is the invocation's shared run record and ``group_rank`` this
+    rank's place in it.  ``callback(work)`` runs when the backend delivers
+    the rank's completion; ``stream`` is a launch-stream hint that only
+    backends with dedicated kernels read.
     """
 
-    def __init__(self, group, rank, key, index):
+    def __init__(self, group, rank, key, index, run, group_rank, callback=None,
+                 stream=None):
         self.group = group
         self.rank = rank
         self.key = key
         self.index = index
+        self.run = run
+        self.group_rank = group_rank
+        self.stream = stream
+        if callback is not None:
+            run.add_callback(group_rank, lambda: callback(self))
 
     # -- host ops -------------------------------------------------------------
 
     def submit_op(self):
         """Host op performing the asynchronous submission/launch."""
-        raise NotImplementedError
+        return self.group.backend.submit_op(self)
 
     def wait_op(self):
-        """Host op blocking until this rank's part completed."""
-        raise NotImplementedError
+        """Host op blocking until this rank's part is done or aborted."""
+        return self.group.backend.wait_op(self)
 
     def ops(self):
         """Submit immediately followed by wait (synchronous-style usage)."""
@@ -65,8 +60,8 @@ class Work:
 
     @property
     def done(self):
-        """True once this rank's part of the invocation completed."""
-        raise NotImplementedError
+        """True once this rank's completion was delivered and its callbacks ran."""
+        return self.run.is_done(self.group_rank)
 
     @property
     def aborted(self):
@@ -76,11 +71,11 @@ class Work:
         it cannot re-form — e.g. a rooted collective whose root died — and
         wakes the waiters); backends without recovery never do.
         """
-        return False
+        return self.run.is_aborted(self.group_rank)
 
     def completion_info(self):
         """A :class:`CompletionInfo` once complete, else ``None``."""
-        raise NotImplementedError
+        return self.run.completion_info(self.group_rank)
 
     def primitive_sequence(self):
         """The primitives this rank executed, or ``None`` when unavailable.
@@ -88,12 +83,12 @@ class Work:
         Backends that compile per-rank primitive sequences (DFCCL, NCCL)
         return the compiled sequence; analytic backends return ``None``.
         """
-        return None
+        return self.run.primitive_sequence(self.group_rank)
 
     @property
     def started_at_us(self):
         """Submission/launch time of this rank's part, or ``None``."""
-        return None
+        return self.run.start_times.get(self.group_rank)
 
     @property
     def finished_at_us(self):
@@ -102,7 +97,7 @@ class Work:
         return info.time_us if info is not None else None
 
     def __repr__(self):
-        return (f"<{type(self).__name__} key={self.key!r} #{self.index} "
+        return (f"<Work {self.run.backend} key={self.key!r} #{self.index} "
                 f"rank={self.rank} done={self.done}>")
 
 

@@ -23,7 +23,7 @@ from repro.faults.injector import install_fault_plan
 from repro.faults.plan import FaultPlan
 from repro.gpusim import SmInterferenceModel, build_cluster
 from repro.multijob.arrivals import generate_jobs
-from repro.multijob.runtime import make_job_runner
+from repro.multijob.runtime import ClusterJobRunner
 from repro.multijob.scheduler import install_scheduler
 
 #: Virtual-time deadline: a shared cluster not drained by then is stuck.
@@ -82,8 +82,8 @@ def run_multijob(backend="dfccl", policy="packed", topology="dual-3090",
         max_resident_blocks=max_resident_blocks,
         interference=interference,
     )
-    runner = make_job_runner(backend, cluster, launch_jitter_us=launch_jitter_us,
-                             seed=seed)
+    runner = ClusterJobRunner(cluster, backend, launch_jitter_us=launch_jitter_us,
+                              seed=seed)
     if specs is None:
         specs = default_job_stream(seed, num_jobs=num_jobs)
     scheduler = install_scheduler(cluster, runner, specs, policy=policy,

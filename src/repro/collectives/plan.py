@@ -18,14 +18,17 @@ A plan lives and dies with its owner: there is no global cache and nothing to
 configure.
 
 A :class:`CollectiveRun` is one invocation of a collective across its ranks,
-and the one place every backend measures it: per-rank start and completion
-times, the per-rank ``"collective"`` span and the calibration sample.
+and the one place every backend measures and completes it: per-rank start
+and completion times, the per-rank ``"collective"`` span, the calibration
+sample, and the completion callbacks behind ``repro.api``'s ``Work``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.collectives.selector import AlgorithmSelector
-from repro.common.errors import InvalidStateError
+from repro.common.errors import ConfigurationError, InvalidStateError
 from repro.collectives.sequences import hierarchical_island_size
 
 
@@ -46,6 +49,9 @@ class CollectivePlan:
 
     def __init__(self, spec, devices, interconnect, algorithm, chunk_bytes,
                  excluded=(), generation=0, previous=None):
+        if chunk_bytes <= 0:
+            raise ConfigurationError(
+                f"chunk_bytes must be positive, got {chunk_bytes}")
         self.spec = spec.validate()
         self.devices = tuple(devices)
         self.interconnect = interconnect
@@ -107,6 +113,22 @@ class CollectivePlan:
                 f"algorithm={self.algorithm}>")
 
 
+@dataclass(frozen=True)
+class CompletionInfo:
+    """What one rank's completed collective actually reduced over.
+
+    ``signature`` is the ``(recovery_generation, group_ranks)`` identity of
+    the participant set at completion time — all ranks sharing a signature
+    must hold byte-identical results.  ``member_ranks`` are the *global*
+    ranks whose contributions entered this rank's result (after any elastic
+    group shrink), and ``time_us`` is the completion time.
+    """
+
+    signature: tuple
+    member_ranks: tuple
+    time_us: float
+
+
 class CollectiveRun:
     """One invocation of one collective across its ranks: the run record.
 
@@ -121,6 +143,11 @@ class CollectiveRun:
     :meth:`mark_complete` closes it, and the last expected completion
     records the calibration sample.  A span stays open while its rank is
     in flight, so a flight-recorder dump lists it.
+
+    A rank is *done* once the backend delivered its completion
+    (:meth:`deliver`) and the callbacks registered for it have run: DFCCL
+    delivers when its poller drains the CQE, NCCL when the rank's kernel
+    completes, MPI when the rank's rendezvous wait ends.
     """
 
     #: Backend label of the calibration samples.
@@ -140,6 +167,8 @@ class CollectiveRun:
         self.complete_times = {}
         self._all_ranks = frozenset(range(len(global_ranks)))
         self._aborted_ranks = set()
+        self._callbacks = {}
+        self._delivered = set()
         self._spans = {}
 
     @property
@@ -230,11 +259,50 @@ class CollectiveRun:
                 obs.tracer.end(span, end, aborted=True)
         return True
 
+    def add_callback(self, rank, callback):
+        """Run ``callback()`` when ``rank``'s completion is delivered."""
+        self._callbacks.setdefault(rank, []).append(callback)
+
+    def deliver(self, rank):
+        """Deliver ``rank``'s completion: run its callbacks, then it is done.
+
+        The caller wakes the rank's waiter.
+        """
+        for callback in self._callbacks.pop(rank, ()):
+            callback()
+        self._delivered.add(rank)
+
     def is_complete(self, rank):
         return rank in self.complete_times
 
+    def is_done(self, rank):
+        """True once ``rank``'s completion was delivered."""
+        return rank in self._delivered
+
     def is_aborted(self, rank):
         return rank in self._aborted_ranks
+
+    def is_resolved(self, rank):
+        """Done or aborted: the rank's wait can return either way."""
+        return rank in self._delivered or rank in self._aborted_ranks
+
+    def completion_info(self, rank):
+        """``rank``'s :class:`CompletionInfo`, or ``None`` while running.
+
+        Without elastic recovery the participant set is the whole group,
+        generation 0.
+        """
+        time_us = self.complete_times.get(rank)
+        if time_us is None:
+            return None
+        return CompletionInfo(signature=(0, tuple(range(self.group_size))),
+                              member_ranks=tuple(self.global_ranks),
+                              time_us=time_us)
+
+    def primitive_sequence(self, rank):
+        """The primitives ``rank`` compiled, or ``None`` for a backend
+        without primitive sequences."""
+        return None
 
     def fully_complete(self):
         expected = self.expected_ranks()

@@ -3,9 +3,10 @@
 The package mirrors the architecture of Fig. 4:
 
 * CPU side: the per-GPU :class:`RankContext` (created, registered on and
-  destroyed by ``repro.api``'s DFCCL adapter, submitted to through its
-  ``DfcclWork``), the submission queue (SQ), the completion queue (CQ, in
-  three implementation variants), the callback map, and the poller thread.
+  destroyed by ``repro.api``'s DFCCL adapter, submitted to through a
+  ``repro.api.Work``), the submission queue (SQ), the completion queue (CQ,
+  in three implementation variants), and the poller thread, which delivers
+  completions and runs their callbacks.
 * GPU side: the daemon kernel, which fetches SQEs, keeps collectives in its
   task queue, executes their primitives in a two-phase-blocking manner with
   spin thresholds, preempts stuck collectives via context switch, writes CQEs,

@@ -3,17 +3,18 @@
 The flow mirrors Listing 1 of the paper:
 
 * ``dfcclInit`` — ``repro.api``'s DFCCL adapter creates one
-  :class:`RankContext` (SQ, CQ, callback map, poller thread) per GPU;
+  :class:`RankContext` (SQ, CQ, poller thread) per GPU;
 * ``dfcclRegister*`` — the adapter registers each process-group collective
   once, with its spec, device set and priority, on every member's context;
 * ``RankContext.submit_invocation`` (``dfcclRun*``) — invoke a registered
-  collective, recording a callback; the call is asynchronous and
-  non-blocking;
+  collective; the call is asynchronous and non-blocking, and the poller
+  later delivers the completion, running the callbacks the invocation's
+  ``Work`` futures registered on it;
 * ``RankContext.destroy`` (``dfcclDestroy``) — insert the exiting SQE and
   tear down.
 
-Applications do not call these directly: the adapter's ``DfcclWork``
-futures produce the submit and wait host ops.
+Applications do not call these directly: the adapter produces the submit
+and wait host ops of each rank's ``repro.api.Work`` future.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class RankContext:
         self.destroyed = False
         self.finally_exited = False
 
-        #: Submitted-but-not-yet-callback-fired invocations with their submit
+        #: Submitted-but-not-yet-delivered invocations with their submit
         #: times; the recovery manager scans this for CQE timeouts.
         self._inflight = {}
         self._pending_entries = []
@@ -97,13 +98,12 @@ class RankContext:
 
     # -- submission (dfccl_run_*) ------------------------------------------------------
 
-    def submit_invocation(self, invocation, group_rank, callback, time_us):
-        """CPU side of ``dfccl_run_*``: insert the SQE and record the callback."""
+    def submit_invocation(self, invocation, group_rank, time_us):
+        """CPU side of ``dfccl_run_*``: insert the SQE."""
         if self.destroyed:
             raise InvalidStateError(
                 f"rank {self.global_rank} context already destroyed"
             )
-        invocation.set_callback(group_rank, callback)
         invocation.mark_started(group_rank, time_us)
         coll = invocation.coll
         if coll.abandoned:
@@ -268,14 +268,12 @@ class RankContext:
         return True
 
     def deliver_completion(self, cqe, clock):
-        """Run the callback bound to a completed collective (poller side)."""
+        """Deliver a completed collective's CQE, running its callbacks
+        (poller side)."""
         coll = self.registered[cqe.coll_id]
         invocation = coll.invocation(cqe.invocation_id)
         group_rank = self.group_rank_for(coll)
-        callback = invocation.callback_for(group_rank)
-        if callback is not None:
-            callback(invocation)
-        invocation.mark_callback_fired(group_rank)
+        invocation.deliver(group_rank)
         self.outstanding -= 1
         self._inflight.pop(invocation, None)
         self.cluster.engine.signal(invocation.completion_key(group_rank), clock.now)

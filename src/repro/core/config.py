@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.collectives.selector import ALGORITHM_CHOICES
+from repro.collectives.sequences import DEFAULT_CHUNK_BYTES
 
 # -- queues ------------------------------------------------------------------
 #: Submission queue capacity (SQEs).
@@ -99,7 +100,7 @@ class DfcclConfig:
     """The settable values of one DFCCL instance (shared by every rank)."""
 
     #: Ring-slice chunk size used when compiling primitive sequences.
-    chunk_bytes: int = 128 << 10
+    chunk_bytes: int = DEFAULT_CHUNK_BYTES
     #: Collective algorithm: "ring", "tree", "hierarchical", or "auto"
     #: (topology-aware selection per registered collective, mirroring
     #: NCCL's tuner).

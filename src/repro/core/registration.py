@@ -4,12 +4,12 @@
 priority); ``dfcclRun*`` then invokes it repeatedly.  A
 :class:`RegisteredCollective` is the registration-time object shared by every
 participating rank; an :class:`Invocation` is one run of it, tracking per-rank
-executors, callbacks and completion.
+executors, elastic recovery and completion.
 """
 
 from __future__ import annotations
 
-from repro.collectives.plan import CollectivePlan, CollectiveRun
+from repro.collectives.plan import CollectivePlan, CollectiveRun, CompletionInfo
 from repro.collectives.primitives import PrimitiveExecutor
 from repro.collectives.sequences import generate_primitive_sequence
 from repro.common.errors import ConfigurationError
@@ -228,8 +228,6 @@ class Invocation(CollectiveRun):
         # hashable key, so pair them instead of packing arithmetically.
         self.invocation_id = (coll.coll_id, index)
         self._executors = {}
-        self._callbacks = {}
-        self._callback_fired_ranks = set()
         self.context_switches = {}
         #: Participant signature as of each rank's GPU completion: a rank
         #: that finished before a later recovery keeps the group identity it
@@ -307,27 +305,41 @@ class Invocation(CollectiveRun):
         communicator, self._rerun_communicator = self._rerun_communicator, None
         return communicator
 
-    def set_callback(self, group_rank, callback):
-        self._callbacks[group_rank] = callback
-
-    def callback_for(self, group_rank):
-        return self._callbacks.get(group_rank)
+    def primitive_sequence(self, group_rank):
+        """The sequence this rank ran (compiled now if it never ran)."""
+        executor = self.executor_if_cached(group_rank)
+        if executor is None:
+            executor = self.executor_for(group_rank)
+        return list(executor.primitives)
 
     # -- completion tracking --------------------------------------------------------
-
-    def mark_callback_fired(self, group_rank):
-        self._callback_fired_ranks.add(group_rank)
 
     def add_context_switch(self, group_rank, count=1):
         self.context_switches[group_rank] = self.context_switches.get(group_rank, 0) + count
 
-    def is_done(self, group_rank):
-        """True once the rank's callback has run (the user-visible completion)."""
-        return group_rank in self._callback_fired_ranks
+    def completion_info(self, group_rank):
+        """The signature this rank's GPU part completed under and the ranks
+        of the communicator it ran over.
 
-    def is_resolved(self, group_rank):
-        """Done or aborted: the rank's wait can return either way."""
-        return self.is_done(group_rank) or self.is_aborted(group_rank)
+        A rank that finished before a later recovery keeps the pre-crash
+        full-group identity even though it is observed afterwards.
+        """
+        time_us = self.complete_times.get(group_rank)
+        if time_us is None:
+            return None
+        signature = self.completion_signatures.get(
+            group_rank, self.participant_signature())
+        coll = self.coll
+        executor = self.executor_if_cached(group_rank)
+        if executor is not None:
+            # Ground truth: the member set of the communicator this rank
+            # actually communicated over.
+            members = tuple(coll.global_ranks[coll.group_rank_of_device(device)]
+                            for device in executor.communicator.devices)
+        else:
+            members = tuple(coll.global_ranks[rank] for rank in signature[1])
+        return CompletionInfo(signature=signature, member_ranks=members,
+                              time_us=time_us)
 
     def expected_ranks(self):
         """The survivors once recovery re-formed the invocation, else the

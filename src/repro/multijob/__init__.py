@@ -39,7 +39,7 @@ from repro.multijob.placement import (
     SpreadPolicy,
     make_placement_policy,
 )
-from repro.multijob.runtime import ClusterJobRunner, RankMappedPlan, make_job_runner
+from repro.multijob.runtime import ClusterJobRunner, RankMappedPlan
 from repro.multijob.scheduler import ClusterScheduler, install_scheduler
 
 __all__ = [
@@ -61,7 +61,6 @@ __all__ = [
     "estimate_standalone_us",
     "generate_jobs",
     "install_scheduler",
-    "make_job_runner",
     "make_placement_policy",
     "zipf_weights",
 ]

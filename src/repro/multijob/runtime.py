@@ -236,8 +236,3 @@ class ClusterJobRunner:
             return None
         record.result = run.collect(total_time_us, partial=True)
         return record.result
-
-
-def make_job_runner(flavor, cluster, **kwargs):
-    """Factory: any registered ``repro.api`` backend name."""
-    return ClusterJobRunner(cluster, flavor, **kwargs)

@@ -51,7 +51,6 @@ class NcclCollectiveOp(CollectiveRun):
         self.devices = plan.devices
         self.communicator = Communicator(self.devices, plan.interconnect)
         self._kernels = {}
-        self._completion_callbacks = {}
         _ops_by_id[self.op_id] = self
 
     def executor_for(self, group_rank):
@@ -81,20 +80,10 @@ class NcclCollectiveOp(CollectiveRun):
     def completion_key(self, group_rank):
         return ("nccl-op-done", self.op_id, group_rank)
 
-    def add_completion_callback(self, group_rank, fn):
-        """Run ``fn()`` when ``group_rank``'s part of the op completes.
-
-        This is the dedicated-kernel analogue of DFCCL's per-invocation
-        callbacks, letting the unified ``repro.api`` Work future offer the
-        same completion-notification surface over both backends.
-        """
-        self._completion_callbacks.setdefault(group_rank, []).append(fn)
-
     def mark_complete(self, group_rank, time_us, executor=None):
-        """Record the completion, run the rank's callbacks, wake its waiter."""
+        """Record the completion, deliver it, wake the rank's waiter."""
         super().mark_complete(group_rank, time_us, executor)
-        for fn in self._completion_callbacks.get(group_rank, ()):
-            fn()
+        self.deliver(group_rank)
         engine = self.devices[group_rank].engine
         if engine is not None:
             engine.signal(self.completion_key(group_rank), time_us)
@@ -104,6 +93,14 @@ class NcclCollectiveOp(CollectiveRun):
 
     def kernel(self, group_rank):
         return self._kernels.get(group_rank)
+
+    def primitive_sequence(self, group_rank):
+        """The sequence this rank's kernel ran (compiled now if it never
+        launched)."""
+        kernel = self.kernel(group_rank)
+        if kernel is not None:
+            return list(kernel.executor.primitives)
+        return list(self.executor_for(group_rank).primitives)
 
     def __repr__(self):
         return f"<NcclCollectiveOp {self.name} size={self.group_size}>"

@@ -27,7 +27,7 @@ import json
 
 from repro.common.rng import DeterministicRNG
 from repro.gpusim import build_cluster
-from repro.multijob import JobSpec, install_scheduler, make_job_runner
+from repro.multijob import ClusterJobRunner, JobSpec, install_scheduler
 
 #: Virtual-time ceiling per scenario — generous against the few-hundred-ms
 #: job runtimes; hitting it means a liveness bug, not a tight budget.
@@ -106,8 +106,8 @@ def run_elastic_scenario(scenario):
     """Replay one scenario; returns a JSON-safe outcome dict."""
     cluster = build_cluster("dual-3090", deadlock_mode="record",
                             max_resident_blocks=4)
-    runner = make_job_runner("dfccl", cluster, launch_jitter_us=100.0,
-                             seed=scenario["seed"])
+    runner = ClusterJobRunner(cluster, "dfccl", launch_jitter_us=100.0,
+                              seed=scenario["seed"])
     specs = [JobSpec(job_id=job["job_id"], model="resnet50", dp=job["dp"],
                      iterations=job["iterations"], priority=job["priority"],
                      arrival_time_us=job["arrival_time_us"])

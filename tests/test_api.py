@@ -117,22 +117,22 @@ class TestProcessGroup:
             0, CollectiveSpec(CollectiveKind.ALL_REDUCE, 512), key="pp")
         receiver = group.collective(
             1, CollectiveSpec(CollectiveKind.ALL_REDUCE, 1024), key="pp")
-        assert sender.invocation.coll is receiver.invocation.coll
-        assert sender.invocation.coll.spec.count == 512
+        assert sender.run.coll is receiver.run.coll
+        assert sender.run.coll.spec.count == 512
 
     def test_group_priority_flows_into_registration(self):
         cluster = build_cluster("single-3090")
         backend = make_backend("dfccl", cluster)
         group = backend.new_group([0, 1], priority=7)
         work = group.all_reduce(0, count=256)
-        assert work.invocation.coll.priority == 7
+        assert work.run.coll.priority == 7
 
     def test_explicit_priority_zero_beats_group_default(self):
         cluster = build_cluster("single-3090")
         backend = make_backend("dfccl", cluster)
         group = backend.new_group([0, 1], priority=7)
         work = group.all_reduce(0, count=256, priority=0)
-        assert work.invocation.coll.priority == 0
+        assert work.run.coll.priority == 0
 
     def test_group_usable_again_after_unregister_all(self):
         cluster = build_cluster("single-3090")
@@ -143,14 +143,14 @@ class TestProcessGroup:
         assert backend.unregister_all() == 1
         # A later call re-registers instead of submitting to a dead id.
         work = group.all_reduce(0, count=256, key=0)
-        assert work.invocation.coll in backend.collectives.values()
+        assert work.run.coll in backend.collectives.values()
 
     def test_job_namespace_flows_into_ids_and_pool(self):
         cluster = build_cluster("single-3090")
         backend = make_backend("dfccl", cluster)
         group = backend.new_group([0, 1], job="tenant-a")
         work = group.all_reduce(0, count=256)
-        coll = work.invocation.coll
+        coll = work.run.coll
         assert coll.coll_id[0] == "tenant-a"
         assert coll.job == "tenant-a"
         assert coll.name == f"{group.name}:all_reduce"
@@ -168,12 +168,12 @@ class TestProcessGroup:
                                algorithm="tree")
         group = backend.new_group([0, 1], job="job-a")
         works = [group.all_reduce(rank, count=1 << 16) for rank in group.ranks]
-        plan = works[0].op.plan
+        plan = works[0].run.plan
         assert (plan.chunk_bytes, plan.algorithm) == (CHUNK, "tree")
         cluster.add_hosts([HostProgram(work.ops()) for work in works])
         cluster.run()
         for work in works:
-            kernel = work.op.kernel(work.group_rank)
+            kernel = work.run.kernel(work.group_rank)
             assert kernel.tenant == "job-a"
             assert kernel.stream.name == "comm-job-a"
 
@@ -187,14 +187,14 @@ class TestProcessGroup:
         cluster.add_hosts([HostProgram(work.ops()) for work in works])
         cluster.run()
         for work in works:
-            kernel = work.op.kernel(work.group_rank)
-            assert work.op.job == "job-a"
+            kernel = work.run.kernel(work.group_rank)
+            assert work.run.job == "job-a"
             assert kernel.tenant == "job-a"
             assert kernel.stream.name == "comm-job-a"
 
         dfccl = make_backend("dfccl", build_cluster("single-3090"))
         work = dfccl.new_group([0, 1], job="job-a").all_reduce(0, count=256)
-        assert work.invocation.coll.coll_id == ("job-a", 0)
+        assert work.run.coll.coll_id == ("job-a", 0)
 
 
 def _run_disordered(name, cluster=None):
@@ -216,7 +216,50 @@ def _run_disordered(name, cluster=None):
     return all_works
 
 
+def _contract_run(name):
+    """One all-reduce over cluster ranks (1, 3), each Work checked unrun.
+
+    Returns the works in group-rank order and the works the callbacks
+    received, in firing order.
+    """
+    cluster = build_cluster("single-3090")
+    backend = make_backend(name, cluster)
+    group = backend.new_group([1, 3])
+    fired = []
+    works = [group.all_reduce(rank, count=1 << 14, callback=fired.append)
+             for rank in group.ranks]
+    for work in works:
+        assert not work.done and not work.aborted
+        assert work.started_at_us is None
+        assert work.completion_info() is None
+        assert work.finished_at_us is None
+        cluster.add_host(work.rank, HostProgram(
+            work.ops() + backend.finalize_ops(work.rank)), name=f"h{work.rank}")
+    cluster.run()
+    return works, fired
+
+
 class TestWorkFutures:
+    @pytest.mark.parametrize("name", ["dfccl", "nccl", "mpi"])
+    def test_one_work_contract(self, name):
+        """One Work class answers the same questions on every backend."""
+        works, fired = _contract_run(name)
+        # Each rank's callback ran exactly once, with that rank's Work.
+        assert sorted(fired, key=lambda work: work.rank) == works
+        for work in works:
+            assert work.done and not work.aborted
+            info = work.completion_info()
+            assert info.member_ranks == (1, 3)
+            assert info.signature == (0, (0, 1))
+            assert work.finished_at_us >= work.started_at_us
+        sequences = [work.primitive_sequence() for work in works]
+        if name == "mpi":
+            assert sequences == [None, None]
+        else:
+            other, _ = _contract_run("nccl" if name == "dfccl" else "dfccl")
+            assert sequences == [work.primitive_sequence() for work in other]
+            assert all(sequences)
+
     def test_dfccl_completes_disordered_program(self):
         works = _run_disordered("dfccl")
         assert all(work.done for work in works)
@@ -347,19 +390,44 @@ class TestRemovedShims:
                      "dfccl_run", "dfccl_destroy"):
             assert not hasattr(core_api, name), name
 
-    def test_make_job_runner_accepts_any_registered_backend(self):
-        from repro.multijob import ClusterJobRunner, make_job_runner
+    def test_cluster_job_runner_accepts_any_registered_backend(self):
+        from repro.multijob import ClusterJobRunner
 
         cluster = build_cluster("single-3090", deadlock_mode="record")
-        runner = make_job_runner("dfccl", cluster, seed=1)
-        assert isinstance(runner, ClusterJobRunner)
+        runner = ClusterJobRunner(cluster, "dfccl", seed=1)
         # No legacy proxy: the adapter is the DFCCL instance itself.
         assert runner.backend.recovery_manager is not None
         for owner in (runner, runner.backend):
             with pytest.raises(AttributeError):
                 owner.dfccl
         with pytest.raises(ConfigurationError):
-            make_job_runner("bogus", cluster)
+            ClusterJobRunner(cluster, "bogus")
+
+    def test_one_work_class_and_one_callback_store(self):
+        """``Work`` is the one future over a ``CollectiveRun`` on every
+        backend: the per-backend Work subclasses, their two callback stores
+        and the one-line job-runner factory were deleted."""
+        import repro.api as api
+        import repro.api.dfccl_adapter as dfccl_adapter
+        import repro.api.mpi_adapter as mpi_adapter
+        import repro.api.nccl_adapter as nccl_adapter
+        import repro.multijob as multijob
+        import repro.multijob.runtime as runtime
+        from repro.core.registration import Invocation
+        from repro.ncclsim import NcclCollectiveOp
+
+        for name in ("DfcclWork", "NcclWork", "MpiWork"):
+            for module in (api, dfccl_adapter, nccl_adapter, mpi_adapter):
+                assert not hasattr(module, name), (module.__name__, name)
+        assert not hasattr(NcclCollectiveOp, "add_completion_callback")
+        for name in ("set_callback", "callback_for", "mark_callback_fired"):
+            assert not hasattr(Invocation, name), name
+        for module in (multijob, runtime):
+            assert not hasattr(module, "make_job_runner")
+        work_classes = [name for name in api.__all__
+                        if isinstance(getattr(api, name), type)
+                        and issubclass(getattr(api, name), api.Work)]
+        assert work_classes == ["Work"]
 
     def test_per_backend_drive_surfaces_are_gone(self):
         """Work is the only submit/wait surface: the handle, the NCCL op-list

@@ -8,7 +8,7 @@ expiry mid-rendezvous) and the partial-completion semantics of
 
 import pytest
 
-from repro.api import Work, make_backend, wait_all
+from repro.api import make_backend, wait_all
 from repro.api.mpi_adapter import MpiCollectiveBackend
 from repro.common.errors import ConfigurationError, DeadlockError
 from repro.gpusim import HostProgram, build_cluster
@@ -124,9 +124,6 @@ class TestPartialCompletion:
                  for rank in (0, 1)}
         _run_all(mpi, group, works)
         assert sorted(fired) == [0, 1]
-        # mark_complete is idempotent: a second call must not re-fire.
-        works[0][0].mark_complete(works[0][0].completion_info().time_us)
-        assert sorted(fired) == [0, 1]
 
     def test_started_at_reflects_submission(self):
         cluster = build_cluster("single-3090")
@@ -156,17 +153,3 @@ class TestPartialCompletion:
         assert report["core_time_us"] > 0
         assert report["preemptions"] == 0
 
-
-class TestWorkBaseClass:
-    def test_abstract_surface(self):
-        work = Work(group=None, rank=0, key="k", index=0)
-        with pytest.raises(NotImplementedError):
-            work.submit_op()
-        with pytest.raises(NotImplementedError):
-            work.wait_op()
-        with pytest.raises(NotImplementedError):
-            work.done  # noqa: B018 - property access raises
-        with pytest.raises(NotImplementedError):
-            work.completion_info()
-        assert work.primitive_sequence() is None
-        assert work.started_at_us is None

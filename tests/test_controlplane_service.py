@@ -12,12 +12,12 @@ from repro.core.queues import Sqe
 from repro.gpusim import HostProgram, build_cluster
 from repro.gpusim.host import CpuCompute
 from repro.multijob import (
+    ClusterJobRunner,
     JobCheckpoint,
     JobSpec,
     JobState,
     collective_fingerprints,
     install_scheduler,
-    make_job_runner,
 )
 
 DEADLINE_US = 60_000_000.0
@@ -29,7 +29,7 @@ def _cluster(topology="single-3090", blocks=8):
 
 
 def _service(cluster, specs, seed=3, **kwargs):
-    runner = make_job_runner("dfccl", cluster, seed=seed, launch_jitter_us=0.0)
+    runner = ClusterJobRunner(cluster, "dfccl", seed=seed, launch_jitter_us=0.0)
     kwargs.setdefault("preemption", True)
     return install_scheduler(cluster, runner, specs, policy="packed", **kwargs)
 

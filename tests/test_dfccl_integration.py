@@ -138,7 +138,7 @@ class TestLifecycle:
         # A second job's group, so its teardown leaves the small collective.
         large_group = backend.new_group([0, 1], job="large")
         large = large_group.all_reduce(  # 8 MiB of float32
-            0, count=2 << 20).invocation.coll
+            0, count=2 << 20).run.coll
         assert large.spec.nbytes >= 4 << 20
         assert (context.daemon_grid_size, context.daemon_block_size) == (
             large.grid_size, large.block_size) == (3, 512)

@@ -199,7 +199,7 @@ class TestChaosScenarios:
         group = make_backend("nccl", cluster).new_group([0, 1, 2])
         works = [group.all_reduce(rank, count=1 << 18) for rank in group.ranks]
         cluster.add_hosts([HostProgram(work.ops()) for work in works])
-        op = works[0].op
+        op = works[0].run
         install_fault_plan(cluster, FaultPlan(name="crash").add_crash(1, at_us=30.0))
         cluster.run()
         assert cluster.engine.deadlock_report is not None

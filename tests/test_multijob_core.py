@@ -10,12 +10,12 @@ from repro.common.errors import ConfigurationError
 from repro.core.communicator_pool import CommunicatorPool
 from repro.gpusim import SmInterferenceModel, build_cluster
 from repro.multijob import (
+    ClusterJobRunner,
     JobSpec,
     JobState,
     RankMappedPlan,
     generate_jobs,
     install_scheduler,
-    make_job_runner,
 )
 from repro.multijob.arrivals import estimate_standalone_us, zipf_weights
 from repro.workloads.parallelism import CollectiveItem
@@ -201,7 +201,7 @@ def _small_spec(job_id, arrival=0.0, model="resnet50", dp=2, priority=0,
 class TestSchedulerLifecycle:
     def test_rejects_oversized_and_duplicate_jobs(self):
         cluster = _shared_cluster()
-        runner = make_job_runner("dfccl", cluster, seed=1)
+        runner = ClusterJobRunner(cluster, "dfccl", seed=1)
         scheduler = install_scheduler(cluster, runner, [], policy="packed")
         with pytest.raises(ConfigurationError):
             scheduler.submit(JobSpec(job_id="big", dp=32))
@@ -214,7 +214,7 @@ class TestSchedulerLifecycle:
         # until the first finishes, and its queueing delay must be positive.
         cluster = build_cluster("single-3090", deadlock_mode="record",
                                 max_resident_blocks=8)
-        runner = make_job_runner("dfccl", cluster, seed=3, launch_jitter_us=0.0)
+        runner = ClusterJobRunner(cluster, "dfccl", seed=3, launch_jitter_us=0.0)
         specs = [
             JobSpec(job_id="first", dp=8, iterations=2, grad_buckets=2),
             JobSpec(job_id="second", dp=8, iterations=2, grad_buckets=2,
@@ -233,7 +233,7 @@ class TestSchedulerLifecycle:
     def test_priority_order_served_first(self):
         cluster = build_cluster("single-3090", deadlock_mode="record",
                                 max_resident_blocks=8)
-        runner = make_job_runner("dfccl", cluster, seed=3, launch_jitter_us=0.0)
+        runner = ClusterJobRunner(cluster, "dfccl", seed=3, launch_jitter_us=0.0)
         specs = [
             JobSpec(job_id="running", dp=8, iterations=2, grad_buckets=2),
             # Both queued at t=10; the high-priority one must start first.
@@ -253,7 +253,7 @@ class TestSchedulerLifecycle:
 
     def test_metrics_rows_have_expected_fields(self):
         cluster = _shared_cluster()
-        runner = make_job_runner("dfccl", cluster, seed=5)
+        runner = ClusterJobRunner(cluster, "dfccl", seed=5)
         scheduler = install_scheduler(cluster, runner,
                                       [_small_spec("a"), _small_spec("b", 200.0)])
         total = cluster.run(until_us=8_000_000)
@@ -273,7 +273,7 @@ class TestSchedulerLifecycle:
 class TestConcurrentJobsEndToEnd:
     def test_colocated_dfccl_jobs_complete_with_namespaced_pool(self):
         cluster = _shared_cluster()
-        runner = make_job_runner("dfccl", cluster, seed=7)
+        runner = ClusterJobRunner(cluster, "dfccl", seed=7)
         specs = [_small_spec("ten-a"), _small_spec("ten-b", arrival=100.0)]
         scheduler = install_scheduler(cluster, runner, specs,
                                       policy="packed", tenants_per_gpu=2)
@@ -291,7 +291,7 @@ class TestConcurrentJobsEndToEnd:
 
     def test_one_daemon_kernel_per_gpu_serves_both_jobs(self):
         cluster = _shared_cluster()
-        runner = make_job_runner("dfccl", cluster, seed=7)
+        runner = ClusterJobRunner(cluster, "dfccl", seed=7)
         specs = [_small_spec("ten-a"), _small_spec("ten-b")]
         scheduler = install_scheduler(cluster, runner, specs,
                                       policy="packed", tenants_per_gpu=2)
@@ -328,8 +328,8 @@ class TestConcurrentJobsEndToEnd:
         # interleave their dedicated kernels differently on different GPUs
         # and wedge in a cross-job hold-and-wait cycle.
         cluster = _shared_cluster(max_resident_blocks=4)
-        runner = make_job_runner("nccl", cluster, seed=7,
-                                 launch_jitter_us=300.0)
+        runner = ClusterJobRunner(cluster, "nccl", seed=7,
+                                  launch_jitter_us=300.0)
         specs = [
             _small_spec("ten-a", dp=4, iterations=3),
             _small_spec("ten-b", dp=4, iterations=3, arrival=40.0),
@@ -346,8 +346,8 @@ class TestConcurrentJobsEndToEnd:
 
     def test_same_scenario_completes_under_dfccl(self):
         cluster = _shared_cluster(max_resident_blocks=4)
-        runner = make_job_runner("dfccl", cluster, seed=7,
-                                 launch_jitter_us=300.0)
+        runner = ClusterJobRunner(cluster, "dfccl", seed=7,
+                                  launch_jitter_us=300.0)
         specs = [
             _small_spec("ten-a", dp=4, iterations=3),
             _small_spec("ten-b", dp=4, iterations=3, arrival=40.0),
@@ -372,7 +372,7 @@ class TestChurnEdgeCases:
 
         cluster = build_cluster("single-3090", deadlock_mode="record",
                                 max_resident_blocks=8)
-        runner = make_job_runner("dfccl", cluster, seed=3, launch_jitter_us=0.0)
+        runner = ClusterJobRunner(cluster, "dfccl", seed=3, launch_jitter_us=0.0)
         spec = JobSpec(job_id="solo", dp=2, iterations=2, grad_buckets=2)
         scheduler = install_scheduler(cluster, runner, [spec],
                                       policy="packed", tenants_per_gpu=1)

@@ -30,7 +30,7 @@ def _install(cluster, group, orders, streams=None, sync_after_first=False):
                 program.append(DeviceSynchronize())
         program += [work.wait_op() for work in works]
         cluster.add_host(rank, HostProgram(program))
-        ops.update((key, work.op) for key, work in zip(order, works))
+        ops.update((key, work.run) for key, work in zip(order, works))
     return ops
 
 
@@ -39,7 +39,7 @@ def _run_one(cluster, group, kind, count):
     works = [getattr(group, kind)(rank, count) for rank in group.ranks]
     cluster.add_hosts([HostProgram(work.ops()) for work in works])
     cluster.run()
-    return works[0].op
+    return works[0].run
 
 
 class TestGridSize:

@@ -19,6 +19,7 @@ from repro.collectives import (
     hierarchical_island_size,
 )
 from repro.collectives.plan import CollectivePlan
+from repro.common.errors import ConfigurationError
 from repro.common.types import CollectiveKind, CollectiveSpec
 from repro.core import DfcclConfig
 from repro.core.registration import RegisteredCollective
@@ -142,6 +143,17 @@ def test_plan_prices_and_picks_at_its_own_chunk_size():
         algorithm, spec.kind, spec.nbytes, len(devices), device_ids).values())
 
 
+@pytest.mark.parametrize("chunk_bytes", [0, -4096])
+@pytest.mark.parametrize("backend", ["dfccl", "nccl"])
+def test_non_positive_chunk_bytes_rejected(backend, chunk_bytes):
+    """Every plan checks its chunk size, so neither backend divides by zero,
+    falls back to a default or compiles 1-byte primitives."""
+    cluster = build_cluster("single-3090")
+    group = make_backend(backend, cluster, chunk_bytes=chunk_bytes).new_group([0, 1])
+    with pytest.raises(ConfigurationError, match="chunk_bytes"):
+        group.all_reduce(0, count=1 << 16)
+
+
 @pytest.mark.parametrize("backend", ["dfccl", "nccl"])
 def test_invocations_share_one_plan(built, backend):
     cluster = build_cluster("dual-3090")
@@ -160,11 +172,11 @@ def test_invocations_share_one_plan(built, backend):
     for rank, (first, second) in works.items():
         assert first.done and second.done
         if backend == "dfccl":
-            one = first.invocation.executor_if_cached(rank)
-            two = second.invocation.executor_if_cached(rank)
+            one = first.run.executor_if_cached(rank)
+            two = second.run.executor_if_cached(rank)
         else:
-            one = first.op.kernel(rank).executor
-            two = second.op.kernel(rank).executor
+            one = first.run.kernel(rank).executor
+            two = second.run.kernel(rank).executor
         assert one is not two
         assert one.primitives == two.primitives
     assert len({id(plan) for _, _, plan in built}) == 1
@@ -177,7 +189,7 @@ def test_subset_participants_use_their_own_islands(built):
     cluster = build_cluster("dual-3090")
     group = make_backend("dfccl", cluster, algorithm="hierarchical").new_group(
         list(range(16)))
-    coll = group.all_reduce(0, count=1 << 16).invocation.coll
+    coll = group.all_reduce(0, count=1 << 16).run.coll
     assert coll.plan.island_size == 8
     subset = (0, 1, 2, 3, 8, 9, 10, 11)
     assert hierarchical_island_size(
@@ -198,7 +210,7 @@ def test_partial_rerun_and_later_invocations_compile_apart(built):
         works = [group.reduce(rank, count=1 << 10, root=0) for _ in range(2)]
         cluster.add_host(rank, HostProgram([op for work in works
                                             for op in work.ops()]))
-    coll = works[0].invocation.coll
+    coll = works[0].run.coll
     install_fault_plan(cluster, FaultPlan(name="crash").add_crash(2, at_us=5.0))
     recovered_at = cluster.run(until_us=200_000.0)
     survivors = coll.active_ranks()
@@ -230,7 +242,7 @@ def test_shrink_replaces_the_plan(built):
         for work in works:
             ops += work.ops()
         cluster.add_host(rank, HostProgram(ops))
-    coll = works[0].invocation.coll
+    coll = works[0].run.coll
     assert coll.plan.island_size == 8
     install_fault_plan(cluster, FaultPlan(name="crash").add_crash(5, at_us=10.0))
     cluster.run(until_us=200_000.0)

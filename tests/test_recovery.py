@@ -133,21 +133,21 @@ class TestCommunicatorPoolRecycling:
 
     def test_unregister_recycles_communicator(self):
         _, backend, group = _dfccl_group([0, 1])
-        coll = group.all_reduce(0, count=256, key=0).invocation.coll
+        coll = group.all_reduce(0, count=256, key=0).run.coll
         comm = coll.communicator
         assert backend.unregister_all() == 1
         assert coll.coll_id not in backend.contexts[0].registered
-        recycled = group.all_reduce(0, count=256, key=1).invocation.coll
+        recycled = group.all_reduce(0, count=256, key=1).run.coll
         assert recycled.communicator is comm
         assert backend.pool.stats()["reused"] == 1
 
     def test_unregister_failure_invalidated_communicator_not_reused(self):
         _, backend, group = _dfccl_group([0, 1])
-        coll = group.all_reduce(0, count=256, key=0).invocation.coll
+        coll = group.all_reduce(0, count=256, key=0).run.coll
         coll.communicator.invalidate()
         comm = coll.communicator
         assert backend.unregister_all() == 1
-        fresh = group.all_reduce(0, count=256, key=1).invocation.coll
+        fresh = group.all_reduce(0, count=256, key=1).run.coll
         assert fresh.communicator is not comm
         assert backend.pool.stats()["discarded"] == 1
 
@@ -205,7 +205,7 @@ class TestRecoveryMechanics:
         install_fault_plan(cluster,
                            FaultPlan(name="root-crash").add_crash(1, at_us=40.0))
         cluster.run(until_us=20_000.0)
-        coll = works[0].invocation.coll
+        coll = works[0].run.coll
         manager = backend.recovery_manager
         assert coll.abandoned
         assert manager.stats.abandoned >= 1
@@ -219,7 +219,7 @@ class TestRecoveryMechanics:
         excludes the root, whose sends cannot be replayed — the collective is
         abandoned without the recovery path blowing up the simulation."""
         cluster, backend, group = _dfccl_group([0, 1, 2, 3])
-        invocation = group.broadcast(0, count=1 << 20, root=0).invocation
+        invocation = group.broadcast(0, count=1 << 20, root=0).run
         coll = invocation.coll
         invocation.mark_complete(0, 10.0)   # root's part is done
         cluster.device(2).fail(20.0)
@@ -244,7 +244,7 @@ class TestRecoveryMechanics:
         install_fault_plan(cluster,
                            FaultPlan(name="crash").add_crash(1, at_us=30.0))
         cluster.run(until_us=60_000.0)
-        coll = works[0].invocation.coll
+        coll = works[0].run.coll
         assert coll.invocation(0).fully_complete()
         # The dead rank does not object.
         assert backend.unregister_all() == 1
@@ -253,11 +253,10 @@ class TestRecoveryMechanics:
     def test_unregister_with_inflight_invocation_raises(self):
         cluster, backend, group = _dfccl_group([0, 1])
         first, second = (group.all_reduce(rank, count=256) for rank in group.ranks)
-        coll = first.invocation.coll
+        coll = first.run.coll
         # Rank 0 submits up front (its program only waits); rank 1 submits
         # from its program as usual.
-        first.rank_ctx.submit_invocation(first.invocation, first.group_rank,
-                                         first.callback, 0.0)
+        backend.contexts[0].submit_invocation(first.run, first.group_rank, 0.0)
         cluster.add_hosts([
             HostProgram([first.wait_op()] + backend.finalize_ops(0)),
             HostProgram(second.ops() + backend.finalize_ops(1)),

@@ -63,15 +63,15 @@ class TestConfigWiring:
         cluster = build_cluster("dual-3090")
         group = make_backend("dfccl", cluster,
                              config=DfcclConfig(algorithm="auto")).new_group()
-        small = group.all_reduce(0, count=1 << 12).invocation.coll
-        large = group.all_reduce(0, count=1 << 20).invocation.coll
+        small = group.all_reduce(0, count=1 << 12).run.coll
+        large = group.all_reduce(0, count=1 << 20).run.coll
         assert small.algorithm == "tree"
         assert large.algorithm == "ring"
 
     def test_nccl_backend_resolves_auto(self):
         cluster = build_cluster("dual-3090")
         group = make_backend("nccl", cluster, algorithm="auto").new_group()
-        assert group.all_reduce(0, count=1 << 12).op.algorithm == "tree"
+        assert group.all_reduce(0, count=1 << 12).run.algorithm == "tree"
 
 
 class TestSimulatedCrossover:
