@@ -7,8 +7,9 @@ shows the two backends' behaviour side by side:
 * the NCCL-style baseline deadlocks — the wait-for cycle through the dead
   rank is extracted from the engine's deadlock report;
 * DFCCL detects the crash via CQE timeout, invalidates and rebuilds the
-  communicators, shrinks the group, restarts the daemon kernels with a new
-  generation, and the survivors finish with byte-identical reductions.
+  communicators, shrinks the group, rebinds the survivors' running daemon
+  task entries to the shrunken sequence, and the survivors finish with
+  byte-identical reductions.
 
 Each run is a ``repro.testing`` program replayed by ``replay_program``: the
 results are its ``ReplayResult`` (per-work ``records``, the backend's

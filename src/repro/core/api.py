@@ -58,7 +58,6 @@ class RankContext:
         #: times; the recovery manager scans this for CQE timeouts.
         self._inflight = {}
         self._pending_entries = []
-        self._daemon_alive = False
         self._daemon_generation = 0
         self._last_quit_time_us = 0.0
         self.current_daemon = None
@@ -146,18 +145,17 @@ class RankContext:
 
     def ensure_daemon_running(self, time_us):
         """Event-driven starting: launch the daemon kernel if it is not running."""
-        if self._daemon_alive or self.finally_exited or self.device.failed:
+        if self.daemon_alive or self.finally_exited or self.device.failed:
             return None
         self._daemon_generation += 1
         kernel = DaemonKernel(self, self._daemon_generation)
-        self._daemon_alive = True
         self.current_daemon = kernel
         self.device.enqueue_kernel(kernel, stream_name="dfccl-daemon", time_us=time_us)
         return kernel
 
     def maybe_relaunch_daemon(self, time_us):
         """Relaunch after a voluntary quit once the back-off delay elapsed."""
-        if self._daemon_alive or self.finally_exited:
+        if self.daemon_alive or self.finally_exited:
             return None
         if time_us - self._last_quit_time_us < RELAUNCH_DELAY_US:
             return None
@@ -165,7 +163,6 @@ class RankContext:
 
     def on_daemon_exit(self, daemon, final, remaining_entries):
         """Called by the daemon kernel when it quits (voluntarily or finally)."""
-        self._daemon_alive = False
         self.current_daemon = None
         self._last_quit_time_us = daemon.now
         if final:
@@ -188,7 +185,7 @@ class RankContext:
 
     @property
     def daemon_alive(self):
-        return self._daemon_alive
+        return self.current_daemon is not None
 
     @property
     def daemon_generation(self):
@@ -199,20 +196,27 @@ class RankContext:
     def recover_invocation(self, invocation, time_us):
         """Restart this rank's part of a recovering invocation.
 
-        ``Invocation.begin_recovery`` has already dropped the cached executor,
-        so the next adoption compiles the shrunken sequence from position 0;
-        here we give the restarted collective a fresh CQE-timeout window and
-        force a daemon generation turnover so the stale executor held by the
-        current generation's task queue is dropped.
+        ``Invocation.begin_recovery`` has already dropped the cached executor.
+        The collective gets a fresh CQE-timeout window, and the running
+        daemon's task entries for it are rebound in place to the executor
+        of the shrunken sequence, with their active-context slot evicted, so
+        their next turn runs from position 0 over the new communicator.
+        Entries still in the SQ or handed back by a quit compile it when a
+        daemon adopts them.
         """
         if invocation in self._inflight:
             self._inflight[invocation] = time_us
-        if self._daemon_alive and self.current_daemon is not None:
-            self.current_daemon.request_restart()
-        else:
+        daemon = self.current_daemon
+        if daemon is None:
             # The daemon quit while the collective was stuck; relaunch it
             # immediately (recovery overrides the relaunch back-off).
             self.ensure_daemon_running(time_us)
+            return
+        daemon.settle()
+        for entry in daemon.task_queue:
+            if entry.invocation is invocation:
+                entry.executor = invocation.executor_for(entry.group_rank)
+                daemon.active_cache.evict(entry.coll_id)
 
     # -- unregistration (dfccl_unregister_*) -----------------------------------------
 
@@ -285,7 +289,7 @@ class RankContext:
         if self.destroyed:
             return
         self.destroyed = True
-        if self._daemon_alive:
+        if self.daemon_alive:
             self.sq.push(Sqe(coll_id=-1, invocation_id=-1, exiting=True,
                              submit_time_us=time_us))
         else:

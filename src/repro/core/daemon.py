@@ -126,7 +126,6 @@ class DaemonKernel(KernelActor):
         self._last_pass_progress = True
         self._arrival_counter = 0
         self._final_exit_requested = False
-        self._restart_requested = False
         self._last_activity_us = 0.0
         #: The current timed wait, a :class:`_Wait`.
         self._wait = None
@@ -217,23 +216,8 @@ class DaemonKernel(KernelActor):
 
     # -- main loop -------------------------------------------------------------------------
 
-    def request_restart(self):
-        """Ask the daemon to quit at the next pass boundary (recovery path).
-
-        The exit is a normal voluntary quit: remaining task-queue entries are
-        handed back to the rank context and re-adopted by the next generation,
-        which compiles fresh executors for any invocation whose executor cache
-        was invalidated by recovery.
-        """
-        self.settle()
-        self._restart_requested = True
-
     def run_step(self):
         if self._pass_needs_init:
-            if self._restart_requested and not self._final_exit_requested:
-                self._restart_requested = False
-                self.stats.recovery_restarts += 1
-                return self._exit(final=False)
             fetched = self._begin_pass()
 
             if self._final_exit_requested and len(self.task_queue) == 0:

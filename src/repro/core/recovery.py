@@ -13,8 +13,9 @@ sits on a failed device, the manager:
 2. shrinks the group — the collective is re-formed over the surviving ranks
    with a fresh communicator from the :class:`CommunicatorPool`;
 3. restarts each surviving rank's collective part from position 0 with a
-   newly compiled primitive sequence, forcing a daemon-kernel generation
-   turnover so no stale executor survives;
+   newly compiled primitive sequence: the running daemon's task entries are
+   rebound to it in place, so no stale executor survives and no daemon
+   has to quit;
 4. leaves completed ranks alone: a survivor that already finished its part
    keeps its completion, and the re-run spans only the unfinished survivors
    over a dedicated communicator.

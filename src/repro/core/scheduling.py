@@ -232,7 +232,6 @@ class DaemonStats:
     launches: int = 0
     voluntary_quits: int = 0
     final_exits: int = 0
-    recovery_restarts: int = 0
     sqes_read: int = 0
     #: SQEs whose collective was unregistered before the fetch (a preempted
     #: job's rank process was killed between push and fetch); dropped lazily.

@@ -581,6 +581,21 @@ class TestRemovedShims:
             "iterations", "completed", "steps", "wall_s", "virtual_time_us",
             "queue_stats", "observed", "calibration"}
 
+    def test_recovery_rebinds_in_place(self):
+        """Recovery rebinds the running daemon's task entries: the restart
+        request, its flag and counter, and the alive flag that shadowed
+        ``current_daemon`` were deleted."""
+        from repro.core.daemon import DaemonKernel
+        from repro.core.scheduling import DaemonStats
+
+        cluster = build_cluster("single-3090")
+        context = make_backend("dfccl", cluster).init_rank(0)
+        assert not hasattr(DaemonKernel, "request_restart")
+        assert not hasattr(DaemonKernel(context, 1), "_restart_requested")
+        assert not hasattr(DaemonStats(), "recovery_restarts")
+        assert not hasattr(context, "_daemon_alive")
+        assert not context.daemon_alive
+
     @pytest.mark.parametrize("module", [
         "repro.testing", "repro.testing.differential", "repro.faults",
         "repro.faults.scenarios", "repro.bench",

@@ -29,7 +29,7 @@ FIG11_THROUGHPUT = 1581.7555481929473
 
 #: The fault program: outcome, final virtual time, recovery events and per-rank
 #: (preemptions, spin_polls, spin_time_us).
-FAULT_TIME_US = 24279.2858917533
+FAULT_TIME_US = 19578.59443720786
 FAULT_RECOVERY_EVENTS = [
     {"time_us": 1500.0, "coll_id": coll_id, "failed_ranks": (5,),
      "survivor_ranks": (0, 1, 2, 3, 4, 6, 7), "detection_latency_us": 1350.0,
@@ -37,14 +37,14 @@ FAULT_RECOVERY_EVENTS = [
     for coll_id in range(3)
 ]
 FAULT_DAEMON_STATS = {
-    0: (231, 5044500, 20178.0),
-    1: (225, 4965000, 19860.0),
-    2: (222, 4935000, 19740.0),
-    3: (3, 1214000, 4856.0),
-    4: (306, 4913500, 19654.0),
+    0: (204, 3945500, 15782.0),
+    1: (204, 3884000, 15536.0),
+    2: (204, 3867500, 15470.0),
+    3: (0, 131500, 526.0),
+    4: (237, 3912500, 15650.0),
     5: (0, 7500, 30.0),
-    6: (268, 4965500, 19862.0),
-    7: (231, 5044000, 20176.0),
+    6: (202, 3977500, 15910.0),
+    7: (202, 3931500, 15726.0),
 }
 
 

@@ -274,7 +274,7 @@ class TestChaosScenarios:
         assert nccl.analysis.blocked_actors == (
             [f"host-{rank}" for rank in survivors]
             + [f"pg0:all_reduce:0#0-r{rank}" for rank in survivors])
-        assert dfccl.time_us == 5700.020392380987
+        assert dfccl.time_us == 3520.9509257142786
         assert dfccl.diagnostics["recovery"]["events"] == [
             {"time_us": 1500.0, "coll_id": coll_id, "failed_ranks": (8,),
              "survivor_ranks": tuple(survivors),

@@ -444,7 +444,7 @@ class TestSchedulerExactness:
         self._check(multijob_under_churn(seed=11, num_jobs=3), _MULTIJOB_KEYS,
                     447109.81060921826,
                     {"completed": 3, "degraded": 2, "unfinished": 0},
-                    "a0d3a6ebb79184d3")
+                    "6c8fb1ea461ac4f5")
 
     def test_preemption_ablation(self):
         pair = preemption_ablation(seed=11)

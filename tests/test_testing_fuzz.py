@@ -11,6 +11,7 @@ import pytest
 from repro.api import register_backend
 from repro.api.nccl_adapter import NcclCollectiveBackend
 from repro.common.errors import ConfigurationError
+from repro.faults import FaultPlan
 from repro.testing import (
     CallSpec,
     GroupSpec,
@@ -411,21 +412,43 @@ class TestReproFidelity:
 
 
 class TestKnownHangs:
-    """Known liveness failures, pinned so that a fix has to flip them."""
+    """Liveness failures the fuzzer once found; recovery must keep them fixed."""
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "fuzz stream seed 9, program 2: a 7-rank fault program on which "
-        "dfccl ends stuck; recorded under known failures in perfbench/README.md"))
     def test_seed9_program2_completes(self):
         from repro.testing.fuzz import program_at
 
         result = replay_program(program_at(9, 2), "dfccl")
         assert result.outcome == "completed"
 
+    def test_seed9_program2_minimized_completes(self):
+        """``minimize_program``'s reduction of seed 9, program 2.
+
+        Rank 0, the root of broadcast ``c7``, ran its send before rank 4
+        crashed.  Recovery re-formed ``c7`` over the six survivors; rank 0's
+        daemon entry must re-run it over the new communicator rather than
+        complete on the executor it already finished.
+        """
+        calls = (
+            CallSpec(0, 0, "all_gather", 1, key="c0", stream="s0"),
+            CallSpec(1, 0, "all_gather", 251, key="c1", stream="s1"),
+            CallSpec(4, 0, "barrier", 1, key="c4", priority=2, stream="s4"),
+            CallSpec(5, 0, "all_gather", 251, key="c1", stream="s5"),
+            CallSpec(6, 0, "all_to_all", 1, key="c6", priority=0, stream="s6"),
+            CallSpec(7, 0, "broadcast", 1, key="c7", priority=1, stream="s7"),
+        )
+        in_order = (0, 1, 4, 5, 6, 7)
+        program = ProgramSpec(
+            seed=1024970403, world_size=7, topology="single-3090",
+            chunk_bytes=16384, algorithm="ring",
+            groups=(GroupSpec(0, tuple(range(7))),), calls=calls,
+            orders=((5, 1, 4, 0, 6, 7), in_order, in_order,
+                    (7, 6, 4, 1, 0, 5), in_order, in_order, in_order),
+            fault_plan=FaultPlan(name="seed9-program2").add_crash(4, at_us=7060.0))
+        result = replay_program(program, "dfccl")
+        assert result.outcome == "completed"
+        assert result.fingerprints_consistent()
+
     @pytest.mark.timeout(120)
-    @pytest.mark.xfail(strict=True, reason=(
-        "the canned mixed-seeded chaos plan (seed 1236) on fat-tree-128 ends "
-        "stuck; recorded under known failures in perfbench/README.md"))
     def test_mixed_seeded_chaos_on_fat_tree_128_completes(self):
         from repro.bench.fault_experiments import CHAOS_PLANS
         from repro.faults.scenarios import run_dfccl_chaos
@@ -433,3 +456,13 @@ class TestKnownHangs:
         result = run_dfccl_chaos(CHAOS_PLANS["mixed-seeded"](128),
                                  topology="fat-tree-128", world_size=128)
         assert result.outcome == "completed"
+
+    @pytest.mark.parametrize("seed", [1, 5, 9, 23, 24])
+    def test_fault_heavy_stream_is_live(self, seed):
+        """Every program of a fault-heavy dfccl stream ends completed or
+        cleanly aborted (``--ranks 8 --fault-fraction 1.0 --backends dfccl``)."""
+        summary = fuzz(seed=seed, programs=100, max_ranks=8, backends=("dfccl",),
+                       fault_fraction=1.0, stop_on_failure=False,
+                       log=lambda *_: None)
+        assert [(failure["index"], failure["divergences"])
+                for failure in summary["failures"]] == []
