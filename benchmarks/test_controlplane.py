@@ -1,4 +1,4 @@
-"""Control-plane suite: preemptive scheduling on one saturated cluster.
+"""Preemption suite: preemptive scheduling on one saturated cluster.
 
 Replays the 24h-equivalent fixed-seed Zipf stream with and without
 preemption, checks the headline behaviour — the preemptive scheduler
@@ -10,7 +10,13 @@ archives as ``BENCH_controlplane.json``.
 
 import pytest
 
-from repro.bench import preemption_ablation, run_controlplane
+from repro.bench import (
+    PREEMPTION_CLUSTER,
+    equivalent_hours,
+    preemption_ablation,
+    preemption_job_stream,
+    run_multijob,
+)
 
 CONTROLPLANE_SEED = 11
 
@@ -29,7 +35,8 @@ def test_headline_preemption_vs_baseline(benchmark):
     print("\npreemption:", preemptive)
     print("baseline:", baseline)
     print("slo gain:", pair["slo_gain"])
-    print("equivalent hours:", round(pair["preemption"]["equivalent_hours"], 1))
+    hours = equivalent_hours(pair["preemption"]["time_us"])
+    print("equivalent hours:", round(hours, 1))
 
     # The headline: strictly better SLO attainment than run-to-completion.
     assert pair["slo_gain"] > 0
@@ -53,7 +60,7 @@ def test_headline_preemption_vs_baseline(benchmark):
         assert row["state"] == "completed"
         assert row["epoch"] >= 1
     # The stream models a ~24h production window.
-    assert pair["preemption"]["equivalent_hours"] >= 20.0
+    assert hours >= 20.0
 
 
 def test_seed_sweep_rows(benchmark):
@@ -78,9 +85,12 @@ def test_seed_sweep_rows(benchmark):
 
 def test_elastic_grow_mid_stream(benchmark):
     """Mid-run world growth: new hosts join and queued jobs land on them."""
+    grow = (100_000.0, lambda s, now: s.grow_cluster(time_us=now))
     result = benchmark.pedantic(
-        run_controlplane,
-        kwargs={"seed": CONTROLPLANE_SEED, "grow_at_us": 100_000.0},
+        run_multijob,
+        kwargs=dict(PREEMPTION_CLUSTER, seed=CONTROLPLANE_SEED,
+                    specs=preemption_job_stream(CONTROLPLANE_SEED),
+                    preemption=True, actions=[grow]),
         iterations=1, rounds=1,
     )
     summary = result["summary"]
@@ -94,9 +104,11 @@ def test_elastic_grow_mid_stream(benchmark):
 def test_tenant_quota_admission(benchmark):
     """Admission control: an oversized job for a capped tenant is rejected."""
     result = benchmark.pedantic(
-        run_controlplane,
-        kwargs={"seed": CONTROLPLANE_SEED,
-                "quotas": {"tenant-b": 2, "tenant-a": 8, "tenant-c": 8}},
+        run_multijob,
+        kwargs=dict(PREEMPTION_CLUSTER, seed=CONTROLPLANE_SEED,
+                    specs=preemption_job_stream(CONTROLPLANE_SEED),
+                    preemption=True,
+                    quotas={"tenant-b": 2, "tenant-a": 8, "tenant-c": 8}),
         iterations=1, rounds=1,
     )
     summary = result["summary"]

@@ -15,6 +15,8 @@ workloads, multijob, faults and bench lives here and nowhere else.
 
 from __future__ import annotations
 
+import statistics
+
 from repro.common.errors import ConfigurationError
 from repro.gpusim.host import WaitForSignal
 from repro.api.group import ProcessGroup
@@ -47,17 +49,6 @@ def make_backend(name, cluster, **knobs):
     return factory(cluster, **knobs)
 
 
-def resolve_orchestrator(spec, world_size):
-    """Resolve an orchestrator knob: ``None``, a name, or an instance."""
-    if spec is None:
-        return None
-    if isinstance(spec, str):
-        from repro.orchestration import make_orchestrator
-
-        return make_orchestrator(spec, world_size=world_size)
-    return spec
-
-
 class CollectiveBackend:
     """Abstract execution platform behind :class:`ProcessGroup`.
 
@@ -67,6 +58,10 @@ class CollectiveBackend:
     """
 
     name = "abstract"
+    #: Name of the CPU-orchestration baseline a training loop over this
+    #: backend charges (see :mod:`repro.orchestration`).  DFCCL needs none:
+    #: deadlock freedom is the backend's job.
+    training_orchestrator = None
 
     def __init__(self, cluster):
         self.cluster = cluster
@@ -132,16 +127,6 @@ class CollectiveBackend:
     def release_job(self, job):
         """Drop backend-side resources of a departed job (no-op)."""
 
-    # -- training integration ------------------------------------------------------
-
-    def orchestrator_for(self, world_size):
-        """The CPU-orchestration baseline training over this backend needs.
-
-        DFCCL needs none (deadlock freedom is the backend's job); the NCCL
-        baseline resolves its configured orchestrator here.
-        """
-        return None
-
     # -- reporting -------------------------------------------------------------------
 
     def stats(self, rank):
@@ -156,11 +141,35 @@ class CollectiveBackend:
         """Latency / core-time / algorithm metrics for a timed-run program.
 
         ``works_by_rank`` maps every group rank to its list of works, one
-        per timed invocation in submission order.  Returns a dict with at
-        least ``latency_us``, ``core_time_us``, ``algorithm`` and
-        ``preemptions`` keys.
+        per timed invocation in submission order; the first group rank's
+        runs are reported.  Returns ``algorithm``, ``latency_us`` (end to
+        end, so including :meth:`launch_overhead_us`), ``core_time_us``,
+        ``preemptions`` and ``predicted_cost_us``.
         """
+        rank = group.ranks[0]
+        runs = [work.run for work in works_by_rank[rank]]
+        overhead = self.launch_overhead_us(rank)
+        return {
+            "algorithm": runs[0].algorithm,
+            "latency_us": statistics.fmean(
+                run.latency_us() + overhead for run in runs),
+            "core_time_us": self.core_time_us(rank, runs),
+            "preemptions": self.preemptions(rank),
+            "predicted_cost_us": statistics.fmean(
+                run.predicted_cost_us for run in runs),
+        }
+
+    def launch_overhead_us(self, rank):
+        """Host-side time before a run starts on ``rank`` (none by default)."""
+        return 0.0
+
+    def core_time_us(self, rank, runs):
+        """Mean time ``rank`` spent executing ``runs``."""
         raise NotImplementedError(f"{self.name} backend has no perf report")
+
+    def preemptions(self, rank):
+        """Times ``rank``'s collectives were preempted (none by default)."""
+        return 0
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"

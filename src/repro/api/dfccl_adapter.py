@@ -19,7 +19,6 @@ pool.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import replace
 
 from repro.common.errors import InvalidStateError
@@ -250,22 +249,15 @@ class DfcclCollectiveBackend(CollectiveBackend):
             diag["metrics"] = obs.metrics.snapshot()
         return diag
 
-    def perf_report(self, group, works_by_rank):
-        """Latency/occupancy summary of a finished benchmark run."""
-        first = group.ranks[0]
-        works = works_by_rank[first]
-        stats = self.stats(first)
-        completed = max(1, stats.cqes_written)
-        return {
-            "algorithm": works[0].run.coll.algorithm,
-            "latency_us": statistics.fmean(
-                work.run.latency_us() for work in works),
-            "core_time_us": (stats.execute_time_us + stats.preparing_time_us) / completed,
-            "preemptions": stats.preemptions,
-            "predicted_cost_us": statistics.fmean(
-                work.run.coll.predicted_cost_us for work in works
-            ),
-        }
+    def core_time_us(self, rank, runs):
+        """The daemon's execute and prepare time per written CQE."""
+        stats = self.stats(rank)
+        return ((stats.execute_time_us + stats.preparing_time_us)
+                / max(1, stats.cqes_written))
+
+    def preemptions(self, rank):
+        """Times ``rank``'s daemon preempted a collective."""
+        return self.stats(rank).preemptions
 
 
 register_backend("dfccl", DfcclCollectiveBackend)

@@ -159,21 +159,9 @@ class MpiCollectiveBackend(CollectiveBackend):
         """Host op waiting out the rendezvous (there is no GPU to signal)."""
         return _MpiWaitOp(work)
 
-    def perf_report(self, group, works_by_rank):
-        """Latency summary of a finished benchmark run."""
-        first = group.ranks[0]
-        return {
-            "algorithm": _MpiCollective.algorithm,
-            "latency_us": statistics.fmean(
-                work.run.latency_us() for work in works_by_rank[first]),
-            "core_time_us": statistics.fmean(
-                work.run.duration_us for work in works_by_rank[first]
-            ),
-            "preemptions": 0,
-            "predicted_cost_us": statistics.fmean(
-                work.run.duration_us for work in works_by_rank[first]
-            ),
-        }
+    def core_time_us(self, rank, runs):
+        """The model's transfer time, which every run sleeps out."""
+        return statistics.fmean(run.duration_us for run in runs)
 
 
 register_backend("mpi", MpiCollectiveBackend)

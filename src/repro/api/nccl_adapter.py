@@ -9,11 +9,10 @@ rank's Work submit op builds and launches the rank's dedicated kernel, whose
 completion delivers the rank's completion and wakes its wait op.
 
 A group's ``job`` tags its kernels with their owning job (multi-tenant SM
-accounting) and gives the job its own launch stream.  ``orchestrator`` names the
-CPU-coordination baseline a *training* loop over this backend should charge
-(resolved lazily by :meth:`orchestrator_for`, defaulting to the paper's
-Megatron-style manual orchestration); raw ProcessGroup programs — deadlock
-studies, microbenchmarks — never pay it.
+accounting) and gives the job its own launch stream.  A *training* loop over
+this backend charges the paper's Megatron-style manual orchestration by
+default (:attr:`~repro.api.CollectiveBackend.training_orchestrator`); raw
+ProcessGroup programs — deadlock studies, microbenchmarks — never pay it.
 """
 
 from __future__ import annotations
@@ -25,20 +24,17 @@ from repro.collectives.sequences import DEFAULT_CHUNK_BYTES
 from repro.gpusim.host import LaunchKernel
 from repro.ncclsim import NcclCollectiveKernel, NcclCollectiveOp, grid_size_for
 from repro.obs import record_link_metrics
-from repro.api.backend import (
-    CollectiveBackend,
-    register_backend,
-    resolve_orchestrator,
-)
+from repro.api.backend import CollectiveBackend, register_backend
 
 
 class NcclCollectiveBackend(CollectiveBackend):
     """The dedicated-kernel baseline as a :class:`CollectiveBackend`."""
 
     name = "nccl"
+    training_orchestrator = "megatron"
 
     def __init__(self, cluster, chunk_bytes=None, algorithm="ring",
-                 orchestrator="megatron", config=None):
+                 config=None):
         # ``config`` (a DfcclConfig) is accepted for knob-uniformity with the
         # dfccl factory and ignored: the baseline has no daemon to configure.
         del config
@@ -46,7 +42,6 @@ class NcclCollectiveBackend(CollectiveBackend):
         self.chunk_bytes = (DEFAULT_CHUNK_BYTES if chunk_bytes is None
                             else chunk_bytes)
         self.algorithm = algorithm
-        self._orchestrator = orchestrator
         #: One plan per (member ranks, spec): the per-call ops of one logical
         #: collective share its membership, algorithm and cost prediction.
         self._plans = {}
@@ -106,12 +101,6 @@ class NcclCollectiveBackend(CollectiveBackend):
         op.register_kernel(group_rank, kernel)
         return kernel
 
-    # -- training integration ----------------------------------------------------
-
-    def orchestrator_for(self, world_size):
-        """The CPU-coordination model training loops charge per step."""
-        return resolve_orchestrator(self._orchestrator, world_size)
-
     # -- reporting -----------------------------------------------------------------
 
     def diagnostics(self):
@@ -124,25 +113,16 @@ class NcclCollectiveBackend(CollectiveBackend):
             diag["metrics"] = obs.metrics.snapshot()
         return diag
 
-    def perf_report(self, group, works_by_rank):
-        """Latency/occupancy summary of a finished benchmark run."""
-        first = group.ranks[0]
-        launch_overhead = self.cluster.device(first).launch_overhead_us
-        ops = [work.run for work in works_by_rank[first]]
-        return {
-            "algorithm": ops[0].algorithm,
-            # End to end includes the host-side launch overhead before
-            # residency.
-            "latency_us": statistics.fmean(
-                op.latency_us() + launch_overhead for op in ops),
-            "core_time_us": statistics.fmean(
-                statistics.fmean(end - op.start_times[rank]
-                                 for rank, end in op.complete_times.items())
-                for op in ops),
-            "preemptions": 0,
-            "predicted_cost_us": statistics.fmean(
-                op.predicted_cost_us for op in ops),
-        }
+    def launch_overhead_us(self, rank):
+        """The kernel launch before the run's residency."""
+        return self.cluster.device(rank).launch_overhead_us
+
+    def core_time_us(self, rank, runs):
+        """Mean residency-to-completion time over each op's ranks."""
+        return statistics.fmean(
+            statistics.fmean(end - op.start_times[member]
+                             for member, end in op.complete_times.items())
+            for op in runs)
 
 
 register_backend("nccl", NcclCollectiveBackend)

@@ -21,21 +21,20 @@ from repro.bench.deadlock_experiments import (
     sec61_sync_program,
     deadlock_sensitivity_sweep,
 )
-from repro.bench.controlplane_experiments import (
-    controlplane_job_stream,
-    preemption_ablation,
-    preemption_slo_sweep,
-    run_controlplane,
-)
 from repro.bench.fault_experiments import (
     CHAOS_PLANS,
     goodput_under_chaos,
     measure_recovery,
 )
 from repro.bench.multijob_experiments import (
+    PREEMPTION_CLUSTER,
     deadlock_ratio_sweep,
+    equivalent_hours,
     multijob_policy_comparison,
     multijob_under_churn,
+    preemption_ablation,
+    preemption_job_stream,
+    preemption_slo_sweep,
     run_multijob,
 )
 from repro.bench.scale_experiments import (
@@ -61,12 +60,13 @@ __all__ = [
     "scale_sweep",
     "selector_report",
     "write_scale_report",
-    "controlplane_job_stream",
+    "PREEMPTION_CLUSTER",
     "deadlock_ratio_sweep",
     "deadlock_sensitivity_sweep",
+    "equivalent_hours",
     "preemption_ablation",
+    "preemption_job_stream",
     "preemption_slo_sweep",
-    "run_controlplane",
     "goodput_under_chaos",
     "measure_recovery",
     "multijob_policy_comparison",

@@ -222,26 +222,6 @@ class PrimitiveExecutor:
             self._send_channels[peer] = channel
         return channel
 
-    def peek_blockers(self, now_us, max_wait_us=None):
-        """Return the outcome the next execution attempt would have, without
-        executing and without charging any time (used by schedulers)."""
-        if self.done():
-            return PrimitiveOutcome(ExecOutcome.ALL_DONE)
-        primitive = self.current()
-        if primitive.recvs and primitive.recv_peer is not None:
-            recv_channel = self._recv_channel(primitive)
-            if not recv_channel.readable(now_us, max_wait_us):
-                return PrimitiveOutcome(
-                    ExecOutcome.WAIT_RECV, primitive, recv_channel.readable_key
-                )
-        if primitive.sends and primitive.send_peer is not None:
-            send_channel = self._send_channel(primitive)
-            if not send_channel.writable():
-                return PrimitiveOutcome(
-                    ExecOutcome.WAIT_SEND, primitive, send_channel.writable_key
-                )
-        return PrimitiveOutcome(ExecOutcome.SUCCESS, primitive)
-
     def late_arrival_us(self, outcome):
         """Arrival time of the head message a ``WAIT_RECV`` outcome judged
         too far in the future, or ``None`` when no message is waiting."""
@@ -282,7 +262,7 @@ class PrimitiveExecutor:
         # The readable/writable checks are inlined over the channel FIFOs
         # (same-package fast path, every primitive of every collective in the
         # simulation passes here); `Channel.readable`/`writable` remain the
-        # reference semantics for every other caller.  The channels, link and
+        # reference semantics.  The channels, link and
         # busy time of the previous primitive are reused while its peers and
         # shape repeat, and ``clock.now`` lives in ``now`` until the burst
         # ends or an engine signal needs it.

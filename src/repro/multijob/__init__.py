@@ -23,8 +23,10 @@ boundaries.  This package turns the simulated cluster into a shared one:
   DFCCL daemon per GPU across all tenants, or dedicated NCCL kernels per
   job that contend for SM block slots.
 
-The matching experiments live in :mod:`repro.bench.multijob_experiments`
-and :mod:`repro.bench.controlplane_experiments`.
+One driver, :func:`repro.bench.run_multijob`, builds and runs a shared
+cluster for every experiment in :mod:`repro.bench.multijob_experiments`
+(including the preemption ablation) and for the elastic fuzzer in
+:mod:`repro.testing.elastic`.
 """
 
 from repro.multijob.arrivals import estimate_standalone_us, generate_jobs, zipf_weights

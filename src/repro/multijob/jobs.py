@@ -211,4 +211,7 @@ class JobRecord:
             "leased_ranks": tuple(self.lease.ranks) if self.lease else (),
             "preemptions": self.preemptions,
             "epoch": self.epoch,
+            "completed_iterations": self.completed_iterations,
+            "checkpoint": (self.checkpoint.describe()
+                           if self.checkpoint else None),
         }

@@ -31,32 +31,11 @@ class NcclCollectiveKernel(KernelActor):
         self.executor = executor
         self.op = op
         self.rank = rank
-        self.blocked_polls = 0
 
     def on_launch(self, time_us):
         super().on_launch(time_us)
         # The baseline's collective starts at kernel residency.
         self.op.mark_started(self.rank, time_us)
-
-    def waiting_on(self):
-        """The peer device this kernel's current primitive is stuck on.
-
-        Returns ``(device_id, direction)`` — the device whose send (or
-        consume) the kernel busy-waits for — or ``None`` when the kernel can
-        progress.  A dedicated kernel has no notion of peer failure: if the
-        returned device is dead, the kernel waits forever while holding its
-        blocks (the hold-and-wait + no-preemption conditions under faults).
-        """
-        outcome = self.executor.peek_blockers(self.now)
-        primitive = outcome.primitive
-        if primitive is None:
-            return None
-        communicator = self.executor.communicator
-        if outcome.outcome.value == "wait_recv":
-            return communicator.device_id(primitive.recv_peer), "recv"
-        if outcome.outcome.value == "wait_send":
-            return communicator.device_id(primitive.send_peer), "send"
-        return None
 
     def run_step(self):
         _, outcome = self.executor.burst(self.clock, self.engine,
@@ -68,7 +47,6 @@ class NcclCollectiveKernel(KernelActor):
             self.op.mark_complete(self.rank, self.now, self.executor)
             return self.complete(f"collective {self.op.op_id} done on rank {self.rank}")
         # WAIT_RECV / WAIT_SEND: hold resources and wait without bound.
-        self.blocked_polls += 1
         return StepResult.blocked(
             [outcome.wait_key],
             f"{outcome.primitive.name} waiting ({kind.value})",

@@ -4,7 +4,8 @@ The differential fuzzer (:mod:`repro.testing.fuzz`) checks cross-backend
 conformance of collective *programs*; this module fuzzes the preemptive
 multi-tenant scheduler: seeded scenarios of jobs plus elastic events — a
 high-priority arrival forcing preemption, a migration, a mid-run cluster
-grow, a device failure forcing rejoin — replayed on the DFCCL backend.
+grow, a device failure forcing rejoin — each event a timed scheduler action
+replayed on the DFCCL backend by :func:`repro.bench.run_multijob`.
 
 The oracle is twofold:
 
@@ -25,9 +26,9 @@ from __future__ import annotations
 
 import json
 
+from repro.bench.multijob_experiments import run_multijob
 from repro.common.rng import DeterministicRNG
-from repro.gpusim import build_cluster
-from repro.multijob import ClusterJobRunner, JobSpec, install_scheduler
+from repro.multijob import JobSpec
 
 #: Virtual-time ceiling per scenario — generous against the few-hundred-ms
 #: job runtimes; hitting it means a liveness bug, not a tight budget.
@@ -73,7 +74,8 @@ def generate_elastic_scenario(seed, max_jobs=3, max_events=3):
     return {"seed": seed, "jobs": jobs, "events": events}
 
 
-def _schedule_event(service, event, index):
+def _event_action(event, index):
+    """The scheduler action ``(scheduler, now)`` one scenario event becomes."""
     kind = event["kind"]
     if kind in ("preempt-arrival", "live-submit"):
         spec = JobSpec(
@@ -84,63 +86,45 @@ def _schedule_event(service, event, index):
             priority=3 if kind == "preempt-arrival" else 0,
             arrival_time_us=event["time_us"],
         )
-        service.schedule(event["time_us"],
-                         lambda s, now, spec=spec: s.submit(spec))
-    elif kind == "migrate":
+        return lambda s, now: s.submit(spec)
+    if kind == "migrate":
         def migrate(s, now, job=event["job"]):
             record = s.jobs.get(job)
             if record is not None and record.state.value == "running":
                 s.migrate(job, now)
-        service.schedule(event["time_us"], migrate)
-    elif kind == "grow":
-        service.schedule(event["time_us"],
-                         lambda s, now: s.grow_cluster(time_us=now))
-    elif kind == "fail":
-        def fail(s, now, rank=event["rank"]):
-            if not s.cluster.device(rank).failed:
-                s.cluster.fail_rank(rank, now)
-        service.schedule(event["time_us"], fail)
+        return migrate
+    if kind == "grow":
+        return lambda s, now: s.grow_cluster(time_us=now)
+
+    def fail(s, now, rank=event["rank"]):
+        if not s.cluster.device(rank).failed:
+            s.cluster.fail_rank(rank, now)
+    return fail
 
 
 def run_elastic_scenario(scenario):
-    """Replay one scenario; returns a JSON-safe outcome dict."""
-    cluster = build_cluster("dual-3090", deadlock_mode="record",
-                            max_resident_blocks=4)
-    runner = ClusterJobRunner(cluster, "dfccl", launch_jitter_us=100.0,
-                              seed=scenario["seed"])
+    """Replay one scenario through :func:`run_multijob`; returns a JSON-safe
+    outcome dict (``jobs`` are the scheduler's job rows)."""
     specs = [JobSpec(job_id=job["job_id"], model="resnet50", dp=job["dp"],
                      iterations=job["iterations"], priority=job["priority"],
                      arrival_time_us=job["arrival_time_us"])
              for job in scenario["jobs"]]
-    service = install_scheduler(cluster, runner, specs, tenants_per_gpu=1,
-                                preemption=True,
-                                starvation_boost_us=2_000_000.0)
-    for index, event in enumerate(scenario["events"]):
-        _schedule_event(service, event, index)
-    total = cluster.run(until_us=SCENARIO_DEADLINE_US)
-    records = service.finalize(total)
-    jobs = []
-    for record in records:
-        checkpoint = record.checkpoint
-        jobs.append({
-            "job": record.job_id,
-            "state": record.state.value,
-            "preemptions": record.preemptions,
-            "epoch": record.epoch,
-            "completed_iterations": record.completed_iterations,
-            "jct_us": record.jct_us,
-            "leased_ranks": list(record.lease.ranks) if record.lease else [],
-            "checkpoint": checkpoint.describe() if checkpoint else None,
-        })
-    summary = service.summary(total)
+    actions = [(event["time_us"], _event_action(event, index))
+               for index, event in enumerate(scenario["events"])]
+    result = run_multijob(
+        seed=scenario["seed"], specs=specs, tenants_per_gpu=1,
+        interference=None, launch_jitter_us=100.0,
+        deadline_us=SCENARIO_DEADLINE_US, actions=actions,
+        preemption=True, starvation_boost_us=2_000_000.0,
+    )
+    summary = result["summary"]
     return {
-        "events": [[time_us, kind, job] for time_us, kind, job
-                   in service.events],
-        "jobs": jobs,
+        "events": result["events"],
+        "jobs": result["jobs"],
         "summary": {key: summary[key] for key in
                     ("jobs", "completed", "degraded", "unfinished", "starved",
                      "preemptions", "migrations", "rejoins", "grow_events")},
-        "total_time_us": total,
+        "total_time_us": result["time_us"],
     }
 
 

@@ -10,8 +10,8 @@ same codepath covers DFCCL's register-once/submit-many flow and the NCCL
 baseline's kernel-per-call flow.
 
 Backends that need CPU-side coordination to be safe (the dedicated-kernel
-baseline) contribute an *orchestrator* via
-:meth:`~repro.api.CollectiveBackend.orchestrator_for`; its negotiated order
+baseline) name an *orchestrator* in
+:attr:`~repro.api.CollectiveBackend.training_orchestrator`; its negotiated order
 and per-step delays are charged exactly as the paper's baselines do.  DFCCL
 contributes none — deadlock freedom is the backend's job.
 """
@@ -19,10 +19,21 @@ contributes none — deadlock freedom is the backend's job.
 from __future__ import annotations
 
 from repro.api import make_backend
-from repro.api.backend import resolve_orchestrator
 from repro.common.errors import ConfigurationError
 from repro.gpusim.host import CpuCompute
 from repro.workloads.parallelism import CollectiveItem, ComputeItem
+
+
+def resolve_orchestrator(spec, world_size):
+    """Resolve an orchestrator knob: ``None``, a name, or an instance."""
+    if spec is None:
+        return None
+    if isinstance(spec, str):
+        # Imported on first use, so runs without a baseline never load it.
+        from repro.orchestration import make_orchestrator
+
+        return make_orchestrator(spec, world_size=world_size)
+    return spec
 
 
 class GroupTrainingBackend:
@@ -68,7 +79,7 @@ class GroupTrainingBackend:
     def _resolve_orchestrator(self, world_size):
         spec = self._orchestrator_spec
         if spec == "auto":
-            return self.backend.orchestrator_for(world_size)
+            spec = self.backend.training_orchestrator
         return resolve_orchestrator(spec, world_size)
 
     def _group_for(self, group_ranks):

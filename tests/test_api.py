@@ -596,6 +596,44 @@ class TestRemovedShims:
         assert not hasattr(context, "_daemon_alive")
         assert not context.daemon_alive
 
+    def test_one_multitenant_driver(self):
+        """``run_multijob`` is the only multi-tenant driver: the control-plane
+        experiment module, its wrapper and stream name, and the mid-run grow
+        option (now an action) were deleted, as were the NCCL kernel's wait
+        introspection and the NCCL adapter's orchestrator option."""
+        import importlib
+        import inspect
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        import repro.api.backend as api_backend
+        import repro.bench as bench
+        from repro.collectives.primitives import PrimitiveExecutor
+        from repro.ncclsim.kernels import NcclCollectiveKernel
+
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.bench.controlplane_experiments")
+        for name in ("run_controlplane", "controlplane_job_stream"):
+            assert not hasattr(bench, name), name
+        assert "grow_at_us" not in inspect.signature(
+            bench.run_multijob).parameters
+        assert not hasattr(NcclCollectiveKernel, "waiting_on")
+        assert not hasattr(PrimitiveExecutor, "peek_blockers")
+        with pytest.raises(TypeError):
+            make_backend("nccl", build_cluster("single-3090"),
+                         orchestrator="megatron")
+        assert not hasattr(api_backend, "resolve_orchestrator")
+        assert not hasattr(api_backend.CollectiveBackend, "orchestrator_for")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        completed = subprocess.run(
+            [sys.executable, "-c", "import sys, repro.api; "
+             "assert 'repro.orchestration' not in sys.modules"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=120)
+        assert completed.returncode == 0, completed.stderr
+
     @pytest.mark.parametrize("module", [
         "repro.testing", "repro.testing.differential", "repro.faults",
         "repro.faults.scenarios", "repro.bench",

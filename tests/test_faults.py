@@ -194,22 +194,21 @@ class TestChaosScenarios:
 
     def test_nccl_kernel_reports_waiting_on_dead_peer(self):
         from repro.api import make_backend
+        from repro.deadlock import analyze_fault_deadlock
 
         cluster = build_cluster("single-3090", deadlock_mode="record")
         group = make_backend("nccl", cluster).new_group([0, 1, 2])
         works = [group.all_reduce(rank, count=1 << 18) for rank in group.ranks]
         cluster.add_hosts([HostProgram(work.ops()) for work in works])
-        op = works[0].run
         install_fault_plan(cluster, FaultPlan(name="crash").add_crash(1, at_us=30.0))
         cluster.run()
-        assert cluster.engine.deadlock_report is not None
-        dead_id = cluster.device(1).device_id
-        stuck = [kernel for kernel in (op.kernel(0), op.kernel(2))
-                 if kernel is not None and not kernel.finished]
-        assert stuck
-        # At least one surviving kernel is observably blocked on the dead peer.
-        waits = [kernel.waiting_on() for kernel in stuck]
-        assert any(wait is not None and wait[0] == dead_id for wait in waits)
+        report = cluster.engine.deadlock_report
+        assert report is not None
+        # A surviving kernel is blocked on the dead peer's channel: the
+        # recorded wait-for graph has the survivor waiting on rank 1.
+        analysis = analyze_fault_deadlock(report, cluster)
+        assert ("rank", 1) in analysis.edges[("rank", 2)]
+        assert ("crashed", 1) in analysis.cycle
 
     def test_dfccl_without_recovery_is_stuck_but_not_deadlocked(self):
         plan = FaultPlan(name="crash").add_crash(2, at_us=80.0)

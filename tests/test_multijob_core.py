@@ -432,28 +432,28 @@ class TestSchedulerExactness:
         self._check(run_multijob(backend="nccl", seed=11), _MULTIJOB_KEYS,
                     612984.5055525465,
                     {"completed": 2, "degraded": 0, "unfinished": 2},
-                    "822d401afa4709a4")
+                    "c69a2990fd029484")
 
     def test_run_multijob_packed_dfccl(self):
         self._check(run_multijob(backend="dfccl", seed=11), _MULTIJOB_KEYS,
                     618847.3055525518,
                     {"completed": 4, "degraded": 0, "unfinished": 0},
-                    "7d73186813857561")
+                    "6d074273d9b7fc1f")
 
     def test_churn_degrades_without_rejoin(self):
         self._check(multijob_under_churn(seed=11, num_jobs=3), _MULTIJOB_KEYS,
                     447109.81060921826,
                     {"completed": 3, "degraded": 2, "unfinished": 0},
-                    "6c8fb1ea461ac4f5")
+                    "d78e92fcd7fc2d68")
 
     def test_preemption_ablation(self):
         pair = preemption_ablation(seed=11)
         self._check(pair["preemption"], _SERVICE_KEYS, 1354712.9987715955,
                     {"completed": 14, "preemptions": 5, "rejoins": 0},
-                    "10c4cafbeebb46ee")
+                    "c12c69455edd9044")
         self._check(pair["baseline"], _SERVICE_KEYS, 1290035.8042624996,
                     {"completed": 14, "preemptions": 0, "rejoins": 0},
-                    "e82693e044cb1832")
+                    "965dfde2378abf6a")
 
 
 class TestInterferenceModel:

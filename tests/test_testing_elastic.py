@@ -1,8 +1,12 @@
 """Elastic scheduler fuzzer: scenario generation, oracle, CLI wiring."""
 
+import hashlib
 import json
 
+import pytest
+
 import repro.testing.fuzz as fuzz_cli
+from repro.common.rng import DeterministicRNG
 from repro.testing.elastic import (
     EVENT_KINDS,
     check_elastic_scenario,
@@ -64,3 +68,31 @@ class TestFuzzLoop:
         assert exit_code == 0
         out = capsys.readouterr().out
         assert "elastic fuzz: 1 scenarios" in out
+
+
+class TestElasticExactness:
+    """Bit-exact pin of the outcomes of ``fuzz_elastic``'s scenarios.
+
+    Each seed digests the outcomes of its first 12 scenarios (event log,
+    summary, total time and the job fields below), so a change to the
+    replay driver or the scheduler cannot silently move them.
+    """
+
+    JOB_FIELDS = ("job", "state", "preemptions", "epoch",
+                  "completed_iterations", "jct_us", "leased_ranks",
+                  "checkpoint")
+
+    @pytest.mark.parametrize("seed, digest", [(0, "ad00b50742b0399f"),
+                                              (3, "468a5033293bbb02")])
+    def test_fuzz_outcomes_pinned(self, seed, digest):
+        outcomes = []
+        for index in range(12):
+            scenario = generate_elastic_scenario(
+                DeterministicRNG(seed).child("elastic", index)
+                .randint(0, 1 << 30))
+            outcome = run_elastic_scenario(scenario)
+            outcome["jobs"] = [{field: row[field] for field in self.JOB_FIELDS}
+                               for row in outcome["jobs"]]
+            outcomes.append(outcome)
+        text = json.dumps(outcomes, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
