@@ -118,13 +118,12 @@ def _interleaved_arms():
     finally:
         gc.enable()
     arms = {}
-    for observe, (cluster, _, works_by_rank) in points.items():
+    for observe, (cluster, _, works) in points.items():
         arms[observe] = {
             "wall_s": wall_s[observe],
             "virtual_time_us": cluster.engine.now,
             "steps": cluster.engine.step_count,
-            "completed": all(work.done for works in works_by_rank.values()
-                             for work in works),
+            "completed": all(work.done for _, _, work in works),
             "observed": cluster.engine.obs.enabled,
         }
     return arms

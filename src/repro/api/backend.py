@@ -137,17 +137,16 @@ class CollectiveBackend:
         """Backend-specific post-run diagnostics as a plain dict."""
         return {}
 
-    def perf_report(self, group, works_by_rank):
+    def perf_report(self, works):
         """Latency / core-time / algorithm metrics for a timed-run program.
 
-        ``works_by_rank`` maps every group rank to its list of works, one
-        per timed invocation in submission order; the first group rank's
-        runs are reported.  Returns ``algorithm``, ``latency_us`` (end to
+        ``works`` are one rank's works, one per timed invocation in
+        submission order.  Returns ``algorithm``, ``latency_us`` (end to
         end, so including :meth:`launch_overhead_us`), ``core_time_us``,
         ``preemptions`` and ``predicted_cost_us``.
         """
-        rank = group.ranks[0]
-        runs = [work.run for work in works_by_rank[rank]]
+        rank = works[0].rank
+        runs = [work.run for work in works]
         overhead = self.launch_overhead_us(rank)
         return {
             "algorithm": runs[0].algorithm,

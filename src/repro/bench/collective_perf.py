@@ -3,18 +3,20 @@
 ``measure_collective`` runs one collective repeatedly on a fresh simulated
 cluster through any registered ``repro.api`` backend and reports end-to-end
 latency, core execution time and algorithm bandwidth, mirroring the rewritten
-NCCL-Tests harness the paper uses.  Program construction is fully
-backend-agnostic (ProcessGroup + Work futures); metric extraction comes from
-each backend's :meth:`~repro.api.CollectiveBackend.perf_report`.
+NCCL-Tests harness the paper uses.  The workload is a
+:func:`~repro.testing.generator.collective_program` installed by the
+fuzzer's :func:`~repro.testing.differential.install_program`; metric
+extraction comes from the backend's
+:meth:`~repro.api.CollectiveBackend.perf_report`.
 """
 
 from __future__ import annotations
 
-from repro.api import make_backend
-from repro.common.types import CollectiveKind, CollectiveSpec
+from repro.common.errors import DeadlockError, SimulationError
+from repro.common.types import CollectiveKind
 from repro.core import DfcclConfig
-from repro.gpusim import HostProgram, build_cluster
-from repro.ncclsim import CudaAwareMpiModel
+from repro.testing.differential import install_program
+from repro.testing.generator import collective_program
 
 #: Buffer sizes swept in Fig. 8 (512 B – 4 MB on one server, up to 16 MB on 32 GPUs).
 FIG8_SIZES_SINGLE = [512 << i for i in range(0, 14)]
@@ -23,6 +25,24 @@ FIG8_SIZES_MULTI = [2048 << i for i in range(0, 14)]
 
 def _kind_from_name(name):
     return CollectiveKind(name) if not isinstance(name, CollectiveKind) else name
+
+
+def _run_timed(backend, program, **knobs):
+    """Install and run ``program``; returns ``(backend, rank 0's works)``.
+
+    Raises when the engine recorded a deadlock or any Work is not done: a
+    timed run that did not finish has no latency to report.
+    """
+    cluster, api_backend, works = install_program(program, backend, **knobs)
+    cluster.run()
+    report = cluster.engine.deadlock_report
+    if report is not None:
+        raise DeadlockError(
+            f"{backend} deadlocked at t={report.time_us:.2f}us",
+            wait_graph=report.wait_graph, blocked=report.involved())
+    if not all(work.done for _, _, work in works):
+        raise SimulationError(f"{backend} left a timed Work undone")
+    return api_backend, [work for rank, _, work in works if rank == 0]
 
 
 def measure_collective(backend="dfccl", kind="all_reduce", nbytes=1 << 20,
@@ -36,33 +56,11 @@ def measure_collective(backend="dfccl", kind="all_reduce", nbytes=1 << 20,
     ``algorithm`` key reports the resolved algorithm.
     """
     kind = _kind_from_name(kind)
-    count = max(1, nbytes // 4)
-    ranks = list(range(world_size))
-
-    cluster = build_cluster(topology)
-    if world_size > cluster.world_size:
-        raise ValueError(f"topology {topology} has only {cluster.world_size} GPUs")
-
-    api_backend = make_backend(backend, cluster, chunk_bytes=chunk_bytes,
-                               algorithm=algorithm)
-    group = api_backend.new_group(ranks)
-    spec = CollectiveSpec(kind, count)
-    group.ensure_collective(spec)
-
-    works_by_rank = {}
-    programs = []
-    for rank in ranks:
-        works = [group.collective(rank, spec) for _ in range(iterations)]
-        works_by_rank[rank] = works
-        ops = []
-        for work in works:
-            ops.extend(work.ops())
-        ops.extend(api_backend.finalize_ops(rank))
-        programs.append(HostProgram(ops))
-    cluster.add_hosts(programs)
-    cluster.run()
-
-    report = api_backend.perf_report(group, works_by_rank)
+    program = collective_program(topology, world_size, kind.value, nbytes,
+                                 rounds=iterations, chunk_bytes=chunk_bytes,
+                                 algorithm=algorithm)
+    api_backend, works = _run_timed(backend, program)
+    report = api_backend.perf_report(works)
     return {
         "backend": api_backend.name,
         "kind": kind.value,
@@ -149,20 +147,9 @@ def workload_independent_overheads(world_size=8, topology="single-3090"):
 
     rows = []
     for variant in ("vanilla", "optimized-ring", "optimized-cas"):
-        cluster = build_cluster(topology)
-        dfccl = make_backend("dfccl", cluster, config=DfcclConfig(cq_variant=variant))
-        ranks = list(range(world_size))
-        group = dfccl.new_group(ranks)
-        programs = []
-        for rank in ranks:
-            works = [group.all_reduce(rank, count=1 << 18) for _ in range(3)]
-            ops = []
-            for work in works:
-                ops.extend(work.ops())
-            ops.extend(dfccl.finalize_ops(rank))
-            programs.append(HostProgram(ops))
-        cluster.add_hosts(programs)
-        cluster.run()
+        program = collective_program(topology, world_size, rounds=3)
+        dfccl, _ = _run_timed("dfccl", program,
+                              config=DfcclConfig(cq_variant=variant))
         stats = dfccl.stats(0)
         rows.append({
             "cq_variant": variant,
@@ -177,17 +164,18 @@ def workload_independent_overheads(world_size=8, topology="single-3090"):
 def nccl_vs_mpi_comparison(world_size=8, topology="single-3090", sizes=None):
     """Sec. 2.1: NCCL all-reduce throughput vs CUDA-aware MPI.
 
-    The NCCL numbers come from the simulated backend, the MPI numbers from the
-    analytic host-staged model; the claim to reproduce is the crossover above
-    32 KB and a >6x large-buffer gap.
+    Both are measured by :func:`measure_collective`: NCCL on the simulated
+    backend, MPI on the ``mpi`` backend's analytic host-staged model; the
+    claim to reproduce is the crossover above 32 KB and a >6x large-buffer
+    gap.
     """
     if sizes is None:
         sizes = [4 << 10, 32 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20]
-    mpi = CudaAwareMpiModel()
     rows = []
     for nbytes in sizes:
         nccl = measure_collective("nccl", "all_reduce", nbytes, world_size, topology)
-        mpi_bw = mpi.all_reduce_bandwidth_gbps(nbytes, world_size)
+        mpi_bw = measure_collective("mpi", "all_reduce", nbytes, world_size,
+                                    topology)["bandwidth_gbps"]
         rows.append({
             "nbytes": nbytes,
             "nccl_bw_gbps": nccl["bandwidth_gbps"],

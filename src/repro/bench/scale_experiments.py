@@ -22,9 +22,10 @@ import gc
 import json
 import time
 
-from repro.api import make_backend
-from repro.common.types import CollectiveKind, CollectiveSpec
-from repro.gpusim import HostProgram, build_cluster, fat_tree_spec, multi_node_spec
+from repro.common.types import CollectiveKind
+from repro.gpusim import build_cluster, fat_tree_spec, multi_node_spec
+from repro.testing.differential import install_program
+from repro.testing.generator import collective_program
 
 #: The standard sweep ladder: (ranks, topology kind, algorithm).  The three
 #: 512-rank fat-tree points run the same workload under every all-reduce
@@ -87,34 +88,22 @@ def build_scale_point(ranks, topology="flat", algorithm="ring", nbytes=1 << 20,
                       observe=True, analyze=False):
     """Build, without running, the workload :func:`run_scale_point` times.
 
-    Returns ``(cluster, api_backend, works_by_rank)``: every rank's program is
-    installed, so ``cluster.run()`` executes the whole workload.
+    Returns :func:`~repro.testing.differential.install_program`'s
+    ``(cluster, api_backend, works)``, ``works`` being ``(rank, call, work)``
+    triples: every rank's program is installed, so ``cluster.run()``
+    executes the whole workload.
     """
     from repro.obs import Observability
 
-    spec = _cluster_spec_for(ranks, topology)
+    program = collective_program(
+        _cluster_spec_for(ranks, topology), ranks, nbytes=nbytes,
+        rounds=iterations, chunk_bytes=chunk_bytes, algorithm=algorithm)
     observability = None if observe else Observability(enabled=False)
-    cluster = build_cluster(spec, observability=observability)
+    cluster, api_backend, works = install_program(
+        program, backend, observability=observability)
     if analyze and cluster.engine.obs.enabled:
         cluster.engine.obs.enable_analysis()
-    api_backend = make_backend(backend, cluster, chunk_bytes=chunk_bytes,
-                               algorithm=algorithm)
-    group = api_backend.new_group(list(range(ranks)))
-    coll = CollectiveSpec(CollectiveKind.ALL_REDUCE, max(1, nbytes // 4))
-    group.ensure_collective(coll)
-
-    works_by_rank = {}
-    programs = []
-    for rank in group.ranks:
-        works = [group.collective(rank, coll) for _ in range(iterations)]
-        works_by_rank[rank] = works
-        ops = []
-        for work in works:
-            ops.extend(work.ops())
-        ops.extend(api_backend.finalize_ops(rank))
-        programs.append(HostProgram(ops))
-    cluster.add_hosts(programs)
-    return cluster, api_backend, works_by_rank
+    return cluster, api_backend, works
 
 
 def run_scale_point(ranks, topology="flat", algorithm="ring", nbytes=1 << 20,
@@ -134,7 +123,7 @@ def run_scale_point(ranks, topology="flat", algorithm="ring", nbytes=1 << 20,
     attaches the decomposition as ``row["attribution"]``; analysis pays the
     trace-append cost in ``wall_s`` but never changes virtual time or steps.
     """
-    cluster, api_backend, works_by_rank = build_scale_point(
+    cluster, api_backend, works = build_scale_point(
         ranks, topology=topology, algorithm=algorithm, nbytes=nbytes,
         iterations=iterations, backend=backend, chunk_bytes=chunk_bytes,
         observe=observe, analyze=analyze)
@@ -148,8 +137,7 @@ def run_scale_point(ranks, topology="flat", algorithm="ring", nbytes=1 << 20,
     finally:
         gc.enable()
 
-    completed = all(work.done for works in works_by_rank.values()
-                    for work in works)
+    completed = all(work.done for _, _, work in works)
     row = {
         "ranks": ranks,
         "topology": topology if isinstance(topology, str) else "custom",

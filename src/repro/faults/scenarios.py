@@ -1,10 +1,9 @@
 """Chaos scenarios: every backend driven through the same fault plan.
 
-A chaos scenario is a program like any the fuzzer draws.
-:func:`chaos_program` builds it as a
-:class:`~repro.testing.generator.ProgramSpec` — one world group,
-``num_collectives`` all-reduce calls issued for ``iterations`` rounds, the
-fault plan and the deadline — and
+A chaos scenario is a program like any the fuzzer draws:
+:func:`~repro.testing.generator.collective_program` builds it — one world
+group, ``num_collectives`` all-reduce calls issued for ``iterations`` rounds,
+the fault plan and the deadline — and
 :func:`~repro.testing.differential.replay_program` drives it, so the chaos
 runners, the chaos benchmarks and the fuzzer share one driver and one outcome
 rule.  Each returns a :class:`~repro.testing.differential.ReplayResult`.
@@ -28,33 +27,10 @@ from dataclasses import replace
 from repro.core import DfcclConfig
 from repro.faults.plan import FaultPlan
 from repro.testing.differential import replay_program
-from repro.testing.generator import CallSpec, GroupSpec, ProgramSpec
+from repro.testing.generator import collective_program
 
 #: Default virtual-time deadline: a run not finished by then is stuck.
 DEFAULT_DEADLINE_US = 120_000.0
-
-
-def chaos_program(plan, topology="dual-3090-nvlink", world_size=16,
-                  num_collectives=3, nbytes=1 << 20, iterations=2,
-                  deadline_us=DEFAULT_DEADLINE_US):
-    """The shared all-reduce chaos workload as a program.
-
-    Every rank issues all-reduce calls keyed ``0..num_collectives-1`` on the
-    default stream, ``iterations`` rounds, waiting for each round before the
-    next; ring schedule, 128 KiB chunks.
-    """
-    count = max(1, nbytes // 4)
-    calls = tuple(CallSpec(call_id=key, group_index=0, kind="all_reduce",
-                           count=count, key=key)
-                  for key in range(num_collectives))
-    order = tuple(range(num_collectives))
-    return ProgramSpec(
-        seed=0, world_size=world_size, topology=topology,
-        chunk_bytes=128 << 10, algorithm="ring",
-        groups=(GroupSpec(0, tuple(range(world_size))),),
-        calls=calls, orders=(order,) * world_size, fault_plan=plan,
-        deadline_us=deadline_us, rounds=iterations,
-    )
 
 
 def _replay_chaos(program, backend, seed, **knobs):
@@ -76,11 +52,10 @@ def run_dfccl_chaos(plan, topology="dual-3090-nvlink", world_size=16,
                     seed=17):
     """Run the chaos workload through DFCCL (optionally without recovery)."""
     config = replace(config or DfcclConfig(), recovery_enabled=recovery)
-    program = replace(
-        chaos_program(plan, topology, world_size, num_collectives, nbytes,
-                      iterations, deadline_us),
-        chunk_bytes=config.chunk_bytes, algorithm=config.algorithm,
-    )
+    program = collective_program(
+        topology, world_size, nbytes=nbytes, num_collectives=num_collectives,
+        rounds=iterations, chunk_bytes=config.chunk_bytes,
+        algorithm=config.algorithm, fault_plan=plan, deadline_us=deadline_us)
     return _replay_chaos(program, "dfccl", seed, config=config)
 
 
@@ -88,8 +63,9 @@ def run_nccl_chaos(plan, topology="dual-3090-nvlink", world_size=16,
                    num_collectives=3, nbytes=1 << 20, iterations=2,
                    deadline_us=DEFAULT_DEADLINE_US, seed=17):
     """Run the same workload through the dedicated-kernel baseline."""
-    program = chaos_program(plan, topology, world_size, num_collectives,
-                            nbytes, iterations, deadline_us)
+    program = collective_program(
+        topology, world_size, nbytes=nbytes, num_collectives=num_collectives,
+        rounds=iterations, fault_plan=plan, deadline_us=deadline_us)
     return _replay_chaos(program, "nccl", seed)
 
 

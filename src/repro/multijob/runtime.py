@@ -124,29 +124,24 @@ class ClusterJobRunner:
 
     ``backend`` is a registered ``repro.api`` backend name (extra ``knobs``
     go to :func:`make_backend`) or an already-built
-    :class:`~repro.api.CollectiveBackend`.  ``orchestrator_factory``
-    optionally maps a :class:`JobSpec` to the CPU orchestrator its training
-    loop charges; by default the backend decides (DFCCL: none, NCCL:
+    :class:`~repro.api.CollectiveBackend`.  The backend decides the CPU
+    orchestrator a job's training loop charges (DFCCL: none, NCCL:
     Megatron-style manual orchestration).
     """
 
     def __init__(self, cluster, backend="dfccl", launch_jitter_us=25.0, seed=0,
-                 orchestrator_factory=None, **knobs):
+                 **knobs):
         self.cluster = cluster
         self.backend = (make_backend(backend, cluster, **knobs)
                         if not isinstance(backend, CollectiveBackend) else backend)
         self.backend_flavor = self.backend.name
         self.launch_jitter_us = launch_jitter_us
         self.seed = seed
-        self.orchestrator_factory = orchestrator_factory
         self.runs = {}
         self.hosts = {}
 
     def _training_backend(self, record):
-        orchestrator = ("auto" if self.orchestrator_factory is None
-                        else self.orchestrator_factory(record.spec))
         return GroupTrainingBackend(self.cluster, self.backend,
-                                    orchestrator=orchestrator,
                                     job=record.spec.job_id)
 
     def launch(self, record, time_us, on_rank_complete):

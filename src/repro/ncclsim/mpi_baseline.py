@@ -28,8 +28,3 @@ class CudaAwareMpiModel:
         steps = 2 * (world_size - 1)
         chunk = nbytes / world_size
         return steps * (self.alpha_us + chunk / (self.beta_gbps * 1e3))
-
-    def all_reduce_bandwidth_gbps(self, nbytes, world_size):
-        """Algorithm bandwidth (payload bytes / end-to-end time)."""
-        time_us = self.all_reduce_time_us(nbytes, world_size)
-        return nbytes / (time_us * 1e3)

@@ -60,23 +60,13 @@ def demo_run(ranks=8, backend="dfccl", nbytes=1 << 20, iterations=2,
     ``analyze=True`` opts the run into critical-path time attribution
     (``obs.enable_analysis()`` before any collective executes).
     """
-    from repro.api import make_backend, wait_all
-    from repro.gpusim import HostProgram, build_cluster
-    from repro.testing import topology_for_world
+    from repro.testing import collective_program, install_program, topology_for_world
 
-    cluster = build_cluster(topology or topology_for_world(ranks))
+    program = collective_program(topology or topology_for_world(ranks), ranks,
+                                 nbytes=nbytes, num_collectives=iterations)
+    cluster, backend_obj, _ = install_program(program, backend)
     if analyze:
         cluster.engine.obs.enable_analysis()
-    backend_obj = make_backend(backend, cluster)
-    group = backend_obj.new_group(list(range(ranks)))
-    programs = []
-    for rank in group.ranks:
-        works = [group.all_reduce(rank, nbytes // 4, key=f"ar{i}")
-                 for i in range(iterations)]
-        ops = [work.submit_op() for work in works] + wait_all(works)
-        ops.extend(backend_obj.finalize_ops(rank))
-        programs.append(HostProgram(ops))
-    cluster.add_hosts(programs)
     cluster.run()
     backend_obj.diagnostics()  # folds link metrics into the registry
     return cluster, backend_obj

@@ -25,6 +25,7 @@ from repro.testing.generator import (
     CallSpec,
     GroupSpec,
     ProgramSpec,
+    collective_program,
     generate_program,
     topology_for_world,
 )
@@ -33,6 +34,7 @@ from repro.testing.differential import (
     Divergence,
     ReplayResult,
     check_program,
+    install_program,
     replay_program,
 )
 __all__ = [
@@ -43,7 +45,9 @@ __all__ = [
     "ProgramSpec",
     "ReplayResult",
     "check_program",
+    "collective_program",
     "generate_program",
+    "install_program",
     "replay_program",
     "topology_for_world",
 ]

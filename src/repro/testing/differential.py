@@ -5,11 +5,13 @@ on a fresh simulated cluster through one registered ``repro.api`` backend —
 building the exact ProcessGroup/Work program every rank would write by hand —
 and returns a :class:`ReplayResult` of plain data: per-work completion
 records, the primitive sequences each rank executed, the engine outcome and
-its deadlock analysis.  It is the repository's one program driver: the chaos
-scenarios of :mod:`repro.faults.scenarios` are programs too, so the fuzzer
-and the chaos benchmarks share one outcome rule — a run is ``completed`` when
-every surviving rank's Work is done or aborted, ``deadlock`` when the engine
-recorded a deadlock, and ``stuck`` otherwise.
+its deadlock analysis.  Its first half, :func:`install_program`, is the
+repository's one program driver: the chaos scenarios of
+:mod:`repro.faults.scenarios` replay through it, and the benchmark harnesses
+install a :func:`~repro.testing.generator.collective_program` with it and
+run the cluster themselves.  Replays share one outcome rule — a run is
+``completed`` when every surviving rank's Work is done or aborted,
+``deadlock`` when the engine recorded a deadlock, and ``stuck`` otherwise.
 
 :func:`check_program` replays through every requested backend and verifies:
 
@@ -189,16 +191,18 @@ def _issue_call(group, call, rank):
     return method(rank, call.count, **kwargs)
 
 
-def replay_program(program, backend_name, seed=17, capture_obs=False, **knobs):
-    """Replay ``program`` through one backend; returns a :class:`ReplayResult`.
+def install_program(program, backend_name, observability=None, **knobs):
+    """Build ``program``'s cluster and backend and install every rank's program.
 
-    ``knobs`` are forwarded to :func:`repro.api.make_backend` on top of the
-    program's own ``chunk_bytes`` / ``algorithm``.  With ``capture_obs=True``
-    the result carries a flight-recorder dump of the run (step events, spans,
-    metrics) in ``flight_dump`` — the artifact the fuzzer writes next to a
-    minimized failing program.
+    Returns ``(cluster, backend, works)``, one ``(rank, call, work)`` triple
+    per issued call; ``cluster.run()`` executes the program and records,
+    not raises, an engine deadlock.  ``observability`` is the cluster's hub
+    (default: a fresh enabled one); ``knobs`` are forwarded to
+    :func:`repro.api.make_backend` on top of the program's own
+    ``chunk_bytes`` / ``algorithm``.
     """
-    cluster = build_cluster(program.topology, deadlock_mode="record")
+    cluster = build_cluster(program.topology, deadlock_mode="record",
+                            observability=observability)
     if program.world_size > cluster.world_size:
         raise ValueError(
             f"topology {program.topology} has only {cluster.world_size} GPUs "
@@ -233,7 +237,19 @@ def replay_program(program, backend_name, seed=17, capture_obs=False, **knobs):
             ops.extend(wait_all(round_works))
         ops.extend(backend.finalize_ops(rank))
         cluster.add_host(rank, HostProgram(ops))
+    return cluster, backend, works
 
+
+def replay_program(program, backend_name, seed=17, capture_obs=False, **knobs):
+    """Replay ``program`` through one backend; returns a :class:`ReplayResult`.
+
+    The program is built by :func:`install_program` (``knobs`` go with it)
+    and run until its deadline.  With ``capture_obs=True`` the result
+    carries a flight-recorder dump of the run (step events, spans, metrics)
+    in ``flight_dump`` — the artifact the fuzzer writes next to a minimized
+    failing program.
+    """
+    cluster, backend, works = install_program(program, backend_name, **knobs)
     final_time_us = cluster.run(until_us=program.deadline_us)
 
     contributions = contribution_values(range(program.world_size), seed)

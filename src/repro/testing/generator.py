@@ -157,6 +157,30 @@ def topology_for_world(world_size):
     return f"fat-tree-{nodes * 8}"
 
 
+def collective_program(topology, world_size, kind="all_reduce", nbytes=1 << 20,
+                       num_collectives=1, rounds=1, chunk_bytes=128 << 10,
+                       algorithm="ring", fault_plan=None,
+                       deadline_us=DEFAULT_DEADLINE_US):
+    """One collective, repeated, on the world group, as a program.
+
+    Every rank issues ``num_collectives`` ``kind`` calls of ``nbytes`` bytes
+    (float32 elements, root 0), keyed ``0..num_collectives-1`` on the
+    default stream, for ``rounds`` rounds, waiting for each round before the
+    next.  This is the workload the performance harnesses time and the chaos
+    scenarios fault.
+    """
+    calls = tuple(CallSpec(call_id=key, group_index=0, kind=kind,
+                           count=max(1, nbytes // 4), key=key)
+                  for key in range(num_collectives))
+    return ProgramSpec(
+        seed=0, world_size=world_size, topology=topology,
+        chunk_bytes=chunk_bytes, algorithm=algorithm,
+        groups=(GroupSpec(0, tuple(range(world_size))),),
+        calls=calls, orders=(tuple(range(num_collectives)),) * world_size,
+        fault_plan=fault_plan, deadline_us=deadline_us, rounds=rounds,
+    )
+
+
 def _draw_count(stream, max_count):
     """Log-uniform element count in [1, max_count]."""
     bits = stream.randint(0, max(0, max_count.bit_length() - 1))

@@ -634,9 +634,37 @@ class TestRemovedShims:
             text=True, timeout=120)
         assert completed.returncode == 0, completed.stderr
 
+    def test_one_single_job_driver(self):
+        """The benchmark harnesses install a ``collective_program`` through
+        ``install_program``: the chaos-only program builder, the hand-built
+        host-program loops, the analytic MPI bandwidth helper and the job
+        runner's orchestrator factory were deleted, and ``perf_report`` takes
+        one rank's Works."""
+        import inspect
+
+        import repro.bench.collective_perf as collective_perf
+        import repro.bench.scale_experiments as scale
+        import repro.faults.scenarios as scenarios
+        import repro.obs.report as report
+        from repro.api import CollectiveBackend
+        from repro.multijob import ClusterJobRunner
+        from repro.ncclsim import CudaAwareMpiModel
+
+        assert not hasattr(scenarios, "chaos_program")
+        for module in (collective_perf, scale, report, scenarios):
+            assert "HostProgram(" not in inspect.getsource(module), module
+        assert not hasattr(CudaAwareMpiModel, "all_reduce_bandwidth_gbps")
+        assert "orchestrator_factory" not in inspect.signature(
+            ClusterJobRunner).parameters
+        with pytest.raises(TypeError):
+            ClusterJobRunner(build_cluster("single-3090"), "dfccl",
+                             orchestrator_factory=lambda spec: "auto")
+        assert list(inspect.signature(
+            CollectiveBackend.perf_report).parameters) == ["self", "works"]
+
     @pytest.mark.parametrize("module", [
         "repro.testing", "repro.testing.differential", "repro.faults",
-        "repro.faults.scenarios", "repro.bench",
+        "repro.faults.scenarios", "repro.bench", "repro.obs.report",
     ])
     def test_imports_first_in_a_fresh_interpreter(self, module):
         """``repro.testing`` and ``repro.faults`` import each other's

@@ -228,7 +228,7 @@ class TestBackendReportingContract:
     @pytest.mark.parametrize("backend_name", ["dfccl", "nccl", "mpi"])
     def test_perf_report_fields(self, backend_name):
         _, backend, group, works_by_rank = _run_all_reduce(backend_name)
-        report = backend.perf_report(group, works_by_rank)
+        report = backend.perf_report(works_by_rank[group.ranks[0]])
         assert self.REQUIRED_PERF_KEYS <= set(report)
         assert report["latency_us"] > 0.0
         assert report["predicted_cost_us"] > 0.0

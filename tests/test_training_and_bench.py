@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.errors import DeadlockError, SimulationError
 from repro.gpusim import build_cluster
 from repro.orchestration import make_orchestrator
 from repro.workloads import (
@@ -160,3 +161,62 @@ class TestBenchDrivers:
         assert "demo" in table and "2.500" in table
         series = format_series([(1, 2.0), (2, 4.0)], "x", "y")
         assert "4.000" in series
+
+
+class TestHarnessExactness:
+    """The benchmark harnesses install a ``collective_program`` through
+    ``install_program``; their simulated results are pinned to the last bit
+    (values from the hand-built loops they replaced).  The CQE write times of
+    Fig. 7 are pinned by ``test_workload_independent_overheads_are_pinned``.
+    """
+
+    def test_measure_collective_is_pinned(self):
+        from repro.bench import measure_collective
+        dfccl = measure_collective("dfccl", "all_reduce", 1 << 20)
+        assert dfccl["latency_us"] == 298.1749762770559
+        assert dfccl["core_time_us"] == 270.13382476190446
+        nccl = measure_collective("nccl", "broadcast", 4 << 10, algorithm="tree")
+        assert nccl["latency_us"] == 24.35347670995671
+        auto = measure_collective("nccl", "all_reduce", 64 << 10, world_size=16,
+                                  topology="dual-3090", algorithm="auto")
+        assert auto["algorithm"] == "tree"
+        assert auto["latency_us"] == 151.04285044733047
+
+    def test_mpi_measured_through_its_backend_matches_the_model(self):
+        from repro.bench import measure_collective
+        from repro.ncclsim import CudaAwareMpiModel
+        model = CudaAwareMpiModel()
+        for nbytes in (4 << 10, 32 << 10, 1 << 20, 16 << 20):
+            row = measure_collective("mpi", "all_reduce", nbytes)
+            analytic = nbytes / (model.all_reduce_time_us(nbytes, 8) * 1e3)
+            assert row["bandwidth_gbps"] == analytic
+        assert measure_collective("mpi", "all_reduce",
+                                  1 << 20)["bandwidth_gbps"] == 0.6709941640217058
+
+    @pytest.mark.parametrize("backend,now,steps", [
+        ("dfccl", 581.6509828571423, 220),
+        ("nccl", 548.7009828571424, 168),
+        ("mpi", 1563.22, 65),
+    ])
+    def test_demo_run_is_pinned(self, backend, now, steps):
+        from repro.obs.report import demo_run
+        cluster, _ = demo_run(backend=backend)
+        assert (cluster.engine.now, cluster.engine.step_count) == (now, steps)
+
+    @pytest.mark.parametrize("backend,error", [
+        ("nccl", DeadlockError),
+        ("dfccl", SimulationError),
+    ])
+    def test_unfinished_timed_run_fails_loudly(self, backend, error):
+        """``install_program`` records deadlocks instead of raising them, so
+        the timed harness raises itself: on an engine deadlock (nccl wedged
+        on a crashed peer) and on any Work not done (dfccl recovers, but the
+        crashed rank's Works never finish)."""
+        from repro.bench.collective_perf import _run_timed
+        from repro.faults import FaultPlan
+        from repro.testing import collective_program
+        program = collective_program("single-3090", 4, rounds=2,
+                                     fault_plan=FaultPlan().add_crash(1, 10.0))
+        with pytest.raises(SimulationError) as raised:
+            _run_timed(backend, program)
+        assert type(raised.value) is error
