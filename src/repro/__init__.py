@@ -12,8 +12,8 @@ Subpackages:
 * :mod:`repro.ncclsim` — the NCCL-style baseline backend;
 * :mod:`repro.core` — the DFCCL daemon-kernel backend;
 * :mod:`repro.deadlock` — deadlock scenario construction and analysis;
-* :mod:`repro.orchestration`, :mod:`repro.workloads` — framework scheduling
-  models and training workloads;
+* :mod:`repro.workloads` — training workloads, parallelism plans and the
+  CPU time of the orchestration baselines (``coordination_cost``);
 * :mod:`repro.bench` — the experiments behind the paper's figures and tables.
 """
 

@@ -58,9 +58,10 @@ class CollectiveBackend:
     """
 
     name = "abstract"
-    #: Name of the CPU-orchestration baseline a training loop over this
-    #: backend charges (see :mod:`repro.orchestration`).  DFCCL needs none:
-    #: deadlock freedom is the backend's job.
+    #: Name of the CPU-orchestration baseline whose CPU time a training loop
+    #: over this backend charges (see
+    #: :func:`repro.workloads.backends.coordination_cost`).  DFCCL needs
+    #: none: deadlock freedom is the backend's job.
     training_orchestrator = None
 
     def __init__(self, cluster):

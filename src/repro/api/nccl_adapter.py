@@ -10,8 +10,9 @@ completion delivers the rank's completion and wakes its wait op.
 
 A group's ``job`` tags its kernels with their owning job (multi-tenant SM
 accounting) and gives the job its own launch stream.  A *training* loop over
-this backend charges the paper's Megatron-style manual orchestration by
-default (:attr:`~repro.api.CollectiveBackend.training_orchestrator`); raw
+this backend charges the CPU time of the paper's Megatron-style hand-written
+order by default (:attr:`~repro.api.CollectiveBackend.training_orchestrator`,
+costed by :func:`~repro.workloads.backends.coordination_cost`); raw
 ProcessGroup programs — deadlock studies, microbenchmarks — never pay it.
 """
 

@@ -23,8 +23,7 @@ def _dfccl_backend(cluster):
     return GroupTrainingBackend(cluster, "dfccl", chunk_bytes=TRAINING_CHUNK_BYTES)
 
 
-def _nccl_backend(cluster, orchestrator_name, world_size):
-    del world_size  # the orchestrator is sized from the plan at prepare time
+def _nccl_backend(cluster, orchestrator_name):
     return GroupTrainingBackend(cluster, "nccl", orchestrator=orchestrator_name,
                                 chunk_bytes=TRAINING_CHUNK_BYTES)
 
@@ -48,10 +47,10 @@ def fig10_resnet50_dp(server="3090", num_gpus=8, iterations=4, grad_buckets=24):
                         grad_buckets=grad_buckets)
     rows = []
     systems = [
-        ("oneflow-static", lambda c: _nccl_backend(c, "oneflow", num_gpus)),
+        ("oneflow-static", lambda c: _nccl_backend(c, "oneflow")),
         ("dfccl", _dfccl_backend),
-        ("kungfu", lambda c: _nccl_backend(c, "kungfu", num_gpus)),
-        ("horovod", lambda c: _nccl_backend(c, "horovod", num_gpus)),
+        ("kungfu", lambda c: _nccl_backend(c, "kungfu")),
+        ("horovod", lambda c: _nccl_backend(c, "horovod")),
     ]
     for label, factory in systems:
         result = _run(plan, factory, topology, iterations)
@@ -110,12 +109,11 @@ def fig12_vit_training(case="dp-8gpu-base", iterations=4, microbatch=128):
     """Fig. 12: ViT training throughput, DFCCL vs (statically sorted) NCCL."""
     params = VIT_CASES[case]
     model = vit_model(params["variant"])
-    world = params["tp"] * params["dp"] * params["pp"]
     plan = ParallelPlan(model, tp=params["tp"], dp=params["dp"], pp=params["pp"],
                         microbatch_size=microbatch, num_microbatches=1, grad_buckets=12)
     rows = []
     systems = [
-        ("nccl", lambda c: _nccl_backend(c, "oneflow", world)),
+        ("nccl", lambda c: _nccl_backend(c, "oneflow")),
         ("dfccl", _dfccl_backend),
     ]
     for label, factory in systems:
@@ -143,12 +141,11 @@ def fig13_gpt2_training(case="3d-8gpu", iterations=4, microbatch=18):
     """Fig. 13: GPT-2 per-iteration time, DFCCL vs Megatron-orchestrated NCCL."""
     params = GPT2_CASES[case]
     model = gpt2_model(params["variant"])
-    world = params["tp"] * params["dp"] * params["pp"]
     plan = ParallelPlan(model, tp=params["tp"], dp=params["dp"], pp=params["pp"],
                         microbatch_size=microbatch, num_microbatches=2, grad_buckets=8)
     rows = []
     systems = [
-        ("nccl-megatron", lambda c: _nccl_backend(c, "megatron", world)),
+        ("nccl-megatron", lambda c: _nccl_backend(c, "megatron")),
         ("dfccl", _dfccl_backend),
     ]
     for label, factory in systems:

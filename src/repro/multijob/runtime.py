@@ -14,8 +14,8 @@ that means is backend-defined, mirroring the paper's comparison:
   tenant, with collective ids namespaced by job and communicators pooled per
   ``(job, device set)``;
 * under ``"nccl"`` each job launches dedicated per-collective kernels on
-  per-job streams (plus its CPU orchestrator).  Co-located jobs' dedicated
-  kernels contend for SM block slots, which is what lets the baseline
+  per-job streams (plus its orchestrator's CPU time).  Co-located jobs'
+  dedicated kernels contend for SM block slots, which is what lets the baseline
   deadlock *across* jobs.
 
 Every runner applies a small seeded per-rank *launch jitter* modelling
@@ -124,9 +124,9 @@ class ClusterJobRunner:
 
     ``backend`` is a registered ``repro.api`` backend name (extra ``knobs``
     go to :func:`make_backend`) or an already-built
-    :class:`~repro.api.CollectiveBackend`.  The backend decides the CPU
-    orchestrator a job's training loop charges (DFCCL: none, NCCL:
-    Megatron-style manual orchestration).
+    :class:`~repro.api.CollectiveBackend`.  The backend decides the
+    orchestration baseline whose CPU time a job's training loop charges
+    (DFCCL: none, NCCL: ``"megatron"``, the hand-written order).
     """
 
     def __init__(self, cluster, backend="dfccl", launch_jitter_us=25.0, seed=0,

@@ -7,8 +7,9 @@ scheduling: per-iteration compute phases interleaved with collective
 operations, derived from layer-level parameter and activation sizes, and a
 parallelism planner that produces each rank's per-iteration schedule for DP,
 TP, PP and 3D-hybrid configurations.  The trainer then drives either the
-DFCCL backend or the NCCL backend (with one of the CPU-orchestration
-baselines) over the simulated cluster and reports training throughput.
+DFCCL backend or the NCCL backend (charging the CPU time of one of the
+orchestration baselines, :func:`coordination_cost`) over the simulated cluster
+and reports training throughput.
 """
 
 from repro.workloads.models import (
@@ -25,7 +26,7 @@ from repro.workloads.parallelism import (
     MoeParallelPlan,
     ParallelPlan,
 )
-from repro.workloads.backends import GroupTrainingBackend
+from repro.workloads.backends import GroupTrainingBackend, coordination_cost
 from repro.workloads.trainer import TrainingResult, TrainingRun
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "ParallelPlan",
     "TrainingResult",
     "TrainingRun",
+    "coordination_cost",
     "gpt2_model",
     "gpt_moe_model",
     "resnet50_model",

@@ -11,9 +11,12 @@ baseline's kernel-per-call flow.
 
 Backends that need CPU-side coordination to be safe (the dedicated-kernel
 baseline) name an *orchestrator* in
-:attr:`~repro.api.CollectiveBackend.training_orchestrator`; its negotiated order
-and per-step delays are charged exactly as the paper's baselines do.  DFCCL
-contributes none — deadlock freedom is the backend's job.
+:attr:`~repro.api.CollectiveBackend.training_orchestrator`: one of the
+CPU-orchestration baselines of Sec. 2.5, which stop deadlocks by making every
+GPU invoke collectives in the same order.  The plans already give every rank a
+consistent order, so a baseline only adds its CPU time
+(:func:`coordination_cost`).  DFCCL contributes none — deadlock freedom is the
+backend's job.
 """
 
 from __future__ import annotations
@@ -24,16 +27,39 @@ from repro.gpusim.host import CpuCompute
 from repro.workloads.parallelism import CollectiveItem, ComputeItem
 
 
-def resolve_orchestrator(spec, world_size):
-    """Resolve an orchestrator knob: ``None``, a name, or an instance."""
-    if spec is None:
-        return None
-    if isinstance(spec, str):
-        # Imported on first use, so runs without a baseline never load it.
-        from repro.orchestration import make_orchestrator
+#: The CPU-orchestration baselines :func:`coordination_cost` accepts, each
+#: with its display name (the ``TrainingResult`` backend label and the CPU op
+#: labels).
+ORCHESTRATORS = {
+    "horovod": "horovod",
+    "kungfu": "kungfu",
+    "oneflow": "oneflow-static",
+    "megatron": "megatron-manual",
+}
 
-        return make_orchestrator(spec, world_size=world_size)
-    return spec
+
+def coordination_cost(name, world_size, num_collectives):
+    """CPU time a baseline adds: ``(per_collective_us, per_step_us, first_step_us)``.
+
+    * ``horovod`` — a central coordinator negotiates every collective: half
+      its 5 ms cycle plus a gather/broadcast round trip, and half a cycle per
+      step;
+    * ``kungfu`` — the calling order is negotiated in the first step
+      (400 us per distinct collective plus a round trip per rank), then
+      decentralized schedulers check every collective's turn;
+    * ``oneflow`` — the compiler sorts collectives statically (a one-time
+      20 ms compile), leaving a tiny dispatch cost;
+    * ``megatron`` — a hand-written order, with a tiny dispatch cost.
+    """
+    if name == "horovod":
+        return 2600.0 + 2.0 * world_size, 2500.0, 0.0
+    if name == "kungfu":
+        return 2100.0, 0.0, 400.0 * num_collectives + 100.0 * world_size
+    if name == "oneflow":
+        return 2.0, 0.0, 20000.0
+    if name == "megatron":
+        return 3.0, 0.0, 0.0
+    raise ConfigurationError(f"unknown orchestrator {name!r}")
 
 
 class GroupTrainingBackend:
@@ -42,7 +68,7 @@ class GroupTrainingBackend:
     ``backend`` is a :class:`~repro.api.CollectiveBackend` instance or a
     registered backend name (extra ``knobs`` go to :func:`make_backend`).
     ``orchestrator`` is ``"auto"`` (ask the backend), ``None`` (no CPU
-    coordination), an orchestrator name, or an instance.
+    coordination), or a baseline name :func:`coordination_cost` accepts.
 
     ``job`` names the job the run belongs to on a backend shared with other
     jobs: every group is created with it, and the run adds no teardown ops
@@ -60,27 +86,23 @@ class GroupTrainingBackend:
         self.backend = (make_backend(backend, cluster, **knobs)
                         if isinstance(backend, str) else backend)
         self.job = job
-        self._orchestrator_spec = orchestrator
-        self.orchestrator = None
+        if orchestrator == "auto":
+            orchestrator = self.backend.training_orchestrator
+        if orchestrator is not None and orchestrator not in ORCHESTRATORS:
+            raise ConfigurationError(f"unknown orchestrator {orchestrator!r}")
+        self.orchestrator = orchestrator
         self.shuffle_submissions = shuffle_submissions
         self.rng = rng
         self._groups = {}
-        self._decisions = {}
-        self._plan = None
+        self._cost = None
 
     @property
     def name(self):
         if self.orchestrator is None:
             return self.backend.name
-        return f"{self.backend.name}+{self.orchestrator.name}"
+        return f"{self.backend.name}+{ORCHESTRATORS[self.orchestrator]}"
 
     # -- preparation ------------------------------------------------------------
-
-    def _resolve_orchestrator(self, world_size):
-        spec = self._orchestrator_spec
-        if spec == "auto":
-            spec = self.backend.training_orchestrator
-        return resolve_orchestrator(spec, world_size)
 
     def _group_for(self, group_ranks):
         group = self._groups.get(group_ranks)
@@ -97,38 +119,27 @@ class GroupTrainingBackend:
         backend-side id assignment (and hence communicator acquisition)
         deterministic across runs.
         """
-        self._plan = plan
-        self.orchestrator = self._resolve_orchestrator(plan.world_size)
-        for key, item in sorted(plan.unique_collectives().items(), key=lambda kv: kv[0]):
+        unique = plan.unique_collectives()
+        if self.orchestrator is not None:
+            self._cost = coordination_cost(self.orchestrator, plan.world_size,
+                                           len(unique))
+        for key, item in sorted(unique.items(), key=lambda kv: kv[0]):
             self._group_for(item.group_ranks).ensure_collective(
                 _spec_for(item), key=key
             )
 
     # -- per-iteration program construction ----------------------------------------
 
-    def _decision(self, iteration):
-        decision = self._decisions.get(iteration)
-        if decision is None:
-            per_rank_orders = {
-                rank: [item.key for item in self._plan.collective_items(rank)]
-                for rank in self._plan.ranks()
-            }
-            decision = self.orchestrator.coordinate(per_rank_orders, step_index=iteration)
-            self._decisions[iteration] = decision
-        return decision
-
     def iteration_ops(self, rank, schedule, iteration):
         """Host ops executing one iteration of ``schedule`` on ``rank``."""
         ops = []
-        decision = None
-        if self.orchestrator is not None:
-            decision = self._decision(iteration)
-            startup_delay = decision.per_step_delay_us
-            if iteration == 0:
-                startup_delay += decision.one_time_delay_us
+        per_collective = 0.0
+        if self._cost is not None:
+            per_collective, per_step, first_step = self._cost
+            label = ORCHESTRATORS[self.orchestrator]
+            startup_delay = per_step + first_step if iteration == 0 else per_step
             if startup_delay > 0:
-                ops.append(CpuCompute(startup_delay,
-                                      f"{self.orchestrator.name}-coordination"))
+                ops.append(CpuCompute(startup_delay, f"{label}-coordination"))
 
         collective_items = [item for item in schedule if isinstance(item, CollectiveItem)]
         submit_order = {item.key: index for index, item in enumerate(collective_items)}
@@ -141,9 +152,8 @@ class GroupTrainingBackend:
             if isinstance(item, ComputeItem):
                 ops.append(CpuCompute(item.duration_us, item.label))
             elif isinstance(item, CollectiveItem):
-                if decision is not None and decision.per_collective_delay_us > 0:
-                    ops.append(CpuCompute(decision.per_collective_delay_us,
-                                          f"{self.orchestrator.name}-negotiate"))
+                if per_collective > 0:
+                    ops.append(CpuCompute(per_collective, f"{label}-negotiate"))
                 group = self._group_for(item.group_ranks)
                 work = group.collective(rank, _spec_for(item), key=item.key)
                 works.append((submit_order[item.key], work))

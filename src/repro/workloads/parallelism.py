@@ -5,8 +5,9 @@ generates, for every rank, the schedule of one training iteration: compute
 phases interleaved with the collective operations of that rank's TP group, DP
 group and PP neighbours.  Schedules use stable collective *keys* so that all
 ranks of a group generate exactly the same collectives — the invocation order,
-however, is up to the backend (DFCCL tolerates any order; NCCL baselines rely
-on the schedule being consistent plus their orchestration method).
+however, is up to the backend.  DFCCL tolerates any order; the NCCL baselines
+rely on the plan's consistent order, and their orchestration method only adds
+CPU time (:func:`~repro.workloads.backends.coordination_cost`).
 """
 
 from __future__ import annotations

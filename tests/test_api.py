@@ -603,11 +603,7 @@ class TestRemovedShims:
         introspection and the NCCL adapter's orchestrator option."""
         import importlib
         import inspect
-        import os
-        import subprocess
-        import sys
 
-        import repro
         import repro.api.backend as api_backend
         import repro.bench as bench
         from repro.collectives.primitives import PrimitiveExecutor
@@ -626,13 +622,22 @@ class TestRemovedShims:
                          orchestrator="megatron")
         assert not hasattr(api_backend, "resolve_orchestrator")
         assert not hasattr(api_backend.CollectiveBackend, "orchestrator_for")
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        completed = subprocess.run(
-            [sys.executable, "-c", "import sys, repro.api; "
-             "assert 'repro.orchestration' not in sys.modules"],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-            text=True, timeout=120)
-        assert completed.returncode == 0, completed.stderr
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.orchestration")
+
+    def test_one_coordination_cost_table(self):
+        """The CPU-orchestration baselines are one cost table,
+        ``coordination_cost``: orchestrator instances, BytePS and the
+        ``-static`` / ``-manual`` input aliases were deleted with
+        ``repro.orchestration`` (pinned above)."""
+        import repro.workloads.backends as backends
+
+        assert not hasattr(backends, "resolve_orchestrator")
+        cluster = build_cluster("single-3090")
+        for orchestrator in (object(), "byteps", "oneflow-static",
+                             "megatron-manual"):
+            with pytest.raises(ConfigurationError):
+                GroupTrainingBackend(cluster, "nccl", orchestrator=orchestrator)
 
     def test_one_single_job_driver(self):
         """The benchmark harnesses install a ``collective_program`` through

@@ -6,7 +6,8 @@ Two guarantees, both cheap enough for tier-1:
   file that exists (and, for ``#fragment`` links, at a heading that exists —
   GitHub-style slugs);
 * every backend registered in ``repro.api.BACKENDS``, every algorithm name
-  in ``repro.collectives.ALGORITHM_CHOICES`` and every metric declared in
+  in ``repro.collectives.ALGORITHM_CHOICES``, every orchestration baseline in
+  ``repro.workloads.backends.ORCHESTRATORS`` and every metric declared in
   ``repro.obs.METRIC_NAMES`` is mentioned in its docs page, so extending a
   registry without documenting the new name fails CI.
 """
@@ -19,6 +20,7 @@ import pytest
 from repro.api import BACKENDS
 from repro.collectives import ALGORITHM_CHOICES
 from repro.obs import METRIC_NAMES
+from repro.workloads.backends import ORCHESTRATORS, coordination_cost
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DOC_FILES = sorted([REPO_ROOT / "README.md", *(REPO_ROOT / "docs").glob("*.md")])
@@ -89,6 +91,18 @@ def test_every_backend_documented():
         assert f"`{name}`" in text, (
             f"backend {name!r} is registered but not documented in "
             f"docs/algorithms.md")
+
+
+def test_every_orchestrator_documented():
+    """Each baseline ``coordination_cost`` accepts appears in
+    docs/architecture.md."""
+    text = (REPO_ROOT / "docs" / "architecture.md").read_text(encoding="utf-8")
+    assert ORCHESTRATORS, "orchestrator table is empty?"
+    for name in ORCHESTRATORS:
+        coordination_cost(name, world_size=8, num_collectives=4)
+        assert f"`{name}`" in text, (
+            f"orchestrator {name!r} is accepted but not documented in "
+            f"docs/architecture.md")
 
 
 def test_every_algorithm_documented():

@@ -2,20 +2,16 @@
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.common.types import CollectiveKind
-from repro.orchestration import (
-    BytePSOrchestrator,
-    HorovodOrchestrator,
-    KungFuOrchestrator,
-    MegatronManualOrchestrator,
-    OneFlowStaticSortOrchestrator,
-    make_orchestrator,
-)
+from repro.gpusim import build_cluster
 from repro.workloads import (
     CollectiveItem,
     ComputeItem,
+    GroupTrainingBackend,
     MoeParallelPlan,
     ParallelPlan,
+    coordination_cost,
     gpt2_model,
     gpt_moe_model,
     resnet50_model,
@@ -23,59 +19,82 @@ from repro.workloads import (
 )
 from repro.workloads.parallelism import _stage_buckets
 
-ORDERS = {
-    0: ["a", "b", "c"],
-    1: ["b", "a", "c"],
-    2: ["a", "c", "b"],
-}
-
 
 class TestOrchestrators:
-    @pytest.mark.parametrize("name", ["horovod", "byteps", "kungfu", "oneflow", "megatron"])
-    def test_factory_and_consistent_order(self, name):
-        orchestrator = make_orchestrator(name, world_size=3)
-        decision = orchestrator.coordinate(ORDERS)
-        assert sorted(decision.order) == ["a", "b", "c"]
-
     def test_unknown_orchestrator_rejected(self):
-        with pytest.raises(ValueError):
-            make_orchestrator("bogus")
+        with pytest.raises(ConfigurationError):
+            GroupTrainingBackend(build_cluster("single-3090"), "nccl",
+                                 orchestrator="bogus")
 
     def test_horovod_charges_cycle_latency(self):
-        decision = HorovodOrchestrator(world_size=8).coordinate(ORDERS)
-        assert decision.per_collective_delay_us > 1000.0
+        per_collective, _, _ = coordination_cost("horovod", 8, 3)
+        assert per_collective > 1000.0
 
     def test_oneflow_static_is_cheap_at_steady_state(self):
-        orchestrator = OneFlowStaticSortOrchestrator(world_size=8)
-        first = orchestrator.coordinate(ORDERS, step_index=0)
-        second = orchestrator.coordinate(ORDERS, step_index=1)
-        assert first.one_time_delay_us > 0.0
-        assert second.one_time_delay_us == 0.0
-        assert second.per_collective_delay_us < 10.0
+        per_collective, _, first_step = coordination_cost("oneflow", 8, 3)
+        assert first_step > 0.0
+        assert per_collective < 10.0
 
     def test_kungfu_negotiates_once_then_enforces(self):
-        orchestrator = KungFuOrchestrator(world_size=3)
-        first = orchestrator.coordinate(ORDERS, step_index=0)
-        second = orchestrator.coordinate({0: ["a", "b", "c", "d"]}, step_index=1)
-        assert first.one_time_delay_us > 0.0
-        assert second.one_time_delay_us == 0.0
-        assert second.order[:3] == first.order
-        assert "d" in second.order
+        # The first-step negotiation covers every distinct collective, and
+        # every collective pays the enforcement check.
+        per_collective, per_step, few = coordination_cost("kungfu", 3, 3)
+        _, _, many = coordination_cost("kungfu", 3, 4)
+        assert 0.0 < few < many
+        assert per_step == 0.0
+        assert per_collective > 0.0
 
-    def test_megatron_uses_hardcoded_order_when_given(self):
-        orchestrator = MegatronManualOrchestrator(hardcoded_order=["c", "b", "a"])
-        decision = orchestrator.coordinate(ORDERS)
-        assert decision.order[:3] == ["c", "b", "a"]
+    #: setting -> (result.backend, iteration_times_us, the coordination op of
+    #: iterations 0 and 1, the op before every collective), as the
+    #: per-baseline orchestrator classes charged them before they became
+    #: ``coordination_cost``.
+    EXPECTED = {
+        None: ("nccl", [80929.24444444443, 80929.24444444443], None, None, None),
+        "auto": ("nccl+megatron-manual", [80941.24444444443, 80941.24444444443],
+                 None, None, ("megatron-manual-negotiate", 3.0)),
+        "megatron": ("nccl+megatron-manual", [80941.24444444443, 80941.24444444443],
+                     None, None, ("megatron-manual-negotiate", 3.0)),
+        "horovod": ("nccl+horovod", [93845.24444444443, 93845.24444444446],
+                    ("horovod-coordination", 2500.0), ("horovod-coordination", 2500.0),
+                    ("horovod-negotiate", 2604.0)),
+        "kungfu": ("nccl+kungfu", [89329.24444444443, 89329.24444444446],
+                   ("kungfu-coordination", 1800.0), None, ("kungfu-negotiate", 2100.0)),
+        "oneflow": ("nccl+oneflow-static", [80937.24444444443, 80937.24444444446],
+                    ("oneflow-static-coordination", 20000.0), None,
+                    ("oneflow-static-negotiate", 2.0)),
+    }
+    COMPUTE = [("fwd-mb0", 26531.555555555555), ("bwd-mb0-b0", 15445.333333333334),
+               ("bwd-mb0-b1", 17422.222222222223), ("bwd-mb0-b2", 14506.666666666666),
+               ("bwd-mb0-b3", 5688.88888888889), ("optimizer", 1326.5777777777778)]
 
-    def test_byteps_cross_node_cost_grows(self):
-        single = BytePSOrchestrator(world_size=8).coordinate(ORDERS)
-        double = BytePSOrchestrator(world_size=16).coordinate(ORDERS)
-        assert double.per_collective_delay_us >= single.per_collective_delay_us
+    @pytest.mark.parametrize("setting", list(EXPECTED))
+    def test_costs_charged_exactly(self, setting):
+        from repro.gpusim.host import CpuCompute
+        from repro.workloads import TrainingRun
 
-    def test_hybrid_support_flags(self):
-        assert OneFlowStaticSortOrchestrator.supports_hybrid
-        assert MegatronManualOrchestrator.supports_hybrid
-        assert not HorovodOrchestrator.supports_hybrid
+        backend_label, times, first, steady, negotiate = self.EXPECTED[setting]
+        plan = ParallelPlan(resnet50_model(), dp=2, microbatch_size=32, grad_buckets=4)
+
+        def make(cluster):
+            return GroupTrainingBackend(cluster, "nccl", orchestrator=setting,
+                                        chunk_bytes=512 << 10)
+
+        cluster = build_cluster("single-3090")
+        result = TrainingRun(cluster, plan, make(cluster), iterations=3).run()
+        assert result.backend == backend_label
+        assert result.iteration_times_us == times
+
+        backend = make(build_cluster("single-3090"))
+        backend.prepare(plan)
+        for iteration, startup in ((0, first), (1, steady)):
+            expected = [startup] if startup else []
+            for label, duration in self.COMPUTE:
+                expected.append((label, duration))
+                if negotiate and label.startswith("bwd-"):
+                    expected.append(negotiate)
+            ops = backend.iteration_ops(0, plan.iteration_schedule(0), iteration)
+            assert [(op.label(), op.duration_us) for op in ops
+                    if isinstance(op, CpuCompute)] == expected
 
 
 class TestModels:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.common.errors import DeadlockError, SimulationError
 from repro.gpusim import build_cluster
-from repro.orchestration import make_orchestrator
 from repro.workloads import (
     GroupTrainingBackend,
     ParallelPlan,
@@ -20,11 +19,9 @@ def dfccl_backend(cluster):
     return GroupTrainingBackend(cluster, "dfccl", chunk_bytes=CHUNK)
 
 
-def nccl_backend(cluster, orchestrator, world_size):
-    return GroupTrainingBackend(
-        cluster, "nccl", chunk_bytes=CHUNK,
-        orchestrator=make_orchestrator(orchestrator, world_size=world_size),
-    )
+def nccl_backend(cluster, orchestrator):
+    return GroupTrainingBackend(cluster, "nccl", chunk_bytes=CHUNK,
+                                orchestrator=orchestrator)
 
 
 def small_dp_plan(dp=2, batch=32, buckets=4):
@@ -43,7 +40,7 @@ class TestTrainingRun:
 
     def test_nccl_orchestrated_dp_training_completes(self):
         cluster = build_cluster("single-3090")
-        backend = nccl_backend(cluster, "oneflow", world_size=2)
+        backend = nccl_backend(cluster, "oneflow")
         result = TrainingRun(cluster, small_dp_plan(), backend, iterations=3).run()
         assert result.throughput_samples_per_s > 0
 
@@ -55,7 +52,7 @@ class TestTrainingRun:
                             iterations=3).run()
         cluster_b = build_cluster("single-3090")
         static = TrainingRun(cluster_b, plan,
-                             nccl_backend(cluster_b, "oneflow", world_size=4),
+                             nccl_backend(cluster_b, "oneflow"),
                              iterations=3).run()
         ratio = dfccl.throughput_samples_per_s / static.throughput_samples_per_s
         assert 0.9 < ratio < 1.15
@@ -68,7 +65,7 @@ class TestTrainingRun:
                             iterations=3).run()
         cluster_b = build_cluster("single-3090")
         horovod = TrainingRun(cluster_b, plan,
-                              nccl_backend(cluster_b, "horovod", world_size=4),
+                              nccl_backend(cluster_b, "horovod"),
                               iterations=3).run()
         assert dfccl.throughput_samples_per_s > horovod.throughput_samples_per_s
 
