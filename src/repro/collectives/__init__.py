@@ -16,7 +16,7 @@ long a primitive is allowed to busy-wait (indefinitely for NCCL, up to a spin
 threshold for DFCCL) and in who schedules the next primitive.
 """
 
-from repro.collectives.channels import Channel, ChunkMessage, Communicator
+from repro.collectives.channels import Channel, Communicator
 from repro.collectives.cost import CostModel
 from repro.collectives.plan import CollectivePlan
 from repro.collectives.primitives import (
@@ -54,7 +54,6 @@ __all__ = [
     "AlgorithmChoice",
     "AlgorithmSelector",
     "Channel",
-    "ChunkMessage",
     "CollectivePlan",
     "Communicator",
     "CostModel",

@@ -1,10 +1,12 @@
 """Connectors (inter-GPU channels) and communicators.
 
 A :class:`Channel` models one direction of a connector pair: a bounded,
-lock-free ring buffer through which the sender GPU pushes chunk messages and
-from which the receiver GPU pops them.  Messages carry the virtual time at
-which their data becomes visible to the receiver, which models the transfer
-latency over the physical link.
+lock-free ring buffer through which the sender GPU pushes chunks and from which
+the receiver GPU pops them.  A chunk in flight is just the virtual time at
+which its data becomes visible to the receiver (the transfer latency over the
+physical link): the channel is a deque of arrival times, and
+:meth:`~repro.collectives.primitives.PrimitiveExecutor.burst` appends to it on
+a send and pops from it on a receive.
 
 Data written to a channel stays there until the receiver pops it — this is the
 *persistent visibility* property of Sec. 4.1 that makes decentralized
@@ -18,7 +20,7 @@ import itertools
 import weakref
 from collections import deque
 
-from repro.common.errors import ConfigurationError, InvalidStateError
+from repro.common.errors import ConfigurationError
 
 _channel_ids = itertools.count()
 _communicator_ids = itertools.count()
@@ -33,27 +35,13 @@ def channel_by_id(channel_id):
     return _channels_by_id.get(channel_id)
 
 
-class ChunkMessage:
-    """One chunk travelling through a channel."""
-
-    __slots__ = ("collective_id", "chunk_index", "step", "nbytes", "ready_time_us")
-
-    def __init__(self, collective_id, chunk_index, step, nbytes, ready_time_us):
-        self.collective_id = collective_id
-        self.chunk_index = chunk_index
-        self.step = step
-        self.nbytes = nbytes
-        self.ready_time_us = ready_time_us
-
-    def __repr__(self):
-        return (
-            f"ChunkMessage(coll={self.collective_id}, chunk={self.chunk_index}, "
-            f"step={self.step}, {self.nbytes}B, ready={self.ready_time_us:.2f}us)"
-        )
-
-
 class Channel:
-    """A bounded FIFO connecting a sender GPU to a receiver GPU."""
+    """A bounded FIFO of arrival times connecting a sender GPU to a receiver
+    GPU.
+
+    It is readable when ``arrivals`` is non-empty and writable while
+    ``len(arrivals) < capacity``, unless invalidated.
+    """
 
     #: Default connector FIFO depth (NCCL uses 8 slots per channel).
     DEFAULT_CAPACITY = 8
@@ -63,21 +51,17 @@ class Channel:
         self.src_device = src_device
         self.dst_device = dst_device
         self.capacity = capacity
-        self._fifo = deque()
-        #: Freelist of consumed :class:`ChunkMessage` shells for the executor
-        #: fast path: a popped message is dead the moment its arrival time is
-        #: read, so its shell is recycled for the next push on this channel
-        #: instead of feeding the allocator (bounded by the FIFO capacity).
-        self._free = []
+        #: Arrival time (virtual us) of each chunk in flight, oldest first.
+        self.arrivals = deque()
+        #: Chunks and bytes ever pushed (``obs.links`` reads both).
         self.pushed_count = 0
-        self.popped_count = 0
         self.bytes_pushed = 0
         self.invalidated = False
         _channels_by_id[self.channel_id] = self
         # Wait keys are prebuilt: the executor touches them on every primitive
         # attempt, and a property constructing a fresh tuple each time showed
         # up in large-scale profiles.
-        #: Signalled when a message is pushed (receiver may make progress).
+        #: Signalled when a chunk is pushed (receiver may make progress).
         self.readable_key = ("chan-readable", self.channel_id)
         #: Signalled when a slot frees up (sender may make progress).
         self.writable_key = ("chan-writable", self.channel_id)
@@ -94,65 +78,12 @@ class Channel:
         (DFCCL) or does not bound (NCCL) its busy-wait.
         """
         self.invalidated = True
-        self._fifo.clear()
-
-    # -- sender side -------------------------------------------------------------
-
-    def writable(self):
-        if self.invalidated:
-            return False
-        return len(self._fifo) < self.capacity
-
-    def push(self, message):
-        if self.invalidated:
-            raise InvalidStateError(
-                f"channel {self.channel_id} is invalidated: push attempted"
-            )
-        if len(self._fifo) >= self.capacity:
-            raise ConfigurationError(
-                f"channel {self.channel_id} full: push attempted without checking writable()"
-            )
-        self._fifo.append(message)
-        self.pushed_count += 1
-        self.bytes_pushed += message.nbytes
-        return message
-
-    # -- receiver side -----------------------------------------------------------
-
-    def readable(self, now_us=None, max_wait_us=None):
-        """True when a head message exists that the receiver is willing to wait for.
-
-        A message is always considered readable once it has been pushed (its
-        data will arrive at ``ready_time_us``); the receiver accounts for the
-        remaining arrival delay when it pops.  When ``max_wait_us`` is given,
-        a message whose arrival is further than that in the receiver's future
-        is treated as not readable — DFCCL uses this to bound busy-waiting.
-        """
-        if self.invalidated or not self._fifo:
-            return False
-        if max_wait_us is None or now_us is None:
-            return True
-        return self._fifo[0].ready_time_us <= now_us + max_wait_us
-
-    def head(self):
-        return self._fifo[0] if self._fifo else None
-
-    def pop(self, now_us):
-        if not self._fifo:
-            raise ConfigurationError(
-                f"channel {self.channel_id} empty: pop attempted at t={now_us:.2f}us"
-            )
-        self.popped_count += 1
-        return self._fifo.popleft()
-
-    @property
-    def occupancy(self):
-        return len(self._fifo)
+        self.arrivals.clear()
 
     def __repr__(self):
         return (
             f"<Channel {self.channel_id} {self.src_device}->{self.dst_device} "
-            f"occ={self.occupancy}/{self.capacity}>"
+            f"occ={len(self.arrivals)}/{self.capacity}>"
         )
 
 
@@ -197,17 +128,13 @@ class Communicator:
         """Interconnect link between two group ranks."""
         return self.interconnect.link(self.device_id(src_rank), self.device_id(dst_rank))
 
-    def ring_next(self, group_rank):
-        return (group_rank + 1) % self.size
-
-    def ring_prev(self, group_rank):
-        return (group_rank - 1) % self.size
-
     def channels(self):
         return dict(self._channels)
 
     def reset_channels(self):
-        """Drop all channels (used between independent experiment repetitions)."""
+        """Drop all channels, so the next collective on this communicator
+        starts from empty connectors (the communicator pool calls it when a
+        communicator is released for reuse)."""
         self._channels.clear()
 
     def invalidate(self):

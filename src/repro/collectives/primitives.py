@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import enum
 
-from repro.common.errors import InvalidStateError
 from repro.common.types import PrimitiveAction
-from repro.collectives.channels import ChunkMessage
 from repro.collectives.cost import DEFAULT_COST_MODEL
 
 
@@ -36,19 +34,20 @@ _MEMORY_BITS = PrimitiveAction.REDUCE.value | PrimitiveAction.COPY.value
 class Primitive:
     """One step of a collective's per-rank primitive sequence.
 
-    A slotted plain class rather than a dataclass: a ring all-reduce at 512
-    ranks compiles half a million of these, and the executor consults
-    ``sends`` / ``recvs`` / ``touches_memory`` for every one, so both
-    construction and attribute reads sit on the hot path.  The flag booleans
-    are precomputed here (plain bools, not Flag arithmetic).
+    A slotted plain class holding only the seven identity fields: a ring
+    all-reduce at 512 ranks compiles half a million of these per invocation,
+    so every slot counts.  ``name``, ``sends``, ``recvs`` and
+    ``touches_memory`` are read-only properties derived from ``action``.
+    ``send_peer`` / ``recv_peer`` are set exactly when the action sends /
+    receives, which lets the executor test peer presence instead of the
+    action bits.
     """
 
-    __slots__ = ("name", "action", "loop", "step", "chunk_index", "nbytes",
-                 "send_peer", "recv_peer", "sends", "recvs", "touches_memory")
+    __slots__ = ("action", "loop", "step", "chunk_index", "nbytes",
+                 "send_peer", "recv_peer")
 
-    def __init__(self, name, action, loop, step, chunk_index, nbytes,
+    def __init__(self, action, loop, step, chunk_index, nbytes,
                  send_peer=None, recv_peer=None):
-        self.name = name
         self.action = action
         self.loop = loop
         self.step = step
@@ -56,10 +55,22 @@ class Primitive:
         self.nbytes = nbytes
         self.send_peer = send_peer
         self.recv_peer = recv_peer
-        bits = action._value_  # the member's value, without the Enum descriptor
-        self.sends = bits & _SEND_BITS != 0
-        self.recvs = bits & _RECV_BITS != 0
-        self.touches_memory = bits & _MEMORY_BITS != 0
+
+    @property
+    def name(self):
+        return PRIMITIVE_NAMES[self.action]
+
+    @property
+    def sends(self):
+        return self.action._value_ & _SEND_BITS != 0
+
+    @property
+    def recvs(self):
+        return self.action._value_ & _RECV_BITS != 0
+
+    @property
+    def touches_memory(self):
+        return self.action._value_ & _MEMORY_BITS != 0
 
     def _identity(self):
         return (self.name, self.action, self.loop, self.step,
@@ -93,6 +104,18 @@ PRIM_RECV_REDUCE_COPY_SEND = (
     | PrimitiveAction.COPY
     | PrimitiveAction.SEND
 )
+
+#: The one NCCL name of each fusion: a primitive's ``name`` is derived from
+#: its action through this table, never stored.
+PRIMITIVE_NAMES = {
+    PRIM_SEND: "send",
+    PRIM_RECV: "recv",
+    PRIM_COPY: "copy",
+    PRIM_RECV_COPY_SEND: "recvCopySend",
+    PRIM_RECV_REDUCE_SEND: "recvReduceSend",
+    PRIM_RECV_REDUCE_COPY: "recvReduceCopy",
+    PRIM_RECV_REDUCE_COPY_SEND: "recvReduceCopySend",
+}
 
 
 class ExecOutcome(enum.Enum):
@@ -180,30 +203,6 @@ class PrimitiveExecutor:
     def done(self):
         return self.position >= len(self.primitives)
 
-    def current(self):
-        if self.done():
-            return None
-        return self.primitives[self.position]
-
-    def progress_fraction(self):
-        if not self.primitives:
-            return 1.0
-        return self.position / len(self.primitives)
-
-    # -- context save/restore ----------------------------------------------------
-
-    def save_dynamic_context(self):
-        """Return the dynamic context (resume point) of this collective part."""
-        return {"position": self.position}
-
-    def load_dynamic_context(self, context):
-        position = context["position"]
-        if not 0 <= position <= len(self.primitives):
-            raise InvalidStateError(
-                f"invalid saved position {position} for collective {self.collective_id}"
-            )
-        self.position = position
-
     # -- execution -----------------------------------------------------------------
 
     def _recv_channel(self, primitive):
@@ -223,14 +222,14 @@ class PrimitiveExecutor:
         return channel
 
     def late_arrival_us(self, outcome):
-        """Arrival time of the head message a ``WAIT_RECV`` outcome judged
-        too far in the future, or ``None`` when no message is waiting."""
+        """Head arrival time a ``WAIT_RECV`` outcome judged too far in the
+        future, or ``None`` when no chunk is in flight."""
         if outcome.outcome is not _WAIT_RECV:
             return None
         channel = self._recv_channels.get(outcome.primitive.recv_peer)
-        if channel is None or channel.invalidated or not channel._fifo:
+        if channel is None or channel.invalidated or not channel.arrivals:
             return None
-        return channel._fifo[0].ready_time_us
+        return channel.arrivals[0]
 
     def burst(self, clock, engine=None, limit=1, max_wait_us=None,
               success_wait_us=None):
@@ -259,13 +258,13 @@ class PrimitiveExecutor:
         executed = 0
         recv_peer_seen = send_peer_seen = -1  # no peer: ranks are >= 0
 
-        # The readable/writable checks are inlined over the channel FIFOs
-        # (same-package fast path, every primitive of every collective in the
-        # simulation passes here); `Channel.readable`/`writable` remain the
-        # reference semantics.  The channels, link and
-        # busy time of the previous primitive are reused while its peers and
-        # shape repeat, and ``clock.now`` lives in ``now`` until the burst
-        # ends or an engine signal needs it.
+        # A channel is readable when it holds an arrival the receiver is
+        # willing to wait for, and writable below its capacity; both checks
+        # read the arrival deque directly.  A primitive has a peer exactly
+        # when its action sends / receives.  The channels, link and busy time
+        # of the previous primitive are reused while its peers and shape
+        # repeat, and ``clock.now`` lives in ``now`` until the burst ends or
+        # an engine signal needs it.
         while True:
             if position == stop:
                 outcome = _SUCCESS_OUTCOME
@@ -275,16 +274,15 @@ class PrimitiveExecutor:
                 break
             primitive = primitives[position]
             recv_peer = primitive.recv_peer
-            if recv_peer is not None and primitive.recvs:
+            if recv_peer is not None:
                 if recv_peer != recv_peer_seen:
                     recv_channel = self._recv_channels.get(recv_peer)
                     if recv_channel is None:
                         recv_channel = self._recv_channel(primitive)
                     recv_peer_seen = recv_peer
-                fifo = recv_channel._fifo
-                if recv_channel.invalidated or not fifo or (
-                    max_wait is not None
-                    and fifo[0].ready_time_us > now + max_wait
+                arrivals = recv_channel.arrivals
+                if recv_channel.invalidated or not arrivals or (
+                    max_wait is not None and arrivals[0] > now + max_wait
                 ):
                     outcome = self._wait_outcome
                     outcome.outcome = _WAIT_RECV
@@ -295,14 +293,14 @@ class PrimitiveExecutor:
             else:
                 receives = None
             send_peer = primitive.send_peer
-            if send_peer is not None and primitive.sends:
+            if send_peer is not None:
                 if send_peer != send_peer_seen:
                     send_channel = self._send_channels.get(send_peer)
                     if send_channel is None:
                         send_channel = self._send_channel(primitive)
                     send_peer_seen = send_peer
                 if send_channel.invalidated or \
-                        len(send_channel._fifo) >= send_channel.capacity:
+                        len(send_channel.arrivals) >= send_channel.capacity:
                     outcome = self._wait_outcome
                     outcome.outcome = _WAIT_SEND
                     outcome.primitive = primitive
@@ -310,7 +308,6 @@ class PrimitiveExecutor:
                     break
                 sends = send_channel
             else:
-                send_peer = None
                 sends = None
 
             if not executed:
@@ -325,19 +322,18 @@ class PrimitiveExecutor:
                 waiters = engine.waiters_by_key if engine is not None else ()
                 trace = self.trace
                 rate = clock.rate
-                collective_id = self.collective_id
-                busy_nbytes = busy_peer = busy_touches = None
+                busy_nbytes = busy_peer = busy_action = None
 
             # The primitive executes now.  The trace's start is the clock
             # *before* any arrival spin, so the analysis layer can split recv
             # wait from dilated work.
             start = now
             nbytes = primitive.nbytes
-            touches_memory = primitive.touches_memory
+            action = primitive.action
             if nbytes != busy_nbytes or send_peer != busy_peer \
-                    or touches_memory is not busy_touches:
-                busy_nbytes, busy_peer, busy_touches = busy_key = (
-                    nbytes, send_peer, touches_memory)
+                    or action is not busy_action:
+                busy_nbytes, busy_peer, busy_action = busy_key = (
+                    nbytes, send_peer, action)
                 busy = busy_cache.get(busy_key)
                 if busy is None:
                     link = None
@@ -348,17 +344,14 @@ class PrimitiveExecutor:
                                 self.communicator.link(self.group_rank, send_peer)
                     busy = busy_cache[busy_key] = self.cost_model.primitive_time_us(
                         nbytes, link=link, sends=sends is not None,
-                        touches_memory=touches_memory)
+                        touches_memory=primitive.touches_memory)
 
             if receives is not None:
-                message = fifo.popleft()
-                receives.popped_count += 1
-                # Spin until the in-flight data actually arrives, then consume
-                # it; the message shell is dead now and returns to the freelist.
-                arrival = message.ready_time_us
+                # Spin until the in-flight data actually arrives, then
+                # consume it.
+                arrival = arrivals.popleft()
                 if arrival > now:
                     now = arrival
-                receives._free.append(message)
                 # A signal with no registered waiter is a no-op, so consult
                 # the engine's public waiter table before paying the call.
                 key = receives.writable_key
@@ -370,18 +363,7 @@ class PrimitiveExecutor:
             now += busy * rate
 
             if sends is not None:
-                free = sends._free
-                if free:
-                    message = free.pop()
-                    message.collective_id = collective_id
-                    message.chunk_index = primitive.chunk_index
-                    message.step = primitive.step
-                    message.nbytes = nbytes
-                    message.ready_time_us = now
-                else:
-                    message = ChunkMessage(collective_id, primitive.chunk_index,
-                                           primitive.step, nbytes, now)
-                sends._fifo.append(message)
+                sends.arrivals.append(now)
                 sends.pushed_count += 1
                 sends.bytes_pushed += nbytes
                 key = sends.readable_key

@@ -73,6 +73,23 @@ HIERARCHICAL_KINDS = (CollectiveKind.ALL_REDUCE,)
 TREE_SPLIT_MIN_BYTES = 256 << 10
 
 
+class _SharedInts(dict):
+    """``table[i]`` is the one int object equal to ``i`` that every compiled
+    sequence stores; the first object looked up for a value becomes it."""
+
+    def __missing__(self, value):
+        self[value] = value
+        return value
+
+
+#: The one table that :func:`generate_primitive_sequence` passes each
+#: ``loop`` through, and every builder each ``step`` and ``chunk_index``.
+#: CPython caches only the ints -5..256, so without it a 512-rank all-reduce
+#: would hold a fresh 32-byte int per field of most of its half a million
+#: primitives.  It grows on demand, by one entry per distinct value.
+_INTS = _SharedInts()
+
+
 def chunk_loops(nbytes, group_size, chunk_bytes=DEFAULT_CHUNK_BYTES, per_rank_slices=True):
     """Split ``nbytes`` into chunk loops.
 
@@ -111,24 +128,25 @@ def _all_reduce_loop(group_rank, group_size, loop, nbytes):
     all-reduce compiles half a million of them.
     """
     n = group_size
+    ints = _INTS
     send_peer, recv_peer = _ring_peers(group_rank, n)
-    primitives = [Primitive("send", PRIM_SEND, loop, 0, group_rank, nbytes,
+    primitives = [Primitive(PRIM_SEND, loop, 0, ints[group_rank], nbytes,
                             send_peer)]
     primitives += [
-        Primitive("recvReduceSend", PRIM_RECV_REDUCE_SEND, loop, step,
-                  (group_rank - step) % n, nbytes, send_peer, recv_peer)
+        Primitive(PRIM_RECV_REDUCE_SEND, loop, ints[step],
+                  ints[(group_rank - step) % n], nbytes, send_peer, recv_peer)
         for step in range(1, n - 1)
     ]
     primitives.append(
-        Primitive("recvReduceCopySend", PRIM_RECV_REDUCE_COPY_SEND, loop, n - 1,
-                  (group_rank + 1) % n, nbytes, send_peer, recv_peer))
+        Primitive(PRIM_RECV_REDUCE_COPY_SEND, loop, ints[n - 1],
+                  ints[(group_rank + 1) % n], nbytes, send_peer, recv_peer))
     primitives += [
-        Primitive("recvCopySend", PRIM_RECV_COPY_SEND, loop, step,
-                  (group_rank - step) % n, nbytes, send_peer, recv_peer)
+        Primitive(PRIM_RECV_COPY_SEND, loop, ints[step],
+                  ints[(group_rank - step) % n], nbytes, send_peer, recv_peer)
         for step in range(n, 2 * n - 2)
     ]
     primitives.append(
-        Primitive("recv", PRIM_RECV, loop, 2 * n - 2, (group_rank + 2) % n,
+        Primitive(PRIM_RECV, loop, ints[2 * n - 2], ints[(group_rank + 2) % n],
                   nbytes, None, recv_peer))
     return primitives
 
@@ -136,34 +154,36 @@ def _all_reduce_loop(group_rank, group_size, loop, nbytes):
 def _all_gather_loop(group_rank, group_size, loop, nbytes):
     """n primitives: send own slice, forward n-2 slices, receive the last."""
     n = group_size
+    ints = _INTS
     send_peer, recv_peer = _ring_peers(group_rank, n)
-    primitives = [Primitive("send", PRIM_SEND, loop, 0, group_rank, nbytes,
+    primitives = [Primitive(PRIM_SEND, loop, 0, ints[group_rank], nbytes,
                             send_peer)]
     primitives += [
-        Primitive("recvCopySend", PRIM_RECV_COPY_SEND, loop, step,
-                  (group_rank - step) % n, nbytes, send_peer, recv_peer)
+        Primitive(PRIM_RECV_COPY_SEND, loop, ints[step],
+                  ints[(group_rank - step) % n], nbytes, send_peer, recv_peer)
         for step in range(1, n - 1)
     ]
     primitives.append(
-        Primitive("recv", PRIM_RECV, loop, n - 1, (group_rank + 1) % n, nbytes,
-                  None, recv_peer))
+        Primitive(PRIM_RECV, loop, ints[n - 1], ints[(group_rank + 1) % n],
+                  nbytes, None, recv_peer))
     return primitives
 
 
 def _reduce_scatter_loop(group_rank, group_size, loop, nbytes):
     """n primitives: send, n-2 recvReduceSend, final recvReduceCopy."""
     n = group_size
+    ints = _INTS
     send_peer, recv_peer = _ring_peers(group_rank, n)
-    primitives = [Primitive("send", PRIM_SEND, loop, 0, group_rank, nbytes,
+    primitives = [Primitive(PRIM_SEND, loop, 0, ints[group_rank], nbytes,
                             send_peer)]
     primitives += [
-        Primitive("recvReduceSend", PRIM_RECV_REDUCE_SEND, loop, step,
-                  (group_rank - step) % n, nbytes, send_peer, recv_peer)
+        Primitive(PRIM_RECV_REDUCE_SEND, loop, ints[step],
+                  ints[(group_rank - step) % n], nbytes, send_peer, recv_peer)
         for step in range(1, n - 1)
     ]
     primitives.append(
-        Primitive("recvReduceCopy", PRIM_RECV_REDUCE_COPY, loop, n - 1,
-                  (group_rank + 1) % n, nbytes, None, recv_peer))
+        Primitive(PRIM_RECV_REDUCE_COPY, loop, ints[n - 1],
+                  ints[(group_rank + 1) % n], nbytes, None, recv_peer))
     return primitives
 
 
@@ -176,20 +196,21 @@ def _all_to_all_loop(group_rank, group_size, loop, nbytes):
     every rank injects its own data), so the executor first drains the send
     into the bounded channel, then blocks on the matching recv.
     """
+    ints = _INTS
     primitives = [
-        Primitive("copy", PRIM_COPY, loop, 0, chunk_index=group_rank, nbytes=nbytes)
+        Primitive(PRIM_COPY, loop, 0, chunk_index=ints[group_rank], nbytes=nbytes)
     ]
     step = 1
     for offset in range(1, group_size):
-        send_peer = (group_rank + offset) % group_size
-        recv_peer = (group_rank - offset) % group_size
+        send_peer = ints[(group_rank + offset) % group_size]
+        recv_peer = ints[(group_rank - offset) % group_size]
         primitives.append(
-            Primitive("send", PRIM_SEND, loop, step, chunk_index=send_peer,
+            Primitive(PRIM_SEND, loop, ints[step], chunk_index=send_peer,
                       nbytes=nbytes, send_peer=send_peer)
         )
         step += 1
         primitives.append(
-            Primitive("recv", PRIM_RECV, loop, step, chunk_index=recv_peer,
+            Primitive(PRIM_RECV, loop, ints[step], chunk_index=recv_peer,
                       nbytes=nbytes, recv_peer=recv_peer)
         )
         step += 1
@@ -256,6 +277,7 @@ def _hierarchical_all_reduce_loop(group_rank, group_size, loop, nbytes,
     inter_send = ((island + 1) % k) * m + position
     inter_recv = ((island - 1) % k) * m + position
     slab = nbytes * k  # one 1/m share of the loop payload (k slices)
+    ints = _INTS
 
     primitives = []
     step = 0
@@ -263,27 +285,27 @@ def _hierarchical_all_reduce_loop(group_rank, group_size, loop, nbytes,
     # -- phase 1: intra-island reduce-scatter (m-1 slab steps) -----------------
     if m > 1:
         primitives.append(
-            Primitive("send", PRIM_SEND, loop, step, chunk_index=position,
+            Primitive(PRIM_SEND, loop, ints[step], chunk_index=ints[position],
                       nbytes=slab, send_peer=intra_send)
         )
         for _ in range(m - 2):
             step += 1
             primitives.append(
-                Primitive("recvReduceSend", PRIM_RECV_REDUCE_SEND, loop, step,
-                          chunk_index=(position - step) % m, nbytes=slab,
+                Primitive(PRIM_RECV_REDUCE_SEND, loop, ints[step],
+                          chunk_index=ints[(position - step) % m], nbytes=slab,
                           send_peer=intra_send, recv_peer=intra_recv)
             )
         step += 1
         primitives.append(
-            Primitive("recvReduceCopy", PRIM_RECV_REDUCE_COPY, loop, step,
-                      chunk_index=(position + 1) % m, nbytes=slab,
+            Primitive(PRIM_RECV_REDUCE_COPY, loop, ints[step],
+                      chunk_index=ints[(position + 1) % m], nbytes=slab,
                       recv_peer=intra_recv)
         )
         step += 1
 
     # -- phase 2: inter-island ring all-reduce of the 1/m share ----------------
     primitives.append(
-        Primitive("send", PRIM_SEND, loop, step, chunk_index=island,
+        Primitive(PRIM_SEND, loop, ints[step], chunk_index=ints[island],
                   nbytes=nbytes, send_peer=inter_send)
     )
     substep = 0
@@ -291,30 +313,30 @@ def _hierarchical_all_reduce_loop(group_rank, group_size, loop, nbytes,
         step += 1
         substep += 1
         primitives.append(
-            Primitive("recvReduceSend", PRIM_RECV_REDUCE_SEND, loop, step,
-                      chunk_index=(island - substep) % k, nbytes=nbytes,
+            Primitive(PRIM_RECV_REDUCE_SEND, loop, ints[step],
+                      chunk_index=ints[(island - substep) % k], nbytes=nbytes,
                       send_peer=inter_send, recv_peer=inter_recv)
         )
     step += 1
     substep += 1
     primitives.append(
-        Primitive("recvReduceCopySend", PRIM_RECV_REDUCE_COPY_SEND, loop, step,
-                  chunk_index=(island - substep) % k, nbytes=nbytes,
+        Primitive(PRIM_RECV_REDUCE_COPY_SEND, loop, ints[step],
+                  chunk_index=ints[(island - substep) % k], nbytes=nbytes,
                   send_peer=inter_send, recv_peer=inter_recv)
     )
     for _ in range(k - 2):
         step += 1
         substep += 1
         primitives.append(
-            Primitive("recvCopySend", PRIM_RECV_COPY_SEND, loop, step,
-                      chunk_index=(island - substep) % k, nbytes=nbytes,
+            Primitive(PRIM_RECV_COPY_SEND, loop, ints[step],
+                      chunk_index=ints[(island - substep) % k], nbytes=nbytes,
                       send_peer=inter_send, recv_peer=inter_recv)
         )
     step += 1
     substep += 1
     primitives.append(
-        Primitive("recv", PRIM_RECV, loop, step,
-                  chunk_index=(island - substep) % k, nbytes=nbytes,
+        Primitive(PRIM_RECV, loop, ints[step],
+                  chunk_index=ints[(island - substep) % k], nbytes=nbytes,
                   recv_peer=inter_recv)
     )
     step += 1
@@ -322,7 +344,7 @@ def _hierarchical_all_reduce_loop(group_rank, group_size, loop, nbytes,
     # -- phase 3: intra-island all-gather of the reduced shares ----------------
     if m > 1:
         primitives.append(
-            Primitive("send", PRIM_SEND, loop, step, chunk_index=position,
+            Primitive(PRIM_SEND, loop, ints[step], chunk_index=ints[position],
                       nbytes=slab, send_peer=intra_send)
         )
         substep = 0
@@ -330,14 +352,14 @@ def _hierarchical_all_reduce_loop(group_rank, group_size, loop, nbytes,
             step += 1
             substep += 1
             primitives.append(
-                Primitive("recvCopySend", PRIM_RECV_COPY_SEND, loop, step,
-                          chunk_index=(position - substep) % m, nbytes=slab,
+                Primitive(PRIM_RECV_COPY_SEND, loop, ints[step],
+                          chunk_index=ints[(position - substep) % m], nbytes=slab,
                           send_peer=intra_send, recv_peer=intra_recv)
             )
         step += 1
         primitives.append(
-            Primitive("recv", PRIM_RECV, loop, step,
-                      chunk_index=(position + 1) % m, nbytes=slab,
+            Primitive(PRIM_RECV, loop, ints[step],
+                      chunk_index=ints[(position + 1) % m], nbytes=slab,
                       recv_peer=intra_recv)
         )
     return primitives
@@ -353,22 +375,22 @@ def _chain_loop(group_rank, group_size, loop, nbytes, root, reducing):
     if reducing:
         # Reduce: data flows towards the root; chain start is root+1.
         if position == 1 or group_size == 1:
-            return [Primitive("send", PRIM_SEND, loop, 0, chunk_index=loop, nbytes=nbytes,
+            return [Primitive(PRIM_SEND, loop, 0, chunk_index=loop, nbytes=nbytes,
                               send_peer=send_peer)]
         if group_rank == root:
-            return [Primitive("recvReduceCopy", PRIM_RECV_REDUCE_COPY, loop, 0,
+            return [Primitive(PRIM_RECV_REDUCE_COPY, loop, 0,
                               chunk_index=loop, nbytes=nbytes, recv_peer=recv_peer)]
-        return [Primitive("recvReduceSend", PRIM_RECV_REDUCE_SEND, loop, 0,
+        return [Primitive(PRIM_RECV_REDUCE_SEND, loop, 0,
                           chunk_index=loop, nbytes=nbytes,
                           send_peer=send_peer, recv_peer=recv_peer)]
     # Broadcast: data flows away from the root; chain end is root-1.
     if group_rank == root:
-        return [Primitive("send", PRIM_SEND, loop, 0, chunk_index=loop, nbytes=nbytes,
+        return [Primitive(PRIM_SEND, loop, 0, chunk_index=loop, nbytes=nbytes,
                           send_peer=send_peer)]
     if position == group_size - 1:
-        return [Primitive("recv", PRIM_RECV, loop, 0, chunk_index=loop, nbytes=nbytes,
+        return [Primitive(PRIM_RECV, loop, 0, chunk_index=loop, nbytes=nbytes,
                           recv_peer=recv_peer)]
-    return [Primitive("recvCopySend", PRIM_RECV_COPY_SEND, loop, 0, chunk_index=loop,
+    return [Primitive(PRIM_RECV_COPY_SEND, loop, 0, chunk_index=loop,
                       nbytes=nbytes, send_peer=send_peer, recv_peer=recv_peer)]
 
 
@@ -415,28 +437,29 @@ def binomial_tree_relations(group_rank, group_size, root=0):
 def _tree_reduce_phase(parent, children, loop, step, nbytes):
     """Reduce-toward-root primitives of one rank: recv-reduce each child, then
     forward the partial result to the parent (fused with the last reduce)."""
+    ints = _INTS
     primitives = []
     if not children:
         primitives.append(
-            Primitive("send", PRIM_SEND, loop, step, chunk_index=loop, nbytes=nbytes,
+            Primitive(PRIM_SEND, loop, ints[step], chunk_index=loop, nbytes=nbytes,
                       send_peer=parent)
         )
         return primitives, step + 1
     for child in children[:-1]:
         primitives.append(
-            Primitive("recvReduceCopy", PRIM_RECV_REDUCE_COPY, loop, step,
+            Primitive(PRIM_RECV_REDUCE_COPY, loop, ints[step],
                       chunk_index=loop, nbytes=nbytes, recv_peer=child)
         )
         step += 1
     last = children[-1]
     if parent is None:
         primitives.append(
-            Primitive("recvReduceCopy", PRIM_RECV_REDUCE_COPY, loop, step,
+            Primitive(PRIM_RECV_REDUCE_COPY, loop, ints[step],
                       chunk_index=loop, nbytes=nbytes, recv_peer=last)
         )
     else:
         primitives.append(
-            Primitive("recvReduceSend", PRIM_RECV_REDUCE_SEND, loop, step,
+            Primitive(PRIM_RECV_REDUCE_SEND, loop, ints[step],
                       chunk_index=loop, nbytes=nbytes,
                       send_peer=parent, recv_peer=last)
         )
@@ -446,29 +469,30 @@ def _tree_reduce_phase(parent, children, loop, step, nbytes):
 def _tree_broadcast_phase(parent, children, loop, step, nbytes):
     """Broadcast-from-root primitives of one rank: receive from the parent and
     forward to every child (fused with the first send)."""
+    ints = _INTS
     primitives = []
     if parent is None:
         for child in children:
             primitives.append(
-                Primitive("send", PRIM_SEND, loop, step, chunk_index=loop,
+                Primitive(PRIM_SEND, loop, ints[step], chunk_index=loop,
                           nbytes=nbytes, send_peer=child)
             )
             step += 1
         return primitives, step
     if not children:
         primitives.append(
-            Primitive("recv", PRIM_RECV, loop, step, chunk_index=loop, nbytes=nbytes,
+            Primitive(PRIM_RECV, loop, ints[step], chunk_index=loop, nbytes=nbytes,
                       recv_peer=parent)
         )
         return primitives, step + 1
     primitives.append(
-        Primitive("recvCopySend", PRIM_RECV_COPY_SEND, loop, step, chunk_index=loop,
+        Primitive(PRIM_RECV_COPY_SEND, loop, ints[step], chunk_index=loop,
                   nbytes=nbytes, send_peer=children[0], recv_peer=parent)
     )
     step += 1
     for child in children[1:]:
         primitives.append(
-            Primitive("send", PRIM_SEND, loop, step, chunk_index=loop, nbytes=nbytes,
+            Primitive(PRIM_SEND, loop, ints[step], chunk_index=loop, nbytes=nbytes,
                       send_peer=child)
         )
         step += 1
@@ -546,7 +570,7 @@ def generate_primitive_sequence(
     if not 0 <= group_rank < group_size:
         raise ConfigurationError(f"group_rank {group_rank} out of range for size {group_size}")
     if group_size == 1:
-        return [Primitive("copy", PRIM_COPY, 0, 0, chunk_index=0, nbytes=nbytes)]
+        return [Primitive(PRIM_COPY, 0, 0, chunk_index=0, nbytes=nbytes)]
 
     tree = algorithm == ALGORITHM_TREE and kind in TREE_KINDS
     hierarchical = (
@@ -566,6 +590,7 @@ def generate_primitive_sequence(
 
     sequence = []
     for loop, loop_nbytes in enumerate(loops):
+        loop = _INTS[loop]
         if kind is CollectiveKind.ALL_REDUCE:
             if tree:
                 sequence.extend(_all_reduce_tree_loop(group_rank, group_size, loop,

@@ -337,9 +337,9 @@ class DaemonKernel(KernelActor):
         Each further retry would spin one quantum from the same state, so
         its time follows from the clock, rate, remaining budget and quantum
         alone.  Only a push or pop on the awaited channel can change what a
-        retry sees (other changes settle the wait explicitly).  A head message
+        retry sees (other changes settle the wait explicitly).  A head arrival
         that is merely too late becomes eligible at a retry the executor's own
-        ``ready_time_us > now + max_wait_us`` test finds, so that wait needs no
+        ``arrival > now + max_wait_us`` test finds, so that wait needs no
         key at all.
         """
         detail = f"spinning on coll {entry.coll_id}"

@@ -667,6 +667,35 @@ class TestRemovedShims:
         assert list(inspect.signature(
             CollectiveBackend.perf_report).parameters) == ["self", "works"]
 
+    def test_lean_data_plane_records(self):
+        """A channel is a deque of arrival times and a primitive stores only
+        its seven identity fields: the chunk message, its freelist, the
+        channel's reference push/pop surface, the executor's unused
+        position helpers and the communicator's ring helpers were deleted."""
+        import inspect
+
+        import repro.collectives as collectives
+        import repro.collectives.channels as channels
+        from repro.collectives import (
+            Channel, Communicator, Primitive, PrimitiveExecutor)
+        from repro.collectives.primitives import PRIM_SEND
+
+        for module in (collectives, channels):
+            assert not hasattr(module, "ChunkMessage"), module
+        channel = Channel(0, 1)
+        for name in ("_fifo", "_free", "popped_count", "push", "pop", "head",
+                     "readable", "writable", "occupancy"):
+            assert not hasattr(channel, name), name
+        for name in ("current", "progress_fraction", "save_dynamic_context",
+                     "load_dynamic_context"):
+            assert not hasattr(PrimitiveExecutor, name), name
+        for name in ("ring_next", "ring_prev"):
+            assert not hasattr(Communicator, name), name
+        assert Primitive.__slots__ == ("action", "loop", "step", "chunk_index",
+                                       "nbytes", "send_peer", "recv_peer")
+        assert "name" not in inspect.signature(Primitive).parameters
+        assert not hasattr(Primitive(PRIM_SEND, 0, 0, 0, 64, 1), "__dict__")
+
     @pytest.mark.parametrize("module", [
         "repro.testing", "repro.testing.differential", "repro.faults",
         "repro.faults.scenarios", "repro.bench", "repro.obs.report",

@@ -2,16 +2,15 @@
 
 import hashlib
 import random
+import tracemalloc
 from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.types import CollectiveKind, DeviceId, PrimitiveAction
+from repro.common.types import CollectiveKind, PrimitiveAction
 from repro.common.vtime import VirtualClock
 from repro.collectives import (
-    Channel,
-    ChunkMessage,
     Communicator,
     CostModel,
     ExecOutcome,
@@ -20,6 +19,7 @@ from repro.collectives import (
     generate_primitive_sequence,
     primitive_count,
 )
+from repro.collectives.primitives import PRIMITIVE_NAMES
 from repro.gpusim.cluster import build_cluster
 
 
@@ -28,41 +28,54 @@ def make_communicator(size=4):
     return Communicator(cluster.devices[:size], cluster.interconnect)
 
 
+def _send_recv_pair(loops=3):
+    """Rank 0's and rank 1's executors of a ``loops``-chunk send/recv, the
+    channel between them and a clock at zero for each."""
+    comm = make_communicator(2)
+    nbytes = loops * (128 << 10)
+    sender, receiver = (
+        PrimitiveExecutor(0, rank, comm, generate_primitive_sequence(
+            CollectiveKind.SEND_RECV, rank, 2, nbytes))
+        for rank in (0, 1))
+    return sender, receiver, comm.channel(0, 1), VirtualClock(), VirtualClock()
+
+
 class TestChannel:
+    """A channel holds arrival times; ``burst`` pushes and pops them."""
+
     def test_fifo_order(self):
-        channel = Channel(DeviceId(0, 0), DeviceId(0, 1))
-        for index in range(3):
-            channel.push(ChunkMessage(0, index, 0, 64, ready_time_us=0.0))
-        assert channel.pop(0.0).chunk_index == 0
-        assert channel.pop(0.0).chunk_index == 1
+        _, receiver, channel, _, clock = _send_recv_pair()
+        channel.arrivals.extend([30.0, 10.0, 20.0])
+        assert receiver.burst(clock)[0] == 1
+        assert list(channel.arrivals) == [10.0, 20.0]
+        assert clock.now > 30.0  # waited for the head, not the earliest
+        assert receiver.burst(clock)[0] == 1
+        assert list(channel.arrivals) == [20.0]
 
     def test_capacity_limits_writes(self):
-        channel = Channel(DeviceId(0, 0), DeviceId(0, 1), capacity=2)
-        channel.push(ChunkMessage(0, 0, 0, 64, 0.0))
-        channel.push(ChunkMessage(0, 1, 0, 64, 0.0))
-        assert not channel.writable()
-        with pytest.raises(Exception):
-            channel.push(ChunkMessage(0, 2, 0, 64, 0.0))
+        sender, _, channel, clock, _ = _send_recv_pair()
+        channel.capacity = 2
+        executed, outcome = sender.burst(clock, limit=3)
+        assert (executed, outcome.outcome) == (2, ExecOutcome.WAIT_SEND)
+        assert outcome.wait_key == channel.writable_key
+        assert len(channel.arrivals) == 2
+        assert (channel.pushed_count, channel.bytes_pushed) == (2, 2 * (128 << 10))
 
     def test_readable_respects_max_wait(self):
-        channel = Channel(DeviceId(0, 0), DeviceId(0, 1))
-        channel.push(ChunkMessage(0, 0, 0, 64, ready_time_us=100.0))
-        assert channel.readable()  # unbounded wait
-        assert not channel.readable(now_us=0.0, max_wait_us=10.0)
-        assert channel.readable(now_us=95.0, max_wait_us=10.0)
-
-    def test_pop_empty_raises(self):
-        channel = Channel(DeviceId(0, 0), DeviceId(0, 1))
-        with pytest.raises(Exception):
-            channel.pop(0.0)
+        _, receiver, channel, _, clock = _send_recv_pair()
+        channel.arrivals.append(100.0)
+        executed, outcome = receiver.burst(clock, max_wait_us=10.0)
+        assert (executed, outcome.outcome) == (0, ExecOutcome.WAIT_RECV)
+        assert outcome.wait_key == channel.readable_key
+        assert receiver.late_arrival_us(outcome) == 100.0
+        clock.now = 95.0
+        assert receiver.burst(clock, max_wait_us=10.0)[0] == 1
+        assert not channel.arrivals and clock.now > 100.0
+        channel.arrivals.append(1000.0)  # an unbounded wait takes any arrival
+        assert receiver.burst(clock)[0] == 1
 
 
 class TestCommunicator:
-    def test_ring_neighbours(self):
-        comm = make_communicator(4)
-        assert comm.ring_next(3) == 0
-        assert comm.ring_prev(0) == 3
-
     def test_channels_are_cached(self):
         comm = make_communicator(2)
         assert comm.channel(0, 1) is comm.channel(0, 1)
@@ -168,29 +181,78 @@ class TestSequences:
 SEQUENCE_DIGEST = "11b576f887ccaf3726511f2390a44349fb163911"
 
 
-def _sequence_digest():
-    """Every kind x ring/tree/hierarchical x n in {2, 3, 4, 7, 16, 33} x
-    every rank, at a one-loop and a many-loop payload."""
-    digest = hashlib.sha1()
-    count = 0
+def _digest_space():
+    """Every primitive of every kind x ring/tree/hierarchical x n in
+    {2, 3, 4, 7, 16, 33} x every rank, at a one-loop and a many-loop
+    payload."""
     for kind in CollectiveKind:
         for algorithm in ("ring", "tree", "hierarchical"):
             for size in (2, 3, 4, 7, 16, 33):
                 island = next((d for d in range(2, size) if size % d == 0), None)
                 for nbytes in (1000, (3 << 20) + 5):
                     for rank in range(size):
-                        for primitive in generate_primitive_sequence(
-                                kind, rank, size, nbytes, algorithm=algorithm,
-                                island_size=island, root=size - 1):
-                            name, action, *rest = primitive._identity()
-                            digest.update(
-                                repr((name, action.value, *rest)).encode())
-                            count += 1
+                        yield from generate_primitive_sequence(
+                            kind, rank, size, nbytes, algorithm=algorithm,
+                            island_size=island, root=size - 1)
+
+
+def _sequence_digest():
+    digest = hashlib.sha1()
+    count = 0
+    for primitive in _digest_space():
+        name, action, *rest = primitive._identity()
+        digest.update(repr((name, action.value, *rest)).encode())
+        count += 1
     return digest.hexdigest(), count
 
 
 def test_compiled_sequences_match_the_pinned_digest():
     assert _sequence_digest() == (SEQUENCE_DIGEST, 72663)
+
+
+class TestCompactPrimitives:
+    """A compiled primitive stores seven fields and shared ints."""
+
+    def test_peers_are_set_exactly_when_the_action_sends_or_receives(self):
+        # ``burst`` tests peer presence instead of the action bits.
+        assert len(set(PRIMITIVE_NAMES.values())) == len(PRIMITIVE_NAMES)
+        for primitive in _digest_space():
+            assert (primitive.send_peer is not None) == primitive.sends
+            assert (primitive.recv_peer is not None) == primitive.recvs
+            assert primitive.name == PRIMITIVE_NAMES[primitive.action]
+
+    @pytest.mark.parametrize("kind,algorithm,chunk_bytes", [
+        (CollectiveKind.ALL_REDUCE, "ring", 512),
+        (CollectiveKind.ALL_REDUCE, "hierarchical", 7),  # 293 loops
+        (CollectiveKind.ALL_REDUCE, "tree", 512),
+        (CollectiveKind.ALL_TO_ALL, "ring", 512),
+        (CollectiveKind.BROADCAST, "ring", 512),
+    ])
+    def test_equal_step_and_chunk_values_are_one_object(self, kind, algorithm,
+                                                        chunk_bytes):
+        shared = {}
+        for rank in (0, 300):
+            for primitive in generate_primitive_sequence(
+                    kind, rank, 512, 1 << 20, chunk_bytes=chunk_bytes,
+                    algorithm=algorithm, island_size=8):
+                for value in (primitive.loop, primitive.step,
+                              primitive.chunk_index):
+                    assert shared.setdefault(value, value) is value
+        assert max(shared) > 256  # beyond CPython's small-int cache
+
+    def test_a_compiled_primitive_costs_at_most_112_traced_bytes(self):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sequences = [generate_primitive_sequence(
+                CollectiveKind.ALL_REDUCE, rank, 512, 1 << 20)
+                for rank in range(0, 512, 64)]
+            traced = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        count = sum(map(len, sequences))
+        assert count == 8 * 1023
+        assert traced / count <= 112
 
 
 class TestPrimitiveExecutor:
@@ -221,22 +283,6 @@ class TestPrimitiveExecutor:
         executed, outcome = executors[0].burst(clock)
         assert (executed, outcome.outcome) == (0, ExecOutcome.WAIT_RECV)
         assert outcome.wait_key is not None
-
-    def test_context_save_restore(self):
-        executors = self._executors()
-        clock = VirtualClock()
-        executors[0].burst(clock)
-        saved = executors[0].save_dynamic_context()
-        assert saved == {"position": 1}
-        executors[0].load_dynamic_context({"position": 0})
-        assert executors[0].position == 0
-
-    def test_progress_fraction(self):
-        executors = self._executors()
-        assert executors[0].progress_fraction() == 0.0
-        clock = VirtualClock()
-        executors[0].burst(clock)
-        assert 0.0 < executors[0].progress_fraction() < 1.0
 
     def test_all_done_outcome(self):
         comm = make_communicator(1)
@@ -306,21 +352,18 @@ class _BurstWorld:
                 channel.invalidate()
             channel.capacity = rng.randint(1, 8)
             target = 0 if channel.invalidated else rng.randint(0, channel.capacity)
-            while channel.occupancy > target:
-                channel.pop(self.clock.now)
-            while channel.occupancy < target:
-                channel.push(ChunkMessage(
-                    7, rng.randrange(8), rng.randrange(8), rng.randrange(1, 4096),
-                    self.clock.now + rng.uniform(-20.0, 30.0)))
+            arrivals = channel.arrivals
+            while len(arrivals) > target:
+                arrivals.popleft()
+            while len(arrivals) < target:
+                arrivals.append(self.clock.now + rng.uniform(-20.0, 30.0))
             keys += [channel.readable_key, channel.writable_key]
         self.waiters_by_key = {key: None for key in keys if rng.random() < 0.5}
 
     def state(self):
         executor = self.executor
         channels = {
-            pair: ([(m.collective_id, m.chunk_index, m.step, m.nbytes,
-                     m.ready_time_us) for m in channel._fifo],
-                   channel.pushed_count, channel.popped_count,
+            pair: (list(channel.arrivals), channel.pushed_count,
                    channel.bytes_pushed, channel.invalidated)
             for pair, channel in self.channels.items()
         }
