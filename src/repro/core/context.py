@@ -99,6 +99,17 @@ class ActiveContextCache:
         slot.dirty = False
         return charged
 
+    def hit_pattern(self, coll_ids):
+        """Whether each load of ``coll_ids``, made in this order, would hit
+        (a tuple of bools); nothing is loaded."""
+        held = {}
+        hits = []
+        for coll_id in coll_ids:
+            slot = self._slot_for(coll_id)
+            hits.append(held.get(id(slot), slot.coll_id) == coll_id)
+            held[id(slot)] = coll_id
+        return tuple(hits)
+
     def mark_progress(self, coll_id):
         """Record that the collective progressed (its context is now dirty)."""
         slot = self._slot_for(coll_id)

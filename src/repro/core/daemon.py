@@ -17,12 +17,14 @@ schedules every collective of its GPU:
 This implements Algorithm 1 of the paper one-to-one; the scheduling policies
 live in :mod:`repro.core.scheduling`.
 
-A failed retry that still has spin budget, and an idle SQ poll, end in a
-timed engine wait rather than one engine step per spin quantum or poll: the
-daemon blocks on the key that could change a retry's outcome (a channel, the
-SQ) until its last retry, the engine passes the retries in between without
-stepping it, and when the wait ends the daemon replays those retries with
-the same clock additions (``retry_times`` / ``replay``).
+A failed retry that still has spin budget, an idle SQ poll, and a pass over
+the task queue that preempted every entry end in a timed engine wait rather
+than one engine step per spin quantum, poll or preemption: the daemon blocks
+on the keys that could change a retry's outcome (channels, the SQ) until its
+last retry (for a fruitless pass, the pass start that quits), the engine
+passes the retries in between without stepping it, and when the wait ends
+the daemon replays those retries with the same clock additions
+(``retry_times`` / ``replay``).
 """
 
 from __future__ import annotations
@@ -32,10 +34,12 @@ from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import add
 
+from repro.collectives.channels import channel_by_id
 from repro.collectives.cost import DEFAULT_COST_MODEL
 from repro.collectives.primitives import PRIMITIVES_PER_STEP, ExecOutcome
 from repro.common.errors import SimulationError
 from repro.core.config import (
+    CONTEXT_LOAD_COST_US,
     IDLE_POLL_INTERVAL_US,
     INITIAL_SPIN_QUANTUM,
     QUIT_PERIOD_US,
@@ -84,9 +88,59 @@ def _spin_plan(remaining, quantum):
             tuple(left))
 
 
+class _PassPlan:
+    """One pass over the task queue in which every retry fails and every
+    entry is preempted, from the pass start (its SQ poll) to the next one.
+
+    ``deltas`` are the pass's clock additions in order (the SQ poll, each
+    missed context load, each retry's spin quantum) and ``starts`` the
+    indices of ``accumulate(deltas, initial=pass_start)`` at which a step
+    starts.  ``spins`` and ``loads`` are the additions ``spin_time_us`` and
+    the load times receive, in order, and ``cache_hits`` the loads that hit.
+    Each visit spends its entry's whole threshold in polls.
+    """
+
+    __slots__ = ("thresholds", "deltas", "starts", "spins", "loads",
+                 "cache_hits")
+
+    def __init__(self, thresholds, hits):
+        poll_cost_us = DEFAULT_COST_MODEL.poll_cost_us
+        self.thresholds = thresholds
+        self.deltas, self.starts, self.spins = [SQ_POLL_COST_US], [0], []
+        self.cache_hits = 0
+        for threshold, hit in zip(thresholds, hits):
+            if not hit:
+                self.deltas.append(CONTEXT_LOAD_COST_US)
+            # The visit's first attempt and every retry but the last spin
+            # one quantum each; the last spends what is left and preempts.
+            spin_times, _, _, remaining = _spin_plan(
+                threshold, INITIAL_SPIN_QUANTUM)
+            for spin in spin_times:
+                self.deltas.append(spin)
+                self.spins.append(spin)
+                self.starts.append(len(self.deltas))
+            if remaining[-1]:
+                spin = remaining[-1] * poll_cost_us
+                self.deltas.append(spin)
+                self.spins.append(spin)
+            self.starts.append(len(self.deltas))
+            self.cache_hits += hit + len(spin_times)
+        self.starts.pop()  # the next pass's start
+        self.loads = [CONTEXT_LOAD_COST_US] * hits.count(False)
+
+
+@lru_cache(maxsize=256)
+def _pass_plan(thresholds, hits):
+    """The :class:`_PassPlan` of per-position spin ``thresholds`` and
+    context-cache ``hits``; the same in every fruitless pass."""
+    return _PassPlan(thresholds, hits)
+
+
 class _Wait:
     """One timed wait: the retry state it started from (see
-    ``DaemonKernel.retry_times``), with ``entry`` ``None`` for an idle wait."""
+    ``DaemonKernel.retry_times``).  ``entry`` is the spinning entry of a spin
+    wait; a fruitless-pass wait has no entry and a :class:`_PassPlan`; an
+    idle wait has neither."""
 
     __slots__ = ("entry", "key", "start", "rate", "plan", "arrival", "times")
 
@@ -98,6 +152,10 @@ class _Wait:
         self.plan = plan
         self.arrival = arrival
         self.times = None
+
+
+def _version(channel):
+    return len(channel.arrivals), channel.pushed_count, channel.invalidated
 
 
 class DaemonKernel(KernelActor):
@@ -129,6 +187,9 @@ class DaemonKernel(KernelActor):
         self._last_activity_us = 0.0
         #: The current timed wait, a :class:`_Wait`.
         self._wait = None
+        #: The failed retry that preempted each entry in this pass, by
+        #: ``id(entry)`` (see ``_failure``).
+        self._failures = {}
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -179,7 +240,6 @@ class DaemonKernel(KernelActor):
                 self.stats.stale_sqes_dropped += 1
                 continue
             entry = self._adopt_invocation(invocation, sqe.priority)
-            self.task_queue.record_length(entry.coll_id)
             self.stats.task_queue_length_samples.append(
                 (entry.coll_id, len(self.task_queue))
             )
@@ -203,12 +263,16 @@ class DaemonKernel(KernelActor):
         if should_fetch:
             self.clock.advance(SQ_POLL_COST_US)
             fetched = self._fetch_sqes()
+        self._reset_pass()
+        return fetched
+
+    def _reset_pass(self):
         self.ordering.order(self.task_queue)
         self.spin_policy.assign_initial(self.task_queue)
         self._queue_pos = 0
         self._pass_progress = False
         self._pass_needs_init = False
-        return fetched
+        self._failures = {}
 
     def _end_pass(self):
         self._last_pass_progress = self._pass_progress
@@ -312,6 +376,19 @@ class DaemonKernel(KernelActor):
         return self._spin_or_preempt(entry, outcome)
 
     def _spin_or_preempt(self, entry, outcome):
+        if not self._spin(entry):
+            return self._wait_on_channel(entry, outcome)
+        self._failures[id(entry)] = self._failure(entry, outcome)
+        self._preempt_entry(entry)
+        if self._pass_needs_init and not self._last_pass_progress:
+            wait = self._wait_fruitless()
+            if wait is not None:
+                return wait
+        return StepResult.progress(f"preempted coll {entry.coll_id}")
+
+    def _spin(self, entry):
+        """Spin one quantum after a failed retry; ``True`` once the entry's
+        budget is spent (it must be preempted)."""
         # Exponential spin quantum: short waits (data arriving in a few
         # microseconds) cost little virtual time, long fruitless waits double
         # the quantum so they cost few retries before preemption.
@@ -324,10 +401,17 @@ class DaemonKernel(KernelActor):
             self.stats.spin_polls += polls
             self.stats.spin_time_us += spin_time
             entry.spin_quantum = min(entry.spin_quantum * 2, SPIN_BATCH)
-        if entry.spin_remaining <= 0:
-            self._preempt_entry(entry)
-            return StepResult.progress(f"preempted coll {entry.coll_id}")
-        return self._wait_on_channel(entry, outcome)
+        return entry.spin_remaining <= 0
+
+    @staticmethod
+    def _failure(entry, outcome):
+        """What a preempting retry failed on: the executor, the channel, its
+        version ``(len(arrivals), pushed_count, invalidated)``, the wait key
+        and a head arrival that was merely too late (``None`` if none)."""
+        key = outcome.wait_key
+        channel = channel_by_id(key[1])
+        return (entry.executor, channel, _version(channel), key,
+                entry.executor.late_arrival_us(outcome))
 
     # -- timed waits ---------------------------------------------------------------------------
 
@@ -367,16 +451,66 @@ class DaemonKernel(KernelActor):
         keys = (self.ctx.submitted_key, self.ctx.destroyed_key)
         return StepResult.wait(keys, detail)
 
+    def _wait_fruitless(self):
+        """Wait out the passes that would fail like the one that just ended,
+        up to the pass start that quits; ``None`` to step the next pass.
+
+        Every entry of that pass was preempted.  The next pass fails the same
+        way if no SQE is pending, no exit was requested, and every entry is
+        still live, has the executor it failed with, and its failed channel
+        still has the version its preempting retry saw, with no head arrival
+        that a later retry might find in time.  Then only a push or pop on
+        one of those channels, an SQE (or the exit SQE) or a settle can
+        change a retry's outcome, and each retry's time follows from the
+        pass's thresholds and context-cache hits alone.
+        """
+        if (self._final_exit_requested
+                or self.ctx.sq.pending(self.ctx.consumer_id)):
+            return None
+        clock = self.clock
+        if (clock.now + SQ_POLL_COST_US * clock.rate
+                - self._last_activity_us > QUIT_PERIOD_US):
+            return None  # the next pass start quits
+        queue = self.task_queue
+        failures = self._failures
+        keys = {}
+        for entry in queue:
+            failure = failures.get(id(entry))
+            if failure is None:
+                return None
+            executor, channel, version, key, late = failure
+            invocation = entry.invocation
+            if (executor is not entry.executor or late is not None
+                    or _version(channel) != version
+                    or invocation.coll.abandoned
+                    or invocation.is_aborted(entry.group_rank)):
+                return None
+            keys[key] = None
+        cache = self.active_cache
+        if any(slot.dirty for slot in cache.slots):
+            return None  # a miss would write a context back
+        thresholds = tuple(map(self.spin_policy.initial_threshold,
+                               range(len(queue))))
+        hits = cache.hit_pattern([entry.coll_id for entry in queue])
+        keys[self.ctx.submitted_key] = keys[self.ctx.destroyed_key] = None
+        self.stats.spin_waits += 1
+        self._wait = _Wait(None, tuple(keys), clock,
+                           _pass_plan(thresholds, hits))
+        return StepResult.wait(self._wait.key, "fruitless passes")
+
     def retry_times(self):
         """Times of the retries the current timed wait stands for, computed
         with the clock's own additions; the last one spends the spin budget
-        (or, for an idle wait, finds the quit period over)."""
+        (or, for an idle or fruitless-pass wait, finds the quit period
+        over)."""
         wait = self._wait
         if wait.times is None:
-            if wait.entry is None:
-                wait.times = self._idle_poll_times(wait)
-            else:
+            if wait.entry is not None:
                 wait.times = self._spin_retry_times(wait)
+            elif wait.plan is not None:
+                wait.times = self._fruitless_times(wait)
+            else:
+                wait.times = self._idle_poll_times(wait)
         return wait.times
 
     @staticmethod
@@ -410,15 +544,31 @@ class DaemonKernel(KernelActor):
             index += 1
         return marks[0:2 * index + 1:2]
 
+    def _fruitless_times(self, wait):
+        # Pass after pass of the plan's additions, up to the first pass
+        # start whose SQ poll finds the quit period over.
+        rated = [delta * wait.rate for delta in wait.plan.deltas]
+        starts = wait.plan.starts
+        times = []
+        start = wait.start
+        while True:
+            marks = list(accumulate(rated, initial=start))
+            if marks[1] - self._last_activity_us > QUIT_PERIOD_US:
+                times.append(start)
+                return times
+            times.extend([marks[index] for index in starts])
+            start = marks[-1]
+
     def replay(self, count):
         """Apply the first ``count`` retries of the current wait, all failed.
 
         A failed spin retry is a context-cache hit plus one spin quantum (the
         additions of ``_spin_or_preempt``, in order); an idle poll only moves
-        the clock.  The retry times were computed with the clock's own
-        additions at the wait's rate, so the clock lands on
-        ``retry_times()[count]``; a rate change that did not settle the wait
-        first would make that wrong, and raises.
+        the clock; a fruitless-pass wait replays whole passes in aggregate
+        and the rest step by step (``_replay_passes``).  The retry times were
+        computed with the clock's own additions at the wait's rate, so the
+        clock lands on ``retry_times()[count]``; a rate change that did not
+        settle the wait first would make that wrong, and raises.
         """
         wait, self._wait = self._wait, None
         if wait.rate != self.clock.rate:
@@ -426,6 +576,8 @@ class DaemonKernel(KernelActor):
                 f"{self.name}: clock rate changed during a timed wait that "
                 "was not settled first")
         entry = wait.entry
+        if entry is None and wait.plan is not None:
+            return self._replay_passes(wait, count)
         polls = count
         if count:
             self.clock.now = wait.times[count]
@@ -449,6 +601,51 @@ class DaemonKernel(KernelActor):
                 name, coll_id = "spin wait", entry.coll_id
             obs.recorder.record_event(self.clock.now, "daemon", name, {
                 "coll_id": coll_id, "wait_key": wait.key, "polls": polls})
+
+    def _replay_passes(self, wait, count):
+        """Replay ``count`` steps of fruitless passes: whole passes in
+        aggregate, with float fields summed in clock order, then the
+        remaining steps through the daemon's own spin and preemption code
+        (none of which reads a channel or the SQ)."""
+        plan = wait.plan
+        stats = self.stats
+        preemptions, polls = stats.preemptions, stats.spin_polls
+        passes, steps = divmod(count, len(plan.starts))
+        if passes:
+            self.clock.now = wait.times[passes * len(plan.starts)]
+            stats.spin_polls += sum(plan.thresholds) * passes
+            stats.spin_time_us = reduce(add, plan.spins * passes,
+                                        stats.spin_time_us)
+            stats.preparing_time_us = reduce(add, plan.loads * passes,
+                                             stats.preparing_time_us)
+            stats.preemptions += len(self.task_queue) * passes
+            cache = self.active_cache.stats
+            misses = len(plan.loads) * passes
+            cache.cache_hits += plan.cache_hits * passes
+            cache.cache_misses += misses
+            cache.loads += misses
+            cache.load_time_us = reduce(add, plan.loads * passes,
+                                        cache.load_time_us)
+            cache.lazy_save_skips += len(self.task_queue) * passes
+            for entry, threshold in zip(self.task_queue, plan.thresholds):
+                entry.spin_polls += threshold * passes
+                entry.context_switches += passes
+                entry.invocation.add_context_switch(entry.group_rank, passes)
+        for _ in range(steps):
+            if self._pass_needs_init:
+                self.clock.advance(SQ_POLL_COST_US)  # the poll finds no SQE
+                self._reset_pass()
+            entry = self.task_queue[self._queue_pos]
+            stats.preparing_time_us += self.active_cache.load(entry.coll_id)
+            if self._spin(entry):
+                self._preempt_entry(entry)
+        obs = self.engine.obs
+        if obs.enabled:
+            obs.recorder.record_event(
+                self.clock.now, "daemon", "fruitless passes", {
+                    "passes": passes,
+                    "preemptions": stats.preemptions - preemptions,
+                    "polls": stats.spin_polls - polls})
 
     def _preempt_entry(self, entry):
         self.active_cache.save_on_preempt(entry.coll_id, entry.progressed_since_load)

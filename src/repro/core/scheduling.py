@@ -63,7 +63,6 @@ class TaskQueue:
     def __init__(self):
         self._entries = []
         self._positions = {}
-        self.length_samples = []
 
     def __len__(self):
         return len(self._entries)
@@ -99,10 +98,6 @@ class TaskQueue:
     def entries(self):
         return list(self._entries)
 
-    def record_length(self, coll_id):
-        """Sample the queue length right after an SQE is read (Fig. 11)."""
-        self.length_samples.append((coll_id, len(self._entries)))
-
 
 class FifoOrderingPolicy:
     """Default ordering: empty the task queue quickly.
@@ -132,7 +127,16 @@ class PriorityOrderingPolicy:
         task_queue.sort_by_priority()
 
 
-class NaiveSpinPolicy:
+class _SpinPolicy:
+    """What both spin policies share: a pass gives each queue position its
+    ``initial_threshold`` (the daemon's fruitless-pass plan reads the same)."""
+
+    def assign_initial(self, task_queue):
+        for position, entry in enumerate(task_queue):
+            entry.reset_spin(self.initial_threshold(position))
+
+
+class NaiveSpinPolicy(_SpinPolicy):
     """Fixed spin threshold for every collective (the Fig. 11 'spike' baseline)."""
 
     name = "naive"
@@ -140,9 +144,8 @@ class NaiveSpinPolicy:
     def __init__(self, threshold=NAIVE_SPIN_THRESHOLD):
         self.threshold = threshold
 
-    def assign_initial(self, task_queue):
-        for entry in task_queue:
-            entry.reset_spin(self.threshold)
+    def initial_threshold(self, position):
+        return int(self.threshold)
 
     def on_success(self, entry):
         entry.spin_remaining = entry.spin_threshold
@@ -152,7 +155,7 @@ class NaiveSpinPolicy:
         return entry.spin_threshold
 
 
-class AdaptiveSpinPolicy:
+class AdaptiveSpinPolicy(_SpinPolicy):
     """The adaptive stickiness adjustment of Sec. 4.3.
 
     The front-of-queue collective gets the largest initial spin threshold and
@@ -173,13 +176,9 @@ class AdaptiveSpinPolicy:
         self._ceiling = initial * boost
         self._steady = {}
 
-    def initial_for_position(self, position):
+    def initial_threshold(self, position):
         threshold = self.initial * (self.position_decay ** position)
         return int(max(self.minimum, threshold))
-
-    def assign_initial(self, task_queue):
-        for position, entry in enumerate(task_queue):
-            entry.reset_spin(self.initial_for_position(position))
 
     def _boosted(self, threshold):
         if threshold < self._ceiling:
@@ -240,7 +239,8 @@ class DaemonStats:
     preemptions: int = 0
     spin_polls: int = 0
     #: Timed waits a spinning daemon entered (each stands for one or more
-    #: spin retries that cost no engine step).
+    #: spin retries, or for a run of fruitless passes, that cost no engine
+    #: step).
     spin_waits: int = 0
     primitives_executed: int = 0
     sqe_read_time_us: float = 0.0

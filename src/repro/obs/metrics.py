@@ -96,7 +96,8 @@ declare_metric("daemon_voluntary_quits", "gauge",
 declare_metric("daemon_spin_polls", "gauge",
                "Daemon spin polls while waiting for work (all GPUs)")
 declare_metric("daemon_spin_waits", "gauge",
-               "Timed engine waits entered by spinning daemons (all GPUs)")
+               "Timed engine waits entered by spinning daemons, one per run "
+               "of fruitless passes (all GPUs)")
 declare_metric("daemon_primitives_executed", "gauge",
                "Collective primitives executed by daemon kernels (all GPUs)")
 

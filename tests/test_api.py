@@ -696,6 +696,20 @@ class TestRemovedShims:
         assert "name" not in inspect.signature(Primitive).parameters
         assert not hasattr(Primitive(PRIM_SEND, 0, 0, 0, 64, 1), "__dict__")
 
+    def test_one_task_queue_length_record(self):
+        """``DaemonStats.task_queue_length_samples`` is the only task-queue
+        length record: the task queue's duplicate samples were deleted, and
+        both spin policies name a position's threshold ``initial_threshold``
+        (the adaptive policy's ``initial_for_position`` was deleted)."""
+        from repro.core.scheduling import (
+            AdaptiveSpinPolicy, NaiveSpinPolicy, TaskQueue)
+
+        assert not hasattr(TaskQueue, "record_length")
+        assert not hasattr(TaskQueue(), "length_samples")
+        assert not hasattr(AdaptiveSpinPolicy, "initial_for_position")
+        assert AdaptiveSpinPolicy().initial_threshold(0) == 20_000
+        assert NaiveSpinPolicy().initial_threshold(3) == 10_000
+
     @pytest.mark.parametrize("module", [
         "repro.testing", "repro.testing.differential", "repro.faults",
         "repro.faults.scenarios", "repro.bench", "repro.obs.report",

@@ -44,12 +44,6 @@ class TestTaskQueue:
         queue.sort_by_priority()
         assert [entry.coll_id for entry in queue] == [2, 3, 1]
 
-    def test_length_samples(self):
-        queue = TaskQueue()
-        queue.append(make_entry(1))
-        queue.record_length(1)
-        assert queue.length_samples == [(1, 1)]
-
 
 class TestOrderingPolicies:
     def test_fifo_fetches_when_empty_or_stuck(self):
@@ -85,7 +79,7 @@ class TestSpinPolicies:
 
     def test_adaptive_minimum_floor(self):
         policy = AdaptiveSpinPolicy(initial=1_000, position_decay=0.1, minimum=500)
-        assert policy.initial_for_position(5) == 500
+        assert policy.initial_threshold(5) == 500
 
     def test_adaptive_boost_after_success(self):
         policy = AdaptiveSpinPolicy(initial=1_000, boost=20.0)

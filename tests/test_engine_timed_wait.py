@@ -369,7 +369,7 @@ def test_stall_handler_never_reports_a_timed_waiter():
 def test_daemon_spin_wait_is_one_flight_recorder_event():
     from repro.api import make_backend, wait_all
     from repro.gpusim import build_cluster
-    from repro.gpusim.host import HostProgram
+    from repro.gpusim.host import CpuCompute, HostProgram
 
     cluster = build_cluster("single-3090")
     backend = make_backend("dfccl", cluster)
@@ -401,3 +401,39 @@ def test_daemon_spin_wait_is_one_flight_recorder_event():
     snapshot = obs.metrics.snapshot()
     assert snapshot["daemon_spin_waits"] == sum(
         backend.stats(rank).spin_waits for rank in range(4)) > 0
+
+    # Rank 0 submits two broadcasts rooted at rank 1, which joins only after
+    # 1 ms: every pass of rank 0's daemon preempts both, and each run of
+    # such passes is one timed wait and one event.
+    cluster = build_cluster("single-3090")
+    backend = make_backend("dfccl", cluster)
+    group = backend.new_group([0, 1])
+    works = {rank: [group.broadcast(rank, 1 << 16, root=1, key=key)
+                    for key in "AB"] for rank in (0, 1)}
+    cluster.add_hosts([
+        HostProgram([work.submit_op() for work in works[0]]
+                    + wait_all(works[0]) + backend.finalize_ops(0)),
+        HostProgram([CpuCompute(1000.0)]
+                    + [work.submit_op() for work in works[1]]
+                    + wait_all(works[1]) + backend.finalize_ops(1)),
+    ])
+    cluster.run()
+
+    obs = cluster.engine.obs
+    fruitless = [attrs for _, _, category, name, attrs
+                 in obs.recorder.marker_events()
+                 if category == "daemon" and name == "fruitless passes"]
+    assert fruitless
+    assert any(attrs["passes"] > 0 for attrs in fruitless)
+    assert 0 < sum(attrs["preemptions"] for attrs in fruitless) \
+        < backend.stats(0).preemptions
+    assert 0 < sum(attrs["polls"] for attrs in fruitless) \
+        < backend.stats(0).spin_polls
+    waits = [event for event in obs.recorder.step_events()
+             if event[2] == "wait" and event[3] == "fruitless passes"]
+    assert len(waits) == len(fruitless)
+    spin_waits = [event for event in obs.recorder.marker_events()
+                  if event[2] == "daemon" and event[3] == "spin wait"]
+    assert obs.metrics.snapshot()["daemon_spin_waits"] == (
+        len(fruitless) + len(spin_waits)) == sum(
+        backend.stats(rank).spin_waits for rank in (0, 1))
