@@ -102,6 +102,11 @@ class ProcessGroup:
             raise ConfigurationError(
                 f"rank {rank} is not a member of group {self.name}"
             )
+        if spec.root >= self.size:
+            raise ConfigurationError(
+                f"root {spec.root} is out of range for group {self.name} "
+                f"of size {self.size}"
+            )
         ident, canonical = self._canonical(spec, key)
         counters = self._call_counts.setdefault(ident, {})
         index = counters.get(rank, 0)

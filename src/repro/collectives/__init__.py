@@ -38,10 +38,10 @@ from repro.collectives.sequences import (
     HIERARCHICAL_KINDS,
     binary_tree_relations,
     binomial_tree_relations,
+    chain_relations,
     chunk_loops,
     generate_primitive_sequence,
     hierarchical_island_size,
-    primitive_count,
 )
 
 __all__ = [
@@ -63,8 +63,8 @@ __all__ = [
     "PrimitiveOutcome",
     "binary_tree_relations",
     "binomial_tree_relations",
+    "chain_relations",
     "chunk_loops",
     "generate_primitive_sequence",
     "hierarchical_island_size",
-    "primitive_count",
 ]

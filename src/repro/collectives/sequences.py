@@ -23,18 +23,21 @@ Three algorithm families are supported, mirroring NCCL:
   devices with :func:`hierarchical_island_size`); groups without a usable
   two-level structure fall back to the flat ring.
 
-All-to-all is a pairwise-exchange schedule (the MoE expert-parallel
-collective): each rank copies its own slice locally, then in step ``s`` sends
-slice ``(rank+s) mod n`` while receiving from ``(rank-s) mod n``.  It has a
-single schedule and ignores the algorithm knob, like all-gather.
+One ring pass (:func:`_ring`) builds the ring family and each hierarchical
+phase; one pair of tree phases builds the trees and the chains (a chain is a
+path-shaped tree, :func:`chain_relations`).  All-to-all is a pairwise-exchange
+schedule (the MoE expert-parallel collective): each rank copies its own slice
+locally, then in step ``s`` sends slice ``(rank+s) mod n`` while receiving
+from ``(rank-s) mod n``.  It ignores the algorithm knob, like all-gather.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 from repro.common.errors import ConfigurationError
-from repro.common.types import CollectiveKind
+from repro.common.types import CollectiveKind, PrimitiveAction
 from repro.collectives.primitives import (
     PRIM_COPY,
     PRIM_RECV,
@@ -112,79 +115,77 @@ def chunk_loops(nbytes, group_size, chunk_bytes=DEFAULT_CHUNK_BYTES, per_rank_sl
     return sizes
 
 
-def _ring_peers(group_rank, group_size):
-    send_peer = (group_rank + 1) % group_size
-    recv_peer = (group_rank - 1) % group_size
-    return send_peer, recv_peer
+# -- ring passes ----------------------------------------------------------------
 
 
-def _all_reduce_loop(group_rank, group_size, loop, nbytes):
+#: The send / recv bit of a fused action: a ring pass gives a primitive the
+#: send / recv peer exactly when its action has the bit.  (Integer bits, not
+#: a dict of actions: an enum's hash is a Python-level call.)
+_SENDS = PrimitiveAction.SEND.value
+_RECVS = PrimitiveAction.RECV.value
+
+
+def _reduce_scatter_runs(n):
+    """n primitives: send, n-2 recvReduceSend, final recvReduceCopy."""
+    return ((PRIM_SEND, 1), (PRIM_RECV_REDUCE_SEND, n - 2),
+            (PRIM_RECV_REDUCE_COPY, 1))
+
+
+def _all_gather_runs(n):
+    """n primitives: send own slice, forward n-2 slices, receive the last."""
+    return ((PRIM_SEND, 1), (PRIM_RECV_COPY_SEND, n - 2), (PRIM_RECV, 1))
+
+
+def _all_reduce_runs(n):
     """2n-1 primitives: send, recvReduceSend x(n-2), recvReduceCopySend,
     recvCopySend x(n-2), recv.
 
     Steps ``1..n-1`` are the reduce-scatter phase, ``n-1..2n-2`` the
-    all-gather phase (the fused recvReduceCopySend belongs to both).  The
-    ring builders pass ``Primitive`` its arguments positionally: a 512-rank
-    all-reduce compiles half a million of them.
+    all-gather phase (the fused recvReduceCopySend belongs to both).
     """
-    n = group_size
+    return ((PRIM_SEND, 1), (PRIM_RECV_REDUCE_SEND, n - 2),
+            (PRIM_RECV_REDUCE_COPY_SEND, 1), (PRIM_RECV_COPY_SEND, n - 2),
+            (PRIM_RECV, 1))
+
+
+def _ring(rank, n, loop, nbytes, send_peer, recv_peer, runs, first_step=0):
+    """One pass of ``rank`` around an ``n``-rank ring: ``runs`` is a tuple of
+    ``(action, count)`` pairs in step order, starting at step ``first_step``.
+
+    Step ``t`` carries chunk ``(rank + first_step - t) mod n``: the chunk a
+    rank handles moves back by one each step while the data moves forward.
+    The primitives are built positionally: a 512-rank all-reduce compiles
+    half a million of them.
+    """
     ints = _INTS
-    send_peer, recv_peer = _ring_peers(group_rank, n)
-    primitives = [Primitive(PRIM_SEND, loop, 0, ints[group_rank], nbytes,
-                            send_peer)]
-    primitives += [
-        Primitive(PRIM_RECV_REDUCE_SEND, loop, ints[step],
-                  ints[(group_rank - step) % n], nbytes, send_peer, recv_peer)
-        for step in range(1, n - 1)
-    ]
-    primitives.append(
-        Primitive(PRIM_RECV_REDUCE_COPY_SEND, loop, ints[n - 1],
-                  ints[(group_rank + 1) % n], nbytes, send_peer, recv_peer))
-    primitives += [
-        Primitive(PRIM_RECV_COPY_SEND, loop, ints[step],
-                  ints[(group_rank - step) % n], nbytes, send_peer, recv_peer)
-        for step in range(n, 2 * n - 2)
-    ]
-    primitives.append(
-        Primitive(PRIM_RECV, loop, ints[2 * n - 2], ints[(group_rank + 2) % n],
-                  nbytes, None, recv_peer))
+    origin = rank + first_step
+    primitives = []
+    start = first_step
+    for action, count in runs:
+        bits = action._value_
+        sp = send_peer if bits & _SENDS else None
+        rp = recv_peer if bits & _RECVS else None
+        if count == 1:  # no comprehension frame for the one-step runs
+            primitives.append(Primitive(action, loop, ints[start],
+                                        ints[(origin - start) % n], nbytes, sp, rp))
+        else:
+            primitives += [
+                Primitive(action, loop, ints[t], ints[(origin - t) % n], nbytes, sp, rp)
+                for t in range(start, start + count)
+            ]
+        start += count
     return primitives
 
 
-def _all_gather_loop(group_rank, group_size, loop, nbytes):
-    """n primitives: send own slice, forward n-2 slices, receive the last."""
-    n = group_size
-    ints = _INTS
-    send_peer, recv_peer = _ring_peers(group_rank, n)
-    primitives = [Primitive(PRIM_SEND, loop, 0, ints[group_rank], nbytes,
-                            send_peer)]
-    primitives += [
-        Primitive(PRIM_RECV_COPY_SEND, loop, ints[step],
-                  ints[(group_rank - step) % n], nbytes, send_peer, recv_peer)
-        for step in range(1, n - 1)
-    ]
-    primitives.append(
-        Primitive(PRIM_RECV, loop, ints[n - 1], ints[(group_rank + 1) % n],
-                  nbytes, None, recv_peer))
-    return primitives
+def _ring_builder(group_rank, group_size, runs):
+    """The per-loop builder of a flat ring-family collective."""
+    send_peer = (group_rank + 1) % group_size
+    recv_peer = (group_rank - 1) % group_size
 
-
-def _reduce_scatter_loop(group_rank, group_size, loop, nbytes):
-    """n primitives: send, n-2 recvReduceSend, final recvReduceCopy."""
-    n = group_size
-    ints = _INTS
-    send_peer, recv_peer = _ring_peers(group_rank, n)
-    primitives = [Primitive(PRIM_SEND, loop, 0, ints[group_rank], nbytes,
-                            send_peer)]
-    primitives += [
-        Primitive(PRIM_RECV_REDUCE_SEND, loop, ints[step],
-                  ints[(group_rank - step) % n], nbytes, send_peer, recv_peer)
-        for step in range(1, n - 1)
-    ]
-    primitives.append(
-        Primitive(PRIM_RECV_REDUCE_COPY, loop, ints[n - 1],
-                  ints[(group_rank + 1) % n], nbytes, None, recv_peer))
-    return primitives
+    def build(loop, nbytes):
+        return _ring(group_rank, group_size, loop, nbytes, send_peer, recv_peer,
+                     runs)
+    return build
 
 
 def _all_to_all_loop(group_rank, group_size, loop, nbytes):
@@ -247,21 +248,21 @@ def hierarchical_island_size(nodes):
     return size
 
 
-def _hierarchical_all_reduce_loop(group_rank, group_size, loop, nbytes,
-                                  island_size):
-    """Two-level all-reduce: intra-island reduce-scatter, inter-island ring
-    all-reduce of the partials, intra-island all-gather.
+def _hierarchical_builder(group_rank, group_size, island_size):
+    """The per-loop builder of the two-level all-reduce: three ring passes.
 
-    ``nbytes`` is the per-slice payload of this chunk loop (the loop total
-    divided across ``group_size`` ring slices, as in the flat ring).  With
-    ``k = group_size // island_size`` islands:
+    A loop's ``nbytes`` is its per-slice payload (the loop total divided
+    across ``group_size`` ring slices, as in the flat ring).  With
+    ``m = island_size`` and ``k = group_size // m`` islands:
 
-    * phase 1 moves ``island_size - 1`` slabs of ``k`` slices over intra-island
-      links, leaving each rank with the island-wide partial of its 1/m share;
-    * phase 2 runs a ring all-reduce of that share among the ``k`` position
-      peers (one rank per island), ``2(k-1)`` single-slice steps over the
-      inter-island links;
-    * phase 3 all-gathers the fully reduced shares back inside the island.
+    * phase 1 is a reduce-scatter pass of the ``m`` island members over
+      intra-island links (``m`` primitives moving slabs of ``k`` slices),
+      leaving each rank with the island-wide partial of its 1/m share;
+    * phase 2, from step ``m``, is a ring all-reduce of that share among the
+      ``k`` position peers (one rank per island), ``2k-1`` single-slice
+      primitives over the inter-island links;
+    * phase 3, from step ``m + 2k - 1``, all-gathers the fully reduced shares
+      back inside the island.
 
     Per rank the wire volume is ``2(m-1)·k + 2(k-1) = 2(n-1)`` slices — the
     same total as the flat ring, but with only ``2(k-1)`` slices crossing
@@ -269,129 +270,20 @@ def _hierarchical_all_reduce_loop(group_rank, group_size, loop, nbytes,
     """
     m = island_size
     k = group_size // m
-    island = group_rank // m
-    position = group_rank % m
+    island, position = divmod(group_rank, m)
     base = island * m
-    intra_send = base + (position + 1) % m
-    intra_recv = base + (position - 1) % m
-    inter_send = ((island + 1) % k) * m + position
-    inter_recv = ((island - 1) % k) * m + position
-    slab = nbytes * k  # one 1/m share of the loop payload (k slices)
-    ints = _INTS
+    intra = (base + (position + 1) % m, base + (position - 1) % m)
+    inter = (((island + 1) % k) * m + position, ((island - 1) % k) * m + position)
+    scatter, ring, gather = _reduce_scatter_runs(m), _all_reduce_runs(k), _all_gather_runs(m)
+    gather_step = m + 2 * k - 1
 
-    primitives = []
-    step = 0
-
-    # -- phase 1: intra-island reduce-scatter (m-1 slab steps) -----------------
-    if m > 1:
-        primitives.append(
-            Primitive(PRIM_SEND, loop, ints[step], chunk_index=ints[position],
-                      nbytes=slab, send_peer=intra_send)
-        )
-        for _ in range(m - 2):
-            step += 1
-            primitives.append(
-                Primitive(PRIM_RECV_REDUCE_SEND, loop, ints[step],
-                          chunk_index=ints[(position - step) % m], nbytes=slab,
-                          send_peer=intra_send, recv_peer=intra_recv)
-            )
-        step += 1
-        primitives.append(
-            Primitive(PRIM_RECV_REDUCE_COPY, loop, ints[step],
-                      chunk_index=ints[(position + 1) % m], nbytes=slab,
-                      recv_peer=intra_recv)
-        )
-        step += 1
-
-    # -- phase 2: inter-island ring all-reduce of the 1/m share ----------------
-    primitives.append(
-        Primitive(PRIM_SEND, loop, ints[step], chunk_index=ints[island],
-                  nbytes=nbytes, send_peer=inter_send)
-    )
-    substep = 0
-    for _ in range(k - 2):
-        step += 1
-        substep += 1
-        primitives.append(
-            Primitive(PRIM_RECV_REDUCE_SEND, loop, ints[step],
-                      chunk_index=ints[(island - substep) % k], nbytes=nbytes,
-                      send_peer=inter_send, recv_peer=inter_recv)
-        )
-    step += 1
-    substep += 1
-    primitives.append(
-        Primitive(PRIM_RECV_REDUCE_COPY_SEND, loop, ints[step],
-                  chunk_index=ints[(island - substep) % k], nbytes=nbytes,
-                  send_peer=inter_send, recv_peer=inter_recv)
-    )
-    for _ in range(k - 2):
-        step += 1
-        substep += 1
-        primitives.append(
-            Primitive(PRIM_RECV_COPY_SEND, loop, ints[step],
-                      chunk_index=ints[(island - substep) % k], nbytes=nbytes,
-                      send_peer=inter_send, recv_peer=inter_recv)
-        )
-    step += 1
-    substep += 1
-    primitives.append(
-        Primitive(PRIM_RECV, loop, ints[step],
-                  chunk_index=ints[(island - substep) % k], nbytes=nbytes,
-                  recv_peer=inter_recv)
-    )
-    step += 1
-
-    # -- phase 3: intra-island all-gather of the reduced shares ----------------
-    if m > 1:
-        primitives.append(
-            Primitive(PRIM_SEND, loop, ints[step], chunk_index=ints[position],
-                      nbytes=slab, send_peer=intra_send)
-        )
-        substep = 0
-        for _ in range(m - 2):
-            step += 1
-            substep += 1
-            primitives.append(
-                Primitive(PRIM_RECV_COPY_SEND, loop, ints[step],
-                          chunk_index=ints[(position - substep) % m], nbytes=slab,
-                          send_peer=intra_send, recv_peer=intra_recv)
-            )
-        step += 1
-        primitives.append(
-            Primitive(PRIM_RECV, loop, ints[step],
-                      chunk_index=ints[(position + 1) % m], nbytes=slab,
-                      recv_peer=intra_recv)
-        )
-    return primitives
-
-
-def _chain_loop(group_rank, group_size, loop, nbytes, root, reducing):
-    """One primitive per loop for broadcast (root → ring) or reduce (ring → root)."""
-    # The chain visits ranks in ring order starting after the root and ending
-    # at the rank just before the root (broadcast) or at the root (reduce).
-    position = (group_rank - root) % group_size
-    send_peer = (group_rank + 1) % group_size
-    recv_peer = (group_rank - 1) % group_size
-    if reducing:
-        # Reduce: data flows towards the root; chain start is root+1.
-        if position == 1 or group_size == 1:
-            return [Primitive(PRIM_SEND, loop, 0, chunk_index=loop, nbytes=nbytes,
-                              send_peer=send_peer)]
-        if group_rank == root:
-            return [Primitive(PRIM_RECV_REDUCE_COPY, loop, 0,
-                              chunk_index=loop, nbytes=nbytes, recv_peer=recv_peer)]
-        return [Primitive(PRIM_RECV_REDUCE_SEND, loop, 0,
-                          chunk_index=loop, nbytes=nbytes,
-                          send_peer=send_peer, recv_peer=recv_peer)]
-    # Broadcast: data flows away from the root; chain end is root-1.
-    if group_rank == root:
-        return [Primitive(PRIM_SEND, loop, 0, chunk_index=loop, nbytes=nbytes,
-                          send_peer=send_peer)]
-    if position == group_size - 1:
-        return [Primitive(PRIM_RECV, loop, 0, chunk_index=loop, nbytes=nbytes,
-                          recv_peer=recv_peer)]
-    return [Primitive(PRIM_RECV_COPY_SEND, loop, 0, chunk_index=loop,
-                      nbytes=nbytes, send_peer=send_peer, recv_peer=recv_peer)]
+    def build(loop, nbytes):
+        slab = nbytes * k  # one 1/m share of the loop payload (k slices)
+        primitives = _ring(position, m, loop, slab, *intra, scatter)
+        primitives += _ring(island, k, loop, nbytes, *inter, ring, m)
+        primitives += _ring(position, m, loop, slab, *intra, gather, gather_step)
+        return primitives
+    return build
 
 
 # -- tree structures ------------------------------------------------------------
@@ -434,35 +326,35 @@ def binomial_tree_relations(group_rank, group_size, root=0):
     return parent, children
 
 
+def chain_relations(group_rank, group_size, root, reducing):
+    """Parent and children of ``group_rank`` in the chain rooted at ``root``.
+
+    The chain is one path over every rank in ring order.  A broadcast flows
+    away from the root (``root → root+1 → … → root-1``); a reduce flows toward
+    it (``root+1 → … → root-1 → root``).  Every rank has at most one child.
+    """
+    after = (group_rank + 1) % group_size
+    before = (group_rank - 1) % group_size
+    if reducing:
+        parent, child, leaf = after, before, (root + 1) % group_size
+    else:
+        parent, child, leaf = before, after, (root - 1) % group_size
+    return (None if group_rank == root else parent), ([] if group_rank == leaf else [child])
+
+
 def _tree_reduce_phase(parent, children, loop, step, nbytes):
     """Reduce-toward-root primitives of one rank: recv-reduce each child, then
     forward the partial result to the parent (fused with the last reduce)."""
     ints = _INTS
-    primitives = []
     if not children:
-        primitives.append(
-            Primitive(PRIM_SEND, loop, ints[step], chunk_index=loop, nbytes=nbytes,
-                      send_peer=parent)
-        )
-        return primitives, step + 1
+        return [Primitive(PRIM_SEND, loop, ints[step], loop, nbytes, parent)], step + 1
+    primitives = []
     for child in children[:-1]:
-        primitives.append(
-            Primitive(PRIM_RECV_REDUCE_COPY, loop, ints[step],
-                      chunk_index=loop, nbytes=nbytes, recv_peer=child)
-        )
+        primitives.append(Primitive(PRIM_RECV_REDUCE_COPY, loop, ints[step], loop, nbytes,
+                                    None, child))
         step += 1
-    last = children[-1]
-    if parent is None:
-        primitives.append(
-            Primitive(PRIM_RECV_REDUCE_COPY, loop, ints[step],
-                      chunk_index=loop, nbytes=nbytes, recv_peer=last)
-        )
-    else:
-        primitives.append(
-            Primitive(PRIM_RECV_REDUCE_SEND, loop, ints[step],
-                      chunk_index=loop, nbytes=nbytes,
-                      send_peer=parent, recv_peer=last)
-        )
+    last = PRIM_RECV_REDUCE_COPY if parent is None else PRIM_RECV_REDUCE_SEND
+    primitives.append(Primitive(last, loop, ints[step], loop, nbytes, parent, children[-1]))
     return primitives, step + 1
 
 
@@ -471,30 +363,15 @@ def _tree_broadcast_phase(parent, children, loop, step, nbytes):
     forward to every child (fused with the first send)."""
     ints = _INTS
     primitives = []
-    if parent is None:
-        for child in children:
-            primitives.append(
-                Primitive(PRIM_SEND, loop, ints[step], chunk_index=loop,
-                          nbytes=nbytes, send_peer=child)
-            )
-            step += 1
-        return primitives, step
-    if not children:
-        primitives.append(
-            Primitive(PRIM_RECV, loop, ints[step], chunk_index=loop, nbytes=nbytes,
-                      recv_peer=parent)
-        )
-        return primitives, step + 1
-    primitives.append(
-        Primitive(PRIM_RECV_COPY_SEND, loop, ints[step], chunk_index=loop,
-                  nbytes=nbytes, send_peer=children[0], recv_peer=parent)
-    )
-    step += 1
-    for child in children[1:]:
-        primitives.append(
-            Primitive(PRIM_SEND, loop, ints[step], chunk_index=loop, nbytes=nbytes,
-                      send_peer=child)
-        )
+    if parent is not None:
+        if not children:
+            return [Primitive(PRIM_RECV, loop, ints[step], loop, nbytes, None, parent)], step + 1
+        primitives.append(Primitive(PRIM_RECV_COPY_SEND, loop, ints[step], loop, nbytes,
+                                    children[0], parent))
+        step += 1
+        children = children[1:]
+    for child in children:
+        primitives.append(Primitive(PRIM_SEND, loop, ints[step], loop, nbytes, child))
         step += 1
     return primitives, step
 
@@ -523,16 +400,19 @@ def _all_reduce_tree_loop(group_rank, group_size, loop, nbytes):
     return primitives
 
 
-def _broadcast_tree_loop(group_rank, group_size, loop, nbytes, root):
-    parent, children = binomial_tree_relations(group_rank, group_size, root)
-    primitives, _ = _tree_broadcast_phase(parent, children, loop, 0, nbytes)
-    return primitives
+def _rooted_builder(kind, group_rank, group_size, root, tree):
+    """The per-loop builder of a broadcast, reduce or send/recv: one tree
+    phase over the binomial tree (``tree``) or the chain."""
+    reducing = kind is CollectiveKind.REDUCE
+    if tree:
+        parent, children = binomial_tree_relations(group_rank, group_size, root)
+    else:
+        parent, children = chain_relations(group_rank, group_size, root, reducing)
+    phase = _tree_reduce_phase if reducing else _tree_broadcast_phase
 
-
-def _reduce_tree_loop(group_rank, group_size, loop, nbytes, root):
-    parent, children = binomial_tree_relations(group_rank, group_size, root)
-    primitives, _ = _tree_reduce_phase(parent, children, loop, 0, nbytes)
-    return primitives
+    def build(loop, nbytes):
+        return phase(parent, children, loop, 0, nbytes)[0]
+    return build
 
 
 def generate_primitive_sequence(
@@ -588,49 +468,23 @@ def generate_primitive_sequence(
     )
     loops = chunk_loops(nbytes, group_size, chunk_bytes, per_rank_slices=sliced)
 
+    if kind is CollectiveKind.ALL_TO_ALL:
+        build = partial(_all_to_all_loop, group_rank, group_size)
+    elif tree and kind is CollectiveKind.ALL_REDUCE:
+        build = partial(_all_reduce_tree_loop, group_rank, group_size)
+    elif hierarchical:
+        build = _hierarchical_builder(group_rank, group_size, island_size)
+    elif kind is CollectiveKind.ALL_REDUCE:
+        build = _ring_builder(group_rank, group_size, _all_reduce_runs(group_size))
+    elif kind is CollectiveKind.ALL_GATHER:
+        build = _ring_builder(group_rank, group_size, _all_gather_runs(group_size))
+    elif kind is CollectiveKind.REDUCE_SCATTER:
+        build = _ring_builder(group_rank, group_size, _reduce_scatter_runs(group_size))
+    else:  # broadcast, reduce, send/recv (a two-rank broadcast chain)
+        build = _rooted_builder(kind, group_rank, group_size, root, tree)
+
+    ints = _INTS
     sequence = []
     for loop, loop_nbytes in enumerate(loops):
-        loop = _INTS[loop]
-        if kind is CollectiveKind.ALL_REDUCE:
-            if tree:
-                sequence.extend(_all_reduce_tree_loop(group_rank, group_size, loop,
-                                                      loop_nbytes))
-            elif hierarchical:
-                sequence.extend(_hierarchical_all_reduce_loop(
-                    group_rank, group_size, loop, loop_nbytes, island_size))
-            else:
-                sequence.extend(_all_reduce_loop(group_rank, group_size, loop, loop_nbytes))
-        elif kind is CollectiveKind.ALL_TO_ALL:
-            sequence.extend(_all_to_all_loop(group_rank, group_size, loop, loop_nbytes))
-        elif kind is CollectiveKind.ALL_GATHER:
-            sequence.extend(_all_gather_loop(group_rank, group_size, loop, loop_nbytes))
-        elif kind is CollectiveKind.REDUCE_SCATTER:
-            sequence.extend(_reduce_scatter_loop(group_rank, group_size, loop, loop_nbytes))
-        elif kind is CollectiveKind.BROADCAST:
-            if tree:
-                sequence.extend(_broadcast_tree_loop(group_rank, group_size, loop,
-                                                     loop_nbytes, root))
-            else:
-                sequence.extend(_chain_loop(group_rank, group_size, loop, loop_nbytes,
-                                            root, False))
-        elif kind is CollectiveKind.REDUCE:
-            if tree:
-                sequence.extend(_reduce_tree_loop(group_rank, group_size, loop,
-                                                  loop_nbytes, root))
-            else:
-                sequence.extend(_chain_loop(group_rank, group_size, loop, loop_nbytes,
-                                            root, True))
-        elif kind is CollectiveKind.SEND_RECV:
-            # Point-to-point modelled as a two-rank broadcast chain.
-            sequence.extend(_chain_loop(group_rank, group_size, loop, loop_nbytes, root, False))
-        else:  # pragma: no cover - defensive
-            raise ConfigurationError(f"unsupported collective kind {kind}")
+        sequence += build(ints[loop], loop_nbytes)
     return sequence
-
-
-def primitive_count(kind, group_size, nbytes, chunk_bytes=DEFAULT_CHUNK_BYTES,
-                    algorithm=ALGORITHM_RING):
-    """Number of primitives a rank executes for one collective call."""
-    sequence = generate_primitive_sequence(kind, 0, group_size, nbytes, chunk_bytes,
-                                           algorithm=algorithm)
-    return len(sequence)

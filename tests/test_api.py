@@ -84,6 +84,18 @@ class TestProcessGroup:
         with pytest.raises(ConfigurationError):
             group.all_reduce(7, count=4)
 
+    @pytest.mark.parametrize("backend_name", ["dfccl", "nccl", "mpi"])
+    def test_root_outside_the_group_rejected_at_the_call(self, backend_name):
+        cluster = build_cluster("single-3090")
+        group = make_backend(backend_name, cluster).new_group([0, 1, 2, 3])
+        for call in (group.broadcast, group.reduce):
+            with pytest.raises(ConfigurationError, match="root 5"):
+                call(0, count=256, root=5)
+            with pytest.raises(ConfigurationError, match="root 4"):
+                call(1, count=256, root=4)
+        works = [group.broadcast(rank, count=256, root=3) for rank in range(4)]
+        assert [work.index for work in works] == [0, 0, 0, 0]
+
     def test_auto_assigned_ids_and_invocation_indices(self):
         cluster = build_cluster("single-3090")
         backend = make_backend("dfccl", cluster)
@@ -490,6 +502,20 @@ class TestRemovedShims:
         assert not hasattr(NcclCollectiveKernel, "PRIMITIVES_PER_STEP")
         assert not hasattr(config, "PRIMITIVES_PER_STEP")
         assert not hasattr(TaskEntry, "boost_spin")
+
+    def test_one_ring_pass_and_one_pair_of_tree_phases(self):
+        """Every schedule is compiled from ``_ring``, the two tree phases and
+        the all-to-all exchange: the per-collective builders and the
+        ``primitive_count`` helper were deleted."""
+        import repro.collectives as collectives
+        from repro.collectives import sequences
+
+        for name in ("_ring_peers", "_all_reduce_loop", "_all_gather_loop",
+                     "_reduce_scatter_loop", "_chain_loop",
+                     "_broadcast_tree_loop", "_reduce_tree_loop",
+                     "_hierarchical_all_reduce_loop", "primitive_count"):
+            assert not hasattr(sequences, name), name
+        assert not hasattr(collectives, "primitive_count")
 
     def test_single_cost_model_and_channel_depth(self):
         """Every backend prices primitives with ``DEFAULT_COST_MODEL`` and

@@ -17,7 +17,6 @@ from repro.collectives import (
     PrimitiveExecutor,
     chunk_loops,
     generate_primitive_sequence,
-    primitive_count,
 )
 from repro.collectives.primitives import PRIMITIVE_NAMES
 from repro.gpusim.cluster import build_cluster
@@ -123,7 +122,7 @@ class TestSequences:
         (CollectiveKind.REDUCE, 1),
     ])
     def test_primitive_counts_per_loop(self, kind, expected):
-        assert primitive_count(kind, 8, nbytes=1024) == expected
+        assert len(generate_primitive_sequence(kind, 0, 8, nbytes=1024)) == expected
 
     def test_single_rank_collective_is_a_copy(self):
         sequence = generate_primitive_sequence(CollectiveKind.ALL_REDUCE, 0, 1, 1024)
@@ -196,10 +195,10 @@ def _digest_space():
                             island_size=island, root=size - 1)
 
 
-def _sequence_digest():
+def _sequence_digest(primitives):
     digest = hashlib.sha1()
     count = 0
-    for primitive in _digest_space():
+    for primitive in primitives:
         name, action, *rest = primitive._identity()
         digest.update(repr((name, action.value, *rest)).encode())
         count += 1
@@ -207,7 +206,32 @@ def _sequence_digest():
 
 
 def test_compiled_sequences_match_the_pinned_digest():
-    assert _sequence_digest() == (SEQUENCE_DIGEST, 72663)
+    assert _sequence_digest(_digest_space()) == (SEQUENCE_DIGEST, 72663)
+
+
+#: SHA-1 over :func:`_root_digest_space`, recorded before the chains became
+#: tree phases: the first digest roots every rooted collective at ``size - 1``.
+ROOT_DIGEST = "48ec6174f1a2b7e990e1fc4d7409a348694a9880"
+
+
+def _root_digest_space():
+    """Every primitive of broadcast, reduce and send/recv x ring/tree x n in
+    {2, 3, 4, 7, 16, 33} x roots {0, n // 2} x every rank, at a one-loop and a
+    many-loop payload."""
+    for kind in (CollectiveKind.BROADCAST, CollectiveKind.REDUCE,
+                 CollectiveKind.SEND_RECV):
+        for algorithm in ("ring", "tree"):
+            for size in (2, 3, 4, 7, 16, 33):
+                for root in (0, size // 2):
+                    for nbytes in (1000, (3 << 20) + 5):
+                        for rank in range(size):
+                            yield from generate_primitive_sequence(
+                                kind, rank, size, nbytes, algorithm=algorithm,
+                                root=root)
+
+
+def test_rooted_sequences_match_the_pinned_digest_at_other_roots():
+    assert _sequence_digest(_root_digest_space()) == (ROOT_DIGEST, 23192)
 
 
 class TestCompactPrimitives:
@@ -516,6 +540,29 @@ class TestTreeRelations:
                         seen.add(rank)
                         assert 0 <= parent < size
                 assert seen == set(range(size))
+
+    @pytest.mark.parametrize("reducing", [False, True])
+    def test_chain_is_one_path_from_or_to_the_root(self, reducing):
+        from repro.collectives import chain_relations
+        for size in (1, 2, 3, 5, 8):
+            for root in range(size):
+                relations = {rank: chain_relations(rank, size, root, reducing)
+                             for rank in range(size)}
+                assert relations[root][0] is None
+                for rank, (parent, children) in relations.items():
+                    assert len(children) <= 1
+                    if parent is not None:
+                        assert relations[parent][1] == [rank]
+                # Walk from the root along the children: every rank, once.
+                path = [root]
+                while relations[path[-1]][1]:
+                    path.extend(relations[path[-1]][1])
+                # Data flows parent to child in a broadcast, child to parent
+                # in a reduce: from the root, or into it, in ring order.
+                flow = path[::-1] if reducing else path
+                first = (root + 1) % size if reducing else root
+                assert flow == [(first + i) % size for i in range(size)]
+                assert flow[-1 if reducing else 0] == root
 
 
 class TestTreeSequences:
