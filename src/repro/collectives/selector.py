@@ -173,8 +173,8 @@ class AlgorithmSelector:
         """
         if self.interconnect is None or not device_ids:
             return 0.0
-        topology = getattr(self.interconnect, "topology", None)
-        if topology is None or topology.nodes_per_pod <= 0:
+        topology = self.interconnect.topology
+        if topology.nodes_per_pod <= 0:
             return 0.0
         devices = list(device_ids)
         crossings = 0

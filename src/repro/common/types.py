@@ -89,10 +89,6 @@ class LinkType(enum.Enum):
         self.alpha_us = alpha_us
         self.beta_gbps = beta_gbps
 
-    def transfer_time_us(self, nbytes):
-        """Return the alpha/beta cost of moving ``nbytes`` over this link."""
-        return self.alpha_us + nbytes / (self.beta_gbps * 1e3)
-
 
 @dataclass(frozen=True)
 class DeviceId:

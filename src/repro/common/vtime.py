@@ -45,18 +45,3 @@ class VirtualClock:
 
     def __repr__(self):
         return f"VirtualClock(now={self.now:.3f}us)"
-
-
-def us_to_ms(us):
-    """Convert microseconds to milliseconds."""
-    return us / 1e3
-
-
-def us_to_s(us):
-    """Convert microseconds to seconds."""
-    return us / 1e6
-
-
-def gbps_bytes_per_us(gbps):
-    """Convert GB/s to bytes per microsecond."""
-    return gbps * 1e3

@@ -187,10 +187,6 @@ class RankContext:
     def daemon_alive(self):
         return self.current_daemon is not None
 
-    @property
-    def daemon_generation(self):
-        return self._daemon_generation
-
     # -- elastic recovery ---------------------------------------------------------
 
     def recover_invocation(self, invocation, time_us):

@@ -99,9 +99,6 @@ class FaultInjector(Actor):
     def remaining(self):
         return len(self._timeline) - self._cursor
 
-    def applied_kinds(self):
-        return [action for _, action, _ in self.applied]
-
 
 def install_fault_plan(cluster, plan, name=None):
     """Create a :class:`FaultInjector` for ``plan`` and register it."""

@@ -69,6 +69,10 @@ class FaultEvent:
                 )
         if self.factor < 1.0:
             raise ConfigurationError(f"fault factor must be >= 1, got {self.factor}")
+        if self.alpha_add_us < 0.0:
+            raise ConfigurationError(
+                f"fault alpha_add_us must be non-negative, got {self.alpha_add_us}"
+            )
         if self.duration_us is not None and self.duration_us <= 0:
             raise ConfigurationError(
                 f"fault duration must be positive, got {self.duration_us}"

@@ -30,18 +30,13 @@ class NodeSpec:
 class ClusterSpec:
     """A whole cluster; order of ``nodes`` defines node indices.
 
-    ``topology`` optionally carries a hierarchical fabric description
-    (NVLink islands, fat-tree oversubscription); when absent a flat
-    PIX/SYS/RDMA fabric with ``pix_group_size`` is assumed.
+    ``topology`` is the fabric description (PIX domains, NVLink islands,
+    fat-tree oversubscription); the default is the flat PIX/SYS/RDMA fabric
+    of the paper's testbeds.
     """
 
     nodes: list = field(default_factory=list)
-    pix_group_size: int = 4
-    topology: TopologySpec = None
-
-    @property
-    def total_gpus(self):
-        return sum(node.num_gpus for node in self.nodes)
+    topology: TopologySpec = field(default_factory=TopologySpec)
 
 
 #: Paper testbeds (Table 2).
@@ -76,18 +71,14 @@ def mixed_32gpu_spec():
 def dual_server_nvlink_spec(num_gpus_per_node=8, nvlink_domain_size=4):
     """Two NVLink-equipped servers: 4-GPU NVLink islands inside PIX domains."""
     spec = dual_server_spec("3090", num_gpus_per_node)
-    spec.topology = TopologySpec(
-        pix_group_size=spec.pix_group_size, nvlink_domain_size=nvlink_domain_size
-    )
+    spec.topology = TopologySpec(nvlink_domain_size=nvlink_domain_size)
     return spec
 
 
 def fat_tree_32gpu_spec(oversubscription=2.0):
     """The 32-GPU cluster behind a 2:1 oversubscribed RDMA fat-tree."""
     spec = mixed_32gpu_spec()
-    spec.topology = TopologySpec(
-        pix_group_size=spec.pix_group_size, rdma_oversubscription=oversubscription
-    )
+    spec.topology = TopologySpec(rdma_oversubscription=oversubscription)
     return spec
 
 
@@ -125,7 +116,6 @@ def fat_tree_spec(num_gpus, gpus_per_node=8, nodes_per_pod=4,
     num_nodes = len(spec.nodes)
     two_level = nodes_per_pod > 0 and num_nodes > nodes_per_pod
     spec.topology = TopologySpec(
-        pix_group_size=spec.pix_group_size,
         nvlink_domain_size=nvlink_domain_size,
         rdma_oversubscription=oversubscription,
         nodes_per_pod=nodes_per_pod if two_level else 0,
@@ -142,9 +132,7 @@ class Cluster:
             raise ConfigurationError("a cluster needs at least one node")
         self.spec = spec
         self.engine = engine or Engine()
-        self.interconnect = Interconnect(
-            pix_group_size=spec.pix_group_size, topology=spec.topology
-        )
+        self.interconnect = Interconnect(spec.topology)
         self.devices = []
         self._devices_by_id = {}
         self._ranks_by_device = {}

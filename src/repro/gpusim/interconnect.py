@@ -9,8 +9,8 @@ bandwidth/latency curves in Fig. 8.
 Beyond the flat PIX/SYS model, a :class:`TopologySpec` describes a hierarchical
 fabric: NVLink islands inside the PCIe domains of each node, and an RDMA
 fat-tree joining the nodes whose uplinks may be oversubscribed.  The
-hierarchical view also knows how to enumerate the intra-node chain order and
-the inter-node tree edges that topology-aware collective algorithms traverse.
+:class:`Interconnect` has one job: resolve the (possibly degraded)
+:class:`LinkSpec` between two devices of that fabric.
 """
 
 from __future__ import annotations
@@ -118,32 +118,18 @@ class LinkSpec:
         return self.alpha_us + nbytes / (self.beta_gbps * 1e3)
 
 
-def _binomial_edges(count):
-    """Parent->child edges of a binomial tree over indices ``0..count-1``."""
-    edges = []
-    for child in range(1, count):
-        parent = child ^ (1 << (child.bit_length() - 1))
-        edges.append((parent, child))
-    return edges
-
-
 class Interconnect:
     """Resolves the link connecting any two simulated GPUs."""
 
-    def __init__(self, pix_group_size=4, overrides=None, topology=None):
-        if topology is None:
-            topology = TopologySpec(pix_group_size=pix_group_size)
-        self.topology = topology.validate()
-        self.pix_group_size = self.topology.pix_group_size
-        self._overrides = dict(overrides or {})
+    def __init__(self, topology=None):
+        self.topology = (TopologySpec() if topology is None else topology).validate()
+        #: Active ``(beta_factor, alpha_add_us)`` degradations per device pair.
         self._pair_degradations = {}
-        self._device_degradations = {}
         #: Resolved :class:`LinkSpec` per device pair.  Link resolution sits
         #: on the per-primitive hot path (every send consults it), so the
-        #: result is cached until anything that feeds it — an override, a
-        #: degradation, a restore — changes.  ``link_epoch`` counts those
-        #: invalidations; downstream caches (primitive executors) compare it
-        #: to drop their own derived entries.
+        #: result is cached until a degradation or a restore changes it.
+        #: ``link_epoch`` counts those invalidations; downstream caches
+        #: (primitive executors) compare it to drop their own derived entries.
         self._link_cache = {}
         self.link_epoch = 0
 
@@ -151,27 +137,7 @@ class Interconnect:
         self._link_cache.clear()
         self.link_epoch += 1
 
-    def override(self, device_a, device_b, spec):
-        """Force a specific link between two devices (both directions)."""
-        self._overrides[self._key(device_a, device_b)] = spec
-        self._invalidate_links()
-
     # -- fault injection: degradable links ------------------------------------
-
-    @staticmethod
-    def _remove_degradation(entries_by_key, key, beta_factor, alpha_add_us):
-        """Remove one degradation entry (a specific one, or the oldest)."""
-        entries = entries_by_key.get(key)
-        if not entries:
-            return
-        wanted = ((float(beta_factor), float(alpha_add_us))
-                  if beta_factor is not None else entries[0])
-        if wanted in entries:
-            entries.remove(wanted)
-        else:
-            entries.pop(0)
-        if not entries:
-            del entries_by_key[key]
 
     def degrade_link(self, device_a, device_b, beta_factor=1.0, alpha_add_us=0.0):
         """Degrade the link between two devices (bandwidth / latency fault).
@@ -179,65 +145,40 @@ class Interconnect:
         ``beta_factor`` divides the bandwidth, ``alpha_add_us`` is added to
         the per-message latency.  Degradations *stack*: overlapping faults on
         the same link each contribute an entry (worst bandwidth factor wins,
-        latencies add), and each ``restore_link`` removes one entry, so one
-        fault ending never cancels another still in progress.  They affect
-        transfers started after the call; chunks already pushed keep their
-        arrival times.
+        latencies add), and each ``restore_link`` removes its own entry, so
+        one fault ending never cancels another still in progress.  They
+        affect transfers started after the call; chunks already pushed keep
+        their arrival times.
         """
         if beta_factor < 1.0:
             raise ConfigurationError(
                 f"beta_factor must be at least 1, got {beta_factor}"
+            )
+        if alpha_add_us < 0.0:
+            raise ConfigurationError(
+                f"alpha_add_us must be non-negative, got {alpha_add_us}"
             )
         self._pair_degradations.setdefault(self._key(device_a, device_b), []).append(
             (float(beta_factor), float(alpha_add_us))
         )
         self._invalidate_links()
 
-    def restore_link(self, device_a, device_b, beta_factor=None, alpha_add_us=0.0):
-        """Remove one degradation between two devices (that fault ended)."""
-        self._remove_degradation(
-            self._pair_degradations, self._key(device_a, device_b),
-            beta_factor, alpha_add_us,
-        )
-        self._invalidate_links()
+    def restore_link(self, device_a, device_b, beta_factor=1.0, alpha_add_us=0.0):
+        """Remove the degradation ``degrade_link`` applied with these values.
 
-    def degrade_device_links(self, device, beta_factor=1.0, alpha_add_us=0.0):
-        """Degrade every link touching one device (NIC / PCIe-root fault)."""
-        if beta_factor < 1.0:
+        Raises :class:`ConfigurationError` when no such entry is active.
+        """
+        key = self._key(device_a, device_b)
+        entries = self._pair_degradations.get(key, [])
+        entry = (float(beta_factor), float(alpha_add_us))
+        if entry not in entries:
             raise ConfigurationError(
-                f"beta_factor must be at least 1, got {beta_factor}"
+                f"no active degradation {entry} between {device_a} and {device_b}"
             )
-        key = (device.node, device.local_rank)
-        self._device_degradations.setdefault(key, []).append(
-            (float(beta_factor), float(alpha_add_us))
-        )
+        entries.remove(entry)
+        if not entries:
+            del self._pair_degradations[key]
         self._invalidate_links()
-
-    def restore_device_links(self, device, beta_factor=None, alpha_add_us=0.0):
-        self._remove_degradation(
-            self._device_degradations, (device.node, device.local_rank),
-            beta_factor, alpha_add_us,
-        )
-        self._invalidate_links()
-
-    def _degradation_for(self, device_a, device_b):
-        """Combined (beta_factor, alpha_add) of pair and endpoint degradations."""
-        factor, alpha_add = 1.0, 0.0
-        entries = list(self._pair_degradations.get(
-            self._key(device_a, device_b), ()))
-        for device in (device_a, device_b):
-            entries.extend(self._device_degradations.get(
-                (device.node, device.local_rank), ()))
-        for entry_factor, entry_alpha in entries:
-            factor = max(factor, entry_factor)
-            alpha_add += entry_alpha
-        return factor, alpha_add
-
-    @property
-    def degraded_links(self):
-        """Number of currently active degradations (introspection)."""
-        return (sum(len(entries) for entries in self._pair_degradations.values())
-                + sum(len(entries) for entries in self._device_degradations.values()))
 
     @staticmethod
     def _key(device_a, device_b):
@@ -254,10 +195,10 @@ class Interconnect:
         return device.local_rank // self.topology.nvlink_domain_size
 
     def pix_domain(self, device):
-        return device.local_rank // self.pix_group_size
+        return device.local_rank // self.topology.pix_group_size
 
     def locality(self, device_a, device_b):
-        """The :class:`LinkType` class connecting two devices (before overrides)."""
+        """The :class:`LinkType` class connecting two devices."""
         if device_a == device_b:
             return LinkType.LOOPBACK
         if device_a.node != device_b.node:
@@ -277,24 +218,23 @@ class Interconnect:
         cached = self._link_cache.get(key)
         if cached is not None:
             return cached
-        if key in self._overrides:
-            spec = self._overrides[key]
-        else:
-            locality = self.locality(device_a, device_b)
-            if locality is LinkType.RDMA:
-                topology = self.topology
-                if topology.pod_of(device_a.node) != topology.pod_of(device_b.node):
-                    spec = LinkSpec.of(
-                        LinkType.RDMA,
-                        alpha_us=LinkType.RDMA.alpha_us + topology.spine_alpha_extra_us,
-                        beta_gbps=topology.spine_beta_gbps,
-                    )
-                else:
-                    spec = LinkSpec.of(LinkType.RDMA,
-                                       beta_gbps=topology.rdma_beta_gbps)
+        locality = self.locality(device_a, device_b)
+        if locality is LinkType.RDMA:
+            topology = self.topology
+            if topology.pod_of(device_a.node) != topology.pod_of(device_b.node):
+                spec = LinkSpec.of(
+                    LinkType.RDMA,
+                    alpha_us=LinkType.RDMA.alpha_us + topology.spine_alpha_extra_us,
+                    beta_gbps=topology.spine_beta_gbps,
+                )
             else:
-                spec = LinkSpec.of(locality)
-        factor, alpha_add = self._degradation_for(device_a, device_b)
+                spec = LinkSpec.of(LinkType.RDMA, beta_gbps=topology.rdma_beta_gbps)
+        else:
+            spec = LinkSpec.of(locality)
+        factor, alpha_add = 1.0, 0.0
+        for entry_factor, entry_alpha in self._pair_degradations.get(key, ()):
+            factor = max(factor, entry_factor)
+            alpha_add += entry_alpha
         if factor > 1.0 or alpha_add > 0.0:
             spec = LinkSpec(
                 link_type=spec.link_type,
@@ -303,66 +243,3 @@ class Interconnect:
             )
         self._link_cache[key] = spec
         return spec
-
-    def transfer_time_us(self, device_a, device_b, nbytes):
-        """Time to move ``nbytes`` between the two devices."""
-        return self.link(device_a, device_b).transfer_time_us(nbytes)
-
-    def bottleneck_beta_gbps(self, devices):
-        """Slowest link bandwidth among all pairs of ``devices`` (ring bound)."""
-        devices = list(devices)
-        if len(devices) < 2:
-            return LinkType.LOOPBACK.beta_gbps
-        betas = []
-        for i, dev_a in enumerate(devices):
-            for dev_b in devices[i + 1 :]:
-                betas.append(self.link(dev_a, dev_b).beta_gbps)
-        return min(betas)
-
-    # -- hierarchy enumeration -------------------------------------------------
-
-    def node_groups(self, devices):
-        """Devices grouped by node, each group in intra-node chain order."""
-        groups = {}
-        for device in devices:
-            groups.setdefault(device.node, []).append(device)
-        return {
-            node: self.intra_node_chain(members)
-            for node, members in sorted(groups.items())
-        }
-
-    def intra_node_chain(self, devices):
-        """Chain traversal order of same-node devices.
-
-        Devices in the same NVLink island are kept adjacent, islands in the
-        same PIX domain are kept adjacent, so a chain walk crosses each slower
-        domain boundary the minimum number of times.
-        """
-        devices = list(devices)
-        nodes = {device.node for device in devices}
-        if len(nodes) > 1:
-            raise ConfigurationError(
-                f"intra_node_chain expects devices of one node, got nodes {sorted(nodes)}"
-            )
-        return sorted(
-            devices,
-            key=lambda device: (
-                self.pix_domain(device),
-                self.nvlink_domain(device) or 0,
-                device.local_rank,
-            ),
-        )
-
-    def inter_node_tree_edges(self, devices):
-        """Binomial-tree edges over one leader device per participating node.
-
-        Returns ``(parent_device, child_device)`` pairs: the inter-node stage
-        of a hierarchical collective forwards data along exactly these RDMA
-        edges.
-        """
-        groups = self.node_groups(devices)
-        leaders = [members[0] for members in groups.values()]
-        return [
-            (leaders[parent], leaders[child])
-            for parent, child in _binomial_edges(len(leaders))
-        ]

@@ -208,9 +208,7 @@ def _tier_of(executor, peer):
     link = communicator.link(executor.group_rank, peer)
     if link.link_type.name != "RDMA":
         return "local_us"
-    topology = getattr(communicator.interconnect, "topology", None)
-    if topology is None:
-        return "intra_pod_us"
+    topology = communicator.interconnect.topology
     src = communicator.device_id(executor.group_rank)
     dst = communicator.device_id(peer)
     if topology.pod_of(src.node) != topology.pod_of(dst.node):

@@ -63,8 +63,7 @@ def link_utilization_timeline(obs, window_us=None, max_windows=64):
                 continue
             peer = primitive.send_peer
             link = communicator.link(executor.group_rank, peer)
-            wire_us = (link.alpha_us
-                       + primitive.nbytes / (link.beta_gbps * 1e3))
+            wire_us = link.transfer_time_us(primitive.nbytes)
             end = trace[3 * index + 1]
             horizon = end if end > horizon else horizon
             events.append((end,

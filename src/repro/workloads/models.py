@@ -23,10 +23,6 @@ class LayerSpec:
     activation_count: int
     flops_per_sample: float
 
-    @property
-    def param_bytes(self):
-        return self.param_count * 4
-
 
 @dataclass
 class ModelSpec:
@@ -41,10 +37,6 @@ class ModelSpec:
     @property
     def param_count(self):
         return sum(layer.param_count for layer in self.layers)
-
-    @property
-    def param_bytes(self):
-        return self.param_count * 4
 
     def forward_time_us(self, batch_size, layers=None):
         """Forward compute time of ``layers`` (default: all) for one microbatch."""

@@ -736,6 +736,48 @@ class TestRemovedShims:
         assert AdaptiveSpinPolicy().initial_threshold(0) == 20_000
         assert NaiveSpinPolicy().initial_threshold(3) == 10_000
 
+    def test_one_fabric_description(self):
+        """``Interconnect`` only resolves the (possibly degraded) link
+        between two devices of one ``TopologySpec``: its second hierarchy,
+        device-level degradations, overrides and transfer formula were
+        deleted, ``pix_group_size`` is set only on the ``TopologySpec``, and
+        the unused unit conversions and introspection helpers went with
+        them."""
+        import dataclasses
+        import inspect
+
+        import repro.common.vtime as vtime
+        import repro.gpusim.interconnect as interconnect
+        from repro.common.types import LinkType
+        from repro.core.api import RankContext
+        from repro.faults.injector import FaultInjector
+        from repro.gpusim.cluster import ClusterSpec
+        from repro.gpusim.interconnect import Interconnect
+        from repro.workloads.models import LayerSpec, ModelSpec
+
+        for name in ("node_groups", "intra_node_chain", "inter_node_tree_edges",
+                     "bottleneck_beta_gbps", "degrade_device_links",
+                     "restore_device_links", "degraded_links", "override",
+                     "transfer_time_us", "_remove_degradation",
+                     "_degradation_for"):
+            assert not hasattr(Interconnect, name), name
+        fabric = Interconnect()
+        for name in ("pix_group_size", "_device_degradations", "_overrides"):
+            assert not hasattr(fabric, name), name
+        assert list(inspect.signature(Interconnect).parameters) == ["topology"]
+        assert not hasattr(interconnect, "_binomial_edges")
+        assert not hasattr(LinkType, "transfer_time_us")
+        assert "pix_group_size" not in {
+            field.name for field in dataclasses.fields(ClusterSpec)}
+        assert ClusterSpec().topology == interconnect.TopologySpec()
+        assert not hasattr(ClusterSpec, "total_gpus")
+        for name in ("us_to_ms", "us_to_s", "gbps_bytes_per_us"):
+            assert not hasattr(vtime, name), name
+        assert not hasattr(RankContext, "daemon_generation")
+        assert not hasattr(FaultInjector, "applied_kinds")
+        for spec in (LayerSpec, ModelSpec):
+            assert not hasattr(spec, "param_bytes"), spec
+
     @pytest.mark.parametrize("module", [
         "repro.testing", "repro.testing.differential", "repro.faults",
         "repro.faults.scenarios", "repro.bench", "repro.obs.report",
@@ -786,3 +828,45 @@ class TestNoInternalStringDispatch:
         offenders = [str(path) for path in root.rglob("*.py")
                      if "api" not in path.parts and pattern.search(path.read_text())]
         assert offenders == []
+
+
+class TestNoUnreferencedDefinitions:
+    #: Names defined under ``src/repro`` that nothing in the program uses,
+    #: kept on purpose (one reason each).
+    ALLOWED = {
+        "started_at_us": "Work surface documented in docs/architecture.md",
+        "finished_at_us": "Work surface documented in docs/architecture.md",
+        "SleepKernel": "the compute kernel the device and fault tests launch",
+        "has_cycle": "repro.deadlock models the paper directly (out of scope)",
+        "overlap_degree": "repro.deadlock models the paper directly (out of scope)",
+    }
+
+    def test_every_definition_is_referenced(self):
+        """Every ``def`` / ``class`` name under ``src/repro`` occurs somewhere
+        in ``src/``, ``benchmarks/``, ``examples/`` or ``perfbench/`` besides
+        its own definitions; a name only its own tests use is deleted."""
+        import ast
+        import collections
+        import pathlib
+        import re
+
+        root = pathlib.Path(__file__).resolve().parent.parent
+        texts = {path: path.read_text()
+                 for folder in ("src", "benchmarks", "examples", "perfbench")
+                 for path in (root / folder).rglob("*.py")}
+        definitions = collections.Counter()
+        for path, text in texts.items():
+            if (root / "src" / "repro") not in path.parents:
+                continue
+            for node in ast.walk(ast.parse(text)):
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef))
+                        and not (node.name.startswith("__")
+                                 and node.name.endswith("__"))):
+                    definitions[node.name] += 1
+        occurrences = collections.Counter()
+        for text in texts.values():
+            occurrences.update(re.findall(r"[A-Za-z_]\w*", text))
+        unreferenced = {name for name, count in definitions.items()
+                        if occurrences[name] <= count}
+        assert unreferenced == set(self.ALLOWED)

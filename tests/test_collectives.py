@@ -366,8 +366,9 @@ class _BurstWorld:
         and then, register waiters and bump the link epoch, all drawn from
         ``rng``."""
         if rng.random() < 0.4:
-            self.interconnect.degrade_device_links(
-                rng.choice(self.devices).device_id,
+            device_a, device_b = rng.sample(self.devices, 2)
+            self.interconnect.degrade_link(
+                device_a.device_id, device_b.device_id,
                 beta_factor=rng.choice((2.0, 8.0)))
         self.clock.now += rng.uniform(0.0, 5.0)
         keys = []

@@ -13,7 +13,8 @@ from repro.common.types import (
     LinkType,
     ReduceOp,
 )
-from repro.common.vtime import VirtualClock, gbps_bytes_per_us, us_to_ms, us_to_s
+from repro.common.vtime import VirtualClock
+from repro.gpusim.interconnect import LinkSpec
 
 
 class TestDataType:
@@ -57,18 +58,18 @@ class TestCollectiveSpec:
 
 class TestLinkType:
     def test_transfer_time_includes_alpha(self):
-        assert LinkType.RDMA.transfer_time_us(0) == pytest.approx(LinkType.RDMA.alpha_us)
+        rdma = LinkSpec.of(LinkType.RDMA)
+        assert rdma.transfer_time_us(0) == pytest.approx(LinkType.RDMA.alpha_us)
 
     def test_transfer_time_monotonic_in_size(self):
-        small = LinkType.SHM_PIX.transfer_time_us(1 << 10)
-        large = LinkType.SHM_PIX.transfer_time_us(1 << 20)
-        assert large > small
+        pix = LinkSpec.of(LinkType.SHM_PIX)
+        assert pix.transfer_time_us(1 << 20) > pix.transfer_time_us(1 << 10)
 
     def test_faster_links_are_faster(self):
         nbytes = 4 << 20
-        assert (LinkType.NVLINK.transfer_time_us(nbytes)
-                < LinkType.SHM_PIX.transfer_time_us(nbytes)
-                < LinkType.RDMA.transfer_time_us(nbytes))
+        assert (LinkSpec.of(LinkType.NVLINK).transfer_time_us(nbytes)
+                < LinkSpec.of(LinkType.SHM_PIX).transfer_time_us(nbytes)
+                < LinkSpec.of(LinkType.RDMA).transfer_time_us(nbytes))
 
 
 class TestDeviceId:
@@ -97,11 +98,6 @@ class TestVirtualClock:
         assert clock.now == 10.0
         clock.advance_to(15.0)
         assert clock.now == 15.0
-
-    def test_unit_conversions(self):
-        assert us_to_ms(1500.0) == pytest.approx(1.5)
-        assert us_to_s(2e6) == pytest.approx(2.0)
-        assert gbps_bytes_per_us(10.0) == pytest.approx(1e4)
 
 
 class TestDeterministicRNG:

@@ -52,6 +52,13 @@ class TestFaultPlan:
         with pytest.raises(ConfigurationError):
             FaultEvent("meteor_strike", 0.0, rank=0).validate()
 
+    def test_validation_rejects_negative_latency_add(self):
+        """A degradation may only add latency, as it may only divide
+        bandwidth."""
+        with pytest.raises(ConfigurationError):
+            FaultEvent("link_degrade", 0.0, link=(0, 1), factor=2.0,
+                       alpha_add_us=-5.0, duration_us=10.0).validate()
+
     def test_random_plans_are_seed_deterministic(self):
         kwargs = dict(world_size=8, horizon_us=5000.0, expected_crashes=2.0)
         plan_a = FaultPlan.random(42, **kwargs)
@@ -104,27 +111,40 @@ class TestGpusimFaultHooks:
         cluster = build_cluster("single-3090")
         inter = cluster.interconnect
         a, b = cluster.device(0).device_id, cluster.device(1).device_id
-        baseline = inter.transfer_time_us(a, b, 1 << 20)
+        baseline = inter.link(a, b).transfer_time_us(1 << 20)
         inter.degrade_link(a, b, beta_factor=10.0, alpha_add_us=50.0)
-        assert inter.degraded_links == 1
-        degraded = inter.transfer_time_us(a, b, 1 << 20)
+        degraded = inter.link(a, b).transfer_time_us(1 << 20)
         assert degraded > 5 * baseline
-        inter.restore_link(a, b)
-        assert inter.degraded_links == 0
-        assert inter.transfer_time_us(a, b, 1 << 20) == pytest.approx(baseline)
+        inter.restore_link(a, b, beta_factor=10.0, alpha_add_us=50.0)
+        assert inter.link(a, b).transfer_time_us(1 << 20) == pytest.approx(baseline)
 
-    def test_device_level_degradation_covers_all_links(self):
+    def test_degrade_link_rejects_negative_latency_add(self):
         cluster = build_cluster("single-3090")
         inter = cluster.interconnect
-        a = cluster.device(0).device_id
-        others = [cluster.device(rank).device_id for rank in (1, 5)]
-        baselines = [inter.transfer_time_us(a, other, 1 << 20) for other in others]
-        inter.degrade_device_links(a, beta_factor=8.0)
-        for other, baseline in zip(others, baselines):
-            assert inter.transfer_time_us(a, other, 1 << 20) > 4 * baseline
-        inter.restore_device_links(a)
-        for other, baseline in zip(others, baselines):
-            assert inter.transfer_time_us(a, other, 1 << 20) == pytest.approx(baseline)
+        a, b = cluster.device(0).device_id, cluster.device(1).device_id
+        baseline = inter.link(a, b)
+        for beta_factor in (2.0, 1.0):
+            with pytest.raises(ConfigurationError):
+                inter.degrade_link(a, b, beta_factor=beta_factor,
+                                   alpha_add_us=-1.0)
+        assert inter.link(a, b) == baseline
+
+    def test_restore_removes_exactly_its_own_entry(self):
+        cluster = build_cluster("single-3090")
+        inter = cluster.interconnect
+        a, b = cluster.device(0).device_id, cluster.device(1).device_id
+        baseline = inter.link(a, b)
+        with pytest.raises(ConfigurationError):
+            inter.restore_link(a, b)
+        inter.degrade_link(a, b, beta_factor=4.0, alpha_add_us=2.0)
+        # Values that were never applied name no entry: nothing is removed.
+        with pytest.raises(ConfigurationError):
+            inter.restore_link(a, b, beta_factor=4.0)
+        assert inter.link(a, b).beta_gbps == pytest.approx(baseline.beta_gbps / 4.0)
+        inter.restore_link(b, a, beta_factor=4.0, alpha_add_us=2.0)
+        assert inter.link(a, b) == baseline
+        with pytest.raises(ConfigurationError):
+            inter.restore_link(a, b, beta_factor=4.0, alpha_add_us=2.0)
 
     def test_overlapping_link_degradations_stack(self):
         cluster = build_cluster("single-3090")
@@ -177,7 +197,8 @@ class TestGpusimFaultHooks:
                 .add_crash(3, at_us=200.0))
         injector = install_fault_plan(cluster, plan)
         cluster.engine.run()
-        assert injector.applied_kinds() == ["slowdown", "crash", "restore_speed"]
+        assert [action for _, action, _ in injector.applied] == [
+            "slowdown", "crash", "restore_speed"]
         assert cluster.device(3).failed
         assert cluster.device(1).slowdown_factor == 1.0  # restored
 

@@ -9,7 +9,7 @@ from repro.gpusim.cluster import ClusterSpec, NodeSpec, dual_server_spec, mixed_
 from repro.gpusim.device import SleepKernel
 from repro.gpusim.engine import Actor
 from repro.gpusim.host import CpuCompute, DeviceSynchronize, HostProgram, LaunchKernel
-from repro.gpusim.interconnect import Interconnect, LinkSpec
+from repro.gpusim.interconnect import Interconnect
 
 
 class _CountdownActor(Actor):
@@ -147,7 +147,7 @@ class TestEngine:
 
 class TestInterconnect:
     def test_pix_vs_sys_vs_rdma(self):
-        interconnect = Interconnect(pix_group_size=4)
+        interconnect = Interconnect()
         same_pix = interconnect.link(DeviceId(0, 0), DeviceId(0, 3))
         cross_pix = interconnect.link(DeviceId(0, 0), DeviceId(0, 5))
         cross_node = interconnect.link(DeviceId(0, 0), DeviceId(1, 0))
@@ -158,16 +158,6 @@ class TestInterconnect:
     def test_loopback(self):
         interconnect = Interconnect()
         assert interconnect.link(DeviceId(0, 1), DeviceId(0, 1)).link_type is LinkType.LOOPBACK
-
-    def test_override(self):
-        interconnect = Interconnect()
-        interconnect.override(DeviceId(0, 0), DeviceId(0, 1), LinkSpec.of(LinkType.NVLINK))
-        assert interconnect.link(DeviceId(0, 1), DeviceId(0, 0)).link_type is LinkType.NVLINK
-
-    def test_bottleneck_bandwidth(self):
-        interconnect = Interconnect()
-        devices = [DeviceId(0, 0), DeviceId(0, 5), DeviceId(1, 0)]
-        assert interconnect.bottleneck_beta_gbps(devices) == LinkType.RDMA.beta_gbps
 
 
 class TestCluster:
@@ -191,7 +181,7 @@ class TestCluster:
     def test_dual_server_spec_names(self):
         spec = dual_server_spec()
         assert len(spec.nodes) == 2
-        assert mixed_32gpu_spec().total_gpus == 32
+        assert sum(node.num_gpus for node in mixed_32gpu_spec().nodes) == 32
 
 
 class TestDeviceAndStreams:
@@ -296,51 +286,10 @@ class TestHierarchicalTopology:
         assert link.alpha_us == LinkType.RDMA.alpha_us
 
     def test_flat_topology_unchanged(self):
-        flat = Interconnect(pix_group_size=4)
+        flat = Interconnect()
         assert flat.link(DeviceId(0, 0), DeviceId(0, 1)).link_type is LinkType.SHM_PIX
         assert flat.link(DeviceId(0, 0), DeviceId(1, 0)).beta_gbps == \
             LinkType.RDMA.beta_gbps
-
-    def test_bottleneck_beta_sees_oversubscription(self):
-        interconnect = self._hier(oversub=4.0)
-        devices = [DeviceId(0, 0), DeviceId(0, 1), DeviceId(1, 0)]
-        assert interconnect.bottleneck_beta_gbps(devices) == \
-            LinkType.RDMA.beta_gbps / 4.0
-
-    def test_bottleneck_beta_single_device_is_loopback(self):
-        interconnect = self._hier()
-        assert interconnect.bottleneck_beta_gbps([DeviceId(0, 0)]) == \
-            LinkType.LOOPBACK.beta_gbps
-
-    def test_bottleneck_beta_respects_overrides(self):
-        interconnect = Interconnect()
-        interconnect.override(DeviceId(0, 0), DeviceId(0, 1),
-                              LinkSpec.of(LinkType.NVLINK, beta_gbps=1.0))
-        devices = [DeviceId(0, 0), DeviceId(0, 1)]
-        assert interconnect.bottleneck_beta_gbps(devices) == 1.0
-
-    def test_intra_node_chain_groups_domains(self):
-        interconnect = self._hier(nvlink=2)
-        devices = [DeviceId(0, 5), DeviceId(0, 0), DeviceId(0, 4), DeviceId(0, 1)]
-        chain = interconnect.intra_node_chain(devices)
-        assert chain == [DeviceId(0, 0), DeviceId(0, 1), DeviceId(0, 4), DeviceId(0, 5)]
-
-    def test_intra_node_chain_rejects_multi_node(self):
-        interconnect = self._hier()
-        with pytest.raises(Exception):
-            interconnect.intra_node_chain([DeviceId(0, 0), DeviceId(1, 0)])
-
-    def test_inter_node_tree_edges_span_all_nodes(self):
-        interconnect = self._hier()
-        devices = [DeviceId(node, local) for node in range(4) for local in range(2)]
-        edges = interconnect.inter_node_tree_edges(devices)
-        # A tree over 4 node leaders has exactly 3 edges, all cross-node.
-        assert len(edges) == 3
-        reached = {0}
-        for parent, child in edges:
-            assert parent.node != child.node
-            reached.add(child.node)
-        assert reached == {0, 1, 2, 3}
 
     def test_topology_spec_validation(self):
         from repro.gpusim.interconnect import TopologySpec
@@ -477,7 +426,7 @@ class TestTwoLevelFatTree:
         from repro.gpusim import fat_tree_spec
 
         spec = fat_tree_spec(512)
-        assert spec.total_gpus == 512
+        assert sum(node.num_gpus for node in spec.nodes) == 512
         assert spec.topology.nodes_per_pod == 4
         assert spec.topology.spine_oversubscription == 2.0
         small = fat_tree_spec(32)
@@ -502,7 +451,7 @@ class TestTwoLevelFatTree:
         degraded = interconnect.link(a, b)
         assert degraded.beta_gbps == pytest.approx(before.beta_gbps / 4.0)
         assert degraded.alpha_us == pytest.approx(before.alpha_us + 7.0)
-        interconnect.restore_link(a, b)
+        interconnect.restore_link(a, b, beta_factor=4.0, alpha_add_us=7.0)
         restored = interconnect.link(a, b)
         assert restored.beta_gbps == pytest.approx(before.beta_gbps)
 

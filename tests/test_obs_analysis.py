@@ -253,7 +253,8 @@ class TestLinksUnderDegradation:
             assert degraded[untouched]["busy_us"] == pytest.approx(
                 baseline[untouched]["busy_us"])
         finally:
-            cluster.interconnect.restore_link(src, dst)
+            cluster.interconnect.restore_link(src, dst, beta_factor=10.0,
+                                              alpha_add_us=25.0)
 
     def test_channels_counted_once_across_views(self, fat_tree_run):
         _, backend, _, _ = fat_tree_run

@@ -60,7 +60,7 @@ class TestDaemonGenerationTurnover:
         stats = backend.stats(0)
         assert stats.voluntary_quits >= 1
         assert stats.launches == stats.voluntary_quits + stats.final_exits
-        assert context.daemon_generation == stats.launches
+        assert context._daemon_generation == stats.launches
         assert stats.cqes_written == 2
         assert context.finally_exited
 
