@@ -1,11 +1,12 @@
 """CUDA-aware MPI as a third ``repro.api`` backend.
 
-The Sec. 2.1 baseline is analytic (:class:`~repro.ncclsim.CudaAwareMpiModel`);
-here it becomes a driveable execution platform: every collective is a
-host-staged rendezvous — each rank's submit records its arrival, the wait op
-blocks until every member arrived and then sleeps out the model's transfer
-time.  No GPU kernels are involved, which is exactly the property the paper
-motivates NCCL (and then DFCCL) against.
+The Sec. 2.1 baseline is analytic
+(:func:`~repro.ncclsim.mpi_all_reduce_time_us`); here it becomes a driveable
+execution platform: every collective is a host-staged rendezvous — each
+rank's submit records its arrival, the wait op blocks until every member
+arrived and then sleeps out the model's transfer time.  No GPU kernels are
+involved, which is exactly the property the paper motivates NCCL (and then
+DFCCL) against.
 
 The ring-all-reduce cost formula is applied to every collective kind: the
 host-staged path is dominated by staging latency and bandwidth, not by the
@@ -21,7 +22,7 @@ import statistics
 from repro.collectives.plan import CollectiveRun
 from repro.gpusim.host import CallHook, HostOp
 from repro.gpusim.engine import StepResult
-from repro.ncclsim import CudaAwareMpiModel
+from repro.ncclsim import mpi_all_reduce_time_us
 from repro.api.backend import CollectiveBackend, register_backend
 
 _mpi_op_ids = itertools.count()
@@ -38,12 +39,12 @@ class _MpiCollective(CollectiveRun):
     #: The analytic model has no per-bucket prediction.
     predicted_breakdown = None
 
-    def __init__(self, spec, ranks, model, job=None, obs=None, index=0):
+    def __init__(self, spec, ranks, job=None, obs=None, index=0):
         op_id = next(_mpi_op_ids)
         super().__init__(f"mpi-op{op_id}-{spec.kind.value}", spec, tuple(ranks),
                          job=job, obs=obs, index=index)
         self.op_id = op_id
-        self.duration_us = model.all_reduce_time_us(spec.nbytes, len(ranks))
+        self.duration_us = mpi_all_reduce_time_us(spec.nbytes, len(ranks))
 
     @property
     def predicted_cost_us(self):
@@ -86,19 +87,12 @@ class MpiCollectiveBackend(CollectiveBackend):
 
     name = "mpi"
 
-    def __init__(self, cluster, alpha_us=None, beta_gbps=None,
-                 chunk_bytes=None, algorithm=None, config=None):
+    def __init__(self, cluster, chunk_bytes=None, algorithm=None, config=None):
         # ``chunk_bytes`` / ``algorithm`` / ``config`` are accepted for knob
         # uniformity with the other factories; the analytic model has no use
         # for them.
         del chunk_bytes, algorithm, config
         super().__init__(cluster)
-        kwargs = {}
-        if alpha_us is not None:
-            kwargs["alpha_us"] = alpha_us
-        if beta_gbps is not None:
-            kwargs["beta_gbps"] = beta_gbps
-        self.model = CudaAwareMpiModel(**kwargs)
         self._collectives = {}
         obs = cluster.engine.obs
         if obs.enabled:
@@ -139,7 +133,7 @@ class MpiCollectiveBackend(CollectiveBackend):
         ident = (group.group_id, spec, key, index)
         coll = self._collectives.get(ident)
         if coll is None:
-            coll = _MpiCollective(spec, group.ranks, self.model, job=group.job,
+            coll = _MpiCollective(spec, group.ranks, job=group.job,
                                   obs=self.cluster.engine.obs, index=index)
             self._collectives[ident] = coll
         return coll, group.group_rank(rank)

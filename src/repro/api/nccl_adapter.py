@@ -116,7 +116,7 @@ class NcclCollectiveBackend(CollectiveBackend):
 
     def launch_overhead_us(self, rank):
         """The kernel launch before the run's residency."""
-        return self.cluster.device(rank).launch_overhead_us
+        return self.cluster.device(rank).LAUNCH_OVERHEAD_US
 
     def core_time_us(self, rank, runs):
         """Mean residency-to-completion time over each op's ranks."""

@@ -17,7 +17,6 @@ threshold for DFCCL) and in who schedules the next primitive.
 """
 
 from repro.collectives.channels import Channel, Communicator
-from repro.collectives.cost import CostModel
 from repro.collectives.plan import CollectivePlan
 from repro.collectives.primitives import (
     ExecOutcome,
@@ -56,7 +55,6 @@ __all__ = [
     "Channel",
     "CollectivePlan",
     "Communicator",
-    "CostModel",
     "ExecOutcome",
     "Primitive",
     "PrimitiveExecutor",

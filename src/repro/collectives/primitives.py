@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 
 from repro.common.types import PrimitiveAction
-from repro.collectives.cost import DEFAULT_COST_MODEL
+from repro.collectives.cost import primitive_time_us, split_busy
 
 
 #: Most primitives one engine step of either backend runs back to back (the
@@ -160,10 +160,6 @@ class PrimitiveExecutor:
     visible in the connectors.
     """
 
-    #: The primitive cost model every backend shares (``obs.analysis`` reads
-    #: it to split busy time into its terms).
-    cost_model = DEFAULT_COST_MODEL
-
     def __init__(self, collective_id, group_rank, communicator, primitives):
         self.collective_id = collective_id
         self.group_rank = group_rank
@@ -220,6 +216,16 @@ class PrimitiveExecutor:
             channel = self.communicator.channel(self.group_rank, peer)
             self._send_channels[peer] = channel
         return channel
+
+    def split_busy(self, primitive, busy):
+        """Split one of this executor's traced busy times into the cost
+        terms ``(overhead, alpha, beta, memory)`` of :func:`cost.split_busy`,
+        over the link the primitive sends on."""
+        peer = primitive.send_peer
+        link = (None if peer is None
+                else self.communicator.link(self.group_rank, peer))
+        return split_busy(busy, primitive.nbytes, link,
+                          primitive.touches_memory)
 
     def late_arrival_us(self, outcome):
         """Head arrival time a ``WAIT_RECV`` outcome judged too far in the
@@ -342,9 +348,8 @@ class PrimitiveExecutor:
                         if link is None:
                             link = self._links[send_peer] = \
                                 self.communicator.link(self.group_rank, send_peer)
-                    busy = busy_cache[busy_key] = self.cost_model.primitive_time_us(
-                        nbytes, link=link, sends=sends is not None,
-                        touches_memory=primitive.touches_memory)
+                    busy = busy_cache[busy_key] = primitive_time_us(
+                        nbytes, link, primitive.touches_memory)
 
             if receives is not None:
                 # Spin until the in-flight data actually arrives, then

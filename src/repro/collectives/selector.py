@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError
 from repro.common.types import CollectiveKind, LinkType
-from repro.collectives.cost import DEFAULT_COST_MODEL
+from repro.collectives.cost import PRIMITIVE_OVERHEAD_US
 from repro.collectives.sequences import (
     ALGORITHM_HIERARCHICAL,
     ALGORITHM_RING,
@@ -104,15 +104,15 @@ class AlgorithmSelector:
     """Predicts per-algorithm alpha/beta costs and picks the cheapest schedule.
 
     A selector holds the interconnect (for per-link latency/bandwidth
-    lookups) and the chunk size the tree formulas price; every backend
-    shares ``DEFAULT_COST_MODEL``.  A plan consults one per membership
+    lookups) and the chunk size the tree formulas price; every hop pays
+    the ``PRIMITIVE_OVERHEAD_US`` every backend charges.  A plan consults one per membership
     (``resolve``); sweeps call ``choose`` directly.  Candidates are the flat
     ring, the double binary tree, and — for all-reduce on groups spanning
     >= ``_HIERARCHICAL_MIN_ISLANDS`` nodes — the two-level hierarchical
     schedule.
     """
 
-    def __init__(self, interconnect=None, chunk_bytes=DEFAULT_CHUNK_BYTES):
+    def __init__(self, interconnect, chunk_bytes=DEFAULT_CHUNK_BYTES):
         self.interconnect = interconnect
         self.chunk_bytes = chunk_bytes
 
@@ -121,11 +121,11 @@ class AlgorithmSelector:
     def link_parameters(self, device_ids):
         """Ring-edge link aggregates for a device group.
 
-        When no topology information is available, falls back to the PIX
-        domain defaults (the flat single-server case).
+        Without at least two device ids, falls back to the PIX domain
+        defaults (the flat single-server case).
         """
         size = len(device_ids or ())
-        if self.interconnect is None or size < 2:
+        if size < 2:
             alpha = LinkType.SHM_PIX.alpha_us
             beta = LinkType.SHM_PIX.beta_gbps
             edges = max(2, size)
@@ -146,12 +146,12 @@ class AlgorithmSelector:
         """Two-level decomposition of a device group, or ``None``.
 
         Returns ``(island_size, islands, intra_params, inter_params)`` when the
-        group's devices form >= 2 equal contiguous node-aligned islands and a
-        real interconnect is available to distinguish the tiers.  The intra
+        group's devices form >= 2 equal contiguous node-aligned islands.  The
+        intra
         parameters aggregate the first island's ring edges; the inter
         parameters aggregate the ring over each island's lead device.
         """
-        if self.interconnect is None or not device_ids:
+        if not device_ids:
             return None
         devices = list(device_ids)
         island_size = hierarchical_island_size(dev.node for dev in devices)
@@ -171,7 +171,7 @@ class AlgorithmSelector:
         crossing.  Zero whenever the topology is single-level or the group
         sits inside one pod, so flat-topology predictions are unchanged.
         """
-        if self.interconnect is None or not device_ids:
+        if not device_ids:
             return 0.0
         topology = self.interconnect.topology
         if topology.nodes_per_pod <= 0:
@@ -214,7 +214,7 @@ class AlgorithmSelector:
         """
         if algorithm not in ALGORITHMS:
             raise ConfigurationError(f"unknown algorithm {algorithm!r}")
-        overhead = DEFAULT_COST_MODEL.primitive_overhead_us
+        overhead = PRIMITIVE_OVERHEAD_US
 
         def buckets(hops, alpha_us, beta_us):
             return {"alpha_us": alpha_us, "beta_us": beta_us,

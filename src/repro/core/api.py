@@ -39,8 +39,6 @@ class RankContext:
         self.device = self.cluster.device(global_rank)
 
         self.sq = SubmissionQueue()
-        self.consumer_id = f"daemon-r{global_rank}"
-        self.sq.register_consumer(self.consumer_id)
         self.cq = make_completion_queue(self.config.cq_variant)
 
         self.registered = {}

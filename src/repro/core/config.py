@@ -30,6 +30,8 @@ SPIN_POSITION_DECAY = 0.5
 MIN_SPIN_THRESHOLD = 2_000
 #: Threshold multiplier applied after a primitive succeeds (gang scheduling).
 SPIN_SUCCESS_BOOST = 20.0
+#: Highest threshold success boosts reach.
+SPIN_THRESHOLD_CEILING = INITIAL_SPIN_THRESHOLD * SPIN_SUCCESS_BOOST
 #: Fixed threshold used by the naive policy (the Fig. 11 case study).
 NAIVE_SPIN_THRESHOLD = 10_000
 #: First spin quantum (polls) of a failing retry, and the quantum a success

@@ -54,7 +54,7 @@ class ActiveContextCache:
     since it was loaded is not written back (Sec. 5).
     """
 
-    def __init__(self, clock=None):
+    def __init__(self, clock):
         self.clock = clock
         self.slots = [_Slot() for _ in range(ACTIVE_CONTEXT_SLOTS)]
         self.stats = ContextStats()
@@ -76,8 +76,7 @@ class ActiveContextCache:
         return slot
 
     def _charge(self, cost_us):
-        if self.clock is not None:
-            self.clock.advance(cost_us)
+        self.clock.advance(cost_us)
         return cost_us
 
     def load(self, coll_id):

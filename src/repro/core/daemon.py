@@ -35,7 +35,7 @@ from itertools import accumulate
 from operator import add
 
 from repro.collectives.channels import channel_by_id
-from repro.collectives.cost import DEFAULT_COST_MODEL
+from repro.collectives.cost import POLL_COST_US
 from repro.collectives.primitives import PRIMITIVES_PER_STEP, ExecOutcome
 from repro.common.errors import SimulationError
 from repro.core.config import (
@@ -78,7 +78,7 @@ def _spin_plan(remaining, quantum):
         polls = min(quantum, SPIN_BATCH, remaining)
         if polls >= remaining:
             break  # this retry spends the last of the budget: preemption
-        spin_times.append(polls * DEFAULT_COST_MODEL.poll_cost_us)
+        spin_times.append(polls * POLL_COST_US)
         remaining -= polls
         quantum = min(quantum * 2, SPIN_BATCH)
         polls_after.append(polls_after[-1] + polls)
@@ -104,7 +104,6 @@ class _PassPlan:
                  "cache_hits")
 
     def __init__(self, thresholds, hits):
-        poll_cost_us = DEFAULT_COST_MODEL.poll_cost_us
         self.thresholds = thresholds
         self.deltas, self.starts, self.spins = [SQ_POLL_COST_US], [0], []
         self.cache_hits = 0
@@ -120,7 +119,7 @@ class _PassPlan:
                 self.spins.append(spin)
                 self.starts.append(len(self.deltas))
             if remaining[-1]:
-                spin = remaining[-1] * poll_cost_us
+                spin = remaining[-1] * POLL_COST_US
                 self.deltas.append(spin)
                 self.spins.append(spin)
             self.starts.append(len(self.deltas))
@@ -221,10 +220,10 @@ class DaemonKernel(KernelActor):
     def _fetch_sqes(self):
         """Fetch every pending SQE; returns the number fetched."""
         fetched = 0
-        while self.ctx.sq.pending(self.ctx.consumer_id) > 0:
+        while self.ctx.sq:
             self.clock.advance(SQE_READ_COST_US)
             self.stats.sqe_read_time_us += SQE_READ_COST_US
-            sqe = self.ctx.sq.pop(self.ctx.consumer_id)
+            sqe = self.ctx.sq.pop()
             self.stats.sqes_read += 1
             self.clock.advance(SQE_PARSE_COST_US)
             self.stats.preparing_time_us += SQE_PARSE_COST_US
@@ -335,7 +334,6 @@ class DaemonKernel(KernelActor):
         # success restores for every later one.  While a success still boosts
         # the threshold, that budget differs per attempt, so the entry runs
         # bursts of one until the boost saturates.
-        poll_cost_us = DEFAULT_COST_MODEL.poll_cost_us
         clock = self.clock
         executor = entry.executor
         steady_budget = self.spin_policy.steady_success_budget
@@ -347,10 +345,10 @@ class DaemonKernel(KernelActor):
                 limit, success_wait_us = 1, None
             else:
                 limit = PRIMITIVES_PER_STEP - executed
-                success_wait_us = budget * poll_cost_us
+                success_wait_us = budget * POLL_COST_US
             count, outcome = executor.burst(
                 clock, self.engine, limit,
-                entry.spin_remaining * poll_cost_us, success_wait_us)
+                entry.spin_remaining * POLL_COST_US, success_wait_us)
             if not count:
                 break
             executed += count
@@ -394,7 +392,7 @@ class DaemonKernel(KernelActor):
         # the quantum so they cost few retries before preemption.
         polls = min(entry.spin_quantum, SPIN_BATCH, entry.spin_remaining)
         if polls > 0:
-            spin_time = polls * DEFAULT_COST_MODEL.poll_cost_us
+            spin_time = polls * POLL_COST_US
             self.clock.advance(spin_time)
             entry.spin_remaining -= polls
             entry.spin_polls += polls
@@ -430,7 +428,7 @@ class DaemonKernel(KernelActor):
         arrival = entry.executor.late_arrival_us(outcome)
         if arrival is not None and not (
                 arrival > self.clock.now
-                + entry.spin_remaining * DEFAULT_COST_MODEL.poll_cost_us):
+                + entry.spin_remaining * POLL_COST_US):
             return StepResult.progress(detail)  # the next retry takes it
         plan = _spin_plan(entry.spin_remaining, entry.spin_quantum)
         if not plan[0]:
@@ -465,7 +463,7 @@ class DaemonKernel(KernelActor):
         pass's thresholds and context-cache hits alone.
         """
         if (self._final_exit_requested
-                or self.ctx.sq.pending(self.ctx.consumer_id)):
+                or self.ctx.sq):
             return None
         clock = self.clock
         if (clock.now + SQ_POLL_COST_US * clock.rate
@@ -519,9 +517,8 @@ class DaemonKernel(KernelActor):
         times = list(accumulate([spin * wait.rate for spin in spin_times],
                                 initial=wait.start))
         if wait.arrival is not None:
-            poll_cost_us = DEFAULT_COST_MODEL.poll_cost_us
             for index, now in enumerate(times):
-                if not wait.arrival > now + remaining[index] * poll_cost_us:
+                if not wait.arrival > now + remaining[index] * POLL_COST_US:
                     del times[index + 1:]  # the retry that can take it
                     break
         return times

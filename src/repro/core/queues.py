@@ -1,8 +1,8 @@
 """Submission queue (SQ) and the three completion queue (CQ) variants.
 
-The SQ is a single-producer-multi-consumer ring buffer: one CPU thread writes
-SQEs, every block of the daemon kernel reads them and a per-SQE read counter
-marks the slot writable again once all blocks have seen it.
+The SQ is a single-producer-single-consumer bounded FIFO: one CPU thread
+writes SQEs and the rank's daemon kernel, the only reader, pops them in
+order.
 
 The CQ exists in the three variants evaluated in Fig. 7(c):
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.common.errors import QueueEmptyError, QueueFullError
@@ -58,72 +59,30 @@ class Cqe:
 
 
 class SubmissionQueue:
-    """SPMC ring buffer written by the host and read by all daemon blocks."""
+    """Bounded FIFO written by the host and read by the rank's daemon."""
 
-    def __init__(self, capacity=SQ_CAPACITY, num_consumers=1):
+    def __init__(self, capacity=SQ_CAPACITY):
         if capacity <= 0:
             raise ValueError("SQ capacity must be positive")
         self.capacity = capacity
-        self.num_consumers = num_consumers
-        self._slots = [None] * capacity
-        self._read_counters = [0] * capacity
-        self.head = 0          # next slot the producer writes
-        self._consumer_tails = {}
-        self.submitted = 0
-        self.retired = 0
-
-    def register_consumer(self, consumer_id):
-        """Register a daemon block as a consumer with its own tail pointer."""
-        self._consumer_tails.setdefault(consumer_id, self.head)
-
-    # -- producer (CPU) side -----------------------------------------------------
+        self._sqes = deque()
 
     def writable(self):
-        slot = self.head % self.capacity
-        return self._slots[slot] is None
+        return len(self._sqes) < self.capacity
 
     def push(self, sqe):
         if not self.writable():
             raise QueueFullError("submission queue is full")
-        slot = self.head % self.capacity
-        self._slots[slot] = sqe
-        self._read_counters[slot] = 0
-        self.head += 1
-        self.submitted += 1
+        self._sqes.append(sqe)
         return sqe
 
-    # -- consumer (daemon block) side -----------------------------------------------
-
-    def peek(self, consumer_id):
-        """Return the next unread SQE for this consumer without consuming it."""
-        tail = self._consumer_tails.get(consumer_id)
-        if tail is None:
-            raise KeyError(f"consumer {consumer_id!r} is not registered")
-        if tail >= self.head:
-            return None
-        return self._slots[tail % self.capacity]
-
-    def pop(self, consumer_id):
-        """Read the next SQE; the slot is recycled once every consumer read it."""
-        sqe = self.peek(consumer_id)
-        if sqe is None:
-            raise QueueEmptyError("submission queue has no new element for this consumer")
-        tail = self._consumer_tails[consumer_id]
-        slot = tail % self.capacity
-        self._consumer_tails[consumer_id] = tail + 1
-        self._read_counters[slot] += 1
-        if self._read_counters[slot] >= max(1, len(self._consumer_tails)):
-            self._slots[slot] = None
-            self.retired += 1
-        return sqe
-
-    def pending(self, consumer_id):
-        tail = self._consumer_tails.get(consumer_id, self.head)
-        return self.head - tail
+    def pop(self):
+        if not self._sqes:
+            raise QueueEmptyError("submission queue is empty")
+        return self._sqes.popleft()
 
     def __len__(self):
-        """Occupied slots: pushed SQEs that not every consumer has read."""
-        return self.submitted - self.retired
+        return len(self._sqes)
 
 
 class CompletionQueueBase:

@@ -24,6 +24,7 @@ from repro.core.config import (
     NAIVE_SPIN_THRESHOLD,
     SPIN_POSITION_DECAY,
     SPIN_SUCCESS_BOOST,
+    SPIN_THRESHOLD_CEILING,
 )
 
 
@@ -141,11 +142,8 @@ class NaiveSpinPolicy(_SpinPolicy):
 
     name = "naive"
 
-    def __init__(self, threshold=NAIVE_SPIN_THRESHOLD):
-        self.threshold = threshold
-
     def initial_threshold(self, position):
-        return int(self.threshold)
+        return NAIVE_SPIN_THRESHOLD
 
     def on_success(self, entry):
         entry.spin_remaining = entry.spin_threshold
@@ -160,29 +158,24 @@ class AdaptiveSpinPolicy(_SpinPolicy):
 
     The front-of-queue collective gets the largest initial spin threshold and
     each subsequent position a progressively lower one; after a successful
-    primitive the collective's threshold is multiplied by ``boost`` so that
-    all GPUs keep waiting for the collective that is actually making progress.
+    primitive the collective's threshold is multiplied by
+    ``SPIN_SUCCESS_BOOST`` so that all GPUs keep waiting for the collective
+    that is actually making progress.
     """
 
     name = "adaptive"
 
-    def __init__(self, initial=INITIAL_SPIN_THRESHOLD,
-                 position_decay=SPIN_POSITION_DECAY, minimum=MIN_SPIN_THRESHOLD,
-                 boost=SPIN_SUCCESS_BOOST):
-        self.initial = initial
-        self.position_decay = position_decay
-        self.minimum = minimum
-        self.boost = boost
-        self._ceiling = initial * boost
+    def __init__(self):
         self._steady = {}
 
     def initial_threshold(self, position):
-        threshold = self.initial * (self.position_decay ** position)
-        return int(max(self.minimum, threshold))
+        threshold = INITIAL_SPIN_THRESHOLD * (SPIN_POSITION_DECAY ** position)
+        return int(max(MIN_SPIN_THRESHOLD, threshold))
 
     def _boosted(self, threshold):
-        if threshold < self._ceiling:
-            boosted = min(int(threshold * self.boost), int(self._ceiling))
+        if threshold < SPIN_THRESHOLD_CEILING:
+            boosted = min(int(threshold * SPIN_SUCCESS_BOOST),
+                          int(SPIN_THRESHOLD_CEILING))
             if boosted > threshold:
                 return boosted
         return threshold

@@ -22,6 +22,14 @@ class FaultInjector(Actor):
         super().__init__(name or f"fault-injector-{plan.name}")
         self.cluster = cluster
         self.plan = plan.validate()
+        for event in plan.events:
+            ranks = (() if event.rank is None else (event.rank,)) + tuple(
+                event.link or ())
+            for rank in ranks:
+                if not 0 <= rank < cluster.world_size:
+                    raise ConfigurationError(
+                        f"{event.kind} at {event.time_us}us names rank {rank}, "
+                        f"outside the {cluster.world_size}-rank cluster")
         self._timeline = plan.timeline()
         self._cursor = 0
         #: Active slowdown factors per rank: overlapping stragglers stack

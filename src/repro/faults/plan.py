@@ -34,9 +34,6 @@ from dataclasses import dataclass, field, replace
 from repro.common.errors import ConfigurationError
 from repro.common.rng import DeterministicRNG
 
-#: Event kinds with a duration that expands into an apply/revert pair.
-TRANSIENT_KINDS = ("gpu_slowdown", "link_degrade", "link_flap")
-
 FAULT_KINDS = ("rank_crash", "gpu_slowdown", "link_degrade", "link_flap",
                "kernel_stall")
 
@@ -63,9 +60,10 @@ class FaultEvent:
                 raise ConfigurationError(f"{self.kind} needs a non-negative rank")
         if self.kind in ("link_degrade", "link_flap"):
             if (not self.link or len(self.link) != 2
-                    or self.link[0] == self.link[1]):
+                    or self.link[0] == self.link[1] or min(self.link) < 0):
                 raise ConfigurationError(
-                    f"{self.kind} needs a (rank_a, rank_b) pair of distinct ranks"
+                    f"{self.kind} needs a (rank_a, rank_b) pair of distinct "
+                    f"non-negative ranks"
                 )
         if self.factor < 1.0:
             raise ConfigurationError(f"fault factor must be >= 1, got {self.factor}")

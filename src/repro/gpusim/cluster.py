@@ -23,7 +23,6 @@ class NodeSpec:
 
     name: str
     num_gpus: int = 8
-    max_resident_blocks: int = 32
 
 
 @dataclass
@@ -82,7 +81,7 @@ def fat_tree_32gpu_spec(oversubscription=2.0):
     return spec
 
 
-def multi_node_spec(num_gpus, gpus_per_node=8, name_prefix="3090-server"):
+def multi_node_spec(num_gpus, gpus_per_node=8):
     """A homogeneous N-GPU cluster built from identical servers."""
     if num_gpus < 1:
         raise ConfigurationError(f"a cluster needs at least 1 GPU, got {num_gpus}")
@@ -92,7 +91,7 @@ def multi_node_spec(num_gpus, gpus_per_node=8, name_prefix="3090-server"):
             f"gpus_per_node {gpus_per_node}"
         )
     return ClusterSpec(nodes=[
-        NodeSpec(f"{name_prefix}-{i}", gpus_per_node)
+        NodeSpec(f"3090-server-{i}", gpus_per_node)
         for i in range(num_gpus // gpus_per_node)
     ])
 
@@ -125,11 +124,20 @@ def fat_tree_spec(num_gpus, gpus_per_node=8, nodes_per_pod=4,
 
 
 class Cluster:
-    """A simulated multi-node GPU cluster plus its event engine."""
+    """A simulated multi-node GPU cluster plus its event engine.
 
-    def __init__(self, spec, engine=None, max_resident_blocks=None, interference=None):
+    ``max_resident_blocks`` is every GPU's block-slot capacity, the one place
+    it is set.
+    """
+
+    def __init__(self, spec, engine=None, max_resident_blocks=32,
+                 interference=None):
         if not spec.nodes:
             raise ConfigurationError("a cluster needs at least one node")
+        if max_resident_blocks < 1:
+            raise ConfigurationError(
+                f"max_resident_blocks must be at least 1, "
+                f"got {max_resident_blocks}")
         self.spec = spec
         self.engine = engine or Engine()
         self.interconnect = Interconnect(spec.topology)
@@ -138,7 +146,7 @@ class Cluster:
         self._ranks_by_device = {}
         self.hosts = {}
         #: Construction knobs, kept so :meth:`add_node` builds growth nodes
-        #: with the same overrides as the original ones.
+        #: like the original ones.
         self._max_resident_blocks = max_resident_blocks
         self._interference = interference
 
@@ -153,15 +161,8 @@ class Cluster:
         added = []
         for local_rank in range(node.num_gpus):
             device_id = DeviceId(node=node_index, local_rank=local_rank)
-            device = GpuDevice(
-                device_id,
-                max_resident_blocks=(
-                    self._max_resident_blocks
-                    if self._max_resident_blocks is not None
-                    else node.max_resident_blocks
-                ),
-                interference=self._interference,
-            )
+            device = GpuDevice(device_id, self._max_resident_blocks,
+                               interference=self._interference)
             if time_us is not None:
                 device.clock.advance_to(time_us)
             self._ranks_by_device[device] = len(self.devices)
@@ -251,7 +252,6 @@ class Cluster:
             node = NodeSpec(
                 name=f"{template.name}-grow{len(self.spec.nodes)}",
                 num_gpus=template.num_gpus,
-                max_resident_blocks=template.max_resident_blocks,
             )
         node_index = len(self.spec.nodes)
         self.spec.nodes.append(node)
@@ -274,8 +274,7 @@ class Cluster:
 def build_cluster(
     topology="single-3090",
     deadlock_mode="raise",
-    max_resident_blocks=None,
-    max_steps=50_000_000,
+    max_resident_blocks=32,
     interference=None,
     observability=None,
 ):
@@ -308,7 +307,6 @@ def build_cluster(
         spec = fat_tree_spec(int(suffix))
     else:
         raise ConfigurationError(f"unknown cluster topology {topology!r}")
-    engine = Engine(deadlock_mode=deadlock_mode, max_steps=max_steps,
-                    observability=observability)
+    engine = Engine(deadlock_mode=deadlock_mode, observability=observability)
     return Cluster(spec, engine=engine, max_resident_blocks=max_resident_blocks,
                    interference=interference)

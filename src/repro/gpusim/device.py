@@ -150,27 +150,19 @@ class GpuDevice(Actor):
     #: Cost of one device-side scheduling pass.
     SCHED_PASS_US = 0.2
 
-    def __init__(
-        self,
-        device_id,
-        max_resident_blocks=32,
-        launch_overhead_us=None,
-        interference=None,
-    ):
+    def __init__(self, device_id, max_resident_blocks, interference=None):
         super().__init__(f"gpu-{device_id}")
         self.device_id = device_id
         self.max_resident_blocks = max_resident_blocks
         self.free_blocks = max_resident_blocks
-        self.launch_overhead_us = (
-            self.LAUNCH_OVERHEAD_US if launch_overhead_us is None else launch_overhead_us
-        )
         #: Optional :class:`SmInterferenceModel`; ``None`` disables dilation
         #: (tenant accounting stays on either way).
         self.interference = interference.validate() if interference is not None else None
         self._interference_factor = 1.0
 
-        self.streams = {}
-        self.default_stream = self.get_stream("default", is_default=True)
+        #: Launch scans visit streams in creation order, which fixes virtual
+        #: time, so the default stream always comes first.
+        self.streams = {"default": Stream("default")}
         self.resident = set()
         self.barriers = []
         self._sequence = itertools.count()
@@ -228,7 +220,7 @@ class GpuDevice(Actor):
                 self.engine.kill_actor(kernel, time_us)
             killed.append(kernel)
         for stream in self.streams.values():
-            stream.drop_pending()
+            stream.pending.clear()
         if self.engine is not None:
             self.engine.kill_actor(self, time_us)
             self.engine.signal(self.failed_key, time_us)
@@ -305,12 +297,11 @@ class GpuDevice(Actor):
 
     # -- streams --------------------------------------------------------------
 
-    def get_stream(self, name, is_default=False):
+    def get_stream(self, name):
         """Return (creating if needed) the stream called ``name``."""
         stream = self.streams.get(name)
         if stream is None:
-            stream = Stream(name, self, is_default=is_default)
-            self.streams[name] = stream
+            stream = self.streams[name] = Stream(name)
         return stream
 
     def next_sequence(self):
@@ -325,11 +316,9 @@ class GpuDevice(Actor):
             raise InvalidStateError(
                 f"cannot enqueue {kernel.name}: device {self.name} has failed"
             )
-        stream = self.get_stream(stream_name)
-        sequence = self.next_sequence()
-        item = stream.enqueue(kernel, sequence, time_us)
+        self.get_stream(stream_name).pending.append(
+            (self.next_sequence(), kernel))
         self._notify_work(time_us)
-        return item
 
     def issue_sync(self, time_us):
         """Issue a device synchronization.
@@ -340,9 +329,9 @@ class GpuDevice(Actor):
         sequence = self.next_sequence()
         outstanding = set(self.resident)
         for stream in self.streams.values():
-            for item in stream.pending_items():
-                if item.sequence < sequence:
-                    outstanding.add(item.kernel)
+            for enqueued, kernel in stream.pending:
+                if enqueued < sequence:
+                    outstanding.add(kernel)
         barrier = SyncBarrier(
             barrier_id=next(self._barrier_ids),
             sequence=sequence,
@@ -363,18 +352,17 @@ class GpuDevice(Actor):
         pending = [barrier.sequence for barrier in self.barriers if not barrier.cleared]
         return min(pending) if pending else None
 
-    def _launchable_item(self):
-        """Find a stream head that can launch now, or ``None``."""
+    def _launchable_stream(self):
+        """Find a stream whose head kernel can launch now, or ``None``."""
         barrier_seq = self._earliest_pending_barrier_sequence()
         for stream in self.streams.values():
             if stream.active:
                 # In-order stream semantics: earlier kernel still executing.
                 continue
-            item = stream.head()
-            if item is None:
+            if not stream.pending:
                 continue
-            kernel = item.kernel
-            if barrier_seq is not None and item.sequence > barrier_seq:
+            sequence, kernel = stream.pending[0]
+            if barrier_seq is not None and sequence > barrier_seq:
                 continue
             if kernel.grid_size > self.free_blocks:
                 # Head kernel fits no free SM slots.  When reclaiming the
@@ -391,22 +379,20 @@ class GpuDevice(Actor):
                         kernel.grid_size <= self.free_blocks + other_tenant_blocks:
                     self.cross_tenant_block_waits += 1
                 continue
-            return stream, item
+            return stream
         return None
 
     def step(self):
-        launchable = self._launchable_item()
-        if launchable is None:
+        stream = self._launchable_stream()
+        if stream is None:
             return StepResult.blocked([self.work_key], "no launchable kernel")
-        stream, item = launchable
-        stream.pop_head()
-        kernel = item.kernel
+        _, kernel = stream.pending.popleft()
         kernel.stream = stream
         stream.active += 1
         self.free_blocks -= kernel.grid_size
         self.resident.add(kernel)
         self.launch_count += 1
-        self.clock.advance(self.launch_overhead_us)
+        self.clock.advance(self.LAUNCH_OVERHEAD_US)
         self._update_contention()
         kernel.on_launch(self.now)
         self.engine.add_actor(kernel)
@@ -428,7 +414,6 @@ class GpuDevice(Actor):
         stream = getattr(kernel, "stream", None)
         if stream is not None:
             stream.active -= 1
-            stream.completed_count += 1
 
         cleared = []
         for barrier in self.barriers:

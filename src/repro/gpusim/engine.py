@@ -61,6 +61,10 @@ from repro.common.errors import DeadlockError, SimulationError
 from repro.common.vtime import VirtualClock
 from repro.obs import Observability
 
+#: Most steps one engine runs; more means a livelock in a simulated
+#: component, and ``run`` raises :class:`SimulationError`.
+MAX_STEPS = 50_000_000
+
 #: Entry kinds in the unified event queue.  Sleepers sort before ready actors
 #: at equal times: the old scheduler woke every due sleeper (converting it to
 #: a ready entry with a fresh sequence number) before stepping ready actors.
@@ -183,12 +187,10 @@ class Engine:
     #: How many recent signal keys to retain for debugging.
     SIGNAL_LOG_LIMIT = 4096
 
-    def __init__(self, deadlock_mode="raise", max_steps=50_000_000,
-                 observability=None):
+    def __init__(self, deadlock_mode="raise", observability=None):
         if deadlock_mode not in ("raise", "record"):
             raise ValueError(f"unknown deadlock_mode {deadlock_mode!r}")
         self.deadlock_mode = deadlock_mode
-        self.max_steps = max_steps
         #: The observability hub — always present; pass
         #: ``Observability(enabled=False)`` to opt out of recording.
         self.obs = observability if observability is not None else Observability()
@@ -504,9 +506,9 @@ class Engine:
         """
         while True:
             self._steps += 1
-            if self._steps > self.max_steps:
+            if self._steps > MAX_STEPS:
                 raise SimulationError(
-                    f"engine exceeded {self.max_steps} steps; "
+                    f"engine exceeded {MAX_STEPS} steps; "
                     "likely a livelock in a simulated component"
                 )
 

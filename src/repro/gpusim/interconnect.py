@@ -20,6 +20,9 @@ from dataclasses import dataclass
 from repro.common.errors import ConfigurationError
 from repro.common.types import DeviceId, LinkType
 
+#: Extra per-message latency of a cross-pod hop through the spine (us).
+SPINE_ALPHA_EXTRA_US = 2.0
+
 
 @dataclass(frozen=True)
 class TopologySpec:
@@ -36,7 +39,7 @@ class TopologySpec:
     A *two-level* fat-tree additionally groups ``nodes_per_pod`` consecutive
     nodes under one leaf switch (a pod); traffic between pods crosses the
     spine layer, paying ``spine_oversubscription`` further bandwidth division
-    and ``spine_alpha_extra_us`` extra per-message latency (the second switch
+    and ``SPINE_ALPHA_EXTRA_US`` extra per-message latency (the second switch
     hop).  ``nodes_per_pod=0`` keeps the flat single-level fabric, which is
     what every paper testbed uses; the two-level form is how the simulator
     instantiates 256/512-rank clusters.
@@ -47,7 +50,6 @@ class TopologySpec:
     rdma_oversubscription: float = 1.0
     nodes_per_pod: int = 0
     spine_oversubscription: float = 1.0
-    spine_alpha_extra_us: float = 2.0
 
     def validate(self):
         if self.pix_group_size < 1:
@@ -70,11 +72,6 @@ class TopologySpec:
             raise ConfigurationError(
                 f"spine_oversubscription must be at least 1, "
                 f"got {self.spine_oversubscription}"
-            )
-        if self.spine_alpha_extra_us < 0.0:
-            raise ConfigurationError(
-                f"spine_alpha_extra_us must be non-negative, "
-                f"got {self.spine_alpha_extra_us}"
             )
         return self
 
@@ -224,7 +221,7 @@ class Interconnect:
             if topology.pod_of(device_a.node) != topology.pod_of(device_b.node):
                 spec = LinkSpec.of(
                     LinkType.RDMA,
-                    alpha_us=LinkType.RDMA.alpha_us + topology.spine_alpha_extra_us,
+                    alpha_us=LinkType.RDMA.alpha_us + SPINE_ALPHA_EXTRA_US,
                     beta_gbps=topology.spine_beta_gbps,
                 )
             else:

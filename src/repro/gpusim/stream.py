@@ -13,72 +13,20 @@ from collections import deque
 from dataclasses import dataclass, field
 
 
-@dataclass
-class StreamItem:
-    """One entry in a stream's FIFO."""
-
-    kernel: object
-    sequence: int
-    enqueue_time_us: float
-    launched: bool = False
-
-
 class Stream:
     """An in-order launch queue bound to one GPU."""
 
-    def __init__(self, name, device, is_default=False):
+    def __init__(self, name):
         self.name = name
-        self.device = device
-        self.is_default = is_default
-        self._items = deque()
-        self.launched_count = 0
-        self.completed_count = 0
+        #: Enqueued, not yet launched kernels as ``(sequence, kernel)``.
+        self.pending = deque()
         #: Kernels from this stream currently resident on the GPU.  CUDA
         #: serializes kernels within a stream, so the next item may only
         #: launch when this drops to zero.
         self.active = 0
 
-    def enqueue(self, kernel, sequence, time_us):
-        """Append a kernel to the stream; it will launch in FIFO order."""
-        item = StreamItem(kernel=kernel, sequence=sequence, enqueue_time_us=time_us)
-        self._items.append(item)
-        return item
-
-    def head(self):
-        """Return the oldest not-yet-launched item, or ``None``."""
-        while self._items and self._items[0].launched:
-            self._items.popleft()
-        return self._items[0] if self._items else None
-
-    def pop_head(self):
-        """Mark the head as launched and remove it."""
-        item = self.head()
-        if item is None:
-            raise LookupError(f"stream {self.name} has no pending item")
-        item.launched = True
-        self._items.popleft()
-        self.launched_count += 1
-        return item
-
-    def drop_pending(self):
-        """Discard every not-yet-launched item (the device failed)."""
-        dropped = [item for item in self._items if not item.launched]
-        self._items = deque(item for item in self._items if item.launched)
-        return dropped
-
-    @property
-    def pending(self):
-        """Number of enqueued-but-not-launched kernels."""
-        return sum(1 for item in self._items if not item.launched)
-
-    def pending_items(self):
-        return [item for item in self._items if not item.launched]
-
-    def __len__(self):
-        return len(self._items)
-
     def __repr__(self):
-        return f"<Stream {self.name} pending={self.pending}>"
+        return f"<Stream {self.name} pending={len(self.pending)}>"
 
 
 @dataclass

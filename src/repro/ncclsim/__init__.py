@@ -9,12 +9,12 @@ application, which is exactly how the circular dependencies of Fig. 1 arise.
 """
 
 from repro.ncclsim.kernels import NcclCollectiveKernel, grid_size_for
-from repro.ncclsim.mpi_baseline import CudaAwareMpiModel
+from repro.ncclsim.mpi_baseline import mpi_all_reduce_time_us
 from repro.ncclsim.ops import NcclCollectiveOp
 
 __all__ = [
-    "CudaAwareMpiModel",
     "NcclCollectiveKernel",
     "NcclCollectiveOp",
     "grid_size_for",
+    "mpi_all_reduce_time_us",
 ]

@@ -13,14 +13,18 @@ from repro.gpusim.device import KernelActor
 from repro.gpusim.engine import StepResult
 
 
-def grid_size_for(nbytes, max_blocks=4):
+#: Most blocks a collective kernel occupies.
+MAX_COLLECTIVE_BLOCKS = 4
+
+
+def grid_size_for(nbytes):
     """Blocks assigned to a collective kernel, growing with the payload.
 
     Mirrors NCCL's behaviour of using more channels (hence more blocks) for
-    larger buffers, bounded by a small maximum.
+    larger buffers, bounded by :data:`MAX_COLLECTIVE_BLOCKS`.
     """
     blocks = 1 + nbytes // (4 << 20)
-    return int(max(1, min(max_blocks, blocks)))
+    return int(max(1, min(MAX_COLLECTIVE_BLOCKS, blocks)))
 
 
 class NcclCollectiveKernel(KernelActor):

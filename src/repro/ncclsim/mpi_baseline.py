@@ -9,22 +9,16 @@ path, which is sufficient to reproduce the crossover and the large-buffer gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+#: Per-message software latency of the MPI path (us).
+MPI_ALPHA_US = 18.0
+#: Effective staging bandwidth through host memory (GB/s).
+MPI_BETA_GBPS = 1.4
 
 
-@dataclass(frozen=True)
-class CudaAwareMpiModel:
-    """Alpha/beta model of CUDA-aware MPI all-reduce."""
-
-    #: Per-message software latency of the MPI path (us).
-    alpha_us: float = 18.0
-    #: Effective staging bandwidth through host memory (GB/s).
-    beta_gbps: float = 1.4
-
-    def all_reduce_time_us(self, nbytes, world_size):
-        """Ring all-reduce time: 2(n-1) steps of n-th sized chunks."""
-        if world_size <= 1:
-            return self.alpha_us
-        steps = 2 * (world_size - 1)
-        chunk = nbytes / world_size
-        return steps * (self.alpha_us + chunk / (self.beta_gbps * 1e3))
+def mpi_all_reduce_time_us(nbytes, world_size):
+    """Ring all-reduce time: 2(n-1) steps of n-th sized chunks."""
+    if world_size <= 1:
+        return MPI_ALPHA_US
+    steps = 2 * (world_size - 1)
+    chunk = nbytes / world_size
+    return steps * (MPI_ALPHA_US + chunk / (MPI_BETA_GBPS * 1e3))

@@ -216,32 +216,6 @@ def _tier_of(executor, peer):
     return "intra_pod_us"
 
 
-def _split_busy(executor, primitive, busy):
-    """Split one primitive's modeled busy time into cost-model terms.
-
-    Mirrors ``CostModel.primitive_time_us``: fixed overhead plus the max of
-    the send transfer (alpha + bytes/beta) and the local memory traffic —
-    attribution follows whichever term dominated.  Allocates ``busy``
-    exactly (the leftovers land in ``memory_us``).
-    """
-    model = executor.cost_model
-    overhead = min(model.primitive_overhead_us, busy)
-    rest = busy - overhead
-    alpha = beta = 0.0
-    if rest > 0.0 and primitive.sends and primitive.send_peer is not None:
-        link = executor.communicator.link(executor.group_rank,
-                                          primitive.send_peer)
-        alpha_time = link.alpha_us
-        beta_time = primitive.nbytes / (link.beta_gbps * 1e3)
-        local = (model.local_copy_time_us(primitive.nbytes)
-                 if primitive.touches_memory else 0.0)
-        if alpha_time + beta_time >= local:
-            alpha = min(rest, alpha_time)
-            beta = min(rest - alpha, beta_time)
-    memory = rest - alpha - beta
-    return overhead, alpha, beta, memory
-
-
 def _straggler_section(completes, track_of):
     """Per-rank completion z-scores; names the slowest rank."""
     if not completes:
@@ -295,7 +269,7 @@ def _analyze_group(records, arrivals, member, start_floor, end_ceiling,
         # else (earlier invocation, backpressure) is genuine queueing.
         buckets["queueing_us"] += (t0 + wait) - previous_end
         dilated = end - t0 - wait
-        overhead, alpha, beta, memory = _split_busy(executor, primitive, busy)
+        overhead, alpha, beta, memory = executor.split_busy(primitive, busy)
         buckets["overhead_us"] += overhead
         buckets["alpha_us"] += alpha
         buckets["beta_us"] += beta

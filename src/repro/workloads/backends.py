@@ -74,14 +74,10 @@ class GroupTrainingBackend:
     jobs: every group is created with it, and the run adds no teardown ops
     (the shared daemon kernels quit on their own once every job drained).
     Groups are named ``pg0``, ``pg1``, … per training backend.
-
-    ``shuffle_submissions`` randomizes the completion-wait order per
-    iteration (with ``rng``), modelling frameworks that consume collective
-    results out of order.
     """
 
     def __init__(self, cluster, backend="dfccl", orchestrator="auto",
-                 shuffle_submissions=False, rng=None, job=None, **knobs):
+                 job=None, **knobs):
         self.cluster = cluster
         self.backend = (make_backend(backend, cluster, **knobs)
                         if isinstance(backend, str) else backend)
@@ -91,8 +87,6 @@ class GroupTrainingBackend:
         if orchestrator is not None and orchestrator not in ORCHESTRATORS:
             raise ConfigurationError(f"unknown orchestrator {orchestrator!r}")
         self.orchestrator = orchestrator
-        self.shuffle_submissions = shuffle_submissions
-        self.rng = rng
         self._groups = {}
         self._cost = None
 
@@ -141,12 +135,6 @@ class GroupTrainingBackend:
             if startup_delay > 0:
                 ops.append(CpuCompute(startup_delay, f"{label}-coordination"))
 
-        collective_items = [item for item in schedule if isinstance(item, CollectiveItem)]
-        submit_order = {item.key: index for index, item in enumerate(collective_items)}
-        if self.shuffle_submissions and self.rng is not None:
-            shuffled = self.rng.child("iter", iteration, rank).shuffle(list(collective_items))
-            submit_order = {item.key: index for index, item in enumerate(shuffled)}
-
         works = []
         for item in schedule:
             if isinstance(item, ComputeItem):
@@ -156,12 +144,11 @@ class GroupTrainingBackend:
                     ops.append(CpuCompute(per_collective, f"{label}-negotiate"))
                 group = self._group_for(item.group_ranks)
                 work = group.collective(rank, _spec_for(item), key=item.key)
-                works.append((submit_order[item.key], work))
+                works.append(work)
                 ops.append(work.submit_op())
             else:  # pragma: no cover - defensive
                 raise ConfigurationError(f"unknown schedule item {item!r}")
-        for _, work in sorted(works, key=lambda pair: pair[0]):
-            ops.append(work.wait_op())
+        ops.extend(work.wait_op() for work in works)
         return ops
 
     # -- lifecycle ------------------------------------------------------------------

@@ -5,6 +5,8 @@ full training runs driven through ``make_backend`` + ``ProcessGroup`` on
 every backend, and that the removed per-backend surfaces stay removed.
 """
 
+import ast
+
 import pytest
 
 from repro.api import (
@@ -518,28 +520,29 @@ class TestRemovedShims:
         assert not hasattr(collectives, "primitive_count")
 
     def test_single_cost_model_and_channel_depth(self):
-        """Every backend prices primitives with ``DEFAULT_COST_MODEL`` and
-        builds channels ``Channel.DEFAULT_CAPACITY`` deep: neither is a
-        parameter any more, and the MPI model comes from ``alpha_us`` /
-        ``beta_gbps`` only."""
+        """Every backend prices primitives with the ``collectives.cost``
+        constants and builds channels ``Channel.DEFAULT_CAPACITY`` deep:
+        neither is a parameter any more, and the MPI model is module
+        constants only."""
         import inspect
 
+        import repro.collectives.cost as cost
         from repro.collectives import AlgorithmSelector, CollectivePlan
         from repro.collectives.channels import Communicator
-        from repro.collectives.cost import CostModel
         from repro.collectives.primitives import PrimitiveExecutor
         from repro.core import CommunicatorPool
 
         cluster = build_cluster("single-3090")
         with pytest.raises(TypeError):
-            make_backend("nccl", cluster, cost_model=CostModel())
-        with pytest.raises(TypeError):
-            make_backend("mpi", cluster, model=None)
+            make_backend("nccl", cluster, cost_model=None)
+        for knob in ("model", "alpha_us", "beta_gbps"):
+            with pytest.raises(TypeError):
+                make_backend("mpi", cluster, **{knob: None})
         for owner in (AlgorithmSelector, CollectivePlan, PrimitiveExecutor):
             assert "cost_model" not in inspect.signature(owner).parameters
         for owner in (Communicator, CommunicatorPool):
             assert "channel_capacity" not in inspect.signature(owner).parameters
-        assert not hasattr(CostModel(), "sq_check_cost_us")
+        assert not hasattr(cost, "CostModel")
 
     def test_one_dfccl_object_and_one_job_name(self):
         """The DFCCL adapter is the library instance (no inner backend), a
@@ -679,12 +682,12 @@ class TestRemovedShims:
         import repro.obs.report as report
         from repro.api import CollectiveBackend
         from repro.multijob import ClusterJobRunner
-        from repro.ncclsim import CudaAwareMpiModel
+        import repro.ncclsim.mpi_baseline as mpi_baseline
 
         assert not hasattr(scenarios, "chaos_program")
         for module in (collective_perf, scale, report, scenarios):
             assert "HostProgram(" not in inspect.getsource(module), module
-        assert not hasattr(CudaAwareMpiModel, "all_reduce_bandwidth_gbps")
+        assert not hasattr(mpi_baseline, "all_reduce_bandwidth_gbps")
         assert "orchestrator_factory" not in inspect.signature(
             ClusterJobRunner).parameters
         with pytest.raises(TypeError):
@@ -778,6 +781,83 @@ class TestRemovedShims:
         for spec in (LayerSpec, ModelSpec):
             assert not hasattr(spec, "param_bytes"), spec
 
+    def test_fixed_parameters_are_constants(self):
+        """Fixed values are module constants, not parameters: the primitive
+        cost formula and its busy-time split are functions of
+        ``collectives.cost``, the spin policies read ``core.config``, the SQ
+        has one reader, the MPI model and the gpusim values nobody set are
+        constants, streams keep only what the device reads, and the options
+        that only faked a case are gone."""
+        import dataclasses
+        import inspect
+
+        import repro.collectives.cost as cost
+        import repro.faults.plan as fault_plan
+        import repro.gpusim.stream as stream_module
+        import repro.ncclsim as ncclsim
+        import repro.obs.analysis as analysis
+        from repro.api.mpi_adapter import MpiCollectiveBackend
+        from repro.collectives import AlgorithmSelector, PrimitiveExecutor
+        from repro.core.api import RankContext
+        from repro.core.context import ActiveContextCache
+        from repro.core.queues import SubmissionQueue
+        from repro.core.scheduling import AdaptiveSpinPolicy, NaiveSpinPolicy
+        from repro.gpusim import Engine
+        from repro.gpusim.cluster import NodeSpec, multi_node_spec
+        from repro.gpusim.device import GpuDevice
+        from repro.gpusim.interconnect import TopologySpec
+        from repro.gpusim.stream import Stream
+        from repro.workloads import GroupTrainingBackend
+
+        def parameters(owner):
+            return inspect.signature(owner).parameters
+
+        for name in ("CostModel", "DEFAULT_COST_MODEL"):
+            assert not hasattr(cost, name), name
+        assert list(parameters(cost.primitive_time_us)) == [
+            "nbytes", "link", "touches_memory"]
+        assert not hasattr(PrimitiveExecutor, "cost_model")
+        assert not hasattr(analysis, "_split_busy")
+        assert not parameters(AdaptiveSpinPolicy)
+        assert not parameters(NaiveSpinPolicy)
+        assert list(parameters(SubmissionQueue)) == ["capacity"]
+        for name in ("register_consumer", "peek", "pending"):
+            assert not hasattr(SubmissionQueue, name), name
+        for name in ("num_consumers", "submitted", "retired",
+                     "_consumer_tails", "_read_counters"):
+            assert not hasattr(SubmissionQueue(), name), name
+        backend = make_backend("dfccl", build_cluster("single-3090"))
+        assert isinstance(backend.init_rank(0), RankContext)
+        assert not hasattr(backend.init_rank(0), "consumer_id")
+        assert not hasattr(ncclsim, "CudaAwareMpiModel")
+        for knob in ("alpha_us", "beta_gbps"):
+            assert knob not in parameters(MpiCollectiveBackend), knob
+        assert "launch_overhead_us" not in parameters(GpuDevice)
+        assert "max_resident_blocks" not in {
+            field.name for field in dataclasses.fields(NodeSpec)}
+        assert "spine_alpha_extra_us" not in {
+            field.name for field in dataclasses.fields(TopologySpec)}
+        assert "max_steps" not in parameters(Engine)
+        assert "max_steps" not in parameters(build_cluster)
+        assert not hasattr(Engine(), "max_steps")
+        assert "name_prefix" not in parameters(multi_node_spec)
+        assert list(parameters(ncclsim.grid_size_for)) == ["nbytes"]
+        assert not hasattr(stream_module, "StreamItem")
+        assert list(parameters(Stream)) == ["name"]
+        assert set(vars(Stream("s"))) == {"name", "pending", "active"}
+        for name in ("head", "pop_head", "drop_pending", "pending_items",
+                     "__len__", "enqueue"):
+            assert not hasattr(Stream, name), name
+        device = build_cluster("single-3090").device(0)
+        assert not hasattr(device, "default_stream")
+        assert list(device.streams) == ["default"]
+        for knob in ("shuffle_submissions", "rng"):
+            assert knob not in parameters(GroupTrainingBackend), knob
+        for owner, name in ((ActiveContextCache, "clock"),
+                            (AlgorithmSelector, "interconnect")):
+            assert parameters(owner)[name].default is inspect.Parameter.empty
+        assert not hasattr(fault_plan, "TRANSIENT_KINDS")
+
     @pytest.mark.parametrize("module", [
         "repro.testing", "repro.testing.differential", "repro.faults",
         "repro.faults.scenarios", "repro.bench", "repro.obs.report",
@@ -841,11 +921,11 @@ class TestNoUnreferencedDefinitions:
         "overlap_degree": "repro.deadlock models the paper directly (out of scope)",
     }
 
-    def test_every_definition_is_referenced(self):
-        """Every ``def`` / ``class`` name under ``src/repro`` occurs somewhere
-        in ``src/``, ``benchmarks/``, ``examples/`` or ``perfbench/`` besides
-        its own definitions; a name only its own tests use is deleted."""
-        import ast
+    @staticmethod
+    def _unreferenced(defined):
+        """Names ``defined(tree)`` yields for the modules under
+        ``src/repro`` that occur nowhere in ``src/``, ``benchmarks/``,
+        ``examples/`` or ``perfbench/`` besides their own definitions."""
         import collections
         import pathlib
         import re
@@ -856,17 +936,42 @@ class TestNoUnreferencedDefinitions:
                  for path in (root / folder).rglob("*.py")}
         definitions = collections.Counter()
         for path, text in texts.items():
-            if (root / "src" / "repro") not in path.parents:
-                continue
-            for node in ast.walk(ast.parse(text)):
+            if (root / "src" / "repro") in path.parents:
+                definitions.update(defined(ast.parse(text)))
+        occurrences = collections.Counter()
+        for text in texts.values():
+            occurrences.update(re.findall(r"[A-Za-z_]\w*", text))
+        return {name for name, count in definitions.items()
+                if occurrences[name] <= count}
+
+    def test_every_definition_is_referenced(self):
+        """Every ``def`` / ``class`` name under ``src/repro`` occurs somewhere
+        in ``src/``, ``benchmarks/``, ``examples/`` or ``perfbench/`` besides
+        its own definitions; a name only its own tests use is deleted."""
+        def defined(tree):
+            for node in ast.walk(tree):
                 if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                       ast.ClassDef))
                         and not (node.name.startswith("__")
                                  and node.name.endswith("__"))):
-                    definitions[node.name] += 1
-        occurrences = collections.Counter()
-        for text in texts.values():
-            occurrences.update(re.findall(r"[A-Za-z_]\w*", text))
-        unreferenced = {name for name, count in definitions.items()
-                        if occurrences[name] <= count}
-        assert unreferenced == set(self.ALLOWED)
+                    yield node.name
+
+        assert self._unreferenced(defined) == set(self.ALLOWED)
+
+    def test_every_module_constant_is_referenced(self):
+        """The same rule for module-level ``UPPER_CASE`` assignments: a
+        constant nothing reads is deleted."""
+        def defined(tree):
+            for node in tree.body:
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, ast.AnnAssign):
+                    targets = [node.target]
+                else:
+                    continue
+                for target in targets:
+                    if (isinstance(target, ast.Name)
+                            and target.id.isupper()):
+                        yield target.id
+
+        assert self._unreferenced(defined) == set()

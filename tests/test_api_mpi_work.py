@@ -63,18 +63,6 @@ class TestMpiErrorPaths:
                            algorithm="tree", config=object())
         assert isinstance(mpi, MpiCollectiveBackend)
 
-    def test_alpha_beta_knobs_change_timing(self):
-        def run(beta_gbps):
-            cluster = build_cluster("single-3090")
-            mpi = make_backend("mpi", cluster, alpha_us=5.0, beta_gbps=beta_gbps)
-            group = mpi.new_group([0, 1])
-            works = {rank: [group.all_reduce(rank, count=1 << 18)]
-                     for rank in (0, 1)}
-            _run_all(mpi, group, works)
-            return works[0][0].completion_info().time_us
-
-        assert run(beta_gbps=0.5) > run(beta_gbps=8.0)
-
 
 class TestPartialCompletion:
     def test_deadline_leaves_later_work_incomplete(self):

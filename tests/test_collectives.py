@@ -12,11 +12,15 @@ from repro.common.types import CollectiveKind, PrimitiveAction
 from repro.common.vtime import VirtualClock
 from repro.collectives import (
     Communicator,
-    CostModel,
     ExecOutcome,
     PrimitiveExecutor,
     chunk_loops,
     generate_primitive_sequence,
+)
+from repro.collectives.cost import (
+    PRIMITIVE_OVERHEAD_US,
+    primitive_time_us,
+    split_busy,
 )
 from repro.collectives.primitives import PRIMITIVE_NAMES
 from repro.gpusim.cluster import build_cluster
@@ -402,12 +406,11 @@ class _BurstWorld:
         executor = self.executor
         times = []
         for primitive in executor.primitives[start:stop]:
-            sends = primitive.sends and primitive.send_peer is not None
-            link = executor.communicator.link(
-                executor.group_rank, primitive.send_peer) if sends else None
-            times.append(executor.cost_model.primitive_time_us(
-                primitive.nbytes, link=link, sends=sends,
-                touches_memory=primitive.touches_memory))
+            link = (None if primitive.send_peer is None
+                    else executor.communicator.link(executor.group_rank,
+                                                    primitive.send_peer))
+            times.append(primitive_time_us(primitive.nbytes, link,
+                                           primitive.touches_memory))
         return times
 
     def describe(self, outcome):
@@ -475,17 +478,37 @@ class TestBurst:
 
 class TestCostModel:
     def test_primitive_time_includes_overhead(self):
-        model = CostModel()
-        assert model.primitive_time_us(0) >= model.primitive_overhead_us
+        assert primitive_time_us(0) >= PRIMITIVE_OVERHEAD_US
 
     def test_transfer_dominates_for_slow_link(self):
         from repro.gpusim.interconnect import LinkSpec
         from repro.common.types import LinkType
-        model = CostModel()
         link = LinkSpec.of(LinkType.RDMA)
-        with_send = model.primitive_time_us(1 << 20, link=link, sends=True)
-        without = model.primitive_time_us(1 << 20, link=None, sends=False)
-        assert with_send > without
+        assert primitive_time_us(1 << 20, link) > primitive_time_us(1 << 20)
+
+    @pytest.mark.parametrize("nbytes", [0, 4 << 10, 4 << 20])
+    @pytest.mark.parametrize("link_type", [None, "SHM_PIX", "RDMA"])
+    @pytest.mark.parametrize("action", list(PRIMITIVE_NAMES),
+                             ids=list(PRIMITIVE_NAMES.values()))
+    def test_split_busy_allocates_the_busy_time(self, action, link_type,
+                                                nbytes):
+        """The split's four terms are non-negative, sum to the primitive's
+        busy time exactly, and carry wire time only when the primitive
+        sends over a link whose transfer dominated its memory traffic."""
+        from repro.collectives.primitives import Primitive
+        from repro.common.types import LinkType
+        from repro.gpusim.interconnect import LinkSpec
+
+        link = None if link_type is None else LinkSpec.of(LinkType[link_type])
+        touches_memory = Primitive(action, 0, 0, 0, nbytes).touches_memory
+        busy = primitive_time_us(nbytes, link, touches_memory)
+        terms = split_busy(busy, nbytes, link, touches_memory)
+        overhead, alpha, beta, memory = terms
+        assert min(terms) >= 0.0
+        assert overhead + alpha + beta + memory == busy
+        wire_dominates = link is not None and busy == primitive_time_us(
+            nbytes, link, touches_memory=False)
+        assert (alpha + beta > 0.0) == wire_dominates
 
 
 class TestTreeRelations:

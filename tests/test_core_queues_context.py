@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import QueueEmptyError, QueueFullError
+from repro.common.vtime import VirtualClock
 from repro.core import DfcclConfig
 from repro.core.config import ACTIVE_CONTEXT_SLOTS
 from repro.core.context import ActiveContextCache, memory_overhead_report
@@ -65,68 +66,49 @@ class TestDfcclConfig:
 class TestSubmissionQueue:
     def test_fifo_per_consumer(self):
         sq = SubmissionQueue(capacity=8)
-        sq.register_consumer("c")
         sq.push(Sqe(coll_id=1, invocation_id=0))
         sq.push(Sqe(coll_id=2, invocation_id=0))
-        assert sq.pop("c").coll_id == 1
-        assert sq.pop("c").coll_id == 2
+        assert sq.pop().coll_id == 1
+        assert sq.pop().coll_id == 2
 
     def test_pop_empty_raises(self):
         sq = SubmissionQueue(capacity=4)
-        sq.register_consumer("c")
         with pytest.raises(QueueEmptyError):
-            sq.pop("c")
+            sq.pop()
 
     def test_full_queue_rejects_push(self):
         sq = SubmissionQueue(capacity=2)
-        sq.register_consumer("c")
         sq.push(Sqe(coll_id=1, invocation_id=0))
         sq.push(Sqe(coll_id=2, invocation_id=0))
         with pytest.raises(QueueFullError):
             sq.push(Sqe(coll_id=3, invocation_id=0))
 
     def test_slot_recycled_after_all_consumers_read(self):
-        sq = SubmissionQueue(capacity=1, num_consumers=2)
-        sq.register_consumer("a")
-        sq.register_consumer("b")
+        # The daemon is the SQ's only reader: its pop frees the slot.
+        sq = SubmissionQueue(capacity=1)
         sq.push(Sqe(coll_id=1, invocation_id=0))
         assert not sq.writable()
-        sq.pop("a")
-        assert not sq.writable()
-        sq.pop("b")
+        sq.pop()
         assert sq.writable()
 
     def test_len_counts_slots_until_every_consumer_read_them(self):
-        sq = SubmissionQueue(capacity=4, num_consumers=2)
-        sq.register_consumer("a")
-        sq.register_consumer("b")
+        sq = SubmissionQueue(capacity=4)
         for coll_id in range(3):
             sq.push(Sqe(coll_id=coll_id, invocation_id=0))
         assert len(sq) == 3
-        sq.pop("a")
-        sq.pop("a")
-        assert len(sq) == 3  # "b" has read nothing yet
-        sq.pop("b")
-        assert len(sq) == 2  # slot 0 retired
-        assert len(sq) == sum(slot is not None for slot in sq._slots)
-
-    def test_pending_counts(self):
-        sq = SubmissionQueue(capacity=8)
-        sq.register_consumer("c")
-        sq.push(Sqe(coll_id=1, invocation_id=0))
-        sq.push(Sqe(coll_id=2, invocation_id=0))
-        assert sq.pending("c") == 2
-        sq.pop("c")
-        assert sq.pending("c") == 1
+        sq.pop()
+        assert len(sq) == 2
+        sq.pop()
+        sq.pop()
+        assert len(sq) == 0 and not sq
 
     @given(st.lists(st.integers(0, 100), min_size=1, max_size=50))
     @settings(max_examples=40, deadline=None)
     def test_consumer_sees_exactly_the_pushed_sequence(self, ids):
         sq = SubmissionQueue(capacity=128)
-        sq.register_consumer("c")
         for coll_id in ids:
             sq.push(Sqe(coll_id=coll_id, invocation_id=0))
-        popped = [sq.pop("c").coll_id for _ in ids]
+        popped = [sq.pop().coll_id for _ in ids]
         assert popped == ids
 
 
@@ -234,7 +216,7 @@ class _LinearScanCasCQ:
 
 class TestContextManagement:
     def test_cache_hit_is_free(self):
-        cache = ActiveContextCache()
+        cache = ActiveContextCache(VirtualClock())
         first = cache.load(0)
         second = cache.load(0)
         assert first > 0.0
@@ -244,14 +226,14 @@ class TestContextManagement:
     def test_direct_mapped_eviction_saves_dirty_context(self):
         slots = ACTIVE_CONTEXT_SLOTS
         conflicting = slots  # maps to the same slot as coll 0
-        cache = ActiveContextCache()
+        cache = ActiveContextCache(VirtualClock())
         cache.load(0)
         cache.mark_progress(0)
         cache.load(conflicting)
         assert cache.stats.saves == 1
 
     def test_lazy_save_skips_unprogressed(self):
-        cache = ActiveContextCache()
+        cache = ActiveContextCache(VirtualClock())
         cache.load(0)
         assert cache.save_on_preempt(0, progressed=False) == 0.0
         assert cache.stats.lazy_save_skips == 1

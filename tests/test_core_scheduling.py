@@ -68,21 +68,21 @@ class TestOrderingPolicies:
 
 class TestSpinPolicies:
     def test_adaptive_front_gets_largest_threshold(self):
-        policy = AdaptiveSpinPolicy(initial=10_000, position_decay=0.5, minimum=100)
+        policy = AdaptiveSpinPolicy()
         queue = TaskQueue()
         for coll_id in range(4):
             queue.append(make_entry(coll_id))
         policy.assign_initial(queue)
         thresholds = [entry.spin_threshold for entry in queue]
         assert thresholds == sorted(thresholds, reverse=True)
-        assert thresholds[0] == 10_000
+        assert thresholds[0] == 20_000
 
     def test_adaptive_minimum_floor(self):
-        policy = AdaptiveSpinPolicy(initial=1_000, position_decay=0.1, minimum=500)
-        assert policy.initial_threshold(5) == 500
+        policy = AdaptiveSpinPolicy()
+        assert policy.initial_threshold(5) == policy.initial_threshold(50) == 2_000
 
     def test_adaptive_boost_after_success(self):
-        policy = AdaptiveSpinPolicy(initial=1_000, boost=20.0)
+        policy = AdaptiveSpinPolicy()
         entry = make_entry(0)
         entry.reset_spin(1_000)
         policy.on_success(entry)
@@ -107,7 +107,7 @@ class TestSpinPolicies:
                 assert restored == [budget] * 3, threshold
 
     def test_naive_policy_fixed_threshold(self):
-        policy = NaiveSpinPolicy(threshold=10_000)
+        policy = NaiveSpinPolicy()
         queue = TaskQueue()
         for coll_id in range(3):
             queue.append(make_entry(coll_id))
@@ -120,14 +120,19 @@ class TestSpinPolicies:
                           NaiveSpinPolicy)
 
     def test_factory_builds_the_fixed_thresholds(self):
-        # The policies' constructor defaults are the config module's
-        # constants, and the factory builds exactly those.
+        # The policies take no parameters: they read the config module's
+        # constants.
+        import inspect
+
+        for policy in (AdaptiveSpinPolicy, NaiveSpinPolicy):
+            assert not inspect.signature(policy).parameters
         adaptive = make_spin_policy(DfcclConfig())
-        assert (adaptive.initial, adaptive.position_decay, adaptive.minimum,
-                adaptive.boost) == (20_000, 0.5, 2_000, 20.0)
-        assert vars(AdaptiveSpinPolicy()) == vars(adaptive)
+        assert [adaptive.initial_threshold(position)
+                for position in range(5)] == [20_000, 10_000, 5_000, 2_500,
+                                              2_000]
         naive = make_spin_policy(DfcclConfig(spin_policy="naive"))
-        assert naive.threshold == NaiveSpinPolicy().threshold == 10_000
+        assert {naive.initial_threshold(position)
+                for position in range(5)} == {10_000}
 
     def test_entry_spin_quantum_resets(self):
         entry = make_entry(0)

@@ -19,7 +19,7 @@ pytestmark = pytest.mark.timeout(300)
 
 
 def run_dfccl(num_gpus=2, coll_sizes=(1024, 1024), orders=None, with_sync=False,
-              config=None, iterations=1, max_blocks=None):
+              config=None, iterations=1, max_blocks=32):
     """Run a DFCCL program with the given per-rank invocation orders.
 
     Collective ``i`` is the all-reduce of ``coll_sizes[i]`` elements keyed

@@ -59,6 +59,21 @@ class TestFaultPlan:
             FaultEvent("link_degrade", 0.0, link=(0, 1), factor=2.0,
                        alpha_add_us=-5.0, duration_us=10.0).validate()
 
+    def test_validation_rejects_negative_link_ranks(self):
+        """A negative link rank would index the cluster from its end."""
+        with pytest.raises(ConfigurationError):
+            FaultEvent("link_degrade", 0.0, link=(-1, 3), factor=2.0,
+                       duration_us=10.0).validate()
+
+    def test_install_rejects_ranks_outside_the_cluster(self):
+        cluster = build_cluster("single-3090")
+        for plan in (FaultPlan(name="t").add_crash(99, 5.0),
+                     FaultPlan(name="t").add_straggler(8, 5.0),
+                     FaultPlan(name="t").add_link_flap(0, 8, 5.0)):
+            with pytest.raises(ConfigurationError):
+                install_fault_plan(cluster, plan)
+        install_fault_plan(cluster, FaultPlan(name="t").add_link_flap(0, 7, 5.0))
+
     def test_random_plans_are_seed_deterministic(self):
         kwargs = dict(world_size=8, horizon_us=5000.0, expected_crashes=2.0)
         plan_a = FaultPlan.random(42, **kwargs)

@@ -2,10 +2,17 @@
 
 import pytest
 
-from repro.common.errors import DeadlockError
+from repro.common.errors import ConfigurationError, DeadlockError
 from repro.common.types import DeviceId, LinkType
 from repro.gpusim import Engine, StepResult, build_cluster
-from repro.gpusim.cluster import ClusterSpec, NodeSpec, dual_server_spec, mixed_32gpu_spec
+from repro.gpusim.cluster import (
+    Cluster,
+    ClusterSpec,
+    NodeSpec,
+    dual_server_spec,
+    mixed_32gpu_spec,
+    single_server_spec,
+)
 from repro.gpusim.device import SleepKernel
 from repro.gpusim.engine import Actor
 from repro.gpusim.host import CpuCompute, DeviceSynchronize, HostProgram, LaunchKernel
@@ -173,6 +180,15 @@ class TestCluster:
         spec = ClusterSpec(nodes=[NodeSpec("tiny", num_gpus=2)])
         cluster = build_cluster(spec)
         assert cluster.world_size == 2
+
+    @pytest.mark.parametrize("blocks", [0, -3])
+    def test_non_positive_max_resident_blocks_rejected(self, blocks):
+        """A GPU without block slots would fake a deadlock at the first
+        launch, so the cluster refuses it."""
+        with pytest.raises(ConfigurationError):
+            build_cluster("single-3090", max_resident_blocks=blocks)
+        with pytest.raises(ConfigurationError):
+            Cluster(single_server_spec(), max_resident_blocks=blocks)
 
     def test_unknown_topology_rejected(self):
         with pytest.raises(Exception):
@@ -402,7 +418,7 @@ class TestEngineEventQueue:
 
 class TestTwoLevelFatTree:
     def test_cross_pod_pays_spine(self):
-        from repro.gpusim.interconnect import TopologySpec
+        from repro.gpusim.interconnect import SPINE_ALPHA_EXTRA_US, TopologySpec
 
         topology = TopologySpec(nodes_per_pod=2, rdma_oversubscription=2.0,
                                 spine_oversubscription=2.0)
@@ -412,7 +428,7 @@ class TestTwoLevelFatTree:
         assert intra_pod.beta_gbps == pytest.approx(LinkType.RDMA.beta_gbps / 2.0)
         assert cross_pod.beta_gbps == pytest.approx(LinkType.RDMA.beta_gbps / 4.0)
         assert cross_pod.alpha_us == pytest.approx(
-            LinkType.RDMA.alpha_us + topology.spine_alpha_extra_us)
+            LinkType.RDMA.alpha_us + SPINE_ALPHA_EXTRA_US)
 
     def test_single_level_unchanged(self):
         from repro.gpusim.interconnect import TopologySpec

@@ -6,10 +6,11 @@ from repro.api import make_backend
 from repro.common.errors import ConfigurationError, DeadlockError
 from repro.gpusim import HostProgram, build_cluster
 from repro.gpusim.host import DeviceSynchronize
-from repro.ncclsim import CudaAwareMpiModel, grid_size_for
+from repro.ncclsim import grid_size_for, mpi_all_reduce_time_us
+from repro.ncclsim.mpi_baseline import MPI_ALPHA_US
 
 
-def _two_collective_cluster(max_blocks=None):
+def _two_collective_cluster(max_blocks=32):
     cluster = build_cluster("single-3090", max_resident_blocks=max_blocks)
     group = make_backend("nccl", cluster).new_group([0, 1])
     return cluster, group
@@ -122,12 +123,10 @@ class TestCollectiveExecution:
 
 class TestMpiBaseline:
     def test_nccl_beats_mpi_for_large_buffers(self):
-        mpi = CudaAwareMpiModel()
-        large = (16 << 20) / mpi.all_reduce_time_us(16 << 20, 8)
-        small = (4 << 10) / mpi.all_reduce_time_us(4 << 10, 8)
+        large = (16 << 20) / mpi_all_reduce_time_us(16 << 20, 8)
+        small = (4 << 10) / mpi_all_reduce_time_us(4 << 10, 8)
         assert large > small  # MPI bandwidth still grows with size
-        assert mpi.all_reduce_time_us(16 << 20, 8) > mpi.all_reduce_time_us(1 << 20, 8)
+        assert mpi_all_reduce_time_us(16 << 20, 8) > mpi_all_reduce_time_us(1 << 20, 8)
 
     def test_single_rank_is_trivial(self):
-        mpi = CudaAwareMpiModel()
-        assert mpi.all_reduce_time_us(1 << 20, 1) == pytest.approx(mpi.alpha_us)
+        assert mpi_all_reduce_time_us(1 << 20, 1) == pytest.approx(MPI_ALPHA_US)

@@ -181,11 +181,10 @@ class TestHarnessExactness:
 
     def test_mpi_measured_through_its_backend_matches_the_model(self):
         from repro.bench import measure_collective
-        from repro.ncclsim import CudaAwareMpiModel
-        model = CudaAwareMpiModel()
+        from repro.ncclsim import mpi_all_reduce_time_us
         for nbytes in (4 << 10, 32 << 10, 1 << 20, 16 << 20):
             row = measure_collective("mpi", "all_reduce", nbytes)
-            analytic = nbytes / (model.all_reduce_time_us(nbytes, 8) * 1e3)
+            analytic = nbytes / (mpi_all_reduce_time_us(nbytes, 8) * 1e3)
             assert row["bandwidth_gbps"] == analytic
         assert measure_collective("mpi", "all_reduce",
                                   1 << 20)["bandwidth_gbps"] == 0.6709941640217058
