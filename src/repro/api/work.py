@@ -81,7 +81,9 @@ class Work:
         """The primitives this rank executed, or ``None`` when unavailable.
 
         Backends that compile per-rank primitive sequences (DFCCL, NCCL)
-        return the compiled sequence; analytic backends return ``None``.
+        return the compiled :class:`~repro.collectives.primitives.Schedule`
+        (a read-only sequence of primitive views); analytic backends return
+        ``None``.
         """
         return self.run.primitive_sequence(self.group_rank)
 

@@ -6,8 +6,9 @@ This package implements the data-plane concepts of Sec. 4.1 of the paper:
   connectors, the latter realized as bounded ring-buffer channels),
 * the primitives that collectives are fused from (``send``, ``recv``,
   ``reduce``, ``copy`` and their fusions such as ``recvReduceSend``),
-* chunking of the input buffer and generation of the per-rank primitive
-  sequence for the Ring algorithm with the Simple protocol,
+* chunking of the input buffer and compilation of the per-rank schedule
+  (a loop body of primitive runs) for each algorithm with the Simple
+  protocol,
 * communicators, which own the inter-GPU channels,
 * collective plans, which resolve a collective once per membership.
 
@@ -23,6 +24,7 @@ from repro.collectives.primitives import (
     Primitive,
     PrimitiveExecutor,
     PrimitiveOutcome,
+    Schedule,
 )
 from repro.collectives.selector import (
     ALGORITHM_CHOICES,
@@ -59,6 +61,7 @@ __all__ = [
     "Primitive",
     "PrimitiveExecutor",
     "PrimitiveOutcome",
+    "Schedule",
     "binary_tree_relations",
     "binomial_tree_relations",
     "chain_relations",

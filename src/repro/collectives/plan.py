@@ -300,8 +300,8 @@ class CollectiveRun:
                               time_us=time_us)
 
     def primitive_sequence(self, rank):
-        """The primitives ``rank`` compiled, or ``None`` for a backend
-        without primitive sequences."""
+        """The :class:`Schedule` ``rank`` compiled, or ``None`` for a
+        backend without primitive sequences."""
         return None
 
     def fully_complete(self):

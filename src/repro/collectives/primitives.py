@@ -1,20 +1,30 @@
-"""Primitives and their execution.
+"""Compiled schedules and their execution.
 
 A primitive is a fusion of the basic actions ``send``, ``recv``, ``reduce``
 and ``copy`` (Sec. 4.1).  Depending on which of ``send``/``recv`` it contains,
 a primitive busy-waits until its send connector is writable and/or its recv
-connector is readable before progressing.  :meth:`PrimitiveExecutor.burst`
-implements this check-then-execute logic once: it runs a rank's primitives
-back to back until one would busy-wait or a step's limit is reached.  The
-NCCL baseline (which then waits forever) and the DFCCL daemon kernel (which
-bounds the wait with a spin threshold) both call it with
-:data:`PRIMITIVES_PER_STEP`, so they share exactly the same data-plane
-behaviour.
+connector is readable before progressing.
+
+A rank's compiled form of one collective is a :class:`Schedule`: the loop
+body it runs once per chunk loop, as a short tuple of *runs* — stretches of
+consecutive primitives that share an action, a size and a peer pair.  A
+:class:`Primitive` is a view of one position of a schedule, built on demand
+for the parity checks, the digests and the analysis layer; nothing on the
+hot path builds one.
+
+:meth:`PrimitiveExecutor.burst` implements the check-then-execute logic once:
+it walks the schedule run by run, executing primitives back to back until
+one would busy-wait or a step's limit is reached.  The NCCL baseline (which
+then waits forever) and the DFCCL daemon kernel (which bounds the wait with a
+spin threshold) both call it with :data:`PRIMITIVES_PER_STEP`, so they share
+exactly the same data-plane behaviour.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
+from itertools import chain, repeat, starmap
 
 from repro.common.types import PrimitiveAction
 from repro.collectives.cost import primitive_time_us, split_busy
@@ -32,15 +42,13 @@ _MEMORY_BITS = PrimitiveAction.REDUCE.value | PrimitiveAction.COPY.value
 
 
 class Primitive:
-    """One step of a collective's per-rank primitive sequence.
+    """One step of a collective's per-rank schedule, as a view.
 
-    A slotted plain class holding only the seven identity fields: a ring
-    all-reduce at 512 ranks compiles half a million of these per invocation,
-    so every slot counts.  ``name``, ``sends``, ``recvs`` and
-    ``touches_memory`` are read-only properties derived from ``action``.
-    ``send_peer`` / ``recv_peer`` are set exactly when the action sends /
-    receives, which lets the executor test peer presence instead of the
-    action bits.
+    A slotted plain class holding only the seven identity fields, built by
+    :class:`Schedule` when a position is read.  ``name``, ``sends``,
+    ``recvs`` and ``touches_memory`` are read-only properties derived from
+    ``action``.  ``send_peer`` / ``recv_peer`` are set exactly when the
+    action sends / receives.
     """
 
     __slots__ = ("action", "loop", "step", "chunk_index", "nbytes",
@@ -118,6 +126,115 @@ PRIMITIVE_NAMES = {
 }
 
 
+def _view(run, loop, offset):
+    """The primitive at ``offset`` in ``run`` during chunk loop ``loop``."""
+    action, _, step, chunk, nbytes, send_peer, recv_peer = run
+    step += offset
+    if chunk is None:
+        chunk = loop
+    elif chunk.__class__ is tuple:
+        origin, size = chunk
+        chunk = (origin - step) % size
+    return Primitive(action, loop, step, chunk, nbytes, send_peer, recv_peer)
+
+
+class Schedule:
+    """One rank's compiled schedule of one collective: loop bodies of runs.
+
+    ``segments`` is a tuple of ``(first_loop, loops, body)``: chunk loops
+    ``first_loop`` to ``first_loop + loops - 1`` each run ``body``, a tuple
+    of runs ``(action, count, step, chunk, nbytes, send_peer, recv_peer)``.
+    A run is ``count`` consecutive primitives at steps ``step`` to
+    ``step + count - 1`` that share an action, a size and a peer pair (a
+    peer is set exactly when the action sends / receives).  Its ``chunk``
+    rule gives each primitive's chunk index: an int (the same for all),
+    ``None`` (the loop index) or ``(origin, n)`` (``(origin - step) mod n``,
+    a ring pass).  Zero-count runs are dropped.  A payload splits into full
+    loops and a tail, so a compiled schedule holds at most two bodies
+    however many loops it runs.
+
+    A schedule is an immutable sequence of :class:`Primitive` views:
+    indexing, slicing and iteration build them on demand.  Two schedules
+    are equal when their primitives are; equal segments decide it without
+    building any.
+    """
+
+    __slots__ = ("segments", "_spans", "_length")
+
+    def __init__(self, segments):
+        self.segments = tuple(
+            (first_loop, loops, tuple(run for run in body if run[1]))
+            for first_loop, loops, body in segments)
+        spans = []
+        start = 0
+        for _, loops, body in self.segments:
+            run_starts = []
+            length = 0
+            for run in body:
+                run_starts.append(length)
+                length += run[1]
+            spans.append((start, length, run_starts))
+            start += loops * length
+        #: Per segment: its first position, its body's length and the offset
+        #: of each run in the body.
+        self._spans = spans
+        self._length = start
+
+    def __len__(self):
+        return self._length
+
+    def _locate(self, index):
+        """``(segment, loop, run, offset)`` of position ``index``, the loop
+        counted from the segment's first; past the end, segment is
+        ``len(segments)``."""
+        for segment, (start, length, run_starts) in enumerate(self._spans):
+            within = index - start
+            if within < self.segments[segment][1] * length:
+                loop, within = divmod(within, length)
+                run = bisect_right(run_starts, within) - 1
+                return segment, loop, run, within - run_starts[run]
+        return len(self._spans), 0, 0, 0
+
+    def walk(self, index):
+        """``(bodies, run, offset)``: ``bodies`` iterates the body of every
+        chunk loop from the one holding position ``index`` to the end, and
+        ``index`` is at ``offset`` in run ``run`` of the first."""
+        segment, loop, run, offset = self._locate(index)
+        rest = [(body, loops) for _, loops, body in self.segments[segment:]]
+        if rest:
+            rest[0] = (rest[0][0], rest[0][1] - loop)
+        return chain.from_iterable(starmap(repeat, rest)), run, offset
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(self._length))]
+        if index < 0:
+            index += self._length
+        if not 0 <= index < self._length:
+            raise IndexError("schedule index out of range")
+        segment, loop, run, offset = self._locate(index)
+        first_loop, _, body = self.segments[segment]
+        return _view(body[run], first_loop + loop, offset)
+
+    def __iter__(self):
+        for first_loop, loops, body in self.segments:
+            for loop in range(first_loop, first_loop + loops):
+                for run in body:
+                    for offset in range(run[1]):
+                        yield _view(run, loop, offset)
+
+    def __eq__(self, other):
+        if isinstance(other, Schedule) and self.segments == other.segments:
+            return True
+        if not isinstance(other, (Schedule, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other))
+
+    def __repr__(self):
+        return f"Schedule({len(self)} primitives, segments={self.segments!r})"
+
+
 class ExecOutcome(enum.Enum):
     """Result of attempting to execute the current primitive."""
 
@@ -136,14 +253,30 @@ _ALL_DONE = ExecOutcome.ALL_DONE
 
 
 class PrimitiveOutcome:
-    """Outcome plus the wait key to block/spin on when not successful."""
+    """Outcome of a burst; a WAIT_* also names what it waits on.
 
-    __slots__ = ("outcome", "primitive", "wait_key")
+    ``channel`` and ``wait_key`` are the channel that failed the attempt and
+    the key to block/spin on, ``action`` and ``index`` the waiting
+    primitive's action and schedule position; ``primitive`` is its view.
+    """
 
-    def __init__(self, outcome, primitive=None, wait_key=None):
+    __slots__ = ("outcome", "wait_key", "channel", "action", "index",
+                 "_schedule")
+
+    def __init__(self, outcome, schedule=None):
         self.outcome = outcome
-        self.primitive = primitive
-        self.wait_key = wait_key
+        self.wait_key = self.channel = self.action = self.index = None
+        self._schedule = schedule
+
+    @property
+    def name(self):
+        """The waiting primitive's NCCL name (``None`` unless WAIT_*)."""
+        return None if self.action is None else PRIMITIVE_NAMES[self.action]
+
+    @property
+    def primitive(self):
+        """The waiting primitive, a view (``None`` unless WAIT_*)."""
+        return None if self._schedule is None else self._schedule[self.index]
 
 
 #: The outcomes that carry no primitive, shared by every burst (read only).
@@ -152,25 +285,30 @@ _ALL_DONE_OUTCOME = PrimitiveOutcome(_ALL_DONE)
 
 
 class PrimitiveExecutor:
-    """Executes one rank's primitive sequence of one collective.
+    """Executes one rank's compiled schedule of one collective.
 
     The executor's ``position`` is the *dynamic context* of the collective on
     this GPU (Sec. 4.2): saving and restoring it is what makes preemption and
     resumption correct, because every already-executed primitive's data stays
-    visible in the connectors.
+    visible in the connectors.  ``position`` counts primitives over the whole
+    schedule; a run cursor beside it remembers where in the loop body that
+    is, and setting ``position`` re-derives it.
     """
 
     def __init__(self, collective_id, group_rank, communicator, primitives):
         self.collective_id = collective_id
         self.group_rank = group_rank
         self.communicator = communicator
-        self.primitives = list(primitives)
-        self.position = 0
+        #: The :class:`Schedule` (immutable, shared with whoever compiled it).
+        self.primitives = primitives
         self.executed_primitives = 0
+        #: The run cursor of ``position``: the loop bodies still to walk, the
+        #: current one (``None`` past the end), the run in it and the offset
+        #: in that run.
+        self.position = 0
         #: Per-peer channel cache: the communicator resolves channels through
         #: a keyed dict, but one executor only ever talks to its fixed ring /
-        #: tree peers, so a local cache skips the tuple build + method call on
-        #: every primitive attempt.
+        #: tree peers.
         self._recv_channels = {}
         self._send_channels = {}
         #: Link and busy-time caches keyed per peer, valid for one
@@ -182,7 +320,7 @@ class PrimitiveExecutor:
         #: The WAIT_* outcome a burst returns, reused: every caller reads it
         #: before its next burst on this executor, and most bursts of a
         #: spinning collective fail their first attempt.
-        self._wait_outcome = PrimitiveOutcome(_WAIT_RECV)
+        self._wait_outcome = PrimitiveOutcome(_WAIT_RECV, primitives)
         #: Optional per-primitive execution trace: a flat ``array('d')`` of
         #: ``(start_us, end_us, busy_us)`` triples appended per executed
         #: primitive, attached by ``obs.analysis`` when time attribution is
@@ -193,28 +331,37 @@ class PrimitiveExecutor:
     # -- introspection ----------------------------------------------------------
 
     @property
+    def position(self):
+        """Index of the next primitive to execute in the whole schedule."""
+        return self._position
+
+    @position.setter
+    def position(self, position):
+        self._bodies, self._index, self._offset = self.primitives.walk(position)
+        self._body = next(self._bodies, None)
+        self._position = position
+
+    @property
     def remaining(self):
-        return len(self.primitives) - self.position
+        return len(self.primitives) - self._position
 
     def done(self):
-        return self.position >= len(self.primitives)
+        return self._position >= len(self.primitives)
 
     # -- execution -----------------------------------------------------------------
 
-    def _recv_channel(self, primitive):
-        peer = primitive.recv_peer
+    def _recv_channel(self, peer):
         channel = self._recv_channels.get(peer)
         if channel is None:
-            channel = self.communicator.channel(peer, self.group_rank)
-            self._recv_channels[peer] = channel
+            channel = self._recv_channels[peer] = \
+                self.communicator.channel(peer, self.group_rank)
         return channel
 
-    def _send_channel(self, primitive):
-        peer = primitive.send_peer
+    def _send_channel(self, peer):
         channel = self._send_channels.get(peer)
         if channel is None:
-            channel = self.communicator.channel(self.group_rank, peer)
-            self._send_channels[peer] = channel
+            channel = self._send_channels[peer] = \
+                self.communicator.channel(self.group_rank, peer)
         return channel
 
     def split_busy(self, primitive, busy):
@@ -232,8 +379,8 @@ class PrimitiveExecutor:
         future, or ``None`` when no chunk is in flight."""
         if outcome.outcome is not _WAIT_RECV:
             return None
-        channel = self._recv_channels.get(outcome.primitive.recv_peer)
-        if channel is None or channel.invalidated or not channel.arrivals:
+        channel = outcome.channel
+        if channel.invalidated or not channel.arrivals:
             return None
         return channel.arrivals[0]
 
@@ -255,36 +402,43 @@ class PrimitiveExecutor:
         outcome is only valid until the next call: WAIT_* outcomes reuse one
         object per executor.
         """
-        position = self.position
-        primitives = self.primitives
-        end = len(primitives)
+        position = self._position
+        body = self._body
+        index = self._index
+        offset = self._offset
         stop = position + limit
         now = clock.now
         max_wait = max_wait_us
         executed = 0
+        load = True
         recv_peer_seen = send_peer_seen = -1  # no peer: ranks are >= 0
+        busy_action = None
 
         # A channel is readable when it holds an arrival the receiver is
         # willing to wait for, and writable below its capacity; both checks
-        # read the arrival deque directly.  A primitive has a peer exactly
-        # when its action sends / receives.  The channels, link and busy time
-        # of the previous primitive are reused while its peers and shape
-        # repeat, and ``clock.now`` lives in ``now`` until the burst ends or
-        # an engine signal needs it.
+        # read the arrival deque directly.  A run's fields are read once,
+        # when the walk enters it; the channels, link and busy time of the
+        # previous run are reused while its peers and shape repeat, and
+        # ``clock.now`` lives in ``now`` until the burst ends or an engine
+        # signal needs it.
         while True:
             if position == stop:
                 outcome = _SUCCESS_OUTCOME
                 break
-            if position >= end:
-                outcome = _ALL_DONE_OUTCOME
-                break
-            primitive = primitives[position]
-            recv_peer = primitive.recv_peer
+            if load:
+                if body is None:
+                    outcome = _ALL_DONE_OUTCOME
+                    break
+                action, count, _, _, nbytes, send_peer, recv_peer = body[index]
+                if action is not busy_action or nbytes != busy_nbytes \
+                        or send_peer != busy_peer:
+                    busy = None
+                load = False
             if recv_peer is not None:
                 if recv_peer != recv_peer_seen:
                     recv_channel = self._recv_channels.get(recv_peer)
                     if recv_channel is None:
-                        recv_channel = self._recv_channel(primitive)
+                        recv_channel = self._recv_channel(recv_peer)
                     recv_peer_seen = recv_peer
                 arrivals = recv_channel.arrivals
                 if recv_channel.invalidated or not arrivals or (
@@ -292,29 +446,26 @@ class PrimitiveExecutor:
                 ):
                     outcome = self._wait_outcome
                     outcome.outcome = _WAIT_RECV
-                    outcome.primitive = primitive
                     outcome.wait_key = recv_channel.readable_key
+                    outcome.channel = recv_channel
+                    outcome.action = action
+                    outcome.index = position
                     break
-                receives = recv_channel
-            else:
-                receives = None
-            send_peer = primitive.send_peer
             if send_peer is not None:
                 if send_peer != send_peer_seen:
                     send_channel = self._send_channels.get(send_peer)
                     if send_channel is None:
-                        send_channel = self._send_channel(primitive)
+                        send_channel = self._send_channel(send_peer)
                     send_peer_seen = send_peer
                 if send_channel.invalidated or \
                         len(send_channel.arrivals) >= send_channel.capacity:
                     outcome = self._wait_outcome
                     outcome.outcome = _WAIT_SEND
-                    outcome.primitive = primitive
                     outcome.wait_key = send_channel.writable_key
+                    outcome.channel = send_channel
+                    outcome.action = action
+                    outcome.index = position
                     break
-                sends = send_channel
-            else:
-                sends = None
 
             if not executed:
                 # Both wait checks of the first attempt passed: set up the
@@ -328,30 +479,25 @@ class PrimitiveExecutor:
                 waiters = engine.waiters_by_key if engine is not None else ()
                 trace = self.trace
                 rate = clock.rate
-                busy_nbytes = busy_peer = busy_action = None
-
-            # The primitive executes now.  The trace's start is the clock
-            # *before* any arrival spin, so the analysis layer can split recv
-            # wait from dilated work.
-            start = now
-            nbytes = primitive.nbytes
-            action = primitive.action
-            if nbytes != busy_nbytes or send_peer != busy_peer \
-                    or action is not busy_action:
+            if busy is None:
                 busy_nbytes, busy_peer, busy_action = busy_key = (
                     nbytes, send_peer, action)
                 busy = busy_cache.get(busy_key)
                 if busy is None:
                     link = None
-                    if sends is not None:
+                    if send_peer is not None:
                         link = self._links.get(send_peer)
                         if link is None:
                             link = self._links[send_peer] = \
                                 self.communicator.link(self.group_rank, send_peer)
                     busy = busy_cache[busy_key] = primitive_time_us(
-                        nbytes, link, primitive.touches_memory)
+                        nbytes, link, action._value_ & _MEMORY_BITS != 0)
 
-            if receives is not None:
+            # The primitive executes now.  The trace's start is the clock
+            # *before* any arrival spin, so the analysis layer can split recv
+            # wait from dilated work.
+            start = now
+            if recv_peer is not None:
                 # Spin until the in-flight data actually arrives, then
                 # consume it.
                 arrival = arrivals.popleft()
@@ -359,7 +505,7 @@ class PrimitiveExecutor:
                     now = arrival
                 # A signal with no registered waiter is a no-op, so consult
                 # the engine's public waiter table before paying the call.
-                key = receives.writable_key
+                key = recv_channel.writable_key
                 if key in waiters:
                     clock.now = now
                     engine.signal(key, now)
@@ -367,11 +513,11 @@ class PrimitiveExecutor:
             # clock.advance(busy) inlined: busy is a cached non-negative cost.
             now += busy * rate
 
-            if sends is not None:
-                sends.arrivals.append(now)
-                sends.pushed_count += 1
-                sends.bytes_pushed += nbytes
-                key = sends.readable_key
+            if send_peer is not None:
+                send_channel.arrivals.append(now)
+                send_channel.pushed_count += 1
+                send_channel.bytes_pushed += nbytes
+                key = send_channel.readable_key
                 if key in waiters:
                     clock.now = now
                     engine.signal(key, now)
@@ -384,9 +530,21 @@ class PrimitiveExecutor:
             position += 1
             executed += 1
             max_wait = success_wait_us
+            offset += 1
+            if offset == count:
+                # The run is done: step to the next run, loop or segment.
+                offset = 0
+                index += 1
+                if index == len(body):
+                    index = 0
+                    body = next(self._bodies, None)
+                load = True
 
         if executed:
             clock.now = now
-            self.position = position
+            self._position = position
+            self._body = body
+            self._index = index
+            self._offset = offset
             self.executed_primitives += executed
         return executed, outcome

@@ -1,10 +1,14 @@
-"""Per-rank primitive sequence generation for the collective algorithms.
+"""Per-rank schedule compilation for the collective algorithms.
 
 Every common collective (all-reduce, all-gather, reduce-scatter, reduce,
-broadcast, all-to-all) is compiled into a sequence of primitives for each
+broadcast, all-to-all) is compiled into a primitive sequence for each
 participating rank, exactly as described in Sec. 4.1: the input is divided
 into regular chunks and the rank executes its primitive sequence once per
-chunk loop.
+chunk loop.  The compiled form is that loop body itself — a
+:class:`~repro.collectives.primitives.Schedule` of ``(action, count)`` runs,
+one body for the full loops and one for a smaller tail — not the expanded
+sequence: a 512-rank ring all-reduce is five runs per rank however many
+loops it takes, and its primitives are views built only when read.
 
 Three algorithm families are supported, mirroring NCCL:
 
@@ -23,18 +27,20 @@ Three algorithm families are supported, mirroring NCCL:
   devices with :func:`hierarchical_island_size`); groups without a usable
   two-level structure fall back to the flat ring.
 
-One ring pass (:func:`_ring`) builds the ring family and each hierarchical
-phase; one pair of tree phases builds the trees and the chains (a chain is a
-path-shaped tree, :func:`chain_relations`).  All-to-all is a pairwise-exchange
-schedule (the MoE expert-parallel collective): each rank copies its own slice
-locally, then in step ``s`` sends slice ``(rank+s) mod n`` while receiving
-from ``(rank-s) mod n``.  It ignores the algorithm knob, like all-gather.
+Each builder returns one loop body.  One ring pass (:func:`_ring`) builds
+the ring family and each hierarchical phase; one pair of tree phases builds
+the trees and the chains (a chain is a path-shaped tree,
+:func:`chain_relations`).  All-to-all is a pairwise-exchange schedule (the
+MoE expert-parallel collective): each rank copies its own slice locally,
+then in step ``s`` sends slice ``(rank+s) mod n`` while receiving from
+``(rank-s) mod n``.  It ignores the algorithm knob, like all-gather.
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
+from itertools import groupby
 
 from repro.common.errors import ConfigurationError
 from repro.common.types import CollectiveKind, PrimitiveAction
@@ -46,7 +52,7 @@ from repro.collectives.primitives import (
     PRIM_RECV_REDUCE_COPY_SEND,
     PRIM_RECV_REDUCE_SEND,
     PRIM_SEND,
-    Primitive,
+    Schedule,
 )
 
 #: Default chunk size (bytes) per ring slice, matching NCCL's Simple protocol
@@ -76,23 +82,6 @@ HIERARCHICAL_KINDS = (CollectiveKind.ALL_REDUCE,)
 TREE_SPLIT_MIN_BYTES = 256 << 10
 
 
-class _SharedInts(dict):
-    """``table[i]`` is the one int object equal to ``i`` that every compiled
-    sequence stores; the first object looked up for a value becomes it."""
-
-    def __missing__(self, value):
-        self[value] = value
-        return value
-
-
-#: The one table that :func:`generate_primitive_sequence` passes each
-#: ``loop`` through, and every builder each ``step`` and ``chunk_index``.
-#: CPython caches only the ints -5..256, so without it a 512-rank all-reduce
-#: would hold a fresh 32-byte int per field of most of its half a million
-#: primitives.  It grows on demand, by one entry per distinct value.
-_INTS = _SharedInts()
-
-
 def chunk_loops(nbytes, group_size, chunk_bytes=DEFAULT_CHUNK_BYTES, per_rank_slices=True):
     """Split ``nbytes`` into chunk loops.
 
@@ -103,6 +92,8 @@ def chunk_loops(nbytes, group_size, chunk_bytes=DEFAULT_CHUNK_BYTES, per_rank_sl
     """
     if nbytes <= 0:
         raise ConfigurationError(f"collective payload must be positive, got {nbytes}")
+    if chunk_bytes <= 0:
+        raise ConfigurationError(f"chunk_bytes must be positive, got {chunk_bytes}")
     divisor = group_size if per_rank_slices else 1
     loop_bytes = chunk_bytes * divisor
     nloops = max(1, math.ceil(nbytes / loop_bytes))
@@ -148,47 +139,34 @@ def _all_reduce_runs(n):
             (PRIM_RECV, 1))
 
 
-def _ring(rank, n, loop, nbytes, send_peer, recv_peer, runs, first_step=0):
+def _ring(rank, n, nbytes, send_peer, recv_peer, runs, first_step=0):
     """One pass of ``rank`` around an ``n``-rank ring: ``runs`` is a tuple of
     ``(action, count)`` pairs in step order, starting at step ``first_step``.
 
     Step ``t`` carries chunk ``(rank + first_step - t) mod n``: the chunk a
     rank handles moves back by one each step while the data moves forward.
-    The primitives are built positionally: a 512-rank all-reduce compiles
-    half a million of them.
+    Returns the pass as schedule runs, one per pair.
     """
-    ints = _INTS
-    origin = rank + first_step
-    primitives = []
-    start = first_step
+    chunk = (rank + first_step, n)
+    built = []
+    step = first_step
     for action, count in runs:
         bits = action._value_
-        sp = send_peer if bits & _SENDS else None
-        rp = recv_peer if bits & _RECVS else None
-        if count == 1:  # no comprehension frame for the one-step runs
-            primitives.append(Primitive(action, loop, ints[start],
-                                        ints[(origin - start) % n], nbytes, sp, rp))
-        else:
-            primitives += [
-                Primitive(action, loop, ints[t], ints[(origin - t) % n], nbytes, sp, rp)
-                for t in range(start, start + count)
-            ]
-        start += count
-    return primitives
+        built.append((action, count, step, chunk, nbytes,
+                      send_peer if bits & _SENDS else None,
+                      recv_peer if bits & _RECVS else None))
+        step += count
+    return built
 
 
 def _ring_builder(group_rank, group_size, runs):
-    """The per-loop builder of a flat ring-family collective."""
-    send_peer = (group_rank + 1) % group_size
-    recv_peer = (group_rank - 1) % group_size
-
-    def build(loop, nbytes):
-        return _ring(group_rank, group_size, loop, nbytes, send_peer, recv_peer,
-                     runs)
-    return build
+    """The loop-body builder of a flat ring-family collective."""
+    return partial(_ring, group_rank, group_size,
+                   send_peer=(group_rank + 1) % group_size,
+                   recv_peer=(group_rank - 1) % group_size, runs=runs)
 
 
-def _all_to_all_loop(group_rank, group_size, loop, nbytes):
+def _all_to_all_body(group_rank, group_size, nbytes):
     """Pairwise exchange: 1 local copy + (n-1) independent send/recv pairs.
 
     Step ``s`` sends this rank's slice for peer ``(rank+s) mod n`` while
@@ -197,25 +175,15 @@ def _all_to_all_loop(group_rank, group_size, loop, nbytes):
     every rank injects its own data), so the executor first drains the send
     into the bounded channel, then blocks on the matching recv.
     """
-    ints = _INTS
-    primitives = [
-        Primitive(PRIM_COPY, loop, 0, chunk_index=ints[group_rank], nbytes=nbytes)
-    ]
-    step = 1
+    body = [(PRIM_COPY, 1, 0, group_rank, nbytes, None, None)]
     for offset in range(1, group_size):
-        send_peer = ints[(group_rank + offset) % group_size]
-        recv_peer = ints[(group_rank - offset) % group_size]
-        primitives.append(
-            Primitive(PRIM_SEND, loop, ints[step], chunk_index=send_peer,
-                      nbytes=nbytes, send_peer=send_peer)
-        )
-        step += 1
-        primitives.append(
-            Primitive(PRIM_RECV, loop, ints[step], chunk_index=recv_peer,
-                      nbytes=nbytes, recv_peer=recv_peer)
-        )
-        step += 1
-    return primitives
+        send_peer = (group_rank + offset) % group_size
+        recv_peer = (group_rank - offset) % group_size
+        body.append((PRIM_SEND, 1, 2 * offset - 1, send_peer, nbytes,
+                     send_peer, None))
+        body.append((PRIM_RECV, 1, 2 * offset, recv_peer, nbytes,
+                     None, recv_peer))
+    return body
 
 
 def hierarchical_island_size(nodes):
@@ -249,7 +217,7 @@ def hierarchical_island_size(nodes):
 
 
 def _hierarchical_builder(group_rank, group_size, island_size):
-    """The per-loop builder of the two-level all-reduce: three ring passes.
+    """The loop-body builder of the two-level all-reduce: three ring passes.
 
     A loop's ``nbytes`` is its per-slice payload (the loop total divided
     across ``group_size`` ring slices, as in the flat ring).  With
@@ -277,12 +245,11 @@ def _hierarchical_builder(group_rank, group_size, island_size):
     scatter, ring, gather = _reduce_scatter_runs(m), _all_reduce_runs(k), _all_gather_runs(m)
     gather_step = m + 2 * k - 1
 
-    def build(loop, nbytes):
+    def build(nbytes):
         slab = nbytes * k  # one 1/m share of the loop payload (k slices)
-        primitives = _ring(position, m, loop, slab, *intra, scatter)
-        primitives += _ring(island, k, loop, nbytes, *inter, ring, m)
-        primitives += _ring(position, m, loop, slab, *intra, gather, gather_step)
-        return primitives
+        return (_ring(position, m, slab, *intra, scatter)
+                + _ring(island, k, nbytes, *inter, ring, m)
+                + _ring(position, m, slab, *intra, gather, gather_step))
     return build
 
 
@@ -342,41 +309,43 @@ def chain_relations(group_rank, group_size, root, reducing):
     return (None if group_rank == root else parent), ([] if group_rank == leaf else [child])
 
 
-def _tree_reduce_phase(parent, children, loop, step, nbytes):
-    """Reduce-toward-root primitives of one rank: recv-reduce each child, then
+def _tree_run(action, step, nbytes, send_peer=None, recv_peer=None):
+    """One tree-phase primitive as a run: its chunk index is the loop's."""
+    return (action, 1, step, None, nbytes, send_peer, recv_peer)
+
+
+def _tree_reduce_phase(parent, children, step, nbytes):
+    """Reduce-toward-root runs of one rank: recv-reduce each child, then
     forward the partial result to the parent (fused with the last reduce)."""
-    ints = _INTS
     if not children:
-        return [Primitive(PRIM_SEND, loop, ints[step], loop, nbytes, parent)], step + 1
-    primitives = []
+        return [_tree_run(PRIM_SEND, step, nbytes, parent)], step + 1
+    runs = []
     for child in children[:-1]:
-        primitives.append(Primitive(PRIM_RECV_REDUCE_COPY, loop, ints[step], loop, nbytes,
-                                    None, child))
+        runs.append(_tree_run(PRIM_RECV_REDUCE_COPY, step, nbytes, None, child))
         step += 1
     last = PRIM_RECV_REDUCE_COPY if parent is None else PRIM_RECV_REDUCE_SEND
-    primitives.append(Primitive(last, loop, ints[step], loop, nbytes, parent, children[-1]))
-    return primitives, step + 1
+    runs.append(_tree_run(last, step, nbytes, parent, children[-1]))
+    return runs, step + 1
 
 
-def _tree_broadcast_phase(parent, children, loop, step, nbytes):
-    """Broadcast-from-root primitives of one rank: receive from the parent and
+def _tree_broadcast_phase(parent, children, step, nbytes):
+    """Broadcast-from-root runs of one rank: receive from the parent and
     forward to every child (fused with the first send)."""
-    ints = _INTS
-    primitives = []
+    runs = []
     if parent is not None:
         if not children:
-            return [Primitive(PRIM_RECV, loop, ints[step], loop, nbytes, None, parent)], step + 1
-        primitives.append(Primitive(PRIM_RECV_COPY_SEND, loop, ints[step], loop, nbytes,
-                                    children[0], parent))
+            return [_tree_run(PRIM_RECV, step, nbytes, None, parent)], step + 1
+        runs.append(_tree_run(PRIM_RECV_COPY_SEND, step, nbytes, children[0],
+                              parent))
         step += 1
         children = children[1:]
     for child in children:
-        primitives.append(Primitive(PRIM_SEND, loop, ints[step], loop, nbytes, child))
+        runs.append(_tree_run(PRIM_SEND, step, nbytes, child))
         step += 1
-    return primitives, step
+    return runs, step
 
 
-def _all_reduce_tree_loop(group_rank, group_size, loop, nbytes):
+def _all_reduce_tree_body(group_rank, group_size, nbytes):
     """Double binary tree all-reduce: reduce up then broadcast down each tree.
 
     Large payloads are split in half across the two complementary trees so
@@ -387,21 +356,20 @@ def _all_reduce_tree_loop(group_rank, group_size, loop, nbytes):
         halves = [nbytes - nbytes // 2, nbytes // 2]
     else:
         halves = [nbytes]
-    primitives = []
+    body = []
     step = 0
     for tree_index, half in enumerate(halves):
         parent, children = binary_tree_relations(
             group_rank, group_size, mirror=(tree_index == 1)
         )
-        up, step = _tree_reduce_phase(parent, children, loop, step, half)
-        down, step = _tree_broadcast_phase(parent, children, loop, step, half)
-        primitives.extend(up)
-        primitives.extend(down)
-    return primitives
+        up, step = _tree_reduce_phase(parent, children, step, half)
+        down, step = _tree_broadcast_phase(parent, children, step, half)
+        body += up + down
+    return body
 
 
 def _rooted_builder(kind, group_rank, group_size, root, tree):
-    """The per-loop builder of a broadcast, reduce or send/recv: one tree
+    """The loop-body builder of a broadcast, reduce or send/recv: one tree
     phase over the binomial tree (``tree``) or the chain."""
     reducing = kind is CollectiveKind.REDUCE
     if tree:
@@ -410,8 +378,8 @@ def _rooted_builder(kind, group_rank, group_size, root, tree):
         parent, children = chain_relations(group_rank, group_size, root, reducing)
     phase = _tree_reduce_phase if reducing else _tree_broadcast_phase
 
-    def build(loop, nbytes):
-        return phase(parent, children, loop, 0, nbytes)[0]
+    def build(nbytes):
+        return phase(parent, children, 0, nbytes)[0]
     return build
 
 
@@ -425,8 +393,11 @@ def generate_primitive_sequence(
     algorithm=ALGORITHM_RING,
     island_size=None,
 ):
-    """Generate the full primitive sequence of one rank for one collective call.
+    """Compile one rank's :class:`Schedule` for one collective call.
 
+    The schedule holds one loop body of runs per distinct loop payload (the
+    full chunk loops and the tail) and reads as the rank's full primitive
+    sequence.
     ``nbytes`` is the collective's input payload in bytes (per-rank input for
     all-gather and all-to-all, total for the others), matching
     :class:`CollectiveSpec.nbytes`.  ``algorithm`` selects the ring, tree or
@@ -450,7 +421,7 @@ def generate_primitive_sequence(
     if not 0 <= group_rank < group_size:
         raise ConfigurationError(f"group_rank {group_rank} out of range for size {group_size}")
     if group_size == 1:
-        return [Primitive(PRIM_COPY, 0, 0, chunk_index=0, nbytes=nbytes)]
+        return Schedule([(0, 1, [(PRIM_COPY, 1, 0, 0, nbytes, None, None)])])
 
     tree = algorithm == ALGORITHM_TREE and kind in TREE_KINDS
     hierarchical = (
@@ -469,9 +440,9 @@ def generate_primitive_sequence(
     loops = chunk_loops(nbytes, group_size, chunk_bytes, per_rank_slices=sliced)
 
     if kind is CollectiveKind.ALL_TO_ALL:
-        build = partial(_all_to_all_loop, group_rank, group_size)
+        build = partial(_all_to_all_body, group_rank, group_size)
     elif tree and kind is CollectiveKind.ALL_REDUCE:
-        build = partial(_all_reduce_tree_loop, group_rank, group_size)
+        build = partial(_all_reduce_tree_body, group_rank, group_size)
     elif hierarchical:
         build = _hierarchical_builder(group_rank, group_size, island_size)
     elif kind is CollectiveKind.ALL_REDUCE:
@@ -483,8 +454,11 @@ def generate_primitive_sequence(
     else:  # broadcast, reduce, send/recv (a two-rank broadcast chain)
         build = _rooted_builder(kind, group_rank, group_size, root, tree)
 
-    ints = _INTS
-    sequence = []
-    for loop, loop_nbytes in enumerate(loops):
-        sequence += build(ints[loop], loop_nbytes)
-    return sequence
+    # Equal loop payloads run one body: the full loops, then the tail.
+    segments = []
+    first_loop = 0
+    for loop_nbytes, equal in groupby(loops):
+        count = len(list(equal))
+        segments.append((first_loop, count, build(loop_nbytes)))
+        first_loop += count
+    return Schedule(segments)

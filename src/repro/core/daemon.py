@@ -34,7 +34,6 @@ from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import add
 
-from repro.collectives.channels import channel_by_id
 from repro.collectives.cost import POLL_COST_US
 from repro.collectives.primitives import PRIMITIVES_PER_STEP, ExecOutcome
 from repro.common.errors import SimulationError
@@ -406,9 +405,8 @@ class DaemonKernel(KernelActor):
         """What a preempting retry failed on: the executor, the channel, its
         version ``(len(arrivals), pushed_count, invalidated)``, the wait key
         and a head arrival that was merely too late (``None`` if none)."""
-        key = outcome.wait_key
-        channel = channel_by_id(key[1])
-        return (entry.executor, channel, _version(channel), key,
+        channel = outcome.channel
+        return (entry.executor, channel, _version(channel), outcome.wait_key,
                 entry.executor.late_arrival_us(outcome))
 
     # -- timed waits ---------------------------------------------------------------------------

@@ -306,11 +306,11 @@ class Invocation(CollectiveRun):
         return communicator
 
     def primitive_sequence(self, group_rank):
-        """The sequence this rank ran (compiled now if it never ran)."""
+        """The schedule this rank ran (compiled now if it never ran)."""
         executor = self.executor_if_cached(group_rank)
         if executor is None:
             executor = self.executor_for(group_rank)
-        return list(executor.primitives)
+        return executor.primitives
 
     # -- completion tracking --------------------------------------------------------
 

@@ -53,5 +53,5 @@ class NcclCollectiveKernel(KernelActor):
         # WAIT_RECV / WAIT_SEND: hold resources and wait without bound.
         return StepResult.blocked(
             [outcome.wait_key],
-            f"{outcome.primitive.name} waiting ({kind.value})",
+            f"{outcome.name} waiting ({kind.value})",
         )

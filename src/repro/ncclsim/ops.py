@@ -95,12 +95,12 @@ class NcclCollectiveOp(CollectiveRun):
         return self._kernels.get(group_rank)
 
     def primitive_sequence(self, group_rank):
-        """The sequence this rank's kernel ran (compiled now if it never
+        """The schedule this rank's kernel ran (compiled now if it never
         launched)."""
         kernel = self.kernel(group_rank)
         if kernel is not None:
-            return list(kernel.executor.primitives)
-        return list(self.executor_for(group_rank).primitives)
+            return kernel.executor.primitives
+        return self.executor_for(group_rank).primitives
 
     def __repr__(self):
         return f"<NcclCollectiveOp {self.name} size={self.group_size}>"

@@ -127,16 +127,15 @@ def _match_channels(records):
     pops = {}
     for record in records:
         executor = record.executor
-        primitives = executor.primitives
         trace = record.trace
-        for index in range(len(trace) // 3):
-            primitive = primitives[index]
+        for index, primitive in zip(range(len(trace) // 3),
+                                    executor.primitives):
             if primitive.recvs and primitive.recv_peer is not None:
-                channel = executor._recv_channel(primitive)
+                channel = executor._recv_channel(primitive.recv_peer)
                 pops.setdefault(id(channel), []).append(
                     (trace[3 * index], record, index))
             if primitive.sends and primitive.send_peer is not None:
-                channel = executor._send_channel(primitive)
+                channel = executor._send_channel(primitive.send_peer)
                 pushes.setdefault(id(channel), []).append(
                     (trace[3 * index + 1], record, index))
     arrivals = {}

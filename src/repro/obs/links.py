@@ -55,10 +55,9 @@ def link_utilization_timeline(obs, window_us=None, max_windows=64):
     for record in (analysis.records if analysis is not None else ()):
         executor = record.executor
         communicator = executor.communicator
-        primitives = executor.primitives
         trace = record.trace
-        for index in range(len(trace) // 3):
-            primitive = primitives[index]
+        for index, primitive in zip(range(len(trace) // 3),
+                                    executor.primitives):
             if not primitive.sends or primitive.send_peer is None:
                 continue
             peer = primitive.send_peer

@@ -72,7 +72,7 @@ class WorkRecord:
     #: a rooted collective whose root crashed).  done and aborted are
     #: mutually exclusive.
     aborted: bool = False
-    sequence: list = None           # executed Primitives, or None
+    sequence: object = None         # the executed Schedule, or None
     members: tuple = None           # global ranks reduced over
     signature: tuple = None
     reduced: int = None             # fingerprint over members (reducing kinds)
@@ -123,7 +123,10 @@ class ReplayResult:
         return not divergences
 
     def comparable_state(self):
-        """The deterministic-replay fingerprint of this result."""
+        """The deterministic-replay fingerprint of this result.
+
+        Its schedules compare in compiled form: equal segments need no
+        primitive built."""
         return (
             self.outcome,
             self.time_us,
@@ -331,20 +334,23 @@ def _check_sequence_parity(reference, other, divergences):
         ))
         return
     for ident, ref_record in ref_records.items():
-        other_record = other_records[ident]
-        if ref_record.sequence != other_record.sequence:
+        ref_sequence = ref_record.sequence
+        other_sequence = other_records[ident].sequence
+        # Schedules compare in compiled form first; only a mismatch walks
+        # their primitives, here to name the first that differs.
+        if ref_sequence != other_sequence:
             rank, key, index = ident
             detail = "sequence missing"
-            if ref_record.sequence and other_record.sequence:
-                length = min(len(ref_record.sequence), len(other_record.sequence))
+            if ref_sequence and other_sequence:
                 position = next(
-                    (i for i in range(length)
-                     if ref_record.sequence[i] != other_record.sequence[i]),
-                    length,
+                    (i for i, (ours, theirs)
+                     in enumerate(zip(ref_sequence, other_sequence))
+                     if ours != theirs),
+                    min(len(ref_sequence), len(other_sequence)),
                 )
                 detail = (f"first differs at primitive {position} "
-                          f"(lengths {len(ref_record.sequence)} vs "
-                          f"{len(other_record.sequence)})")
+                          f"(lengths {len(ref_sequence)} vs "
+                          f"{len(other_sequence)})")
             divergences.append(Divergence(
                 "sequence-parity", other.backend,
                 f"differs from {reference.backend}: {detail}",

@@ -519,6 +519,20 @@ class TestRemovedShims:
             assert not hasattr(sequences, name), name
         assert not hasattr(collectives, "primitive_count")
 
+    def test_schedules_are_runs_not_primitive_lists(self):
+        """A compiled schedule is loop bodies of runs: the shared-int table
+        that deduplicated the fields of expanded primitive lists and the
+        per-loop primitive builders were deleted."""
+        import inspect
+
+        from repro.collectives import sequences
+        from repro.collectives.primitives import PrimitiveOutcome
+
+        for name in ("_SharedInts", "_INTS", "_all_to_all_loop",
+                     "_all_reduce_tree_loop"):
+            assert not hasattr(sequences, name), name
+        assert "primitive" not in inspect.signature(PrimitiveOutcome).parameters
+
     def test_single_cost_model_and_channel_depth(self):
         """Every backend prices primitives with the ``collectives.cost``
         constants and builds channels ``Channel.DEFAULT_CAPACITY`` deep:

@@ -8,6 +8,7 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.common.errors import ConfigurationError
 from repro.common.types import CollectiveKind, PrimitiveAction
 from repro.common.vtime import VirtualClock
 from repro.collectives import (
@@ -22,7 +23,7 @@ from repro.collectives.cost import (
     primitive_time_us,
     split_busy,
 )
-from repro.collectives.primitives import PRIMITIVE_NAMES
+from repro.collectives.primitives import PRIMITIVE_NAMES, Schedule
 from repro.gpusim.cluster import build_cluster
 
 
@@ -106,6 +107,15 @@ class TestChunkLoops:
     def test_rejects_non_positive(self):
         with pytest.raises(Exception):
             chunk_loops(0, 8)
+
+    @pytest.mark.parametrize("chunk_bytes", [0, -5])
+    def test_rejects_non_positive_chunk_bytes(self, chunk_bytes):
+        # Zero divided by zero and a negative size compiled one loop before.
+        with pytest.raises(ConfigurationError, match="chunk_bytes"):
+            chunk_loops(1024, 8, chunk_bytes)
+        with pytest.raises(ConfigurationError, match="chunk_bytes"):
+            generate_primitive_sequence(CollectiveKind.ALL_REDUCE, 0, 4, 1024,
+                                        chunk_bytes=chunk_bytes)
 
     @given(st.integers(1, 1 << 24), st.integers(2, 16))
     @settings(max_examples=50, deadline=None)
@@ -239,7 +249,7 @@ def test_rooted_sequences_match_the_pinned_digest_at_other_roots():
 
 
 class TestCompactPrimitives:
-    """A compiled primitive stores seven fields and shared ints."""
+    """A compiled schedule stores runs, and a primitive view seven fields."""
 
     def test_peers_are_set_exactly_when_the_action_sends_or_receives(self):
         # ``burst`` tests peer presence instead of the action bits.
@@ -248,25 +258,6 @@ class TestCompactPrimitives:
             assert (primitive.send_peer is not None) == primitive.sends
             assert (primitive.recv_peer is not None) == primitive.recvs
             assert primitive.name == PRIMITIVE_NAMES[primitive.action]
-
-    @pytest.mark.parametrize("kind,algorithm,chunk_bytes", [
-        (CollectiveKind.ALL_REDUCE, "ring", 512),
-        (CollectiveKind.ALL_REDUCE, "hierarchical", 7),  # 293 loops
-        (CollectiveKind.ALL_REDUCE, "tree", 512),
-        (CollectiveKind.ALL_TO_ALL, "ring", 512),
-        (CollectiveKind.BROADCAST, "ring", 512),
-    ])
-    def test_equal_step_and_chunk_values_are_one_object(self, kind, algorithm,
-                                                        chunk_bytes):
-        shared = {}
-        for rank in (0, 300):
-            for primitive in generate_primitive_sequence(
-                    kind, rank, 512, 1 << 20, chunk_bytes=chunk_bytes,
-                    algorithm=algorithm, island_size=8):
-                for value in (primitive.loop, primitive.step,
-                              primitive.chunk_index):
-                    assert shared.setdefault(value, value) is value
-        assert max(shared) > 256  # beyond CPython's small-int cache
 
     def test_a_compiled_primitive_costs_at_most_112_traced_bytes(self):
         tracemalloc.start()
@@ -463,8 +454,8 @@ class TestBurst:
         # Like `limit` single bursts: ALL_DONE is only reported by an attempt
         # after the last primitive, never by the one that executes it.
         comm = make_communicator(1)
-        sequence = generate_primitive_sequence(
-            CollectiveKind.ALL_GATHER, 0, 1, 64) * 5
+        sequence = Schedule(generate_primitive_sequence(
+            CollectiveKind.ALL_GATHER, 0, 1, 64).segments * 5)
         executor = PrimitiveExecutor(0, 0, comm, sequence)
         clock = VirtualClock()
         executed, outcome = executor.burst(clock, limit=3)

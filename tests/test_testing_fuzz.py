@@ -21,7 +21,8 @@ from repro.testing import (
     replay_program,
     topology_for_world,
 )
-from repro.testing.differential import DEFAULT_BACKENDS
+from repro.collectives import Schedule
+from repro.testing.differential import DEFAULT_BACKENDS, _check_sequence_parity
 from repro.testing.fuzz import fuzz, main, minimize_program
 from dataclasses import replace
 
@@ -250,6 +251,56 @@ class TestNegative:
         # The program itself completed on both backends: the bug is silent
         # without differential checking.
         assert all(result.completed for result in check.results.values())
+
+    def test_a_mutated_schedule_reports_its_first_differing_primitive(self):
+        """Parity compares compiled schedules and walks primitives only on a
+        mismatch: the index and lengths it reports are those of the expanded
+        sequences, and a schedule cut into other runs is no divergence."""
+        program = _single_all_reduce_program(count=(1 << 16) + 1000)
+        dfccl = replay_program(program, "dfccl")
+        nccl = replay_program(program, "nccl")
+        record = next(record for record in nccl.records if record.rank == 2)
+        schedule = record.sequence
+        (first, loops, body), (tail_first, _, tail) = schedule.segments
+        assert loops > 1
+
+        def changed(run, **fields):
+            names = ("action", "count", "step", "chunk", "nbytes",
+                     "send_peer", "recv_peer")
+            return tuple(fields.get(name, value)
+                         for name, value in zip(names, run))
+
+        bigger_tail = tail[:2] + (changed(tail[2], nbytes=tail[2][4] + 1),) + tail[3:]
+        split = body[:1] + (changed(body[1], count=1),
+                            changed(body[1], count=body[1][1] - 1,
+                                    step=body[1][2] + 1)) + body[2:]
+        mutations = {
+            "tail": Schedule([(first, loops, body),
+                              (tail_first, 1, bigger_tail)]),
+            "cut": Schedule([(first, loops - 1, body)]),
+            "split": Schedule([(first, loops, split), (tail_first, 1, tail)]),
+        }
+        details = {}
+        for name, mutated in mutations.items():
+            divergences = []
+            other = replace(nccl, records=[
+                replace(each, sequence=mutated) if each is record else each
+                for each in nccl.records])
+            _check_sequence_parity(dfccl, other, divergences)
+            details[name] = [divergence.detail for divergence in divergences]
+        expected = list(schedule)
+        length = sum(run[1] for run in body)  # primitives per loop
+        tail_index = loops * length + tail[2][2]
+        assert list(mutations["tail"])[tail_index] != expected[tail_index]
+        assert details == {
+            "tail": [f"differs from dfccl: first differs at primitive "
+                     f"{tail_index} (lengths {len(expected)} vs "
+                     f"{len(expected)})"],
+            "cut": [f"differs from dfccl: first differs at primitive "
+                    f"{(loops - 1) * length} (lengths {len(expected)} vs "
+                    f"{(loops - 1) * length})"],
+            "split": [],
+        }
 
     def test_healthy_backend_passes_same_program(self):
         program = _single_all_reduce_program()
