@@ -61,6 +61,10 @@ class _MpiCollective(CollectiveRun):
     def finish_time_us(self):
         return max(self.start_times.values()) + self.duration_us
 
+    def primitive_sequence(self, rank):
+        """None: a host-staged rendezvous runs no primitive schedule."""
+        return None
+
 
 class _MpiWaitOp(HostOp):
     """Block until the rendezvous formed, sleep out the transfer, then

@@ -9,7 +9,6 @@ a paper-like table format.
 from repro.bench.reporting import format_series, format_table
 from repro.bench.collective_perf import (
     measure_collective,
-    sweep_bandwidth_latency,
     latency_breakdown,
     workload_independent_overheads,
     nccl_vs_mpi_comparison,
@@ -85,6 +84,5 @@ __all__ = [
     "run_table1_row",
     "sec61_random_order_program",
     "sec61_sync_program",
-    "sweep_bandwidth_latency",
     "workload_independent_overheads",
 ]

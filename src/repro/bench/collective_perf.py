@@ -18,10 +18,6 @@ from repro.core import DfcclConfig
 from repro.testing.differential import install_program
 from repro.testing.generator import collective_program
 
-#: Buffer sizes swept in Fig. 8 (512 B – 4 MB on one server, up to 16 MB on 32 GPUs).
-FIG8_SIZES_SINGLE = [512 << i for i in range(0, 14)]
-FIG8_SIZES_MULTI = [2048 << i for i in range(0, 14)]
-
 
 def _kind_from_name(name):
     return CollectiveKind(name) if not isinstance(name, CollectiveKind) else name
@@ -71,20 +67,6 @@ def measure_collective(backend="dfccl", kind="all_reduce", nbytes=1 << 20,
         "bandwidth_gbps": nbytes / (report["latency_us"] * 1e3),
         "preemptions": report["preemptions"],
     }
-
-
-def sweep_bandwidth_latency(kind="all_reduce", world_size=8, topology="single-3090",
-                            sizes=None, iterations=2):
-    """Fig. 8: bandwidth and latency vs buffer size for both backends."""
-    if sizes is None:
-        sizes = FIG8_SIZES_SINGLE if world_size <= 8 else FIG8_SIZES_MULTI
-    rows = []
-    for nbytes in sizes:
-        for backend in ("nccl", "dfccl"):
-            result = measure_collective(backend, kind, nbytes, world_size, topology,
-                                        iterations=iterations)
-            rows.append(result)
-    return rows
 
 
 #: Buffer sizes for the ring-vs-tree crossover sweep (1 KB – 4 MB).

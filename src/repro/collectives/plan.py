@@ -4,8 +4,8 @@ A collective's primitive-sequence composition is *static context* (Sec. 4.2):
 it depends only on the spec, the participating devices and the resolved
 algorithm, all fixed when the collective is registered.  A
 :class:`CollectivePlan` holds the membership-derived part of that state for
-one membership of one collective, and both backends build their executors
-from it:
+one membership of one collective, and both backends place every rank's
+schedule with it (:meth:`CollectivePlan.place`):
 
 * DFCCL's :class:`~repro.core.registration.RegisteredCollective` owns one plan
   per ``generation``.  Registration builds the first; every elastic shrink or
@@ -20,7 +20,9 @@ configure.
 A :class:`CollectiveRun` is one invocation of a collective across its ranks,
 and the one place every backend measures and completes it: per-rank start
 and completion times, the per-rank ``"collective"`` span, the calibration
-sample, and the completion callbacks behind ``repro.api``'s ``Work``.
+sample, and the completion callbacks behind ``repro.api``'s ``Work``.  It
+also owns the ranks' executors: each is compiled on first use, traced for
+time attribution and cached.
 """
 
 from __future__ import annotations
@@ -44,7 +46,9 @@ class CollectivePlan:
       also the sorted participant signature) — and ``active_set``;
     * ``rank_of_device`` — device to group rank, over every device;
     * ``island_size``, ``algorithm``, ``predicted_cost_us`` and
-      ``predicted_breakdown`` for the member devices.
+      ``predicted_breakdown`` for the member devices;
+    * :meth:`place` — a rank's position in a schedule over the members or
+      over a subset of them.
     """
 
     def __init__(self, spec, devices, interconnect, algorithm, chunk_bytes,
@@ -87,25 +91,40 @@ class CollectivePlan:
             self.predicted_cost_us = previous.predicted_cost_us
             self.predicted_breakdown = previous.predicted_breakdown
 
-    def virtual_rank(self, participants, group_rank):
-        """Index of ``group_rank`` within ``participants``, or ``None``.
+    def place(self, group_rank, participants=None):
+        """Where ``group_rank`` sits in a schedule over ``participants``.
 
-        ``participants`` is a tuple of group ranks; the plan's own
-        ``active_ranks`` is answered from a precomputed map.
+        ``participants`` is a tuple of group ranks, defaulting to the plan's
+        ``active_ranks`` (answered from precomputed values).  Returns
+        ``(virtual_rank, size, virtual_root, island_size)``: the rank's and
+        the root's index among the participants, their count and their
+        hierarchical island size, so after a group shrink the survivors form
+        a dense ring/tree among themselves.  Raises ``ConfigurationError``
+        for a rank that does not participate, and for a rooted kind whose
+        root does not: the root's data cannot be reconstructed from the
+        others.
         """
-        if participants is self.active_ranks:
-            return self._virtual_ranks.get(group_rank)
-        try:
-            return participants.index(group_rank)
-        except ValueError:
-            return None
-
-    def island_size_of(self, participants):
-        """Hierarchical island size of ``participants`` (a tuple of group ranks)."""
-        if participants is self.active_ranks:
-            return self.island_size
-        return hierarchical_island_size(
-            self.devices[rank].device_id.node for rank in participants)
+        if participants is None or participants is self.active_ranks:
+            participants, island_size = self.active_ranks, self.island_size
+            index_of = self._virtual_ranks.get
+        else:
+            island_size = hierarchical_island_size(
+                self.devices[rank].device_id.node for rank in participants)
+            index_of = dict(zip(participants, range(len(participants)))).get
+        virtual_rank = index_of(group_rank)
+        if virtual_rank is None:
+            raise ConfigurationError(
+                f"group rank {group_rank} is not a participant of {self!r} "
+                f"(participants: {list(participants)})")
+        virtual_root = index_of(self.spec.root)
+        if virtual_root is None:
+            if self.spec.kind.rooted:
+                raise ConfigurationError(
+                    f"root {self.spec.root} of {self!r} is not among the "
+                    f"participants {list(participants)}; a rooted collective "
+                    "cannot be re-formed without its root")
+            virtual_root = 0
+        return virtual_rank, len(participants), virtual_root, island_size
 
     def __repr__(self):
         return (f"<CollectivePlan {self.spec.kind.value} gen={self.generation} "
@@ -136,6 +155,10 @@ class CollectiveRun:
     baseline's :class:`~repro.ncclsim.NcclCollectiveOp` and the MPI
     adapter's rendezvous are subclasses; each sets ``backend`` and a
     ``plan`` (or the ``algorithm``/``predicted_*`` values it would give).
+    A subclass that runs primitive schedules defines ``_compile(rank)``,
+    which builds the rank's executor, and ``trace_key``, its invocation's
+    identity in the time-attribution log; :meth:`executor_for` calls the
+    first once per rank.
 
     ``start_times`` and ``complete_times`` map group ranks to virtual time.
     When observability is on, :meth:`mark_started` opens the rank's
@@ -170,6 +193,7 @@ class CollectiveRun:
         self._callbacks = {}
         self._delivered = set()
         self._spans = {}
+        self._executors = {}
 
     @property
     def algorithm(self):
@@ -195,10 +219,19 @@ class CollectiveRun:
         """Group ranks whose completion completes the run (a frozenset)."""
         return self._all_ranks
 
-    def trace_executor(self, executor, rank, invocation_key):
-        """Register ``rank``'s executor for time attribution, if enabled."""
-        if self.obs is not None and self.obs.analysis is not None:
-            self.obs.analysis.attach(executor, self, rank, invocation_key)
+    def executor_for(self, rank):
+        """``rank``'s executor: compiled by ``_compile`` on first use and
+        registered for time attribution (when enabled), then cached."""
+        executor = self._executors.get(rank)
+        if executor is None:
+            executor = self._executors[rank] = self._compile(rank)
+            if self.obs is not None and self.obs.analysis is not None:
+                self.obs.analysis.attach(executor, self, rank, self.trace_key)
+        return executor
+
+    def executor_if_cached(self, rank):
+        """The executor ``rank`` compiled, without compiling a new one."""
+        return self._executors.get(rank)
 
     def mark_started(self, rank, time_us):
         if rank in self.start_times:
@@ -300,9 +333,9 @@ class CollectiveRun:
                               time_us=time_us)
 
     def primitive_sequence(self, rank):
-        """The :class:`Schedule` ``rank`` compiled, or ``None`` for a
-        backend without primitive sequences."""
-        return None
+        """The :class:`Schedule` ``rank`` ran (compiled now if it never
+        ran)."""
+        return self.executor_for(rank).primitives
 
     def fully_complete(self):
         expected = self.expected_ranks()

@@ -295,12 +295,11 @@ class PrimitiveExecutor:
     is, and setting ``position`` re-derives it.
     """
 
-    def __init__(self, collective_id, group_rank, communicator, primitives):
-        self.collective_id = collective_id
+    def __init__(self, group_rank, communicator, schedule):
         self.group_rank = group_rank
         self.communicator = communicator
         #: The :class:`Schedule` (immutable, shared with whoever compiled it).
-        self.primitives = primitives
+        self.primitives = schedule
         self.executed_primitives = 0
         #: The run cursor of ``position``: the loop bodies still to walk, the
         #: current one (``None`` past the end), the run in it and the offset
@@ -320,7 +319,7 @@ class PrimitiveExecutor:
         #: The WAIT_* outcome a burst returns, reused: every caller reads it
         #: before its next burst on this executor, and most bursts of a
         #: spinning collective fail their first attempt.
-        self._wait_outcome = PrimitiveOutcome(_WAIT_RECV, primitives)
+        self._wait_outcome = PrimitiveOutcome(_WAIT_RECV, schedule)
         #: Optional per-primitive execution trace: a flat ``array('d')`` of
         #: ``(start_us, end_us, busy_us)`` triples appended per executed
         #: primitive, attached by ``obs.analysis`` when time attribution is

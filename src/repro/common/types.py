@@ -59,6 +59,11 @@ class CollectiveKind(enum.Enum):
             CollectiveKind.REDUCE,
         )
 
+    @property
+    def rooted(self):
+        """Whether the collective's semantics depend on a specific root rank."""
+        return self in (CollectiveKind.BROADCAST, CollectiveKind.REDUCE)
+
 
 class PrimitiveAction(enum.Flag):
     """Basic actions a collective primitive is fused from (Sec. 4.1)."""

@@ -190,7 +190,7 @@ class RecoveryManager(Actor):
     def _recover_collective(self, coll, failed_ranks, now):
         if coll.abandoned:
             return
-        if coll.rooted and coll.spec.root in failed_ranks:
+        if coll.spec.kind.rooted and coll.spec.root in failed_ranks:
             # The root's data died with its device; a rooted collective
             # cannot be re-formed from the survivors.
             coll.communicator.invalidate()
@@ -229,7 +229,7 @@ class RecoveryManager(Actor):
                           if not invocation.is_complete(rank))
             if not rerun:
                 continue
-            if coll.rooted and coll.spec.root not in rerun:
+            if coll.spec.kind.rooted and coll.spec.root not in rerun:
                 # The root survived but already finished its primitive
                 # sequence; its sends cannot be replayed, so the unfinished
                 # survivors can never complete this invocation.  Abandon

@@ -13,7 +13,6 @@ from repro.collectives.plan import CollectivePlan, CollectiveRun, CompletionInfo
 from repro.collectives.primitives import PrimitiveExecutor
 from repro.collectives.sequences import generate_primitive_sequence
 from repro.common.errors import ConfigurationError
-from repro.common.types import CollectiveKind
 from repro.ncclsim.kernels import grid_size_for
 
 
@@ -80,11 +79,6 @@ class RegisteredCollective:
     def group_size(self):
         return len(self.devices)
 
-    @property
-    def rooted(self):
-        """Whether the collective's semantics depend on a specific root rank."""
-        return self.spec.kind in (CollectiveKind.BROADCAST, CollectiveKind.REDUCE)
-
     # -- elastic recovery (group shrink) ------------------------------------------
 
     def active_ranks(self):
@@ -147,53 +141,6 @@ class RegisteredCollective:
             )
         return group_rank
 
-    def make_executor(self, group_rank, participants=None, communicator=None):
-        """Compile this collective's primitive sequence for one rank.
-
-        ``participants`` (original group ranks, defaulting to the active
-        ones) defines the group the sequence spans: the rank is compacted to
-        its index within it, so after a group shrink the survivors form a
-        dense ring/tree among themselves.  ``communicator`` must be built
-        over exactly the participants' devices (the default is the
-        collective's current communicator, which matches the active ranks).
-        """
-        plan = self.plan
-        participants = (plan.active_ranks if participants is None
-                        else tuple(participants))
-        virtual_rank = plan.virtual_rank(participants, group_rank)
-        if virtual_rank is None:
-            raise ConfigurationError(
-                f"group rank {group_rank} is not a participant of {self.name} "
-                f"(participants: {list(participants)})"
-            )
-        virtual_root = plan.virtual_rank(participants, self.spec.root)
-        if virtual_root is None:
-            if self.rooted:
-                # The root's data cannot be reconstructed from the survivors;
-                # recovery must abandon the collective rather than re-root it.
-                raise ConfigurationError(
-                    f"root {self.spec.root} of {self.name} is not among the "
-                    f"participants {list(participants)}; a rooted collective "
-                    "cannot be re-formed without its root"
-                )
-            virtual_root = 0
-        sequence = generate_primitive_sequence(
-            self.spec.kind,
-            virtual_rank,
-            len(participants),
-            self.spec.nbytes,
-            chunk_bytes=self.config.chunk_bytes,
-            root=virtual_root,
-            algorithm=plan.algorithm,
-            island_size=plan.island_size_of(participants),
-        )
-        return PrimitiveExecutor(
-            collective_id=self.coll_id,
-            group_rank=virtual_rank,
-            communicator=communicator if communicator is not None else self.communicator,
-            primitives=sequence,
-        )
-
     def invocation(self, index):
         """Return invocation ``index``, creating intermediate ones if needed."""
         while len(self.invocations) <= index:
@@ -227,7 +174,6 @@ class Invocation(CollectiveRun):
         # multi-tenant scheduler; the invocation id only needs to be a unique
         # hashable key, so pair them instead of packing arithmetically.
         self.invocation_id = (coll.coll_id, index)
-        self._executors = {}
         self.context_switches = {}
         #: Participant signature as of each rank's GPU completion: a rank
         #: that finished before a later recovery keeps the group identity it
@@ -258,22 +204,27 @@ class Invocation(CollectiveRun):
 
     # -- per-rank execution state ---------------------------------------------------
 
-    def executor_for(self, group_rank):
-        executor = self._executors.get(group_rank)
-        if executor is None:
-            if self._rerun_ranks is not None and group_rank in self._rerun_ranks:
-                executor = self.coll.make_executor(
-                    group_rank,
-                    participants=self._rerun_ranks,
-                    communicator=self._rerun_communicator,
-                )
-            else:
-                executor = self.coll.make_executor(group_rank)
-            self._executors[group_rank] = executor
-            self.trace_executor(executor, group_rank,
-                                ("dfccl", self.coll_id, self.index,
-                                 self.recovery_generation))
-        return executor
+    @property
+    def trace_key(self):
+        return ("dfccl", self.coll_id, self.index, self.recovery_generation)
+
+    def _compile(self, group_rank):
+        """A re-running rank spans the re-run subset, over its dedicated
+        communicator while it has one; any other rank spans the plan's
+        members over the collective's communicator."""
+        participants, communicator = None, self.coll.communicator
+        if self._rerun_ranks is not None and group_rank in self._rerun_ranks:
+            participants = self._rerun_ranks
+            if self._rerun_communicator is not None:
+                communicator = self._rerun_communicator
+        plan, spec = self.plan, self.spec
+        virtual_rank, size, root, island_size = plan.place(group_rank,
+                                                            participants)
+        sequence = generate_primitive_sequence(
+            spec.kind, virtual_rank, size, spec.nbytes,
+            chunk_bytes=plan.chunk_bytes, root=root, algorithm=plan.algorithm,
+            island_size=island_size)
+        return PrimitiveExecutor(virtual_rank, communicator, sequence)
 
     def begin_recovery(self, participants, rerun_ranks, communicator):
         """Re-form this in-flight invocation over the surviving ranks.
@@ -292,10 +243,6 @@ class Invocation(CollectiveRun):
         for rank in rerun_ranks:
             self._executors.pop(rank, None)
 
-    def executor_if_cached(self, group_rank):
-        """The executor this rank actually ran, without compiling a new one."""
-        return self._executors.get(group_rank)
-
     def take_rerun_communicator(self):
         """Detach and return the dedicated rerun communicator (or ``None``).
 
@@ -304,13 +251,6 @@ class Invocation(CollectiveRun):
         """
         communicator, self._rerun_communicator = self._rerun_communicator, None
         return communicator
-
-    def primitive_sequence(self, group_rank):
-        """The schedule this rank ran (compiled now if it never ran)."""
-        executor = self.executor_if_cached(group_rank)
-        if executor is None:
-            executor = self.executor_for(group_rank)
-        return executor.primitives
 
     # -- completion tracking --------------------------------------------------------
 

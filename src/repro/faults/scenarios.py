@@ -36,9 +36,10 @@ DEFAULT_DEADLINE_US = 120_000.0
 def _replay_chaos(program, backend, seed, **knobs):
     """Replay a chaos program; the result's records keep no sequences.
 
-    Nothing compares a chaos run's primitive sequences, and on 128 ranks they
-    are ~190k Primitive objects a result would keep alive after its cluster
-    is gone.
+    Nothing compares a chaos run's primitive sequences, and each record's
+    ``Schedule`` (its run-form loop bodies, one per rank and collective)
+    would otherwise outlive the cluster with the result: on 128 ranks that
+    shows in peak memory.
     """
     result = replay_program(program, backend, seed=seed, **knobs)
     for record in result.records:

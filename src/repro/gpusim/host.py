@@ -111,14 +111,12 @@ class CallHook(HostOp):
 
 
 class HostProgram:
-    """A sequence of host ops, given as a list or as a generator function."""
+    """A sequence of host ops."""
 
     def __init__(self, ops):
         self._ops = ops
 
     def iterator(self, host):
-        if callable(self._ops):
-            return iter(self._ops(host))
         return iter(list(self._ops))
 
 

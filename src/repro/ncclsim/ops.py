@@ -53,27 +53,18 @@ class NcclCollectiveOp(CollectiveRun):
         self._kernels = {}
         _ops_by_id[self.op_id] = self
 
-    def executor_for(self, group_rank):
-        """Build the primitive executor for one rank's part."""
-        plan = self.plan
+    @property
+    def trace_key(self):
+        return ("nccl", self.op_id)
+
+    def _compile(self, group_rank):
+        plan, spec = self.plan, self.spec
+        virtual_rank, size, root, island_size = plan.place(group_rank)
         sequence = generate_primitive_sequence(
-            self.spec.kind,
-            group_rank,
-            self.group_size,
-            self.spec.nbytes,
-            chunk_bytes=plan.chunk_bytes,
-            root=self.spec.root,
-            algorithm=plan.algorithm,
-            island_size=plan.island_size,
-        )
-        executor = PrimitiveExecutor(
-            collective_id=self.op_id,
-            group_rank=group_rank,
-            communicator=self.communicator,
-            primitives=sequence,
-        )
-        self.trace_executor(executor, group_rank, ("nccl", self.op_id))
-        return executor
+            spec.kind, virtual_rank, size, spec.nbytes,
+            chunk_bytes=plan.chunk_bytes, root=root, algorithm=plan.algorithm,
+            island_size=island_size)
+        return PrimitiveExecutor(virtual_rank, self.communicator, sequence)
 
     # -- completion tracking --------------------------------------------------
 
@@ -93,14 +84,6 @@ class NcclCollectiveOp(CollectiveRun):
 
     def kernel(self, group_rank):
         return self._kernels.get(group_rank)
-
-    def primitive_sequence(self, group_rank):
-        """The schedule this rank's kernel ran (compiled now if it never
-        launched)."""
-        kernel = self.kernel(group_rank)
-        if kernel is not None:
-            return kernel.executor.primitives
-        return self.executor_for(group_rank).primitives
 
     def __repr__(self):
         return f"<NcclCollectiveOp {self.name} size={self.group_size}>"

@@ -127,15 +127,16 @@ def _match_channels(records):
     pops = {}
     for record in records:
         executor = record.executor
+        rank, channel_of = executor.group_rank, executor.communicator.channel
         trace = record.trace
         for index, primitive in zip(range(len(trace) // 3),
                                     executor.primitives):
             if primitive.recvs and primitive.recv_peer is not None:
-                channel = executor._recv_channel(primitive.recv_peer)
+                channel = channel_of(primitive.recv_peer, rank)
                 pops.setdefault(id(channel), []).append(
                     (trace[3 * index], record, index))
             if primitive.sends and primitive.send_peer is not None:
-                channel = executor._send_channel(primitive.send_peer)
+                channel = channel_of(rank, primitive.send_peer)
                 pushes.setdefault(id(channel), []).append(
                     (trace[3 * index + 1], record, index))
     arrivals = {}

@@ -1,12 +1,10 @@
-"""Chrome trace-event export rebuilt on the observability layer.
+"""Chrome trace-event export of an :class:`~repro.obs.Observability`.
 
-Successor to ``repro.core.profiler.chrome_trace_events`` (which consumed the
-unbounded ``Engine(trace=[...])`` list and is now a deprecation shim): this
-exporter reads an :class:`~repro.obs.Observability` and emits
+The export holds
 
 * **pid 0** — the engine: one thread row per actor, sliced from the flight
-  recorder's step events (same visual as the legacy exporter, now bounded);
-  instant markers (kills, abandons, job arrivals) as "i" events;
+  recorder's (bounded) step events, and instant markers (kills, abandons,
+  job arrivals) as "i" events;
 * **pid 1** — spans with no job attribution (single-tenant collectives,
   recovery episodes), one thread row per span track;
 * **pid 2+** — one process group per job, so multi-tenant runs show each
@@ -22,7 +20,7 @@ import json
 
 
 def _actor_slices(steps, events, pid, first_tid):
-    """Per-actor "X" slices from raw step records, legacy-exporter style."""
+    """Per-actor "X" slices from raw step records."""
     by_actor = {}
     for time_us, actor, status, detail in steps:
         by_actor.setdefault(actor, []).append((float(time_us), status, detail))

@@ -872,6 +872,41 @@ class TestRemovedShims:
             assert parameters(owner)[name].default is inspect.Parameter.empty
         assert not hasattr(fault_plan, "TRANSIENT_KINDS")
 
+    def test_one_executor_path(self):
+        """The run compiles, caches and traces every rank's executor on both
+        backends: the per-backend compile, cache and sequence methods, the
+        plan's two placement helpers, the collective-level rooted flag, the
+        executor's unread collective id, the callable host program and the
+        unused Fig. 8 sweep were deleted."""
+        import inspect
+
+        import repro.bench as bench
+        import repro.bench.collective_perf as collective_perf
+        from repro.collectives import CollectivePlan, PrimitiveExecutor
+        from repro.collectives.plan import CollectiveRun
+        from repro.core.registration import Invocation, RegisteredCollective
+        from repro.gpusim import HostProgram
+        from repro.ncclsim import NcclCollectiveOp
+
+        for name in ("make_executor", "rooted"):
+            assert not hasattr(RegisteredCollective, name), name
+        for name in ("executor_for", "executor_if_cached",
+                     "primitive_sequence"):
+            assert name not in vars(Invocation), name
+        for name in ("executor_for", "primitive_sequence"):
+            assert name not in vars(NcclCollectiveOp), name
+        assert not hasattr(CollectiveRun, "trace_executor")
+        for name in ("virtual_rank", "island_size_of"):
+            assert not hasattr(CollectivePlan, name), name
+        assert list(inspect.signature(PrimitiveExecutor).parameters) == [
+            "group_rank", "communicator", "schedule"]
+        with pytest.raises(TypeError):
+            HostProgram(lambda host: []).iterator(None)
+        for name in ("sweep_bandwidth_latency", "FIG8_SIZES_SINGLE",
+                     "FIG8_SIZES_MULTI"):
+            assert not hasattr(collective_perf, name), name
+            assert not hasattr(bench, name), name
+
     @pytest.mark.parametrize("module", [
         "repro.testing", "repro.testing.differential", "repro.faults",
         "repro.faults.scenarios", "repro.bench", "repro.obs.report",

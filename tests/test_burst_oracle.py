@@ -71,7 +71,7 @@ class _CaseWorld(_BurstWorld):
         self.devices = cluster.devices[:size]
         self.interconnect = cluster.interconnect
         comm = Communicator(self.devices, cluster.interconnect)
-        self.executor = PrimitiveExecutor(7, rank, comm, sequence)
+        self.executor = PrimitiveExecutor(rank, comm, sequence)
         self.executor.position = rng.randrange(len(sequence))
         self.executor.trace = array("d")
         self.clock = VirtualClock(rng.uniform(0.0, 50.0),

@@ -38,7 +38,7 @@ def _send_recv_pair(loops=3):
     comm = make_communicator(2)
     nbytes = loops * (128 << 10)
     sender, receiver = (
-        PrimitiveExecutor(0, rank, comm, generate_primitive_sequence(
+        PrimitiveExecutor(rank, comm, generate_primitive_sequence(
             CollectiveKind.SEND_RECV, rank, 2, nbytes))
         for rank in (0, 1))
     return sender, receiver, comm.channel(0, 1), VirtualClock(), VirtualClock()
@@ -280,7 +280,7 @@ class TestPrimitiveExecutor:
         executors = []
         for rank in range(group_size):
             sequence = generate_primitive_sequence(kind, rank, group_size, nbytes)
-            executors.append(PrimitiveExecutor(0, rank, comm, sequence))
+            executors.append(PrimitiveExecutor(rank, comm, sequence))
         return executors
 
     def test_round_robin_execution_completes(self):
@@ -306,7 +306,7 @@ class TestPrimitiveExecutor:
     def test_all_done_outcome(self):
         comm = make_communicator(1)
         sequence = generate_primitive_sequence(CollectiveKind.ALL_REDUCE, 0, 1, 64)
-        executor = PrimitiveExecutor(0, 0, comm, sequence)
+        executor = PrimitiveExecutor(0, comm, sequence)
         clock = VirtualClock()
         executed, outcome = executor.burst(clock, limit=2)
         assert (executed, outcome.outcome) == (1, ExecOutcome.ALL_DONE)
@@ -332,7 +332,7 @@ class _BurstWorld:
         self.devices = cluster.devices[:size]
         self.interconnect = cluster.interconnect
         comm = Communicator(self.devices, cluster.interconnect)
-        self.executor = PrimitiveExecutor(7, rank, comm, sequence)
+        self.executor = PrimitiveExecutor(rank, comm, sequence)
         self.executor.position = rng.randrange(len(sequence) // 2 + 1)
         self.executor.trace = array("d")
         self.clock = VirtualClock(rng.uniform(0.0, 50.0))
@@ -456,7 +456,7 @@ class TestBurst:
         comm = make_communicator(1)
         sequence = Schedule(generate_primitive_sequence(
             CollectiveKind.ALL_GATHER, 0, 1, 64).segments * 5)
-        executor = PrimitiveExecutor(0, 0, comm, sequence)
+        executor = PrimitiveExecutor(0, comm, sequence)
         clock = VirtualClock()
         executed, outcome = executor.burst(clock, limit=3)
         assert (executed, outcome.outcome) == (3, ExecOutcome.SUCCESS)
@@ -668,7 +668,7 @@ class TestTreeSequences:
         for rank in range(group_size):
             sequence = generate_primitive_sequence(
                 kind, rank, group_size, nbytes, algorithm="tree")
-            executors.append(PrimitiveExecutor(0, rank, comm, sequence))
+            executors.append(PrimitiveExecutor(rank, comm, sequence))
         clocks = [VirtualClock() for _ in executors]
         for _ in range(20_000):
             if all(executor.done() for executor in executors):

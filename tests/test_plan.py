@@ -22,7 +22,7 @@ from repro.collectives.plan import CollectivePlan
 from repro.common.errors import ConfigurationError
 from repro.common.types import CollectiveKind, CollectiveSpec
 from repro.core import DfcclConfig
-from repro.core.registration import RegisteredCollective
+from repro.core.registration import Invocation
 from repro.faults import FaultPlan, install_fault_plan
 from repro.gpusim import HostProgram, build_cluster
 from repro.gpusim.host import CpuCompute
@@ -63,26 +63,29 @@ def _reference_nccl(op, group_rank):
 
 @pytest.fixture
 def built(monkeypatch):
-    """Every executor built, with its from-scratch sequence and its plan."""
+    """Every executor compiled, with its from-scratch sequence and its plan."""
     records = []
-    make_executor = RegisteredCollective.make_executor
-    executor_for = NcclCollectiveOp.executor_for
+    compile_dfccl = Invocation._compile
+    compile_nccl = NcclCollectiveOp._compile
 
-    def recording_make_executor(coll, group_rank, participants=None,
-                                communicator=None):
-        executor = make_executor(coll, group_rank, participants, communicator)
-        records.append((executor, _reference_dfccl(coll, group_rank, participants),
-                        coll.plan))
+    def recording_compile_dfccl(invocation, group_rank):
+        executor = compile_dfccl(invocation, group_rank)
+        # A re-running rank compiles against the re-run subset.
+        rerun = invocation._rerun_ranks
+        participants = (rerun if rerun is not None and group_rank in rerun
+                        else None)
+        records.append((executor, _reference_dfccl(invocation.coll, group_rank,
+                                                   participants),
+                        invocation.plan))
         return executor
 
-    def recording_executor_for(op, group_rank):
-        executor = executor_for(op, group_rank)
+    def recording_compile_nccl(op, group_rank):
+        executor = compile_nccl(op, group_rank)
         records.append((executor, _reference_nccl(op, group_rank), op.plan))
         return executor
 
-    monkeypatch.setattr(RegisteredCollective, "make_executor",
-                        recording_make_executor)
-    monkeypatch.setattr(NcclCollectiveOp, "executor_for", recording_executor_for)
+    monkeypatch.setattr(Invocation, "_compile", recording_compile_dfccl)
+    monkeypatch.setattr(NcclCollectiveOp, "_compile", recording_compile_nccl)
     return records
 
 
@@ -171,31 +174,73 @@ def test_invocations_share_one_plan(built, backend):
     _assert_fresh(built)
     for rank, (first, second) in works.items():
         assert first.done and second.done
-        if backend == "dfccl":
-            one = first.run.executor_if_cached(rank)
-            two = second.run.executor_if_cached(rank)
-        else:
-            one = first.run.kernel(rank).executor
-            two = second.run.kernel(rank).executor
+        one = first.run.executor_if_cached(rank)
+        two = second.run.executor_if_cached(rank)
         assert one is not two
         assert one.primitives == two.primitives
     assert len({id(plan) for _, _, plan in built}) == 1
     assert built[0][2].island_size == 8
 
 
-def test_subset_participants_use_their_own_islands(built):
-    """A sequence over a subset of the members derives the subset's islands,
-    not the plan's."""
+def test_subset_participants_use_their_own_islands():
+    """A rank placed in a subset of the members gets the subset's dense rank
+    and islands, not the plan's."""
     cluster = build_cluster("dual-3090")
     group = make_backend("dfccl", cluster, algorithm="hierarchical").new_group(
         list(range(16)))
     coll = group.all_reduce(0, count=1 << 16).run.coll
-    assert coll.plan.island_size == 8
+    plan = coll.plan
+    assert plan.island_size == 8
     subset = (0, 1, 2, 3, 8, 9, 10, 11)
     assert hierarchical_island_size(
         coll.devices[rank].device_id.node for rank in subset) == 4
     for rank in subset:
-        coll.make_executor(rank, participants=subset)
+        assert plan.place(rank, subset) == (subset.index(rank), 8, 0, 4)
+
+
+def test_place_rejects_non_participants_and_an_excluded_root():
+    """A rank outside the participants has no place; neither does any rank
+    of a rooted collective whose root is outside them, while an unrooted
+    collective falls back to virtual root 0."""
+    cluster = build_cluster("single-3090")
+    devices = cluster.devices[:4]
+    chunk_bytes = DfcclConfig().chunk_bytes
+    reduce = CollectivePlan(CollectiveSpec(CollectiveKind.REDUCE, 1 << 12,
+                                           root=1),
+                            devices, cluster.interconnect, "ring", chunk_bytes,
+                            excluded={1})
+    assert reduce.active_ranks == (0, 2, 3)
+    assert CollectiveKind.REDUCE.rooted and CollectiveKind.BROADCAST.rooted
+    with pytest.raises(ConfigurationError, match="not a participant"):
+        reduce.place(1)
+    with pytest.raises(ConfigurationError, match="root 1"):
+        reduce.place(0)
+    with pytest.raises(ConfigurationError, match="not a participant"):
+        reduce.place(2, participants=(0, 3))
+    assert reduce.place(0, participants=(0, 1, 3)) == (0, 3, 1, None)
+    assert not CollectiveKind.ALL_REDUCE.rooted
+    all_reduce = CollectivePlan(CollectiveSpec(CollectiveKind.ALL_REDUCE,
+                                               1 << 12),
+                                devices, cluster.interconnect, "ring",
+                                chunk_bytes, excluded={0})
+    assert all_reduce.place(3) == (2, 3, 0, None)
+
+
+def test_nccl_sequence_of_a_launched_rank_is_its_kernels_schedule(built):
+    """``primitive_sequence`` reads the executor the kernel ran: the same
+    ``Schedule`` object, with no second compile."""
+    cluster = build_cluster("single-3090")
+    backend = make_backend("nccl", cluster)
+    group = backend.new_group([0, 1, 2, 3])
+    works = [group.all_reduce(rank, count=1 << 12) for rank in group.ranks]
+    cluster.add_hosts([HostProgram(work.ops()) for work in works])
+    cluster.run()
+    assert len(built) == 4
+    for work in works:
+        kernel = work.run.kernel(work.group_rank)
+        assert work.primitive_sequence() is kernel.executor.primitives
+        assert work.run.executor_if_cached(work.group_rank) is kernel.executor
+    assert len(built) == 4
     _assert_fresh(built)
 
 
