@@ -350,7 +350,7 @@ class Engine:
     # -- signalling ----------------------------------------------------------
 
     def signal(self, key, time_us=None):
-        """Wake every actor blocked on ``key``.
+        """Wake every actor blocked on ``key``, in the order they blocked.
 
         ``time_us`` is the virtual time at which the signalled condition became
         true; woken actors have their clocks advanced to at least that time,
@@ -373,7 +373,7 @@ class Engine:
                 if other != key:
                     group = self._waiters.get(other)
                     if group is not None:
-                        group.discard(actor)
+                        group.pop(actor, None)
                         if not group:
                             self._waiters.pop(other, None)
             if actor in self._waits:
@@ -387,21 +387,24 @@ class Engine:
         return woken
 
     def _block(self, actor, keys):
+        # Each key's waiters are an insertion-ordered dict used as a set, so
+        # a signal wakes them in the order they blocked: a set would order
+        # them by id hash, and the step order would follow memory addresses.
         self._blocked[actor] = tuple(keys)
         waiters = self._waiters
         for key in keys:
             group = waiters.get(key)
             if group is None:
-                waiters[key] = {actor}
+                waiters[key] = {actor: None}
             else:
-                group.add(actor)
+                group[actor] = None
 
     def _unblock(self, actor):
         """Unhook ``actor`` from every wait key it is blocked on."""
         for key in self._blocked.pop(actor, ()):
             group = self._waiters.get(key)
             if group is not None:
-                group.discard(actor)
+                group.pop(actor, None)
                 if not group:
                     self._waiters.pop(key, None)
 

@@ -485,3 +485,25 @@ class TestWaiterTableAlias:
         assert waiter.finished
         assert "ding" not in engine.waiters_by_key
         assert engine.waiters_by_key is engine._waiters
+
+
+class TestWakeOrder:
+    def test_one_signal_steps_its_waiters_in_block_order(self):
+        """Actors blocked on one key wake, and step, in the order they
+        blocked, whatever their memory addresses: the step order must not
+        change with the hash seed."""
+        import random
+
+        waiters = [_WaiterActor(f"w{index}", "ding") for index in range(50)]
+        random.Random(7).shuffle(waiters)
+        engine = Engine()
+        for waiter in waiters:  # each blocks at its first step, in turn
+            engine.add_actor(waiter)
+        engine.add_actor(_SignallerActor("s", "ding", at_time=3.0))
+        engine.run()
+        events = engine.obs.recorder.step_events()
+        blocked = [name for _, name, status, _ in events if status == "blocked"]
+        woken = [name for time_us, name, status, _ in events
+                 if status == "done" and name != "s"]
+        assert blocked == [waiter.name for waiter in waiters]
+        assert woken == blocked
