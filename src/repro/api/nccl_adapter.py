@@ -99,7 +99,6 @@ class NcclCollectiveBackend(CollectiveBackend):
         # The owning job, for the multi-tenant SM-contention accounting in
         # repro.gpusim.
         kernel.tenant = work.group.job
-        op.register_kernel(group_rank, kernel)
         return kernel
 
     # -- reporting -----------------------------------------------------------------

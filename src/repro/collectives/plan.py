@@ -189,7 +189,9 @@ class CollectiveRun:
         self.start_times = {}
         self.complete_times = {}
         self._all_ranks = frozenset(range(len(global_ranks)))
-        self._aborted_ranks = set()
+        #: Group ranks whose part was aborted (read only; see
+        #: :meth:`mark_aborted`).
+        self.aborted_ranks = set()
         self._callbacks = {}
         self._delivered = set()
         self._spans = {}
@@ -280,9 +282,9 @@ class CollectiveRun:
         No-op (returns ``False``) for a part that already completed or was
         already aborted; a completed part keeps its completion.
         """
-        if rank in self.complete_times or rank in self._aborted_ranks:
+        if rank in self.complete_times or rank in self.aborted_ranks:
             return False
-        self._aborted_ranks.add(rank)
+        self.aborted_ranks.add(rank)
         obs = self.obs
         if obs is not None:
             obs.metrics.counter("collective_aborts").inc()
@@ -313,11 +315,11 @@ class CollectiveRun:
         return rank in self._delivered
 
     def is_aborted(self, rank):
-        return rank in self._aborted_ranks
+        return rank in self.aborted_ranks
 
     def is_resolved(self, rank):
         """Done or aborted: the rank's wait can return either way."""
-        return rank in self._delivered or rank in self._aborted_ranks
+        return rank in self._delivered or rank in self.aborted_ranks
 
     def completion_info(self, rank):
         """``rank``'s :class:`CompletionInfo`, or ``None`` while running.

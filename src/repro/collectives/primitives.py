@@ -405,70 +405,60 @@ class PrimitiveExecutor:
         body = self._body
         index = self._index
         offset = self._offset
-        stop = position + limit
         now = clock.now
-        max_wait = max_wait_us
         executed = 0
-        load = True
-        recv_peer_seen = send_peer_seen = -1  # no peer: ranks are >= 0
-        busy_action = None
+        max_wait = max_wait_us
+        outcome = waiting = None
 
-        # A channel is readable when it holds an arrival the receiver is
-        # willing to wait for, and writable below its capacity; both checks
-        # read the arrival deque directly.  A run's fields are read once,
-        # when the walk enters it; the channels, link and busy time of the
-        # previous run are reused while its peers and shape repeat, and
-        # ``clock.now`` lives in ``now`` until the burst ends or an engine
-        # signal needs it.
+        # The schedule is walked a run at a time.  Entering a run makes its
+        # first attempt and binds its channels' arrival deques, capacity and
+        # wait keys and its busy time once; each primitive then costs one
+        # ``popleft`` / ``append``, the two waiter checks, the clock add and
+        # the next attempt's arrival-time check, and the run's counters are
+        # added when it stops.  While a burst runs only
+        # this executor touches its channels (a signal wakes other actors
+        # but runs none), so a channel's ``invalidated`` flag and capacity
+        # hold for the whole burst; ``clock.now`` lives in ``now`` until the
+        # burst ends or a signal needs it.  A failed attempt leaves the
+        # channel it waits on in ``waiting``.
         while True:
-            if position == stop:
+            if executed == limit:
                 outcome = _SUCCESS_OUTCOME
                 break
-            if load:
-                if body is None:
-                    outcome = _ALL_DONE_OUTCOME
-                    break
-                action, count, _, _, nbytes, send_peer, recv_peer = body[index]
-                if action is not busy_action or nbytes != busy_nbytes \
-                        or send_peer != busy_peer:
-                    busy = None
-                load = False
+            if body is None:
+                outcome = _ALL_DONE_OUTCOME
+                break
+            action, count, _, _, nbytes, send_peer, recv_peer = body[index]
+            # The run's first attempt.  A channel is readable when it holds
+            # an arrival the receiver is willing to wait for, and writable
+            # below its capacity.  Channels are created on first use, the
+            # send channel only once the receive check passed: channel ids
+            # come from a process-global counter, and wait keys carry them.
             if recv_peer is not None:
-                if recv_peer != recv_peer_seen:
-                    recv_channel = self._recv_channels.get(recv_peer)
-                    if recv_channel is None:
-                        recv_channel = self._recv_channel(recv_peer)
-                    recv_peer_seen = recv_peer
+                recv_channel = self._recv_channels.get(recv_peer)
+                if recv_channel is None:
+                    recv_channel = self._recv_channel(recv_peer)
                 arrivals = recv_channel.arrivals
                 if recv_channel.invalidated or not arrivals or (
                     max_wait is not None and arrivals[0] > now + max_wait
                 ):
-                    outcome = self._wait_outcome
-                    outcome.outcome = _WAIT_RECV
-                    outcome.wait_key = recv_channel.readable_key
-                    outcome.channel = recv_channel
-                    outcome.action = action
-                    outcome.index = position
+                    waiting, kind = recv_channel, _WAIT_RECV
                     break
+                recv_key = recv_channel.writable_key
             if send_peer is not None:
-                if send_peer != send_peer_seen:
-                    send_channel = self._send_channels.get(send_peer)
-                    if send_channel is None:
-                        send_channel = self._send_channel(send_peer)
-                    send_peer_seen = send_peer
-                if send_channel.invalidated or \
-                        len(send_channel.arrivals) >= send_channel.capacity:
-                    outcome = self._wait_outcome
-                    outcome.outcome = _WAIT_SEND
-                    outcome.wait_key = send_channel.writable_key
-                    outcome.channel = send_channel
-                    outcome.action = action
-                    outcome.index = position
+                send_channel = self._send_channels.get(send_peer)
+                if send_channel is None:
+                    send_channel = self._send_channel(send_peer)
+                pushes = send_channel.arrivals
+                capacity = send_channel.capacity
+                if send_channel.invalidated or len(pushes) >= capacity:
+                    waiting, kind = send_channel, _WAIT_SEND
                     break
+                send_key = send_channel.readable_key
 
             if not executed:
-                # Both wait checks of the first attempt passed: set up the
-                # state the rest of the burst shares.
+                # The burst's first attempt passed: set up the state the
+                # rest of the burst shares.
                 epoch = self.communicator.interconnect.link_epoch
                 if epoch != self._cache_epoch:
                     self._links.clear()
@@ -478,58 +468,90 @@ class PrimitiveExecutor:
                 waiters = engine.waiters_by_key if engine is not None else ()
                 trace = self.trace
                 rate = clock.rate
+            # ``_value_``: an enum member's hash runs in Python.
+            busy_key = (nbytes, send_peer, action._value_)
+            busy = busy_cache.get(busy_key)
             if busy is None:
-                busy_nbytes, busy_peer, busy_action = busy_key = (
-                    nbytes, send_peer, action)
-                busy = busy_cache.get(busy_key)
-                if busy is None:
-                    link = None
-                    if send_peer is not None:
-                        link = self._links.get(send_peer)
-                        if link is None:
-                            link = self._links[send_peer] = \
-                                self.communicator.link(self.group_rank, send_peer)
-                    busy = busy_cache[busy_key] = primitive_time_us(
-                        nbytes, link, action._value_ & _MEMORY_BITS != 0)
-
-            # The primitive executes now.  The trace's start is the clock
-            # *before* any arrival spin, so the analysis layer can split recv
-            # wait from dilated work.
-            start = now
-            if recv_peer is not None:
-                # Spin until the in-flight data actually arrives, then
-                # consume it.
-                arrival = arrivals.popleft()
-                if arrival > now:
-                    now = arrival
-                # A signal with no registered waiter is a no-op, so consult
-                # the engine's public waiter table before paying the call.
-                key = recv_channel.writable_key
-                if key in waiters:
-                    clock.now = now
-                    engine.signal(key, now)
-
+                link = None
+                if send_peer is not None:
+                    link = self._links.get(send_peer)
+                    if link is None:
+                        link = self._links[send_peer] = \
+                            self.communicator.link(self.group_rank, send_peer)
+                busy = busy_cache[busy_key] = primitive_time_us(
+                    nbytes, link, action._value_ & _MEMORY_BITS != 0)
             # clock.advance(busy) inlined: busy is a cached non-negative cost.
-            now += busy * rate
+            advance = busy * rate
+            # The run's later attempts can pop at most the arrivals the
+            # receive deque holds now and push at most the room the send
+            # deque has, so the loop stops at ``ready`` and checks only
+            # arrival times on the way.
+            ready = run = count - offset
+            if run > 1:
+                if run > limit - executed:
+                    ready = run = limit - executed
+                timed = False
+                if recv_peer is not None:
+                    if len(arrivals) < ready:
+                        ready = len(arrivals)
+                    timed = success_wait_us is not None
+                if send_peer is not None and capacity - len(pushes) < ready:
+                    ready = capacity - len(pushes)
+
+            done = 0
+            while True:
+                # The primitive executes now.  The trace's start is the
+                # clock *before* any arrival spin, so the analysis layer can
+                # split recv wait from dilated work.
+                start = now
+                if recv_peer is not None:
+                    # Spin until the in-flight data actually arrives, then
+                    # consume it.
+                    arrival = arrivals.popleft()
+                    if arrival > now:
+                        now = arrival
+                    # A signal with no registered waiter is a no-op, so
+                    # consult the engine's public waiter table before paying
+                    # the call.
+                    if recv_key in waiters:
+                        clock.now = now
+                        engine.signal(recv_key, now)
+                now += advance
+                if send_peer is not None:
+                    pushes.append(now)
+                    if send_key in waiters:
+                        clock.now = now
+                        engine.signal(send_key, now)
+                if trace is not None:
+                    trace.append(start)
+                    trace.append(now)
+                    trace.append(busy)
+                done += 1
+                if done == ready:
+                    if ready < run:
+                        # The next attempt fails a count check, the receive
+                        # check first: no arrival left (or a late one), else
+                        # no room.
+                        if recv_peer is not None and not arrivals or (
+                                timed and arrivals[0] > now + success_wait_us):
+                            waiting, kind = recv_channel, _WAIT_RECV
+                        else:
+                            waiting, kind = send_channel, _WAIT_SEND
+                    break
+                # The next attempt, after a success: is its arrival in time?
+                if timed and arrivals[0] > now + success_wait_us:
+                    waiting, kind = recv_channel, _WAIT_RECV
+                    break
 
             if send_peer is not None:
-                send_channel.arrivals.append(now)
-                send_channel.pushed_count += 1
-                send_channel.bytes_pushed += nbytes
-                key = send_channel.readable_key
-                if key in waiters:
-                    clock.now = now
-                    engine.signal(key, now)
-
-            if trace is not None:
-                trace.append(start)
-                trace.append(now)
-                trace.append(busy)
-
-            position += 1
-            executed += 1
+                send_channel.pushed_count += done
+                send_channel.bytes_pushed += done * nbytes
+            position += done
+            executed += done
+            offset += done
             max_wait = success_wait_us
-            offset += 1
+            if waiting is not None:
+                break
             if offset == count:
                 # The run is done: step to the next run, loop or segment.
                 offset = 0
@@ -537,8 +559,15 @@ class PrimitiveExecutor:
                 if index == len(body):
                     index = 0
                     body = next(self._bodies, None)
-                load = True
 
+        if waiting is not None:
+            outcome = self._wait_outcome
+            outcome.outcome = kind
+            outcome.wait_key = (waiting.readable_key if kind is _WAIT_RECV
+                                else waiting.writable_key)
+            outcome.channel = waiting
+            outcome.action = action
+            outcome.index = position
         if executed:
             clock.now = now
             self._position = position

@@ -51,17 +51,20 @@ class ActiveContextCache:
 
     Loading a context costs ``CONTEXT_LOAD_COST_US``; saving costs
     ``CONTEXT_SAVE_COST_US`` and is *lazy*: a collective that made no progress
-    since it was loaded is not written back (Sec. 5).
+    since it was loaded is not written back (Sec. 5).  A resident context
+    that progressed is *dirty*: the daemon sets its slot's ``dirty`` bit
+    (:meth:`slot_for`) after a step that executed primitives.
     """
 
     def __init__(self, clock):
         self.clock = clock
         self.slots = [_Slot() for _ in range(ACTIVE_CONTEXT_SLOTS)]
         self.stats = ContextStats()
-        #: Slot of each collective id seen (the daemon asks on every step).
+        #: Slot of each collective id seen.
         self._slot_of = {}
 
-    def _slot_for(self, coll_id):
+    def slot_for(self, coll_id):
+        """The slot ``coll_id`` maps to."""
         slot = self._slot_of.get(coll_id)
         if slot is None:
             # Direct mapping must handle both int ids and the multi-tenant
@@ -81,7 +84,7 @@ class ActiveContextCache:
 
     def load(self, coll_id):
         """Ensure ``coll_id``'s context is resident; returns the charged time."""
-        slot = self._slot_for(coll_id)
+        slot = self.slot_for(coll_id)
         charged = 0.0
         if slot.coll_id == coll_id:
             self.stats.cache_hits += 1
@@ -104,16 +107,10 @@ class ActiveContextCache:
         held = {}
         hits = []
         for coll_id in coll_ids:
-            slot = self._slot_for(coll_id)
+            slot = self.slot_for(coll_id)
             hits.append(held.get(id(slot), slot.coll_id) == coll_id)
             held[id(slot)] = coll_id
         return tuple(hits)
-
-    def mark_progress(self, coll_id):
-        """Record that the collective progressed (its context is now dirty)."""
-        slot = self._slot_for(coll_id)
-        if slot.coll_id == coll_id:
-            slot.dirty = True
 
     def save_on_preempt(self, coll_id, progressed):
         """Save the dynamic context when a collective is preempted.
@@ -121,7 +118,7 @@ class ActiveContextCache:
         Lazy saving: only collectives that progressed since their last load
         are written back.  Returns the charged time.
         """
-        slot = self._slot_for(coll_id)
+        slot = self.slot_for(coll_id)
         if not progressed:
             self.stats.lazy_save_skips += 1
             return 0.0
@@ -133,7 +130,7 @@ class ActiveContextCache:
         return charged
 
     def evict(self, coll_id):
-        slot = self._slot_for(coll_id)
+        slot = self.slot_for(coll_id)
         if slot.coll_id == coll_id:
             slot.coll_id = None
             slot.dirty = False

@@ -172,6 +172,8 @@ class DaemonKernel(KernelActor):
         self.stats = rank_ctx.stats
 
         self.task_queue = TaskQueue()
+        #: The task queue's live list, read on every step.
+        self._entries = self.task_queue.items
         self.ordering = make_ordering_policy(rank_ctx.config)
         self.spin_policy = make_spin_policy(rank_ctx.config)
         self.active_cache = ActiveContextCache(clock=self.clock)
@@ -210,6 +212,8 @@ class DaemonKernel(KernelActor):
             priority=priority,
             arrival_index=self._arrival_counter,
         )
+        entry.slot = self.active_cache.slot_for(entry.coll_id)
+        entry.burst_result = StepResult.progress(f"burst on coll {entry.coll_id}")
         self._arrival_counter += 1
         self.task_queue.append(entry)
         return entry
@@ -299,13 +303,15 @@ class DaemonKernel(KernelActor):
                 self._end_pass()
                 return self._wait_for_sqes()
 
-        if self._queue_pos >= len(self.task_queue):
+        entries = self._entries
+        if self._queue_pos >= len(entries):
             self._end_pass()
             return StepResult.progress("pass wrap")
 
-        entry = self.task_queue[self._queue_pos]
+        entry = entries[self._queue_pos]
         invocation = entry.invocation
-        if invocation.coll.abandoned or invocation.is_aborted(entry.group_rank):
+        if (invocation.coll.abandoned
+                or entry.group_rank in invocation.aborted_ranks):
             # Recovery abandoned this collective: its channels span a dead
             # device and the executor can never progress.  Drop the entry and
             # abort-resolve this rank's part instead of spinning on it until
@@ -323,9 +329,13 @@ class DaemonKernel(KernelActor):
     # -- entry execution ------------------------------------------------------------------------
 
     def _execute_entry(self, entry):
-        load_cost = self.active_cache.load(entry.coll_id)
         stats = self.stats
-        stats.preparing_time_us += load_cost
+        slot = entry.slot
+        if slot.coll_id == entry.coll_id:
+            # A hit charges nothing: ``active_cache.load`` without the lookup.
+            self.active_cache.stats.cache_hits += 1
+        else:
+            stats.preparing_time_us += self.active_cache.load(entry.coll_id)
 
         # Run up to PRIMITIVES_PER_STEP primitives as executor bursts.  An
         # attempt may wait for in-flight data as long as the entry's spin
@@ -358,7 +368,7 @@ class DaemonKernel(KernelActor):
                 break
         kind = outcome.outcome
         if executed:
-            self.active_cache.mark_progress(entry.coll_id)
+            slot.dirty = True  # the context is resident: loaded above
             # Failed attempts charge no time and the step ends before the
             # completion / spin paths advance the clock, so the per-primitive
             # (after - before) deltas telescope into one subtraction.
@@ -367,7 +377,7 @@ class DaemonKernel(KernelActor):
             self._pass_progress = True
             self._last_activity_us = clock.now
         if kind is _SUCCESS:
-            return StepResult.progress(f"burst on coll {entry.coll_id}")
+            return entry.burst_result
         if kind is _ALL_DONE:
             return self._complete_entry(entry)
         return self._spin_or_preempt(entry, outcome)

@@ -50,6 +50,8 @@ class RegisteredCollective:
         self.obs = obs if (obs is not None and obs.enabled) else None
         self.invocations = []
         self.run_counts = {}
+        #: ``member_ranks`` of each communicator seen, by ``comm_id``.
+        self._members = {}
 
     def _compile_plan(self, previous=None):
         # A per-collective spec hint overrides the backend-wide config knob.
@@ -140,6 +142,16 @@ class RegisteredCollective:
                 f"device {device.name} does not participate in {self.name}"
             )
         return group_rank
+
+    def member_ranks(self, communicator):
+        """The global ranks of ``communicator``'s devices, a tuple built once
+        per communicator (a device's group rank never changes)."""
+        members = self._members.get(communicator.comm_id)
+        if members is None:
+            members = self._members[communicator.comm_id] = tuple(
+                self.global_ranks[self.group_rank_of_device(device)]
+                for device in communicator.devices)
+        return members
 
     def invocation(self, index):
         """Return invocation ``index``, creating intermediate ones if needed."""
@@ -274,8 +286,7 @@ class Invocation(CollectiveRun):
         if executor is not None:
             # Ground truth: the member set of the communicator this rank
             # actually communicated over.
-            members = tuple(coll.global_ranks[coll.group_rank_of_device(device)]
-                            for device in executor.communicator.devices)
+            members = coll.member_ranks(executor.communicator)
         else:
             members = tuple(coll.global_ranks[rank] for rank in signature[1])
         return CompletionInfo(signature=signature, member_ranks=members,

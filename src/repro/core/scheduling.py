@@ -48,6 +48,11 @@ class TaskEntry:
     spin_polls: int = 0
     #: The invocation's collective id, read on every daemon step.
     coll_id: object = field(init=False)
+    #: Set by the daemon that adopts the entry: the active-context slot the
+    #: collective maps to, and the one result of every step that ends in a
+    #: full burst.
+    slot: object = field(init=False, default=None)
+    burst_result: object = field(init=False, default=None)
 
     def __post_init__(self):
         self.coll_id = self.invocation.coll_id
@@ -62,21 +67,23 @@ class TaskQueue:
     """The daemon kernel's per-block task queue (held in shared memory)."""
 
     def __init__(self):
-        self._entries = []
+        #: The entries in queue order: the live list, read directly by the
+        #: daemon's step; change it only through the methods below.
+        self.items = []
         self._positions = {}
 
     def __len__(self):
-        return len(self._entries)
+        return len(self.items)
 
     def __iter__(self):
-        return iter(self._entries)
+        return iter(self.items)
 
     def __getitem__(self, index):
-        return self._entries[index]
+        return self.items[index]
 
     def append(self, entry):
-        self._positions[id(entry)] = len(self._entries)
-        self._entries.append(entry)
+        self._positions[id(entry)] = len(self.items)
+        self.items.append(entry)
 
     def remove(self, entry):
         """Index-aware removal: O(1) position lookup instead of an equality
@@ -86,18 +93,18 @@ class TaskQueue:
             index = self._positions.pop(id(entry))
         except KeyError:
             raise ValueError(f"entry for coll {entry.coll_id} not in task queue") from None
-        del self._entries[index]
-        for position in range(index, len(self._entries)):
-            self._positions[id(self._entries[position])] = position
+        del self.items[index]
+        for position in range(index, len(self.items)):
+            self._positions[id(self.items[position])] = position
 
     def sort_by_priority(self):
         """Stable sort: higher priority first, FIFO within a priority level."""
-        self._entries.sort(key=lambda entry: (-entry.priority, entry.arrival_index))
+        self.items.sort(key=lambda entry: (-entry.priority, entry.arrival_index))
         self._positions = {id(entry): position
-                           for position, entry in enumerate(self._entries)}
+                           for position, entry in enumerate(self.items)}
 
     def entries(self):
-        return list(self._entries)
+        return list(self.items)
 
 
 class FifoOrderingPolicy:

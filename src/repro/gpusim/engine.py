@@ -93,6 +93,9 @@ class StepStatus(enum.Enum):
     DONE = "done"
 
 
+_PROGRESS = StepStatus.PROGRESS
+
+
 @dataclass(slots=True)
 class StepResult:
     """Value returned by :meth:`Actor.step`."""
@@ -320,10 +323,11 @@ class Engine:
             self._invalidate(entry)
 
     def _compact(self):
-        """Rebuild the heap from live entries only."""
-        self._queue = [entry for entry in self._queue
-                       if entry[_ENTRY_ACTOR] is not None]
-        heapq.heapify(self._queue)
+        """Rebuild the heap from live entries only, in place (``run`` and
+        ``_pop_runnable`` hold the list)."""
+        queue = self._queue
+        queue[:] = [entry for entry in queue if entry[_ENTRY_ACTOR] is not None]
+        heapq.heapify(queue)
         self._stale = 0
         self._compactions += 1
 
@@ -507,6 +511,9 @@ class Engine:
         when a deadline stops the run are settled first, so every clock and
         counter reads as if each retry had been a step.
         """
+        queue = self._queue
+        entries = self._entries
+        counter = self._counter
         while True:
             self._steps += 1
             if self._steps > MAX_STEPS:
@@ -539,8 +546,16 @@ class Engine:
                              result.detail))
 
             status = result.status
-            if status is StepStatus.PROGRESS:
-                self._schedule(actor, now, _KIND_READY)
+            if status is _PROGRESS:
+                # ``_schedule(actor, now, _KIND_READY)`` inlined: the actor's
+                # entry was popped to step it, so there is nothing to
+                # invalidate unless the step gave it a new one.
+                if actor in entries:
+                    self._invalidate(entries[actor])
+                entry = [now, _KIND_READY, next(counter), actor]
+                entries[actor] = entry
+                heapq.heappush(queue, entry)
+                self._ready_count += 1
             elif status is StepStatus.BLOCKED:
                 self._block(actor, result.wait_keys)
             elif status is StepStatus.SLEEP:

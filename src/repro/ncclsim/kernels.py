@@ -16,6 +16,11 @@ from repro.gpusim.engine import StepResult
 #: Most blocks a collective kernel occupies.
 MAX_COLLECTIVE_BLOCKS = 4
 
+#: The result of every step that ends in a full burst (read only).
+_BURST = StepResult.progress("primitive burst")
+
+_SUCCESS = ExecOutcome.SUCCESS
+
 
 def grid_size_for(nbytes):
     """Blocks assigned to a collective kernel, growing with the payload.
@@ -45,8 +50,8 @@ class NcclCollectiveKernel(KernelActor):
         _, outcome = self.executor.burst(self.clock, self.engine,
                                          PRIMITIVES_PER_STEP)
         kind = outcome.outcome
-        if kind is ExecOutcome.SUCCESS:
-            return StepResult.progress("primitive burst")
+        if kind is _SUCCESS:
+            return _BURST
         if kind is ExecOutcome.ALL_DONE:
             self.op.mark_complete(self.rank, self.now, self.executor)
             return self.complete(f"collective {self.op.op_id} done on rank {self.rank}")

@@ -50,7 +50,6 @@ class NcclCollectiveOp(CollectiveRun):
         self.plan = plan
         self.devices = plan.devices
         self.communicator = Communicator(self.devices, plan.interconnect)
-        self._kernels = {}
         _ops_by_id[self.op_id] = self
 
     @property
@@ -78,12 +77,6 @@ class NcclCollectiveOp(CollectiveRun):
         engine = self.devices[group_rank].engine
         if engine is not None:
             engine.signal(self.completion_key(group_rank), time_us)
-
-    def register_kernel(self, group_rank, kernel):
-        self._kernels[group_rank] = kernel
-
-    def kernel(self, group_rank):
-        return self._kernels.get(group_rank)
 
     def __repr__(self):
         return f"<NcclCollectiveOp {self.name} size={self.group_size}>"

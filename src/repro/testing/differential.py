@@ -256,6 +256,9 @@ def replay_program(program, backend_name, seed=17, capture_obs=False, **knobs):
     final_time_us = cluster.run(until_us=program.deadline_us)
 
     contributions = contribution_values(range(program.world_size), seed)
+    # Reduced value of each member tuple: the works of one communicator
+    # share theirs, so each sum is taken once.
+    sums = {}
     records = []
     for rank, call, work in works:
         record = WorkRecord(
@@ -268,8 +271,11 @@ def replay_program(program, backend_name, seed=17, capture_obs=False, **knobs):
             record.signature = tuple(info.signature)
             record.time_us = info.time_us
             if call.kind in REDUCING_KINDS:
-                record.reduced = sum(contributions[member]
-                                     for member in record.members)
+                reduced = sums.get(record.members)
+                if reduced is None:
+                    reduced = sums[record.members] = sum(
+                        contributions[member] for member in record.members)
+                record.reduced = reduced
             record.sequence = work.primitive_sequence()
         records.append(record)
 

@@ -30,6 +30,23 @@ from repro.workloads import (
 CHUNK = 512 << 10
 
 
+@pytest.fixture
+def nccl_kernels(monkeypatch):
+    """The kernel each nccl Work launched, by ``(run, group rank)``."""
+    from repro.api.nccl_adapter import NcclCollectiveBackend
+
+    kernels = {}
+    make_kernel = NcclCollectiveBackend._make_kernel
+
+    def recording_make_kernel(backend, work):
+        kernel = kernels[work.run, work.group_rank] = make_kernel(backend, work)
+        return kernel
+
+    monkeypatch.setattr(NcclCollectiveBackend, "_make_kernel",
+                        recording_make_kernel)
+    return kernels
+
+
 def small_plan(dp=2, batch=32, buckets=4):
     return ParallelPlan(resnet50_model(), dp=dp, microbatch_size=batch,
                         grad_buckets=buckets)
@@ -174,7 +191,7 @@ class TestProcessGroup:
         assert backend.unregister_all("tenant-a") == 1
         assert backend.pool.jobs() == ["tenant-a"]
 
-    def test_nccl_job_view_keeps_knobs_and_tags_kernels(self):
+    def test_nccl_job_view_keeps_knobs_and_tags_kernels(self, nccl_kernels):
         """A job-named group on a configured nccl backend keeps the
         backend's knobs and tags its kernels with the job."""
         cluster = build_cluster("single-3090")
@@ -187,11 +204,11 @@ class TestProcessGroup:
         cluster.add_hosts([HostProgram(work.ops()) for work in works])
         cluster.run()
         for work in works:
-            kernel = work.run.kernel(work.group_rank)
+            kernel = nccl_kernels[work.run, work.group_rank]
             assert kernel.tenant == "job-a"
             assert kernel.stream.name == "comm-job-a"
 
-    def test_group_job_is_the_only_job_name(self):
+    def test_group_job_is_the_only_job_name(self, nccl_kernels):
         """``new_group(job=)`` reaches everything a job name controls: the
         nccl op, its kernels and their stream, and the dfccl collective id."""
         cluster = build_cluster("single-3090")
@@ -201,7 +218,7 @@ class TestProcessGroup:
         cluster.add_hosts([HostProgram(work.ops()) for work in works])
         cluster.run()
         for work in works:
-            kernel = work.run.kernel(work.group_rank)
+            kernel = nccl_kernels[work.run, work.group_rank]
             assert work.run.job == "job-a"
             assert kernel.tenant == "job-a"
             assert kernel.stream.name == "comm-job-a"
@@ -280,6 +297,13 @@ class TestWorkFutures:
         infos = [work.completion_info() for work in works]
         assert all(info.member_ranks == (0, 1, 2, 3) for info in infos)
         assert len({info.signature for info in infos}) == 1
+
+    @pytest.mark.parametrize("name", ["dfccl", "nccl", "mpi"])
+    def test_works_of_one_invocation_share_their_member_ranks(self, name):
+        """The member tuple is built once per communicator, not per rank."""
+        works, _ = _contract_run(name)
+        first, second = (work.completion_info().member_ranks for work in works)
+        assert first is second
 
     def test_mpi_completes_disordered_program(self):
         works = _run_disordered("mpi")
@@ -403,6 +427,21 @@ class TestRemovedShims:
                      "dfccl_register_broadcast", "dfccl_register_reduce",
                      "dfccl_run", "dfccl_destroy"):
             assert not hasattr(core_api, name), name
+
+    def test_unread_kernel_and_context_surfaces_are_gone(self):
+        """The nccl op's kernel registry (only tests read it) and the
+        context cache's ``mark_progress`` (the daemon sets the slot's dirty
+        bit itself) were deleted."""
+        from repro.core.context import ActiveContextCache
+        from repro.ncclsim import NcclCollectiveOp
+
+        for name in ("register_kernel", "kernel", "_kernels"):
+            assert not hasattr(NcclCollectiveOp, name), name
+        cluster = build_cluster("single-3090")
+        work = make_backend("nccl", cluster).new_group([0, 1]).all_reduce(
+            0, count=256)
+        assert not hasattr(work.run, "_kernels")
+        assert not hasattr(ActiveContextCache, "mark_progress")
 
     def test_cluster_job_runner_accepts_any_registered_backend(self):
         from repro.multijob import ClusterJobRunner

@@ -228,7 +228,7 @@ class TestContextManagement:
         conflicting = slots  # maps to the same slot as coll 0
         cache = ActiveContextCache(VirtualClock())
         cache.load(0)
-        cache.mark_progress(0)
+        cache.slot_for(0).dirty = True  # coll 0 progressed
         cache.load(conflicting)
         assert cache.stats.saves == 1
 

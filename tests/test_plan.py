@@ -13,6 +13,7 @@ import math
 import pytest
 
 from repro.api import make_backend
+from repro.api.nccl_adapter import NcclCollectiveBackend
 from repro.collectives import (
     AlgorithmSelector,
     generate_primitive_sequence,
@@ -226,9 +227,19 @@ def test_place_rejects_non_participants_and_an_excluded_root():
     assert all_reduce.place(3) == (2, 3, 0, None)
 
 
-def test_nccl_sequence_of_a_launched_rank_is_its_kernels_schedule(built):
+def test_nccl_sequence_of_a_launched_rank_is_its_kernels_schedule(
+        built, monkeypatch):
     """``primitive_sequence`` reads the executor the kernel ran: the same
     ``Schedule`` object, with no second compile."""
+    kernels = {}
+    make_kernel = NcclCollectiveBackend._make_kernel
+
+    def recording_make_kernel(backend, work):
+        kernel = kernels[work.group_rank] = make_kernel(backend, work)
+        return kernel
+
+    monkeypatch.setattr(NcclCollectiveBackend, "_make_kernel",
+                        recording_make_kernel)
     cluster = build_cluster("single-3090")
     backend = make_backend("nccl", cluster)
     group = backend.new_group([0, 1, 2, 3])
@@ -237,7 +248,7 @@ def test_nccl_sequence_of_a_launched_rank_is_its_kernels_schedule(built):
     cluster.run()
     assert len(built) == 4
     for work in works:
-        kernel = work.run.kernel(work.group_rank)
+        kernel = kernels[work.group_rank]
         assert work.primitive_sequence() is kernel.executor.primitives
         assert work.run.executor_if_cached(work.group_rank) is kernel.executor
     assert len(built) == 4
