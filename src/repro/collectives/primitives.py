@@ -415,12 +415,12 @@ class PrimitiveExecutor:
         # wait keys and its busy time once; each primitive then costs one
         # ``popleft`` / ``append``, the two waiter checks, the clock add and
         # the next attempt's arrival-time check, and the run's counters are
-        # added when it stops.  While a burst runs only
-        # this executor touches its channels (a signal wakes other actors
-        # but runs none), so a channel's ``invalidated`` flag and capacity
-        # hold for the whole burst; ``clock.now`` lives in ``now`` until the
-        # burst ends or a signal needs it.  A failed attempt leaves the
-        # channel it waits on in ``waiting``.
+        # added when it stops.  While a burst runs only this executor
+        # touches its channels (a signal wakes other actors but runs none),
+        # so a channel's ``invalidated`` flag and capacity hold for the
+        # whole burst; ``clock.now`` lives in ``now`` until the burst ends or
+        # a signal needs it.  A failed attempt leaves the channel it waits
+        # on in ``waiting``.
         while True:
             if executed == limit:
                 outcome = _SUCCESS_OUTCOME
