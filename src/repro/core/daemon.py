@@ -17,19 +17,19 @@ schedules every collective of its GPU:
 This implements Algorithm 1 of the paper one-to-one; the scheduling policies
 live in :mod:`repro.core.scheduling`.
 
-A failed retry that still has spin budget, an idle SQ poll, and a pass over
-the task queue that preempted every entry end in a timed engine wait rather
-than one engine step per spin quantum, poll or preemption: the daemon blocks
-on the keys that could change a retry's outcome (channels, the SQ) until its
-last retry (for a fruitless pass, the pass start that quits), the engine
-passes the retries in between without stepping it, and when the wait ends
-the daemon replays those retries with the same clock additions
-(``retry_times`` / ``replay``).
+The daemon has two timed engine waits, so that it takes no engine step per
+spin quantum, idle poll or preemption.  A failed retry that still has spin
+budget starts a spin wait.  A pass over the task queue that preempted every
+entry starts a pass wait; so does an idle poll, which is a fruitless pass
+over an empty task queue.  Either way the daemon blocks on the keys that
+could change a retry's outcome (channels, the SQ) until its last retry (for
+a pass wait, the pass start that quits).  The engine passes the retries in
+between without stepping it, and when the wait ends the daemon replays those
+retries with the same clock additions (``retry_times`` / ``replay``).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import add
@@ -66,13 +66,12 @@ _ALL_DONE = ExecOutcome.ALL_DONE
 def _spin_plan(remaining, quantum):
     """The retries a spin budget pays for before its last one.
 
-    Returns ``(spin_times, polls_after, quantum_after, remaining)``: the
-    spin time of each such retry's quantum, and, after ``k`` of them, the
-    polls spent, the next quantum and the budget left.  The values follow
-    ``_spin_or_preempt`` retry by retry; only the clock's start and rate differ
-    between waits.
+    Returns ``(spin_times, remaining)``: the spin time of each such retry's
+    quantum, and the budget left after ``k`` of them.  The values follow
+    ``_spin`` retry by retry; only the clock's start and rate differ between
+    waits.
     """
-    spin_times, polls_after, quantum_after, left = [], [0], [quantum], [remaining]
+    spin_times, left = [], [remaining]
     while True:
         polls = min(quantum, SPIN_BATCH, remaining)
         if polls >= remaining:
@@ -80,11 +79,8 @@ def _spin_plan(remaining, quantum):
         spin_times.append(polls * POLL_COST_US)
         remaining -= polls
         quantum = min(quantum * 2, SPIN_BATCH)
-        polls_after.append(polls_after[-1] + polls)
-        quantum_after.append(quantum)
         left.append(remaining)
-    return (tuple(spin_times), tuple(polls_after), tuple(quantum_after),
-            tuple(left))
+    return tuple(spin_times), tuple(left)
 
 
 class _PassPlan:
@@ -96,7 +92,9 @@ class _PassPlan:
     indices of ``accumulate(deltas, initial=pass_start)`` at which a step
     starts.  ``spins`` and ``loads`` are the additions ``spin_time_us`` and
     the load times receive, in order, and ``cache_hits`` the loads that hit.
-    Each visit spends its entry's whole threshold in polls.
+    Each visit spends its entry's whole threshold in polls.  A pass over an
+    empty queue is an idle poll: the SQ poll, then the poll interval, in
+    one step.
     """
 
     __slots__ = ("thresholds", "deltas", "starts", "spins", "loads",
@@ -111,8 +109,7 @@ class _PassPlan:
                 self.deltas.append(CONTEXT_LOAD_COST_US)
             # The visit's first attempt and every retry but the last spin
             # one quantum each; the last spends what is left and preempts.
-            spin_times, _, _, remaining = _spin_plan(
-                threshold, INITIAL_SPIN_QUANTUM)
+            spin_times, remaining = _spin_plan(threshold, INITIAL_SPIN_QUANTUM)
             for spin in spin_times:
                 self.deltas.append(spin)
                 self.spins.append(spin)
@@ -123,7 +120,10 @@ class _PassPlan:
                 self.spins.append(spin)
             self.starts.append(len(self.deltas))
             self.cache_hits += hit + len(spin_times)
-        self.starts.pop()  # the next pass's start
+        if thresholds:
+            self.starts.pop()  # the next pass's start
+        else:
+            self.deltas.append(IDLE_POLL_INTERVAL_US)
         self.loads = [CONTEXT_LOAD_COST_US] * hits.count(False)
 
 
@@ -137,8 +137,8 @@ def _pass_plan(thresholds, hits):
 class _Wait:
     """One timed wait: the retry state it started from (see
     ``DaemonKernel.retry_times``).  ``entry`` is the spinning entry of a spin
-    wait; a fruitless-pass wait has no entry and a :class:`_PassPlan`; an
-    idle wait has neither."""
+    wait, whose ``plan`` is its ``_spin_plan``; a pass wait has no entry and
+    a :class:`_PassPlan`."""
 
     __slots__ = ("entry", "key", "start", "rate", "plan", "arrival", "times")
 
@@ -301,7 +301,8 @@ class DaemonKernel(KernelActor):
             if idle:
                 self.clock.advance(IDLE_POLL_INTERVAL_US)
                 self._end_pass()
-                return self._wait_for_sqes()
+                return (self._wait_fruitless()
+                        or StepResult.progress("idle: polling SQ"))
 
         entries = self._entries
         if self._queue_pos >= len(entries):
@@ -446,29 +447,19 @@ class DaemonKernel(KernelActor):
         keys = (outcome.wait_key,) if arrival is None else ()
         return StepResult.wait(keys, detail)
 
-    def _wait_for_sqes(self):
-        """Wait for an SQE (or the exit SQE) until the poll that quits."""
-        detail = "idle: polling SQ"
-        rate = self.clock.rate
-        if (self.clock.now + SQ_POLL_COST_US * rate
-                - self._last_activity_us > QUIT_PERIOD_US):
-            return StepResult.progress(detail)  # the next poll quits
-        self._wait = _Wait(None, self.ctx.submitted_key, self.clock)
-        keys = (self.ctx.submitted_key, self.ctx.destroyed_key)
-        return StepResult.wait(keys, detail)
-
     def _wait_fruitless(self):
         """Wait out the passes that would fail like the one that just ended,
         up to the pass start that quits; ``None`` to step the next pass.
 
-        Every entry of that pass was preempted.  The next pass fails the same
-        way if no SQE is pending, no exit was requested, and every entry is
-        still live, has the executor it failed with, and its failed channel
-        still has the version its preempting retry saw, with no head arrival
-        that a later retry might find in time.  Then only a push or pop on
-        one of those channels, an SQE (or the exit SQE) or a settle can
-        change a retry's outcome, and each retry's time follows from the
-        pass's thresholds and context-cache hits alone.
+        Every entry of that pass was preempted (an idle pass has none).  The
+        next pass fails the same way if no SQE is pending, no exit was
+        requested, and every entry is still live, has the executor it failed
+        with, and its failed channel still has the version its preempting
+        retry saw, with no head arrival that a later retry might find in
+        time.  Then only a push or pop on one of those channels, an SQE (or
+        the exit SQE) or a settle can change a retry's outcome, and each
+        retry's time follows from the pass's thresholds and context-cache
+        hits alone.
         """
         if (self._final_exit_requested
                 or self.ctx.sq):
@@ -493,35 +484,36 @@ class DaemonKernel(KernelActor):
                 return None
             keys[key] = None
         cache = self.active_cache
-        if any(slot.dirty for slot in cache.slots):
+        if not queue:
+            detail = "idle: polling SQ"  # no load, so no write-back
+        elif any(slot.dirty for slot in cache.slots):
             return None  # a miss would write a context back
+        else:
+            detail = "fruitless passes"
+            self.stats.spin_waits += 1
         thresholds = tuple(map(self.spin_policy.initial_threshold,
                                range(len(queue))))
         hits = cache.hit_pattern([entry.coll_id for entry in queue])
         keys[self.ctx.submitted_key] = keys[self.ctx.destroyed_key] = None
-        self.stats.spin_waits += 1
         self._wait = _Wait(None, tuple(keys), clock,
                            _pass_plan(thresholds, hits))
-        return StepResult.wait(self._wait.key, "fruitless passes")
+        return StepResult.wait(self._wait.key, detail)
 
     def retry_times(self):
         """Times of the retries the current timed wait stands for, computed
         with the clock's own additions; the last one spends the spin budget
-        (or, for an idle or fruitless-pass wait, finds the quit period
-        over)."""
+        (or, for a pass wait, finds the quit period over)."""
         wait = self._wait
         if wait.times is None:
             if wait.entry is not None:
                 wait.times = self._spin_retry_times(wait)
-            elif wait.plan is not None:
-                wait.times = self._fruitless_times(wait)
             else:
-                wait.times = self._idle_poll_times(wait)
+                wait.times = self._fruitless_times(wait)
         return wait.times
 
     @staticmethod
     def _spin_retry_times(wait):
-        spin_times, _, _, remaining = wait.plan
+        spin_times, remaining = wait.plan
         times = list(accumulate([spin * wait.rate for spin in spin_times],
                                 initial=wait.start))
         if wait.arrival is not None:
@@ -530,24 +522,6 @@ class DaemonKernel(KernelActor):
                     del times[index + 1:]  # the retry that can take it
                     break
         return times
-
-    def _idle_poll_times(self, wait):
-        # Each idle poll adds the SQ poll cost, then the poll interval.
-        interval = IDLE_POLL_INTERVAL_US * wait.rate
-        polls = int(QUIT_PERIOD_US / interval) + 3  # more than ever needed
-        marks = list(accumulate([SQ_POLL_COST_US * wait.rate, interval] * polls,
-                                initial=wait.start))
-        polled = marks[1::2]  # the clock right after each poll's SQ check
-        # The first poll with ``polled - last_activity > QUIT_PERIOD_US``
-        # (monotone in ``polled``): bisect, then settle the float boundary
-        # with the exact test.
-        last = self._last_activity_us
-        index = bisect_right(polled, last + QUIT_PERIOD_US)
-        while index > 0 and polled[index - 1] - last > QUIT_PERIOD_US:
-            index -= 1
-        while not polled[index] - last > QUIT_PERIOD_US:
-            index += 1
-        return marks[0:2 * index + 1:2]
 
     def _fruitless_times(self, wait):
         # Pass after pass of the plan's additions, up to the first pass
@@ -567,13 +541,12 @@ class DaemonKernel(KernelActor):
     def replay(self, count):
         """Apply the first ``count`` retries of the current wait, all failed.
 
-        A failed spin retry is a context-cache hit plus one spin quantum (the
-        additions of ``_spin_or_preempt``, in order); an idle poll only moves
-        the clock; a fruitless-pass wait replays whole passes in aggregate
-        and the rest step by step (``_replay_passes``).  The retry times were
-        computed with the clock's own additions at the wait's rate, so the
-        clock lands on ``retry_times()[count]``; a rate change that did not
-        settle the wait first would make that wrong, and raises.
+        A failed spin retry is a context-cache hit plus ``_spin``, replayed
+        as such; a pass wait replays whole passes in aggregate and the rest
+        step by step (``_replay_passes``).  The retry times were computed
+        with the clock's own additions at the wait's rate, so the clock lands
+        on ``retry_times()[count]``; a rate change that did not settle the
+        wait first would make that wrong, and raises.
         """
         wait, self._wait = self._wait, None
         if wait.rate != self.clock.rate:
@@ -581,34 +554,20 @@ class DaemonKernel(KernelActor):
                 f"{self.name}: clock rate changed during a timed wait that "
                 "was not settled first")
         entry = wait.entry
-        if entry is None and wait.plan is not None:
+        if entry is None:
             return self._replay_passes(wait, count)
-        polls = count
-        if count:
-            self.clock.now = wait.times[count]
-            if entry is not None:
-                spin_times, polls_after, quantum_after, remaining = wait.plan
-                polls = polls_after[count]
-                stats = self.stats
-                # One addition per retry, in order, as _spin_or_preempt does.
-                stats.spin_time_us = reduce(add, spin_times[:count],
-                                            stats.spin_time_us)
-                stats.spin_polls += polls
-                entry.spin_polls += polls
-                entry.spin_remaining = remaining[count]
-                entry.spin_quantum = quantum_after[count]
-                self.active_cache.stats.cache_hits += count
+        polls = entry.spin_polls
+        self.active_cache.stats.cache_hits += count
+        for _ in range(count):
+            self._spin(entry)
         obs = self.engine.obs
         if obs.enabled:
-            if entry is None:
-                name, coll_id = "idle SQ wait", None
-            else:
-                name, coll_id = "spin wait", entry.coll_id
-            obs.recorder.record_event(self.clock.now, "daemon", name, {
-                "coll_id": coll_id, "wait_key": wait.key, "polls": polls})
+            obs.recorder.record_event(self.clock.now, "daemon", "spin wait", {
+                "coll_id": entry.coll_id, "wait_key": wait.key,
+                "polls": entry.spin_polls - polls})
 
     def _replay_passes(self, wait, count):
-        """Replay ``count`` steps of fruitless passes: whole passes in
+        """Replay ``count`` steps of fruitless or idle passes: whole passes in
         aggregate, with float fields summed in clock order, then the
         remaining steps through the daemon's own spin and preemption code
         (none of which reads a channel or the SQ)."""
@@ -645,12 +604,19 @@ class DaemonKernel(KernelActor):
             if self._spin(entry):
                 self._preempt_entry(entry)
         obs = self.engine.obs
-        if obs.enabled:
+        if not obs.enabled:
+            return
+        if plan.thresholds:
             obs.recorder.record_event(
                 self.clock.now, "daemon", "fruitless passes", {
                     "passes": passes,
                     "preemptions": stats.preemptions - preemptions,
                     "polls": stats.spin_polls - polls})
+        else:
+            obs.recorder.record_event(
+                self.clock.now, "daemon", "idle SQ wait", {
+                    "coll_id": None, "wait_key": self.ctx.submitted_key,
+                    "polls": count})
 
     def _preempt_entry(self, entry):
         self.active_cache.save_on_preempt(entry.coll_id, entry.progressed_since_load)

@@ -94,7 +94,6 @@ class JobSpec:
             microbatch_size=self.microbatch_size,
             num_microbatches=self.num_microbatches,
             grad_buckets=self.grad_buckets,
-            base_rank=0,
         )
 
     def describe(self):

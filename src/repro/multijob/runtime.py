@@ -46,8 +46,6 @@ class RankMappedPlan:
     """
 
     def __init__(self, plan, rank_map, job_id=None, jitter_us=0.0, seed=0):
-        if plan.base_rank != 0:
-            raise ConfigurationError("rank-mapped plans must be built with base_rank=0")
         if len(rank_map) != plan.world_size:
             raise ConfigurationError(
                 f"lease has {len(rank_map)} ranks but the plan needs {plan.world_size}"

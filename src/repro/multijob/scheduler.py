@@ -107,6 +107,13 @@ class ClusterScheduler(Actor):
             raise ConfigurationError(
                 f"tenants_per_gpu must be at least 1, got {tenants_per_gpu}"
             )
+        if starvation_boost_us is not None and starvation_boost_us < 0:
+            # A negative period would lower a queued job's priority the
+            # longer it waits.
+            raise ConfigurationError(
+                "starvation_boost_us must be non-negative, got "
+                f"{starvation_boost_us}"
+            )
         self.cluster = cluster
         self.runner = runner
         self.policy = make_placement_policy(policy)

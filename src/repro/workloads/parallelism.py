@@ -49,7 +49,7 @@ class ParallelPlan:
     """Maps a model onto tp × dp × pp ranks and emits per-rank schedules."""
 
     def __init__(self, model, tp=1, dp=1, pp=1, microbatch_size=32, num_microbatches=1,
-                 grad_buckets=12, base_rank=0):
+                 grad_buckets=12):
         if tp < 1 or dp < 1 or pp < 1:
             raise ConfigurationError("tp, dp and pp must all be at least 1")
         self.model = model
@@ -59,7 +59,6 @@ class ParallelPlan:
         self.microbatch_size = microbatch_size
         self.num_microbatches = num_microbatches
         self.grad_buckets = grad_buckets
-        self.base_rank = base_rank
 
     # -- rank geometry ------------------------------------------------------------------
 
@@ -74,20 +73,19 @@ class ParallelPlan:
     def ranks(self):
         """Global ranks the plan occupies, in job-local order.
 
-        Plain plans occupy a contiguous block starting at ``base_rank``;
-        multi-tenant rank-mapped views override this with the leased device
-        set, which need not be contiguous.
+        Plain plans occupy ranks ``0..world_size-1``; multi-tenant
+        rank-mapped views map them onto the leased device set, which need not
+        be contiguous.
         """
-        return [self.base_rank + local for local in range(self.world_size)]
+        return list(range(self.world_size))
 
     def rank(self, pp_index, dp_index, tp_index):
-        return self.base_rank + (pp_index * self.dp + dp_index) * self.tp + tp_index
+        return (pp_index * self.dp + dp_index) * self.tp + tp_index
 
     def coordinates(self, rank):
-        local = rank - self.base_rank
-        tp_index = local % self.tp
-        dp_index = (local // self.tp) % self.dp
-        pp_index = local // (self.tp * self.dp)
+        tp_index = rank % self.tp
+        dp_index = (rank // self.tp) % self.dp
+        pp_index = rank // (self.tp * self.dp)
         return pp_index, dp_index, tp_index
 
     def tp_group(self, pp_index, dp_index):
@@ -199,7 +197,7 @@ class ParallelPlan:
     def unique_collectives(self):
         """All distinct collective items across ranks, keyed by their schedule key."""
         unique = {}
-        for rank in range(self.base_rank, self.base_rank + self.world_size):
+        for rank in range(self.world_size):
             for item in self.collective_items(rank):
                 unique.setdefault(item.key, item)
         return unique

@@ -967,6 +967,22 @@ class TestRemovedShims:
                                    timeout=120)
         assert completed.returncode == 0, completed.stderr
 
+    def test_two_daemon_waits_and_job_local_plans(self):
+        """An idle daemon waits as a pass over an empty task queue, so the
+        idle SQ wait and its retry times were deleted; every
+        ``ParallelPlan`` is job-local, so its ``base_rank`` option went."""
+        import inspect
+
+        from repro.core.daemon import DaemonKernel
+        from repro.workloads import ParallelPlan, resnet50_model
+
+        for name in ("_wait_for_sqes", "_idle_poll_times"):
+            assert not hasattr(DaemonKernel, name), name
+        assert "base_rank" not in inspect.signature(ParallelPlan).parameters
+        plan = ParallelPlan(resnet50_model(), dp=2)
+        assert not hasattr(plan, "base_rank")
+        assert plan.ranks() == [0, 1]
+
 
 class TestNoInternalStringDispatch:
     def test_no_backend_string_branches_outside_registry(self):

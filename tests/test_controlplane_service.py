@@ -247,6 +247,16 @@ class TestPreemption:
         assert records["pushy"].start_time_us < \
             records["patient"].start_time_us
 
+    def test_negative_starvation_boost_is_rejected(self):
+        """A negative period would age a queued job's priority down."""
+        with pytest.raises(ConfigurationError):
+            _service(_cluster(), [_spec("a", dp=2)],
+                     starvation_boost_us=-15_000.0)
+        for off in (None, 0, 0.0):
+            service = _service(_cluster(), [_spec("a", dp=2)],
+                               starvation_boost_us=off)
+            assert service.starvation_boost_us == off
+
 
 class TestMigration:
     def test_migrate_moves_job_off_its_old_ranks(self):

@@ -393,3 +393,40 @@ def test_run_stopping_at_until_us_settles_the_wait():
         *_, seen = run_both(broadcasts(LATE_US, until_us=until_us))
         early += ended_early(seen, rank=0)
     assert early
+
+
+def test_idle_wait_is_a_pass_wait():
+    """Rank 0 computes for 300 us between two all-reduces, longer than a
+    pass takes but shorter than the quit period: its idle daemon waits as a
+    pass wait over an empty task queue until the second SQE ends it."""
+    idle = []
+    replay_passes = DaemonKernel._replay_passes
+
+    def record_replay(daemon, wait, count):
+        idle.append(not daemon.task_queue)
+        return replay_passes(daemon, wait, count)
+
+    def run():
+        cluster = build_cluster("single-3090")
+        backend = make_backend("dfccl", cluster)
+        group = backend.new_group([0, 1])
+        programs = []
+        for rank in (0, 1):
+            first, second = [group.all_reduce(rank, 1 << 16, key=key)
+                             for key in "AB"]
+            ops = [first.submit_op()] + wait_all([first])
+            if rank == 0:
+                ops.append(CpuCompute(300.0))
+            ops += ([second.submit_op()] + wait_all([second])
+                    + backend.finalize_ops(rank))
+            programs.append((HostProgram(ops), (first, second)))
+        cluster.add_hosts([program for program, _ in programs])
+        end = cluster.run()
+        outcome = (end, [(work.done, work.run.complete_times[work.group_rank])
+                         for _, works in programs for work in works])
+        stats = {rank: backend.stats(rank) for rank in (0, 1)}
+        return outcome, stats
+
+    with mock.patch.object(DaemonKernel, "_replay_passes", record_replay):
+        run_both(run)
+    assert any(idle)

@@ -42,7 +42,7 @@ class TestJobSpec:
 
     def test_build_plan_is_job_local(self):
         plan = JobSpec(job_id="a", dp=4).build_plan()
-        assert plan.base_rank == 0
+        assert plan.ranks() == [0, 1, 2, 3]
         assert plan.world_size == 4
 
     def test_describe_schema(self):
