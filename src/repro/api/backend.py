@@ -67,6 +67,7 @@ class CollectiveBackend:
     def __init__(self, cluster):
         self.cluster = cluster
         self._next_group_id = 0
+        cluster.attach(self)
 
     # -- group creation -------------------------------------------------------
 
@@ -120,6 +121,11 @@ class CollectiveBackend:
     def finalize_ops(self, rank):
         """Host ops a rank program appends after its last collective."""
         return []
+
+    def close(self):
+        """Drop the backend's references into its finished run; called by
+        :meth:`~repro.gpusim.cluster.Cluster.close`.  Statistics and
+        diagnostics stay readable."""
 
     def unregister_all(self, job=None):
         """Unregister every collective of ``job``'s groups; returns the count."""

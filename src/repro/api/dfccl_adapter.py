@@ -57,17 +57,21 @@ class DfcclCollectiveBackend(CollectiveBackend):
         if self.config.recovery_enabled:
             self.recovery_manager = RecoveryManager(self)
             cluster.engine.add_actor(self.recovery_manager)
+        #: Names of the gauges this backend registered (frozen by close).
+        self._gauge_names = []
         obs = cluster.engine.obs
         if obs.enabled:
             registry = obs.metrics
             for field in ("hits", "misses", "created", "reused", "active",
                           "discarded", "free", "double_releases"):
-                registry.gauge_fn(f"pool_{field}",
-                                  lambda field=field: self.pool.stats()[field])
+                self._gauge_names.append(registry.gauge_fn(
+                    f"pool_{field}",
+                    lambda field=field: self.pool.stats()[field]))
             for field in ("launches", "preemptions", "voluntary_quits",
                           "spin_polls", "spin_waits", "primitives_executed"):
-                registry.gauge_fn(f"daemon_{field}",
-                                  lambda field=field: self._daemon_total(field))
+                self._gauge_names.append(registry.gauge_fn(
+                    f"daemon_{field}",
+                    lambda field=field: self._daemon_total(field)))
 
     def _daemon_total(self, field):
         return sum(getattr(ctx.stats, field) for ctx in self.contexts.values())
@@ -202,6 +206,20 @@ class DfcclCollectiveBackend(CollectiveBackend):
     def release_job(self, job):
         """Evict a departed job's communicator-pool namespace."""
         self.pool.evict_job(job)
+
+    def close(self):
+        """Freeze the pool and daemon gauges, cut the contexts and the
+        recovery manager loose from the run and forget the collectives.
+        The contexts, their stats and the recovery stats stay readable."""
+        self.cluster.engine.obs.metrics.freeze_gauges(self._gauge_names)
+        for ctx in self.contexts.values():
+            ctx.close()
+        for coll in self.collectives.values():
+            coll.close()
+        # Keyed by process group, and a group points back at the backend.
+        self.collectives.clear()
+        if self.recovery_manager is not None:
+            self.recovery_manager.backend = None
 
     # -- reporting -----------------------------------------------------------------
 

@@ -98,16 +98,24 @@ class MpiCollectiveBackend(CollectiveBackend):
         del chunk_bytes, algorithm, config
         super().__init__(cluster)
         self._collectives = {}
+        #: Names of the gauges this backend registered (frozen by close).
+        self._gauge_names = ()
         obs = cluster.engine.obs
         if obs.enabled:
             registry = obs.metrics
-            registry.gauge_fn("mpi_host_staged_ops",
-                              lambda: len(self._collectives))
-            registry.gauge_fn("mpi_rendezvous_completed",
-                              lambda: self._rendezvous_completed())
-            registry.gauge_fn("mpi_rendezvous_pending",
-                              lambda: (len(self._collectives)
-                                       - self._rendezvous_completed()))
+            self._gauge_names = (
+                registry.gauge_fn("mpi_host_staged_ops",
+                                  lambda: len(self._collectives)),
+                registry.gauge_fn("mpi_rendezvous_completed",
+                                  lambda: self._rendezvous_completed()),
+                registry.gauge_fn("mpi_rendezvous_pending",
+                                  lambda: (len(self._collectives)
+                                           - self._rendezvous_completed())),
+            )
+
+    def close(self):
+        """Freeze the rendezvous gauges (they close over the backend)."""
+        self.cluster.engine.obs.metrics.freeze_gauges(self._gauge_names)
 
     def _rendezvous_completed(self):
         return sum(1 for coll in self._collectives.values()

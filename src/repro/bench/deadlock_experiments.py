@@ -141,7 +141,11 @@ def sec61_random_order_program(backend="dfccl", num_gpus=8, num_collectives=8,
         final_time = cluster.run()
     except DeadlockError:
         return _sec61_result(api_backend, True, cluster.engine.now)
-    return _sec61_result(api_backend, False, final_time, iterations=iterations)
+    else:
+        return _sec61_result(api_backend, False, final_time,
+                             iterations=iterations)
+    finally:
+        cluster.close()
 
 
 def sec61_sync_program(backend="dfccl", num_gpus=8, num_collectives=4, iterations=3,
@@ -179,4 +183,7 @@ def sec61_sync_program(backend="dfccl", num_gpus=8, num_collectives=4, iteration
         final_time = cluster.run()
     except DeadlockError:
         return _sec61_result(api_backend, True, cluster.engine.now)
-    return _sec61_result(api_backend, False, final_time)
+    else:
+        return _sec61_result(api_backend, False, final_time)
+    finally:
+        cluster.close()

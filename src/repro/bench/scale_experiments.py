@@ -164,6 +164,7 @@ def run_scale_point(ranks, topology="flat", algorithm="ring", nbytes=1 << 20,
         if collect_metrics:
             api_backend.diagnostics()  # folds link metrics into the registry
             row["metrics"] = obs.metrics.snapshot()
+    cluster.close()
     return row
 
 
@@ -218,6 +219,7 @@ def selector_report(ranks=512, nbytes=1 << 20):
     selector = AlgorithmSelector(cluster.interconnect)
     choice = selector.choose(CollectiveKind.ALL_REDUCE, nbytes, ranks,
                              device_ids)
+    cluster.close()
     return {
         "ranks": ranks,
         "topology": "fat-tree",

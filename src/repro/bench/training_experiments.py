@@ -32,7 +32,9 @@ def _run(plan, backend_factory, topology, iterations, warmup=1):
     cluster = build_cluster(topology)
     backend = backend_factory(cluster)
     run = TrainingRun(cluster, plan, backend, iterations=iterations, warmup=warmup)
-    return run.run()
+    result = run.run()
+    cluster.close()
+    return result
 
 
 # -- Fig. 10: ResNet50 data-parallel training ---------------------------------------------------
@@ -87,6 +89,7 @@ def fig11_adaptive_scheduling(num_gpus=4, iterations=3, grad_buckets=16, batch=9
                 "task_queue_lengths": list(stats.task_queue_length_samples),
                 "total_preemptions": stats.preemptions,
             }
+        cluster.close()
         results[policy] = {
             "throughput_samples_per_s": result.throughput_samples_per_s,
             "per_rank": per_rank,

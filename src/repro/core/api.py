@@ -60,8 +60,7 @@ class RankContext:
         self._last_quit_time_us = 0.0
         self.current_daemon = None
 
-        self.poller = Poller(self)
-        self.cluster.engine.add_actor(self.poller)
+        self.cluster.engine.add_actor(Poller(self))
 
     # -- wait keys -----------------------------------------------------------------
 
@@ -184,6 +183,12 @@ class RankContext:
     @property
     def daemon_alive(self):
         return self.current_daemon is not None
+
+    def close(self):
+        """Drop the references back to the backend and the running daemon,
+        which both point here (see
+        :meth:`~repro.gpusim.cluster.Cluster.close`)."""
+        self.backend = self.current_daemon = None
 
     # -- elastic recovery ---------------------------------------------------------
 

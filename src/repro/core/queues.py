@@ -126,7 +126,8 @@ class VanillaRingCQ(CompletionQueueBase):
 
     def __init__(self, capacity=CQ_CAPACITY):
         super().__init__(capacity)
-        self._slots = [None] * capacity
+        #: The stored CQEs by slot index; an absent slot is empty.
+        self._slots = {}
         self._head = 0
         self._tail = 0
 
@@ -150,8 +151,7 @@ class VanillaRingCQ(CompletionQueueBase):
     def pop(self):
         if self._head >= self._tail:
             raise QueueEmptyError("completion queue is empty")
-        cqe = self._slots[self._head % self.capacity]
-        self._slots[self._head % self.capacity] = None
+        cqe = self._slots.pop(self._head % self.capacity)
         self._head += 1
         self.consumed += 1
         return cqe
@@ -183,9 +183,7 @@ class OptimizedRingCQ(VanillaRingCQ):
     def pop(self):
         if self._head >= self._tail:
             raise QueueEmptyError("completion queue is empty")
-        packed = self._slots[self._head % self.capacity]
-        self._slots[self._head % self.capacity] = None
-        cqe, packed_tail = packed
+        cqe, packed_tail = self._slots.pop(self._head % self.capacity)
         if packed_tail <= self._head:
             raise QueueEmptyError("stale CQE: packed tail does not validate")
         self._head += 1
@@ -204,14 +202,14 @@ class OptimizedCasCQ(CompletionQueueBase):
     The simulator keeps the occupied slot indices sorted, so both ends find
     their slot by bisection instead of walking all ``capacity`` slots; the
     slot chosen, and so the pop order, is exactly what the linear scan
-    picks.
+    picks.  Only the stored CQEs take memory, keyed by slot index.
     """
 
     variant = "optimized-cas"
 
     def __init__(self, capacity=CQ_CAPACITY):
         super().__init__(capacity)
-        self._slots = [None] * capacity
+        self._slots = {}
         self._occupied = []
         self._scan_pos = 0
 
@@ -247,8 +245,7 @@ class OptimizedCasCQ(CompletionQueueBase):
         if position == len(occupied):
             position = 0
         index = occupied.pop(position)
-        cqe = self._slots[index]
-        self._slots[index] = None
+        cqe = self._slots.pop(index)
         self._scan_pos = (index + 1) % self.capacity
         self.consumed += 1
         return cqe

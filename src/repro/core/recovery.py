@@ -75,13 +75,8 @@ class RecoveryManager(Actor):
         self.config = backend.config
         self.stats = RecoveryStats()
         self._suspected_invocations = set()
-
-    # -- wait keys -------------------------------------------------------------
-
-    @property
-    def rank_registered_key(self):
-        """Signalled by the backend whenever a new rank context appears."""
-        return ("dfccl-rank-registered", id(self.backend))
+        #: Signalled by the backend whenever a new rank context appears.
+        self.rank_registered_key = ("dfccl-rank-registered", id(backend))
 
     # -- scheduling ------------------------------------------------------------
 

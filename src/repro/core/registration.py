@@ -159,6 +159,10 @@ class RegisteredCollective:
             self.invocations.append(Invocation(self, len(self.invocations)))
         return self.invocations[index]
 
+    def close(self):
+        """Drop the invocations, which point back at the collective."""
+        self.invocations = []
+
     def next_invocation_for_rank(self, group_rank):
         """The invocation the next ``dfcclRun*`` call of this rank refers to."""
         index = self.run_counts.get(group_rank, 0)

@@ -145,6 +145,8 @@ class Cluster:
         self._devices_by_id = {}
         self._ranks_by_device = {}
         self.hosts = {}
+        #: Objects closed with the cluster (its collective backends).
+        self._attached = []
         #: Construction knobs, kept so :meth:`add_node` builds growth nodes
         #: like the original ones.
         self._max_resident_blocks = max_resident_blocks
@@ -269,6 +271,30 @@ class Cluster:
     def run(self, until_us=None):
         """Run the engine; returns the final virtual time."""
         return self.engine.run(until_us=until_us)
+
+    # -- lifetime ----------------------------------------------------------------
+
+    def attach(self, resource):
+        """Close ``resource`` (anything with a ``close()``) with the cluster."""
+        self._attached.append(resource)
+
+    def close(self):
+        """Break the cluster's reference cycles once its run is over.
+
+        The engine, its actors, the hosts, the attached backends and their
+        collectives point at each other, so without this a finished cluster
+        stays in memory until the cyclic collector reaches it.  ``close``
+        drops those references, never results: statistics, the flight
+        recorder, spans, dumps, calibration samples and metric values stay
+        readable.  Idempotent; the cluster cannot run again.
+        """
+        attached, self._attached = self._attached, []
+        for resource in attached:
+            resource.close()
+        for device in self.devices:
+            device.close()
+        self.hosts.clear()
+        self.engine.close()
 
 
 def build_cluster(

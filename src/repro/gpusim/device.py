@@ -153,6 +153,12 @@ class GpuDevice(Actor):
     def __init__(self, device_id, max_resident_blocks, interference=None):
         super().__init__(f"gpu-{device_id}")
         self.device_id = device_id
+        #: Wait keys, built once (``work_key`` is read on every step):
+        #: signalled whenever the device may be able to launch something,
+        #: whenever it becomes completely idle, and once when it fails.
+        self.work_key = ("gpu-work", str(device_id))
+        self.idle_key = ("gpu-idle", str(device_id))
+        self.failed_key = ("gpu-failed", str(device_id))
         self.max_resident_blocks = max_resident_blocks
         self.free_blocks = max_resident_blocks
         #: Optional :class:`SmInterferenceModel`; ``None`` disables dilation
@@ -182,23 +188,6 @@ class GpuDevice(Actor):
         #: solely because another tenant held its block slots.
         self.peak_resident_tenants = 0
         self.cross_tenant_block_waits = 0
-
-    # -- wait keys -----------------------------------------------------------
-
-    @property
-    def work_key(self):
-        """Signalled whenever the device may be able to launch something."""
-        return ("gpu-work", str(self.device_id))
-
-    @property
-    def idle_key(self):
-        """Signalled whenever the device becomes completely idle."""
-        return ("gpu-idle", str(self.device_id))
-
-    @property
-    def failed_key(self):
-        """Signalled once when the device fails (crash detection hook)."""
-        return ("gpu-failed", str(self.device_id))
 
     # -- fault injection -------------------------------------------------------
 
@@ -432,6 +421,14 @@ class GpuDevice(Actor):
     def _notify_work(self, time_us):
         if self.engine is not None:
             self.engine.signal(self.work_key, time_us)
+
+    def close(self):
+        """Drop the kernels the device still holds: resident (a crashed
+        rank's, or a deadlocked run's) and queued ones."""
+        self.resident.clear()
+        for stream in self.streams.values():
+            stream.pending.clear()
+        self.barriers = []
 
     # -- introspection --------------------------------------------------------
 

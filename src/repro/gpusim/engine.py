@@ -179,9 +179,13 @@ class DeadlockReport:
     blocked_actors: list = field(default_factory=list)
     wait_graph: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # The names outlive the actors: Engine.close empties blocked_actors.
+        self._names = [actor.name for actor in self.blocked_actors]
+
     def involved(self):
         """Names of the actors that were blocked when the deadlock was found."""
-        return [actor.name for actor in self.blocked_actors]
+        return list(self._names)
 
 
 class Engine:
@@ -232,17 +236,23 @@ class Engine:
         self.deadlock_report = None
         self._signal_log = deque(maxlen=self.SIGNAL_LOG_LIMIT)
         self._signals = 0
+        #: Names of the gauges this engine registered (frozen by close).
+        self._gauge_names = ()
         if self.obs.enabled:
             registry = self.obs.metrics
-            registry.gauge_fn("engine_steps", lambda: self._steps)
-            registry.gauge_fn("engine_queue_entries", lambda: len(self._queue))
-            registry.gauge_fn("engine_queue_live",
-                              lambda: len(self._queue) - self._stale)
-            registry.gauge_fn("engine_queue_stale", lambda: self._stale)
-            registry.gauge_fn("engine_queue_compactions",
-                              lambda: self._compactions)
-            registry.gauge_fn("engine_queue_ready", lambda: self._ready_count)
-            registry.gauge_fn("engine_signals", lambda: self._signals)
+            self._gauge_names = (
+                registry.gauge_fn("engine_steps", lambda: self._steps),
+                registry.gauge_fn("engine_queue_entries",
+                                  lambda: len(self._queue)),
+                registry.gauge_fn("engine_queue_live",
+                                  lambda: len(self._queue) - self._stale),
+                registry.gauge_fn("engine_queue_stale", lambda: self._stale),
+                registry.gauge_fn("engine_queue_compactions",
+                                  lambda: self._compactions),
+                registry.gauge_fn("engine_queue_ready",
+                                  lambda: self._ready_count),
+                registry.gauge_fn("engine_signals", lambda: self._signals),
+            )
 
     # -- registration -------------------------------------------------------
 
@@ -683,6 +693,25 @@ class Engine:
         # Live actors exist but none is ready, blocked or sleeping: they were
         # all left unscheduled, which indicates an engine bug.
         raise SimulationError("live actors exist but none is schedulable")
+
+    # -- teardown ---------------------------------------------------------------
+
+    def close(self):
+        """Drop the engine's references to its actors (see
+        :meth:`~repro.gpusim.cluster.Cluster.close`); idempotent.
+
+        The engine ends empty: no actors, queue entries or waiters.  Its
+        counters, the deadlock report's time, wait graph and blocked names,
+        and the hub stay; each engine gauge reads its final value.
+        """
+        self.obs.metrics.freeze_gauges(self._gauge_names)
+        for table in (self._actors, self._entries, self._blocked,
+                      self._waiters, self._waits):
+            table.clear()
+        self._queue.clear()
+        self._stale = self._ready_count = self._live_worker_count = 0
+        if self.deadlock_report is not None:
+            self.deadlock_report.blocked_actors = []
 
     # -- introspection --------------------------------------------------------
 

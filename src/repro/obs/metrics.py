@@ -251,8 +251,20 @@ class MetricsRegistry:
 
         This is the zero-hot-path-cost path: engine/pool/daemon/scheduler
         state is *pulled* when someone asks, never pushed per step.
+        Returns the full metric name.
         """
-        self._gauge_fns[_full_name(name, labels)] = fn
+        full_name = _full_name(name, labels)
+        self._gauge_fns[full_name] = fn
+        return full_name
+
+    def freeze_gauges(self, names):
+        """Replace the named gauge callbacks by their current values.
+
+        A closed cluster's components call this, so their gauges drop the
+        objects they closed over and keep reading their final values.
+        """
+        for name in names:
+            self._gauge_fns[name] = lambda value=self._gauge_fns[name](): value
 
     # -- exporters ----------------------------------------------------------
 

@@ -49,13 +49,13 @@ class Observability:
         #: <10% overhead gate does not budget for.
         self.analysis = None
         if enabled:
+            # Bound ``__len__`` methods, not closures over the hub: a hub
+            # referring to itself would outlive its run until the cyclic
+            # collector found it.
             registry = self.metrics
-            registry.gauge_fn("flight_recorder_events",
-                              lambda: len(self.recorder.ring))
-            registry.gauge_fn("flight_recorder_spans",
-                              lambda: len(self.recorder.spans))
-            registry.gauge_fn("flight_recorder_dumps",
-                              lambda: len(self.dumps))
+            registry.gauge_fn("flight_recorder_events", self.recorder.ring.__len__)
+            registry.gauge_fn("flight_recorder_spans", self.recorder.spans.__len__)
+            registry.gauge_fn("flight_recorder_dumps", self.dumps.__len__)
 
     # -- time attribution ---------------------------------------------------
 

@@ -300,7 +300,7 @@ def replay_program(program, backend_name, seed=17, capture_obs=False, **knobs):
                              "seed": program.seed,
                              "world_size": program.world_size})
 
-    return ReplayResult(
+    result = ReplayResult(
         backend=backend_name,
         outcome=outcome,
         time_us=final_time_us,
@@ -310,6 +310,8 @@ def replay_program(program, backend_name, seed=17, capture_obs=False, **knobs):
         analysis=analyze_fault_deadlock(report, cluster),
         flight_dump=flight_dump,
     )
+    cluster.close()
+    return result
 
 
 # -- invariant checks -------------------------------------------------------------

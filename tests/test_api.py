@@ -443,6 +443,12 @@ class TestRemovedShims:
         assert not hasattr(work.run, "_kernels")
         assert not hasattr(ActiveContextCache, "mark_progress")
 
+    def test_rank_context_holds_no_poller(self):
+        """The engine alone holds a rank's poller: ``RankContext.poller``
+        was read nowhere and closed a reference cycle."""
+        backend = make_backend("dfccl", build_cluster("single-3090"))
+        assert not hasattr(backend.init_rank(0), "poller")
+
     def test_cluster_job_runner_accepts_any_registered_backend(self):
         from repro.multijob import ClusterJobRunner
 

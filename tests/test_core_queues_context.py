@@ -133,6 +133,24 @@ class TestCompletionQueues:
         with pytest.raises(QueueEmptyError):
             cq.pop()
 
+    @pytest.mark.parametrize("variant", ["vanilla", "optimized-ring"])
+    def test_ring_keeps_fifo_order_across_wraparounds(self, variant):
+        """98 CQEs through 5 slots, two always stored and the ring full at
+        every third burst: head and tail wrap around 19 times."""
+        cq = make_completion_queue(variant, capacity=5)
+        cq.push(Cqe(0, 0))
+        cq.push(Cqe(1, 0))
+        next_id, drained = 2, []
+        for burst in [1, 2, 3] * 16:
+            for _ in range(burst):
+                cq.push(Cqe(next_id, 0))
+                next_id += 1
+            assert cq.writable() == (burst < 3)
+            drained.extend(cq.pop().coll_id for _ in range(burst))
+        assert (cq.written, len(cq)) == (98, 2)
+        drained.extend(cq.pop().coll_id for _ in range(2))
+        assert drained == list(range(98))
+
     def test_write_costs_ordered_as_in_fig7c(self):
         vanilla = VanillaRingCQ().write_cost_us()
         optimized_ring = OptimizedRingCQ().write_cost_us()
