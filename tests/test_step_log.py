@@ -12,6 +12,10 @@ from process-global counters and show up in wait keys; it runs under two hash
 seeds because the step order must not depend on memory addresses or string
 hashes.  ``python tests/test_step_log.py CASE`` prints a case's event count
 and digest.
+
+``dfccl-fig13-3d-16gpu`` is Fig. 13's ``3d-16gpu`` GPT-2 run on dfccl (two
+iterations, one of them warm-up): its 16 daemons spin and preempt in
+lock-step, so it pins the engine's passing of timed waiters' retries.
 """
 
 import hashlib
@@ -35,6 +39,8 @@ PINNED = {
                             "c9a1d7b11b51f4f62bb3089903dbe57d"),
     "dfccl-fuzz-1-3": (918, "6ef75009c6a648798521a572bcbbaf59"
                             "cea9ceae4d14f4c0b73401ab11d0ba18"),
+    "dfccl-fig13-3d-16gpu": (80665, "b3e7e8f5e2e4223c51808a87a241ce9a"
+                                    "7a4a1457e51ce66ec61165628b285488"),
 }
 
 
@@ -53,14 +59,41 @@ def _program(name):
     return program, backend
 
 
+def _run_fig13(obs):
+    """Fig. 13 ``3d-16gpu`` on dfccl, two iterations, recorded into ``obs``."""
+    from repro.bench.training_experiments import (
+        GPT2_CASES,
+        TRAINING_CHUNK_BYTES,
+    )
+    from repro.gpusim import build_cluster
+    from repro.workloads import (
+        GroupTrainingBackend,
+        ParallelPlan,
+        TrainingRun,
+        gpt2_model,
+    )
+
+    params = GPT2_CASES["3d-16gpu"]
+    plan = ParallelPlan(gpt2_model(params["variant"]), tp=params["tp"],
+                        dp=params["dp"], pp=params["pp"], microbatch_size=18,
+                        num_microbatches=2, grad_buckets=8)
+    cluster = build_cluster(params["topology"], observability=obs)
+    backend = GroupTrainingBackend(cluster, "dfccl",
+                                   chunk_bytes=TRAINING_CHUNK_BYTES)
+    TrainingRun(cluster, plan, backend, iterations=2, warmup=1).run()
+
+
 def step_log_digest(name):
     """``(event count, sha256)`` of case ``name``'s flight-recorder ring."""
     from repro.obs import Observability
     from repro.testing.differential import replay_program
 
-    program, backend = _program(name)
     obs = Observability(event_capacity=10**7)
-    replay_program(program, backend, observability=obs)
+    if name == "dfccl-fig13-3d-16gpu":
+        _run_fig13(obs)
+    else:
+        program, backend = _program(name)
+        replay_program(program, backend, observability=obs)
     digest = hashlib.sha256()
     for event in obs.recorder.ring:
         digest.update(repr(event).encode())
