@@ -8,7 +8,11 @@ there is no bound on how long it waits — the no-preemption condition.
 
 from __future__ import annotations
 
-from repro.collectives.primitives import PRIMITIVES_PER_STEP, ExecOutcome
+from repro.collectives.primitives import (
+    PRIMITIVE_NAMES,
+    PRIMITIVES_PER_STEP,
+    ExecOutcome,
+)
 from repro.gpusim.device import KernelActor
 from repro.gpusim.engine import StepResult
 
@@ -20,6 +24,14 @@ MAX_COLLECTIVE_BLOCKS = 4
 _BURST = StepResult.progress("primitive burst")
 
 _SUCCESS = ExecOutcome.SUCCESS
+
+#: The detail of a blocked step, by the waiting primitive's action value and
+#: the outcome's value (plain keys: hashing an enum member runs Python code).
+_BLOCKED_DETAILS = {
+    (action._value_, kind._value_): f"{name} waiting ({kind.value})"
+    for action, name in PRIMITIVE_NAMES.items()
+    for kind in (ExecOutcome.WAIT_RECV, ExecOutcome.WAIT_SEND)
+}
 
 
 def grid_size_for(nbytes):
@@ -57,6 +69,6 @@ class NcclCollectiveKernel(KernelActor):
             return self.complete(f"collective {self.op.op_id} done on rank {self.rank}")
         # WAIT_RECV / WAIT_SEND: hold resources and wait without bound.
         return StepResult.blocked(
-            [outcome.wait_key],
-            f"{outcome.name} waiting ({kind.value})",
+            (outcome.wait_key,),
+            _BLOCKED_DETAILS[outcome.action._value_, kind._value_],
         )
