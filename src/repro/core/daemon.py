@@ -25,7 +25,9 @@ over an empty task queue.  Either way the daemon blocks on the keys that
 could change a retry's outcome (channels, the SQ) until its last retry (for
 a pass wait, the pass start that quits).  The engine passes the retries in
 between without stepping it, and when the wait ends the daemon replays those
-retries with the same clock additions (``retry_times`` / ``replay``).
+retries with the same clock additions (``retry_times`` / ``replay``).  Equal
+wait states share one read-only grid of retry times, so the engine passes
+daemons waiting in lock-step as one cohort.
 """
 
 from __future__ import annotations
@@ -132,6 +134,44 @@ def _pass_plan(thresholds, hits):
     """The :class:`_PassPlan` of per-position spin ``thresholds`` and
     context-cache ``hits``; the same in every fruitless pass."""
     return _PassPlan(thresholds, hits)
+
+
+#: Most retry grids kept for sharing; lock-step waits begin close together.
+_GRID_MEMO_SIZE = 64
+
+
+@lru_cache(maxsize=_GRID_MEMO_SIZE)
+def _spin_grid(start, rate, plan, arrival):
+    """The retry times of a spin wait from ``start`` at clock ``rate`` with
+    ``plan`` (a ``_spin_plan``), up to the retry that can take a head
+    ``arrival`` (``None`` if there is none)."""
+    spin_times, remaining = plan
+    times = list(accumulate([spin * rate for spin in spin_times],
+                            initial=start))
+    if arrival is not None:
+        for index, now in enumerate(times):
+            if not arrival > now + remaining[index] * POLL_COST_US:
+                del times[index + 1:]  # the retry that can take it
+                break
+    return tuple(times)
+
+
+@lru_cache(maxsize=_GRID_MEMO_SIZE)
+def _pass_grid(start, rate, plan, last_activity_us):
+    """The retry times of a pass wait from ``start`` at clock ``rate``: pass
+    after pass of ``plan``'s additions (a :class:`_PassPlan`), up to the
+    first pass start whose SQ poll finds the quit period since
+    ``last_activity_us`` over."""
+    rated = [delta * rate for delta in plan.deltas]
+    starts = plan.starts
+    times = []
+    while True:
+        marks = list(accumulate(rated, initial=start))
+        if marks[1] - last_activity_us > QUIT_PERIOD_US:
+            times.append(start)
+            return tuple(times)
+        times.extend([marks[index] for index in starts])
+        start = marks[-1]
 
 
 class _Wait:
@@ -502,41 +542,17 @@ class DaemonKernel(KernelActor):
     def retry_times(self):
         """Times of the retries the current timed wait stands for, computed
         with the clock's own additions; the last one spends the spin budget
-        (or, for a pass wait, finds the quit period over)."""
+        (or, for a pass wait, finds the quit period over).  A tuple shared
+        by every wait from the same state (read only)."""
         wait = self._wait
         if wait.times is None:
             if wait.entry is not None:
-                wait.times = self._spin_retry_times(wait)
+                wait.times = _spin_grid(wait.start, wait.rate, wait.plan,
+                                        wait.arrival)
             else:
-                wait.times = self._fruitless_times(wait)
+                wait.times = _pass_grid(wait.start, wait.rate, wait.plan,
+                                        self._last_activity_us)
         return wait.times
-
-    @staticmethod
-    def _spin_retry_times(wait):
-        spin_times, remaining = wait.plan
-        times = list(accumulate([spin * wait.rate for spin in spin_times],
-                                initial=wait.start))
-        if wait.arrival is not None:
-            for index, now in enumerate(times):
-                if not wait.arrival > now + remaining[index] * POLL_COST_US:
-                    del times[index + 1:]  # the retry that can take it
-                    break
-        return times
-
-    def _fruitless_times(self, wait):
-        # Pass after pass of the plan's additions, up to the first pass
-        # start whose SQ poll finds the quit period over.
-        rated = [delta * wait.rate for delta in wait.plan.deltas]
-        starts = wait.plan.starts
-        times = []
-        start = wait.start
-        while True:
-            marks = list(accumulate(rated, initial=start))
-            if marks[1] - self._last_activity_us > QUIT_PERIOD_US:
-                times.append(start)
-                return times
-            times.extend([marks[index] for index in starts])
-            start = marks[-1]
 
     def replay(self, count):
         """Apply the first ``count`` retries of the current wait, all failed.

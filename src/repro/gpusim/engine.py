@@ -26,6 +26,8 @@ An actor's ``step`` returns a :class:`StepResult`:
     The actor then replays the retries that were passed (see
     :class:`Actor`), so its clock and counters land exactly where the
     step-by-step loop would have left them, and its next retry is a step.
+    Waiters queued back to back at the same retry of one shared grid are
+    passed together, as a cohort (see :class:`_Cohort`).
 ``DONE``
     The actor finished.  It is removed from scheduling and the engine drops
     its reference, so a completed actor (say, one daemon-kernel generation of
@@ -47,13 +49,13 @@ slot is cleared) instead of leaving the old entry to be lazily skipped; when
 stale entries outnumber live ones the heap is compacted, so cancelled or
 killed actors can never make the queue grow without bound (fuzzing at
 hundreds of ranks pops millions of entries — the queue must stay dense).
+A cohort of timed waiters is the one exception: its members share one entry.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -133,6 +135,27 @@ class StepResult:
         return cls(StepStatus.DONE, detail=detail)
 
 
+class _Cohort:
+    """Timed waiters passed together, a round (one retry each) at a time.
+
+    The members wait at the same index ``passed`` of the same retry grid
+    ``times`` (one shared, read-only object) and hold one queue entry.  Its
+    sequence number is the first of a block, one per member in order: the
+    numbers one-by-one passing would give them, so no other entry sorts
+    between two members and each round costs one heap operation.  A wait
+    starts as a cohort of one.  A waiter joins the cohort passed just before
+    it when it sits at the same retry of the same grid; it leaves, queued at
+    its place in the block, when its wait ends.
+    """
+
+    __slots__ = ("members", "times", "passed")
+
+    def __init__(self, members, times=None, passed=0):
+        self.members = members
+        self.times = times
+        self.passed = passed
+
+
 class Actor:
     """Base class for anything the engine schedules.
 
@@ -145,6 +168,9 @@ class Actor:
     for (the first is the actor's clock, the last its deadline), and
     ``replay(count)``, which applies the effects of the first ``count`` of
     them, all failed, leaving the clock at ``retry_times()[count]``.
+    Actors in lock-step should return one shared object for equal grids (it
+    is never mutated): the engine passes waiters on the same grid object as
+    a cohort.
     """
 
     daemon = False
@@ -218,8 +244,8 @@ class Engine:
         self._ready_count = 0
         self._live_worker_count = 0
         self._blocked = {}
-        #: Timed waiters: actor -> [retry times (fetched on the first pass),
-        #: retries passed so far].
+        #: Timed waiters: actor -> its :class:`_Cohort`, in the order the
+        #: waits began.
         self._waits = {}
         self._waiters = {}
         #: Public read-only alias of the waiter table, keyed by wait key.
@@ -230,8 +256,13 @@ class Engine:
         #: the alias stays valid for the engine's lifetime; external code
         #: must treat it as read-only.
         self.waiters_by_key = self._waiters
-        self._counter = itertools.count()
+        #: The next queue sequence number.
+        self._seq = 0
         self._steps = 0
+        #: Retries passed in timed waits that ended, and the heap operations
+        #: passing cost (rounds, joins and leaves).
+        self._retries_passed = 0
+        self._pass_heap_ops = 0
         self._horizon = 0.0
         self.deadlock_report = None
         self._signal_log = deque(maxlen=self.SIGNAL_LOG_LIMIT)
@@ -252,6 +283,10 @@ class Engine:
                 registry.gauge_fn("engine_queue_ready",
                                   lambda: self._ready_count),
                 registry.gauge_fn("engine_signals", lambda: self._signals),
+                registry.gauge_fn("engine_retries_passed",
+                                  self._count_retries_passed),
+                registry.gauge_fn("engine_pass_heap_ops",
+                                  lambda: self._pass_heap_ops),
             )
 
     # -- registration -------------------------------------------------------
@@ -285,7 +320,8 @@ class Engine:
             old = self._entries.get(actor)
             if old is not None:
                 self._invalidate(old)
-            entry = [actor.now, _KIND_READY, next(self._counter), actor]
+            entry = [actor.now, _KIND_READY, self._seq, actor]
+            self._seq += 1
             self._entries[actor] = entry
             self._queue.append(entry)
             self._ready_count += 1
@@ -309,7 +345,8 @@ class Engine:
         old = self._entries.get(actor)
         if old is not None:
             self._invalidate(old)
-        entry = [time_us, kind, next(self._counter), actor]
+        entry = [time_us, kind, self._seq, actor]
+        self._seq += 1
         self._entries[actor] = entry
         heapq.heappush(self._queue, entry)
         if kind == _KIND_READY:
@@ -457,18 +494,57 @@ class Engine:
             self._unblock(actor)
             self._end_wait(actor)
 
+    def _count_retries_passed(self):
+        """Retries passed so far, those of running waits included."""
+        return self._retries_passed + sum(
+            cohort.passed for cohort in self._waits.values())
+
     def _wait(self, actor, keys):
         """Start a timed wait: the next retry is queued where a ``PROGRESS``
         step would have queued it, at the actor's clock.  The retry times are
         fetched when the first retry is passed (many waits end before)."""
-        self._waits[actor] = [None, 0]
+        self._waits[actor] = _Cohort([actor])
         if keys:
             self._block(actor, keys)
         self._schedule(actor, actor.clock.now, _KIND_READY)
 
     def _end_wait(self, actor):
-        _, passed = self._waits.pop(actor)
-        actor.replay(passed)
+        cohort = self._waits[actor]
+        if len(cohort.members) > 1:
+            self._leave(cohort, cohort.members.index(actor))
+        del self._waits[actor]
+        self._retries_passed += cohort.passed
+        actor.replay(cohort.passed)
+
+    def _leave(self, cohort, index):
+        """Make member ``index`` of ``cohort`` a cohort of one, queued at its
+        place in the block; the members after it become a cohort of their
+        own (the entry stays with the members before it)."""
+        members = cohort.members
+        entries = self._entries
+        entry = entries[members[0]]
+        time_us, kind, seq = entry[0], entry[1], entry[2]
+        actor = members.pop(index)
+        if index == 0:
+            # Raising the key within the block keeps the heap ordered.
+            entry[2] = seq + 1
+            entry[_ENTRY_ACTOR] = members[0]
+        elif index < len(members):
+            rest = _Cohort(members[index:], cohort.times, cohort.passed)
+            del members[index:]
+            rest_entry = [time_us, kind, seq + index + 1, rest.members[0]]
+            for member in rest.members:
+                self._waits[member] = rest
+                entries[member] = rest_entry
+            heapq.heappush(self._queue, rest_entry)
+            self._ready_count += 1
+            self._pass_heap_ops += 1
+        self._waits[actor] = _Cohort([actor], cohort.times, cohort.passed)
+        own = [time_us, kind, seq + index, actor]
+        entries[actor] = own
+        heapq.heappush(self._queue, own)
+        self._ready_count += 1
+        self._pass_heap_ops += 1
 
     # -- fault injection -----------------------------------------------------
 
@@ -523,7 +599,6 @@ class Engine:
         """
         queue = self._queue
         entries = self._entries
-        counter = self._counter
         while True:
             self._steps += 1
             if self._steps > MAX_STEPS:
@@ -562,7 +637,8 @@ class Engine:
                 # invalidate unless the step gave it a new one.
                 if actor in entries:
                     self._invalidate(entries[actor])
-                entry = [now, _KIND_READY, next(counter), actor]
+                entry = [now, _KIND_READY, self._seq, actor]
+                self._seq += 1
                 entries[actor] = entry
                 heapq.heappush(queue, entry)
                 self._ready_count += 1
@@ -593,12 +669,14 @@ class Engine:
         (sleepers first on ties): a sleeper whose wake time precedes the
         earliest ready actor's clock is woken first, so no actor ever
         observes state produced "in its future".  A timed waiter's retries
-        are passed here, without a step; returns ``_UNTIL`` when passing one
-        takes the horizon to ``until_us``.
+        are passed here, without a step, a cohort round at a time; returns
+        ``_UNTIL`` when passing one takes the horizon to ``until_us``.
         """
         queue = self._queue
         entries = self._entries
         waits = self._waits
+        heapreplace = heapq.heapreplace
+        last = None   # the cohort passed just before
         while queue:
             entry = queue[0]
             actor = entry[_ENTRY_ACTOR]
@@ -616,26 +694,52 @@ class Engine:
                     self._ready_count -= 1
                 continue
             if entry[1] == _KIND_READY:
-                wait = waits.get(actor) if waits else None
-                if wait is not None:
-                    times = wait[0]
+                cohort = waits.get(actor) if waits else None
+                if cohort is not None:
+                    times = cohort.times
                     if times is None:
-                        times = wait[0] = actor.retry_times()
-                    passed = wait[1] + 1
+                        times = cohort.times = actor.retry_times()
+                    passed = cohort.passed + 1
+                    size = len(cohort.members)
                     if passed < len(times):
-                        # This retry would fail like the ones before it: pass
-                        # it and turn its entry into the next one, with the
-                        # sequence number the step would have given it.
-                        wait[1] = passed
+                        if (last is not None and last.times is times
+                                and last.passed == passed):
+                            # One-by-one passing would pass these retries
+                            # right behind the last cohort's: join its round.
+                            self._join(last, cohort)
+                            continue
                         time_us = times[passed]
+                        if (until_us is not None and size > 1
+                                and time_us >= until_us):
+                            # The run stops after this member's retry.
+                            self._leave(cohort, 0)
+                            continue
+                        # These retries would fail like the ones before them:
+                        # pass them and turn the entry into the next round,
+                        # with the sequence numbers steps would have drawn.
+                        cohort.passed = passed
                         if time_us > self._horizon:
                             self._horizon = time_us
                         entry[0] = time_us
-                        entry[2] = next(self._counter)
-                        heapq.heapreplace(queue, entry)
+                        entry[2] = self._seq
+                        self._seq += size
+                        heapreplace(queue, entry)
+                        self._pass_heap_ops += 1
                         if until_us is not None and self._horizon >= until_us:
                             return _UNTIL
+                        last = cohort
                         continue
+                    if size > 1:
+                        # The lead's last retry is a step; the rest of the
+                        # block keeps the entry, its key raised in place.
+                        members = cohort.members
+                        del members[0]
+                        entry[2] += 1
+                        entry[_ENTRY_ACTOR] = members[0]
+                        waits[actor] = _Cohort([actor], times, cohort.passed)
+                        self.settle(actor)
+                        del entries[actor]
+                        return actor
                     self.settle(actor)   # the last retry is a step
                 heapq.heappop(queue)
                 del entries[actor]
@@ -652,6 +756,20 @@ class Engine:
             self._observe_time(actor.now)
             self._schedule(actor, actor.now, _KIND_READY)
         return None
+
+    def _join(self, cohort, follower):
+        """Move the members of ``follower``, earliest in the queue, into
+        ``cohort``, passed a round just before: their retries and sequence
+        numbers follow the cohort's members'."""
+        heapq.heappop(self._queue)
+        self._ready_count -= 1
+        self._pass_heap_ops += 1
+        entry = self._entries[cohort.members[0]]
+        for member in follower.members:
+            self._waits[member] = cohort
+            self._entries[member] = entry
+        cohort.members.extend(follower.members)
+        self._seq += len(follower.members)
 
     def _handle_stall(self):
         """Called when the event queue ran dry.

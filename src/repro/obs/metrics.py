@@ -44,6 +44,11 @@ declare_metric("engine_queue_compactions", "gauge",
 declare_metric("engine_queue_ready", "gauge",
                "Actors currently runnable at the head of the queue")
 declare_metric("engine_signals", "gauge", "Wait-key signals delivered")
+declare_metric("engine_retries_passed", "gauge",
+               "Timed-wait retries the engine passed without a step")
+declare_metric("engine_pass_heap_ops", "gauge",
+               "Heap operations spent passing timed-wait retries "
+               "(cohort rounds, joins and leaves)")
 declare_metric("engine_deadlocks", "counter",
                "Engine-level deadlocks detected (wait-for cycles)")
 declare_metric("engine_actors_killed", "counter",
