@@ -42,7 +42,7 @@ declare_metric("engine_queue_stale", "gauge",
 declare_metric("engine_queue_compactions", "gauge",
                "Times the event queue dropped its stale entries")
 declare_metric("engine_queue_ready", "gauge",
-               "Actors currently runnable at the head of the queue")
+               "Ready queue entries (a cohort of timed waiters is one)")
 declare_metric("engine_signals", "gauge", "Wait-key signals delivered")
 declare_metric("engine_retries_passed", "gauge",
                "Timed-wait retries the engine passed without a step")
