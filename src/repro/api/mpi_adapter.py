@@ -16,7 +16,6 @@ crossover comparisons.
 
 from __future__ import annotations
 
-import itertools
 import statistics
 
 from repro.collectives.plan import CollectiveRun
@@ -25,13 +24,12 @@ from repro.gpusim.engine import StepResult
 from repro.ncclsim import mpi_all_reduce_time_us
 from repro.api.backend import CollectiveBackend, register_backend
 
-_mpi_op_ids = itertools.count()
-
 
 class _MpiCollective(CollectiveRun):
     """Shared rendezvous state of one host-staged collective invocation.
 
-    A rank starts at its arrival; ``ranks`` are the members' cluster ranks.
+    A rank starts at its arrival; ``ranks`` are the members' cluster ranks,
+    and ``op_id`` is drawn from the cluster's engine.
     """
 
     backend = "mpi"
@@ -39,8 +37,7 @@ class _MpiCollective(CollectiveRun):
     #: The analytic model has no per-bucket prediction.
     predicted_breakdown = None
 
-    def __init__(self, spec, ranks, job=None, obs=None, index=0):
-        op_id = next(_mpi_op_ids)
+    def __init__(self, op_id, spec, ranks, job=None, obs=None, index=0):
         super().__init__(f"mpi-op{op_id}-{spec.kind.value}", spec, tuple(ranks),
                          job=job, obs=obs, index=index)
         self.op_id = op_id
@@ -145,8 +142,9 @@ class MpiCollectiveBackend(CollectiveBackend):
         ident = (group.group_id, spec, key, index)
         coll = self._collectives.get(ident)
         if coll is None:
-            coll = _MpiCollective(spec, group.ranks, job=group.job,
-                                  obs=self.cluster.engine.obs, index=index)
+            engine = self.cluster.engine
+            coll = _MpiCollective(engine.next_id("mpi-op"), spec, group.ranks,
+                                  job=group.job, obs=engine.obs, index=index)
             self._collectives[ident] = coll
         return coll, group.group_rank(rank)
 

@@ -16,23 +16,9 @@ before the read, never loses data.
 
 from __future__ import annotations
 
-import itertools
-import weakref
 from collections import deque
 
 from repro.common.errors import ConfigurationError
-
-_channel_ids = itertools.count()
-_communicator_ids = itertools.count()
-
-#: Channels by id, for wait-key attribution (deadlock/fault analysis needs to
-#: know which device would have signalled a ``chan-*`` key).
-_channels_by_id = weakref.WeakValueDictionary()
-
-
-def channel_by_id(channel_id):
-    """Resolve a channel id from an engine wait key, or ``None`` if gone."""
-    return _channels_by_id.get(channel_id)
 
 
 class Channel:
@@ -40,14 +26,17 @@ class Channel:
     GPU.
 
     It is readable when ``arrivals`` is non-empty and writable while
-    ``len(arrivals) < capacity``, unless invalidated.
+    ``len(arrivals) < capacity``, unless invalidated.  ``channel_id`` names
+    it in its wait keys; the communicator that creates it draws the id from
+    its run's engine.
     """
 
     #: Default connector FIFO depth (NCCL uses 8 slots per channel).
     DEFAULT_CAPACITY = 8
 
-    def __init__(self, src_device, dst_device, capacity=DEFAULT_CAPACITY):
-        self.channel_id = next(_channel_ids)
+    def __init__(self, channel_id, src_device, dst_device,
+                 capacity=DEFAULT_CAPACITY):
+        self.channel_id = channel_id
         self.src_device = src_device
         self.dst_device = dst_device
         self.capacity = capacity
@@ -57,7 +46,6 @@ class Channel:
         self.pushed_count = 0
         self.bytes_pushed = 0
         self.invalidated = False
-        _channels_by_id[self.channel_id] = self
         # Wait keys are prebuilt: the executor touches them on every primitive
         # attempt, and a property constructing a fresh tuple each time showed
         # up in large-scale profiles.
@@ -93,13 +81,15 @@ class Communicator:
     Ranks inside a communicator are *group ranks* (0..group_size-1); the
     mapping to cluster devices is fixed at construction.  Channels are created
     lazily for any (src, dst) group-rank pair so that both ring and
-    point-to-point patterns work.
+    point-to-point patterns work.  The communicator's id and its channels'
+    ids come from its devices' engine, which keeps each channel for fault
+    analysis to resolve a ``chan-*`` wait key.
     """
 
     def __init__(self, devices, interconnect):
         if len(devices) < 1:
             raise ConfigurationError("a communicator needs at least one device")
-        self.comm_id = next(_communicator_ids)
+        self.comm_id = devices[0].engine.next_id("communicator")
         self.devices = list(devices)
         self.interconnect = interconnect
         self._channels = {}
@@ -120,7 +110,11 @@ class Communicator:
         key = (src_rank, dst_rank)
         channel = self._channels.get(key)
         if channel is None:
-            channel = Channel(self.device_id(src_rank), self.device_id(dst_rank))
+            engine = self.devices[0].engine
+            channel_id = engine.next_id("channel")
+            channel = Channel(channel_id, self.device_id(src_rank),
+                              self.device_id(dst_rank))
+            engine.keep("channel", channel_id, channel)
             self._channels[key] = channel
         return channel
 

@@ -432,8 +432,9 @@ class PrimitiveExecutor:
             # The run's first attempt.  A channel is readable when it holds
             # an arrival the receiver is willing to wait for, and writable
             # below its capacity.  Channels are created on first use, the
-            # send channel only once the receive check passed: channel ids
-            # come from a process-global counter, and wait keys carry them.
+            # send channel only once the receive check passed: the run's
+            # engine numbers channels in creation order, and wait keys carry
+            # the ids.
             if recv_peer is not None:
                 recv_channel = self._recv_channels.get(recv_peer)
                 if recv_channel is None:

@@ -20,10 +20,9 @@ full/empty conditions) so their logic can be unit- and property-tested.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.errors import QueueEmptyError, QueueFullError
 from repro.core.config import (
@@ -33,8 +32,6 @@ from repro.core.config import (
     MEMORY_FENCE_COST_US,
     SQ_CAPACITY,
 )
-
-_sqe_ids = itertools.count()
 
 
 @dataclass
@@ -46,7 +43,6 @@ class Sqe:
     priority: int = 0
     exiting: bool = False
     submit_time_us: float = 0.0
-    sqe_id: int = field(default_factory=lambda: next(_sqe_ids))
 
 
 @dataclass

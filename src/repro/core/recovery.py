@@ -75,8 +75,11 @@ class RecoveryManager(Actor):
         self.config = backend.config
         self.stats = RecoveryStats()
         self._suspected_invocations = set()
-        #: Signalled by the backend whenever a new rank context appears.
-        self.rank_registered_key = ("dfccl-rank-registered", id(backend))
+        #: Signalled by the backend whenever a new rank context appears
+        #: (numbered by the engine: several backends can share a cluster).
+        self.rank_registered_key = (
+            "dfccl-rank-registered",
+            backend.cluster.engine.next_id("recovery-manager"))
 
     # -- scheduling ------------------------------------------------------------
 

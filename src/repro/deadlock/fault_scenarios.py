@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.collectives.channels import channel_by_id
 from repro.deadlock.dependency_graph import DependencyGraph
 
 
@@ -64,7 +63,7 @@ def _resolve_key_rank(key, cluster, actors_by_name):
     """The rank that would have signalled ``key``, or ``None``."""
     tag = key[0] if isinstance(key, tuple) and key else None
     if tag == "chan-readable" or tag == "chan-writable":
-        channel = channel_by_id(key[1])
+        channel = cluster.engine.object_by_id("channel", key[1])
         if channel is None:
             return None
         device_id = channel.src_device if tag == "chan-readable" else channel.dst_device
@@ -76,9 +75,7 @@ def _resolve_key_rank(key, cluster, actors_by_name):
             return None
         return cluster.rank_of(device)
     if tag == "nccl-op-done":
-        from repro.ncclsim.ops import op_by_id
-
-        op = op_by_id(key[1])
+        op = cluster.engine.object_by_id("nccl-op", key[1])
         if op is None:
             return None
         return cluster.rank_of(op.devices[key[2]])

@@ -50,13 +50,20 @@ stale entries outnumber live ones the heap is compacted, so cancelled or
 killed actors can never make the queue grow without bound (fuzzing at
 hundreds of ranks pops millions of entries — the queue must stay dense).
 A cohort of timed waiters is the one exception: its members share one entry.
+
+The engine also numbers the run's objects: each kind of id (channels,
+communicators, ops) counts from 0 on each engine, so a program's wait keys
+and step details, and thus its event log, do not depend on what ran before
+it in the process.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
-from collections import deque
+import itertools
+import weakref
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 from repro.common.errors import DeadlockError, SimulationError
@@ -267,6 +274,10 @@ class Engine:
         self.deadlock_report = None
         self._signal_log = deque(maxlen=self.SIGNAL_LOG_LIMIT)
         self._signals = 0
+        #: One id counter per kind of object, and the objects kept for
+        #: wait-key attribution, by ``(kind, id)``.
+        self._ids = defaultdict(itertools.count)
+        self._objects = weakref.WeakValueDictionary()
         #: Names of the gauges this engine registered (frozen by close).
         self._gauge_names = ()
         if self.obs.enabled:
@@ -337,6 +348,22 @@ class Engine:
         process is still part of the wait-for graph.
         """
         return list(self._actors)
+
+    # -- object ids -----------------------------------------------------------
+
+    def next_id(self, kind):
+        """The next id of ``kind``; every kind counts from 0 on each engine."""
+        return next(self._ids[kind])
+
+    def keep(self, kind, obj_id, obj):
+        """Remember ``obj``, weakly, as ``kind`` number ``obj_id``."""
+        self._objects[kind, obj_id] = obj
+
+    def object_by_id(self, kind, obj_id):
+        """The object kept as ``kind`` number ``obj_id``, or ``None`` if gone
+        (fault analysis resolves a wait key to the actor that would have
+        signalled it)."""
+        return self._objects.get((kind, obj_id))
 
     # -- event queue helpers -------------------------------------------------
 
@@ -600,24 +627,22 @@ class Engine:
         queue = self._queue
         entries = self._entries
         while True:
+            if until_us is not None and self._horizon >= until_us:
+                return self._stop()
+
+            actor = self._pop_runnable(until_us)
+            if actor is None:
+                self._handle_stall()
+                return self._horizon
+            if actor is _UNTIL:
+                return self._stop()
+
             self._steps += 1
             if self._steps > MAX_STEPS:
                 raise SimulationError(
                     f"engine exceeded {MAX_STEPS} steps; "
                     "likely a livelock in a simulated component"
                 )
-
-            if until_us is not None and self._horizon >= until_us:
-                return self._stop()
-
-            actor = self._pop_runnable(until_us)
-            if actor is None:
-                if self._handle_stall():
-                    continue
-                return self._horizon
-            if actor is _UNTIL:
-                return self._stop()
-
             result = actor.step()
             now = actor.clock.now
             if now > self._horizon:
@@ -772,15 +797,14 @@ class Engine:
         self._seq += len(follower.members)
 
     def _handle_stall(self):
-        """Called when the event queue ran dry.
+        """Called when the event queue ran dry: the run is over.
 
-        Returns ``True`` when progress is still possible, ``False`` when the
-        simulation has genuinely finished, and raises or records a deadlock
-        when live actors remain but none can ever run.
+        Raises or records a deadlock when live actors remain but none can
+        ever run.
         """
         workers = self._live_workers()
         if not workers:
-            return False
+            return
 
         blocked = [actor for actor in workers if actor in self._blocked]
         if blocked:
@@ -806,7 +830,7 @@ class Engine:
                     wait_graph=report.wait_graph,
                     blocked=report.involved(),
                 )
-            return False
+            return
 
         # Live actors exist but none is ready, blocked or sleeping: they were
         # all left unscheduled, which indicates an engine bug.
@@ -835,4 +859,5 @@ class Engine:
 
     @property
     def step_count(self):
+        """Actor steps run so far (a passed retry is not one)."""
         return self._steps

@@ -2,26 +2,10 @@
 
 from __future__ import annotations
 
-import itertools
-import weakref
-
 from repro.collectives.channels import Communicator
 from repro.collectives.plan import CollectiveRun
 from repro.collectives.primitives import PrimitiveExecutor
 from repro.collectives.sequences import generate_primitive_sequence
-
-_op_ids = itertools.count()
-
-#: Ops by id, for wait-key attribution: fault analysis resolves an
-#: ``("nccl-op-done", op_id, rank)`` wait key back to the device that would
-#: have signalled it.
-_ops_by_id = weakref.WeakValueDictionary()
-
-
-def op_by_id(op_id):
-    """Resolve an op id from an engine wait key, or ``None`` if gone."""
-    return _ops_by_id.get(op_id)
-
 
 class NcclCollectiveOp(CollectiveRun):
     """One collective call: a spec plus per-rank executors over shared channels.
@@ -34,23 +18,24 @@ class NcclCollectiveOp(CollectiveRun):
     cost prediction come from ``plan``, a :class:`CollectivePlan` shared by
     every call of the same logical collective; each op owns its channels.
     ``global_ranks`` are the members' cluster ranks and ``job`` the owning
-    tenant, both for the spans.
+    tenant, both for the spans.  The op's id comes from its devices' engine,
+    which keeps the op for fault analysis to resolve an ``("nccl-op-done",
+    op_id, rank)`` wait key.
     """
 
     backend = "nccl"
 
     def __init__(self, plan, global_ranks, name=None, job=None, index=0):
-        op_id = next(_op_ids)
-        engine = plan.devices[0].engine if plan.devices else None
+        engine = plan.devices[0].engine
+        op_id = engine.next_id("nccl-op")
         super().__init__(name or f"nccl-op{op_id}-{plan.spec.kind.value}",
                          plan.spec, tuple(global_ranks), job=job,
-                         obs=engine.obs if engine is not None else None,
-                         index=index)
+                         obs=engine.obs, index=index)
         self.op_id = op_id
         self.plan = plan
         self.devices = plan.devices
         self.communicator = Communicator(self.devices, plan.interconnect)
-        _ops_by_id[self.op_id] = self
+        engine.keep("nccl-op", op_id, self)
 
     @property
     def trace_key(self):

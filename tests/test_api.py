@@ -770,7 +770,7 @@ class TestRemovedShims:
 
         for module in (collectives, channels):
             assert not hasattr(module, "ChunkMessage"), module
-        channel = Channel(0, 1)
+        channel = Channel(0, 0, 1)
         for name in ("_fifo", "_free", "popped_count", "push", "pop", "head",
                      "readable", "writable", "occupancy"):
             assert not hasattr(channel, name), name
@@ -988,6 +988,28 @@ class TestRemovedShims:
         plan = ParallelPlan(resnet50_model(), dp=2)
         assert not hasattr(plan, "base_rank")
         assert plan.ranks() == [0, 1]
+
+    def test_the_engine_numbers_every_object(self):
+        """Ids come from the run's engine: the process-global id counters
+        and by-id registries were deleted, and so was the never-read SQE
+        id."""
+        import inspect
+
+        import repro.api.mpi_adapter as mpi_adapter
+        import repro.collectives.channels as channels
+        import repro.core.recovery as recovery
+        import repro.ncclsim.ops as ops
+        from repro.core.queues import Sqe
+
+        for module, names in (
+                (channels, ("channel_by_id", "_channel_ids",
+                            "_communicator_ids", "_channels_by_id")),
+                (ops, ("op_by_id", "_op_ids", "_ops_by_id")),
+                (mpi_adapter, ("_mpi_op_ids",))):
+            for name in names:
+                assert not hasattr(module, name), name
+        assert not hasattr(Sqe(0, 0), "sqe_id")
+        assert "id(backend)" not in inspect.getsource(recovery)
 
 
 class TestNoInternalStringDispatch:

@@ -9,7 +9,6 @@ same trace, clocks, counters, deadlock and final time.
 """
 
 import random
-import re
 
 import pytest
 
@@ -285,20 +284,6 @@ def test_random_scenarios_form_cohorts():
 # -- the DFCCL daemon's grid memo --------------------------------------------------
 
 
-def _canonical(events):
-    """Event reprs with each wait key's id renamed by first appearance: the
-    ids come from process-global counters, so they differ between two runs
-    in one interpreter."""
-    seen = {}
-
-    def rename(match):
-        key = match.groups()
-        return f"({key[0]!r}, #{seen.setdefault(key, len(seen))})"
-
-    return [re.sub(r"\('([\w-]+)', (\d+)\)", rename, repr(event))
-            for event in events]
-
-
 def _dfccl_tree_run():
     from repro.obs import Observability
     from repro.testing import collective_program
@@ -310,7 +295,7 @@ def _dfccl_tree_run():
     obs = Observability(event_capacity=10**7)
     replay_program(program, "dfccl", observability=obs)
     snapshot = obs.metrics.snapshot()
-    return (_canonical(obs.recorder.ring),
+    return (list(obs.recorder.ring),
             (snapshot["engine_retries_passed"],
              snapshot["engine_pass_heap_ops"]))
 

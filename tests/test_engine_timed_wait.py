@@ -241,9 +241,9 @@ def test_deadline_fires_when_no_signal_comes():
     stepped, waited = assert_same_as_stepping(_single([], budget=12))
     assert waited["trace"] == [("s", "gave up", 12.0, 12)]
     # The failed retry that starts the wait and the last one are the only
-    # spinner steps (plus the poster's and the engine's final pass).
-    assert waited["steps"] == 4
-    assert stepped["steps"] == 4 + 11
+    # spinner steps (plus the poster's).
+    assert waited["steps"] == 3
+    assert stepped["steps"] == 3 + 11
 
 
 def test_kill_while_waiting_replays_retries_up_to_the_kill():

@@ -113,6 +113,27 @@ class TestEngine:
         engine.add_actor(_CountdownActor("worker", 2))
         engine.run()  # must terminate despite the forever-blocked daemon
 
+    def test_step_count_counts_actor_steps_only(self):
+        engine = Engine()
+        engine.add_actor(_CountdownActor("worker", 0))
+        engine.run()
+        assert engine.step_count == 1
+        engine.run()  # nothing left to step
+        assert engine.step_count == 1
+
+    def test_each_engine_numbers_its_objects_from_zero(self):
+        first, second = Engine(), Engine()
+        assert [first.next_id("channel") for _ in range(3)] == [0, 1, 2]
+        assert first.next_id("communicator") == 0
+        assert second.next_id("channel") == 0
+
+        actor = _CountdownActor("worker", 0)
+        first.keep("thing", 5, actor)
+        assert first.object_by_id("thing", 5) is actor
+        assert second.object_by_id("thing", 5) is None
+        del actor
+        assert first.object_by_id("thing", 5) is None
+
     def test_sleeping_actor_preserves_causality(self):
         """A sleeper must not observe state written at a later virtual time."""
         engine = Engine()

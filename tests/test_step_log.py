@@ -7,11 +7,14 @@ between them.  The digests are pinned, so a change that claims to keep the
 simulation exact (a faster burst, a cheaper daemon step, a different wake-up
 path) must reproduce the log event for event.
 
-A case runs in a fresh interpreter because channel and communicator ids come
-from process-global counters and show up in wait keys; it runs under two hash
-seeds because the step order must not depend on memory addresses or string
-hashes.  ``python tests/test_step_log.py CASE`` prints a case's event count
-and digest.
+The cases run under two hash seeds, because the step order must not depend
+on memory addresses or string hashes: one interpreter per seed computes all
+of them in order.  That one interpreter serves every case because a run
+numbers its channels, communicators and ops itself (each engine counts from
+0), so its log does not depend on what ran before it; the last test checks
+that in this process, on every backend.  ``python tests/test_step_log.py
+[CASE ...]`` prints each case's name, event count and digest (all cases by
+default).
 
 ``dfccl-fig13-3d-16gpu`` is Fig. 13's ``3d-16gpu`` GPT-2 run on dfccl (two
 iterations, one of them warm-up): its 16 daemons spin and preempt in
@@ -100,25 +103,85 @@ def step_log_digest(name):
     return len(obs.recorder.ring), digest.hexdigest()
 
 
-def _digest_in_subprocess(name, hash_seed):
+@pytest.fixture(scope="module")
+def digests_by_hash_seed():
+    """``hash seed -> {name: (event count, sha256)}`` of every case, from
+    one interpreter per seed (the two run side by side)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         path for path in (os.path.join(ROOT, "src"), env.get("PYTHONPATH"))
         if path)
-    env["PYTHONHASHSEED"] = str(hash_seed)
-    completed = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), name], cwd=ROOT, env=env,
-        stdout=subprocess.PIPE, text=True, timeout=600, check=True)
-    count, digest = completed.stdout.split()
-    return int(count), digest
+    processes = {
+        hash_seed: subprocess.Popen(
+            [sys.executable, os.path.abspath(__file__)], cwd=ROOT,
+            env=dict(env, PYTHONHASHSEED=str(hash_seed)),
+            stdout=subprocess.PIPE, text=True)
+        for hash_seed in (0, 1)
+    }
+    digests = {}
+    try:
+        for hash_seed, process in processes.items():
+            out, _ = process.communicate(timeout=600)
+            assert process.returncode == 0, hash_seed
+            digests[hash_seed] = {
+                name: (int(count), digest)
+                for name, count, digest in map(str.split, out.splitlines())}
+    finally:
+        for process in processes.values():
+            process.kill()
+    return digests
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_step_log_matches_its_pinned_digest_under_two_hash_seeds(name):
-    for hash_seed in (0, 1):
-        assert _digest_in_subprocess(name, hash_seed) == PINNED[name], \
-            hash_seed
+def test_step_log_matches_its_pinned_digest_under_two_hash_seeds(
+        name, digests_by_hash_seed):
+    for hash_seed, digests in digests_by_hash_seed.items():
+        assert digests[name] == PINNED[name], hash_seed
+
+
+def _interleaved_logs(programs, backend, window_us):
+    """Each program's flight-recorder events on ``backend``.
+
+    Every program's cluster is built first; then the clusters take turns,
+    each running to the next multiple of ``window_us`` until its run is
+    over, so their construction and their steps interleave.  A window's end
+    settles timed waiters (their next retry becomes a step), so only logs
+    of equal windows compare.
+    """
+    from repro.obs import Observability
+    from repro.testing.differential import install_program
+
+    runs = []
+    for program in programs:
+        obs = Observability(event_capacity=10**6)
+        cluster, _, _ = install_program(program, backend, observability=obs)
+        runs.append((cluster, obs))
+    until_us, live = 0.0, [cluster for cluster, _ in runs]
+    while live:
+        until_us += window_us
+        live = [cluster for cluster in live
+                if cluster.run(until_us=until_us) >= until_us]
+    for cluster, _ in runs:
+        cluster.close()
+    return [list(obs.recorder.ring) for _, obs in runs]
+
+
+@pytest.mark.parametrize("backend", ["dfccl", "mpi", "nccl"])
+def test_a_run_logs_the_same_events_whatever_ran_before_it(backend):
+    """A program run twice in this process logs the same events both times,
+    ids in wait keys and step details included; so does each of two
+    programs whose clusters are built and run interleaved."""
+    from repro.testing.fuzz import program_at
+
+    first, second = program_at(7, 0), program_at(1, 3)
+    (log,) = _interleaved_logs([first], backend, first.deadline_us)
+    assert _interleaved_logs([first], backend, first.deadline_us) == [log]
+
+    solo = [_interleaved_logs([program], backend, 10.0)[0]
+            for program in (first, second)]
+    assert _interleaved_logs([first, second], backend, 10.0) == solo
 
 
 if __name__ == "__main__":
-    print(*step_log_digest(sys.argv[1]))
+    for name in sys.argv[1:] or sorted(PINNED):
+        print(name, *step_log_digest(name))

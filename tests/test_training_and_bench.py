@@ -190,9 +190,9 @@ class TestHarnessExactness:
                                   1 << 20)["bandwidth_gbps"] == 0.6709941640217058
 
     @pytest.mark.parametrize("backend,now,steps", [
-        ("dfccl", 581.6509828571423, 220),
-        ("nccl", 548.7009828571424, 168),
-        ("mpi", 1563.22, 65),
+        ("dfccl", 581.6509828571423, 219),
+        ("nccl", 548.7009828571424, 167),
+        ("mpi", 1563.22, 64),
     ])
     def test_demo_run_is_pinned(self, backend, now, steps):
         from repro.obs.report import demo_run
