@@ -20,7 +20,6 @@ class Poller(Actor):
     def __init__(self, rank_ctx):
         super().__init__(f"dfccl-poller-r{rank_ctx.global_rank}")
         self.ctx = rank_ctx
-        self.callbacks_run = 0
 
     def _drain_cq(self):
         drained = 0
@@ -28,7 +27,6 @@ class Poller(Actor):
             cqe = self.ctx.cq.pop()
             self.clock.advance(CALLBACK_COST_US)
             self.ctx.deliver_completion(cqe, self.clock)
-            self.callbacks_run += 1
             drained += 1
         return drained
 

@@ -179,10 +179,6 @@ class GpuDevice(Actor):
         self.fail_time_us = None
         self.slowdown_factor = 1.0
 
-        # Statistics used by experiments.
-        self.launch_count = 0
-        self.sync_count = 0
-        self.kernel_complete_count = 0
         #: Multi-tenant contention statistics: the most distinct tenants ever
         #: co-resident, and how often a launchable stream head was deferred
         #: solely because another tenant held its block slots.
@@ -327,7 +323,6 @@ class GpuDevice(Actor):
             issue_time_us=time_us,
             outstanding=outstanding,
         )
-        self.sync_count += 1
         if not barrier.outstanding:
             barrier.cleared = True
         else:
@@ -380,7 +375,6 @@ class GpuDevice(Actor):
         stream.active += 1
         self.free_blocks -= kernel.grid_size
         self.resident.add(kernel)
-        self.launch_count += 1
         self.clock.advance(self.LAUNCH_OVERHEAD_US)
         self._update_contention()
         kernel.on_launch(self.now)
@@ -398,7 +392,6 @@ class GpuDevice(Actor):
             )
         self.resident.discard(kernel)
         self.free_blocks += kernel.grid_size
-        self.kernel_complete_count += 1
         self._update_contention()
         stream = getattr(kernel, "stream", None)
         if stream is not None:

@@ -63,7 +63,7 @@ import enum
 import heapq
 import itertools
 import weakref
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.common.errors import DeadlockError, SimulationError
@@ -224,9 +224,6 @@ class DeadlockReport:
 class Engine:
     """Smallest-local-clock-first scheduler over a set of actors."""
 
-    #: How many recent signal keys to retain for debugging.
-    SIGNAL_LOG_LIMIT = 4096
-
     def __init__(self, deadlock_mode="raise", observability=None):
         if deadlock_mode not in ("raise", "record"):
             raise ValueError(f"unknown deadlock_mode {deadlock_mode!r}")
@@ -272,7 +269,6 @@ class Engine:
         self._pass_heap_ops = 0
         self._horizon = 0.0
         self.deadlock_report = None
-        self._signal_log = deque(maxlen=self.SIGNAL_LOG_LIMIT)
         self._signals = 0
         #: One id counter per kind of object, and the objects kept for
         #: wait-key attribution, by ``(kind, id)``.
@@ -437,8 +433,6 @@ class Engine:
         ``time_us``, its next retry becomes a step.
         """
         self._signals += 1
-        if self._event_ring is not None:
-            self._signal_log.append(key)
         waiters = self._waiters.pop(key, None)
         if not waiters:
             return 0

@@ -130,7 +130,6 @@ class HostThread(Actor):
         self._program = program or HostProgram([])
         self._iterator = None
         self._current_op = None
-        self.executed_ops = 0
 
     def step(self):
         if self._iterator is None:
@@ -149,5 +148,4 @@ class HostThread(Actor):
                 # Ops never end the whole program; treat as progress.
                 result = StepResult.progress(result.detail)
             self._current_op = None
-            self.executed_ops += 1
         return result

@@ -132,7 +132,6 @@ class ClusterJobRunner:
         self.cluster = cluster
         self.backend = (make_backend(backend, cluster, **knobs)
                         if not isinstance(backend, CollectiveBackend) else backend)
-        self.backend_flavor = self.backend.name
         self.launch_jitter_us = launch_jitter_us
         self.seed = seed
         self.runs = {}

@@ -42,7 +42,6 @@ class Observability:
         self.tracer = SpanTracer(self.recorder)
         self.calibration = deque(maxlen=MAX_CALIBRATION_SAMPLES)
         self.dumps = []
-        self.last_dump = None
         #: Time-attribution log (:class:`~repro.obs.analysis.AnalysisLog`),
         #: ``None`` until :meth:`enable_analysis` opts a run in.  Kept off by
         #: default: attribution traces every executed primitive, which the
@@ -165,7 +164,6 @@ class Observability:
     def auto_dump(self, reason, context=None):
         """Take a dump and retain it (deadlock / recovery / fuzzer hooks)."""
         dumped = self.dump(reason, context=context)
-        self.last_dump = dumped
         self.dumps.append(dumped)
         del self.dumps[:-MAX_DUMPS]
         return dumped

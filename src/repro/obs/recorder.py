@@ -24,8 +24,6 @@ DEFAULT_SPAN_CAPACITY = 2048
 class FlightRecorder:
     def __init__(self, event_capacity=DEFAULT_EVENT_CAPACITY,
                  span_capacity=DEFAULT_SPAN_CAPACITY):
-        self.event_capacity = event_capacity
-        self.span_capacity = span_capacity
         self.ring = deque(maxlen=event_capacity)
         self.spans = deque(maxlen=span_capacity)
 

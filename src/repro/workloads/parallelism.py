@@ -224,7 +224,6 @@ class MoeParallelPlan(ParallelPlan):
                 f"need 1 <= top_k <= num_experts, got top_k={top_k} "
                 f"num_experts={num_experts}"
             )
-        self.num_experts = num_experts
         self.top_k = top_k
         self.capacity_factor = capacity_factor
         self.dp_algorithm = dp_algorithm

@@ -1011,6 +1011,27 @@ class TestRemovedShims:
         assert not hasattr(Sqe(0, 0), "sqe_id")
         assert "id(backend)" not in inspect.getsource(recovery)
 
+    def test_unread_state_is_gone(self):
+        """State nothing in the program read was deleted (each recorder
+        ring's ``maxlen`` is its capacity; ``obs.dumps[-1]`` the last dump)."""
+        import inspect
+
+        from repro.core import poller
+        from repro.gpusim import device, engine, host
+        from repro.multijob import runtime
+        from repro.obs import observability, recorder
+        from repro.workloads import parallelism
+
+        source = "".join(map(inspect.getsource, (
+            engine, poller, host, device, runtime, recorder, observability,
+            parallelism)))
+        for name in ("SIGNAL_LOG_LIMIT", "_signal_log", "callbacks_run",
+                     "executed_ops", "launch_count", "sync_count",
+                     "kernel_complete_count", "backend_flavor",
+                     "self.event_capacity", "self.span_capacity", "last_dump",
+                     "self.num_experts"):
+            assert name not in source, name
+
 
 class TestNoInternalStringDispatch:
     def test_no_backend_string_branches_outside_registry(self):
@@ -1052,23 +1073,39 @@ class TestNoUnreferencedDefinitions:
         "has_cycle": "repro.deadlock models the paper directly (out of scope)",
         "overlap_degree": "repro.deadlock models the paper directly (out of scope)",
     }
+    #: Attributes set under ``src/repro`` that nothing in the program reads,
+    #: kept on purpose (one reason each).
+    ALLOWED_ATTRIBUTES = {
+        "launch_time_us": "a kernel's lifetime, which the contention and "
+                          "stall tests measure",
+        "complete_time_us": "a kernel's lifetime, which the contention and "
+                            "stall tests measure",
+    }
 
     @staticmethod
-    def _unreferenced(defined):
-        """Names ``defined(tree)`` yields for the modules under
-        ``src/repro`` that occur nowhere in ``src/``, ``benchmarks/``,
-        ``examples/`` or ``perfbench/`` besides their own definitions."""
-        import collections
+    def _sources():
+        """``path -> text`` of every module in ``src/``, ``benchmarks/``,
+        ``examples/`` and ``perfbench/``, and the ``src/repro`` folder."""
         import pathlib
-        import re
 
         root = pathlib.Path(__file__).resolve().parent.parent
         texts = {path: path.read_text()
                  for folder in ("src", "benchmarks", "examples", "perfbench")
                  for path in (root / folder).rglob("*.py")}
+        return texts, root / "src" / "repro"
+
+    @classmethod
+    def _unreferenced(cls, defined):
+        """Names ``defined(tree)`` yields for the modules under
+        ``src/repro`` that occur nowhere in ``src/``, ``benchmarks/``,
+        ``examples/`` or ``perfbench/`` besides their own definitions."""
+        import collections
+        import re
+
+        texts, package = cls._sources()
         definitions = collections.Counter()
         for path, text in texts.items():
-            if (root / "src" / "repro") in path.parents:
+            if package in path.parents:
                 definitions.update(defined(ast.parse(text)))
         occurrences = collections.Counter()
         for text in texts.values():
@@ -1107,3 +1144,24 @@ class TestNoUnreferencedDefinitions:
                         yield target.id
 
         assert self._unreferenced(defined) == set()
+
+    def test_every_attribute_is_read(self):
+        """The same rule for state: every ``self.<name> = ...`` under
+        ``src/repro`` has a load of ``.<name>``, or a ``"<name>"`` string,
+        somewhere in the program; an attribute only tests read is deleted."""
+        texts, package = self._sources()
+        assigned, read = set(), set()
+        for path, text in texts.items():
+            in_package = package in path.parents
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, ast.Attribute):
+                    if isinstance(node.ctx, ast.Load):
+                        read.add(node.attr)
+                    elif (in_package and isinstance(node.ctx, ast.Store)
+                          and isinstance(node.value, ast.Name)
+                          and node.value.id == "self"):
+                        assigned.add(node.attr)
+                elif (isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)):
+                    read.add(node.value)
+        assert assigned - read == set(self.ALLOWED_ATTRIBUTES)

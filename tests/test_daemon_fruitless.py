@@ -2,23 +2,23 @@
 
 When a pass over the task queue preempts every entry, the daemon waits out
 the passes that would fail the same way, up to the pass start that quits
-(``DaemonKernel._wait_fruitless``).  Each case runs twice: as is, and with
-that plan refused, so every fruitless pass is stepped (its spin waits still
-timed).  Both runs must agree on everything simulated: the final time, the
-per-work results, every ``DaemonStats`` field but ``spin_waits`` and each
-daemon generation's ``ContextStats``.  The plan changes only how many engine
-steps a run takes.
+(``DaemonKernel._wait_fruitless``).  Each case runs through the step-log
+oracle (``test_step_log.assert_elisions_exact``): as is, and with every
+retry of every timed wait stepped.  Both runs must agree on everything
+simulated: the final time, the per-work results, every ``DaemonStats``
+field but ``spin_waits`` and each daemon generation's ``ContextStats``; and
+the elided step log must be the stepped one minus elidable daemon steps.
+The waits change only how many engine steps a run takes.
 """
 
 from collections import namedtuple
-from contextlib import ExitStack, contextmanager
-from dataclasses import asdict
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
 
 from repro.api import make_backend, wait_all
-from repro.bench.training_experiments import GPT2_CASES, TRAINING_CHUNK_BYTES
+from repro.bench.training_experiments import TRAINING_CHUNK_BYTES
 from repro.core import DfcclConfig
 from repro.core.api import RankContext
 from repro.core.daemon import DaemonKernel
@@ -27,15 +27,14 @@ from repro.faults.scenarios import run_dfccl_chaos
 from repro.gpusim import build_cluster
 from repro.gpusim.engine import Engine
 from repro.gpusim.host import CallHook, CpuCompute, HostProgram
-from repro.testing import replay_program
 from repro.testing.fuzz import program_at
 from repro.workloads import (
     GroupTrainingBackend,
     ParallelPlan,
     TrainingRun,
-    gpt2_model,
     resnet50_model,
 )
+from test_step_log import assert_elisions_exact, replayed
 
 
 #: One fruitless-pass replay: the rank, the clock after it, the steps it
@@ -52,24 +51,13 @@ def _in_fruitless_wait(actor):
 
 
 @contextmanager
-def observed(fruitless=True):
-    """Record the engines run, the daemons launched, each fruitless-pass
-    :class:`Replay` and the kills and recovery rebinds that reached a
-    fruitless wait; ``fruitless=False`` refuses every plan."""
-    seen = {"engines": [], "daemons": [], "replays": [], "settled": []}
-    engine_run = Engine.run
-    launch = DaemonKernel.on_launch
+def observed(seen):
+    """Record into ``seen`` each fruitless-pass :class:`Replay` and the
+    kills and recovery rebinds that reached a fruitless wait."""
+    seen.update(replays=[], settled=[])
     replay_passes = DaemonKernel._replay_passes
     kill_actor = Engine.kill_actor
     recover = RankContext.recover_invocation
-
-    def record_run(engine, until_us=None):
-        seen["engines"].append(engine)
-        return engine_run(engine, until_us)
-
-    def record_launch(daemon, time_us):
-        seen["daemons"].append(daemon)
-        return launch(daemon, time_us)
 
     def record_replay(daemon, wait, count):
         replay_passes(daemon, wait, count)
@@ -90,52 +78,19 @@ def observed(fruitless=True):
             seen["settled"].append("recover")
         return recover(ctx, invocation, time_us)
 
-    with ExitStack() as stack:
-        for name, patch in (("on_launch", record_launch),
-                            ("_replay_passes", record_replay)):
-            stack.enter_context(mock.patch.object(DaemonKernel, name, patch))
-        for name, patch in (("run", record_run), ("kill_actor", record_kill)):
-            stack.enter_context(mock.patch.object(Engine, name, patch))
-        stack.enter_context(mock.patch.object(
-            RankContext, "recover_invocation", record_recover))
-        if not fruitless:
-            stack.enter_context(mock.patch.object(
-                DaemonKernel, "_wait_fruitless", lambda daemon: None))
-        yield seen
-
-
-def simulated(daemon_stats, daemons):
-    """Every ``DaemonStats`` field but ``spin_waits`` per rank, and each
-    daemon generation's ``ContextStats`` per rank."""
-    stats = {}
-    for rank, rank_stats in daemon_stats.items():
-        fields = asdict(rank_stats)
-        del fields["spin_waits"]
-        stats[rank] = fields
-    contexts = {}
-    for daemon in daemons:
-        contexts.setdefault(daemon.ctx.global_rank, []).append(
-            asdict(daemon.active_cache.stats))
-    return stats, contexts
+    with mock.patch.object(DaemonKernel, "_replay_passes", record_replay), \
+            mock.patch.object(Engine, "kill_actor", record_kill), \
+            mock.patch.object(RankContext, "recover_invocation",
+                              record_recover):
+        yield
 
 
 def run_both(run):
-    """Run ``run() -> (comparable result, daemon stats by rank)`` with and
-    without the plan and assert they agree; returns the engine steps of
-    both runs and what the planned run recorded."""
-    outcomes = []
-    for fruitless in (True, False):
-        with observed(fruitless) as seen:
-            result, daemon_stats = run()
-        steps = sum(engine.step_count for engine in seen["engines"])
-        outcomes.append((result, simulated(daemon_stats, seen["daemons"]),
-                         steps, seen))
-    (planned, planned_state, planned_steps, seen), \
-        (stepped, stepped_state, stepped_steps, _) = outcomes
-    assert planned == stepped
-    assert planned_state == stepped_state
-    assert planned_steps <= stepped_steps
-    return planned_steps, stepped_steps, seen
+    """Run ``run() -> (comparable result, daemon stats by rank)`` through the
+    step-log oracle; returns what the elided run recorded."""
+    seen = {}
+    assert_elisions_exact(run, elided=observed(seen))
+    return seen
 
 
 def ended_early(seen, rank=None):
@@ -155,21 +110,13 @@ FUZZ_PROGRAMS = ([(0, index, 8, 0.15) for index in (0, 3, 9, 11, 12, 16,
                  + [(5, index, 32, 1.0) for index in range(3)])
 
 
-def _replay(program, **knobs):
-    def run():
-        result = replay_program(program, "dfccl", **knobs)
-        return ((result.comparable_state(), result.time_us),
-                result.diagnostics["daemon_stats"])
-    return run
-
-
 @pytest.mark.parametrize("seed, index, max_ranks, fault_fraction",
                          FUZZ_PROGRAMS)
 def test_fuzz_program_matches_stepping(seed, index, max_ranks,
                                        fault_fraction):
     program = program_at(seed, index, max_ranks=max_ranks,
                          fault_fraction=fault_fraction)
-    run_both(_replay(program))
+    run_both(replayed(program))
 
 
 @pytest.mark.parametrize("config", [DfcclConfig(ordering="priority"),
@@ -179,7 +126,7 @@ def test_fuzz_programs_match_stepping_under_both_policies(config):
     replays = 0
     for index in range(12):
         program = program_at(2, index, fault_fraction=0.5)
-        *_, seen = run_both(_replay(program, config=config))
+        seen = run_both(replayed(program, config=config))
         replays += len(seen["replays"])
     assert replays > 0
 
@@ -189,8 +136,9 @@ def test_fuzz_programs_plan_fruitless_passes():
     for seed, index, max_ranks, fault_fraction in FUZZ_PROGRAMS:
         program = program_at(seed, index, max_ranks=max_ranks,
                              fault_fraction=fault_fraction)
-        with observed() as seen:
-            replay_program(program, "dfccl")
+        seen = {}
+        with observed(seen):
+            replayed(program)()
         replays += seen["replays"]
     assert len(replays) > 20
     assert ended_early({"replays": replays})
@@ -218,26 +166,6 @@ def test_fig11_matches_stepping(knobs):
         return result.throughput_samples_per_s, stats
 
     run_both(run)
-
-
-def test_fig13_3d_16gpu_matches_stepping_in_fewer_steps():
-    params = GPT2_CASES["3d-16gpu"]
-    plan = ParallelPlan(gpt2_model(params["variant"]), tp=params["tp"],
-                        dp=params["dp"], pp=params["pp"], microbatch_size=18,
-                        num_microbatches=2, grad_buckets=8)
-
-    def run():
-        cluster = build_cluster(params["topology"])
-        backend = GroupTrainingBackend(cluster, "dfccl",
-                                       chunk_bytes=TRAINING_CHUNK_BYTES)
-        result = TrainingRun(cluster, plan, backend, iterations=2,
-                             warmup=1).run()
-        stats = {rank: backend.stats(rank) for rank in range(16)}
-        return result.mean_iteration_time_ms, stats
-
-    planned_steps, stepped_steps, seen = run_both(run)
-    assert planned_steps < stepped_steps
-    assert seen["replays"]
 
 
 # -- what ends a multi-pass wait ----------------------------------------------
@@ -303,7 +231,7 @@ def test_push_on_another_entrys_channel_ends_the_wait():
     passes have reached ``A``."""
     positions = []
     for delay_us in (300.0, 500.0, 900.0, 1300.0, 1700.0):
-        *_, seen = run_both(broadcasts(delay_us))
+        seen = run_both(broadcasts(delay_us))
         positions += [replay.position for replay in ended_early(seen, rank=0)]
     assert COLL_A in positions
 
@@ -311,7 +239,7 @@ def test_push_on_another_entrys_channel_ends_the_wait():
 def test_sqe_submit_ends_the_wait():
     early = []
     for late_submit_us in (150.0, 400.0, 800.0):
-        *_, seen = run_both(broadcasts(LATE_US, late_submit_us=late_submit_us))
+        seen = run_both(broadcasts(LATE_US, late_submit_us=late_submit_us))
         early += [replay for replay in ended_early(seen, rank=0)
                   if replay.now < LATE_US]
     assert early
@@ -323,7 +251,7 @@ def test_destroy_ends_the_wait():
 
     early = []
     for delay_us in (150.0, 400.0):
-        *_, seen = run_both(broadcasts(
+        seen = run_both(broadcasts(
             LATE_US, rank0=actions((delay_us, destroy))))
         early += [replay for replay in ended_early(seen, rank=0)
                   if replay.now < LATE_US]
@@ -340,7 +268,7 @@ def test_rate_change_settles_the_wait():
     rates = set()
     early = []
     for delay_us in (150.0, 400.0, 700.0):
-        *_, seen = run_both(broadcasts(
+        seen = run_both(broadcasts(
             LATE_US, rank0=actions((delay_us, slow), (900.0, restore))))
         rates |= {replay.rate for replay in seen["replays"]
                   if replay.rank == 0}
@@ -358,7 +286,7 @@ def test_recovery_rebinding_settles_the_wait():
         return ((result.comparable_state(), result.time_us),
                 result.diagnostics["daemon_stats"])
 
-    *_, seen = run_both(run)
+    seen = run_both(run)
     assert "recover" in seen["settled"]
 
 
@@ -368,7 +296,7 @@ def test_kill_settles_the_wait():
 
     settled = []
     for delay_us in (150.0, 400.0, 700.0):
-        *_, seen = run_both(broadcasts(LATE_US,
+        seen = run_both(broadcasts(LATE_US,
                                        rank0=actions((delay_us, crash))))
         settled += seen["settled"]
     assert "kill" in settled
@@ -390,7 +318,7 @@ def test_abort_during_a_pass_refuses_the_plan():
 def test_run_stopping_at_until_us_settles_the_wait():
     early = []
     for until_us in (250.0, 380.0, 470.0, 555.0):
-        *_, seen = run_both(broadcasts(LATE_US, until_us=until_us))
+        seen = run_both(broadcasts(LATE_US, until_us=until_us))
         early += ended_early(seen, rank=0)
     assert early
 

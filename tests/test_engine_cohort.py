@@ -2,13 +2,15 @@
 
 Spinners in lock-step that return one shared retry grid are passed by the
 engine as a cohort: a round (one retry of each member) costs one heap
-operation.  Each scenario runs three ways: one step per retry, timed waits
-whose equal grids are one shared object (cohorts), and timed waits with a
-grid of their own per wait (one-by-one passing).  All three must leave the
-same trace, clocks, counters, deadlock and final time.
+operation.  Each scenario runs three ways: one step per retry (the step-log
+oracle's seam, ``test_step_log.stepped``), timed waits whose equal grids are
+one shared object (cohorts), and timed waits with a grid of their own per
+wait (one-by-one passing).  All three must leave the same trace, clocks,
+counters, deadlock and final time.
 """
 
 import random
+from contextlib import nullcontext
 
 import pytest
 
@@ -24,6 +26,7 @@ from test_engine_timed_wait import (
     _wake,
     run_scenario,
 )
+from test_step_log import stepped
 
 MODES = ("stepped", "cohort", "solo")
 
@@ -85,18 +88,18 @@ class CohortInspector(Actor):
 
 
 def scenario(spinners, posts=(), meddles=(), inspect_until=None):
-    """``make(boxes, trace, timed, grids) -> actors``: ``spinners`` are
+    """``make(boxes, trace, grids) -> actors``: ``spinners`` are
     ``GridSpinner`` keyword dicts, each on its own box unless it names one;
     ``posts`` are ``(spinner index, times)``, ``meddles`` ``(spinner index,
     at_us, action)``."""
 
-    def make(boxes, trace, timed, grids):
+    def make(boxes, trace, grids):
         specs = [dict({"box": f"box{index}"}, **spec)
                  for index, spec in enumerate(spinners)]
         for spec in specs:
             boxes[spec["box"]] = 0
-        actors = [GridSpinner(f"s{index}", boxes, trace, timed=timed,
-                              grids=grids, **spec)
+        actors = [GridSpinner(f"s{index}", boxes, trace, grids=grids,
+                              **spec)
                   for index, spec in enumerate(specs)]
         actors += [Poster(f"p{number}", boxes, trace, specs[index]["box"],
                           times)
@@ -111,8 +114,8 @@ def scenario(spinners, posts=(), meddles=(), inspect_until=None):
 
 
 def _build(make, mode, seen):
-    def build(boxes, trace, timed):
-        actors = make(boxes, trace, timed, {} if mode == "cohort" else None)
+    def build(boxes, trace):
+        actors = make(boxes, trace, {} if mode == "cohort" else None)
         seen.extend(actors)
         return actors
     return build
@@ -206,13 +209,13 @@ def test_run_until_lands_mid_round(until_us):
 
 def _run_resumed(make, mode, until_us):
     boxes, trace = {}, []
-    actors = make(boxes, trace, mode != "stepped",
-                  {} if mode == "cohort" else None)
+    actors = make(boxes, trace, {} if mode == "cohort" else None)
     engine = Engine(deadlock_mode="record")
     engine.add_actors(actors)
-    stop = engine.run(until_us=until_us)
-    clocks = [(actor.name, actor.now) for actor in actors]
-    end = engine.run()
+    with stepped() if mode == "stepped" else nullcontext():
+        stop = engine.run(until_us=until_us)
+        clocks = [(actor.name, actor.now) for actor in actors]
+        end = engine.run()
     spinners = [(actor.name, actor.now, actor.polls, actor.left)
                 for actor in actors if isinstance(actor, Spinner)]
     return trace, stop, clocks, end, spinners
@@ -284,7 +287,9 @@ def test_random_scenarios_form_cohorts():
 # -- the DFCCL daemon's grid memo --------------------------------------------------
 
 
-def _dfccl_tree_run():
+def _dfccl_tree_gauges():
+    """``(engine_retries_passed, engine_pass_heap_ops)`` of a 64-rank dfccl
+    tree all-reduce (``test_step_log.py`` checks its log against stepping)."""
     from repro.obs import Observability
     from repro.testing import collective_program
     from repro.testing.differential import replay_program
@@ -292,23 +297,19 @@ def _dfccl_tree_run():
     program = collective_program(
         "fat-tree-64", 64, "all_reduce", 1 << 20, rounds=2,
         chunk_bytes=128 << 10, algorithm="tree")
-    obs = Observability(event_capacity=10**7)
+    obs = Observability()
     replay_program(program, "dfccl", observability=obs)
     snapshot = obs.metrics.snapshot()
-    return (list(obs.recorder.ring),
-            (snapshot["engine_retries_passed"],
-             snapshot["engine_pass_heap_ops"]))
+    return snapshot["engine_retries_passed"], snapshot["engine_pass_heap_ops"]
 
 
 def test_grid_memo_is_cache_neutral(monkeypatch):
     from repro.core import daemon
 
-    shared_log, (passed, heap_ops) = _dfccl_tree_run()
+    passed, heap_ops = _dfccl_tree_gauges()
     monkeypatch.setattr(daemon, "_spin_grid", daemon._spin_grid.__wrapped__)
     monkeypatch.setattr(daemon, "_pass_grid", daemon._pass_grid.__wrapped__)
-    own_log, own_gauges = _dfccl_tree_run()
-    assert own_log == shared_log
     # Without the memo every wait has a grid of its own: one heap operation
     # per passed retry.  With it, lock-step daemons pass as cohorts.
-    assert own_gauges == (passed, passed)
+    assert _dfccl_tree_gauges() == (passed, passed)
     assert 0 < heap_ops < passed

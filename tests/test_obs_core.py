@@ -145,8 +145,8 @@ class TestFlightRecorder:
         engine.run()
 
         assert engine.deadlock_report is not None
-        dump = engine.obs.last_dump
-        assert dump is not None and dump["reason"] == "deadlock"
+        (dump,) = engine.obs.dumps
+        assert dump["reason"] == "deadlock"
         assert set(dump["context"]["blocked_actors"]) == {"actor-a", "actor-b"}
         assert set(dump["context"]["wait_graph"]) == {"actor-a", "actor-b"}
         assert engine.obs.metrics.snapshot()["engine_deadlocks"] == 1
