@@ -52,7 +52,7 @@ class CollectivePlan:
     """
 
     def __init__(self, spec, devices, interconnect, algorithm, chunk_bytes,
-                 excluded=(), generation=0, previous=None):
+                 excluded=(), previous=None):
         if chunk_bytes <= 0:
             raise ConfigurationError(
                 f"chunk_bytes must be positive, got {chunk_bytes}")
@@ -60,7 +60,9 @@ class CollectivePlan:
         self.devices = tuple(devices)
         self.interconnect = interconnect
         self.chunk_bytes = chunk_bytes
-        self.generation = generation
+        #: How many memberships came before this one: ``previous``'s
+        #: generation plus one.
+        self.generation = 0 if previous is None else previous.generation + 1
         self.active_ranks = tuple(rank for rank in range(len(self.devices))
                                   if rank not in excluded)
         self.active_set = frozenset(self.active_ranks)
@@ -251,8 +253,10 @@ class CollectiveRun:
     def mark_complete(self, rank, time_us, executor=None):
         """Record ``rank``'s completion and close its span.
 
-        ``executor`` puts the primitive indices it ran on the span: the
-        analysis layer joins spans to execution traces through them.
+        ``executor`` puts the primitives it ran on the span: the analysis
+        layer joins spans to execution traces through them.  Its
+        ``position`` is never rewound (recovery compiles a new executor), so
+        it is both the count executed and the final position.
         """
         if rank in self.complete_times:
             raise InvalidStateError(f"{self.name} #{self.index} completed "
@@ -264,8 +268,7 @@ class CollectiveRun:
         span = self._spans.pop(rank, None)
         if span is not None:
             if executor is not None:
-                obs.tracer.end(span, time_us,
-                               primitives=executor.executed_primitives,
+                obs.tracer.end(span, time_us, primitives=executor.position,
                                final_position=executor.position)
             else:
                 obs.tracer.end(span, time_us)

@@ -300,7 +300,6 @@ class PrimitiveExecutor:
         self.communicator = communicator
         #: The :class:`Schedule` (immutable, shared with whoever compiled it).
         self.primitives = schedule
-        self.executed_primitives = 0
         #: The run cursor of ``position``: the loop bodies still to walk, the
         #: current one (``None`` past the end), the run in it and the offset
         #: in that run.
@@ -575,5 +574,4 @@ class PrimitiveExecutor:
             self._body = body
             self._index = index
             self._offset = offset
-            self.executed_primitives += executed
         return executed, outcome

@@ -37,7 +37,6 @@ from repro.core.scheduling import (
     FifoOrderingPolicy,
     NaiveSpinPolicy,
     PriorityOrderingPolicy,
-    TaskQueue,
 )
 
 __all__ = [
@@ -58,7 +57,6 @@ __all__ = [
     "RecoveryStats",
     "RegisteredCollective",
     "SubmissionQueue",
-    "TaskQueue",
     "VanillaRingCQ",
     "make_completion_queue",
 ]

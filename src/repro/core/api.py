@@ -48,13 +48,13 @@ class RankContext:
         self.daemon_block_size = 256
         self.stats = DaemonStats()
 
-        self.outstanding = 0
         self.destroyed = False
         self.finally_exited = False
 
-        #: Submitted-but-not-yet-delivered invocations with their submit
-        #: times; the recovery manager scans this for CQE timeouts.
-        self._inflight = {}
+        #: Submitted-but-not-yet-delivered (outstanding) invocations with
+        #: their submit times; the recovery manager scans this for CQE
+        #: timeouts.
+        self.inflight = {}
         self._pending_entries = []
         self._daemon_generation = 0
         self._last_quit_time_us = 0.0
@@ -119,8 +119,7 @@ class RankContext:
                 submit_time_us=time_us,
             )
         )
-        self.outstanding += 1
-        self._inflight[invocation] = time_us
+        self.inflight[invocation] = time_us
         engine = self.cluster.engine
         engine.signal(self.submitted_key, time_us)
         self.ensure_daemon_running(time_us)
@@ -203,8 +202,8 @@ class RankContext:
         Entries still in the SQ or handed back by a quit compile it when a
         daemon adopts them.
         """
-        if invocation in self._inflight:
-            self._inflight[invocation] = time_us
+        if invocation in self.inflight:
+            self.inflight[invocation] = time_us
         daemon = self.current_daemon
         if daemon is None:
             # The daemon quit while the collective was stuck; relaunch it
@@ -228,7 +227,7 @@ class RankContext:
         if self.device.failed:
             return
         for invocation in coll.invocations:
-            if (invocation in self._inflight
+            if (invocation in self.inflight
                     and not invocation.is_done(self.group_rank_for(coll))):
                 raise InvalidStateError(
                     f"cannot unregister collective {coll.coll_id} on rank "
@@ -261,11 +260,8 @@ class RankContext:
         group_rank = self.group_rank_for(invocation.coll)
         if not invocation.mark_aborted(group_rank, time_us=time_us):
             return False
-        if group_rank in invocation.start_times:
-            # The submit charged an outstanding slot that no CQE will ever
-            # release.
-            self.outstanding -= 1
-            self._inflight.pop(invocation, None)
+        # A submitted part is outstanding, and no CQE will ever release it.
+        self.inflight.pop(invocation, None)
         self.cluster.engine.signal(
             invocation.completion_key(group_rank), time_us)
         return True
@@ -277,8 +273,7 @@ class RankContext:
         invocation = coll.invocation(cqe.invocation_id)
         group_rank = self.group_rank_for(coll)
         invocation.deliver(group_rank)
-        self.outstanding -= 1
-        self._inflight.pop(invocation, None)
+        self.inflight.pop(invocation, None)
         self.cluster.engine.signal(invocation.completion_key(group_rank), clock.now)
 
     # -- destruction --------------------------------------------------------------------------

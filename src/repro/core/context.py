@@ -31,7 +31,6 @@ from repro.core.config import (
 class ContextStats:
     """Counters for the overhead analysis of Fig. 7 and Fig. 11."""
 
-    loads: int = 0
     saves: int = 0
     lazy_save_skips: int = 0
     cache_hits: int = 0
@@ -95,7 +94,6 @@ class ActiveContextCache:
             self.stats.saves += 1
             self.stats.save_time_us += CONTEXT_SAVE_COST_US
         charged += self._charge(CONTEXT_LOAD_COST_US)
-        self.stats.loads += 1
         self.stats.load_time_us += CONTEXT_LOAD_COST_US
         slot.coll_id = coll_id
         slot.dirty = False

@@ -51,12 +51,7 @@ from repro.core.config import (
 )
 from repro.core.context import ActiveContextCache
 from repro.core.queues import Cqe
-from repro.core.scheduling import (
-    TaskEntry,
-    TaskQueue,
-    make_ordering_policy,
-    make_spin_policy,
-)
+from repro.core.scheduling import TaskEntry, make_ordering_policy, make_spin_policy
 from repro.gpusim.device import KernelActor
 from repro.gpusim.engine import StepResult
 
@@ -211,9 +206,8 @@ class DaemonKernel(KernelActor):
         self.generation = generation
         self.stats = rank_ctx.stats
 
-        self.task_queue = TaskQueue()
-        #: The task queue's live list, read on every step.
-        self._entries = self.task_queue.items
+        #: The task queue (held in shared memory), in queue order.
+        self.task_queue = []
         self.ordering = make_ordering_policy(rank_ctx.config)
         self.spin_policy = make_spin_policy(rank_ctx.config)
         self.active_cache = ActiveContextCache(clock=self.clock)
@@ -344,12 +338,7 @@ class DaemonKernel(KernelActor):
                 return (self._wait_fruitless()
                         or StepResult.progress("idle: polling SQ"))
 
-        entries = self._entries
-        if self._queue_pos >= len(entries):
-            self._end_pass()
-            return StepResult.progress("pass wrap")
-
-        entry = entries[self._queue_pos]
+        entry = self.task_queue[self._queue_pos]
         invocation = entry.invocation
         if (invocation.coll.abandoned
                 or entry.group_rank in invocation.aborted_ranks):
@@ -445,7 +434,6 @@ class DaemonKernel(KernelActor):
             spin_time = polls * POLL_COST_US
             self.clock.advance(spin_time)
             entry.spin_remaining -= polls
-            entry.spin_polls += polls
             self.stats.spin_polls += polls
             self.stats.spin_time_us += spin_time
             entry.spin_quantum = min(entry.spin_quantum * 2, SPIN_BATCH)
@@ -572,7 +560,7 @@ class DaemonKernel(KernelActor):
         entry = wait.entry
         if entry is None:
             return self._replay_passes(wait, count)
-        polls = entry.spin_polls
+        polls = self.stats.spin_polls
         self.active_cache.stats.cache_hits += count
         for _ in range(count):
             self._spin(entry)
@@ -580,7 +568,7 @@ class DaemonKernel(KernelActor):
         if obs.enabled:
             obs.recorder.record_event(self.clock.now, "daemon", "spin wait", {
                 "coll_id": entry.coll_id, "wait_key": wait.key,
-                "polls": entry.spin_polls - polls})
+                "polls": self.stats.spin_polls - polls})
 
     def _replay_passes(self, wait, count):
         """Replay ``count`` steps of fruitless or idle passes: whole passes in
@@ -603,13 +591,10 @@ class DaemonKernel(KernelActor):
             misses = len(plan.loads) * passes
             cache.cache_hits += plan.cache_hits * passes
             cache.cache_misses += misses
-            cache.loads += misses
             cache.load_time_us = reduce(add, plan.loads * passes,
                                         cache.load_time_us)
             cache.lazy_save_skips += len(self.task_queue) * passes
-            for entry, threshold in zip(self.task_queue, plan.thresholds):
-                entry.spin_polls += threshold * passes
-                entry.context_switches += passes
+            for entry in self.task_queue:
                 entry.invocation.add_context_switch(entry.group_rank, passes)
         for _ in range(steps):
             if self._pass_needs_init:
@@ -637,7 +622,6 @@ class DaemonKernel(KernelActor):
     def _preempt_entry(self, entry):
         self.active_cache.save_on_preempt(entry.coll_id, entry.progressed_since_load)
         entry.progressed_since_load = False
-        entry.context_switches += 1
         entry.invocation.add_context_switch(entry.group_rank)
         self.stats.preemptions += 1
         self._queue_pos += 1
@@ -662,8 +646,8 @@ class DaemonKernel(KernelActor):
         invocation.completion_signatures[group_rank] = (
             invocation.participant_signature())
         self.stats.record_invocation_switches(
-            invocation.invocation_id, entry.context_switches
-        )
+            invocation.invocation_id,
+            invocation.context_switches.get(group_rank, 0))
         self.active_cache.evict(entry.coll_id)
         self.task_queue.remove(entry)
         self.ctx.on_gpu_complete(invocation, self.now)
@@ -679,7 +663,7 @@ class DaemonKernel(KernelActor):
 
     def _exit(self, final):
         # Save the dynamic context of anything that progressed since its last save.
-        for entry in self.task_queue.entries():
+        for entry in self.task_queue:
             if entry.progressed_since_load:
                 self.active_cache.save_on_preempt(entry.coll_id, True)
                 entry.progressed_since_load = False
@@ -687,6 +671,6 @@ class DaemonKernel(KernelActor):
             self.stats.final_exits += 1
         else:
             self.stats.voluntary_quits += 1
-        self.ctx.on_daemon_exit(self, final=final, remaining_entries=self.task_queue.entries())
+        self.ctx.on_daemon_exit(self, final=final, remaining_entries=self.task_queue)
         label = "final exit" if final else "voluntary quit"
         return self.complete(f"daemon {label}")

@@ -37,10 +37,10 @@ class Poller(Actor):
 
         drained = self._drain_cq()
 
-        if self.ctx.destroyed and self.ctx.outstanding == 0:
+        if self.ctx.destroyed and not self.ctx.inflight:
             return StepResult.done("rank context destroyed")
 
-        if self.ctx.outstanding > 0:
+        if self.ctx.inflight:
             if not self.ctx.daemon_alive:
                 # Event-driven starting: relaunch the daemon kernel when CQEs
                 # are fewer than SQEs and it is not currently running.

@@ -93,9 +93,9 @@ class RecoveryManager(Actor):
             return StepResult.blocked(
                 [self.rank_registered_key], "recovery manager awaiting ranks"
             )
-        if all(ctx.destroyed and ctx.outstanding == 0 for ctx in contexts):
+        if all(ctx.destroyed and not ctx.inflight for ctx in contexts):
             return StepResult.done("all surviving ranks destroyed")
-        if not any(ctx.outstanding > 0 for ctx in contexts):
+        if not any(ctx.inflight for ctx in contexts):
             keys = [ctx.submitted_key for ctx in contexts]
             keys.append(self.rank_registered_key)
             return StepResult.blocked(keys, "recovery manager idle")
@@ -117,7 +117,7 @@ class RecoveryManager(Actor):
         # scan, however many ranks have one of its invocations in flight.
         failed_by_coll = {}
         for ctx in self._active_contexts():
-            for invocation, submit_time in list(ctx._inflight.items()):
+            for invocation, submit_time in list(ctx.inflight.items()):
                 if now - submit_time < timeout:
                     continue
                 coll = invocation.coll
@@ -194,7 +194,7 @@ class RecoveryManager(Actor):
             coll.communicator.invalidate()
             self._abandon(coll, now)
             return
-        if coll.generation >= MAX_RECOVERIES_PER_COLLECTIVE:
+        if coll.plan.generation >= MAX_RECOVERIES_PER_COLLECTIVE:
             self._abandon(coll, now)
             return
         detection_latency = now - max(
@@ -248,7 +248,7 @@ class RecoveryManager(Actor):
                 communicator = self.backend.pool.acquire(
                     [coll.devices[rank] for rank in rerun], job=coll.job
                 )
-            invocation.begin_recovery(survivors, rerun, communicator)
+            invocation.begin_recovery(rerun, communicator)
             rerun_count += 1
             for rank in rerun:
                 ctx = self.backend.contexts.get(coll.global_ranks[rank])
@@ -264,7 +264,7 @@ class RecoveryManager(Actor):
             survivor_ranks=tuple(survivors),
             invocations_rerun=rerun_count,
             detection_latency_us=detection_latency,
-            generation=coll.generation,
+            generation=coll.plan.generation,
         ))
         obs = self._obs()
         if obs is not None:
@@ -273,7 +273,7 @@ class RecoveryManager(Actor):
                 "failed_ranks": sorted(failed_ranks),
                 "survivor_ranks": list(survivors),
                 "invocations_rerun": rerun_count,
-                "generation": coll.generation,
+                "generation": coll.plan.generation,
             }
             obs.metrics.counter("recovery_episodes").inc()
             obs.metrics.counter("recovery_invocations_rerun").inc(rerun_count)

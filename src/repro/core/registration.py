@@ -35,13 +35,12 @@ class RegisteredCollective:
         #: The pooled communicator of the current membership.
         self.communicator = communicator
         #: Elastic-recovery state: original group ranks excluded by failure,
-        #: how many times the group was rebuilt, and whether recovery gave up
-        #: (e.g. the root of a rooted collective died — its data is gone).
+        #: and whether recovery gave up (e.g. the root of a rooted collective
+        #: died — its data is gone).
         self.excluded_ranks = set()
-        self.generation = 0
         self.abandoned = False
         #: Membership, algorithm and cost prediction of the current
-        #: generation.
+        #: generation; ``plan.generation`` counts the group's rebuilds.
         self.plan = self._compile_plan()
         #: The observability hub of the engine the participating devices run
         #: on (``None`` when the devices are unregistered or obs is off).
@@ -54,28 +53,15 @@ class RegisteredCollective:
         self._members = {}
 
     def _compile_plan(self, previous=None):
+        """The plan of the current membership, one generation after
+        ``previous`` (the first plan when ``None``)."""
         # A per-collective spec hint overrides the backend-wide config knob.
         return CollectivePlan(
             self.spec, self.devices, self.interconnect,
             self.spec.algorithm or self.config.algorithm,
             self.config.chunk_bytes, excluded=self.excluded_ranks,
-            generation=self.generation, previous=previous,
+            previous=previous,
         )
-
-    @property
-    def algorithm(self):
-        """The resolved algorithm of the current membership."""
-        return self.plan.algorithm
-
-    @property
-    def predicted_cost_us(self):
-        """The selector's cost prediction for the current membership."""
-        return self.plan.predicted_cost_us
-
-    @property
-    def predicted_breakdown(self):
-        """Per-bucket decomposition of :attr:`predicted_cost_us`."""
-        return self.plan.predicted_breakdown
 
     @property
     def group_size(self):
@@ -103,10 +89,6 @@ class RegisteredCollective:
         return [devices[rank] for rank in self.plan.active_ranks
                 if devices[rank].failed]
 
-    def _next_generation(self):
-        self.generation += 1
-        self.plan = self._compile_plan(previous=self.plan)
-
     def shrink(self, failed_ranks, pool):
         """Exclude ``failed_ranks`` and rebuild the communicator over survivors.
 
@@ -120,7 +102,7 @@ class RegisteredCollective:
             return self.active_ranks()
         pool.release(self.communicator)
         self.excluded_ranks |= newly
-        self._next_generation()
+        self.plan = self._compile_plan(previous=self.plan)
         survivors = self.active_ranks()
         if survivors:
             self.communicator = pool.acquire(self.active_devices(), job=self.job)
@@ -195,12 +177,12 @@ class Invocation(CollectiveRun):
         #: that finished before a later recovery keeps the group identity it
         #: actually reduced over.
         self.completion_signatures = {}
-        #: Elastic-recovery state: the ranks expected to complete (survivors),
+        #: Elastic-recovery state: the plan recovery last re-formed the
+        #: invocation over (its members are the ranks expected to complete),
         #: the subset re-executing from scratch, and the dedicated
         #: communicator the re-run uses when some survivors already finished.
         self.recovery_generation = 0
-        self._participants = None
-        self._signature = None
+        self._reformed_plan = None
         self._rerun_ranks = None
         self._rerun_communicator = None
 
@@ -242,17 +224,17 @@ class Invocation(CollectiveRun):
             island_size=island_size)
         return PrimitiveExecutor(virtual_rank, communicator, sequence)
 
-    def begin_recovery(self, participants, rerun_ranks, communicator):
-        """Re-form this in-flight invocation over the surviving ranks.
+    def begin_recovery(self, rerun_ranks, communicator):
+        """Re-form this in-flight invocation over the current plan's members
+        (the survivors of the shrink that just replaced it).
 
-        ``participants`` are the ranks whose completion the invocation now
-        expects; ``rerun_ranks`` (⊆ participants) restart their primitive
-        sequence from position 0 over ``communicator``.  Cached executors of
-        re-running ranks are dropped so the next ``executor_for`` compiles
-        the shrunken sequence.
+        The invocation now expects those members' completions;
+        ``rerun_ranks`` (a subset) restart their primitive sequence from
+        position 0 over ``communicator``.  Cached executors of re-running
+        ranks are dropped so the next ``executor_for`` compiles the shrunken
+        sequence.
         """
-        self._participants = frozenset(participants)
-        self._signature = tuple(sorted(self._participants))
+        self._reformed_plan = self.coll.plan
         self._rerun_ranks = tuple(rerun_ranks)
         self._rerun_communicator = communicator
         self.recovery_generation += 1
@@ -299,9 +281,7 @@ class Invocation(CollectiveRun):
     def expected_ranks(self):
         """The survivors once recovery re-formed the invocation, else the
         current plan's members."""
-        if self._participants is not None:
-            return self._participants
-        return self.coll.plan.active_set
+        return (self._reformed_plan or self.coll.plan).active_set
 
     def participant_signature(self):
         """Deterministic identity of the contributing rank set.
@@ -310,9 +290,8 @@ class Invocation(CollectiveRun):
         callback fires — this is the simulation-level analogue of all ranks
         holding byte-identical reduction results.
         """
-        if self._signature is not None:
-            return (self.recovery_generation, self._signature)
-        return (self.recovery_generation, self.coll.plan.active_ranks)
+        return (self.recovery_generation,
+                (self._reformed_plan or self.coll.plan).active_ranks)
 
     def __repr__(self):
         return (

@@ -28,9 +28,11 @@ from repro.core.config import (
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class TaskEntry:
-    """One collective in the daemon kernel's task queue."""
+    """One collective in the daemon kernel's task queue (a plain list held
+    in shared memory).  Entries compare by identity, so ``list.remove``
+    removes exactly the given entry."""
 
     invocation: object
     group_rank: int
@@ -44,8 +46,6 @@ class TaskEntry:
     #: little virtual time and long waits few retries.
     spin_quantum: int = INITIAL_SPIN_QUANTUM
     progressed_since_load: bool = False
-    context_switches: int = 0
-    spin_polls: int = 0
     #: The invocation's collective id, read on every daemon step.
     coll_id: object = field(init=False)
     #: Set by the daemon that adopts the entry: the active-context slot the
@@ -61,50 +61,6 @@ class TaskEntry:
         self.spin_threshold = int(threshold)
         self.spin_remaining = int(threshold)
         self.spin_quantum = INITIAL_SPIN_QUANTUM
-
-
-class TaskQueue:
-    """The daemon kernel's per-block task queue (held in shared memory)."""
-
-    def __init__(self):
-        #: The entries in queue order: the live list, read directly by the
-        #: daemon's step; change it only through the methods below.
-        self.items = []
-        self._positions = {}
-
-    def __len__(self):
-        return len(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __getitem__(self, index):
-        return self.items[index]
-
-    def append(self, entry):
-        self._positions[id(entry)] = len(self.items)
-        self.items.append(entry)
-
-    def remove(self, entry):
-        """Index-aware removal: O(1) position lookup instead of an equality
-        scan over dataclass entries (a hot path when many collectives are in
-        flight)."""
-        try:
-            index = self._positions.pop(id(entry))
-        except KeyError:
-            raise ValueError(f"entry for coll {entry.coll_id} not in task queue") from None
-        del self.items[index]
-        for position in range(index, len(self.items)):
-            self._positions[id(self.items[position])] = position
-
-    def sort_by_priority(self):
-        """Stable sort: higher priority first, FIFO within a priority level."""
-        self.items.sort(key=lambda entry: (-entry.priority, entry.arrival_index))
-        self._positions = {id(entry): position
-                           for position, entry in enumerate(self.items)}
-
-    def entries(self):
-        return list(self.items)
 
 
 class FifoOrderingPolicy:
@@ -132,7 +88,8 @@ class PriorityOrderingPolicy:
         return queue_empty or at_pass_start
 
     def order(self, task_queue):
-        task_queue.sort_by_priority()
+        """Stable sort: higher priority first, FIFO within a priority level."""
+        task_queue.sort(key=lambda entry: (-entry.priority, entry.arrival_index))
 
 
 class _SpinPolicy:
@@ -249,6 +206,8 @@ class DaemonStats:
     execute_time_us: float = 0.0
     spin_time_us: float = 0.0
     task_queue_length_samples: list = field(default_factory=list)
+    #: Per completed invocation: every preemption of it on this rank, across
+    #: the daemon generations that adopted it (Fig. 11).
     context_switches_per_invocation: dict = field(default_factory=dict)
 
     def record_invocation_switches(self, invocation_id, count):

@@ -154,9 +154,8 @@ class Cluster:
 
         for node_index, node in enumerate(spec.nodes):
             self._build_node(node_index, node)
-        # Batch registration: a 512-rank fat-tree registers every device in
-        # one heapify instead of one sift-up per GPU.
-        self.engine.add_actors(self.devices)
+        for device in self.devices:
+            self.engine.add_actor(device)
 
     def _build_node(self, node_index, node, time_us=None):
         """Instantiate one node's devices (without engine registration)."""
@@ -258,7 +257,8 @@ class Cluster:
         node_index = len(self.spec.nodes)
         self.spec.nodes.append(node)
         added = self._build_node(node_index, node, time_us=time_us)
-        self.engine.add_actors(added)
+        for device in added:
+            self.engine.add_actor(device)
         return added
 
     # -- running ----------------------------------------------------------------

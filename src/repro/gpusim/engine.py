@@ -298,42 +298,15 @@ class Engine:
 
     # -- registration -------------------------------------------------------
 
-    def _register(self, actor):
-        """Shared registration bookkeeping of the add_actor/add_actors paths."""
+    def add_actor(self, actor):
+        """Register an actor and make it runnable."""
         self._actors[actor] = None
         actor.on_registered(self)
         if not actor.daemon and not actor.finished:
             self._live_worker_count += 1
         self._observe_time(actor.now)
-
-    def add_actor(self, actor):
-        """Register an actor and make it runnable."""
-        self._register(actor)
         self._schedule(actor, actor.now, _KIND_READY)
         return actor
-
-    def add_actors(self, actors):
-        """Batch-register many actors (one heapify instead of N sift-ups).
-
-        Used by cluster construction: instantiating a 512-rank fat-tree
-        registers hundreds of devices at once, and pushing them one by one is
-        both slower and noisier in profiles than a single heapify.
-        """
-        actors = list(actors)
-        for actor in actors:
-            self._register(actor)
-            # Same invariant as _schedule — one live entry per actor — with
-            # the heap push deferred to the single heapify below.
-            old = self._entries.get(actor)
-            if old is not None:
-                self._invalidate(old)
-            entry = [actor.now, _KIND_READY, self._seq, actor]
-            self._seq += 1
-            self._entries[actor] = entry
-            self._queue.append(entry)
-            self._ready_count += 1
-        heapq.heapify(self._queue)
-        return actors
 
     def actors(self):
         """Registered actors that have not completed, in registration order.
@@ -765,8 +738,7 @@ class Engine:
                 self._ready_count -= 1
                 return actor
             # The earliest event is a sleeper wake-up.
-            if self._ready_count == 0 and self._live_worker_count <= 0 \
-                    and not self._live_workers():
+            if self._ready_count == 0 and self._live_worker_count <= 0:
                 # Only daemon sleepers remain; let the caller finish.
                 return None
             heapq.heappop(queue)

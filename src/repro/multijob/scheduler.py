@@ -125,7 +125,6 @@ class ClusterScheduler(Actor):
         #: Tenant -> max concurrently leased GPUs (absent tenants: unlimited).
         self.quotas = dict(quotas or {})
         self.jobs = {}
-        self.load = {rank: 0 for rank in range(cluster.world_size)}
         self._pending_arrivals = []      # JobSpecs sorted by arrival time
         self._actions = []               # (time_us, seq, callable) sorted
         self._action_seq = 0
@@ -305,12 +304,18 @@ class ClusterScheduler(Actor):
         return leased + record.spec.world_size <= quota
 
     def _effective_load(self):
-        """Load map with failed devices reported as full (never placeable)."""
-        return {
-            rank: (self.tenants_per_gpu if self.cluster.device(rank).failed
-                   else self.load[rank])
-            for rank in self.load
-        }
+        """Global rank -> the RUNNING jobs whose lease holds it, with failed
+        devices reported as full (never placeable)."""
+        cluster = self.cluster
+        load = dict.fromkeys(range(cluster.world_size), 0)
+        for record in self.jobs.values():
+            if record.state is JobState.RUNNING:
+                for rank in record.lease.ranks:
+                    load[rank] += 1
+        for rank in load:
+            if cluster.device(rank).failed:
+                load[rank] = self.tenants_per_gpu
+        return load
 
     def _try_place_queued(self, now):
         """Placement pass: backfill first, then preempt for what still waits."""
@@ -387,8 +392,6 @@ class ClusterScheduler(Actor):
         if record.start_time_us is None:
             record.start_time_us = now
         record.state = JobState.RUNNING
-        for rank in ranks:
-            self.load[rank] += 1
         self.events.append((now, "resume" if resumed else "place",
                             record.job_id))
         obs = self._obs()
@@ -439,8 +442,6 @@ class ClusterScheduler(Actor):
             # cumulative counter truthful for resumed jobs too.
             record.completed_iterations = record.spec.iterations
         record.finish_time_us = time_us
-        for rank in record.lease.ranks:
-            self.load[rank] -= 1
         # Recycle the job's backend state (pooled communicators etc.).
         self.runner.release(record)
         self.events.append((time_us, "finish", record.job_id))
@@ -508,8 +509,6 @@ class ClusterScheduler(Actor):
             aborted_parts=aborted,
             fingerprints=fingerprints,
         )
-        for rank in record.lease.ranks:
-            self.load[rank] -= 1
         record.lease = None
         record.ranks_done = {}
         record.preemptions += 1
@@ -571,8 +570,6 @@ class ClusterScheduler(Actor):
         """Add a node to the live cluster and place queued work on it."""
         now = self.now if time_us is None else time_us
         added = self.cluster.add_node(node, time_us=now)
-        for device in added:
-            self.load[self.cluster.rank_of(device)] = 0
         self.grow_events += 1
         self.events.append((now, "grow", self.cluster.spec.nodes[-1].name))
         obs = self._obs()

@@ -789,11 +789,8 @@ class TestRemovedShims:
         length record: the task queue's duplicate samples were deleted, and
         both spin policies name a position's threshold ``initial_threshold``
         (the adaptive policy's ``initial_for_position`` was deleted)."""
-        from repro.core.scheduling import (
-            AdaptiveSpinPolicy, NaiveSpinPolicy, TaskQueue)
+        from repro.core.scheduling import AdaptiveSpinPolicy, NaiveSpinPolicy
 
-        assert not hasattr(TaskQueue, "record_length")
-        assert not hasattr(TaskQueue(), "length_samples")
         assert not hasattr(AdaptiveSpinPolicy, "initial_for_position")
         assert AdaptiveSpinPolicy().initial_threshold(0) == 20_000
         assert NaiveSpinPolicy().initial_threshold(3) == 10_000
@@ -1031,6 +1028,45 @@ class TestRemovedShims:
                      "self.event_capacity", "self.span_capacity", "last_dump",
                      "self.num_experts"):
             assert name not in source, name
+
+    def test_one_account_of_each_fact(self):
+        """Shadow copies of a fact kept equal by hand were deleted: the task
+        queue is a plain list of identity-compared entries, an executor's
+        ``position`` is its count of executed primitives, a context's
+        in-flight map its outstanding count, a collective's generation its
+        plan's, the invocation's per-rank total its context-switch count,
+        the ``DaemonStats`` delta its replayed spin polls, ``cache_misses``
+        its context loads, RUNNING jobs' leases the scheduler's load, and
+        the plan its algorithm and cost prediction.  Actors register one by
+        one."""
+        import dataclasses
+        import inspect
+
+        import repro.core as core
+        import repro.core.scheduling as scheduling
+        from repro.core.context import ContextStats
+        from repro.core.scheduling import TaskEntry
+        from repro.gpusim.engine import Engine
+        from repro.multijob.scheduler import ClusterScheduler
+
+        assert not hasattr(scheduling, "TaskQueue")
+        assert not hasattr(core, "TaskQueue")
+        assert TaskEntry.__eq__ is object.__eq__
+        fields = {field.name for field in dataclasses.fields(TaskEntry)}
+        assert not fields & {"context_switches", "spin_polls"}
+        assert "loads" not in {field.name
+                               for field in dataclasses.fields(ContextStats)}
+        backend = make_backend("dfccl", build_cluster("single-3090"))
+        run = backend.new_group([0, 1]).all_reduce(0, count=1 << 10).run
+        assert not hasattr(backend.contexts[0], "outstanding")
+        for name in ("generation", "algorithm", "predicted_cost_us",
+                     "predicted_breakdown", "_next_generation"):
+            assert not hasattr(run.coll, name), name
+        for name in ("_participants", "_signature"):
+            assert not hasattr(run, name), name
+        assert not hasattr(run.executor_for(0), "executed_primitives")
+        assert not hasattr(Engine, "add_actors")
+        assert "self.load" not in inspect.getsource(ClusterScheduler)
 
 
 class TestNoInternalStringDispatch:

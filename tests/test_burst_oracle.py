@@ -141,7 +141,6 @@ def _reference_burst(world, limit, max_wait_us, success_wait_us):
                 world.signal(sends.readable_key, clock.now)
         executor.trace.extend((start, clock.now, busy))
         executor.position += 1
-        executor.executed_primitives += 1
         executed += 1
         max_wait = success_wait_us
 

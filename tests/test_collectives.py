@@ -387,8 +387,7 @@ class _BurstWorld:
                    channel.bytes_pushed, channel.invalidated)
             for pair, channel in self.channels.items()
         }
-        return (executor.position, executor.executed_primitives,
-                self.clock.now, channels, list(self.signals),
+        return (executor.position, self.clock.now, channels, list(self.signals),
                 list(executor.trace))
 
     def busy_times(self, start, stop):

@@ -10,7 +10,6 @@ from repro.core.scheduling import (
     NaiveSpinPolicy,
     PriorityOrderingPolicy,
     TaskEntry,
-    TaskQueue,
     make_ordering_policy,
     make_spin_policy,
 )
@@ -28,20 +27,27 @@ def make_entry(coll_id, priority=0, arrival=0):
 
 
 class TestTaskQueue:
+    """The task queue is a plain list of entries."""
+
     def test_append_remove(self):
-        queue = TaskQueue()
-        entry = make_entry(1)
-        queue.append(entry)
-        assert len(queue) == 1
-        queue.remove(entry)
-        assert len(queue) == 0
+        # Entries compare by identity: removing one of two entries with
+        # equal fields removes exactly that one.
+        first, second = make_entry(1), make_entry(1)
+        queue = [first, second]
+        queue.remove(second)
+        assert queue == [first] and queue[0] is first
+        queue.remove(first)
+        assert queue == []
+        with pytest.raises(ValueError):
+            queue.remove(first)
 
     def test_priority_sort_is_stable(self):
-        queue = TaskQueue()
-        queue.append(make_entry(1, priority=0, arrival=0))
-        queue.append(make_entry(2, priority=5, arrival=1))
-        queue.append(make_entry(3, priority=5, arrival=2))
-        queue.sort_by_priority()
+        queue = [make_entry(1, priority=0, arrival=0),
+                 make_entry(2, priority=5, arrival=1),
+                 make_entry(3, priority=5, arrival=2)]
+        PriorityOrderingPolicy().order(queue)
+        assert [entry.coll_id for entry in queue] == [2, 3, 1]
+        FifoOrderingPolicy().order(queue)
         assert [entry.coll_id for entry in queue] == [2, 3, 1]
 
 
@@ -69,9 +75,7 @@ class TestOrderingPolicies:
 class TestSpinPolicies:
     def test_adaptive_front_gets_largest_threshold(self):
         policy = AdaptiveSpinPolicy()
-        queue = TaskQueue()
-        for coll_id in range(4):
-            queue.append(make_entry(coll_id))
+        queue = [make_entry(coll_id) for coll_id in range(4)]
         policy.assign_initial(queue)
         thresholds = [entry.spin_threshold for entry in queue]
         assert thresholds == sorted(thresholds, reverse=True)
@@ -108,9 +112,7 @@ class TestSpinPolicies:
 
     def test_naive_policy_fixed_threshold(self):
         policy = NaiveSpinPolicy()
-        queue = TaskQueue()
-        for coll_id in range(3):
-            queue.append(make_entry(coll_id))
+        queue = [make_entry(coll_id) for coll_id in range(3)]
         policy.assign_initial(queue)
         assert {entry.spin_threshold for entry in queue} == {10_000}
 

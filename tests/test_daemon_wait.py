@@ -27,6 +27,12 @@ FIG13_ITERATION_MS = 258.38070919743933
 #: Fig. 11 throughput: the same under both spin policies.
 FIG11_THROUGHPUT = 1581.7555481929473
 
+#: Fig. 11 at its default arguments, every rank under both policies: each of
+#: the nine collectives' three invocations completes without a context
+#: switch.
+FIG11_CONTEXT_SWITCHES = {(coll_id, index): 0
+                          for coll_id in range(9) for index in range(3)}
+
 #: The fault program: outcome, final virtual time, recovery events and per-rank
 #: (preemptions, spin_polls, spin_time_us).
 FAULT_TIME_US = 19578.59443720786
@@ -76,6 +82,10 @@ def test_fig13_3d_16gpu_spin_and_preemption_counts(monkeypatch):
         observed = (stats.preemptions, stats.spin_polls, stats.spin_time_us,
                     stats.primitives_executed, cache_hits[rank])
         assert observed == (FIG13_STAGE0 if rank < 8 else FIG13_STAGE1), rank
+        # Every preemption is one invocation's context switch, counted
+        # across the daemon generations that adopted it.
+        assert (sum(stats.context_switches_per_invocation.values())
+                == stats.preemptions), rank
     assert result.mean_iteration_time_ms == FIG13_ITERATION_MS
 
 
@@ -91,6 +101,14 @@ def test_fig11_preemptions_and_task_queue_peaks():
         ]
         assert observed == [(0, 1)] * 4, policy
         assert results[policy]["throughput_samples_per_s"] == FIG11_THROUGHPUT
+
+
+def test_fig11_context_switches_per_invocation():
+    results = fig11_adaptive_scheduling()
+    for policy in ("naive", "adaptive"):
+        for rank, row in sorted(results[policy]["per_rank"].items()):
+            assert row["context_switches"] == FIG11_CONTEXT_SWITCHES, (
+                policy, rank)
 
 
 def test_fault_program_with_straggler_stall_flap_and_crash():

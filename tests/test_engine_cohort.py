@@ -211,7 +211,8 @@ def _run_resumed(make, mode, until_us):
     boxes, trace = {}, []
     actors = make(boxes, trace, {} if mode == "cohort" else None)
     engine = Engine(deadlock_mode="record")
-    engine.add_actors(actors)
+    for actor in actors:
+        engine.add_actor(actor)
     with stepped() if mode == "stepped" else nullcontext():
         stop = engine.run(until_us=until_us)
         clocks = [(actor.name, actor.now) for actor in actors]

@@ -146,7 +146,8 @@ def run_scenario(build, timed, until_us=None, deadlock_mode="record"):
     trace = []
     actors = build(boxes, trace)
     engine = Engine(deadlock_mode=deadlock_mode)
-    engine.add_actors(actors)
+    for actor in actors:
+        engine.add_actor(actor)
     with nullcontext() if timed else stepped():
         end = engine.run(until_us=until_us)
     spinners = [(actor.name, actor.now, actor.polls, actor.left)
@@ -359,8 +360,8 @@ def test_stall_handler_never_reports_a_timed_waiter():
 
     boxes, trace = {"box": 0}, []
     engine = Engine()
-    engine.add_actors([Spinner("s", boxes, trace, "box", budget=30),
-                       _Stuck("stuck")])
+    engine.add_actor(Spinner("s", boxes, trace, "box", budget=30))
+    engine.add_actor(_Stuck("stuck"))
     with pytest.raises(DeadlockError):
         engine.run()
     assert trace == [("s", "gave up", 30.0, 30)]

@@ -404,10 +404,10 @@ class TestEngineEventQueue:
         assert stats["live"] == 0
         assert stats["ready"] == 0
 
-    def test_add_actors_batch_registration(self):
+    def test_actors_registered_one_by_one_all_run(self):
         engine = Engine()
-        actors = engine.add_actors(_CountdownActor(f"w{i}", 2) for i in range(40))
-        assert len(actors) == 40
+        actors = [engine.add_actor(_CountdownActor(f"w{i}", 2))
+                  for i in range(40)]
         assert engine.queue_stats()["live"] == 40
         engine.run()
         assert all(actor.finished for actor in actors)

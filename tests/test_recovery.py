@@ -233,8 +233,7 @@ class TestRecoveryMechanics:
         assert manager.stats.abandoned == 1
         assert manager.stats.recoveries == 0
         # And the scan skips an abandoned collective instead of retrying.
-        backend.contexts[1]._inflight[invocation] = 0.0
-        backend.contexts[1].outstanding += 1
+        backend.contexts[1].inflight[invocation] = 0.0
         manager._scan(now=10_000.0)
         assert manager.stats.abandoned == 1
 

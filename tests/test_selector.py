@@ -66,8 +66,8 @@ class TestConfigWiring:
                              config=DfcclConfig(algorithm="auto")).new_group()
         small = group.all_reduce(0, count=1 << 12).run.coll
         large = group.all_reduce(0, count=1 << 20).run.coll
-        assert small.algorithm == "tree"
-        assert large.algorithm == "ring"
+        assert small.plan.algorithm == "tree"
+        assert large.plan.algorithm == "ring"
 
     def test_nccl_backend_resolves_auto(self):
         cluster = build_cluster("dual-3090")
